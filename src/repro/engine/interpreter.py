@@ -173,7 +173,7 @@ class Interpreter:
         """The *select* phase's candidates, after refraction."""
         if self.refraction:
             return self.conflict_set.eligible()
-        return list(self.conflict_set)
+        return self.conflict_set.ordered()
 
     def select(self) -> Instantiation | None:
         """Pick the dominant instantiation, or None when quiescent."""

@@ -98,41 +98,33 @@ class MultiUserEngine(ParallelEngine):
 
     # -- fair wave ordering ------------------------------------------------------------
 
-    def _ordered_candidates(self) -> list[Instantiation]:
+    def _ordered_candidates(
+        self, eligible: list[Instantiation]
+    ) -> list[Instantiation]:
         """Interleave users' candidates, rotating the lead user."""
-        remaining = self._eligible_candidates()
         buckets: dict[str, list[Instantiation]] = {}
-        for candidate in remaining:
+        for candidate in eligible:
             user = self._owners.get(candidate.production.name, "?")
             buckets.setdefault(user, []).append(candidate)
-        # Order within each bucket by the base strategy.
-        for user, candidates in buckets.items():
-            ordered: list[Instantiation] = []
-            pool = list(candidates)
-            while pool:
-                chosen = self.strategy.select(pool)
-                ordered.append(chosen)
-                pool.remove(chosen)
-            buckets[user] = ordered
+        # A user supplies at most ``processors`` of a wave, so that is
+        # all the base strategy has to rank within a bucket.
+        ranked = {
+            user: self.strategy.order(candidates, self.processors)
+            for user, candidates in buckets.items()
+        }
         # Rotate the user list so the lead changes every wave.
-        if self._users:
-            rotation = (
-                self._users[self._turn:] + self._users[: self._turn]
-            )
-            self._turn = (self._turn + 1) % len(self._users)
-        else:  # pragma: no cover - engines always have sessions
-            rotation = list(buckets)
-        interleaved: list[Instantiation] = []
-        index = 0
-        while any(buckets.get(user) for user in rotation):
-            user = rotation[index % len(rotation)]
-            index += 1
-            bucket = buckets.get(user)
-            if bucket:
-                interleaved.append(bucket.pop(0))
-        if self.processors is not None:
-            interleaved = interleaved[: self.processors]
-        return interleaved
+        users = self._users
+        rotation = users[self._turn:] + users[: self._turn]
+        self._turn = (self._turn + 1) % len(users) if users else 0
+        queues = [ranked[user] for user in rotation if user in ranked]
+        depth = max(map(len, queues), default=0)
+        interleaved = [
+            queue[cursor]
+            for cursor in range(depth)
+            for queue in queues
+            if cursor < len(queue)
+        ]
+        return interleaved[: self.processors]
 
     # -- attribution -----------------------------------------------------------------
 

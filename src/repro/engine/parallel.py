@@ -236,29 +236,32 @@ class ParallelEngine:
             for obj in sorted(objects, key=repr)
         )
 
-    def _ordered_candidates(self) -> list[Instantiation]:
-        """Eligible instantiations in conflict-resolution order."""
-        remaining = self._eligible_candidates()
-        ordered: list[Instantiation] = []
-        while remaining:
-            chosen = self.strategy.select(remaining)
-            ordered.append(chosen)
-            remaining.remove(chosen)
-        if self.processors is not None:
-            ordered = ordered[: self.processors]
-        return ordered
+    def _ordered_candidates(
+        self, eligible: list[Instantiation]
+    ) -> list[Instantiation]:
+        """The wave: the first ``processors`` of ``eligible`` in
+        conflict-resolution order."""
+        return self.strategy.order(eligible, self.processors)
 
     def _span_fields(self, instantiation: Instantiation) -> dict:
         """Extra fields stamped on acquire/firing spans (overridable)."""
         return {}
 
-    def run_wave(self, started_at: float | None = None) -> WaveResult:
+    def run_wave(
+        self,
+        started_at: float | None = None,
+        eligible: list[Instantiation] | None = None,
+    ) -> WaveResult:
         """Execute one wave; returns its summary.
 
         ``started_at`` backdates the cycle span to when the run loop
         began this iteration's eligibility pre-check, so that match
-        work stays inside the cycle on the causal timeline.
+        work stays inside the cycle on the causal timeline;
+        ``eligible`` is that pre-check's candidate list, so a wave
+        reads the conflict set once.
         """
+        if eligible is None:
+            eligible = self._eligible_candidates()
         wave = WaveResult(wave=len(self.waves) + 1)
         obs = self.obs
         spans = obs.spans if obs.enabled else None
@@ -282,9 +285,9 @@ class ParallelEngine:
                 with spans.span(
                     "phase.match", parent=cycle_span, scope=True
                 ):
-                    candidates = self._ordered_candidates()
+                    candidates = self._ordered_candidates(eligible)
             else:
-                candidates = self._ordered_candidates()
+                candidates = self._ordered_candidates(eligible)
             if obs.enabled:
                 obs.match_latency(obs.clock() - wave_start)
                 obs.wave_started(wave.wave, len(candidates))
@@ -572,10 +575,11 @@ class ParallelEngine:
                     )
                     break
                 wave = self.run_wave(
-                    started_at=check_start if obs.enabled else None
+                    started_at=check_start if obs.enabled else None,
+                    eligible=candidates,
                 )
                 self.result.cycles += 1
-                if not wave.committed and self._eligible_candidates():
+                if not wave.committed:
                     self._fire_single()
             else:
                 self.result.stop_reason = "max_waves"

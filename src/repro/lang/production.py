@@ -54,9 +54,10 @@ class Production:
         self.validate()
 
     def __reduce__(self):
-        # Compiled token plans and the variable index are cached on the
-        # instance via ``object.__setattr__``; rebuild from the AST so
-        # pickles never carry closures (mirrors WME.__reduce__).
+        # Compiled token plans, the variable index and the LEX static
+        # rank are cached on the instance via ``object.__setattr__``;
+        # rebuild from the AST so pickles never carry closures or
+        # derived data (mirrors WME.__reduce__).
         return (Production, (self.name, self.lhs, self.rhs, self.priority))
 
     # -- validation -------------------------------------------------------------
@@ -157,6 +158,25 @@ class Production:
                 plan = _compile.SlottedPlan(self)
             plans[kind] = plan
         return plan
+
+    # -- conflict-resolution rank ---------------------------------------------------
+
+    def lex_static(self) -> tuple[int, tuple[int, ...]]:
+        """The rule-level tail of the LEX ordering: ``(specificity,
+        name tiebreak)`` — the number of LHS tests, then the name
+        inverted into larger-is-preferred form (stable but arbitrary;
+        only reached by otherwise tied instantiations).  Cached like
+        :meth:`token_plan`, so ranking never walks the LHS or the name.
+        """
+        try:
+            return self._lex_static
+        except AttributeError:
+            static = (
+                sum(len(ce.tests) for ce in self.lhs),
+                tuple(-ord(c) for c in self.name),
+            )
+            object.__setattr__(self, "_lex_static", static)
+            return static
 
     # -- structure queries --------------------------------------------------------
 

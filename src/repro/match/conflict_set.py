@@ -57,6 +57,10 @@ class ConflictSet:
     def __init__(self) -> None:
         self._members: dict[Instantiation, Instantiation] = {}
         self._fired: set[Instantiation] = set()
+        # Members that have not fired, in membership order (dict-as-
+        # ordered-set), kept in step by add/remove/mark_fired so that
+        # eligible() never scans the membership.
+        self._eligible: dict[Instantiation, None] = {}
         self._added: set[Instantiation] = set()
         self._removed: set[Instantiation] = set()
         # Secondary indexes (insertion-ordered via dict-as-set so the
@@ -71,6 +75,8 @@ class ConflictSet:
         if instantiation in self._members:
             return False
         self._members[instantiation] = instantiation
+        if instantiation not in self._fired:
+            self._eligible[instantiation] = None
         self._by_rule.setdefault(instantiation.production.name, {})[
             instantiation
         ] = None
@@ -92,6 +98,7 @@ class ConflictSet:
         if instantiation not in self._members:
             return False
         del self._members[instantiation]
+        self._eligible.pop(instantiation, None)
         rule_bucket = self._by_rule.get(instantiation.production.name)
         if rule_bucket is not None:
             rule_bucket.pop(instantiation, None)
@@ -122,6 +129,7 @@ class ConflictSet:
     def mark_fired(self, instantiation: Instantiation) -> None:
         """Record that ``instantiation`` has fired (refraction)."""
         self._fired.add(instantiation)
+        self._eligible.pop(instantiation, None)
 
     def has_fired(self, instantiation: Instantiation) -> bool:
         """True when the instantiation has ever fired.
@@ -135,10 +143,18 @@ class ConflictSet:
     def forget_fired(self, instantiation: Instantiation) -> None:
         """Drop the fired mark, restoring eligibility (test hook)."""
         self._fired.discard(instantiation)
+        if instantiation in self._members:
+            # Rebuild rather than append: the member regains its
+            # membership-order position, not the end of the line.
+            fired = self._fired
+            self._eligible = {
+                m: None for m in self._members if m not in fired
+            }
 
     def eligible(self) -> list[Instantiation]:
-        """Members that have not fired — the candidates for *select*."""
-        return [m for m in self._members if m not in self._fired]
+        """Members that have not fired — the candidates for *select*,
+        in membership order."""
+        return list(self._eligible)
 
     # -- delta tracking ------------------------------------------------------------------
 
@@ -170,7 +186,11 @@ class ConflictSet:
         return len(self._members)
 
     def __iter__(self) -> Iterator[Instantiation]:
-        return iter(list(self._members))
+        return iter(self.ordered())
+
+    def ordered(self) -> list[Instantiation]:
+        """A snapshot of the membership, in membership order."""
+        return list(self._members)
 
     def members(self) -> frozenset[Instantiation]:
         """An immutable view of the current membership."""

@@ -21,6 +21,7 @@ pays for materializing them.
 
 from __future__ import annotations
 
+from operator import neg
 from typing import TYPE_CHECKING, Mapping
 
 from repro.lang.production import Production
@@ -58,6 +59,7 @@ class Instantiation:
         "_hash",
         "_recency_key",
         "_mea_key",
+        "_lex_key",
     )
 
     def __init__(
@@ -75,10 +77,11 @@ class Instantiation:
         self._init_keys()
 
     def _init_keys(self) -> None:
-        # Identity, hash, and the LEX/MEA ordering keys are immutable
-        # functions of (production, wmes); compute them once.
+        # Identity, hash, and the conflict-resolution ordering keys are
+        # immutable functions of (production, wmes); compute them once.
+        production = self.production
         timetags = tuple(w.timetag for w in self.wmes)
-        identity = (self.production.name, timetags)
+        identity = (production.name, timetags)
         recency = tuple(sorted(timetags, reverse=True))
         self._timetags = timetags
         self._identity = identity
@@ -89,6 +92,7 @@ class Instantiation:
         # sentinel would tie an all-negated instantiation with one
         # whose goal element matched timetag 0.
         self._mea_key = (timetags[0] if timetags else -1, *recency)
+        self._lex_key = (recency, production.lex_static())
 
     @staticmethod
     def build(
@@ -187,6 +191,20 @@ class Instantiation:
         the no-positive-WMEs case (real timetags are non-negative).
         """
         return self._mea_key
+
+    def lex_key(self) -> tuple:
+        """The complete LEX rank, larger preferred: recency, then the
+        production's :meth:`~repro.lang.production.Production.lex_static`
+        (specificity, name tiebreak).  Cached at construction; only
+        instantiations of one rule over the same timetags in a
+        different LHS order tie.
+        """
+        return self._lex_key
+
+    def merge_key(self) -> tuple:
+        """Ascending sort key of the partitioned merge and of worker
+        replies: most recent first, rule name as tiebreak."""
+        return (tuple(map(neg, self._recency_key)), self.production.name)
 
     def mentions(self, wme: WME) -> bool:
         """True when ``wme`` is one of the matched elements."""

@@ -156,14 +156,6 @@ class _Shard:
         return sorted(self.matcher.productions)
 
 
-def _merge_key(instantiation: Instantiation) -> tuple:
-    """Recency order (most recent first), rule name as tiebreak."""
-    return (
-        tuple(-t for t in instantiation.recency_key()),
-        instantiation.rule_name,
-    )
-
-
 class _StagedDelta:
     """Decoded worker conflict-set deltas, queued for the next merge.
 
@@ -729,9 +721,13 @@ class PartitionedMatcher(BaseMatcher):
             delta = shard.matcher.conflict_set.take_delta()
             if delta.is_empty():
                 continue
-            for instantiation in sorted(delta.removed, key=_merge_key):
+            for instantiation in sorted(
+                delta.removed, key=Instantiation.merge_key
+            ):
                 self.conflict_set.remove(instantiation)
-            for instantiation in sorted(delta.added, key=_merge_key):
+            for instantiation in sorted(
+                delta.added, key=Instantiation.merge_key
+            ):
                 self.conflict_set.add(instantiation)
 
     # -- introspection -------------------------------------------------------------------

@@ -205,13 +205,7 @@ def _take_encoded_delta(matcher) -> tuple[tuple, tuple]:
     wire capture is stable across runs.
     """
     delta = matcher.conflict_set.take_delta()
-
-    def key(instantiation):
-        return (
-            tuple(-t for t in instantiation.recency_key()),
-            instantiation.rule_name,
-        )
-
+    key = Instantiation.merge_key
     added = tuple(
         encode_instantiation(i) for i in sorted(delta.added, key=key)
     )

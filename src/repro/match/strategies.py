@@ -11,64 +11,97 @@ strategy-agnostic, exactly as Section 3 requires.
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence, runtime_checkable
+from heapq import nlargest, nsmallest
+from operator import attrgetter
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from repro.match.instantiation import Instantiation
 
 
 @runtime_checkable
 class Strategy(Protocol):
-    """Picks the dominant instantiation from a non-empty candidate list."""
+    """Ranks a non-empty candidate list; never adds or removes any."""
 
     name: str
 
     def select(
         self, candidates: Sequence[Instantiation]
-    ) -> Instantiation: ...
+    ) -> Instantiation:
+        """The dominant instantiation."""
+
+    def order(
+        self, candidates: Sequence[Instantiation], limit: int | None = None
+    ) -> list[Instantiation]:
+        """The first ``limit`` (default: all) candidates, in the order
+        repeated ``select``-then-remove would produce them."""
 
 
-class LexStrategy:
+class KeyedStrategy:
+    """A strategy that is a total-order ``key`` plus a direction.
+
+    ``select`` is the first extreme of the key and ``order`` one stable
+    (partial) sort on it, so candidates tied on the key keep their list
+    order in both and ``order`` equals repeated ``select``-then-remove.
+    Keys read ranks cached on the instantiation; none does work
+    proportional to the size of the rule.
+    """
+
+    name: str
+    key: Callable[[Instantiation], tuple]
+    #: True: the largest key is preferred; False: the smallest.
+    descending = True
+
+    def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
+        pick = max if self.descending else min
+        return pick(candidates, key=self.key)
+
+    def order(
+        self, candidates: Sequence[Instantiation], limit: int | None = None
+    ) -> list[Instantiation]:
+        if limit is None:
+            return sorted(
+                candidates, key=self.key, reverse=self.descending
+            )
+        # Documented as ``sorted(...)[:limit]``, ties in list order.
+        take = nlargest if self.descending else nsmallest
+        return take(limit, candidates, key=self.key)
+
+
+class LexStrategy(KeyedStrategy):
     """OPS5 LEX: prefer recency (descending timetag vectors), then
     specificity (number of LHS tests), then stable name order."""
 
     name = "lex"
-
-    def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        return max(candidates, key=_lex_key)
+    key = attrgetter("_lex_key")
 
 
-class MeaStrategy:
+class MeaStrategy(KeyedStrategy):
     """OPS5 MEA: recency of the first condition element dominates,
     remaining ties resolved as in LEX."""
 
     name = "mea"
 
-    def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        return max(
-            candidates,
-            key=lambda inst: (inst.mea_key(), _lex_key(inst)),
-        )
+    @staticmethod
+    def key(inst: Instantiation) -> tuple:
+        return (inst._mea_key, inst._lex_key)
 
 
-class PriorityStrategy:
+class PriorityStrategy(KeyedStrategy):
     """Highest production priority wins; ties resolved by LEX."""
 
     name = "priority"
 
-    def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        return max(
-            candidates,
-            key=lambda inst: (inst.production.priority, _lex_key(inst)),
-        )
+    @staticmethod
+    def key(inst: Instantiation) -> tuple:
+        return (inst.production.priority, inst._lex_key)
 
 
-class FifoStrategy:
+class FifoStrategy(KeyedStrategy):
     """Oldest instantiation first (ascending recency): a fair queue."""
 
     name = "fifo"
-
-    def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        return min(candidates, key=lambda inst: inst.recency_key())
+    key = attrgetter("_recency_key")
+    descending = False
 
 
 class RandomStrategy:
@@ -76,6 +109,14 @@ class RandomStrategy:
 
     Useful for sampling the execution graph: repeated runs explore
     different valid sequences of ``ES_single``.
+
+    ``order`` sorts the pool once by the stable key (rule name, then
+    timetags — the instantiation's identity, so list order is
+    irrelevant) and draws without replacement, one random number per
+    instantiation returned.  With a ``limit`` below the pool size a
+    seeded run therefore consumes ``limit`` numbers per call, not one
+    per candidate: its sequence differs from what repeated ``select``
+    over the whole pool followed by a cut would give.
     """
 
     name = "random"
@@ -84,26 +125,16 @@ class RandomStrategy:
         self._rng = random.Random(seed)
 
     def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        ordered = sorted(candidates, key=_stable_key)
-        return ordered[self._rng.randrange(len(ordered))]
+        return self.order(candidates, 1)[0]
 
-
-def _specificity(instantiation: Instantiation) -> int:
-    return sum(len(ce.tests) for ce in instantiation.production.lhs)
-
-
-def _lex_key(instantiation: Instantiation) -> tuple:
-    return (
-        instantiation.recency_key(),
-        _specificity(instantiation),
-        # Invert name ordering into a max-compatible tiebreak: stable
-        # but arbitrary; only reached for fully tied instantiations.
-        tuple(-ord(c) for c in instantiation.production.name),
-    )
-
-
-def _stable_key(instantiation: Instantiation) -> tuple:
-    return (instantiation.production.name, instantiation.timetags())
+    def order(
+        self, candidates: Sequence[Instantiation], limit: int | None = None
+    ) -> list[Instantiation]:
+        pool = sorted(candidates, key=attrgetter("_identity"))
+        if limit is None or limit > len(pool):
+            limit = len(pool)
+        draw = self._rng.randrange
+        return [pool.pop(draw(len(pool))) for _ in range(limit)]
 
 
 _REGISTRY = {

@@ -39,45 +39,62 @@ def precedence_graph(
     Edge ``a -> b`` when some operation of ``a`` conflicts with and
     precedes some operation of ``b``.  By default only committed
     transactions participate (the committed projection).
+
+    Operations on different objects never conflict, so the history is
+    walked once with, per object, the transactions that have read and
+    written it so far: a read follows every earlier writer, a write
+    every earlier reader and writer.
     """
     source = history.committed_projection() if committed_only else history
-    ops = source.operations()
-    graph: dict[str, set[str]] = defaultdict(set)
-    for txn_id in source.transactions():
-        graph.setdefault(txn_id, set())
-    for i, earlier in enumerate(ops):
-        for later in ops[i + 1:]:
-            if conflicts(earlier, later):
-                graph[earlier.txn_id].add(later.txn_id)
-    return dict(graph)
+    graph: dict[str, set[str]] = {
+        txn_id: set() for txn_id in source.transactions()
+    }
+    readers: dict[object, set[str]] = defaultdict(set)
+    writers: dict[object, set[str]] = defaultdict(set)
+    for op in source.operations():
+        if op.kind == READ:
+            earlier = writers[op.obj]
+            readers[op.obj].add(op.txn_id)
+        elif op.kind == WRITE:
+            earlier = writers[op.obj] | readers[op.obj]
+            writers[op.obj].add(op.txn_id)
+        else:
+            continue
+        for txn_id in earlier:
+            if txn_id != op.txn_id:
+                graph[txn_id].add(op.txn_id)
+    return graph
 
 
 def _find_cycle(graph: dict[str, set[str]]) -> tuple[str, ...] | None:
-    """Return one cycle as a node tuple, or ``None`` when acyclic."""
+    """Return one cycle as a node tuple, or ``None`` when acyclic.
+
+    Depth-first from the sorted nodes through sorted successors, on an
+    explicit stack: a serial history of *n* transactions is a path *n*
+    deep.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {node: WHITE for node in graph}
-    stack: list[str] = []
-
-    def visit(node: str) -> tuple[str, ...] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for successor in sorted(graph.get(node, ())):
-            if color.get(successor, WHITE) == GRAY:
-                start = stack.index(successor)
-                return tuple(stack[start:] + [successor])
-            if color.get(successor, WHITE) == WHITE:
-                found = visit(successor)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(graph):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found is not None:
-                return found
+    for root in sorted(graph):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(sorted(graph[root]))]
+        while path:
+            for successor in pending[-1]:
+                state = color.get(successor, WHITE)
+                if state == GRAY:
+                    start = path.index(successor)
+                    return tuple(path[start:] + [successor])
+                if state == WHITE:
+                    color[successor] = GRAY
+                    path.append(successor)
+                    pending.append(iter(sorted(graph.get(successor, ()))))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

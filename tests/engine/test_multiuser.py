@@ -97,6 +97,75 @@ class TestMultiUser:
         assert outcome.consistent, outcome.detail
         assert is_conflict_serializable(engine.history)
 
+    @pytest.mark.parametrize("processors", [None, 1, 3])
+    @pytest.mark.parametrize("scheme", ["rc", "2pl"])
+    @pytest.mark.parametrize(
+        "strategy", ["lex", "mea", "priority", "fifo", "random"]
+    )
+    def test_every_base_strategy_stays_consistent(
+        self, strategy, scheme, processors
+    ):
+        wm = make_memory()
+        sessions = [
+            shipping_session(),
+            billing_session(),
+            analytics_session(),
+        ]
+        snapshot = WMSnapshot.capture(wm)
+        engine = MultiUserEngine(
+            sessions, wm, scheme=scheme, base_strategy=strategy,
+            processors=processors, seed=4,
+        )
+        result = engine.run()
+        assert engine.firings_by_user() == {
+            "shipping": 4, "billing": 4, "analytics": 4,
+        }
+        all_rules = [
+            p for session in sessions for p in session.productions
+        ]
+        outcome = replay_commit_sequence(
+            snapshot, all_rules, result.firings
+        )
+        assert outcome.consistent, outcome.detail
+        assert is_conflict_serializable(engine.history)
+        assert engine.scheme.manager.grant_table() == {}
+
+    @pytest.mark.parametrize("processors", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "strategy", ["lex", "mea", "priority", "fifo", "random"]
+    )
+    def test_lead_user_rotates_every_wave(self, strategy, processors):
+        wm = WorkingMemory()
+        users = ["user-a", "user-b", "user-c"]
+        sessions = []
+        for user in users:
+            relation = user[-1]
+            for i in range(6):
+                wm.make(relation, id=i)
+            sessions.append(
+                Session.of(
+                    user,
+                    [
+                        RuleBuilder(f"eat-{relation}")
+                        .when(relation, id=var("x"))
+                        .remove(1)
+                        .build()
+                    ],
+                )
+            )
+        engine = MultiUserEngine(
+            sessions, wm, base_strategy=strategy,
+            processors=processors, seed=2,
+        )
+        engine.run()
+        # Nothing conflicts, so a wave commits its candidates in wave
+        # order: round-robin from that wave's lead user.
+        for number, wave in enumerate(engine.waves[:3]):
+            owners = [engine.user_of(rule) for rule in wave.committed]
+            assert owners == [
+                users[(number + k) % 3] for k in range(processors)
+            ]
+
     def test_round_robin_interleaves_users(self):
         """With both users continuously runnable, neither fires twice
         before the other fires once."""

@@ -1,10 +1,12 @@
 """Tests for the wave-parallel engine under both lock schemes."""
 
+import hashlib
+
 import pytest
 
 from repro.engine import Interpreter, ParallelEngine, replay_commit_sequence
 from repro.errors import EngineError
-from repro.lang import RuleBuilder
+from repro.lang import RuleBuilder, parse_program
 from repro.lang.builder import gt, var
 from repro.txn.serializability import is_conflict_serializable
 from repro.wm import WMSnapshot, WorkingMemory
@@ -141,3 +143,95 @@ class TestWaveAccounting:
         ]
         result = ParallelEngine(rules, wm).run()
         assert result.outputs == [(1,)]
+
+
+# The e2e benchmark's "lanes" program (``hot_rc``/``hot_2pl``) at its
+# smoke size: every firing reads its lane's gauge, a ``bump`` job (one
+# round of jobs in four) also writes it.
+LANES = """
+(p work
+   (job ^id <j> ^kind "work" ^gauge <g> ^left <n> ^left > 0)
+   (gauge ^id <g> ^level <v>)
+   -->
+   (modify 1 ^left (<n> - 1)))
+
+(p bump
+   (job ^id <j> ^kind "bump" ^gauge <g> ^left <n> ^left > 0)
+   (gauge ^id <g> ^level <v>)
+   -->
+   (modify 1 ^left (<n> - 1))
+   (modify 2 ^level (<v> + 1)))
+"""
+
+
+def lanes_memory(jobs=16, depth=6, gauges=2, every=4):
+    wm = WorkingMemory()
+    for g in range(gauges):
+        wm.make("gauge", id=g, level=0)
+    for position in range(jobs):
+        writer = (position // gauges) % every == 0
+        wm.make(
+            "job", id=position, kind="bump" if writer else "work",
+            gauge=position % gauges, left=depth,
+        )
+    return wm
+
+
+@pytest.mark.parametrize("processors", [None, 1, 3])
+@pytest.mark.parametrize("scheme", ["rc", "2pl"])
+@pytest.mark.parametrize(
+    "strategy", ["lex", "mea", "priority", "fifo", "random"]
+)
+def test_every_strategy_orders_waves_consistently(
+    strategy, scheme, processors
+):
+    rules = parse_program(LANES)
+    wm = lanes_memory(jobs=8, depth=3)
+    snapshot = WMSnapshot.capture(wm)
+    engine = ParallelEngine(
+        rules, wm, scheme=scheme, strategy=strategy,
+        processors=processors, seed=4,
+    )
+    result = engine.run()
+    assert result.stop_reason == "quiescent"
+    assert len(result.firings) == 8 * 3
+    if processors is not None:
+        assert all(
+            len(w.committed) + len(w.aborted) + len(w.deferred)
+            <= processors
+            for w in engine.waves
+        )
+    outcome = replay_commit_sequence(snapshot, rules, result.firings)
+    assert outcome.consistent, outcome.detail
+    assert is_conflict_serializable(engine.history)
+    assert engine.scheme.manager.grant_table() == {}
+
+
+@pytest.mark.parametrize(
+    "scheme, digest, waves, aborts, deferrals",
+    [
+        ("rc", "f622b6739465d63f", 25, 88, 0),
+        ("2pl", "0747bac9b6dfbff7", 19, 0, 20),
+    ],
+)
+def test_lanes_commit_sequence_is_pinned(
+    scheme, digest, waves, aborts, deferrals
+):
+    """``Strategy.order`` must produce the order repeated ``select``
+    produced: these values were recorded with the selection-sort wave
+    ordering (LEX, 8 processors) and may not move."""
+    engine = ParallelEngine(
+        parse_program(LANES), lanes_memory(), scheme=scheme,
+        strategy="lex", processors=8,
+    )
+    result = engine.run()
+    sha = hashlib.sha256()
+    for record in result.firings:
+        sha.update(
+            repr((record.rule_name, record.value_identities)).encode()
+        )
+    assert len(result.firings) == 16 * 6
+    assert sha.hexdigest()[:16] == digest
+    assert len(engine.waves) == result.cycles == waves
+    assert engine.abort_count == aborts
+    assert sum(len(w.deferred) for w in engine.waves) == deferrals

@@ -1,5 +1,8 @@
 """Tests for the conflict set and its delta tracking."""
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
 from repro.match.conflict_set import ConflictSet
@@ -142,6 +145,46 @@ class TestRefraction:
         cs.clear()
         cs.add(a)
         assert cs.eligible() == []
+
+
+_POOL = [_inst(name, tag) for name in "ab" for tag in (1, 2, 3)]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["add", "remove", "mark_fired", "forget_fired", "clear"]
+            ),
+            st.sampled_from(_POOL),
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_eligible_view_tracks_the_scan_definition(steps):
+    """The incrementally kept view equals the definition — members
+    that have not fired, in membership order — after every step, with
+    fired marks surviving retraction and ``clear``."""
+    cs = ConflictSet()
+    members: list = []
+    fired: set = set()
+    for op, inst in steps:
+        if op == "clear":
+            cs.clear()
+            members.clear()
+        else:
+            getattr(cs, op)(inst)
+            if op == "add" and inst not in members:
+                members.append(inst)
+            elif op == "remove" and inst in members:
+                members.remove(inst)
+            elif op == "mark_fired":
+                fired.add(inst)
+            elif op == "forget_fired":
+                fired.discard(inst)
+        assert cs.ordered() == members
+        assert cs.eligible() == [m for m in members if m not in fired]
 
 
 class TestDeltas:

@@ -95,6 +95,7 @@ class TestCachedKeys:
         assert inst.timetags() is inst.timetags()
         assert inst.recency_key() is inst.recency_key()
         assert inst.mea_key() is inst.mea_key()
+        assert inst.lex_key() is inst.lex_key()
         assert inst.identity() is inst.identity()
 
     def test_hash_stable_and_consistent_with_identity(self):
@@ -110,6 +111,19 @@ class TestCachedKeys:
         assert inst.recency_key() == (9, 3, 1)
         assert inst.mea_key() == (3, 9, 3, 1)
         assert inst.identity() == ("r", (3, 9, 1))
+
+    def test_lex_key_is_recency_then_the_rules_static_rank(self):
+        rule = _rule("ab")
+        inst = _inst(rule, 3, 9, 1)
+        specificity = sum(len(ce.tests) for ce in rule.lhs)
+        assert rule.lex_static() == (specificity, (-ord("a"), -ord("b")))
+        assert rule.lex_static() is rule.lex_static()
+        assert inst.lex_key() == ((9, 3, 1), rule.lex_static())
+        assert inst.lex_key()[1] is rule.lex_static()
+
+    def test_merge_key_is_most_recent_first_then_rule_name(self):
+        inst = _inst(_rule("ab"), 3, 9, 1)
+        assert inst.merge_key() == ((-9, -3, -1), "ab")
 
     def test_hot_path_is_allocation_free(self):
         # The cached accessors must not build fresh objects per call:

@@ -117,13 +117,17 @@ class TestPickleHygiene:
         production = _program()[0]
         production.token_plan("slotted")
         production.token_plan("dict")
+        production.lex_static()
         data = pickle.dumps(production, protocol=pickle.HIGHEST_PROTOCOL)
-        for cached in (b"_token_plans", b"_variable_index"):
+        for cached in (b"_token_plans", b"_variable_index",
+                       b"_lex_static"):
             assert cached not in data
         restored = pickle.loads(data)
         assert restored.name == production.name
         assert restored.lhs == production.lhs
         assert not hasattr(restored, "_token_plans")
+        assert not hasattr(restored, "_lex_static")
+        assert restored.lex_static() == production.lex_static()
         # Rebuilt through __post_init__, so it re-validates itself.
         assert restored._validated
 
@@ -134,12 +138,13 @@ class TestPickleHygiene:
         inst = Instantiation(production, (a, b), (("x", 1),))
         data = pickle.dumps(inst, protocol=pickle.HIGHEST_PROTOCOL)
         for cached in (b"_slot_index", b"_slot_token", b"_recency",
-                       b"_identity"):
+                       b"_identity", b"_lex_key", b"_lex_static"):
             assert cached not in data
         restored = pickle.loads(data)
         assert restored == inst
         assert restored.bindings_items == (("x", 1),)
         assert restored.recency_key() == inst.recency_key()
+        assert restored.lex_key() == inst.lex_key()
 
     def test_slot_token_instantiation_materializes_before_pickling(self):
         # Matcher-produced instantiations ride the slotted-token path;

@@ -1,6 +1,8 @@
 """Tests for conflict-resolution strategies."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
@@ -11,6 +13,7 @@ from repro.match.strategies import (
     MeaStrategy,
     PriorityStrategy,
     RandomStrategy,
+    Strategy,
     make_strategy,
 )
 from repro.wm.element import WME
@@ -120,3 +123,111 @@ class TestFactory:
         for name in ("lex", "mea", "priority", "fifo", "random"):
             chosen = make_strategy(name, seed=1).select(candidates)
             assert chosen in candidates
+
+
+STRATEGIES = ["lex", "mea", "priority", "fifo", "random"]
+
+
+def select_then_remove(strategy, candidates, limit=None):
+    """Reference oracle for ``Strategy.order``: the selection sort the
+    wave engines used to run — pick the dominant candidate, remove it,
+    repeat ``limit`` times."""
+    remaining = list(candidates)
+    ordered = []
+    while remaining and (limit is None or len(ordered) < limit):
+        chosen = strategy.select(remaining)
+        ordered.append(chosen)
+        remaining.remove(chosen)
+    return ordered
+
+
+# Rule names tie-break LEX, so include one that is a prefix of another;
+# priorities and test counts vary so every key component gets compared.
+_RULES = [
+    rule("r"), rule("ra"), rule("rb", tests=2),
+    rule("b", priority=3), rule("ba", priority=3, tests=2),
+]
+
+
+@st.composite
+def candidate_lists(draw):
+    """Distinct instantiations with deliberate full ties: few timetags,
+    so the same tags recur across rules and — permuted — within one."""
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_RULES),
+                st.lists(st.integers(0, 3), min_size=1, max_size=3),
+            ),
+            min_size=1, max_size=12,
+            unique_by=lambda pick: (pick[0].name, tuple(pick[1])),
+        )
+    )
+    return [inst(production, *tags) for production, tags in picks]
+
+
+def same_objects(left, right):
+    return len(left) == len(right) and all(
+        a is b for a, b in zip(left, right)
+    )
+
+
+class TestOrder:
+    @pytest.mark.parametrize("name", STRATEGIES)
+    @given(candidate_lists(), st.none() | st.integers(0, 14))
+    @settings(max_examples=150, deadline=None)
+    def test_order_equals_repeated_select_then_remove(
+        self, name, candidates, limit
+    ):
+        expected = select_then_remove(
+            make_strategy(name, seed=7), candidates, limit
+        )
+        ordered = make_strategy(name, seed=7).order(candidates, limit)
+        assert same_objects(ordered, expected)
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    @given(candidate_lists())
+    @settings(max_examples=50, deadline=None)
+    def test_select_is_head_of_order(self, name, candidates):
+        chosen = make_strategy(name, seed=7).select(candidates)
+        assert chosen is make_strategy(name, seed=7).order(candidates, 1)[0]
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_order_leaves_candidates_untouched(self, name):
+        candidates = [inst(_RULES[0], t) for t in (3, 7, 2)]
+        before = list(candidates)
+        make_strategy(name, seed=1).order(candidates, 2)
+        assert same_objects(candidates, before)
+
+    def test_full_tie_keeps_list_order(self):
+        # Same rule, same timetags in a different LHS order: tied on
+        # every deterministic key, so list order decides.
+        # (MEA also needs the same first timetag.)
+        a, b = inst(_RULES[0], 3, 1, 2), inst(_RULES[0], 3, 2, 1)
+        for name in ("lex", "mea", "priority", "fifo"):
+            strategy = make_strategy(name)
+            assert same_objects(strategy.order([a, b]), [a, b])
+            assert same_objects(strategy.order([b, a]), [b, a])
+
+    def test_longer_name_wins_the_prefix_tiebreak(self):
+        short, long = inst(_RULES[0], 5), inst(_RULES[1], 5)
+        assert LexStrategy().order([short, long]) == [long, short]
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_builtins_satisfy_the_protocol(self, name):
+        assert isinstance(make_strategy(name), Strategy)
+
+
+class TestRandomOrder:
+    @given(candidate_lists(), st.none() | st.integers(0, 14))
+    @settings(max_examples=50, deadline=None)
+    def test_same_seed_same_order_and_a_permutation(self, candidates, limit):
+        first = RandomStrategy(seed=11).order(candidates, limit)
+        again = RandomStrategy(seed=11).order(candidates[::-1], limit)
+        # The stable key is the identity, so list order is irrelevant.
+        assert same_objects(first, again)
+        width = len(candidates) if limit is None else min(
+            limit, len(candidates)
+        )
+        assert len(first) == len(set(map(id, first))) == width
+        assert all(any(c is pick for c in candidates) for pick in first)
