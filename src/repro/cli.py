@@ -899,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="lock-table stripes (default 1 = the single-mutex "
-        "centralized manager; >1 shards the grant table)",
+        help="lock-table stripes (default 1 = one mutex over the "
+        "whole table; >1 shards it)",
     )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--max-cycles", type=int, default=10_000)
@@ -978,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="lock-table stripes (default 1 = single-mutex manager)",
+        help="lock-table stripes (default 1 = one mutex)",
     )
     chaos.add_argument("--seed", type=int, default=None)
     chaos.add_argument("--max-cycles", type=int, default=10_000)
@@ -1132,7 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="lock-table stripes (default 1 = single-mutex manager)",
+            help="lock-table stripes (default 1 = one mutex)",
         )
         parser.add_argument("--seed", type=int, default=None)
         parser.add_argument("--max-cycles", type=int, default=10_000)

@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence
 from repro.lang.production import Production
 from repro.match.instantiation import Instantiation
 from repro.txn.transaction import DataObject
-from repro.wm.element import data_object_key
 from repro.wm.schema import Catalog
 
 
@@ -65,44 +64,17 @@ def interference_graph(
 def instantiation_read_objects(
     instantiation: Instantiation,
 ) -> frozenset[DataObject]:
-    """Data objects the instantiation's LHS read.
-
-    Matched WMEs are read at tuple granularity; negated condition
-    elements read *absence*, protected at relation level via the
-    catalog key (Section 4.3's escalation argument).
-    """
-    objects: set[DataObject] = {
-        data_object_key(w) for w in instantiation.wmes
-    }
-    for element in instantiation.production.negative_elements():
-        objects.add(Catalog.catalog_lock_key(element.relation))
-    return frozenset(objects)
+    """Data objects the instantiation's LHS read (see
+    :meth:`~repro.match.instantiation.Instantiation.lock_footprint`)."""
+    return frozenset(instantiation.lock_footprint()[0])
 
 
 def instantiation_write_objects(
     instantiation: Instantiation,
 ) -> frozenset[DataObject]:
-    """Data objects the instantiation's RHS will write.
-
-    ``modify``/``remove`` write the matched tuples; ``make`` writes a
-    fresh tuple whose key is unknown before execution, so membership
-    changes are protected at relation level (the catalog key), which
-    also covers negative-condition invalidation.
-    """
-    from repro.lang.ast import MakeAction, ModifyAction, RemoveAction
-
-    production = instantiation.production
-    positive = production.positive_indices()
-    objects: set[DataObject] = set()
-    for action in production.rhs:
-        if isinstance(action, (ModifyAction, RemoveAction)):
-            wme_position = positive.index(action.ce_index - 1)
-            wme = instantiation.wmes[wme_position]
-            objects.add(data_object_key(wme))
-            objects.add(Catalog.catalog_lock_key(wme.relation))
-        elif isinstance(action, MakeAction):
-            objects.add(Catalog.catalog_lock_key(action.relation))
-    return frozenset(objects)
+    """Data objects the instantiation's RHS will write (see
+    :meth:`~repro.match.instantiation.Instantiation.lock_footprint`)."""
+    return frozenset(instantiation.lock_footprint()[1])
 
 
 def conflicting_objects(

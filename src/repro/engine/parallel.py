@@ -40,10 +40,6 @@ from repro.engine.actions import ActionExecutor
 from repro.engine.interpreter import MatcherName, build_matcher
 from repro.engine.result import FiringRecord, RunResult
 from repro.errors import EngineError, FiringCrashed
-from repro.core.interference import (
-    instantiation_read_objects,
-    instantiation_write_objects,
-)
 from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy, VirtualSleeper
 from repro.lang.production import Production
@@ -228,12 +224,13 @@ class ParallelEngine:
     def _fault_denies_locks(
         self, txn: Transaction, objects, mode
     ) -> bool:
-        """Run lock fault sites; True when any acquisition is denied."""
+        """Run lock fault sites over ``objects`` (in the given order);
+        True when any acquisition is denied."""
         if self.fault is None:
             return False
         return any(
             self.fault.lock_fault(txn, obj, str(mode)) == "deny"
-            for obj in sorted(objects, key=repr)
+            for obj in objects
         )
 
     def _ordered_candidates(
@@ -341,7 +338,9 @@ class ParallelEngine:
                     **self._span_fields(instantiation),
                 )
                 spans.bind(txn.txn_id, acq)
-            reads = instantiation_read_objects(instantiation)
+            # Both sorted by repr, once per instantiation: the order
+            # locks are requested (and recorded in the history) in.
+            reads, writes = instantiation.lock_footprint()
             denied_by_fault = self._fault_denies_locks(
                 txn, reads, self.scheme.condition_mode
             )
@@ -349,17 +348,12 @@ class ParallelEngine:
                 granted = False
             elif self._preclaims:
                 granted = self.scheme.try_preclaim(
-                    txn,
-                    reads=sorted(reads, key=repr),
-                    writes=sorted(
-                        instantiation_write_objects(instantiation),
-                        key=repr,
-                    ),
+                    txn, reads=reads, writes=writes
                 )
             else:
                 granted = all(
                     self.scheme.try_lock_condition(txn, obj)
-                    for obj in sorted(reads, key=repr)
+                    for obj in reads
                 )
             if granted:
                 slots.append((instantiation, txn))
@@ -452,15 +446,13 @@ class ParallelEngine:
             wave.aborted.append(instantiation.production.name)
             self.abort_count += 1
             return
-        writes = instantiation_write_objects(instantiation)
+        writes = instantiation.lock_footprint()[1]
         denied_by_fault = self._fault_denies_locks(
             txn, writes, self.scheme.action_write_mode
         )
         if denied_by_fault or (
             not self._preclaims
-            and not self.scheme.try_lock_action(
-                txn, writes=sorted(writes, key=repr)
-            )
+            and not self.scheme.try_lock_action(txn, writes=writes)
         ):
             # 2PL: blocked by another candidate's condition locks —
             # defer to a later wave.  (Under Rc only Ra/Wa block Wa,

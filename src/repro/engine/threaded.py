@@ -49,10 +49,6 @@ from repro.engine.actions import ActionExecutor
 from repro.engine.interpreter import MatcherName, build_matcher
 from repro.engine.result import FiringRecord
 from repro.errors import EngineError, FiringCrashed
-from repro.core.interference import (
-    instantiation_read_objects,
-    instantiation_write_objects,
-)
 from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy
 from repro.lang.production import Production
@@ -329,14 +325,16 @@ class ThreadedWaveExecutor:
     def _acquire_all(
         self, txn: Transaction, objects, mode: LockMode
     ) -> _Acquire:
-        """Blocking multi-object acquisition in deterministic order.
+        """Blocking acquisition of ``objects`` in the order given (an
+        instantiation's footprint is sorted: deterministic, and the
+        textbook static deadlock-avoidance aid).
 
         Distinguishes the two failure modes the caller must not
         conflate: the lock never arriving (``TIMEOUT``) versus the
         transaction being aborted while it waited (``ABORTED``).
         """
         manager = self.scheme.manager
-        for obj in sorted(objects, key=repr):
+        for obj in objects:
             if txn.is_aborted:
                 return _Acquire.ABORTED
             if self.fault is not None:
@@ -466,8 +464,7 @@ class ThreadedWaveExecutor:
     ) -> _Fired:
         """One attempt: acquire, execute, commit.  Never raises for
         survivable failures; the caller decides whether to re-drive."""
-        reads = instantiation_read_objects(instantiation)
-        writes = instantiation_write_objects(instantiation)
+        reads, writes = instantiation.lock_footprint()
         acquired = self._acquire_all(txn, reads, self.scheme.condition_mode)
         if acquired is not _Acquire.GRANTED:
             if acquired is _Acquire.TIMEOUT:

@@ -29,8 +29,7 @@ from repro.locks.modes import (
     table_4_1,
 )
 from repro.locks.request import LockGrant, LockRequest, RequestStatus
-from repro.locks.manager import GrantOutcome, LockManager, StripedLockManager
-from repro.locks.fastpath import HeldModeCache
+from repro.locks.manager import GrantOutcome, LockManager
 from repro.locks.two_phase import ConservativeTwoPhaseScheme, TwoPhaseScheme
 from repro.locks.rc_scheme import RcScheme
 from repro.locks.deadlock import (
@@ -59,9 +58,7 @@ __all__ = [
     "LockGrant",
     "RequestStatus",
     "LockManager",
-    "StripedLockManager",
     "GrantOutcome",
-    "HeldModeCache",
     "TwoPhaseScheme",
     "ConservativeTwoPhaseScheme",
     "RcScheme",

@@ -1,4 +1,4 @@
-"""The centralized lock manager — and its striped successor.
+"""The lock manager: one striped grant table with per-object mode counts.
 
 Implements the machinery both schemes share (Section 4.2 introduces it:
 "below is an example of such a scheme, using a centralized lock
@@ -8,49 +8,107 @@ recording for the serializability checker, and a runtime *auditor*
 asserting that no two incompatible locks are ever simultaneously held —
 the safety invariant the property tests lean on.
 
-The manager is deliberately scheme-agnostic: it enforces whatever the
-compatibility function says.  The 2PL discipline and the Rc/Ra/Wa
-commit-time abort rule live in :mod:`repro.locks.two_phase` and
-:mod:`repro.locks.rc_scheme`.
+The manager is deliberately scheme-agnostic: it enforces whatever
+:func:`repro.locks.modes.compatible` says.  The 2PL discipline and the
+Rc/Ra/Wa commit-time abort rule live in :mod:`repro.locks.two_phase`
+and :mod:`repro.locks.rc_scheme`.
 
-Striping
---------
-``LockManager(stripes=1)`` (the default) is the seed implementation:
-one global mutex guarding the whole grant table — the literal
-"centralized lock manager" of Section 4.2, kept byte-for-byte as the
-semantics oracle.  ``LockManager(stripes=N)`` for ``N > 1`` returns a
-:class:`StripedLockManager`: the table is sharded into N independent
-stripes (``stripe_fn(obj) % N``), each owning its own mutex, grant
-map, FIFO queues, per-transaction indexes and stats counters, so
-uncontended acquisitions on distinct objects never touch the same
+The table
+---------
+The table is sharded into ``stripes`` independent stripes
+(``stripe_fn(obj) % stripes``; one stripe by default), each owning its
+own mutex, per-transaction indexes and counters, so uncontended
+acquisitions on objects of different stripes never touch the same
 latch.  Cross-stripe reads (``waits_for_edges``, ``grant_table``,
 ``stats_snapshot``...) take *ordered* all-stripe snapshots, which keeps
-the deadlock detector and the auditor sound.  Both variants make
-identical grant/wait/deny decisions for any deterministic schedule —
-the hypothesis equivalence tests pin that.
+the deadlock detector and the auditor sound.
+
+Each locked object has one entry: the holder map (transaction -> held
+modes), a count of holders per mode, and its FIFO queue.  A grant is
+decided from the counts — "is any mode that blocks the requested one
+held by somebody else?" — so it costs a few dictionary probes however
+many transactions hold the object, which is what lets Section 4.3 hand
+an ``Rc`` lock to every candidate of a wave.  The blocker sets are
+derived once, at import, from ``compatible()``: Table 4.1 stays the
+single source of the rules.
+
+The auditor never trusts the counts.  On every grant it compares the
+new (transaction, mode) with every other holder in the holder map —
+by induction the same invariant as re-checking all pairs, at O(holders)
+instead of O(holders²) — and :meth:`LockManager.audit_now` still sweeps
+every pair of every object and recounts the modes.
+
+``tests/locks/reference_manager.py`` keeps the original single-mutex
+table (every decision a walk over the holders through ``compatible()``)
+as the model the hypothesis schedule test compares this one against.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from collections import defaultdict
+from collections import Counter
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import repro.obs as obs_module
-from repro.errors import DeadlockDetected, LockError
+from repro.errors import LockError
 from repro.locks.modes import LockMode, compatible, is_upgrade
-
-#: Read-flavored modes, precomputed for the striped fast path (saves a
-#: property call per grant).
-_READ_MODES = frozenset(m for m in LockMode if m.is_read)
 from repro.locks.request import LockRequest, RequestStatus
 from repro.txn.schedule import History
 from repro.txn.transaction import DataObject, Transaction
 
-#: Counter names aggregated by :meth:`LockManager.stats_snapshot`.
+#: Counter names reported by :meth:`LockManager.stats_snapshot`.
 STAT_KEYS = ("grants", "waits", "denials", "upgrades")
+
+
+def _compatible_or_none(requested: LockMode, held: LockMode) -> bool | None:
+    """``compatible()``, with ``None`` where the two modes belong to
+    different schemes (``compatible`` raises there, deliberately)."""
+    try:
+        return compatible(requested, held)
+    except KeyError:
+        return None
+
+
+#: requested mode -> the modes that refuse it while another transaction
+#: holds them: ``compatible`` is false, or undefined (see ``_MIXED``).
+_BLOCKERS: dict[LockMode, frozenset[LockMode]] = {
+    requested: frozenset(
+        held for held in LockMode
+        if not _compatible_or_none(requested, held)
+    )
+    for requested in LockMode
+}
+#: (requested, held) pairs from different schemes.  They never meet in
+#: one manager; a request that would make them meet raises ``KeyError``
+#: as ``compatible`` would.
+_MIXED: frozenset[tuple[LockMode, LockMode]] = frozenset(
+    (requested, held)
+    for requested in LockMode
+    for held in LockMode
+    if _compatible_or_none(requested, held) is None
+)
+#: mode -> the modes two *different* transactions may never hold
+#: together with it, whichever was granted first.  What the per-grant
+#: auditor checks; empty for ``Rc`` (``Ra`` joins it and a ``Wa`` may
+#: be granted over it — the deliberate conflict of Section 4.3).
+_CLASHES: dict[LockMode, frozenset[LockMode]] = {
+    mode: frozenset(
+        other for other in LockMode
+        if _compatible_or_none(mode, other) is False
+        and _compatible_or_none(other, mode) is False
+    )
+    for mode in LockMode
+}
+#: requested mode -> the held modes it strictly strengthens.
+_UPGRADES_FROM: dict[LockMode, frozenset[LockMode]] = {
+    requested: frozenset(
+        held for held in LockMode if is_upgrade(held, requested)
+    )
+    for requested in LockMode
+}
+_READ_MODES = frozenset(mode for mode in LockMode if mode.is_read)
 
 
 class GrantOutcome(enum.Enum):
@@ -64,9 +122,106 @@ class GrantOutcome(enum.Enum):
     DENIED = "denied"
 
 
-def _check_audit_pairs(obj: DataObject, grants: dict) -> None:
-    """Raise :class:`LockError` when two held modes are incompatible."""
-    pairs = [(t, m) for t, modes in grants.items() for m in modes]
+class _Entry:
+    """One locked object's row of the table.
+
+    ``counts[mode]`` is the number of transactions in ``holders`` whose
+    mode set contains ``mode`` (absent, never zero).  An entry exists
+    only while it has a holder or a queued request.
+    """
+
+    __slots__ = ("holders", "counts", "queue")
+
+    def __init__(self) -> None:
+        self.holders: dict[Transaction, set[LockMode]] = {}
+        self.counts: dict[LockMode, int] = {}
+        #: FIFO; resolved requests may linger until the next queue pass.
+        self.queue: list[LockRequest] = []
+
+
+class _Stripe:
+    """One shard of the table.
+
+    Everything here is guarded by :attr:`mutex`; the stripe never
+    reaches into another stripe.
+    """
+
+    __slots__ = (
+        "mutex", "entries", "held", "pending",
+        "grants_n", "waits_n", "denials_n", "upgrades_n", "queue_visits",
+    )
+
+    def __init__(self) -> None:
+        self.mutex = threading.Lock()
+        self.entries: dict[DataObject, _Entry] = {}
+        #: txn -> objects it holds grants on *in this stripe* — makes
+        #: release_all O(held) instead of O(table).
+        self.held: dict[Transaction, set[DataObject]] = {}
+        #: txn -> its waiting requests in this stripe — makes
+        #: commit/abort-time cancellation O(waiting) instead of a scan
+        #: over every queue.
+        self.pending: dict[Transaction, set[LockRequest]] = {}
+        self.grants_n = 0
+        self.waits_n = 0
+        self.denials_n = 0
+        self.upgrades_n = 0
+        self.queue_visits = 0
+
+
+def _blocked(entry: _Entry, txn: Transaction, mode: LockMode) -> bool:
+    """The grant rule (classic no-barging), from the counts.
+
+    * ``mode`` is refused while a mode that blocks it is held by a
+      transaction other than ``txn``;
+    * a transaction already holding the object is *upgrading*: it is
+      checked only against the other holders and bypasses the queue
+      (prevents self-deadlock);
+    * anyone else also waits behind an incompatible request queued
+      ahead of it.
+    """
+    blockers = _BLOCKERS[mode]
+    own = entry.holders.get(txn)
+    counts = entry.counts
+    for blocker in blockers:
+        holding = counts.get(blocker)
+        if holding and (holding > 1 or own is None or blocker not in own):
+            if (mode, blocker) in _MIXED:
+                raise KeyError(mode)
+            return True
+    if own is None:
+        for ahead in entry.queue:
+            if (
+                ahead.is_waiting
+                and ahead.txn is not txn
+                and ahead.mode in blockers
+            ):
+                return True
+    return False
+
+
+def _forget_pending(stripe: _Stripe, request: LockRequest) -> None:
+    """``request`` no longer waits: drop it from the stripe's index."""
+    pending = stripe.pending.get(request.txn)
+    if pending is not None:
+        pending.discard(request)
+        if not pending:
+            del stripe.pending[request.txn]
+
+
+def _uncount(counts: dict[LockMode, int], modes: Iterable[LockMode]) -> None:
+    """One holder of each of ``modes`` is gone."""
+    for mode in modes:
+        left = counts[mode] - 1
+        if left:
+            counts[mode] = left
+        else:
+            del counts[mode]
+
+
+def _check_audit_pairs(obj: DataObject, holders: dict) -> None:
+    """Raise :class:`LockError` when two held modes are incompatible
+    (every pair of holders, through ``compatible()``)."""
+    pairs = [(t, m) for t, modes in holders.items() for m in modes]
     for i, (txn_a, mode_a) in enumerate(pairs):
         for txn_b, mode_b in pairs[i + 1:]:
             if txn_a is txn_b:
@@ -91,38 +246,20 @@ class LockManager:
         write (``W``/``Wa``) operation, feeding the serializability
         checker.
     audit:
-        When true (the default), every grant re-verifies the global
-        compatibility invariant and raises :class:`LockError` on
-        violation.  Cheap at test scale; disable for large benchmarks.
+        When true (the default), every grant checks the new lock
+        against every other holder of the object and raises
+        :class:`LockError` on an incompatible pair.
     observer:
         Observability sink for lock events (grant/wait/deny/cancel)
         and metrics; defaults to the module-level observer from
         :mod:`repro.obs` (inert unless enabled).
     stripes:
-        Lock-table stripe count.  ``1`` (default) keeps the seed
-        single-mutex implementation — the semantics oracle.  ``N > 1``
-        dispatches to :class:`StripedLockManager`.
+        Lock-table stripe count (default 1: one mutex, one shard).
     stripe_fn:
-        Object-to-integer hash used for stripe placement (striped
-        variant only); defaults to :func:`hash`.  Tests inject a
-        custom function to force objects into chosen stripes.
+        Object-to-integer hash used for stripe placement; defaults to
+        :func:`hash`.  Tests inject a custom function to force objects
+        into chosen stripes.
     """
-
-    #: Stripe count; 1 for the legacy single-mutex manager.
-    stripes: int = 1
-
-    def __new__(
-        cls,
-        history: History | None = None,
-        audit: bool = True,
-        observer=None,
-        *,
-        stripes: int = 1,
-        stripe_fn: Callable[[DataObject], int] | None = None,
-    ):
-        if cls is LockManager and stripes > 1:
-            return super().__new__(StripedLockManager)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -140,496 +277,11 @@ class LockManager:
         self.obs = (
             observer if observer is not None else obs_module.get_observer()
         )
-        self._mutex = threading.RLock()
-        self._grants: dict[DataObject, dict[Transaction, set[LockMode]]] = (
-            defaultdict(dict)
-        )
-        self._queues: dict[DataObject, list[LockRequest]] = defaultdict(list)
-        self._txn_objects: dict[Transaction, set[DataObject]] = defaultdict(
-            set
-        )
-        #: Total grants/waits/denials — the live counter dict of the
-        #: seed implementation.  Deprecated for external reads: use
-        #: :meth:`stats_snapshot`, which is atomic and also works on
-        #: the striped variant (where ``stats`` is an aggregate view).
-        self.stats = {key: 0 for key in STAT_KEYS}
-        #: Queue-processing passes performed (one per object whose
-        #: queue was examined) — the regression counter for the
-        #: commit-cost fix; see :meth:`release_all`.
-        self.queue_visits = 0
-
-    # -- queries ---------------------------------------------------------------------
-
-    def holders(
-        self, obj: DataObject, mode: LockMode | None = None
-    ) -> list[Transaction]:
-        """Transactions holding a lock on ``obj`` (optionally filtered
-        to one mode)."""
-        with self._mutex:
-            grants = self._grants.get(obj, {})
-            if mode is None:
-                return list(grants)
-            return [t for t, modes in grants.items() if mode in modes]
-
-    def held_modes(self, txn: Transaction, obj: DataObject) -> set[LockMode]:
-        """Modes ``txn`` currently holds on ``obj``."""
-        with self._mutex:
-            return set(self._grants.get(obj, {}).get(txn, set()))
-
-    def holds(
-        self, txn: Transaction, obj: DataObject, mode: LockMode
-    ) -> bool:
-        """True when ``txn`` holds ``mode`` on ``obj``."""
-        return mode in self.held_modes(txn, obj)
-
-    def locked_objects(self, txn: Transaction) -> frozenset[DataObject]:
-        """Objects on which ``txn`` holds at least one lock."""
-        with self._mutex:
-            return frozenset(self._txn_objects.get(txn, set()))
-
-    def waiting_requests(self, obj: DataObject | None = None) -> list[LockRequest]:
-        """Waiting requests, globally or for one object (FIFO order)."""
-        with self._mutex:
-            if obj is not None:
-                return [r for r in self._queues.get(obj, []) if r.is_waiting]
-            out: list[LockRequest] = []
-            for queue in self._queues.values():
-                out.extend(r for r in queue if r.is_waiting)
-            return out
-
-    def waits_for_edges(self) -> Iterator[tuple[Transaction, Transaction]]:
-        """Edges ``waiter -> holder`` of the waits-for graph.
-
-        A waiter waits for every transaction holding an incompatible
-        lock on the requested object, and for incompatible waiters
-        queued ahead of it (they will be granted first under FIFO).
-        """
-        with self._mutex:
-            for obj, queue in self._queues.items():
-                waiting = [r for r in queue if r.is_waiting]
-                for position, request in enumerate(waiting):
-                    for holder, modes in self._grants.get(obj, {}).items():
-                        if holder is request.txn:
-                            continue
-                        if any(
-                            not compatible(request.mode, m) for m in modes
-                        ):
-                            yield (request.txn, holder)
-                    for ahead in waiting[:position]:
-                        if ahead.txn is request.txn:
-                            continue
-                        if not compatible(request.mode, ahead.mode):
-                            yield (request.txn, ahead.txn)
-
-    def write_read_conflicts(
-        self,
-        txn: Transaction,
-        write_mode: LockMode,
-        read_mode: LockMode,
-        candidates: Iterable[DataObject] | None = None,
-    ) -> dict[Transaction, list[DataObject]]:
-        """Holders of ``read_mode`` on objects where ``txn`` holds
-        ``write_mode``, as one consistent pass.
-
-        The commit-time rule (ii) scan: equivalent to iterating
-        ``locked_objects``/``holds``/``holders`` from the scheme layer,
-        but in a single lock round trip instead of 2-3 per object.
-        ``candidates`` narrows the scan to a superset of the objects
-        ``txn`` may hold ``write_mode`` on (e.g. its write set);
-        objects where it doesn't actually hold the mode are filtered
-        here, so a stale superset is safe.
-        """
-        victims: dict[Transaction, list[DataObject]] = {}
-        with self._mutex:
-            if candidates is None:
-                candidates = self._txn_objects.get(txn, ())
-            for obj in candidates:
-                grants = self._grants.get(obj, {})
-                if write_mode not in grants.get(txn, ()):
-                    continue
-                for holder, modes in grants.items():
-                    if holder is not txn and read_mode in modes:
-                        victims.setdefault(holder, []).append(obj)
-        return victims
-
-    def can_grant(
-        self, txn: Transaction, obj: DataObject, mode: LockMode
-    ) -> bool:
-        """Would a request for ``mode`` on ``obj`` be granted right now?
-
-        Pure probe: no state changes, no queueing.  Used by the
-        discrete-event simulator for all-or-nothing acquisition.
-        """
-        with self._mutex:
-            grants = self._grants.get(obj, {})
-            upgrading = txn in grants
-            for holder, modes in grants.items():
-                if holder is txn:
-                    continue
-                if any(not compatible(mode, held) for held in modes):
-                    return False
-            if not upgrading:
-                for ahead in self._queues.get(obj, []):
-                    if not ahead.is_waiting or ahead.txn is txn:
-                        continue
-                    if not compatible(mode, ahead.mode):
-                        return False
-            return True
-
-    # -- acquisition --------------------------------------------------------------------
-
-    def acquire(
-        self,
-        txn: Transaction,
-        obj: DataObject,
-        mode: LockMode,
-        blocking: bool = False,
-        timeout: float | None = None,
-        on_block: Callable[[LockRequest], None] | None = None,
-    ) -> LockRequest:
-        """Request ``mode`` on ``obj`` for ``txn``.
-
-        Grant rules (classic no-barging):
-
-        * a request by a transaction already holding a lock on the
-          object is treated as an *upgrade*: checked only against other
-          holders, bypassing the queue (prevents self-deadlock);
-        * otherwise the request is granted iff it is compatible with
-          every other holder's modes and no incompatible request waits
-          ahead of it.
-
-        When ``blocking`` is true the call waits until granted, denied
-        or ``timeout``; ``on_block`` (if given) runs once after the
-        request is queued — the deadlock detector hooks in there.  A
-        blocking request whose timeout expires is cancelled and counts
-        as a denial in :attr:`stats`.
-        """
-        request = LockRequest(txn, obj, mode)
-        with self._mutex:
-            if self._try_grant(request):
-                return request
-            self._queues[obj].append(request)
-            self.stats["waits"] += 1
-            if self.obs.enabled:
-                request.enqueued_at = self.obs.clock()
-                self.obs.lock_queued(
-                    txn.txn_id, obj, str(mode),
-                    depth=len(self._queues[obj]),
-                )
-        if on_block is not None:
-            on_block(request)
-        if blocking:
-            status = request.wait(timeout)
-            if status is RequestStatus.WAITING:
-                self.cancel(request)
-                if request.status is RequestStatus.CANCELLED:
-                    # The wait timed out (nobody granted concurrently):
-                    # the caller was refused the lock, which is a
-                    # denial for accounting purposes.
-                    with self._mutex:
-                        self.stats["denials"] += 1
-                    if self.obs.enabled:
-                        self.obs.lock_denied(
-                            txn.txn_id, obj, str(mode), reason="timeout"
-                        )
-        return request
-
-    def try_acquire(
-        self, txn: Transaction, obj: DataObject, mode: LockMode
-    ) -> bool:
-        """Non-queuing attempt: grant now or report False untouched."""
-        request = LockRequest(txn, obj, mode)
-        with self._mutex:
-            if self._try_grant(request):
-                return True
-            request.resolve(RequestStatus.DENIED)
-            self.stats["denials"] += 1
-            if self.obs.enabled:
-                self.obs.lock_denied(
-                    txn.txn_id, obj, str(mode), reason="busy"
-                )
-            return False
-
-    def try_acquire_held(
-        self, txn: Transaction, obj: DataObject, mode: LockMode
-    ) -> GrantOutcome:
-        """Held-check and non-queuing grant in one mutex round trip.
-
-        Equivalent to ``holds(...) or try_acquire(...)`` but atomic and
-        with the already-held case distinguished, so scheme-level
-        all-or-nothing acquisition can tell "not ours to undo" from
-        "newly acquired" without a second round trip.
-        """
-        with self._mutex:
-            if mode in self._grants.get(obj, {}).get(txn, ()):
-                return GrantOutcome.HELD
-            if self.try_acquire(txn, obj, mode):
-                return GrantOutcome.GRANTED
-            return GrantOutcome.DENIED
-
-    def _try_grant(self, request: LockRequest) -> bool:
-        """Grant ``request`` if rules allow; caller holds the mutex."""
-        obj, txn, mode = request.obj, request.txn, request.mode
-        grants = self._grants[obj]
-        own = grants.get(txn, set())
-        upgrading = bool(own)
-        for holder, modes in grants.items():
-            if holder is txn:
-                continue
-            if any(not compatible(mode, held) for held in modes):
-                return False
-        if not upgrading:
-            for ahead in self._queues.get(obj, []):
-                if not ahead.is_waiting or ahead.txn is txn:
-                    continue
-                if not compatible(mode, ahead.mode):
-                    return False
-        grants.setdefault(txn, set()).add(mode)
-        self._txn_objects[txn].add(obj)
-        request.resolve(RequestStatus.GRANTED)
-        self.stats["grants"] += 1
-        if upgrading and any(is_upgrade(h, mode) for h in own):
-            self.stats["upgrades"] += 1
-        if self.obs.enabled:
-            waited = (
-                self.obs.clock() - request.enqueued_at
-                if request.enqueued_at is not None
-                else 0.0
-            )
-            self.obs.lock_granted(
-                txn.txn_id, obj, str(mode), waited=waited,
-                queued=request.enqueued_at is not None,
-            )
-        self._record(txn, obj, mode)
-        if self.audit:
-            self._audit_object(obj)
-        return True
-
-    def _record(self, txn: Transaction, obj: DataObject, mode: LockMode) -> None:
-        if mode.is_read:
-            txn.record_read(obj)
-            if self.history is not None:
-                self.history.read(txn.txn_id, obj)
-        else:
-            txn.record_write(obj)
-            if self.history is not None:
-                self.history.write(txn.txn_id, obj)
-
-    def _audit_object(self, obj: DataObject) -> None:
-        _check_audit_pairs(obj, self._grants.get(obj, {}))
-
-    # -- release ---------------------------------------------------------------------------
-
-    def release(
-        self, txn: Transaction, obj: DataObject, mode: LockMode | None = None
-    ) -> None:
-        """Release one mode (or all modes) ``txn`` holds on ``obj``."""
-        with self._mutex:
-            grants = self._grants.get(obj)
-            if not grants or txn not in grants:
-                return
-            if mode is None:
-                del grants[txn]
-            else:
-                grants[txn].discard(mode)
-                if not grants[txn]:
-                    del grants[txn]
-            if txn not in grants:
-                self._txn_objects[txn].discard(obj)
-            self._process_queue(obj)
-
-    def release_all(self, txn: Transaction) -> None:
-        """Release every lock ``txn`` holds (commit/abort epilogue —
-        both schemes hold all locks to the end, Figures 4.1/4.2).
-
-        The seed cost profile is kept deliberately: the epilogue scans
-        *every* queue in the system (via ``_cancel_requests_of``), so a
-        commit is O(total objects ever queued).  The striped variant
-        replaces this with per-transaction indexes — O(held + waiting)
-        — which is the measured win of ``bench_lock_scaling``.
-        """
-        with self._mutex:
-            for obj in list(self._txn_objects.get(txn, ())):
-                grants = self._grants.get(obj)
-                if grants is not None:
-                    grants.pop(txn, None)
-                self._process_queue(obj)
-            self._txn_objects.pop(txn, None)
-            self._cancel_requests_of(txn)
-
-    def cancel(self, request: LockRequest) -> None:
-        """Withdraw a waiting request (timeout or deadlock victim)."""
-        with self._mutex:
-            queue = self._queues.get(request.obj, [])
-            if request in queue:
-                queue.remove(request)
-            if request.is_waiting:
-                request.resolve(RequestStatus.CANCELLED)
-                if self.obs.enabled:
-                    self.obs.lock_cancelled(
-                        request.txn.txn_id, request.obj, str(request.mode)
-                    )
-            self._process_queue(request.obj)
-
-    def _cancel_requests_of(self, txn: Transaction) -> None:
-        for obj, queue in self._queues.items():
-            for request in list(queue):
-                if request.txn is txn:
-                    queue.remove(request)
-                    if request.is_waiting:
-                        request.resolve(RequestStatus.CANCELLED)
-                        if self.obs.enabled:
-                            self.obs.lock_cancelled(
-                                txn.txn_id, obj, str(request.mode)
-                            )
-            self._process_queue(obj)
-
-    def _process_queue(self, obj: DataObject) -> None:
-        """Grant queued requests in FIFO order while compatible."""
-        self.queue_visits += 1
-        queue = self._queues.get(obj)
-        if not queue:
-            return
-        still_waiting: list[LockRequest] = []
-        for request in queue:
-            if not request.is_waiting:
-                continue
-            # Temporarily empty the queue view so _try_grant's
-            # no-barging check sees only requests ahead of this one.
-            self._queues[obj] = still_waiting
-            if not self._try_grant(request):
-                still_waiting.append(request)
-        self._queues[obj] = still_waiting
-
-    # -- diagnostics ----------------------------------------------------------------------------
-
-    def grant_table(self) -> dict[DataObject, dict[str, tuple[str, ...]]]:
-        """A printable snapshot of the grant table."""
-        with self._mutex:
-            return {
-                obj: {
-                    txn.txn_id: tuple(str(m) for m in sorted(modes, key=str))
-                    for txn, modes in grants.items()
-                }
-                for obj, grants in self._grants.items()
-                if grants
-            }
-
-    def stats_snapshot(self) -> dict[str, int]:
-        """Atomic copy of the grant/wait/denial/upgrade counters.
-
-        The supported way to read lock statistics: on the striped
-        variant the per-stripe counters are aggregated under an
-        all-stripe lock, so the totals are a consistent cut.
-        """
-        with self._mutex:
-            return dict(self.stats)
-
-    def audit_now(self) -> None:
-        """Verify the compatibility invariant for every held object.
-
-        Raises :class:`LockError` on violation; used by tests as a
-        post-run safety sweep (the per-grant auditor covers the
-        incremental case).
-        """
-        with self._mutex:
-            for obj in self._grants:
-                self._audit_object(obj)
-
-    def raise_deadlock(self, request: LockRequest, cycle: tuple[str, ...]) -> None:
-        """Deny ``request`` as a deadlock victim and raise."""
-        self.cancel(request)
-        raise DeadlockDetected(request.txn.txn_id, cycle)
-
-
-class _Stripe:
-    """One shard of the striped lock table.
-
-    Everything here is guarded by :attr:`mutex`; the stripe never
-    reaches into another stripe, so uncontended acquisitions on
-    objects in different stripes are latch-free with respect to each
-    other.
-    """
-
-    __slots__ = (
-        "mutex", "grants", "queues", "held", "pending",
-        "grants_n", "waits_n", "denials_n", "upgrades_n", "queue_visits",
-    )
-
-    def __init__(self) -> None:
-        self.mutex = threading.Lock()
-        #: obj -> txn -> held modes
-        self.grants: dict[DataObject, dict[Transaction, set[LockMode]]] = {}
-        #: obj -> FIFO list of requests (waiting and resolved mixed,
-        #: as in the seed; resolved entries are skipped/purged during
-        #: queue processing)
-        self.queues: dict[DataObject, list[LockRequest]] = {}
-        #: txn -> objects it holds grants on *in this stripe* — makes
-        #: release_all O(held) instead of O(table).
-        self.held: dict[Transaction, set[DataObject]] = {}
-        #: txn -> its waiting requests in this stripe — makes
-        #: commit/abort-time request cancellation O(waiting) instead
-        #: of a scan over every queue in the system.
-        self.pending: dict[Transaction, set[LockRequest]] = {}
-        self.grants_n = 0
-        self.waits_n = 0
-        self.denials_n = 0
-        self.upgrades_n = 0
-        self.queue_visits = 0
-
-
-class StripedLockManager(LockManager):
-    """Lock table sharded into N independent stripes.
-
-    Decision-equivalent to the single-mutex :class:`LockManager` (the
-    hypothesis tests enforce it) but with per-object work distributed
-    over per-stripe latches and with per-transaction indexes replacing
-    the seed's table scans:
-
-    * ``release_all`` / request cancellation are O(held + waiting) per
-      commit instead of O(total objects ever queued);
-    * ``try_acquire`` grants without allocating a request object (the
-      seed pays a ``threading.Event`` per probe);
-    * empty grant/queue entries are pruned, so the table does not grow
-      without bound under churn.
-
-    Cross-stripe reads take all stripe mutexes in index order (a
-    deterministic total order, so two concurrent snapshots cannot
-    deadlock) — the waits-for graph and the auditor see one consistent
-    cut of the whole table.
-    """
-
-    def __init__(
-        self,
-        history: History | None = None,
-        audit: bool = True,
-        observer=None,
-        *,
-        stripes: int = 2,
-        stripe_fn: Callable[[DataObject], int] | None = None,
-    ) -> None:
-        if stripes < 2:
-            raise ValueError(
-                f"StripedLockManager needs stripes >= 2, got {stripes}"
-            )
-        self.history = history
-        self.audit = audit
-        self.obs = (
-            observer if observer is not None else obs_module.get_observer()
-        )
         self.stripes = stripes
         self._stripe_fn = stripe_fn if stripe_fn is not None else hash
         self._table = [_Stripe() for _ in range(stripes)]
-        # txn -> stripe indexes where it has (or had) waiting requests.
-        # Only touched on the queue/cancel slow path; lets release_all
-        # skip stripes the transaction never waited in.
-        self._pending_mutex = threading.Lock()
-        self._pending_stripes: dict[Transaction, set[int]] = {}
 
     # -- stripe plumbing ---------------------------------------------------------------
-
-    def _index_of(self, obj: DataObject) -> int:
-        return self._stripe_fn(obj) % self.stripes
 
     def _stripe_of(self, obj: DataObject) -> _Stripe:
         return self._table[self._stripe_fn(obj) % self.stripes]
@@ -651,19 +303,34 @@ class StripedLockManager(LockManager):
     def holders(
         self, obj: DataObject, mode: LockMode | None = None
     ) -> list[Transaction]:
+        """Transactions holding a lock on ``obj`` (optionally filtered
+        to one mode)."""
         stripe = self._stripe_of(obj)
         with stripe.mutex:
-            grants = stripe.grants.get(obj, {})
+            entry = stripe.entries.get(obj)
+            if entry is None:
+                return []
             if mode is None:
-                return list(grants)
-            return [t for t, modes in grants.items() if mode in modes]
+                return list(entry.holders)
+            return [t for t, modes in entry.holders.items() if mode in modes]
 
     def held_modes(self, txn: Transaction, obj: DataObject) -> set[LockMode]:
+        """Modes ``txn`` currently holds on ``obj``."""
         stripe = self._stripe_of(obj)
         with stripe.mutex:
-            return set(stripe.grants.get(obj, {}).get(txn, set()))
+            entry = stripe.entries.get(obj)
+            if entry is None:
+                return set()
+            return set(entry.holders.get(txn, ()))
+
+    def holds(
+        self, txn: Transaction, obj: DataObject, mode: LockMode
+    ) -> bool:
+        """True when ``txn`` holds ``mode`` on ``obj``."""
+        return mode in self.held_modes(txn, obj)
 
     def locked_objects(self, txn: Transaction) -> frozenset[DataObject]:
+        """Objects on which ``txn`` holds at least one lock."""
         out: set[DataObject] = set()
         for stripe in self._table:
             with stripe.mutex:
@@ -671,40 +338,47 @@ class StripedLockManager(LockManager):
         return frozenset(out)
 
     def waiting_requests(self, obj: DataObject | None = None) -> list[LockRequest]:
+        """Waiting requests, globally or for one object (FIFO order)."""
         if obj is not None:
             stripe = self._stripe_of(obj)
             with stripe.mutex:
-                return [
-                    r for r in stripe.queues.get(obj, []) if r.is_waiting
-                ]
+                entry = stripe.entries.get(obj)
+                if entry is None:
+                    return []
+                return [r for r in entry.queue if r.is_waiting]
         out: list[LockRequest] = []
         with self._locked_all():
             for stripe in self._table:
-                for queue in stripe.queues.values():
-                    out.extend(r for r in queue if r.is_waiting)
+                for entry in stripe.entries.values():
+                    out.extend(r for r in entry.queue if r.is_waiting)
         return out
 
     def waits_for_edges(self) -> Iterator[tuple[Transaction, Transaction]]:
+        """Edges ``waiter -> holder`` of the waits-for graph.
+
+        A waiter waits for every transaction holding an incompatible
+        lock on the requested object, and for incompatible waiters
+        queued ahead of it (they will be granted first under FIFO).
+        One consistent cut of the whole table.
+        """
         edges: list[tuple[Transaction, Transaction]] = []
         with self._locked_all():
             for stripe in self._table:
-                for obj, queue in stripe.queues.items():
-                    waiting = [r for r in queue if r.is_waiting]
+                for entry in stripe.entries.values():
+                    waiting = [r for r in entry.queue if r.is_waiting]
                     for position, request in enumerate(waiting):
-                        for holder, modes in stripe.grants.get(
-                            obj, {}
-                        ).items():
-                            if holder is request.txn:
-                                continue
-                            if any(
-                                not compatible(request.mode, m)
-                                for m in modes
+                        blockers = _BLOCKERS[request.mode]
+                        for holder, modes in entry.holders.items():
+                            if (
+                                holder is not request.txn
+                                and not blockers.isdisjoint(modes)
                             ):
                                 edges.append((request.txn, holder))
                         for ahead in waiting[:position]:
-                            if ahead.txn is request.txn:
-                                continue
-                            if not compatible(request.mode, ahead.mode):
+                            if (
+                                ahead.txn is not request.txn
+                                and ahead.mode in blockers
+                            ):
                                 edges.append((request.txn, ahead.txn))
         return iter(edges)
 
@@ -715,41 +389,35 @@ class StripedLockManager(LockManager):
         read_mode: LockMode,
         candidates: Iterable[DataObject] | None = None,
     ) -> dict[Transaction, list[DataObject]]:
+        """Holders of ``read_mode`` on objects where ``txn`` holds
+        ``write_mode``, one consistent pass per stripe.
+
+        The commit-time rule (ii) scan.  ``candidates`` narrows the
+        scan to a superset of the objects ``txn`` may hold
+        ``write_mode`` on (e.g. its write set); objects where it
+        doesn't actually hold the mode are filtered here, so a stale
+        superset is safe.
+        """
+        if candidates is None:
+            candidates = self.locked_objects(txn)
+        by_stripe: dict[int, list[DataObject]] = {}
+        stripe_fn, count = self._stripe_fn, self.stripes
+        for obj in candidates:
+            by_stripe.setdefault(stripe_fn(obj) % count, []).append(obj)
         victims: dict[Transaction, list[DataObject]] = {}
-        if candidates is not None:
-            by_stripe: dict[int, list[DataObject]] = {}
-            stripe_fn, count = self._stripe_fn, self.stripes
-            for obj in candidates:
-                by_stripe.setdefault(stripe_fn(obj) % count, []).append(obj)
-            for index, objs in sorted(by_stripe.items()):
-                stripe = self._table[index]
-                with stripe.mutex:
-                    for obj in objs:
-                        grants = stripe.grants.get(obj)
-                        if (
-                            grants is None
-                            or write_mode not in grants.get(txn, ())
-                        ):
-                            continue
-                        for holder, modes in grants.items():
-                            if holder is not txn and read_mode in modes:
-                                victims.setdefault(holder, []).append(obj)
-            return victims
-        for stripe in self._table:
-            # Unlocked pre-check: txn's own holdings only change from
-            # its own (or its aborter's) thread, never concurrently
-            # with a commit-time scan, and dict lookups are GIL-atomic.
-            if txn not in stripe.held:
-                continue
+        for index in sorted(by_stripe):
+            stripe = self._table[index]
             with stripe.mutex:
-                held = stripe.held.get(txn)
-                if not held:
-                    continue
-                for obj in held:
-                    grants = stripe.grants.get(obj, {})
-                    if write_mode not in grants.get(txn, ()):
+                for obj in by_stripe[index]:
+                    entry = stripe.entries.get(obj)
+                    if entry is None:
                         continue
-                    for holder, modes in grants.items():
+                    own = entry.holders.get(txn)
+                    if own is None or write_mode not in own:
+                        continue
+                    if entry.counts.get(read_mode, 0) == (read_mode in own):
+                        continue  # nobody else holds read_mode
+                    for holder, modes in entry.holders.items():
                         if holder is not txn and read_mode in modes:
                             victims.setdefault(holder, []).append(obj)
         return victims
@@ -757,61 +425,47 @@ class StripedLockManager(LockManager):
     def can_grant(
         self, txn: Transaction, obj: DataObject, mode: LockMode
     ) -> bool:
+        """Would a request for ``mode`` on ``obj`` be granted right now?
+
+        Pure probe: no state changes, no queueing.  Used by the
+        discrete-event simulator for all-or-nothing acquisition.
+        """
         stripe = self._stripe_of(obj)
         with stripe.mutex:
-            return self._can_grant_locked(stripe, txn, obj, mode)
-
-    @staticmethod
-    def _can_grant_locked(
-        stripe: _Stripe, txn: Transaction, obj: DataObject, mode: LockMode
-    ) -> bool:
-        """Pure grant-rule probe; caller holds the stripe mutex."""
-        grants = stripe.grants.get(obj)
-        upgrading = False
-        if grants:
-            upgrading = txn in grants
-            for holder, modes in grants.items():
-                if holder is txn:
-                    continue
-                if any(not compatible(mode, held) for held in modes):
-                    return False
-        if not upgrading:
-            for ahead in stripe.queues.get(obj, ()):
-                if not ahead.is_waiting or ahead.txn is txn:
-                    continue
-                if not compatible(mode, ahead.mode):
-                    return False
-        return True
+            entry = stripe.entries.get(obj)
+            return entry is None or not _blocked(entry, txn, mode)
 
     # -- acquisition --------------------------------------------------------------------
 
-    def _grant_effects_locked(
+    def _grant(
         self,
         stripe: _Stripe,
+        entry: _Entry | None,
         txn: Transaction,
         obj: DataObject,
         mode: LockMode,
         enqueued_at: float | None = None,
     ) -> None:
-        """Record a grant's side effects; caller holds the stripe
-        mutex and has already verified the grant rules."""
-        grants = stripe.grants.get(obj)
-        if grants is None:
-            grants = stripe.grants[obj] = {}
-        own = grants.get(txn)
+        """Record a grant and its side effects; the caller holds the
+        stripe mutex and has already applied the grant rule."""
+        if entry is None:
+            entry = stripe.entries[obj] = _Entry()
+        holders = entry.holders
+        own = holders.get(txn)
         if own is None:
-            grants[txn] = {mode}
+            holders[txn] = {mode}
+            entry.counts[mode] = entry.counts.get(mode, 0) + 1
             held = stripe.held.get(txn)
             if held is None:
                 stripe.held[txn] = {obj}
             else:
                 held.add(obj)
         else:
-            # Check upgrades against the modes held *before* this
-            # grant (hence before the add — avoids copying the set).
-            if any(is_upgrade(h, mode) for h in own):
+            if not _UPGRADES_FROM[mode].isdisjoint(own):
                 stripe.upgrades_n += 1
-            own.add(mode)
+            if mode not in own:
+                own.add(mode)
+                entry.counts[mode] = entry.counts.get(mode, 0) + 1
         stripe.grants_n += 1
         if self.obs.enabled:
             waited = (
@@ -823,24 +477,28 @@ class StripedLockManager(LockManager):
                 txn.txn_id, obj, str(mode), waited=waited,
                 queued=enqueued_at is not None,
             )
-        self._record(txn, obj, mode)
+        if mode in _READ_MODES:
+            txn.record_read(obj)
+            if self.history is not None:
+                self.history.read(txn.txn_id, obj)
+        else:
+            txn.record_write(obj)
+            if self.history is not None:
+                self.history.write(txn.txn_id, obj)
         if self.audit:
-            _check_audit_pairs(obj, grants)
-
-    def _try_grant_locked(
-        self,
-        stripe: _Stripe,
-        txn: Transaction,
-        obj: DataObject,
-        mode: LockMode,
-        enqueued_at: float | None = None,
-    ) -> bool:
-        """Grant rules + effects without a request object; caller
-        holds the stripe mutex."""
-        if not self._can_grant_locked(stripe, txn, obj, mode):
-            return False
-        self._grant_effects_locked(stripe, txn, obj, mode, enqueued_at)
-        return True
+            # Incremental: the holders were pairwise compatible before
+            # this grant, so only pairs with the new lock can be wrong.
+            # Walks the holder map; the counts decided the grant and
+            # are exactly what is being checked.
+            clashes = _CLASHES[mode]
+            if clashes:
+                for holder, modes in holders.items():
+                    if holder is not txn and not clashes.isdisjoint(modes):
+                        raise LockError(
+                            f"compatibility invariant violated on {obj!r}: "
+                            f"{txn.txn_id}:{mode} with {holder.txn_id}:"
+                            f"{'/'.join(sorted(map(str, modes)))}"
+                        )
 
     def acquire(
         self,
@@ -851,30 +509,31 @@ class StripedLockManager(LockManager):
         timeout: float | None = None,
         on_block: Callable[[LockRequest], None] | None = None,
     ) -> LockRequest:
+        """Request ``mode`` on ``obj`` for ``txn``; queue if refused.
+
+        The grant rule is :func:`_blocked`'s.  When ``blocking`` is
+        true the call waits until granted, denied or ``timeout``;
+        ``on_block`` (if given) runs once after the request is queued —
+        the deadlock detector hooks in there.  A blocking request whose
+        timeout expires is cancelled and counts as a denial in
+        :meth:`stats_snapshot`.
+        """
         stripe = self._stripe_of(obj)
-        index = None
         request = LockRequest(txn, obj, mode)
         with stripe.mutex:
-            if self._try_grant_locked(stripe, txn, obj, mode):
+            entry = stripe.entries.get(obj)
+            if entry is None or not _blocked(entry, txn, mode):
+                self._grant(stripe, entry, txn, obj, mode)
                 request.resolve(RequestStatus.GRANTED)
                 return request
-            stripe.queues.setdefault(obj, []).append(request)
-            pending = stripe.pending.get(txn)
-            if pending is None:
-                pending = stripe.pending[txn] = set()
-            pending.add(request)
-            index = self._index_of(obj)
+            entry.queue.append(request)
+            stripe.pending.setdefault(txn, set()).add(request)
             stripe.waits_n += 1
             if self.obs.enabled:
                 request.enqueued_at = self.obs.clock()
                 self.obs.lock_queued(
-                    txn.txn_id, obj, str(mode),
-                    depth=len(stripe.queues[obj]),
+                    txn.txn_id, obj, str(mode), depth=len(entry.queue),
                 )
-        # Note which stripes hold waiting requests for this txn, so
-        # release_all can cancel them without scanning every stripe.
-        with self._pending_mutex:
-            self._pending_stripes.setdefault(txn, set()).add(index)
         if on_block is not None:
             on_block(request)
         if blocking:
@@ -882,6 +541,9 @@ class StripedLockManager(LockManager):
             if status is RequestStatus.WAITING:
                 self.cancel(request)
                 if request.status is RequestStatus.CANCELLED:
+                    # The wait timed out (nobody granted concurrently):
+                    # the caller was refused the lock, which is a
+                    # denial for accounting purposes.
                     with stripe.mutex:
                         stripe.denials_n += 1
                     if self.obs.enabled:
@@ -893,85 +555,36 @@ class StripedLockManager(LockManager):
     def try_acquire(
         self, txn: Transaction, obj: DataObject, mode: LockMode
     ) -> bool:
-        """Non-queuing attempt — allocation-free on both outcomes.
+        """Non-queuing attempt: grant now or report False untouched.
 
-        The seed builds a :class:`LockRequest` (with its
-        ``threading.Event``) per probe; this path touches only the
-        stripe's dicts, which is where the single-thread speedup of
-        the scaling benchmark comes from.  The grant rules and effects
-        are inlined (rather than delegated to the ``_locked`` helpers)
-        because this is the hottest call in the system.
+        The hottest call in the system (one per candidate per object
+        per wave): no request object, no allocation on a refusal.
         """
-        stripe = self._table[self._stripe_fn(obj) % self.stripes]
+        stripe = self._stripe_of(obj)
         with stripe.mutex:
-            grants = stripe.grants.get(obj)
-            own = grants.get(txn) if grants is not None else None
-            if grants:
-                for holder, modes in grants.items():
-                    if holder is txn:
-                        continue
-                    for held in modes:
-                        if not compatible(mode, held):
-                            stripe.denials_n += 1
-                            if self.obs.enabled:
-                                self.obs.lock_denied(
-                                    txn.txn_id, obj, str(mode),
-                                    reason="busy",
-                                )
-                            return False
-            if own is None:
-                queue = stripe.queues.get(obj)
-                if queue is not None:
-                    for ahead in queue:
-                        if not ahead.is_waiting or ahead.txn is txn:
-                            continue
-                        if not compatible(mode, ahead.mode):
-                            stripe.denials_n += 1
-                            if self.obs.enabled:
-                                self.obs.lock_denied(
-                                    txn.txn_id, obj, str(mode),
-                                    reason="busy",
-                                )
-                            return False
-                if grants is None:
-                    stripe.grants[obj] = {txn: {mode}}
-                else:
-                    grants[txn] = {mode}
-                held = stripe.held.get(txn)
-                if held is None:
-                    stripe.held[txn] = {obj}
-                else:
-                    held.add(obj)
-            else:
-                if any(is_upgrade(h, mode) for h in own):
-                    stripe.upgrades_n += 1
-                own.add(mode)
-            stripe.grants_n += 1
-            if self.obs.enabled:
-                self.obs.lock_granted(
-                    txn.txn_id, obj, str(mode), waited=0.0, queued=False
-                )
-            if mode in _READ_MODES:
-                txn.record_read(obj)
-                if self.history is not None:
-                    self.history.read(txn.txn_id, obj)
-            else:
-                txn.record_write(obj)
-                if self.history is not None:
-                    self.history.write(txn.txn_id, obj)
-            if self.audit:
-                _check_audit_pairs(
-                    obj, grants if grants is not None else stripe.grants[obj]
-                )
+            entry = stripe.entries.get(obj)
+            if entry is not None and _blocked(entry, txn, mode):
+                stripe.denials_n += 1
+                if self.obs.enabled:
+                    self.obs.lock_denied(
+                        txn.txn_id, obj, str(mode), reason="busy"
+                    )
+                return False
+            self._grant(stripe, entry, txn, obj, mode)
             return True
 
     def try_acquire_held(
         self, txn: Transaction, obj: DataObject, mode: LockMode
     ) -> GrantOutcome:
-        stripe = self._table[self._stripe_fn(obj) % self.stripes]
-        grants = stripe.grants.get(obj)
-        if grants is not None:
-            own = grants.get(txn)
+        """Held-check and non-queuing grant in one call.
+
+        Equivalent to ``holds(...) or try_acquire(...)`` with the
+        already-held case distinguished, so scheme-level all-or-nothing
+        acquisition can tell "not ours to undo" from "newly acquired".
+        """
+        entry = self._stripe_of(obj).entries.get(obj)
+        if entry is not None:
+            own = entry.holders.get(txn)
             # Sound without the mutex: only txn's own thread (or its
             # aborter, which cannot race a live call) grants or
             # releases txn's modes, and CPython dict/set reads are
@@ -987,29 +600,31 @@ class StripedLockManager(LockManager):
     def release(
         self, txn: Transaction, obj: DataObject, mode: LockMode | None = None
     ) -> None:
+        """Release one mode (or all modes) ``txn`` holds on ``obj``."""
         stripe = self._stripe_of(obj)
         with stripe.mutex:
-            grants = stripe.grants.get(obj)
-            if not grants or txn not in grants:
+            entry = stripe.entries.get(obj)
+            own = entry.holders.get(txn) if entry is not None else None
+            if own is None:
                 return
             if mode is None:
-                del grants[txn]
-            else:
-                grants[txn].discard(mode)
-                if not grants[txn]:
-                    del grants[txn]
-            if txn not in grants:
-                held = stripe.held.get(txn)
-                if held is not None:
-                    held.discard(obj)
-                    if not held:
-                        del stripe.held[txn]
-            if not grants:
-                del stripe.grants[obj]
-            self._process_queue_locked(stripe, obj)
+                _uncount(entry.counts, own)
+                own.clear()
+            elif mode in own:
+                _uncount(entry.counts, (mode,))
+                own.remove(mode)
+            if not own:
+                del entry.holders[txn]
+                held = stripe.held[txn]
+                held.discard(obj)
+                if not held:
+                    del stripe.held[txn]
+            self._process_queue(stripe, obj, entry)
 
     def release_all(self, txn: Transaction) -> None:
-        """Commit/abort epilogue in O(held + waiting + stripes).
+        """Release every lock ``txn`` holds and cancel its waiting
+        requests (commit/abort epilogue — both schemes hold all locks
+        to the end, Figures 4.1/4.2) in O(held + waiting + stripes).
 
         Every stripe is visited once and probed for the transaction in
         its held/pending indexes *under the stripe mutex*.  The
@@ -1018,56 +633,34 @@ class StripedLockManager(LockManager):
         abort can land between a grant's bookkeeping and
         ``record_read``, leaving a granted object outside the read
         set, and a deadlock victim's waiting request can be granted by
-        a concurrent release while this runs.  A stripe the
-        transaction touched nothing in costs two dict probes; nothing
-        else in the table is looked at — the seed's every-queue scan
-        is gone.
+        a concurrent release while this runs.  Only queues the
+        transaction held or waited on are processed.
         """
-        if self._pending_stripes:
-            with self._pending_mutex:
-                self._pending_stripes.pop(txn, None)
         cancelled: list[LockRequest] = []
         for stripe in self._table:
             with stripe.mutex:
                 held = stripe.held.pop(txn, None)
-                pending = (
-                    stripe.pending.pop(txn, None) if stripe.pending else None
-                )
-                if held is None and pending is None:
-                    continue
-                if pending is None and not stripe.queues:
-                    # Nothing queued anywhere in this stripe: dropping
-                    # the grants cannot wake anyone, so skip queue
-                    # processing entirely (the common uncontended case).
-                    if held:
-                        stripe_grants = stripe.grants
-                        for obj in held:
-                            grants = stripe_grants.get(obj)
-                            if grants is not None:
-                                grants.pop(txn, None)
-                                if not grants:
-                                    del stripe_grants[obj]
-                    continue
-                affected: set[DataObject] = set()
-                if held:
-                    for obj in held:
-                        grants = stripe.grants.get(obj)
-                        if grants is not None:
-                            grants.pop(txn, None)
-                            if not grants:
-                                del stripe.grants[obj]
-                        affected.add(obj)
-                if pending:
-                    for request in pending:
-                        queue = stripe.queues.get(request.obj)
-                        if queue is not None and request in queue:
-                            queue.remove(request)
-                        if request.is_waiting:
-                            request.resolve(RequestStatus.CANCELLED)
-                            cancelled.append(request)
-                        affected.add(request.obj)
-                for obj in affected:
-                    self._process_queue_locked(stripe, obj)
+                pending = stripe.pending.pop(txn, None)
+                entries = stripe.entries
+                wake: dict[DataObject, _Entry] = {}
+                for obj in held or ():
+                    entry = entries[obj]
+                    _uncount(entry.counts, entry.holders.pop(txn))
+                    if entry.queue:
+                        wake[obj] = entry
+                    elif not entry.holders:
+                        del entries[obj]
+                for request in pending or ():
+                    if request.is_waiting:
+                        request.resolve(RequestStatus.CANCELLED)
+                        cancelled.append(request)
+                    entry = entries.get(request.obj)
+                    if entry is not None:
+                        if request in entry.queue:
+                            entry.queue.remove(request)
+                        wake[request.obj] = entry
+                for obj, entry in wake.items():
+                    self._process_queue(stripe, obj, entry)
         if self.obs.enabled:
             for request in cancelled:
                 self.obs.lock_cancelled(
@@ -1075,126 +668,63 @@ class StripedLockManager(LockManager):
                 )
 
     def cancel(self, request: LockRequest) -> None:
+        """Withdraw a waiting request (timeout or deadlock victim)."""
         stripe = self._stripe_of(request.obj)
         with stripe.mutex:
-            queue = stripe.queues.get(request.obj)
-            if queue is not None and request in queue:
-                queue.remove(request)
-            pending = stripe.pending.get(request.txn)
-            if pending is not None:
-                pending.discard(request)
-                if not pending:
-                    del stripe.pending[request.txn]
+            _forget_pending(stripe, request)
             if request.is_waiting:
                 request.resolve(RequestStatus.CANCELLED)
                 if self.obs.enabled:
                     self.obs.lock_cancelled(
                         request.txn.txn_id, request.obj, str(request.mode)
                     )
-            self._process_queue_locked(stripe, request.obj)
+            entry = stripe.entries.get(request.obj)
+            if entry is not None:
+                if request in entry.queue:
+                    entry.queue.remove(request)
+                self._process_queue(stripe, request.obj, entry)
 
-    def _cancel_requests_of(self, txn: Transaction) -> None:
-        """Cancel every waiting request of ``txn`` via the pending
-        index — O(waiting), not a scan of every queue."""
-        with self._pending_mutex:
-            waited_in = self._pending_stripes.pop(txn, None)
-        if not waited_in:
-            return
-        cancelled: list[LockRequest] = []
-        for index in sorted(waited_in):
-            stripe = self._table[index]
-            with stripe.mutex:
-                pending = stripe.pending.pop(txn, None)
-                if not pending:
-                    continue
-                affected: set[DataObject] = set()
-                for request in pending:
-                    queue = stripe.queues.get(request.obj)
-                    if queue is not None and request in queue:
-                        queue.remove(request)
-                    if request.is_waiting:
-                        request.resolve(RequestStatus.CANCELLED)
-                        cancelled.append(request)
-                    affected.add(request.obj)
-                for obj in affected:
-                    self._process_queue_locked(stripe, obj)
-        if self.obs.enabled:
-            for request in cancelled:
-                self.obs.lock_cancelled(
-                    txn.txn_id, request.obj, str(request.mode)
-                )
-
-    def _process_queue_locked(self, stripe: _Stripe, obj: DataObject) -> None:
-        """Grant queued requests FIFO while compatible; caller holds
-        the stripe mutex.  Empty queues are pruned (the seed leaks
-        them)."""
+    def _process_queue(
+        self, stripe: _Stripe, obj: DataObject, entry: _Entry
+    ) -> None:
+        """Grant ``obj``'s queued requests in FIFO order while the
+        grant rule allows, then drop the entry if nothing holds or
+        waits on it; the caller holds the stripe mutex."""
         stripe.queue_visits += 1
-        queue = stripe.queues.get(obj)
-        if not queue:
-            if queue is not None:
-                del stripe.queues[obj]
-            return
-        still_waiting: list[LockRequest] = []
-        for request in queue:
-            if not request.is_waiting:
-                continue
-            # Same no-barging trick as the seed: expose only the
-            # requests ahead of this one while probing.
-            stripe.queues[obj] = still_waiting
-            if self._can_grant_locked(
-                stripe, request.txn, obj, request.mode
-            ):
-                self._grant_effects_locked(
-                    stripe, request.txn, obj, request.mode,
+        queue = entry.queue
+        if queue:
+            # No barging: while a request is probed the entry's queue
+            # holds only the still-waiting requests ahead of it.
+            ahead = entry.queue = []
+            for request in queue:
+                if not request.is_waiting:
+                    continue
+                if _blocked(entry, request.txn, request.mode):
+                    ahead.append(request)
+                    continue
+                self._grant(
+                    stripe, entry, request.txn, obj, request.mode,
                     request.enqueued_at,
                 )
-                pending = stripe.pending.get(request.txn)
-                if pending is not None:
-                    pending.discard(request)
-                    if not pending:
-                        del stripe.pending[request.txn]
+                _forget_pending(stripe, request)
                 request.resolve(RequestStatus.GRANTED)
-            else:
-                still_waiting.append(request)
-        if still_waiting:
-            stripe.queues[obj] = still_waiting
-        else:
-            stripe.queues.pop(obj, None)
+        if not entry.holders and not entry.queue:
+            del stripe.entries[obj]
 
     # -- diagnostics ----------------------------------------------------------------------------
 
     def grant_table(self) -> dict[DataObject, dict[str, tuple[str, ...]]]:
+        """A printable snapshot of the grant table."""
         table: dict[DataObject, dict[str, tuple[str, ...]]] = {}
         with self._locked_all():
             for stripe in self._table:
-                for obj, grants in stripe.grants.items():
-                    if grants:
+                for obj, entry in stripe.entries.items():
+                    if entry.holders:
                         table[obj] = {
-                            txn.txn_id: tuple(
-                                str(m) for m in sorted(modes, key=str)
-                            )
-                            for txn, modes in grants.items()
+                            txn.txn_id: tuple(sorted(map(str, modes)))
+                            for txn, modes in entry.holders.items()
                         }
         return table
-
-    def stats_snapshot(self) -> dict[str, int]:
-        with self._locked_all():
-            return {
-                "grants": sum(s.grants_n for s in self._table),
-                "waits": sum(s.waits_n for s in self._table),
-                "denials": sum(s.denials_n for s in self._table),
-                "upgrades": sum(s.upgrades_n for s in self._table),
-            }
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Deprecated aggregate view; use :meth:`stats_snapshot`.
-
-        Returns a *fresh* dict on every read (mutating it has no
-        effect), kept so seed-era callers reading
-        ``manager.stats["grants"]`` keep working.
-        """
-        return self.stats_snapshot()
 
     def stripe_stats(self) -> list[dict[str, int]]:
         """Per-stripe counter breakdown (load-balance diagnostics)."""
@@ -1210,13 +740,39 @@ class StripedLockManager(LockManager):
                 for s in self._table
             ]
 
+    def stats_snapshot(self) -> dict[str, int]:
+        """The grant/wait/denial/upgrade totals, aggregated over the
+        stripes under an all-stripe lock — a consistent cut."""
+        per_stripe = self.stripe_stats()
+        return {key: sum(s[key] for s in per_stripe) for key in STAT_KEYS}
+
     @property
     def queue_visits(self) -> int:
-        """Total queue-processing passes across all stripes."""
+        """Queue-processing passes performed, over all stripes — the
+        regression counter for the commit cost (see
+        :meth:`release_all`)."""
         return sum(s.queue_visits for s in self._table)
 
     def audit_now(self) -> None:
+        """Verify the whole table: every pair of holders of every
+        object against ``compatible()``, and every mode count against
+        a recount of the holder map.
+
+        Raises :class:`LockError` on violation; used by tests as a
+        post-run safety sweep (the per-grant auditor covers the
+        incremental case).
+        """
         with self._locked_all():
             for stripe in self._table:
-                for obj, grants in stripe.grants.items():
-                    _check_audit_pairs(obj, grants)
+                for obj, entry in stripe.entries.items():
+                    _check_audit_pairs(obj, entry.holders)
+                    recount = Counter(
+                        mode
+                        for modes in entry.holders.values()
+                        for mode in modes
+                    )
+                    if recount != entry.counts:
+                        raise LockError(
+                            f"mode counts out of step on {obj!r}: "
+                            f"{entry.counts} for holders {dict(recount)}"
+                        )

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import repro.obs as obs_module
-from repro.locks.fastpath import HeldModeCache
 from repro.locks.manager import GrantOutcome, LockManager
 from repro.locks.modes import LockMode
 from repro.locks.request import LockRequest
@@ -86,10 +85,6 @@ class RcScheme:
             history=history, audit=audit, observer=self.obs,
             stripes=stripes, stripe_fn=stripe_fn,
         )
-        #: Memoized grants: turns the already-held probe of
-        #: :meth:`try_lock_action` into a local set lookup (see
-        #: :mod:`repro.locks.fastpath`).
-        self._held = HeldModeCache()
         self.revalidator = revalidator
         #: Forced aborts performed by rule (ii), for benchmarks.
         self.forced_aborts = 0
@@ -106,18 +101,12 @@ class RcScheme:
         Granted "as long as no production has already placed a Wa lock
         on the same data item".
         """
-        request = self.manager.acquire(
+        return self.manager.acquire(
             txn, obj, self.condition_mode, blocking=blocking
         )
-        if request.is_granted:
-            self._held.note(txn, obj, self.condition_mode)
-        return request
 
     def try_lock_condition(self, txn: Transaction, obj: DataObject) -> bool:
-        if self.manager.try_acquire(txn, obj, self.condition_mode):
-            self._held.note(txn, obj, self.condition_mode)
-            return True
-        return False
+        return self.manager.try_acquire(txn, obj, self.condition_mode)
 
     def lock_action(
         self,
@@ -140,10 +129,9 @@ class RcScheme:
             key=lambda pair: (repr(pair[0]), str(pair[1])),
         )
         for obj, mode in todo:
-            request = self.manager.acquire(txn, obj, mode, blocking=blocking)
-            if request.is_granted:
-                self._held.note(txn, obj, mode)
-            requests.append(request)
+            requests.append(
+                self.manager.acquire(txn, obj, mode, blocking=blocking)
+            )
         return requests
 
     def try_lock_action(
@@ -164,22 +152,16 @@ class RcScheme:
             + [(obj, self.action_write_mode) for obj in writes],
             key=lambda pair: (repr(pair[0]), str(pair[1])),
         )
-        held = self._held
         newly_acquired: list[tuple[DataObject, LockMode]] = []
         for obj, mode in todo:
-            if held.holds(txn, obj, mode):
-                continue  # already held before this call: not ours to undo
             outcome = self.manager.try_acquire_held(txn, obj, mode)
             if outcome is GrantOutcome.HELD:
-                held.note(txn, obj, mode)
-                continue
+                continue  # held before this call: not ours to undo
             if outcome is GrantOutcome.GRANTED:
-                held.note(txn, obj, mode)
                 newly_acquired.append((obj, mode))
                 continue
             for held_obj, held_mode in newly_acquired:
                 self.manager.release(txn, held_obj, held_mode)
-                held.discard(txn, held_obj, held_mode)
             return False
         return True
 
@@ -238,7 +220,6 @@ class RcScheme:
         if self.manager.history is not None:
             self.manager.history.commit(txn.txn_id)
         self.manager.release_all(txn)
-        self._held.drop(txn)
         if self.obs.enabled:
             self.obs.txn_committed(txn.txn_id, self.name)
         return CommitOutcome(committed=True, victims=victims)
@@ -250,11 +231,9 @@ class RcScheme:
         if self.manager.history is not None:
             self.manager.history.abort(txn.txn_id)
         self.manager.release_all(txn)
-        self._held.drop(txn)
         if self.obs.enabled:
             self.obs.txn_aborted(txn.txn_id, self.name, reason)
 
     def release_condition_locks(self, txn: Transaction) -> None:
         """Release after a false condition (Figure 4.2)."""
         self.manager.release_all(txn)
-        self._held.drop(txn)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import repro.obs as obs_module
-from repro.locks.fastpath import HeldModeCache
 from repro.locks.manager import GrantOutcome, LockManager
 from repro.locks.modes import LockMode
 from repro.locks.request import LockRequest
@@ -69,10 +68,6 @@ class TwoPhaseScheme:
             history=history, audit=audit, observer=self.obs,
             stripes=stripes, stripe_fn=stripe_fn,
         )
-        #: Memoized grants: turns the already-held check of
-        #: :meth:`try_lock_action` into a local set lookup (see
-        #: :mod:`repro.locks.fastpath`).
-        self._held = HeldModeCache()
 
     # -- acquisition entry points --------------------------------------------------------
 
@@ -80,18 +75,12 @@ class TwoPhaseScheme:
         self, txn: Transaction, obj: DataObject, blocking: bool = False
     ) -> LockRequest:
         """Read lock for condition evaluation."""
-        request = self.manager.acquire(
+        return self.manager.acquire(
             txn, obj, self.condition_mode, blocking=blocking
         )
-        if request.is_granted:
-            self._held.note(txn, obj, self.condition_mode)
-        return request
 
     def try_lock_condition(self, txn: Transaction, obj: DataObject) -> bool:
-        if self.manager.try_acquire(txn, obj, self.condition_mode):
-            self._held.note(txn, obj, self.condition_mode)
-            return True
-        return False
+        return self.manager.try_acquire(txn, obj, self.condition_mode)
 
     def lock_action(
         self,
@@ -113,10 +102,9 @@ class TwoPhaseScheme:
             key=lambda pair: (repr(pair[0]), str(pair[1])),
         )
         for obj, mode in todo:
-            request = self.manager.acquire(txn, obj, mode, blocking=blocking)
-            if request.is_granted:
-                self._held.note(txn, obj, mode)
-            requests.append(request)
+            requests.append(
+                self.manager.acquire(txn, obj, mode, blocking=blocking)
+            )
         return requests
 
     def try_lock_action(
@@ -131,29 +119,17 @@ class TwoPhaseScheme:
         (the caller owns abort policy); returns False so the caller can
         abort or retry.
 
-        Already-held modes are skipped via the scheme-local cache (or,
-        on a cache miss, detected inside the manager's single-round-trip
-        ``try_acquire_held``) instead of being redundantly re-granted.
+        Already-held modes are detected by the manager's
+        ``try_acquire_held`` instead of being redundantly re-granted.
         """
-        held = self._held
-        for obj in sorted(reads, key=repr):
-            if held.holds(txn, obj, self.action_read_mode):
-                continue
-            outcome = self.manager.try_acquire_held(
-                txn, obj, self.action_read_mode
-            )
-            if outcome is GrantOutcome.DENIED:
-                return False
-            held.note(txn, obj, self.action_read_mode)
-        for obj in sorted(writes, key=repr):
-            if held.holds(txn, obj, self.action_write_mode):
-                continue
-            outcome = self.manager.try_acquire_held(
-                txn, obj, self.action_write_mode
-            )
-            if outcome is GrantOutcome.DENIED:
-                return False
-            held.note(txn, obj, self.action_write_mode)
+        try_acquire_held = self.manager.try_acquire_held
+        for objects, mode in (
+            (reads, self.action_read_mode),
+            (writes, self.action_write_mode),
+        ):
+            for obj in sorted(objects, key=repr):
+                if try_acquire_held(txn, obj, mode) is GrantOutcome.DENIED:
+                    return False
         return True
 
     # -- lifecycle ---------------------------------------------------------------------------
@@ -164,7 +140,6 @@ class TwoPhaseScheme:
         if self.manager.history is not None:
             self.manager.history.commit(txn.txn_id)
         self.manager.release_all(txn)
-        self._held.drop(txn)
         if self.obs.enabled:
             self.obs.txn_committed(txn.txn_id, self.name)
         return CommitOutcome(committed=True)
@@ -175,14 +150,12 @@ class TwoPhaseScheme:
         if self.manager.history is not None:
             self.manager.history.abort(txn.txn_id)
         self.manager.release_all(txn)
-        self._held.drop(txn)
         if self.obs.enabled:
             self.obs.txn_aborted(txn.txn_id, self.name, reason)
 
     def release_condition_locks(self, txn: Transaction) -> None:
         """Release after a false condition (step 2 of Figure 4.1)."""
         self.manager.release_all(txn)
-        self._held.drop(txn)
 
 
 class ConservativeTwoPhaseScheme(TwoPhaseScheme):
@@ -228,7 +201,6 @@ class ConservativeTwoPhaseScheme(TwoPhaseScheme):
         for obj in sorted(reads, key=repr):
             if self.manager.try_acquire(txn, obj, LockMode.R):
                 acquired_any = True
-                self._held.note(txn, obj, LockMode.R)
             else:
                 ok = False
                 break
@@ -236,11 +208,9 @@ class ConservativeTwoPhaseScheme(TwoPhaseScheme):
             for obj in sorted(writes, key=repr):
                 if self.manager.try_acquire(txn, obj, LockMode.W):
                     acquired_any = True
-                    self._held.note(txn, obj, LockMode.W)
                 else:
                     ok = False
                     break
         if not ok and acquired_any:
             self.manager.release_all(txn)
-            self._held.drop(txn)
         return ok

@@ -22,10 +22,12 @@ pays for materializing them.
 from __future__ import annotations
 
 from operator import neg
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
+from repro.lang.ast import MakeAction, ModifyAction, RemoveAction
 from repro.lang.production import Production
-from repro.wm.element import Scalar, WME
+from repro.wm.element import Scalar, WME, data_object_key
+from repro.wm.schema import Catalog
 
 if TYPE_CHECKING:
     from repro.lang.compile import SlotToken, VariableIndex
@@ -60,6 +62,7 @@ class Instantiation:
         "_recency_key",
         "_mea_key",
         "_lex_key",
+        "_lock_footprint",
     )
 
     def __init__(
@@ -93,6 +96,7 @@ class Instantiation:
         # whose goal element matched timetag 0.
         self._mea_key = (timetags[0] if timetags else -1, *recency)
         self._lex_key = (recency, production.lex_static())
+        self._lock_footprint = None
 
     @staticmethod
     def build(
@@ -200,6 +204,44 @@ class Instantiation:
         different LHS order tie.
         """
         return self._lex_key
+
+    def lock_footprint(
+        self,
+    ) -> tuple[tuple[Hashable, ...], tuple[Hashable, ...]]:
+        """``(reads, writes)``: the data objects the LHS read and the
+        RHS will write, each sorted by ``repr`` — the order every
+        engine requests their locks in.  Computed on first use and
+        cached: a candidate that loses a wave asks again the next.
+
+        Reads: matched WMEs at tuple granularity; negated condition
+        elements read *absence*, protected at relation level via the
+        catalog key (Section 4.3's escalation argument).  Writes:
+        ``modify``/``remove`` write the matched tuple; every change of
+        a relation's membership (``make``'s fresh tuple has no key
+        before execution) also writes the relation's catalog key,
+        which is what invalidates those negative conditions.
+        """
+        footprint = self._lock_footprint
+        if footprint is None:
+            production = self.production
+            wmes = self.wmes
+            reads = {data_object_key(w) for w in wmes}
+            for element in production.negative_elements():
+                reads.add(Catalog.catalog_lock_key(element.relation))
+            positive = production.positive_indices()
+            writes = set()
+            for action in production.rhs:
+                if isinstance(action, (ModifyAction, RemoveAction)):
+                    wme = wmes[positive.index(action.ce_index - 1)]
+                    writes.add(data_object_key(wme))
+                    writes.add(Catalog.catalog_lock_key(wme.relation))
+                elif isinstance(action, MakeAction):
+                    writes.add(Catalog.catalog_lock_key(action.relation))
+            footprint = self._lock_footprint = (
+                tuple(sorted(reads, key=repr)),
+                tuple(sorted(writes, key=repr)),
+            )
+        return footprint
 
     def merge_key(self) -> tuple:
         """Ascending sort key of the partitioned merge and of worker

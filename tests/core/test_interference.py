@@ -116,6 +116,41 @@ class TestDynamicInterference:
             {Catalog.catalog_lock_key("log-reader")}
         )
 
+    def test_lock_footprint_is_both_sets_sorted_by_repr_and_cached(self):
+        # The engines request locks in this order, wave after wave, so
+        # it is computed once per instantiation and never re-sorted.
+        rule = (
+            RuleBuilder("r")
+            .when("order", id=var("x"))
+            .when("customer", id=var("c"))
+            .when_not("hold", order=var("x"))
+            .modify(1, status="shipped")
+            .remove(2)
+            .make("shipment", order=var("x"))
+            .build()
+        )
+        inst = _inst(
+            rule, WME.make("order", id=10), WME.make("customer", id=9)
+        )
+        reads, writes = inst.lock_footprint()
+        assert inst.lock_footprint() is inst.lock_footprint()
+        assert reads == tuple(
+            sorted(instantiation_read_objects(inst), key=repr)
+        )
+        assert writes == tuple(
+            sorted(instantiation_write_objects(inst), key=repr)
+        )
+        assert set(reads) == {
+            ("order", 10), ("customer", 9),
+            Catalog.catalog_lock_key("hold"),
+        }
+        assert set(writes) == {
+            ("order", 10), ("customer", 9),
+            Catalog.catalog_lock_key("order"),
+            Catalog.catalog_lock_key("customer"),
+            Catalog.catalog_lock_key("shipment"),
+        }
+
     def test_same_tuple_conflict(self):
         wme = WME.make("a", id=1)
         w_inst = _inst(writer(), wme)

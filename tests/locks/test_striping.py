@@ -1,14 +1,15 @@
-"""Striped lock manager: equivalence, scaling fixes, cross-stripe safety.
+"""The striped lock table: equivalence, scaling fixes, cross-stripe safety.
 
 Four pillars:
 
-* a hypothesis property test that the striped manager (stripes ∈
-  {2, 4, 8}) and the single-stripe seed manager make *identical*
-  grant/wait/deny decisions for any deterministic request schedule —
-  stripes=1 is the semantics oracle, stripes=N must never diverge;
-* the commit-cost regression: ``release_all`` on the striped manager
-  visits only the transaction's own queues (O(held + waiting)),
-  whereas the seed scans every queue in the system;
+* a hypothesis property test that the manager (stripes ∈ {1, 2, 4, 8})
+  and the reference model in ``reference_manager.py`` — the seed's
+  centralized table, every decision a walk through ``compatible()`` —
+  make *identical* grant/wait/deny decisions for any deterministic
+  request schedule, and that the per-mode counts the manager decides
+  from equal a recount of its holder maps after every step;
+* the commit-cost regression: ``release_all`` visits only the
+  transaction's own queues (O(held + waiting)), at any stripe count;
 * an 8-thread hammer on disjoint objects with exact grant totals and a
   post-run cross-stripe audit;
 * deadlock detection across stripes — a circular wait whose objects
@@ -18,6 +19,7 @@ Four pillars:
 """
 
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,10 @@ from repro.locks import (
     LockMode,
     RcScheme,
     RequestStatus,
-    StripedLockManager,
 )
 from repro.txn import Transaction
+
+from reference_manager import ReferenceLockManager
 
 STRIPE_COUNTS = [2, 4, 8]
 
@@ -48,16 +51,18 @@ class TestConstruction:
         assert type(manager) is LockManager
         assert manager.stripes == 1
 
-    def test_stripes_dispatches_to_striped_variant(self):
+    def test_one_class_at_every_stripe_count(self):
         manager = LockManager(stripes=4)
-        assert isinstance(manager, StripedLockManager)
+        assert type(manager) is LockManager
         assert manager.stripes == 4
+        assert len(manager.stripe_stats()) == 4
+        assert len(LockManager().stripe_stats()) == 1
 
     def test_invalid_stripe_counts_rejected(self):
         with pytest.raises(ValueError):
             LockManager(stripes=0)
         with pytest.raises(ValueError):
-            StripedLockManager(stripes=1)
+            LockManager(stripes=-2)
 
     def test_stripe_fn_controls_placement(self):
         manager = LockManager(stripes=4, stripe_fn=lambda obj: 2)
@@ -75,10 +80,14 @@ class TestConstruction:
 
 #: Op vocabulary for the equivalence schedules.  ``acquire`` is the
 #: queueing entry point (non-blocking, so WAITING is an observable
-#: outcome); ``try`` is the fast path; releases exercise queue
-#: processing and the cancellation indexes.
+#: outcome); ``try`` is the fast path; ``can`` is the pure probe;
+#: releases and ``cancel`` exercise queue processing and the
+#: cancellation indexes.
+#: Few objects, so most steps land on one that is already held or
+#: queued on: shared-reader upgrades, re-grants, and wake-ups behind a
+#: cancelled request all need three or more steps on the same object.
 N_TXNS = 4
-OBJECTS = ["o0", "o1", "o2", "o3", "o4", "o5"]
+OBJECTS = ["o0", "o1", "o2"]
 #: Modes from different schemes never meet in one manager (mixing
 #: raises, by design), so each schedule draws from a single family.
 MODE_FAMILIES = [
@@ -88,25 +97,25 @@ MODE_FAMILIES = [
 
 
 def _ops_for(modes):
+    request = (
+        st.integers(0, N_TXNS - 1),
+        st.sampled_from(OBJECTS),
+        st.sampled_from(modes),
+    )
     return st.one_of(
-        st.tuples(
-            st.just("try"),
-            st.integers(0, N_TXNS - 1),
-            st.sampled_from(OBJECTS),
-            st.sampled_from(modes),
-        ),
-        st.tuples(
-            st.just("acquire"),
-            st.integers(0, N_TXNS - 1),
-            st.sampled_from(OBJECTS),
-            st.sampled_from(modes),
-        ),
+        st.tuples(st.just("try"), *request),
+        st.tuples(st.just("acquire"), *request),
+        st.tuples(st.just("can"), *request),
         st.tuples(
             st.just("release"),
             st.integers(0, N_TXNS - 1),
             st.sampled_from(OBJECTS),
+            st.sampled_from([None, *modes]),
         ),
         st.tuples(st.just("release_all"), st.integers(0, N_TXNS - 1)),
+        # Cancels the k-th request ``acquire`` has returned so far
+        # (modulo), whatever its state: granted ones must be spared.
+        st.tuples(st.just("cancel"), st.integers(0, 59)),
     )
 
 
@@ -115,22 +124,32 @@ schedule_strategy = st.sampled_from(MODE_FAMILIES).flatmap(
 )
 
 
-def apply_schedule(manager, txns, schedule):
+def apply_schedule(manager, txns, schedule, after_step=lambda: None):
     """Run a schedule, returning the observable decision trace."""
     trace = []
+    requests = []
     for op in schedule:
         if op[0] == "try":
             _, i, obj, mode = op
             trace.append(manager.try_acquire(txns[i], obj, mode))
         elif op[0] == "acquire":
             _, i, obj, mode = op
-            request = manager.acquire(txns[i], obj, mode)
-            trace.append(request.status.name)
+            requests.append(manager.acquire(txns[i], obj, mode))
+        elif op[0] == "can":
+            _, i, obj, mode = op
+            trace.append(manager.can_grant(txns[i], obj, mode))
         elif op[0] == "release":
-            _, i, obj = op
-            manager.release(txns[i], obj)
+            _, i, obj, mode = op
+            manager.release(txns[i], obj, mode)
+        elif op[0] == "cancel":
+            if requests:
+                manager.cancel(requests[op[1] % len(requests)])
         else:
             manager.release_all(txns[op[1]])
+        # Releases and cancels resolve earlier requests: their states
+        # are part of every step's observable outcome.
+        trace.append([r.status.name for r in requests])
+        after_step()
     return trace
 
 
@@ -143,32 +162,63 @@ def normalized_grants(manager, txns):
     }
 
 
+def assert_counts_match_holders(manager):
+    """The per-mode counts the grant rule reads, recounted from the
+    holder maps; and nothing is kept for an object nobody holds or
+    waits on."""
+    for stripe in manager._table:
+        for obj, entry in stripe.entries.items():
+            recount = Counter(
+                mode for modes in entry.holders.values() for mode in modes
+            )
+            assert entry.counts == recount, obj
+            assert all(entry.holders.values()), obj
+            assert entry.holders or entry.queue, obj
+        held = {
+            (t, obj)
+            for obj, entry in stripe.entries.items()
+            for t in entry.holders
+        }
+        assert held == {(t, o) for t, objs in stripe.held.items() for o in objs}
+        waiting = {
+            r for entry in stripe.entries.values() for r in entry.queue
+            if r.is_waiting
+        }
+        assert waiting == {r for rs in stripe.pending.values() for r in rs}
+
+
 class TestStripedEquivalence:
-    @pytest.mark.parametrize("stripes", STRIPE_COUNTS)
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("stripes", [1] + STRIPE_COUNTS)
+    @settings(max_examples=250, deadline=None)
     @given(schedule=schedule_strategy)
     def test_same_decisions_as_single_stripe(self, stripes, schedule):
-        single = LockManager()
-        striped = LockManager(stripes=stripes)
-        single_txns = [txn(f"t{i}") for i in range(N_TXNS)]
-        striped_txns = [txn(f"t{i}") for i in range(N_TXNS)]
+        reference = ReferenceLockManager()
+        manager = LockManager(stripes=stripes)
+        reference_txns = [txn(f"t{i}") for i in range(N_TXNS)]
+        manager_txns = [txn(f"t{i}") for i in range(N_TXNS)]
 
-        single_trace = apply_schedule(single, single_txns, schedule)
-        striped_trace = apply_schedule(striped, striped_txns, schedule)
-
-        assert single_trace == striped_trace
-        assert normalized_grants(single, single_txns) == normalized_grants(
-            striped, striped_txns
+        reference_trace = apply_schedule(reference, reference_txns, schedule)
+        manager_trace = apply_schedule(
+            manager, manager_txns, schedule,
+            after_step=lambda: assert_counts_match_holders(manager),
         )
+
+        assert reference_trace == manager_trace
+        assert normalized_grants(
+            reference, reference_txns
+        ) == normalized_grants(manager, manager_txns)
         # Decision-identical schedules must produce identical counters.
-        assert single.stats_snapshot() == striped.stats_snapshot()
-        striped.audit_now()
+        assert reference.stats_snapshot() == manager.stats_snapshot()
+        assert len(reference.waiting_requests()) == len(
+            manager.waiting_requests()
+        )
+        manager.audit_now()
 
     @pytest.mark.parametrize("stripes", STRIPE_COUNTS)
     def test_fifo_wakeup_order_matches(self, stripes):
         # After the writer releases, queued readers are granted and the
         # queued writer behind them keeps waiting — in both variants.
-        for manager in (LockManager(), LockManager(stripes=stripes)):
+        for manager in (ReferenceLockManager(), LockManager(stripes=stripes)):
             w, r1, r2, w2 = (txn(n) for n in ("w", "r1", "r2", "w2"))
             assert manager.acquire(w, "q", LockMode.W).is_granted
             first = manager.acquire(r1, "q", LockMode.R)
@@ -195,50 +245,44 @@ def _make_noise(manager, count):
 class TestReleaseAllQueueVisits:
     """Regression for the O(total objects) commit epilogue.
 
-    The seed ``_cancel_requests_of`` iterates every queue in the system
-    and reprocesses every object — even ones the committing transaction
-    never touched.  The striped manager's per-transaction indexes must
-    visit only the transaction's own objects, independent of how many
-    unrelated queues exist.
+    The seed's ``release_all`` iterated every queue in the system and
+    reprocessed every object — even ones the committing transaction
+    never touched (the reference model still does).  The per-
+    transaction indexes must visit only the transaction's own objects,
+    independent of how many unrelated queues exist — at one stripe as
+    at many.
     """
 
     def test_striped_release_visits_only_own_objects(self):
-        manager = LockManager(stripes=4)
-        _make_noise(manager, 40)
-        t = txn("committer")
-        assert manager.try_acquire(t, "mine", LockMode.W)
-        before = manager.queue_visits
-        manager.release_all(t)
-        visits = manager.queue_visits - before
-        assert visits <= 1, (
-            f"release_all visited {visits} queues for a 1-object txn"
-        )
-
-    def test_seed_scan_grows_with_unrelated_queues(self):
-        # Documents the seed behavior the striped path fixes (stripes=1
-        # stays bit-identical to the seed, bug included).
-        manager = LockManager()
-        _make_noise(manager, 40)
-        t = txn("committer")
-        assert manager.try_acquire(t, "mine", LockMode.W)
-        before = manager.queue_visits
-        manager.release_all(t)
-        assert manager.queue_visits - before >= 40
-
-    def test_striped_visits_scale_with_own_footprint_only(self):
-        for noise in (5, 50):
-            manager = LockManager(stripes=8)
-            _make_noise(manager, noise)
+        for stripes in (1, 4):
+            manager = LockManager(stripes=stripes)
+            _make_noise(manager, 40)
             t = txn("committer")
-            for j in range(3):
-                assert manager.try_acquire(t, f"mine{j}", LockMode.W)
-            waiting_obj = "noise0"
-            assert manager.acquire(t, waiting_obj, LockMode.W).is_waiting
+            assert manager.try_acquire(t, "mine", LockMode.W)
             before = manager.queue_visits
             manager.release_all(t)
             visits = manager.queue_visits - before
-            # 3 held objects + 1 pending queue, regardless of noise.
-            assert visits <= 4, f"{visits} visits with {noise} noise objs"
+            assert visits <= 1, (
+                f"release_all visited {visits} queues for a 1-object txn"
+            )
+
+    def test_striped_visits_scale_with_own_footprint_only(self):
+        for stripes in (1, 8):
+            for noise in (5, 50):
+                manager = LockManager(stripes=stripes)
+                _make_noise(manager, noise)
+                t = txn("committer")
+                for j in range(3):
+                    assert manager.try_acquire(t, f"mine{j}", LockMode.W)
+                waiting_obj = "noise0"
+                assert manager.acquire(t, waiting_obj, LockMode.W).is_waiting
+                before = manager.queue_visits
+                manager.release_all(t)
+                visits = manager.queue_visits - before
+                # 3 held objects + 1 pending queue, regardless of noise.
+                assert visits <= 4, (
+                    f"{visits} visits with {noise} noise objs"
+                )
 
 
 # -- threaded hammer --------------------------------------------------------------------

@@ -136,15 +136,18 @@ class TestPickleHygiene:
         a = WME.make("a", {"k": 1})
         b = WME.make("b", {"k": 1})
         inst = Instantiation(production, (a, b), (("x", 1),))
+        inst.lock_footprint()
         data = pickle.dumps(inst, protocol=pickle.HIGHEST_PROTOCOL)
         for cached in (b"_slot_index", b"_slot_token", b"_recency",
-                       b"_identity", b"_lex_key", b"_lex_static"):
+                       b"_identity", b"_lex_key", b"_lex_static",
+                       b"_lock_footprint"):
             assert cached not in data
         restored = pickle.loads(data)
         assert restored == inst
         assert restored.bindings_items == (("x", 1),)
         assert restored.recency_key() == inst.recency_key()
         assert restored.lex_key() == inst.lex_key()
+        assert restored.lock_footprint() == inst.lock_footprint()
 
     def test_slot_token_instantiation_materializes_before_pickling(self):
         # Matcher-produced instantiations ride the slotted-token path;
