@@ -455,6 +455,27 @@ class VariableIndex:
         return tuple(token)
 
 
+def bound_prefixes(
+    elements: "tuple[ConditionElement, ...]",
+) -> tuple[frozenset[str], ...]:
+    """``result[i]`` = the variables an LHS prefix of ``i`` elements
+    binds: those with a variable test in a *positive* element.
+
+    A negated element's local variables are bound only inside its own
+    existential probe, so they never count — even though the slotted
+    layout assigns them a slot (which stays :data:`_MISSING` in every
+    persisted token).  A step's join key is drawn from this set, so
+    every key slot of a written-order token is bound.
+    """
+    bound: set[str] = set()
+    prefixes = [frozenset()]
+    for element in elements:
+        if not element.negated:
+            bound.update(t.variable for t in element.variable_tests())
+        prefixes.append(frozenset(bound))
+    return tuple(prefixes)
+
+
 def compile_beta_slots(
     element: "ConditionElement",
     index: VariableIndex,
@@ -592,6 +613,7 @@ class SlottedStep:
         index: VariableIndex,
         in_width: int,
         out_width: int,
+        bound: frozenset[str],
     ) -> None:
         compiled = element.compiled()
         self.element = element
@@ -633,27 +655,26 @@ class SlottedStep:
             self.full_match = full_match
         else:
             self.full_match = None
-        #: ``(attribute, slot)`` pairs whose slot can be bound by an
-        #: earlier element — the index-probe keys (the slotted
-        #: counterpart of extending constant equalities with bound
-        #: variable tests).
+        #: The element's *join key*: ``(attribute, slot)`` pairs of
+        #: its variable tests whose variable an earlier positive
+        #: element binds (``bound``) — equalities by the time a token
+        #: reaches this element.  Naive/TREAT extend their store
+        #: probes with them; Rete hashes its memories on them.
         slots = index.slots
         self.probe_items = tuple(
             (attribute, slots[variable])
             for attribute, variable in compiled.variable_items
-            if slots[variable] < in_width
+            if variable in bound
         )
 
     def probe_equalities(
         self, token: SlotToken
     ) -> list[tuple[str, Scalar]]:
-        """Constant equalities plus bound-variable join equalities."""
+        """Constant equalities plus the join key's equalities, read
+        off a written-order token (whose key slots are all bound)."""
         equalities = list(self.constant_equalities)
-        missing = _MISSING
         for attribute, slot in self.probe_items:
-            value = token[slot]
-            if value is not missing:
-                equalities.append((attribute, value))
+            equalities.append((attribute, token[slot]))
         return equalities
 
     def carry(self, token: SlotToken) -> SlotToken:
@@ -684,7 +705,9 @@ class DictStep:
         "constant_equalities",
     )
 
-    def __init__(self, element: "ConditionElement") -> None:
+    def __init__(
+        self, element: "ConditionElement", bound: frozenset[str]
+    ) -> None:
         compiled = element.compiled()
         self.element = element
         self.relation = element.relation
@@ -695,14 +718,19 @@ class DictStep:
         # Dict tokens always carry the full bindings, so the
         # written-order and retraction probes are the same closure.
         self.full_match = compiled.match
-        self.probe_items = compiled.variable_items
+        #: The join key as ``(attribute, variable)`` pairs (see
+        #: :class:`SlottedStep`).
+        self.probe_items = tuple(
+            (attribute, variable)
+            for attribute, variable in compiled.variable_items
+            if variable in bound
+        )
         self.constant_equalities = compiled.constant_equalities
 
     def probe_equalities(self, token) -> list[tuple[str, Scalar]]:
         equalities = list(self.constant_equalities)
         for attribute, variable in self.probe_items:
-            if variable in token:
-                equalities.append((attribute, token[variable]))
+            equalities.append((attribute, token[variable]))
         return equalities
 
     def carry(self, token):
@@ -735,8 +763,9 @@ class SlottedPlan:
         index = VariableIndex.for_production(production)
         self.index = index
         widths = index.prefix_widths
+        bound = bound_prefixes(production.lhs)
         self.steps = tuple(
-            SlottedStep(element, index, widths[i], widths[i + 1])
+            SlottedStep(element, index, widths[i], widths[i + 1], bound[i])
             for i, element in enumerate(production.lhs)
         )
         self._instantiation = _instantiation_class()
@@ -766,7 +795,12 @@ class DictPlan:
     def __init__(self, production: "Production") -> None:
         self.production = production
         self.index = None
-        self.steps = tuple(DictStep(element) for element in production.lhs)
+        self.steps = tuple(
+            DictStep(element, bound)
+            for element, bound in zip(
+                production.lhs, bound_prefixes(production.lhs)
+            )
+        )
         self._instantiation = _instantiation_class()
 
     def empty_token(self) -> dict[str, Scalar]:

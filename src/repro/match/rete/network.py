@@ -37,6 +37,9 @@ class ReteMatcher(BaseMatcher):
         self.top = DummyTopNode(self.state)
         self._pnodes: dict[str, ProductionNode] = {}
         self._shared_nodes: dict[tuple, JoinNode | NegativeNode] = {}
+        #: Per production, the share keys of its join chain in LHS
+        #: order — what :meth:`remove_production` walks back up.
+        self._chains: dict[str, list[tuple]] = {}
         self.activation_count = 0
 
     # -- production management ------------------------------------------------------
@@ -50,9 +53,9 @@ class ReteMatcher(BaseMatcher):
 
         Sharing stays intact under the slotted token layout: slot
         assignment is a pure function of the LHS element sequence, so
-        two productions sharing a prefix compile identical widths and
-        slots for it — the shared nodes' step closures are
-        interchangeable.
+        two productions sharing a prefix compile identical widths,
+        slots and join keys for it — the shared nodes' step closures
+        and indexes are interchangeable.
         """
         if production.name in self._pnodes:
             self.remove_production(production.name)
@@ -61,51 +64,58 @@ class ReteMatcher(BaseMatcher):
         # base-class plan guard keeps the layout uniform per network.
         self.top.root.data = plan.empty_token()
         current: TokenStore = self.top
+        chain: list[tuple] = []
         for position, element in enumerate(production.lhs):
-            step = plan.steps[position]
-            alpha = self.alpha.build_or_share(element)
-            fresh_alpha = len(alpha) == 0 and self._attached
-            if fresh_alpha:
-                self._backfill(alpha)
             share_key = (id(current), element, element.negated)
-            shared = self._shared_nodes.get(share_key)
-            if shared is not None:
-                current = (
-                    shared.memory
-                    if isinstance(shared, JoinNode)
-                    else shared
+            node = self._shared_nodes.get(share_key)
+            if node is None:
+                alpha, created = self.alpha.build_or_share(element)
+                if created and self._attached:
+                    self._backfill(alpha)
+                node_class = NegativeNode if element.negated else JoinNode
+                node = node_class(
+                    self.state, current, alpha, plan.steps[position]
                 )
-                continue
-            if element.negated:
-                negative = NegativeNode(self.state, current, alpha, step)
-                self._shared_nodes[share_key] = negative
-                self._prime(negative)
-                current = negative
-            else:
-                join = JoinNode(self.state, current, alpha, step)
-                self._shared_nodes[share_key] = join
-                self._prime(join)
-                current = join.memory
+                self._shared_nodes[share_key] = node
+                self._prime(node)
+            node.users += 1
+            chain.append(share_key)
+            current = node.output
         pnode = ProductionNode(
             self.state, current, plan, self.conflict_set
         )
         self._pnodes[production.name] = pnode
+        self._chains[production.name] = chain
         self._prime(pnode)
 
     def remove_production(self, name: str) -> None:
-        """Retract the rule's instantiations and deactivate its p-node.
+        """Retract the rule's instantiations and take its nodes out.
 
-        Simplification: interior nodes are left in place (they are
-        shared and cheap); only the production node is deactivated.
+        The production node goes, then — walking the join chain back
+        up — every join/negative node no remaining production runs
+        through: its tokens are deleted and it stops being activated
+        (a prefix another rule shares stays).  An alpha memory nothing
+        reads any more is dropped too.
         """
         self._unregister(name)
         pnode = self._pnodes.pop(name, None)
-        if pnode is not None:
-            pnode.retract_all()
-            try:
-                pnode.parent.children.remove(pnode)
-            except ValueError:
-                pass
+        if pnode is None:
+            return
+        self._discard(pnode)
+        for share_key in reversed(self._chains.pop(name)):
+            node = self._shared_nodes[share_key]
+            node.users -= 1
+            if node.users:
+                continue
+            del self._shared_nodes[share_key]
+            self._discard(node)
+            if not node.alpha.successors:
+                self.alpha.discard(node.alpha)
+
+    def _discard(self, node) -> None:
+        for token in node.own_tokens():
+            self.state.delete_token(token)
+        node.unlink()
 
     # -- wiring ------------------------------------------------------------------------
 
@@ -113,13 +123,13 @@ class ReteMatcher(BaseMatcher):
         """Populate a brand-new alpha memory from the live store."""
         for wme in self.memory.elements(alpha.pattern.relation):
             if alpha.accepts(wme):
-                alpha.items[wme.timetag] = wme
+                alpha.insert(wme)
 
     def _prime(self, node) -> None:
         """Feed a freshly created node its parent's existing tokens."""
         parent: TokenStore = node.parent
         for token in list(parent.tokens):
-            if isinstance(parent, NegativeNode) and token.is_blocked():
+            if token.blockers:
                 continue
             node.on_token_added(token)
 
@@ -155,3 +165,18 @@ class ReteMatcher(BaseMatcher):
             "production_nodes": len(self._pnodes),
             "activations": self.activation_count,
         }
+
+    def _stores(self) -> list[TokenStore]:
+        """Every token store of the network (the dummy top included)."""
+        return [self.top] + [
+            node.output for node in self._shared_nodes.values()
+        ]
+
+    def audit(self) -> None:
+        """Debug check of the hashed memories: recompute every hash
+        index from its memory's ``items`` / ``tokens`` and compare
+        (bucket order included); :class:`MatchError` on drift."""
+        for memory in self.alpha.memories():
+            memory.indexes.audit(f"alpha memory {memory.pattern}")
+        for store in self._stores():
+            store.indexes.audit(type(store).__name__)

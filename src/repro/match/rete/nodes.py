@@ -10,6 +10,22 @@ a pure function of the LHS prefix, productions sharing a prefix still
 share the join chain (identical widths and slots by induction from the
 dummy top node).
 
+Hashed memories
+---------------
+No activation scans a memory.  A join or negative node has a static
+*join key* — ``step.probe_items``, the ``(attribute, slot)`` pairs of
+its element's variable tests whose variable an earlier *positive*
+element binds — and reads both inputs through hash indexes on it
+(:mod:`~repro.match.rete.alpha`): a left activation runs the join test
+on the one alpha bucket under the token's key, a right activation on
+the one token bucket under the WME's key.  The compiled ``step.beta``
+closure stays the only judge — the bucket is a superset pre-filter, and
+the test still binds the element's new slots and checks its predicates.
+Buckets keep the relative order of the memory they index, so matches
+are produced in the order the scans produced them.  An element with no
+equality join has the empty key, and its single bucket is the whole
+memory.
+
 Node taxonomy
 -------------
 *Token-storing nodes* hold :class:`Token` objects and feed child
@@ -35,7 +51,7 @@ from typing import Iterator, Protocol
 from repro.lang.compile import DictStep, SlottedStep, TokenPlan
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
-from repro.match.rete.alpha import AlphaMemory
+from repro.match.rete.alpha import AlphaMemory, IndexSet, token_key
 from repro.wm.element import WME
 
 
@@ -107,24 +123,33 @@ class Activatable(Protocol):
     def on_token_added(self, token: Token) -> None: ...
 
 
+def _payload_of(token: Token, _value: None) -> object:
+    return token.data
+
+
 class TokenStore:
-    """Base for nodes that store tokens (beta memories, negative nodes)."""
+    """Base for nodes that store tokens (beta memories, negative nodes).
+
+    ``tokens`` is an insertion-ordered set; ``indexes`` holds one hash
+    index per join key a reader of this store probes it with.
+    """
 
     def __init__(self, network: "NetworkState") -> None:
         self.network = network
-        self.tokens: list[Token] = []
+        self.tokens: dict[Token, None] = {}
+        self.indexes = IndexSet(token_key, self.tokens, _payload_of)
         self.children: list[Activatable] = []
 
     def _store(self, token: Token) -> None:
-        self.tokens.append(token)
+        self.tokens[token] = None
+        self.indexes.insert(token)
         self.network.register_token(token)
 
     def remove_token(self, token: Token) -> None:
         """Unlink ``token`` from this store (deletion bookkeeping)."""
-        try:
-            self.tokens.remove(token)
-        except ValueError:
-            pass
+        if token in self.tokens:
+            del self.tokens[token]
+            self.indexes.discard(token)
 
     def propagate(self, token: Token) -> None:
         for child in list(self.children):
@@ -136,13 +161,15 @@ class DummyTopNode(TokenStore):
 
     The root token's ``data`` is the layout's empty token — set by the
     matcher when the first production registers (``()`` for slot
-    tuples, ``{}`` for dicts; one network holds one layout).
+    tuples, ``{}`` for dicts; one network holds one layout).  A first
+    condition element has the empty join key, which reads no slot, so
+    the root files under ``()`` whatever its layout.
     """
 
     def __init__(self, network: "NetworkState") -> None:
         super().__init__(network)
         self.root = Token(None, None, (), self)
-        self.tokens.append(self.root)
+        self.tokens[self.root] = None
 
 
 class BetaMemory(TokenStore):
@@ -154,7 +181,59 @@ class BetaMemory(TokenStore):
         self.propagate(token)
 
 
-class JoinNode:
+class TwoInputNode:
+    """What join and negative nodes share: two hashed inputs.
+
+    A right activation probes the token store ``probed`` (a join its
+    parent, a negative node itself — its own tokens carry the parent
+    token's key slots), a left activation probes ``alpha``, each
+    through the index on the step's join key.  The compiled join test
+    ``step.beta`` runs on every candidate of the probed bucket.
+    """
+
+    def _link(
+        self,
+        parent: TokenStore,
+        probed: TokenStore,
+        output: TokenStore,
+        alpha: AlphaMemory,
+        step: SlottedStep | DictStep,
+    ) -> None:
+        self.parent = parent
+        #: Where the node's own tokens live and its children attach.
+        self.output = output
+        self.alpha = alpha
+        self.step = step
+        self.element = step.element
+        #: Productions whose LHS runs through this (shared) node.
+        self.users = 0
+        self._probed = probed
+        self._attributes = tuple(a for a, _ in step.probe_items)
+        self._slots = tuple(slot for _, slot in step.probe_items)
+        alpha_index = alpha.indexes.acquire(self._attributes)
+        token_index = probed.indexes.acquire(self._slots)
+        #: Bound once for the activation loops.
+        self._beta = step.beta
+        self._wme_key = alpha_index.key_of
+        self._wme_buckets = alpha_index.buckets
+        self._token_key = token_index.key_of
+        self._token_buckets = token_index.buckets
+        parent.children.append(self)
+        alpha.successors.append(self)
+
+    def own_tokens(self) -> tuple[Token, ...]:
+        return tuple(self.output.tokens)
+
+    def unlink(self) -> None:
+        """Detach from both inputs (the node's tokens are already
+        deleted); the indexes go with their last reader."""
+        self.parent.children.remove(self)
+        self.alpha.successors.remove(self)
+        self.alpha.indexes.release(self._attributes)
+        self._probed.indexes.release(self._slots)
+
+
+class JoinNode(TwoInputNode):
     """Joins the parent store's tokens with an alpha memory.
 
     The join test is the condition element's variable tests/predicates,
@@ -170,33 +249,34 @@ class JoinNode:
         step: SlottedStep | DictStep,
     ) -> None:
         self.network = network
-        self.parent = parent
-        self.alpha = alpha
-        self.step = step
-        self.element = step.element
-        #: Compiled join test, bound once for the activation loops.
-        self._beta = step.beta
         self.memory = BetaMemory(network)
-        parent.children.append(self)
-        alpha.successors.append(self)
+        #: A blocked token of a negative parent has no matches below it.
+        self._skip_blocked = isinstance(parent, NegativeNode)
+        self._link(parent, parent, self.memory, alpha, step)
 
     # -- activations -----------------------------------------------------------
 
     def on_token_added(self, token: Token) -> None:
+        data = token.data
+        bucket = self._wme_buckets.get(self._token_key(data))
+        if bucket is None:
+            return
         beta = self._beta
         add_match = self.memory.add_match
-        data = token.data
-        for wme in self.alpha:
+        for wme in bucket.values():
             extended = beta(wme, data)
             if extended is not None:
                 add_match(token, wme, extended)
 
     def on_wme_added(self, wme: WME) -> None:
+        bucket = self._token_buckets.get(self._wme_key(wme))
+        if bucket is None:
+            return
         beta = self._beta
         add_match = self.memory.add_match
-        skip_blocked = isinstance(self.parent, NegativeNode)
-        for token in list(self.parent.tokens):
-            if skip_blocked and token.is_blocked():
+        skip_blocked = self._skip_blocked
+        for token in bucket:
+            if skip_blocked and token.blockers:
                 continue
             extended = beta(wme, token.data)
             if extended is not None:
@@ -207,12 +287,8 @@ class JoinNode:
         # wme -> tokens map; nothing to do at the join itself.
         return None
 
-    def share_key(self) -> tuple:
-        """Key for beta-level sharing of identical consecutive joins."""
-        return (id(self.parent), self.element, False)
 
-
-class NegativeNode(TokenStore):
+class NegativeNode(TokenStore, TwoInputNode):
     """Negated condition element: token passes while *no* WME matches.
 
     Stores its own tokens (wme=None) whose ``blockers`` record the
@@ -228,39 +304,39 @@ class NegativeNode(TokenStore):
         step: SlottedStep | DictStep,
     ) -> None:
         super().__init__(network)
-        self.parent = parent
-        self.alpha = alpha
-        self.step = step
-        self.element = step.element
-        #: Compiled join test, bound once for the activation loops.
         #: Blocker probes always evaluate against the *parent* token's
         #: payload (the step's input width); the stored own token is
         #: that payload carried past this element — padded with
         #: ``_MISSING`` for the negation's local slots, which never
-        #: escape.
-        self._beta = step.beta
+        #: escape.  The key slots lie below the input width, so the own
+        #: token files under its parent's key.
         self._carry = step.carry
-        parent.children.append(self)
-        alpha.successors.append(self)
+        self._link(parent, self, self, alpha, step)
 
     # -- left activation ----------------------------------------------------------
 
     def on_token_added(self, token: Token) -> None:
-        own = Token(token, None, self._carry(token.data), self)
+        data = token.data
+        own = Token(token, None, self._carry(data), self)
         self._store(own)
-        beta = self._beta
-        for wme in self.alpha:
-            if beta(wme, token.data) is not None:
-                own.blockers[wme.timetag] = wme
-                self.network.register_blocker(wme, own)
-        if not own.is_blocked():
+        bucket = self._wme_buckets.get(self._token_key(data))
+        if bucket is not None:
+            beta = self._beta
+            for wme in bucket.values():
+                if beta(wme, data) is not None:
+                    own.blockers[wme.timetag] = wme
+                    self.network.register_blocker(wme, own)
+        if not own.blockers:
             self.propagate(own)
 
     # -- right activations -----------------------------------------------------------
 
     def on_wme_added(self, wme: WME) -> None:
+        bucket = self._token_buckets.get(self._wme_key(wme))
+        if bucket is None:
+            return
         beta = self._beta
-        for token in list(self.tokens):
+        for token in bucket:
             if beta(wme, token.parent.data) is None:
                 continue
             was_blocked = token.is_blocked()
@@ -276,9 +352,6 @@ class NegativeNode(TokenStore):
             token.blockers.pop(wme.timetag, None)
             if not token.is_blocked():
                 self.propagate(token)
-
-    def share_key(self) -> tuple:
-        return (id(self.parent), self.element, True)
 
 
 class ProductionNode:
@@ -296,12 +369,9 @@ class ProductionNode:
         self.plan = plan
         self.production = plan.production
         self.conflict_set = conflict_set
-        self.active = True
         parent.children.append(self)
 
     def on_token_added(self, token: Token) -> None:
-        if not self.active:
-            return
         own = Token(token, None, token.data, self)
         self.network.register_token(own)
         own.instantiation = self.plan.instantiate(token.wmes(), token.data)
@@ -312,11 +382,17 @@ class ProductionNode:
             self.conflict_set.remove(token.instantiation)
             token.instantiation = None
 
-    def retract_all(self) -> None:
-        """Deactivate and retract every live instantiation of this rule."""
-        self.active = False
-        for instantiation in self.conflict_set.for_rule(self.production.name):
-            self.conflict_set.remove(instantiation)
+    def own_tokens(self) -> list[Token]:
+        return [
+            child
+            for token in self.parent.tokens
+            for child in token.children
+            if child.node is self
+        ]
+
+    def unlink(self) -> None:
+        """Detach from the parent store (tokens already deleted)."""
+        self.parent.children.remove(self)
 
 
 class NetworkState:
@@ -384,14 +460,10 @@ class NetworkState:
                 pass
         if token.node is not None:
             token.node.remove_token(token)
-        for blocker_tag in list(token.blockers):
-            waiting = self._blocked_by_wme.get(blocker_tag)
-            if waiting and token in waiting:
-                waiting.remove(token)
+        for blocker_tag in token.blockers:
+            _drop(self._blocked_by_wme, blocker_tag, token)
         if token.wme is not None:
-            siblings = self._tokens_by_wme.get(token.wme.timetag)
-            if siblings and token in siblings:
-                siblings.remove(token)
+            _drop(self._tokens_by_wme, token.wme.timetag, token)
 
     def delete_descendants(self, token: Token) -> None:
         """Delete the children subtrees of ``token``, keeping ``token``."""
@@ -401,3 +473,16 @@ class NetworkState:
     def __iter__(self) -> Iterator[Token]:  # pragma: no cover - debug aid
         for tokens in self._tokens_by_wme.values():
             yield from tokens
+
+
+def _drop(registry: dict[int, list[Token]], timetag: int, token: Token) -> None:
+    """Take ``token`` off ``registry[timetag]``; an emptied list goes
+    with it, so the maps hold nothing once the store is empty."""
+    tokens = registry.get(timetag)
+    if tokens:
+        try:
+            tokens.remove(token)
+        except ValueError:
+            return
+        if not tokens:
+            del registry[timetag]

@@ -60,17 +60,25 @@ class AttributeIndex:
         relation: str,
         equalities: Iterable[tuple[str, Scalar]] = (),
     ) -> frozenset[Timetag]:
-        """Intersect the postings for ``relation`` and every equality.
+        """Intersect the postings of every equality.
 
-        Returns the candidate timetag set for a conjunctive selection;
-        an empty equality list degrades to a relation scan.
+        Returns the candidate timetag set for a conjunctive selection.
+        Value postings are per relation already, so the relation's own
+        posting set is only materialised when there is no equality (a
+        relation scan); otherwise the cost is that of the smallest
+        posting, not of the relation.
         """
-        result = self.relation(relation)
-        for attribute, value in equalities:
-            if not result:
-                break
-            result = result & self.equal(relation, attribute, value)
-        return result
+        by_value = self._by_value
+        postings = [
+            by_value.get((relation, attribute, value))
+            for attribute, value in equalities
+        ]
+        if not postings:
+            return self.relation(relation)
+        if not all(postings):
+            return frozenset()
+        postings.sort(key=len)
+        return frozenset(postings[0]).intersection(*postings[1:])
 
     def relations(self) -> Iterator[str]:
         """Iterate over relation names that have (or had) postings."""

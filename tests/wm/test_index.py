@@ -35,6 +35,32 @@ class TestAttributeIndex:
         )
         assert got == {b.timetag}
 
+    def test_lookup_equals_the_intersection_of_its_postings(self):
+        index = AttributeIndex()
+        for n in range(24):
+            index.add(_w(a=n % 2, b=n % 3, c=n % 4))
+        index.add(WME.make("other", a=0, b=0, c=0))
+        for equalities in (
+            [],
+            [("a", 1)],
+            [("c", 3), ("a", 1)],
+            [("a", 0), ("b", 2), ("c", 2)],
+            [("a", 0), ("b", 7)],
+            [("ghost", 0), ("a", 0)],
+        ):
+            expected = index.relation("order")
+            for attribute, value in equalities:
+                expected &= index.equal("order", attribute, value)
+            assert index.lookup("order", equalities) == expected
+
+    def test_lookup_returns_a_copy(self):
+        index = AttributeIndex()
+        a = _w(status="open")
+        index.add(a)
+        got = index.lookup("order", [("status", "open")])
+        index.remove(a)
+        assert got == {a.timetag}
+
     def test_lookup_short_circuits_on_empty(self):
         index = AttributeIndex()
         assert index.lookup("order", [("a", 1), ("b", 2)]) == frozenset()
