@@ -707,9 +707,7 @@ def _cmd_storage_inspect(args: argparse.Namespace) -> int:
         )
     else:
         print("checkpoint: none")
-    rows = list(info["segments"])
-    if info["legacy_wal"]:
-        rows.insert(0, info["legacy_wal"])
+    rows = info["segments"]
     if rows:
         print(
             f"{'segment':<28} {'records':>8} {'bytes':>10} "

@@ -34,6 +34,10 @@ class StorageFailure(WorkingMemoryError):
     """A durable-store write failed (real I/O error or injected fault)."""
 
 
+class StorageError(WorkingMemoryError):
+    """A durable-store directory holds state this version cannot open."""
+
+
 class DuplicateSchemaError(SchemaError):
     """A relation schema was declared twice with conflicting attributes."""
 

@@ -50,14 +50,6 @@ _PREDICATES: dict[str, Callable[[Scalar, Scalar], bool]] = {
 }
 
 
-def _compare(op: str, left: Scalar, right: Scalar) -> bool:
-    """Apply predicate ``op``; ordering across unlike types is False."""
-    try:
-        return _PREDICATES[op](left, right)
-    except TypeError:
-        return False
-
-
 def dsl_literal(value: Scalar) -> str:
     """Render a scalar in the DSL's literal syntax (parse round-trip).
 
@@ -269,16 +261,15 @@ class ConditionElement:
     def compiled(self):
         """The element's :class:`~repro.lang.compile.CompiledCondition`.
 
-        Built lazily on first use and cached; honors
-        :func:`repro.lang.compile.interpreted_conditions` at build time.
+        Built lazily on first use and cached.
         """
         try:
             return self._compiled
         except AttributeError:
             pass
-        from repro.lang.compile import build_evaluators
+        from repro.lang.compile import CompiledCondition
 
-        compiled = build_evaluators(self)
+        compiled = CompiledCondition(self)
         object.__setattr__(self, "_compiled", compiled)
         return compiled
 

@@ -2,70 +2,56 @@
 
 The match phase dominates cycle time (Section 5's sweeps; the
 critical-path reports attribute most of each cycle to the ``match``
-bucket), and the seed evaluated every condition element by *walking*
-its test list per WME probe — re-filtering the tests into
-constant/variable partitions, re-looking the predicate operator up in a
-dict, and re-scanning the WME's attribute tuple for every single test.
+bucket), so no matcher walks a condition element's test list per WME
+probe.  This module compiles each
+:class:`~repro.lang.ast.ConditionElement` once into closures over
+precomputed test tuples and the WME's cached attribute map, in two
+layers.
 
-This module compiles each :class:`~repro.lang.ast.ConditionElement`
-once, at matcher-construction time, into a :class:`CompiledCondition`
-holding exactly two closures:
+Element level
+-------------
+A :class:`CompiledCondition`, cached on the element, holds
 
 * ``alpha(wme) -> bool`` — the relation + constant-test +
   constant-predicate check (the alpha-network filter), specialized to
   the element's actual test shape (relation-only and constants-only
   elements get dedicated, branch-free closures);
 * ``beta(wme, bindings) -> dict | None`` — the variable bind/join tests
-  and variable-operand predicates, over precomputed ``(attribute,
-  variable)`` / ``(attribute, comparator, operand)`` tuples and the
-  WME's cached attribute map.
+  and variable-operand predicates over a binding dict: the
+  element's own ``beta_matches``/``matches`` API, for callers that hold
+  one element and no production.
 
-Both closures are pure functions of the (immutable) element, so they
-are built once and cached on the element itself; every matcher — naive,
-Rete, TREAT, cond-relations, and the partitioned matcher's shards —
-binds them directly at its hot sites.
-
-Slotted token layouts
----------------------
-The dict-shaped ``beta`` above still copies the whole bindings dict on
-every successful join extension — one allocation plus per-variable
-hashing per step of every join chain.  The *slotted* layer below
-removes that: a :class:`VariableIndex` built once per production maps
-each variable name to a fixed slot, tokens become plain tuples (one
-slot per variable, :data:`_MISSING` when unbound), and
-:func:`compile_beta_slots` emits closures that read/write slots by
+Production level: slotted tokens
+--------------------------------
+Matchers never build binding dicts.  A :class:`VariableIndex` built
+once per production maps each variable name to a fixed slot, tokens are
+plain tuples (one slot per variable, :data:`_MISSING` when unbound),
+and :func:`compile_beta_slots` emits closures that read/write slots by
 integer index, copying lazily — a pure join probe that binds nothing
-returns the incoming token object unchanged.  Matchers obtain a
-per-production :class:`SlottedPlan` (or its dict-token twin,
-:class:`DictPlan`) via :func:`build_token_plan`; the plan carries one
-:class:`SlottedStep` per condition element, compiled against the
-LHS-prefix widths so Rete's shared beta prefixes keep sharing (two
-productions with a common prefix assign identical slots to the
-prefix's variables).
+returns the incoming token object unchanged.  Every matcher takes the
+production's one :class:`SlottedPlan`
+(:meth:`~repro.lang.production.Production.token_plan`); the plan
+carries one :class:`SlottedStep` per condition element, compiled
+against the LHS-prefix widths so Rete's shared beta prefixes keep
+sharing (two productions with a common prefix assign identical slots
+to the prefix's variables).
 
-Equivalence contract
---------------------
-``alpha``/``beta`` are bit-compatible with the seed's interpreted
-walks: same accept/reject decisions, same extended-bindings dicts, the
-same ``ValidationError`` on a predicate referencing an unbound variable
-(unreachable for validated productions —
-:meth:`~repro.lang.production.Production.validate` now rejects such
-rules at load time — but preserved for bare condition elements), and
-``False``/``None`` on cross-type comparisons.  The seed walks survive
-as :func:`interpreted_alpha` / :func:`interpreted_beta`, used by the
-equivalence property tests and by the hot-path benchmark's
-before/after comparison; :func:`interpreted_conditions` switches
-freshly compiled elements onto them wholesale so a whole engine run
-can be A/B'd.  The slotted layer obeys the same contract one level
-up: :func:`dict_tokens` forces dict-shaped plans, and the
-slotted-vs-dict property suite demands identical conflict sets *and*
-identical ``bindings_items`` across all four matchers.
+Semantics
+---------
+A predicate referencing an unbound variable raises
+``ValidationError`` (unreachable for validated productions —
+:meth:`~repro.lang.production.Production.validate` rejects such rules
+at load time — but kept for bare condition elements); ordering across
+unlike types is ``False``/``None``; a stored ``None`` is a value, an
+absent attribute never matches.  ``tests/match/reference_matcher.py``
+re-derives whole conflict sets by brute force from the AST, sharing
+no code with this module, and the equivalence suites hold every
+matcher to it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ValidationError
 from repro.wm.element import Scalar, WME
@@ -79,58 +65,6 @@ _MISSING = object()
 
 AlphaEvaluator = Callable[[WME], bool]
 BetaEvaluator = Callable[[WME, "Bindings"], "dict[str, Scalar] | None"]
-
-#: When ``interpreted`` is true, :func:`build_evaluators` hands out the
-#: seed's interpreted walks instead of compiled closures.  Consulted at
-#: *build* time: an element caches its evaluators on first use, so the
-#: flag must be set before the element is ever evaluated (wrap the
-#: whole construct-and-run, as the hot-path benchmark does).  When
-#: ``dict_tokens`` is true, :func:`build_token_plan` hands out
-#: dict-shaped plans instead of slotted ones — same build-time caveat,
-#: at the plan level (plans are cached per production per kind).
-_MODE = {"interpreted": False, "dict_tokens": False}
-
-
-@contextmanager
-def interpreted_conditions() -> Iterator[None]:
-    """Evaluate conditions with the seed's interpreted walks.
-
-    A/B harness for the hot-path benchmark and the equivalence suite.
-    Affects only condition elements *first evaluated* inside the
-    block (evaluators are cached per element).  Implies dict tokens:
-    the interpreted walks are dict-shaped, so plans built inside the
-    block are :class:`DictPlan`.
-    """
-    previous = _MODE["interpreted"]
-    _MODE["interpreted"] = True
-    try:
-        yield
-    finally:
-        _MODE["interpreted"] = previous
-
-
-@contextmanager
-def dict_tokens() -> Iterator[None]:
-    """Match with dict-shaped tokens (the PR-7 layout) instead of slots.
-
-    A/B harness for the slotted-vs-dict equivalence suite and the
-    hot-path benchmark.  Affects only productions whose token plan is
-    *first built* inside the block (plans are cached per production),
-    so wrap the whole construct-and-run.
-    """
-    previous = _MODE["dict_tokens"]
-    _MODE["dict_tokens"] = True
-    try:
-        yield
-    finally:
-        _MODE["dict_tokens"] = previous
-
-
-def plan_kind() -> str:
-    """The token-plan kind the current mode flags select."""
-    if _MODE["interpreted"] or _MODE["dict_tokens"]:
-        return "dict"
-    return "slotted"
 
 
 class CompiledCondition:
@@ -147,16 +81,12 @@ class CompiledCondition:
         ``(attribute, value)`` pairs from the constant tests — the
         index-probe keys the naive/TREAT candidate selectors use.
     variable_items:
-        ``(attribute, variable)`` pairs from the variable tests — used
-        to extend index probes with already-bound join equalities.
-    mode:
-        ``"compiled"`` or ``"interpreted"`` (which family of
-        evaluators this instance carries).
+        ``(attribute, variable)`` pairs from the variable tests — the
+        pool a step's join key is drawn from.
     """
 
     __slots__ = (
         "element",
-        "mode",
         "alpha",
         "beta",
         "match",
@@ -164,17 +94,10 @@ class CompiledCondition:
         "variable_items",
     )
 
-    def __init__(
-        self,
-        element: "ConditionElement",
-        mode: str,
-        alpha: AlphaEvaluator,
-        beta: BetaEvaluator,
-    ) -> None:
+    def __init__(self, element: "ConditionElement") -> None:
         self.element = element
-        self.mode = mode
-        self.alpha = alpha
-        self.beta = beta
+        self.alpha = alpha = compile_alpha(element)
+        self.beta = beta = compile_beta(element)
         self.constant_equalities = tuple(
             (t.attribute, t.value) for t in element.constant_tests()
         )
@@ -194,20 +117,6 @@ class CompiledCondition:
             return _beta(wme, bindings if bindings is not None else {})
 
         self.match = match
-
-
-def build_evaluators(element: "ConditionElement") -> CompiledCondition:
-    """Build the evaluator pair for ``element``, honoring the mode flag."""
-    if _MODE["interpreted"]:
-        return CompiledCondition(
-            element,
-            "interpreted",
-            interpreted_alpha(element),
-            interpreted_beta(element),
-        )
-    return CompiledCondition(
-        element, "compiled", compile_alpha(element), compile_beta(element)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +273,10 @@ class VariableIndex:
     operands, per element), *including* negated elements: their local
     variables get slots too — the existential probe binds them into a
     discarded copy, so the slot simply stays :data:`_MISSING` in every
-    persisted token, exactly like the dict layout's discarded extended
-    dict.  Because the assignment is a pure function of the element
-    sequence, two productions sharing an LHS prefix assign identical
-    slots to the prefix's variables — which is what lets Rete's shared
-    beta prefixes keep sharing join nodes under the slotted layout.
+    persisted token.  Because the assignment is a pure function of the
+    element sequence, two productions sharing an LHS prefix assign
+    identical slots to the prefix's variables — which is what lets
+    Rete's shared beta prefixes keep sharing join nodes.
     """
 
     __slots__ = (
@@ -433,8 +341,7 @@ class VariableIndex:
         self, token: SlotToken
     ) -> tuple[tuple[str, Scalar], ...]:
         """The bound ``(name, value)`` pairs of a full-width token,
-        sorted by name — bit-identical to the dict layout's
-        ``tuple(sorted(bindings.items()))``."""
+        sorted by name."""
         missing = _MISSING
         return tuple(
             (name, token[slot])
@@ -586,10 +493,7 @@ class SlottedStep:
 
     ``beta``/``match`` take a token of ``in_width`` slots and return
     one of ``out_width`` (the widths are the production index's prefix
-    widths at this LHS position).  ``full_match`` — negated elements
-    only — is the same test compiled against *full-width* tokens, for
-    TREAT's retraction re-match, which probes with complete
-    instantiation bindings rather than written-order prefixes.
+    widths at this LHS position).
     """
 
     __slots__ = (
@@ -599,12 +503,12 @@ class SlottedStep:
         "alpha",
         "beta",
         "match",
-        "full_match",
         "probe_items",
         "constant_equalities",
         "in_width",
         "out_width",
         "tail",
+        "_prefix_mask",
     )
 
     def __init__(
@@ -636,25 +540,11 @@ class SlottedStep:
             return _beta(wme, token)
 
         self.match = match
-        if element.negated:
-            full_beta = compile_beta_slots(
-                element, index, index.width, index.width
-            )
-
-            def full_match(
-                wme: WME,
-                token: SlotToken,
-                *,
-                _alpha=alpha,
-                _beta=full_beta,
-            ) -> "SlotToken | None":
-                if not _alpha(wme):
-                    return None
-                return _beta(wme, token)
-
-            self.full_match = full_match
-        else:
-            self.full_match = None
+        #: Per incoming slot, whether an earlier positive element binds
+        #: it (the others stay unbound until after this element).
+        self._prefix_mask = tuple(
+            name in bound for name in index.names[:in_width]
+        )
         #: The element's *join key*: ``(attribute, slot)`` pairs of
         #: its variable tests whose variable an earlier positive
         #: element binds (``bound``) — equalities by the time a token
@@ -677,64 +567,24 @@ class SlottedStep:
             equalities.append((attribute, token[slot]))
         return equalities
 
+    def prefix_of(self, full: SlotToken) -> SlotToken:
+        """The written-order token a match had on *reaching* this
+        element, cut from its full-width token: a variable bound only
+        later — or only inside an earlier negation — reads unbound,
+        as it did when the element was tested."""
+        missing = _MISSING
+        return tuple(
+            [
+                value if keep else missing
+                for value, keep in zip(full, self._prefix_mask)
+            ]
+        )
+
     def carry(self, token: SlotToken) -> SlotToken:
         """Pass a token over this element unchanged, padded to
         ``out_width`` (negated elements contribute no bindings but
         still advance the prefix width)."""
         return token + self.tail if self.tail else token
-
-
-class DictStep:
-    """Dict-token twin of :class:`SlottedStep` (the PR-7 layout).
-
-    Wraps the element's cached :class:`CompiledCondition` (or its
-    interpreted oracle, inside :func:`interpreted_conditions`) behind
-    the same step interface, so every matcher runs a single code path
-    and the layouts stay A/B-swappable.
-    """
-
-    __slots__ = (
-        "element",
-        "relation",
-        "negated",
-        "alpha",
-        "beta",
-        "match",
-        "full_match",
-        "probe_items",
-        "constant_equalities",
-    )
-
-    def __init__(
-        self, element: "ConditionElement", bound: frozenset[str]
-    ) -> None:
-        compiled = element.compiled()
-        self.element = element
-        self.relation = element.relation
-        self.negated = element.negated
-        self.alpha = compiled.alpha
-        self.beta = compiled.beta
-        self.match = compiled.match
-        # Dict tokens always carry the full bindings, so the
-        # written-order and retraction probes are the same closure.
-        self.full_match = compiled.match
-        #: The join key as ``(attribute, variable)`` pairs (see
-        #: :class:`SlottedStep`).
-        self.probe_items = tuple(
-            (attribute, variable)
-            for attribute, variable in compiled.variable_items
-            if variable in bound
-        )
-        self.constant_equalities = compiled.constant_equalities
-
-    def probe_equalities(self, token) -> list[tuple[str, Scalar]]:
-        equalities = list(self.constant_equalities)
-        for attribute, variable in self.probe_items:
-            equalities.append((attribute, token[variable]))
-        return equalities
-
-    def carry(self, token):
-        return token
 
 
 #: Lazily imported to keep ``repro.lang`` importable without pulling
@@ -752,9 +602,7 @@ def _instantiation_class():
 
 
 class SlottedPlan:
-    """A production's slotted match plan: index + per-element steps."""
-
-    kind = "slotted"
+    """A production's match plan: index + per-element steps."""
 
     __slots__ = ("production", "index", "steps", "_instantiation")
 
@@ -785,111 +633,6 @@ class SlottedPlan:
         return instantiation.slot_token(self.index)
 
 
-class DictPlan:
-    """Dict-token twin of :class:`SlottedPlan`."""
-
-    kind = "dict"
-
-    __slots__ = ("production", "index", "steps", "_instantiation")
-
-    def __init__(self, production: "Production") -> None:
-        self.production = production
-        self.index = None
-        self.steps = tuple(
-            DictStep(element, bound)
-            for element, bound in zip(
-                production.lhs, bound_prefixes(production.lhs)
-            )
-        )
-        self._instantiation = _instantiation_class()
-
-    def empty_token(self) -> dict[str, Scalar]:
-        return {}
-
-    def instantiate(self, wmes: tuple[WME, ...], token):
-        return self._instantiation.build(self.production, wmes, token)
-
-    def token_of(self, instantiation):
-        return instantiation.bindings
-
-
-TokenPlan = SlottedPlan | DictPlan
-
-
-def build_token_plan(production: "Production") -> TokenPlan:
-    """The production's token plan for the active mode, cached per
-    production and layout kind (see :meth:`Production.token_plan`)."""
-    return production.token_plan(plan_kind())
-
-
-# ---------------------------------------------------------------------------
-# The seed's interpreted walks (equivalence oracle + benchmark baseline)
-# ---------------------------------------------------------------------------
-
-
-def interpreted_alpha(element: "ConditionElement") -> AlphaEvaluator:
-    """The seed's per-probe interpreted alpha walk, verbatim.
-
-    Re-filters the test list on every probe and scans the WME's
-    attribute tuple per test — deliberately, so the hot-path benchmark
-    measures the compiled closures against the true seed baseline.
-    """
-    from repro.lang.ast import ConstantTest, PredicateTest, _compare
-
-    def alpha(wme: WME, *, _element=element) -> bool:
-        if wme.relation != _element.relation:
-            return False
-        for test in tuple(
-            t for t in _element.tests if isinstance(t, ConstantTest)
-        ):
-            if test.attribute not in wme or wme[test.attribute] != test.value:
-                return False
-        for pred in tuple(
-            t
-            for t in _element.tests
-            if isinstance(t, PredicateTest) and not t.operand_is_variable
-        ):
-            if pred.attribute not in wme:
-                return False
-            if not _compare(pred.op, wme[pred.attribute], pred.operand):
-                return False
-        return True
-
-    return alpha
-
-
-def interpreted_beta(element: "ConditionElement") -> BetaEvaluator:
-    """The seed's per-probe interpreted beta walk, verbatim."""
-    from repro.lang.ast import PredicateTest, VariableTest, _compare
-
-    def beta(wme: WME, bindings, *, _element=element):
-        extended = dict(bindings)
-        for test in tuple(
-            t for t in _element.tests if isinstance(t, VariableTest)
-        ):
-            if test.attribute not in wme:
-                return None
-            value = wme[test.attribute]
-            if test.variable in extended:
-                if extended[test.variable] != value:
-                    return None
-            else:
-                extended[test.variable] = value
-        for pred in tuple(
-            t
-            for t in _element.tests
-            if isinstance(t, PredicateTest) and t.operand_is_variable
-        ):
-            if pred.attribute not in wme:
-                return None
-            operand = extended.get(str(pred.operand))
-            if operand is None and str(pred.operand) not in extended:
-                raise ValidationError(
-                    f"predicate {pred} references unbound variable "
-                    f"<{pred.operand}>"
-                )
-            if not _compare(pred.op, wme[pred.attribute], operand):
-                return None
-        return extended
-
-    return beta
+#: The name ``match/cond.py`` imports for its annotations; it leaves
+#: with that matcher (ROADMAP item 6e).
+TokenPlan = SlottedPlan

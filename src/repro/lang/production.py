@@ -132,32 +132,20 @@ class Production:
 
     # -- compiled match plans -----------------------------------------------------
 
-    def token_plan(self, kind: str | None = None):
-        """The production's token plan, built once per layout kind.
-
-        ``kind`` is ``"slotted"`` or ``"dict"``; ``None`` honors the
-        active compile-mode flags (:func:`repro.lang.compile.plan_kind`).
-        Plans cache per production, so every matcher registering the
-        same rule — including a partitioned outer matcher and its inner
-        shards — shares one compiled plan.
+    def token_plan(self):
+        """The production's :class:`~repro.lang.compile.SlottedPlan`,
+        built on first use and cached — every matcher registering the
+        same rule, including a partitioned outer matcher and its inner
+        shards, shares one compiled plan.
         """
-        from repro.lang import compile as _compile
-
-        if kind is None:
-            kind = _compile.plan_kind()
         try:
-            plans = self._token_plans
+            return self._token_plan
         except AttributeError:
-            plans = {}
-            object.__setattr__(self, "_token_plans", plans)
-        plan = plans.get(kind)
-        if plan is None:
-            if kind == "dict":
-                plan = _compile.DictPlan(self)
-            else:
-                plan = _compile.SlottedPlan(self)
-            plans[kind] = plan
-        return plan
+            from repro.lang.compile import SlottedPlan
+
+            plan = SlottedPlan(self)
+            object.__setattr__(self, "_token_plan", plan)
+            return plan
 
     # -- conflict-resolution rank ---------------------------------------------------
 

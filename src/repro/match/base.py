@@ -5,8 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
-from repro.errors import MatchError
-from repro.lang.compile import TokenPlan, build_token_plan
+from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production, ensure_validated
 from repro.match.conflict_set import ConflictSet
 from repro.wm.memory import WorkingMemory
@@ -53,7 +52,7 @@ class BaseMatcher:
         self.memory = memory
         self.conflict_set = ConflictSet()
         self._productions: dict[str, Production] = {}
-        self._plans: dict[str, TokenPlan] = {}
+        self._plans: dict[str, SlottedPlan] = {}
         self._attached = False
 
     @property
@@ -61,30 +60,17 @@ class BaseMatcher:
         """Registered productions by name (read-mostly view)."""
         return self._productions
 
-    def _register(self, production: Production) -> TokenPlan:
-        """Validate, build/fetch the token plan, and record both.
+    def _register(self, production: Production) -> SlottedPlan:
+        """Validate, fetch the token plan, and record both.
 
         Every concrete matcher routes ``add_production`` through here:
-
-        * unvalidated productions (built without :meth:`Production.
-          validate`, e.g. via ``object.__new__``) are rejected now —
-          the compiled beta closures assume load-time validation, so a
-          forward-referencing predicate must not reach a join;
-        * all of one matcher's plans must share a token layout: Rete
-          shares join nodes between productions, and a node compiled
-          for slot tuples cannot probe dict tokens.
+        unvalidated productions (built without :meth:`Production.
+        validate`, e.g. via ``object.__new__``) are rejected now — the
+        compiled beta closures assume load-time validation, so a
+        forward-referencing predicate must not reach a join.
         """
         ensure_validated(production)
-        plan = build_token_plan(production)
-        if self._plans:
-            kind = next(iter(self._plans.values())).kind
-            if plan.kind != kind:
-                raise MatchError(
-                    f"matcher already holds {kind!r}-token plans; "
-                    f"cannot register {production.name!r} with a "
-                    f"{plan.kind!r} plan (exit the mode context or use "
-                    f"a fresh matcher)"
-                )
+        plan = production.token_plan()
         self._productions[production.name] = production
         self._plans[production.name] = plan
         return plan

@@ -10,11 +10,13 @@ matched timetags) — so the conflict set can diff cheaply across cycles
 and the refraction rule ("don't fire the same instantiation twice") is
 a set-membership test.
 
-Bindings are stored in whichever form the matcher produced them: the
-dict layout passes sorted ``(name, value)`` pairs up front, the slotted
-layout passes the raw slot vector plus the production's
-:class:`~repro.lang.compile.VariableIndex` and ``bindings_items``
-materializes lazily on first access.  Identity, hashing, and ordering
+Bindings are stored in the form they arrive in: matchers pass the raw
+slot vector plus the production's
+:class:`~repro.lang.compile.VariableIndex` (:meth:`Instantiation.
+from_slots`) and ``bindings_items`` materializes lazily on first
+access; the constructor and :meth:`Instantiation.build` take the
+``(name, value)`` pairs or a mapping directly (unpickling, worker
+replies, hand-built instantiations).  Identity, hashing, and ordering
 never touch bindings, so a conflict-set entry that is never fired never
 pays for materializing them.
 """
@@ -141,10 +143,7 @@ class Instantiation:
     def bindings(self) -> dict[str, Scalar]:
         """The variable bindings as a dict (cached — treat as frozen).
 
-        TREAT's retraction re-match reads this once per surviving
-        instantiation per delta; rebuilding the dict each access made
-        retraction allocation-bound.  Callers that mutate (the RHS
-        ``bind`` action) copy first.
+        Callers that mutate (the RHS ``bind`` action) copy first.
         """
         cached = self._bindings
         if cached is None:
@@ -155,8 +154,8 @@ class Instantiation:
     def slot_token(self, index: "VariableIndex") -> "SlotToken":
         """The bindings as a full-width token of ``index``'s layout.
 
-        Free when the instantiation was built by the slotted path with
-        the same index; otherwise rebuilt (and cached) from the pairs.
+        Free when the instantiation was built from slots with the
+        same index; otherwise rebuilt (and cached) from the pairs.
         """
         token = self._slot_token
         if token is not None and self._slot_index is index:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lang.compile import TokenPlan, build_token_plan
+from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
@@ -26,27 +26,21 @@ from repro.wm.memory import WMDelta, WorkingMemory
 
 
 def match_production(
-    production: Production,
-    memory: WorkingMemory,
-    plan: TokenPlan | None = None,
+    production: Production, memory: WorkingMemory
 ) -> Iterator[Instantiation]:
     """Enumerate every instantiation of ``production`` against ``memory``.
 
     Pure function — the heart of the oracle.  Processes condition
     elements in written order, branching on positive elements and
-    pruning on negated ones.  ``plan`` carries the compiled per-element
-    steps and the token layout (slotted tuples by default, binding
-    dicts under :func:`repro.lang.compile.dict_tokens` /
-    :func:`~repro.lang.compile.interpreted_conditions`); omitted, the
-    production's cached plan for the active mode is used.
+    pruning on negated ones, along the compiled per-element steps of
+    the production's token plan.
     """
-    if plan is None:
-        plan = build_token_plan(production)
+    plan = production.token_plan()
     yield from _extend(plan, memory, 0, (), plan.empty_token())
 
 
 def _extend(
-    plan: TokenPlan,
+    plan: SlottedPlan,
     memory: WorkingMemory,
     index: int,
     matched: tuple[WME, ...],
@@ -118,21 +112,15 @@ class NaiveMatcher(BaseMatcher):
     def rebuild(self) -> None:
         self.recompute_count += 1
         current: set[Instantiation] = set()
-        for name, production in self._productions.items():
-            current.update(
-                match_production(production, self.memory, self._plans[name])
-            )
+        for production in self._productions.values():
+            current.update(match_production(production, self.memory))
         for stale in self.conflict_set.members() - current:
             self.conflict_set.remove(stale)
         for fresh in current:
             self.conflict_set.add(fresh)
 
     def _refresh_rule(self, production: Production) -> None:
-        current = set(
-            match_production(
-                production, self.memory, self._plans[production.name]
-            )
-        )
+        current = set(match_production(production, self.memory))
         for stale in set(self.conflict_set.for_rule(production.name)) - current:
             self.conflict_set.remove(stale)
         for fresh in current:

@@ -59,8 +59,8 @@ def wme_key(attributes: tuple[str, ...]) -> Callable[[WME], Hashable]:
 
 
 def token_key(spec: tuple) -> Callable[[object], Hashable]:
-    """``token data -> key`` over ``spec`` — slots of a slot tuple or
-    variable names of a binding dict; both are plain subscripts."""
+    """``token data -> key`` over ``spec``, the key slots of a slot
+    tuple."""
     if not spec:
         return lambda data: ()
     return itemgetter(*spec)

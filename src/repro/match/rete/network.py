@@ -60,9 +60,6 @@ class ReteMatcher(BaseMatcher):
         if production.name in self._pnodes:
             self.remove_production(production.name)
         plan = self._register(production)
-        # The root token's payload is the layout's empty token; the
-        # base-class plan guard keeps the layout uniform per network.
-        self.top.root.data = plan.empty_token()
         current: TokenStore = self.top
         chain: list[tuple] = []
         for position, element in enumerate(production.lhs):

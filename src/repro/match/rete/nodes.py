@@ -2,13 +2,11 @@
 
 The design follows Doorenbos' formulation ("Production Matching for
 Large Learning Systems") adapted to carry an explicit binding payload
-per token — a fixed-width slot tuple under the default slotted layout,
-or a variable-binding dict under :func:`repro.lang.compile.dict_tokens`
-/ ``interpreted_conditions()``.  Join tests are the per-element step
-closures from the production's token plan; because slot assignment is
-a pure function of the LHS prefix, productions sharing a prefix still
-share the join chain (identical widths and slots by induction from the
-dummy top node).
+per token — a fixed-width slot tuple.  Join tests are the per-element
+step closures from the production's token plan; because slot
+assignment is a pure function of the LHS prefix, productions sharing a
+prefix still share the join chain (identical widths and slots by
+induction from the dummy top node).
 
 Hashed memories
 ---------------
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterator, Protocol
 
-from repro.lang.compile import DictStep, SlottedStep, TokenPlan
+from repro.lang.compile import SlottedPlan, SlottedStep
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
 from repro.match.rete.alpha import AlphaMemory, IndexSet, token_key
@@ -60,9 +58,8 @@ class Token:
 
     ``wme`` is ``None`` for tokens created by negative nodes (absence
     contributes no element) and for the dummy root token.  ``data`` is
-    the binding payload in the network's token layout — a slot tuple
-    whose width is the LHS prefix width at the token's depth, or a
-    binding dict.
+    the binding payload — a slot tuple whose width is the LHS prefix
+    width at the token's depth.
     """
 
     __slots__ = (
@@ -159,11 +156,9 @@ class TokenStore:
 class DummyTopNode(TokenStore):
     """Holds the single root token every match path starts from.
 
-    The root token's ``data`` is the layout's empty token — set by the
-    matcher when the first production registers (``()`` for slot
-    tuples, ``{}`` for dicts; one network holds one layout).  A first
+    The root token's ``data`` is the empty slot tuple.  A first
     condition element has the empty join key, which reads no slot, so
-    the root files under ``()`` whatever its layout.
+    the root files under ``()``.
     """
 
     def __init__(self, network: "NetworkState") -> None:
@@ -197,7 +192,7 @@ class TwoInputNode:
         probed: TokenStore,
         output: TokenStore,
         alpha: AlphaMemory,
-        step: SlottedStep | DictStep,
+        step: SlottedStep,
     ) -> None:
         self.parent = parent
         #: Where the node's own tokens live and its children attach.
@@ -246,7 +241,7 @@ class JoinNode(TwoInputNode):
         network: "NetworkState",
         parent: TokenStore,
         alpha: AlphaMemory,
-        step: SlottedStep | DictStep,
+        step: SlottedStep,
     ) -> None:
         self.network = network
         self.memory = BetaMemory(network)
@@ -301,7 +296,7 @@ class NegativeNode(TokenStore, TwoInputNode):
         network: "NetworkState",
         parent: TokenStore,
         alpha: AlphaMemory,
-        step: SlottedStep | DictStep,
+        step: SlottedStep,
     ) -> None:
         super().__init__(network)
         #: Blocker probes always evaluate against the *parent* token's
@@ -337,6 +332,12 @@ class NegativeNode(TokenStore, TwoInputNode):
             return
         beta = self._beta
         for token in bucket:
+            if wme.timetag in token.blockers:
+                # Created further up during this very add (one alpha
+                # memory feeds an element above this one too): its left
+                # activation already met ``wme`` in the memory.  A
+                # second registration would outlive the token.
+                continue
             if beta(wme, token.parent.data) is None:
                 continue
             was_blocked = token.is_blocked()
@@ -361,7 +362,7 @@ class ProductionNode:
         self,
         network: "NetworkState",
         parent: TokenStore,
-        plan: TokenPlan,
+        plan: SlottedPlan,
         conflict_set: ConflictSet,
     ) -> None:
         self.network = network

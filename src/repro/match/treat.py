@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lang.compile import TokenPlan, build_token_plan
+from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
@@ -36,19 +36,17 @@ def match_with_fixed(
     memory: WorkingMemory,
     fixed_index: int,
     fixed_wme: WME,
-    plan: TokenPlan | None = None,
 ) -> Iterator[Instantiation]:
     """Instantiations of ``production`` using ``fixed_wme`` at LHS
     position ``fixed_index`` (0-based, must be a positive element)."""
-    if plan is None:
-        plan = build_token_plan(production)
+    plan = production.token_plan()
     yield from _extend_fixed(
         plan, memory, 0, (), plan.empty_token(), fixed_index, fixed_wme
     )
 
 
 def _extend_fixed(
-    plan: TokenPlan,
+    plan: SlottedPlan,
     memory: WorkingMemory,
     index: int,
     matched: tuple[WME, ...],
@@ -94,11 +92,9 @@ class TreatMatcher(BaseMatcher):
         self.join_count = 0
 
     def add_production(self, production: Production) -> None:
-        plan = self._register(production)
+        self._register(production)
         if self._attached:
-            for instantiation in match_production(
-                production, self.memory, plan
-            ):
+            for instantiation in match_production(production, self.memory):
                 self.conflict_set.add(instantiation)
 
     def remove_production(self, name: str) -> None:
@@ -108,10 +104,8 @@ class TreatMatcher(BaseMatcher):
 
     def rebuild(self) -> None:
         self.conflict_set.clear()
-        for name, production in self._productions.items():
-            for instantiation in match_production(
-                production, self.memory, self._plans[name]
-            ):
+        for production in self._productions.values():
+            for instantiation in match_production(production, self.memory):
                 self.conflict_set.add(instantiation)
 
     # -- incremental delta handling ----------------------------------------------------
@@ -133,25 +127,26 @@ class TreatMatcher(BaseMatcher):
                 else:
                     self.join_count += 1
                     for instantiation in match_with_fixed(
-                        production, self.memory, index, wme, plan
+                        production, self.memory, index, wme
                     ):
                         self.conflict_set.add(instantiation)
 
     def _invalidate(
-        self, production: Production, plan: TokenPlan, index: int, wme: WME
+        self, production: Production, plan: SlottedPlan, index: int, wme: WME
     ) -> None:
         """Retract instantiations whose negated element now matches ``wme``.
 
-        The probe evaluates against the *full* instantiation bindings
-        (variables bound after the negated element are visible here, unlike
-        during written-order matching), so it uses the step's full-width
-        ``full_match`` and the instantiation's token — which the slotted
-        path hands back without rebuilding a bindings dict per probe.
+        The probe sees what written-order matching saw: the bindings
+        the instantiation had on reaching the negated element.  A
+        variable a later positive element binds is still existential
+        inside the negation.  ``wme`` already passed the step's alpha.
         """
-        match = plan.steps[index].full_match
+        step = plan.steps[index]
+        beta = step.beta
+        prefix_of = step.prefix_of
         token_of = plan.token_of
         for instantiation in self.conflict_set.for_rule(production.name):
-            if match(wme, token_of(instantiation)) is not None:
+            if beta(wme, prefix_of(token_of(instantiation))) is not None:
                 self.conflict_set.remove(instantiation)
 
     def _on_remove(self, wme: WME) -> None:
@@ -168,9 +163,7 @@ class TreatMatcher(BaseMatcher):
                 step.negated and step.alpha(wme) for step in plan.steps
             ):
                 self.join_count += 1
-                current = set(
-                    match_production(production, self.memory, plan)
-                )
+                current = set(match_production(production, self.memory))
                 for stale in (
                     set(self.conflict_set.for_rule(production.name)) - current
                 ):

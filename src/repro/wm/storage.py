@@ -24,9 +24,9 @@ On-disk layout
     compaction may also write ``{"lsn": n, "kind": "noop"}`` markers
     that advance the replay LSN without mutating state.
 ``wal.jsonl``
-    The legacy single-file log of the pre-segment format.  Recovery
-    still replays it (ordered before every segment, since its LSNs are
-    older); the first checkpoint that covers it deletes it.
+    The single-file log of the pre-segment format is not read.  A
+    directory holding one is refused with :class:`StorageError`,
+    untouched: journalled data is never skipped silently.
 
 Durability modes
 ----------------
@@ -74,13 +74,13 @@ from pathlib import Path
 from typing import IO, Iterable
 
 import repro.obs as obs_module
-from repro.errors import WorkingMemoryError
+from repro.errors import StorageError, WorkingMemoryError
 from repro.wm.element import WME, ensure_timetag_floor
 from repro.wm.memory import WMDelta, WorkingMemory
 from repro.wm.schema import Catalog
 
 _CHECKPOINT = "checkpoint.jsonl"
-_LEGACY_WAL = "wal.jsonl"
+_UNSUPPORTED_WAL = "wal.jsonl"
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".jsonl"
 _TMP_SUFFIX = ".tmp"
@@ -138,6 +138,18 @@ def _segment_first_lsn(path: Path) -> int:
         raise WorkingMemoryError(
             f"malformed WAL segment name: {path.name}"
         ) from exc
+
+
+def _refuse_unsupported_wal(directory: Path) -> None:
+    """Raise before anything in ``directory`` is read or changed when
+    it holds a log this store would not replay."""
+    path = directory / _UNSUPPORTED_WAL
+    if path.exists():
+        raise StorageError(
+            f"{path}: single-file WAL of the pre-segment format is not "
+            "supported; replaying only the segments would skip its "
+            "records"
+        )
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -224,6 +236,7 @@ class DurableStore:
         segment_max_bytes: int = 1 << 20,
         observer=None,
     ) -> None:
+        _refuse_unsupported_wal(Path(directory))
         self._init_runtime(
             memory,
             Path(directory),
@@ -475,10 +488,6 @@ class DurableStore:
         for segment in covered:
             segment.path.unlink(missing_ok=True)
             dropped += 1
-        legacy = self.directory / _LEGACY_WAL
-        if legacy.exists():
-            legacy.unlink()
-            dropped += 1
         if dropped and self.durability in ("always", "batch"):
             _fsync_dir(self.directory)
         return dropped
@@ -618,12 +627,11 @@ class DurableStore:
         """Recover a working memory from ``directory``.
 
         Loads the checkpoint (if any), replays every WAL segment in
-        LSN order (the legacy single-file log first, then segments by
-        filename), skipping records already covered by the checkpoint
-        and records shadowed by an interrupted compaction, tolerating
-        a torn final line per file, and deleting ``*.tmp`` leftovers
-        and fully-covered segments (completing any interrupted
-        truncation).  LSNs must be strictly increasing within each
+        LSN order (= filename order), skipping records already covered
+        by the checkpoint and records shadowed by an interrupted
+        compaction, tolerating a torn final line per file, and
+        deleting ``*.tmp`` leftovers and fully-covered segments
+        (completing any interrupted truncation).  LSNs must be strictly increasing within each
         segment — a duplicate or regression is corruption (the
         unsynchronized-writer bug) and raises.
 
@@ -634,6 +642,7 @@ class DurableStore:
         """
         start = time.perf_counter()
         directory = Path(directory)
+        _refuse_unsupported_wal(directory)
         directory.mkdir(parents=True, exist_ok=True)
         report = RecoveryReport()
         memory = WorkingMemory(catalog=catalog, thread_safe=thread_safe)
@@ -664,16 +673,7 @@ class DurableStore:
                     max_timetag = max(max_timetag, wme.timetag)
         report.checkpoint_lsn = checkpoint_lsn
 
-        sources: list[Path] = []
-        legacy = directory / _LEGACY_WAL
-        if legacy.exists():
-            sources.append(legacy)
-        sources.extend(
-            sorted(
-                directory.glob(_SEGMENT_PREFIX + "*" + _SEGMENT_SUFFIX),
-                key=_segment_first_lsn,
-            )
-        )
+        sources = DurableStore.segment_paths(directory)
 
         last_lsn = checkpoint_lsn
         sealed: list[SegmentInfo] = []
@@ -733,8 +733,6 @@ class DurableStore:
                     last_lsn = lsn
                     seg_applied += 1
                     report.replayed += 1
-            if source.name == _LEGACY_WAL:
-                continue  # never re-adopted as a live segment
             if seg_records and seg_applied == 0 and not torn:
                 # Every record already covered: an interrupted
                 # truncation left this segment behind.  Finish the job.
@@ -802,7 +800,6 @@ class DurableStore:
             "directory": str(directory),
             "checkpoint": None,
             "segments": [],
-            "legacy_wal": None,
             "total_wal_records": 0,
             "total_wal_bytes": 0,
         }
@@ -816,17 +813,7 @@ class DurableStore:
                 "elements": elements,
                 "bytes": checkpoint_path.stat().st_size,
             }
-        sources = []
-        legacy = directory / _LEGACY_WAL
-        if legacy.exists():
-            sources.append(legacy)
-        sources.extend(
-            sorted(
-                directory.glob(_SEGMENT_PREFIX + "*" + _SEGMENT_SUFFIX),
-                key=_segment_first_lsn,
-            )
-        )
-        for source in sources:
+        for source in DurableStore.segment_paths(directory):
             records = _read_segment(source, tolerate_torn=True)
             entry = {
                 "name": source.name,
@@ -835,29 +822,18 @@ class DurableStore:
                 "first_lsn": records[0]["lsn"] if records else None,
                 "last_lsn": records[-1]["lsn"] if records else None,
             }
-            if source.name == _LEGACY_WAL:
-                info["legacy_wal"] = entry
-            else:
-                info["segments"].append(entry)
+            info["segments"].append(entry)
             info["total_wal_records"] += len(records)
             info["total_wal_bytes"] += entry["bytes"]
         return info
 
     @staticmethod
     def segment_paths(directory: str | Path) -> list[Path]:
-        """All WAL files in replay order (legacy first, then segments)."""
-        directory = Path(directory)
-        paths: list[Path] = []
-        legacy = directory / _LEGACY_WAL
-        if legacy.exists():
-            paths.append(legacy)
-        paths.extend(
-            sorted(
-                directory.glob(_SEGMENT_PREFIX + "*" + _SEGMENT_SUFFIX),
-                key=_segment_first_lsn,
-            )
+        """All WAL segments in replay (LSN) order."""
+        return sorted(
+            Path(directory).glob(_SEGMENT_PREFIX + "*" + _SEGMENT_SUFFIX),
+            key=_segment_first_lsn,
         )
-        return paths
 
 
 def _read_segment(path: Path, tolerate_torn: bool = True) -> list[dict]:

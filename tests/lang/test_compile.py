@@ -2,11 +2,15 @@
 
 Hypothesis drives randomized condition elements against randomized WMEs
 and bindings, asserting the compiled alpha/beta closures agree with the
-interpreted oracle on every outcome: acceptance, the extended bindings
-dict, rejection, and the unbound-variable ``ValidationError``.
+interpreted oracle (``tests/match/reference_matcher.py``) on every
+outcome: acceptance, the extended bindings dict, rejection, and the
+unbound-variable ``ValidationError``.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 import hypothesis.strategies as st
@@ -21,21 +25,15 @@ from repro.lang.ast import (
 )
 from repro.lang.compile import (
     _MISSING,
-    CompiledCondition,
-    DictPlan,
-    SlottedPlan,
     VariableIndex,
-    build_token_plan,
     compile_alpha,
     compile_beta,
     compile_beta_slots,
-    dict_tokens,
-    interpreted_alpha,
-    interpreted_beta,
-    interpreted_conditions,
-    plan_kind,
 )
 from repro.wm.element import WME
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "match"))
+from reference_matcher import interpreted_alpha, interpreted_beta  # noqa: E402
 
 _ATTRS = ["a", "b", "c"]
 _VARS = ["x", "y"]
@@ -136,7 +134,6 @@ class TestCompiledCondition:
     def test_cached_on_element(self):
         element = ConditionElement("r", (ConstantTest("a", 1),))
         assert element.compiled() is element.compiled()
-        assert element.compiled().mode == "compiled"
 
     def test_constant_equalities_and_variable_items(self):
         element = ConditionElement(
@@ -215,6 +212,19 @@ class TestCompiledCondition:
         assert clone == wme and clone.timetag == wme.timetag
 
 
+def _bytes_over_1000_probes(beta, wme, token) -> int:
+    import tracemalloc
+
+    beta(wme, token)  # warm
+    tracemalloc.start()
+    before, _ = tracemalloc.get_traced_memory()
+    for _ in range(1000):
+        beta(wme, token)
+    after, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return after - before
+
+
 class TestTestFreeBetaFastPath:
     """Satellite: a test-free element hands the incoming token back
     unchanged — no per-probe dict copy."""
@@ -226,20 +236,10 @@ class TestTestFreeBetaFastPath:
         assert beta(WME.make("r", a=1), token) is token
 
     def test_no_allocations_per_probe(self):
-        import tracemalloc
-
         element = ConditionElement("r", (ConstantTest("a", 1),))
         beta = compile_beta(element)
         wme = WME.make("r", a=1)
-        token = {"x": 1}
-        beta(wme, token)  # warm
-        tracemalloc.start()
-        before, _ = tracemalloc.get_traced_memory()
-        for _ in range(1000):
-            beta(wme, token)
-        after, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert after - before < 1024
+        assert _bytes_over_1000_probes(beta, wme, {"x": 1}) < 1024
 
     def test_slotted_fast_paths(self):
         # Same-width pass returns the identical tuple; widening pads
@@ -258,7 +258,9 @@ class TestTestFreeBetaFastPath:
         # tuple object itself (no copy).
         join = compile_beta_slots(binder, index2, 1, 1)
         bound = (2,)
-        assert join(WME.make("r", b=2), bound) is bound
+        wme = WME.make("r", b=2)
+        assert join(wme, bound) is bound
+        assert _bytes_over_1000_probes(join, wme, bound) < 1024
 
 
 class TestSlottedLayout:
@@ -294,25 +296,6 @@ class TestSlottedLayout:
         assert index.bindings_items(token) == (("y", 5),)
         assert index.token_from_items((("y", 5),)) == (5, _MISSING)
 
-    def test_plan_kinds_honor_mode_contexts(self):
-        from repro.lang import RuleBuilder
-        from repro.lang.builder import var
-
-        rule = RuleBuilder("r").when("a", k=var("x")).remove(1).build()
-        assert plan_kind() == "slotted"
-        assert isinstance(build_token_plan(rule), SlottedPlan)
-        with dict_tokens():
-            assert plan_kind() == "dict"
-            assert isinstance(build_token_plan(rule), DictPlan)
-        with interpreted_conditions():
-            assert plan_kind() == "dict"
-        # Plans cache per production per kind.
-        assert build_token_plan(rule) is build_token_plan(rule)
-        with dict_tokens():
-            dict_plan = build_token_plan(rule)
-        with dict_tokens():
-            assert build_token_plan(rule) is dict_plan
-
     def test_production_survives_pickle_without_plan_caches(self):
         import pickle
 
@@ -320,11 +303,11 @@ class TestSlottedLayout:
         from repro.lang.builder import var
 
         rule = RuleBuilder("r").when("a", k=var("x")).remove(1).build()
-        build_token_plan(rule)  # populate the plan cache
+        assert rule.token_plan() is rule.token_plan()  # cached
         VariableIndex.for_production(rule)
         clone = pickle.loads(pickle.dumps(rule))
         assert clone == rule
-        assert not hasattr(clone, "_token_plans")
+        assert not hasattr(clone, "_token_plan")
 
     @given(element=_element, wme=_wme, bindings=_bindings)
     @settings(max_examples=300, deadline=None)
@@ -358,25 +341,3 @@ class TestSlottedLayout:
         assert _slot_outcome() == _beta_outcome(
             compile_beta(element), wme, bindings
         )
-
-
-class TestInterpretedMode:
-    def test_context_switches_freshly_built_elements(self):
-        with interpreted_conditions():
-            element = ConditionElement("r", (ConstantTest("a", 1),))
-            assert element.compiled().mode == "interpreted"
-            assert element.alpha_matches(WME.make("r", a=1))
-        # Cached: stays interpreted after the block...
-        assert element.compiled().mode == "interpreted"
-        # ...while new elements compile again.
-        fresh = ConditionElement("r", (ConstantTest("a", 1),))
-        assert fresh.compiled().mode == "compiled"
-
-    def test_interpreted_mode_same_results(self):
-        wme = WME.make("r", a=2, b=2)
-        tests = (VariableTest("a", "x"), VariableTest("b", "x"))
-        with interpreted_conditions():
-            interp = ConditionElement("r", tests)
-            interp_result = interp.matches(wme)
-        compiled = ConditionElement("r", tests)
-        assert compiled.matches(wme) == interp_result == {"x": 2}

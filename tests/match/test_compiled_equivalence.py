@@ -1,27 +1,25 @@
-"""Compiled matchers produce conflict sets bit-identical to the seed
-interpreted matchers on Manners — and the slotted token layout produces
-conflict sets *and bindings* bit-identical to the dict layout on
-randomized productions.
+"""Every matcher's conflict set equals the reference matcher's — on
+Manners and on randomized productions, identities *and* bindings.
 
-All matchers attach to ONE shared working memory, so every matcher sees
-the same WMEs with the same timetags and "bit-identical" is literal:
-identical ``identity()`` sets (rule name + matched timetags), not just
-structurally equivalent matches.  The interpreted matchers are built
-and attached inside :func:`interpreted_conditions` so their condition
-elements cache the seed's interpreted walks; both rule programs parse
-separately so the two evaluator families never share an element cache.
-The slotted-vs-dict suites additionally compare ``bindings_items`` per
-instantiation, since the slot layout changes how bindings are stored,
-not just how they are probed.
+``reference_matcher.py`` re-derives the whole conflict set by brute
+force from the AST (the seed's interpreted walks over binding dicts, no
+indexes, no plans, no state), so a comparison never runs a matcher's
+own join or retraction code on both sides.  All matchers of a test
+attach to ONE shared working memory, so they see the same WMEs with
+the same timetags and equality is literal: identical
+``(rule name, matched timetags)`` keys with identical
+``bindings_items``.  A checker subscribed to the store *after* the
+matchers compares after the initial build and after every add/remove
+delta — a ``modify`` is compared between its remove and its add too.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.errors import MatchError, ValidationError
+from repro.errors import ValidationError
 from repro.lang import RuleBuilder
 from repro.lang.ast import (
     ConditionElement,
@@ -31,7 +29,6 @@ from repro.lang.ast import (
     VariableTest,
 )
 from repro.lang.builder import gt, var
-from repro.lang.compile import dict_tokens, interpreted_conditions
 from repro.lang.production import Production
 from repro.match import (
     CondRelationMatcher,
@@ -43,6 +40,8 @@ from repro.match.partitioned import PartitionedMatcher
 from repro.workloads.manners import build_manners_memory, build_manners_rules
 from repro.wm import WorkingMemory
 
+from reference_matcher import conflict_set_of, reference_conflict_set
+
 _MATCHER_CLASSES = {
     "naive": NaiveMatcher,
     "rete": ReteMatcher,
@@ -51,8 +50,16 @@ _MATCHER_CLASSES = {
 }
 
 
-def _identities(matcher) -> frozenset:
-    return frozenset(inst.identity() for inst in matcher.conflict_set)
+def _partitioned_rete(memory):
+    return PartitionedMatcher(
+        memory, shards=3, inner="rete", backend="serial"
+    )
+
+
+_ALL_MATCHERS = {
+    **_MATCHER_CLASSES,
+    "partitioned:rete:3:serial": _partitioned_rete,
+}
 
 
 def _attach(memory, factory, rules):
@@ -62,44 +69,59 @@ def _attach(memory, factory, rules):
     return matcher
 
 
+def _check_against_reference(memory, rules, matchers):
+    """Compare ``matchers`` (name -> attached matcher) with the
+    reference now, and again after every delta ``memory`` publishes.
+    Returns the subscribed checker."""
+
+    def check(delta=None):
+        expected = reference_conflict_set(rules, memory)
+        for name, matcher in matchers.items():
+            assert conflict_set_of(matcher) == expected, (
+                f"{name} diverged from the reference after {delta}"
+            )
+
+    check()
+    memory.subscribe(check)
+    return check
+
+
 @pytest.mark.parametrize("name", sorted(_MATCHER_CLASSES))
 def test_compiled_conflict_sets_bit_identical_on_manners(name):
     memory = build_manners_memory(n_guests=8, seed=11)
-    factory = _MATCHER_CLASSES[name]
+    rules = build_manners_rules()
+    matcher = _attach(memory, _MATCHER_CLASSES[name], rules)
+    _check_against_reference(memory, rules, {name: matcher})
+    assert len(matcher.conflict_set) > 0
 
-    compiled = _attach(memory, factory, build_manners_rules())
-    with interpreted_conditions():
-        interpreted = _attach(memory, factory, build_manners_rules())
-
-    assert _identities(compiled) == _identities(interpreted)
-    assert len(_identities(compiled)) > 0
-
-    # Drive deltas through both and re-compare after every step.
     guests = [w for w in memory if w.relation == "guest"]
     for victim in guests[:3]:
         memory.remove(victim)
-        assert _identities(compiled) == _identities(interpreted)
     memory.make("guest", name="zed", sex="m")
     memory.make("hobby", name="zed", h="h1")
-    assert _identities(compiled) == _identities(interpreted)
 
 
 def test_partitioned_compiled_matches_interpreted_rete():
     memory = build_manners_memory(n_guests=8, seed=23)
-    partitioned = PartitionedMatcher(
-        memory, shards=3, inner="rete", backend="serial"
+    rules = build_manners_rules()
+    partitioned = _attach(memory, _partitioned_rete, rules)
+    check = _check_against_reference(
+        memory, rules, {"partitioned": partitioned}
     )
-    partitioned.add_productions(build_manners_rules())
-    partitioned.attach()
-    with interpreted_conditions():
-        oracle = _attach(memory, ReteMatcher, build_manners_rules())
+    assert len(partitioned.conflict_set) > 0
 
-    assert _identities(partitioned) == _identities(oracle)
-
+    guests = [w for w in memory if w.relation == "guest"]
+    for victim in guests[:3]:
+        memory.remove(victim)
+    memory.make("guest", name="zed", sex="m")
+    memory.make("hobby", name="zed", h="h1")
+    # Inside a batch the shards lag the store by design; the barrier
+    # on exit must land on the reference again.
+    memory.unsubscribe(check)
     with partitioned.batch():
         memory.make("guest", name="amy", sex="f")
         memory.make("hobby", name="amy", h="h1")
-    assert _identities(partitioned) == _identities(oracle)
+    check()
 
 
 def test_batched_deltas_equal_unbatched():
@@ -138,7 +160,7 @@ def test_batched_deltas_equal_unbatched():
 
 
 # ---------------------------------------------------------------------------
-# Slotted vs dict token layouts
+# Randomized programs
 # ---------------------------------------------------------------------------
 
 _VARS = ("x", "y", "z")
@@ -149,14 +171,29 @@ _OPS = (">", ">=", "<", "<=", "<>")
 
 @st.composite
 def _random_program(draw) -> list[Production]:
-    """Random valid productions: joins, negated CEs, constant and
-    variable-operand predicates, negation-local variables."""
+    """Random valid productions: joins, negated CEs (also in first
+    position), constant and variable-operand predicates,
+    negation-local variables."""
     rules = []
     for r in range(draw(st.integers(1, 3))):
         bound: set[str] = set()
         lhs = []
-        for i in range(draw(st.integers(1, 3))):
-            negated = i > 0 and draw(st.booleans())
+        if draw(st.booleans()):
+            # A negated element *first*, then a positive one re-using
+            # its local variable name: the name is existential inside
+            # the negation and freshly bound after it.
+            name = draw(st.sampled_from(_VARS))
+            for negated in (True, False):
+                lhs.append(
+                    ConditionElement(
+                        draw(st.sampled_from(_RELATIONS)),
+                        (VariableTest(draw(st.sampled_from(_ATTRS)), name),),
+                        negated=negated,
+                    )
+                )
+            bound.add(name)
+        for _ in range(draw(st.integers(0 if lhs else 1, 3))):
+            negated = bool(lhs) and draw(st.booleans())
             tests = []
             local: set[str] = set()
             for attr in _ATTRS:
@@ -189,7 +226,10 @@ def _random_program(draw) -> list[Production]:
             )
             if not negated:
                 bound |= local
-        rules.append(Production(f"r{r}", tuple(lhs), (RemoveAction(1),)))
+        first_positive = [ce.negated for ce in lhs].index(False) + 1
+        rules.append(
+            Production(f"r{r}", tuple(lhs), (RemoveAction(first_positive),))
+        )
     return rules
 
 
@@ -202,61 +242,80 @@ _wm_operation = st.one_of(
     ),
     st.tuples(st.just("remove"), st.integers(0, 30)),
     st.tuples(st.just("modify"), st.integers(0, 30), st.integers(0, 3)),
+    # A modify that leaves every tested attribute — so every join key —
+    # as it was: only the timetag and an attribute no rule reads change.
+    st.tuples(st.just("touch"), st.integers(0, 30), st.integers(0, 3)),
 )
 
 
-def _bindings_by_identity(matcher) -> dict:
-    return {
-        inst.identity(): inst.bindings_items
-        for inst in matcher.conflict_set
-    }
+def apply_operation(memory, operation) -> None:
+    """Run one ``_wm_operation`` draw against ``memory``; ``remove``,
+    ``modify`` and ``touch`` pick the live WME by index modulo size."""
+    live = sorted(memory, key=lambda w: w.timetag)
+    if operation[0] == "add":
+        _, relation, k, v = operation
+        memory.make(relation, k=k, v=v)
+    elif not live:
+        return
+    elif operation[0] == "remove":
+        memory.remove(live[operation[1] % len(live)])
+    elif operation[0] == "modify":
+        memory.modify(live[operation[1] % len(live)], {"k": operation[2]})
+    else:
+        memory.modify(live[operation[1] % len(live)], {"note": operation[2]})
 
 
-def _assert_layouts_agree(slotted: dict, dicted: dict) -> None:
-    for name in slotted:
-        left = _bindings_by_identity(slotted[name])
-        right = _bindings_by_identity(dicted[name])
-        assert left == right, f"{name} layouts diverged"
+def _lhs(*elements) -> list[Production]:
+    """One rule over ``(relation, variable-or-None, negated)`` elements
+    (the variable tests ``^k``), removing its first positive match."""
+    lhs = tuple(
+        ConditionElement(
+            relation,
+            (VariableTest("k", name),) if name else (),
+            negated=negated,
+        )
+        for relation, name, negated in elements
+    )
+    first_positive = [ce.negated for ce in lhs].index(False) + 1
+    return [Production("r0", lhs, (RemoveAction(first_positive),))]
 
 
 @given(
     program=_random_program(),
     operations=st.lists(_wm_operation, max_size=12),
 )
+# Both diverged from the reference until this file compared against it
+# (in every token layout: the twins shared the code).  TREAT kept
+# `-(a ^k <x>) (b ^k <x>)` matched when an `a` with another k arrived:
+# its retraction probe read <x> from the finished instantiation, where
+# the later element had bound it.
+@example(
+    program=_lhs(("a", "x", True), ("b", "x", False)),
+    operations=[("remove", 0), ("add", "a", 0, 0)],
+)
+# Rete, `(a) (a) -(a)`: one alpha memory feeds an element and one
+# below it, so a token met the new WME on its way down and again on the
+# negative node's own right activation, was registered as blocked twice,
+# and outlived its deletion by one registration.
+@example(
+    program=_lhs(("a", None, False), ("a", None, False), ("a", None, True)),
+    operations=[("add", "a", 0, 0), ("remove", 0), ("remove", 2)],
+)
 @settings(max_examples=40, deadline=None)
 def test_slotted_and_dict_tokens_bit_identical(program, operations):
-    """Satellite: slotted and dict tokens yield identical identities
-    AND identical ``bindings_items`` across all four matchers on
-    randomized productions (negated CEs, variable-predicate joins)."""
+    """Identities AND ``bindings_items`` of all five matchers equal the
+    reference on randomized productions (negated CEs, negation first,
+    variable-predicate joins, key-preserving modifies)."""
     memory = WorkingMemory()
     for relation in _RELATIONS:  # seed some matches before attach
         memory.make(relation, k=1, v=1)
-    slotted = {
+    matchers = {
         name: _attach(memory, factory, program)
-        for name, factory in _MATCHER_CLASSES.items()
+        for name, factory in _ALL_MATCHERS.items()
     }
-    with dict_tokens():
-        dicted = {
-            name: _attach(memory, factory, program)
-            for name, factory in _MATCHER_CLASSES.items()
-        }
-    _assert_layouts_agree(slotted, dicted)
-
+    _check_against_reference(memory, program, matchers)
     for operation in operations:
-        if operation[0] == "add":
-            _, relation, k, v = operation
-            memory.make(relation, k=k, v=v)
-        elif operation[0] == "remove":
-            _, index = operation
-            live = sorted(memory, key=lambda w: w.timetag)
-            if live:
-                memory.remove(live[index % len(live)])
-        else:
-            _, index, new_k = operation
-            live = sorted(memory, key=lambda w: w.timetag)
-            if live:
-                memory.modify(live[index % len(live)], {"k": new_k})
-        _assert_layouts_agree(slotted, dicted)
+        apply_operation(memory, operation)
 
 
 @pytest.mark.parametrize("name", sorted(_MATCHER_CLASSES))
@@ -279,28 +338,24 @@ def test_slotted_bindings_cover_negation_and_variable_predicates(name):
     memory = WorkingMemory()
     memory.make("a", k=1, v=2)
     memory.make("b", k=1, v=5)
-    factory = _MATCHER_CLASSES[name]
-    slotted = _attach(memory, factory, rules)
-    with dict_tokens():
-        dicted = _attach(memory, factory, rules)
-    assert _bindings_by_identity(slotted) == _bindings_by_identity(dicted)
+    matcher = _attach(memory, _MATCHER_CLASSES[name], rules)
+    _check_against_reference(memory, rules, {name: matcher})
     chain = [
-        i for i in slotted.conflict_set if i.rule_name == "chain"
+        i for i in matcher.conflict_set if i.rule_name == "chain"
     ]
     assert chain and all(
         dict(i.bindings_items).keys() == {"x", "y"} for i in chain
     ), "negation-local variable leaked into the bindings"
     bigger = [
-        i for i in slotted.conflict_set if i.rule_name == "bigger"
+        i for i in matcher.conflict_set if i.rule_name == "bigger"
     ]
     assert bigger and all(
         dict(i.bindings_items) == {"x": 2, "z": 1} for i in bigger
     )
-    # The negated element starts blocking; both layouts must retract.
+    # The negated element starts blocking; the match must retract.
     memory.make("c", k=5, v=99)
-    assert _bindings_by_identity(slotted) == _bindings_by_identity(dicted)
     assert not [
-        i for i in slotted.conflict_set if i.rule_name == "chain"
+        i for i in matcher.conflict_set if i.rule_name == "chain"
     ]
 
 
@@ -343,18 +398,3 @@ def test_partitioned_rejects_unvalidated_productions():
     with pytest.raises(ValidationError, match="not bound"):
         matcher.add_production(_forward_reference_production())
     assert matcher.shard_of("forward") is None
-
-
-def test_matcher_rejects_mixed_token_layouts():
-    """One matcher holds one token layout: Rete shares join nodes
-    across productions, and a node compiled for slot tuples cannot
-    probe dict tokens."""
-    matcher = ReteMatcher(WorkingMemory())
-    matcher.add_production(
-        RuleBuilder("slotted-rule").when("a", k=var("x")).remove(1).build()
-    )
-    with dict_tokens():
-        with pytest.raises(MatchError, match="token"):
-            matcher.add_production(
-                RuleBuilder("dict-rule").when("b", k=var("x")).remove(1).build()
-            )

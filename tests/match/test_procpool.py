@@ -115,17 +115,16 @@ class TestPickleHygiene:
 
     def test_production_roundtrip_drops_token_plans(self):
         production = _program()[0]
-        production.token_plan("slotted")
-        production.token_plan("dict")
+        production.token_plan()
         production.lex_static()
         data = pickle.dumps(production, protocol=pickle.HIGHEST_PROTOCOL)
-        for cached in (b"_token_plans", b"_variable_index",
+        for cached in (b"_token_plan", b"_variable_index",
                        b"_lex_static"):
             assert cached not in data
         restored = pickle.loads(data)
         assert restored.name == production.name
         assert restored.lhs == production.lhs
-        assert not hasattr(restored, "_token_plans")
+        assert not hasattr(restored, "_token_plan")
         assert not hasattr(restored, "_lex_static")
         assert restored.lex_static() == production.lex_static()
         # Rebuilt through __post_init__, so it re-validates itself.

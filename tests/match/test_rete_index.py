@@ -8,11 +8,13 @@ observable may change — these tests pin that from four sides:
 
 (a) edge programs where hashing could disagree with ``==`` (``1`` /
     ``1.0`` / ``True``, ``None``, NaN, a missing attribute) or where the
-    key must leave a variable out, against the naive matcher, under all
-    three token/evaluator modes;
+    key must leave a variable out, against three oracles — the naive
+    matcher and the brute-force reference matcher over the element-level
+    dict closures and over the seed's interpreted walks — after the
+    build and after every delta;
 (b) the order of conflict-set calls over a recorded Manners delta
-    stream, as a digest recorded at the parent commit (whole-memory
-    scans);
+    stream, as a digest recorded before the memories were hashed
+    (whole-memory scans), with the same three oracles alongside;
 (c) join tests counted, not timed;
 (d) the indexes recomputed from their memories after every step of a
     random delta stream, and nothing left once the store is empty.
@@ -23,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -32,36 +33,49 @@ from hypothesis import given, settings
 
 from repro.engine.interpreter import Interpreter
 from repro.lang import parse_program
-from repro.lang.compile import dict_tokens, interpreted_conditions
+from repro.lang.compile import compile_alpha, compile_beta
 from repro.match import NaiveMatcher, ReteMatcher
 from repro.match.conflict_set import ConflictSet
 from repro.match.rete.nodes import NegativeNode
 from repro.wm import WorkingMemory
 from repro.workloads.manners import build_manners_memory, build_manners_rules
 
-from test_compiled_equivalence import _random_program, _wm_operation
+from reference_matcher import (
+    conflict_set_of as _matches,
+    interpreted_alpha,
+    interpreted_beta,
+    reference_conflict_set,
+)
+from test_compiled_equivalence import (
+    _attach,
+    _random_program,
+    _wm_operation,
+    apply_operation,
+)
 
-_MODES = {
-    "slotted": nullcontext,
-    "dict_tokens": dict_tokens,
-    "interpreted": interpreted_conditions,
+
+def _naive_oracle(memory, rules):
+    naive = _attach(memory, NaiveMatcher, rules)
+    return lambda: _matches(naive)
+
+
+def _reference_oracle(evaluators):
+    return lambda memory, rules: (
+        lambda: reference_conflict_set(rules, memory, evaluators)
+    )
+
+
+#: id -> ``(memory, rules) -> expected()``.  The ids name what the
+#: oracle joins over: the naive matcher's slot tuples, binding dicts
+#: through the element-level compiled closures, binding dicts through
+#: the interpreted walks.
+_ORACLES = {
+    "slotted": _naive_oracle,
+    "dict_tokens": _reference_oracle((compile_alpha, compile_beta)),
+    "interpreted": _reference_oracle((interpreted_alpha, interpreted_beta)),
 }
 
 _NAN = float("nan")
-
-
-def _attach(memory, factory, rules):
-    matcher = factory(memory)
-    matcher.add_productions(rules)
-    matcher.attach()
-    return matcher
-
-
-def _matches(matcher) -> dict:
-    return {
-        inst.identity(): inst.bindings_items
-        for inst in matcher.conflict_set
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +84,8 @@ def _matches(matcher) -> dict:
 
 #: name -> (rule text, script).  A script step is ``("+", label,
 #: relation, values)``, ``("-", label)`` or ``("~", label, changes)``;
-#: rete and naive are compared, and rete audited, after every step.
+#: rete and the oracle are compared, and rete audited, after every
+#: delta.
 _EDGE_PROGRAMS = {
     "equal_values_of_unlike_types": (
         "(p j (a ^k <x>) (b ^k <x>) --> (remove 1))",
@@ -203,7 +218,7 @@ _EDGE_PROGRAMS = {
 }
 
 
-def _run_script(memory, script, after_step):
+def _run_script(memory, script):
     held = {}
     for step in script:
         if step[0] == "+":
@@ -214,33 +229,41 @@ def _run_script(memory, script, after_step):
         else:
             _, label, changes = step
             held[label] = memory.modify(held[label], changes)
-        after_step(step)
 
 
-@pytest.mark.parametrize("mode", sorted(_MODES))
+def _compare_after_every_delta(memory, rete, expected) -> set:
+    """Audit ``rete`` and compare it with ``expected()`` now and after
+    every delta from here on; returns the (growing) set of identities
+    seen."""
+    seen = set()
+
+    def compare(delta=None):
+        rete.audit()
+        matches = _matches(rete)
+        assert matches == expected(), delta
+        seen.update(matches)
+
+    compare()
+    memory.subscribe(compare)
+    return seen
+
+
+@pytest.mark.parametrize("mode", sorted(_ORACLES))
 @pytest.mark.parametrize("name", sorted(_EDGE_PROGRAMS))
 def test_edge_programs_match_naive(name, mode):
     text, script = _EDGE_PROGRAMS[name]
     memory = WorkingMemory()
-    with _MODES[mode]():
-        # Parsed inside the mode: evaluators and plans cache on first use.
-        rete = _attach(memory, ReteMatcher, parse_program(text))
-        naive = _attach(memory, NaiveMatcher, parse_program(text))
-
-        seen = set()
-
-        def compare(step):
-            rete.audit()
-            assert _matches(rete) == _matches(naive), step
-            seen.update(_matches(rete))
-
-        _run_script(memory, script, compare)
+    rules = parse_program(text)
+    rete = _attach(memory, ReteMatcher, rules)
+    expected = _ORACLES[mode](memory, rules)
+    seen = _compare_after_every_delta(memory, rete, expected)
+    _run_script(memory, script)
     assert seen, "the script never produced a match"
 
 
 def _key_variables(rule) -> list[tuple[str, ...]]:
     """Per LHS position, the variables of the step's join key."""
-    plan = rule.token_plan("slotted")
+    plan = rule.token_plan()
     names = plan.index.names
     return [
         tuple(names[slot] for _, slot in step.probe_items)
@@ -261,17 +284,13 @@ def test_join_key_is_the_positively_bound_variable_tests():
         "one_variable_twice_in_one_element"][0])
     assert _key_variables(bound) == [(), ("x", "x")]
     assert _key_variables(fresh) == [(), ("y",)]
-    dict_plan = negation_first.token_plan("dict")
-    assert [step.probe_items for step in dict_plan.steps] == [
-        (), (), (), (("v", "y"),)
-    ]
 
 
 def test_shared_store_keeps_one_index_per_child_key_spec():
     text, script = _EDGE_PROGRAMS["shared_store_two_key_specs"]
     memory = WorkingMemory()
     rete = _attach(memory, ReteMatcher, parse_program(text))
-    _run_script(memory, script, lambda step: None)
+    _run_script(memory, script)
     assert rete.stats()["join_nodes"] == 4  # one shared, three leaves
     shared = [s for s in rete._stores() if len(s.children) == 3]
     assert len(shared) == 1
@@ -286,8 +305,7 @@ def test_shared_store_keeps_one_index_per_child_key_spec():
 # (b) order pin
 # ---------------------------------------------------------------------------
 
-#: ``_conflict_set_call_digest`` at the parent commit (Rete scanning
-#: whole memories), all three modes.
+#: Recorded with Rete scanning whole memories (before PR 15).
 _PARENT_ORDER_DIGEST = "faf7ebd2c3750b1b"
 _PARENT_ORDER_CALLS = 162
 
@@ -335,22 +353,22 @@ def _recorded_manners_stream():
     return initial, deltas
 
 
-@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("mode", sorted(_ORACLES))
 def test_conflict_set_call_order_is_the_parents(mode):
     initial, deltas = _recorded_manners_stream()
     assert len(deltas) == 51
     memory = WorkingMemory()
-    with _MODES[mode]():
-        rete = ReteMatcher(memory)
-        # Timetags are process-wide; the digest takes them relative.
-        rete.conflict_set = _RecordingConflictSet(initial[0].timetag)
-        rete.add_productions(build_manners_rules())
-        rete.attach()
-        for wme in initial:
-            memory.add(wme)
-        for delta in deltas:
-            memory.apply(delta)
-    rete.audit()
+    rules = build_manners_rules()
+    rete = ReteMatcher(memory)
+    # Timetags are process-wide; the digest takes them relative.
+    rete.conflict_set = _RecordingConflictSet(initial[0].timetag)
+    rete.add_productions(rules)
+    rete.attach()
+    _compare_after_every_delta(memory, rete, _ORACLES[mode](memory, rules))
+    for wme in initial:
+        memory.add(wme)
+    for delta in deltas:
+        memory.apply(delta)
     recorded = rete.conflict_set
     assert recorded.calls == _PARENT_ORDER_CALLS
     assert recorded.sha.hexdigest()[:16] == _PARENT_ORDER_DIGEST
@@ -362,12 +380,12 @@ def test_conflict_set_call_order_is_the_parents(mode):
 
 
 def _count_join_tests(rules) -> list[int]:
-    """Wrap every slotted step's ``beta``; the returned one-element
+    """Wrap every step's ``beta``; the returned one-element
     list counts calls.  Must run before the matcher is built (nodes
     bind ``step.beta`` once)."""
     calls = [0]
     for rule in rules:
-        for step in rule.token_plan("slotted").steps:
+        for step in rule.token_plan().steps:
 
             def counted(wme, token, _inner=step.beta):
                 calls[0] += 1
@@ -430,17 +448,6 @@ def test_join_tests_per_activation_independent_of_memory_size(size):
 # ---------------------------------------------------------------------------
 
 
-def _apply(memory, operation) -> None:
-    live = sorted(memory, key=lambda w: w.timetag)
-    if operation[0] == "add":
-        _, relation, k, v = operation
-        memory.make(relation, k=k, v=v)
-    elif operation[0] == "remove" and live:
-        memory.remove(live[operation[1] % len(live)])
-    elif operation[0] == "modify" and live:
-        memory.modify(live[operation[1] % len(live)], {"k": operation[2]})
-
-
 def _assert_nothing_left(rete) -> None:
     assert not rete.state._tokens_by_wme
     assert not rete.state._blocked_by_wme
@@ -451,8 +458,12 @@ def _assert_nothing_left(rete) -> None:
         if store is rete.top:
             assert list(store.tokens) == [rete.top.root]
             continue
-        assert not store.tokens
-        assert all(not i.buckets for i in store.indexes.by_spec.values())
+        # Below leading negations the root's absence-only descendants
+        # stay (and stay indexed; ``audit`` covers that); nothing that
+        # ever held a WME does.
+        assert not [token for token in store.tokens if token.wmes()]
+        if not store.tokens:
+            assert all(not i.buckets for i in store.indexes.by_spec.values())
 
 
 @given(
@@ -468,7 +479,7 @@ def test_indexes_track_their_memories_and_leave_nothing(program, operations):
     naive = _attach(memory, NaiveMatcher, program)
     rete.audit()
     for operation in operations:
-        _apply(memory, operation)
+        apply_operation(memory, operation)
         rete.audit()
         assert _matches(rete) == _matches(naive)
     memory.clear()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro.errors import WorkingMemoryError
+from repro.errors import StorageError, WorkingMemoryError
 from repro.wm import DurableStore, WorkingMemory
 from repro.wm.storage import _segment_filename
 
@@ -245,42 +245,19 @@ class TestDurabilityModes:
         store.close()
 
 
-class TestLegacyFormat:
-    def test_legacy_single_file_wal_recovers(self, tmp_path):
-        """A pre-segment directory (one wal.jsonl) still replays."""
-        legacy = tmp_path / "wal.jsonl"
-        lines = []
-        for lsn, (kind, tag, value) in enumerate(
-            [("add", 501, 1), ("add", 502, 2), ("remove", 501, 1)],
-            start=1,
-        ):
-            lines.append(
-                json.dumps(
-                    {
-                        "lsn": lsn,
-                        "kind": kind,
-                        "wme": {
-                            "relation": "r",
-                            "items": [["v", value]],
-                            "timetag": tag,
-                        },
-                    }
-                )
-            )
-        legacy.write_text("\n".join(lines) + "\n")
-        recovered, store = DurableStore.open(tmp_path)
-        assert [w.timetag for w in recovered] == [502]
-        # New records continue past the legacy LSNs, into segments.
-        recovered.make("r", v=3)
-        assert store.lsn == 4
-        store.close()
-        second, store2 = DurableStore.open(tmp_path)
-        store2.close()
-        assert _signature(second) == _signature(recovered)
-
-    def test_checkpoint_retires_legacy_wal(self, tmp_path):
-        legacy = tmp_path / "wal.jsonl"
-        legacy.write_text(
+class TestUnsupportedFormat:
+    def test_single_file_wal_is_refused_untouched(self, tmp_path):
+        """A pre-segment directory (one wal.jsonl) holds journalled
+        records no segment replay would see: refuse it by name, before
+        anything in the directory is cleaned, created or deleted."""
+        wm = WorkingMemory()
+        with DurableStore(wm, tmp_path, segment_max_records=2) as store:
+            for i in range(5):
+                wm.make("r", i=i)
+            store.checkpoint()
+            wm.make("r", i=5)
+        single = tmp_path / "wal.jsonl"
+        single.write_text(
             json.dumps(
                 {
                     "lsn": 1,
@@ -294,13 +271,21 @@ class TestLegacyFormat:
             )
             + "\n"
         )
-        recovered, store = DurableStore.open(tmp_path)
-        store.checkpoint()
-        store.close()
-        assert not legacy.exists()
-        second, store2 = DurableStore.open(tmp_path)
-        store2.close()
-        assert _signature(second) == _signature(recovered)
+        (tmp_path / "checkpoint.jsonl.tmp").write_text("stray")
+
+        def contents():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        before = contents()
+        with pytest.raises(StorageError) as refused:
+            DurableStore.open(tmp_path)
+        assert str(single) in str(refused.value)
+        with pytest.raises(StorageError) as refused:
+            DurableStore(WorkingMemory(), tmp_path)
+        assert str(single) in str(refused.value)
+        assert contents() == before
+        assert "wal.jsonl" not in json.dumps(DurableStore.inspect(tmp_path))
+        assert single not in DurableStore.segment_paths(tmp_path)
 
 
 class TestObservability:
