@@ -80,6 +80,7 @@ from repro.errors import ReproError
 from repro.analysis.speedup import section_5_cases
 from repro.fault import FAULT_KINDS, FaultPlan, RetryPolicy, VirtualSleeper
 from repro.lang import parse_program
+from repro.locks import SCHEMES
 from repro.wm import WMSnapshot, WorkingMemory
 
 
@@ -888,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--parallel",
-        choices=["rc", "2pl", "c2pl"],
+        choices=list(SCHEMES),
         help="use the wave-parallel engine with this lock scheme",
     )
     run.add_argument("--processors", type=int, default=None)
@@ -952,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--scheme",
-        choices=["rc", "2pl", "c2pl"],
+        choices=list(SCHEMES),
         default="rc",
         help="lock scheme for the wave-parallel engine",
     )
@@ -1106,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--scheme",
-            choices=["rc", "2pl", "c2pl"],
+            choices=list(SCHEMES),
             default="rc",
             help="lock scheme for the wave-parallel engine",
         )

@@ -6,12 +6,15 @@
   thread match–select–execute cycle of Section 2.
 * :mod:`~repro.engine.parallel` — the multiple-thread mechanism over a
   real working memory: waves of concurrent firings under either lock
-  scheme, with rollback of aborted firings.
+  scheme, with rollback of aborted firings.  It owns the one run loop,
+  wave and firing transaction that the threaded and multi-user
+  executors inherit.
 * :mod:`~repro.engine.replay` — semantic-consistency validation for
   real systems: replays a parallel run's commit sequence on the
   single-thread engine (Definition 3.2 made operational).
-* :mod:`~repro.engine.threaded` — genuinely multi-threaded firing
-  waves, used to stress the lock manager's mutual exclusion.
+* :mod:`~repro.engine.threaded` — the same waves driven on one OS
+  thread per candidate, used to stress the lock manager's mutual
+  exclusion.
 """
 
 from repro.engine.actions import ActionExecutor, ActionOutcome

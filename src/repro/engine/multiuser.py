@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.engine.parallel import ParallelEngine, SchemeName
-from repro.engine.result import RunResult
 from repro.errors import EngineError
 from repro.lang.production import Production
 from repro.match.instantiation import Instantiation
@@ -99,17 +98,17 @@ class MultiUserEngine(ParallelEngine):
     # -- fair wave ordering ------------------------------------------------------------
 
     def _ordered_candidates(
-        self, eligible: list[Instantiation]
+        self, eligible: list[Instantiation], width: int | None
     ) -> list[Instantiation]:
         """Interleave users' candidates, rotating the lead user."""
         buckets: dict[str, list[Instantiation]] = {}
         for candidate in eligible:
             user = self._owners.get(candidate.production.name, "?")
             buckets.setdefault(user, []).append(candidate)
-        # A user supplies at most ``processors`` of a wave, so that is
-        # all the base strategy has to rank within a bucket.
+        # A user supplies at most ``width`` of a wave, so that is all
+        # the base strategy has to rank within a bucket.
         ranked = {
-            user: self.strategy.order(candidates, self.processors)
+            user: self.strategy.order(candidates, width)
             for user, candidates in buckets.items()
         }
         # Rotate the user list so the lead changes every wave.
@@ -124,7 +123,7 @@ class MultiUserEngine(ParallelEngine):
             for queue in queues
             if cursor < len(queue)
         ]
-        return interleaved[: self.processors]
+        return interleaved[:width]
 
     # -- attribution -----------------------------------------------------------------
 
@@ -174,7 +173,3 @@ class MultiUserEngine(ParallelEngine):
             bucket["rhs"] += row["rhs"]
             bucket["firings"] += row["firings"]
         return out
-
-    def run(self, max_waves: int = 1_000) -> RunResult:
-        """Run to quiescence; see :meth:`ParallelEngine.run`."""
-        return super().run(max_waves=max_waves)

@@ -1,10 +1,17 @@
 """The multiple-thread mechanism over a real working memory.
 
-Executes *waves* of logically concurrent firings under either lock
-scheme (Section 4.2's 2PL or Section 4.3's Rc/Ra/Wa):
+Sections 4.2 and 4.3 describe *one* transaction shape — condition
+locks, action locks at RHS start, everything held to commit — whose
+two schemes (2PL, Rc/Ra/Wa) differ only in Table 4.1 and commit rule
+(ii).  This module writes that shape once: one run loop, one wave, one
+firing transaction and one table of the ways a candidate can leave
+without committing.
+
+A *wave* of logically concurrent firings:
 
 1. The wave's candidates are the eligible instantiations (at most
-   ``processors`` of them, Section 5's ``Np``).
+   ``processors`` of them, Section 5's ``Np``), in conflict-resolution
+   order.
 2. Every candidate acquires condition locks (``R``/``Rc``) on the data
    objects its LHS examined — tuple-level for matched WMEs, relation
    level (SYSTEM-CATALOG tuple) for negated condition elements, per
@@ -22,6 +29,16 @@ scheme (Section 4.2's 2PL or Section 4.3's Rc/Ra/Wa):
 4. Aborted/deferred candidates release their locks at wave end; the
    next wave re-runs match over the updated database.
 
+:class:`ParallelEngine` drives a wave deterministically (all
+candidates acquire, then the granted ones act in order);
+:class:`~repro.engine.threaded.ThreadedWaveExecutor` drives the same
+steps on one OS thread per candidate with blocking locks, and
+:class:`~repro.engine.multiuser.MultiUserEngine` only changes how a
+wave is ordered.  The single-thread
+:class:`~repro.engine.interpreter.Interpreter` stays separate on
+purpose: it is the reference ``ES_single`` is defined by and has no
+transaction, undo log or history to share.
+
 The engine records the commit sequence (the σ of Definition 3.2),
 every lock operation (via :class:`~repro.txn.schedule.History`), and
 per-wave statistics.  ``repro.engine.replay`` checks the commit
@@ -33,7 +50,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 import repro.obs as obs_module
 from repro.engine.actions import ActionExecutor
@@ -43,8 +60,7 @@ from repro.errors import EngineError, FiringCrashed
 from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy, VirtualSleeper
 from repro.lang.production import Production
-from repro.locks.rc_scheme import RcScheme
-from repro.locks.two_phase import ConservativeTwoPhaseScheme, TwoPhaseScheme
+from repro.locks import SCHEMES
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
 from repro.match.strategies import Strategy, make_strategy
@@ -59,7 +75,13 @@ SchemeName = Literal["2pl", "rc", "c2pl"]
 
 @dataclass
 class WaveResult:
-    """What one wave did."""
+    """What one wave did: rule names, one entry per attempt.
+
+    ``deferred`` holds the attempts whose locks were unavailable
+    (denied, timed out or refused by an injected fault); ``aborted``
+    the rule-(ii) and deadlock victims, invalidated instantiations and
+    failed RHSs.
+    """
 
     wave: int
     committed: list[str] = field(default_factory=list)
@@ -71,6 +93,47 @@ class WaveResult:
             f"wave {self.wave}: committed={self.committed} "
             f"aborted={self.aborted} deferred={self.deferred}"
         )
+
+
+class _Exit(NamedTuple):
+    """One way a candidate leaves a wave without committing."""
+
+    #: Abort reason given to the lock scheme.  The health monitor
+    #: tells wave-protocol breathing from failure by this string
+    #: (``repro.obs.health.BENIGN_ABORT_REASONS``): an injected denial
+    #: keeps its own reason because it is a fault, not contention.
+    why: str
+    #: Reason charged to the retry budget; None when there is nothing
+    #: left to re-drive.
+    charge: str | None
+    #: Locks unavailable (``WaveResult.deferred``), not an abort.
+    deferred: bool = False
+
+
+_CONDITION_DENIED = _Exit(
+    "condition lock denied", "condition-lock-denied", deferred=True
+)
+_CONDITION_FAULT = _Exit(
+    "injected lock denial", "condition-lock-denied", deferred=True
+)
+# 2PL: blocked by another candidate's condition locks.  (Under Rc only
+# Ra/Wa block Wa, and a deterministic wave holds none across
+# candidates.)
+_ACTION_DENIED = _Exit(
+    "action locks unavailable", "action-lock-denied", deferred=True
+)
+_ACTION_FAULT = _Exit(
+    "injected lock denial", "action-lock-denied", deferred=True
+)
+# Rule (ii) victim of an earlier commit (or, under threads, a deadlock
+# victim): its transaction was aborted from outside.
+_VICTIM = _Exit("rule (ii) victim", "rule-ii-victim")
+# The database changed under it and the matcher retracted the
+# instantiation: semantically a victim, with nothing left to re-drive.
+_INVALIDATED = _Exit("instantiation invalidated", None)
+_RHS_FAULT = _Exit("injected RHS abort", "injected-abort")
+_CRASHED = _Exit("crashed before commit", "crash-before-commit")
+_RHS_RAISED = _Exit("RHS execution failed", "rhs-raised")
 
 
 class ParallelEngine:
@@ -105,6 +168,9 @@ class ParallelEngine:
         wave continues) — the deterministic chaos harness.
     """
 
+    #: Extra fields on this executor's ``run`` and ``cycle`` spans.
+    _span_tags: dict = {}
+
     def __init__(
         self,
         productions: Iterable[Production],
@@ -136,30 +202,16 @@ class ParallelEngine:
         else:
             self.strategy = strategy
         self.history = History()
-        if scheme == "rc":
-            self.scheme: RcScheme | TwoPhaseScheme = RcScheme(
-                history=self.history, observer=self.obs,
-                stripes=lock_stripes,
-            )
-        elif scheme == "2pl":
-            self.scheme = TwoPhaseScheme(
-                history=self.history, observer=self.obs,
-                stripes=lock_stripes,
-            )
-        elif scheme == "c2pl":
-            self.scheme = ConservativeTwoPhaseScheme(
-                history=self.history, observer=self.obs,
-                stripes=lock_stripes,
-            )
-        else:
+        if scheme not in SCHEMES:
             raise EngineError(f"unknown scheme {scheme!r}")
+        self.scheme = SCHEMES[scheme](
+            history=self.history, observer=self.obs, stripes=lock_stripes
+        )
         self._preclaims = getattr(self.scheme, "preclaims", False)
         self.processors = processors
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
         self.waves: list[WaveResult] = []
-        #: Rule-(ii) abort count across the run.
-        self.abort_count = 0
         self.retry_policy = retry_policy
         self.fault = fault_injector
         #: Failed attempts per still-retryable instantiation.
@@ -172,6 +224,11 @@ class ParallelEngine:
         self.retry_count = 0
         #: Virtual clock accumulating retry backoff (seconds).
         self.retry_clock = VirtualSleeper()
+
+    @property
+    def abort_count(self) -> int:
+        """Aborted attempts across the run (rule (ii) and the rest)."""
+        return sum(len(wave.aborted) for wave in self.waves)
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -189,7 +246,7 @@ class ParallelEngine:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- wave machinery -----------------------------------------------------------------
+    # -- candidates ---------------------------------------------------------------------
 
     def _eligible_candidates(self) -> list[Instantiation]:
         """Eligible instantiations minus those out of retry budget."""
@@ -198,56 +255,24 @@ class ParallelEngine:
             return eligible
         return [c for c in eligible if c not in self._gave_up]
 
-    def _note_failure(self, instantiation: Instantiation, reason: str) -> None:
-        """Charge one retry attempt for a deferred/aborted firing.
-
-        No-op without a retry policy (the pre-retry behavior: failed
-        candidates simply stay eligible for later waves, forever).
-        """
-        if self.retry_policy is None:
-            return
-        attempts = self._attempts.get(instantiation, 0) + 1
-        self._attempts[instantiation] = attempts
-        rule = instantiation.production.name
-        if self.retry_policy.should_retry(attempts):
-            delay = self.retry_policy.backoff(attempts, key=rule)
-            self.retry_clock(delay)
-            self.retry_count += 1
-            if self.obs.enabled:
-                self.obs.retry_attempt(rule, attempts, delay, reason)
-        else:
-            self._gave_up.add(instantiation)
-            self.gave_up.append(rule)
-            if self.obs.enabled:
-                self.obs.retry_exhausted(rule, attempts, reason)
-
-    def _fault_denies_locks(
-        self, txn: Transaction, objects, mode
-    ) -> bool:
-        """Run lock fault sites over ``objects`` (in the given order);
-        True when any acquisition is denied."""
-        if self.fault is None:
-            return False
-        return any(
-            self.fault.lock_fault(txn, obj, str(mode)) == "deny"
-            for obj in objects
-        )
-
     def _ordered_candidates(
-        self, eligible: list[Instantiation]
+        self, eligible: list[Instantiation], width: int | None
     ) -> list[Instantiation]:
-        """The wave: the first ``processors`` of ``eligible`` in
+        """The wave: the first ``width`` of ``eligible`` in
         conflict-resolution order."""
-        return self.strategy.order(eligible, self.processors)
+        return self.strategy.order(eligible, width)
 
     def _span_fields(self, instantiation: Instantiation) -> dict:
         """Extra fields stamped on acquire/firing spans (overridable)."""
         return {}
 
+    # -- one wave -----------------------------------------------------------------------
+
     def run_wave(
         self,
         started_at: float | None = None,
         eligible: list[Instantiation] | None = None,
+        width: int | None = None,
     ) -> WaveResult:
         """Execute one wave; returns its summary.
 
@@ -255,11 +280,17 @@ class ParallelEngine:
         began this iteration's eligibility pre-check, so that match
         work stays inside the cycle on the causal timeline;
         ``eligible`` is that pre-check's candidate list, so a wave
-        reads the conflict set once.
+        reads the conflict set once; ``width`` narrows this one wave
+        below ``processors``.
         """
         if eligible is None:
             eligible = self._eligible_candidates()
+        if width is None:
+            width = self.processors
         wave = WaveResult(wave=len(self.waves) + 1)
+        # Listed before it is driven: a wave that raises still accounts
+        # for the attempts it made.
+        self.waves.append(wave)
         obs = self.obs
         spans = obs.spans if obs.enabled else None
         if spans is not None and spans.scope_dropped():
@@ -274,7 +305,7 @@ class ParallelEngine:
         if spans is not None:
             cycle_span = spans.start(
                 "cycle", parent=spans.current(), ts=wave_start,
-                wave=wave.wave,
+                wave=wave.wave, **self._span_tags,
             )
             spans.push_scope(cycle_span)
         try:
@@ -282,15 +313,13 @@ class ParallelEngine:
                 with spans.span(
                     "phase.match", parent=cycle_span, scope=True
                 ):
-                    candidates = self._ordered_candidates(eligible)
+                    candidates = self._ordered_candidates(eligible, width)
             else:
-                candidates = self._ordered_candidates(eligible)
+                candidates = self._ordered_candidates(eligible, width)
             if obs.enabled:
                 obs.match_latency(obs.clock() - wave_start)
                 obs.wave_started(wave.wave, len(candidates))
-            slots = self._acquire_phase(wave, candidates, spans, cycle_span)
-            self._act_phase(wave, slots, spans, cycle_span)
-            self.waves.append(wave)
+            self._drive(wave, candidates, spans, cycle_span)
             # Fire wave_finished (and with it the health evaluation)
             # while the cycle span is still open, so watchdog work is
             # charged to the cycle on the causal timeline.
@@ -312,50 +341,29 @@ class ParallelEngine:
                 )
         return wave
 
-    def _acquire_phase(
-        self, wave: WaveResult, candidates, spans, cycle_span
-    ) -> list[tuple[Instantiation, Transaction]]:
-        """Phase 1: condition locks for every candidate.
-
-        Under the conservative (preclaiming) scheme the whole
-        footprint — condition reads AND action writes — is taken
-        atomically here.
-        """
+    def _drive(self, wave: WaveResult, candidates, spans, cycle_span) -> None:
+        """Deterministic driving: every candidate takes its condition
+        locks (phase 1), then the granted ones act in conflict-
+        resolution order (phase 2)."""
+        obs = self.obs
         slots: list[tuple[Instantiation, Transaction]] = []
         phase_span = (
             spans.start("phase.acquire", parent=cycle_span)
             if spans is not None else None
         )
-        obs = self.obs
         for instantiation in candidates:
-            txn = Transaction(rule_name=instantiation.production.name)
+            rule = instantiation.production.name
+            txn = Transaction(rule_name=rule)
             acq = None
             acq_start = obs.clock() if obs.enabled else 0.0
             if spans is not None:
                 acq = spans.start(
-                    "acquire", parent=phase_span,
-                    rule=instantiation.production.name, txn=txn.txn_id,
-                    **self._span_fields(instantiation),
+                    "acquire", parent=phase_span, rule=rule,
+                    txn=txn.txn_id, **self._span_fields(instantiation),
                 )
                 spans.bind(txn.txn_id, acq)
-            # Both sorted by repr, once per instantiation: the order
-            # locks are requested (and recorded in the history) in.
-            reads, writes = instantiation.lock_footprint()
-            denied_by_fault = self._fault_denies_locks(
-                txn, reads, self.scheme.condition_mode
-            )
-            if denied_by_fault:
-                granted = False
-            elif self._preclaims:
-                granted = self.scheme.try_preclaim(
-                    txn, reads=reads, writes=writes
-                )
-            else:
-                granted = all(
-                    self.scheme.try_lock_condition(txn, obj)
-                    for obj in reads
-                )
-            if granted:
+            out = self._acquire(instantiation, txn)
+            if out is None:
                 slots.append((instantiation, txn))
                 if acq is not None:
                     # The binding stays on the acquire span until the
@@ -364,148 +372,162 @@ class ParallelEngine:
                     # lands on the span holding the Rc locks.
                     acq.finish(granted=True)
             else:
-                # Footprint unavailable: defer to a later wave.  An
-                # injected denial keeps its own reason — it is a
-                # fault, not wave-protocol breathing, so the health
-                # monitor must count it as a failure.
-                self.scheme.abort(
-                    txn,
-                    "injected lock denial" if denied_by_fault
-                    else "condition lock denied",
-                )
-                wave.deferred.append(instantiation.production.name)
-                self._note_failure(instantiation, "condition-lock-denied")
+                self._settle(wave, instantiation, txn, out)
                 if acq is not None:
                     acq.finish(granted=False)
                     spans.unbind(txn.txn_id)
             if obs.enabled:
                 obs.acquire_finished(
-                    instantiation.production.name, txn.txn_id,
-                    obs.clock() - acq_start,
+                    rule, txn.txn_id, obs.clock() - acq_start
                 )
         if phase_span is not None:
             phase_span.finish(
                 candidates=len(candidates), granted=len(slots)
             )
-        return slots
-
-    def _act_phase(
-        self, wave: WaveResult, slots, spans, cycle_span
-    ) -> None:
-        """Phase 2: RHS execution in conflict-resolution order."""
-        phase_span = (
-            spans.start("phase.act", parent=cycle_span)
-            if spans is not None else None
-        )
-        obs = self.obs
+            phase_span = spans.start("phase.act", parent=cycle_span)
         try:
             for instantiation, txn in slots:
+                rule = instantiation.production.name
                 fire_start = obs.clock() if obs.enabled else 0.0
                 firing = None
                 if spans is not None:
                     firing = spans.start(
-                        "firing", parent=phase_span,
-                        rule=instantiation.production.name,
-                        txn=txn.txn_id,
-                        **self._span_fields(instantiation),
+                        "firing", parent=phase_span, rule=rule,
+                        txn=txn.txn_id, **self._span_fields(instantiation),
                     )
                     spans.bind(txn.txn_id, firing)
                 try:
-                    self._run_slot(wave, instantiation, txn)
+                    # Victims and retracted instantiations are found
+                    # before they ask for action locks; commit.victims
+                    # of an earlier slot show up here as is_aborted.
+                    out = self._stale(instantiation, txn) or self._act(
+                        wave, instantiation, txn
+                    )
+                    if out is not None:
+                        self._settle(wave, instantiation, txn, out)
                 finally:
                     if firing is not None:
                         firing.finish()
                         spans.unbind(txn.txn_id)
                     if obs.enabled:
                         obs.firing_finished(
-                            instantiation.production.name, txn.txn_id,
-                            obs.clock() - fire_start,
+                            rule, txn.txn_id, obs.clock() - fire_start
                         )
         finally:
             if phase_span is not None:
                 phase_span.finish(slots=len(slots))
 
-    def _run_slot(
+    # -- one candidate: the steps both drivers share ----------------------------------------
+
+    def _fault_denies_locks(
+        self, txn: Transaction, objects, mode
+    ) -> bool:
+        """Run lock fault sites over ``objects`` (in the given order);
+        True when any acquisition is denied."""
+        if self.fault is None:
+            return False
+        return any(
+            self.fault.lock_fault(txn, obj, str(mode)) == "deny"
+            for obj in objects
+        )
+
+    def _lock_condition(self, txn: Transaction, reads, writes) -> bool:
+        """Condition locks without waiting.  Under the conservative
+        (preclaiming) scheme the whole footprint — condition reads AND
+        action writes — is taken atomically here."""
+        if self._preclaims:
+            return self.scheme.try_preclaim(txn, reads=reads, writes=writes)
+        return all(
+            self.scheme.try_lock_condition(txn, obj) for obj in reads
+        )
+
+    def _lock_action(self, txn: Transaction, writes) -> bool:
+        """Action locks at RHS start, without waiting."""
+        return self._preclaims or self.scheme.try_lock_action(
+            txn, writes=writes
+        )
+
+    def _acquire(
+        self, instantiation: Instantiation, txn: Transaction
+    ) -> _Exit | None:
+        """Condition locks for one candidate; None when granted."""
+        # Both sorted by repr, once per instantiation: the order
+        # locks are requested (and recorded in the history) in.
+        reads, writes = instantiation.lock_footprint()
+        if self._fault_denies_locks(txn, reads, self.scheme.condition_mode):
+            return _CONDITION_FAULT
+        if self._lock_condition(txn, reads, writes):
+            return None
+        return _CONDITION_DENIED
+
+    def _stale(
+        self, instantiation: Instantiation, txn: Transaction
+    ) -> _Exit | None:
+        """Has the candidate lost its right to fire since it locked?"""
+        if txn.is_aborted:
+            return _VICTIM
+        if instantiation not in self.matcher.conflict_set:
+            return _INVALIDATED
+        return None
+
+    def _act(
         self, wave: WaveResult, instantiation: Instantiation,
         txn: Transaction,
-    ) -> None:
-        """Drive one granted candidate through RHS + commit."""
-        obs = self.obs
-        if txn.is_aborted:
-            # Rule (ii) victim of an earlier commit in this wave.
-            self.scheme.abort(txn, "rule (ii) victim")
-            wave.aborted.append(instantiation.production.name)
-            self.abort_count += 1
-            self._note_failure(instantiation, "rule-ii-victim")
-            return
-        if instantiation not in self.matcher.conflict_set:
-            # The database changed under it and the matcher
-            # retracted the instantiation: semantically a victim.
-            # (Not retryable: there is nothing left to re-drive.)
-            self.scheme.abort(txn, "instantiation invalidated")
-            wave.aborted.append(instantiation.production.name)
-            self.abort_count += 1
-            return
+    ) -> _Exit | None:
+        """Drive one candidate holding its condition locks through
+        action locks, RHS and commit; None when it committed."""
         writes = instantiation.lock_footprint()[1]
-        denied_by_fault = self._fault_denies_locks(
+        if self._fault_denies_locks(
             txn, writes, self.scheme.action_write_mode
-        )
-        if denied_by_fault or (
-            not self._preclaims
-            and not self.scheme.try_lock_action(txn, writes=writes)
         ):
-            # 2PL: blocked by another candidate's condition locks —
-            # defer to a later wave.  (Under Rc only Ra/Wa block Wa,
-            # and none are held across candidates here.)  Injected
-            # denials keep a distinct reason so health counts them.
-            self.scheme.abort(
-                txn,
-                "injected lock denial" if denied_by_fault
-                else "action locks unavailable",
-            )
-            wave.deferred.append(instantiation.production.name)
-            self._note_failure(instantiation, "action-lock-denied")
-            return
+            return _ACTION_FAULT
+        if not self._lock_action(txn, writes):
+            return _ACTION_DENIED
         if self.fault is not None and self.fault.rhs_abort(txn):
-            self.scheme.abort(txn, "injected RHS abort")
-            wave.aborted.append(instantiation.production.name)
-            self.abort_count += 1
-            self._note_failure(instantiation, "injected-abort")
-            return
+            return _RHS_FAULT
+        return self._transact(wave, instantiation, txn)
+
+    def _transact(
+        self, wave: WaveResult, instantiation: Instantiation,
+        txn: Transaction,
+    ) -> _Exit | None:
+        """The firing transaction — the one place a firing changes the
+        database: RHS under an undo log, then commit, or roll back.
+        The caller holds every lock of the footprint.
+        """
+        obs = self.obs
+        conflict_set = self.matcher.conflict_set
         undo = UndoLog(self.memory).attach()
         try:
-            self.matcher.conflict_set.mark_fired(instantiation)
-            # Batch the RHS's WM deltas behind one match barrier; the
-            # act phase is single-threaded, and the conflict set is
-            # next consulted at the following slot's membership check
+            conflict_set.mark_fired(instantiation)
+            # Batch the RHS's WM deltas behind one match barrier; one
+            # firing at a time runs here, and the conflict set is next
+            # consulted by the following candidate's staleness check
             # (after the batch has flushed).
             with getattr(self.matcher, "batch", nullcontext)():
                 outcome = self.executor.execute(instantiation)
             if self.fault is not None:
                 self.fault.crash_point(txn)
-        except FiringCrashed:
-            # The firing died after its RHS but before commit: roll
-            # back, clear the fired mark (the restored WMEs revive
-            # the same instantiation identity), and survive — the
-            # wave goes on and the retry budget governs re-driving.
+        except Exception as error:
+            # The firing died — an injected crash after its RHS, or the
+            # RHS itself raising: roll back and clear the fired mark
+            # (the restored WMEs revive the same instantiation
+            # identity, which could otherwise never fire again).  A
+            # crash is survivable: the wave goes on and the retry
+            # budget governs re-driving.  A real error takes the same
+            # exit and then propagates.
             undo.detach()
             undone = undo.rollback()
-            self.matcher.conflict_set.forget_fired(instantiation)
+            conflict_set.forget_fired(instantiation)
             if obs.enabled:
                 obs.rollback(txn.txn_id, undone)
-            self.scheme.abort(txn, "crashed before commit")
-            wave.aborted.append(instantiation.production.name)
-            self.abort_count += 1
-            self._note_failure(instantiation, "crash-before-commit")
-            return
-        except Exception:
-            undo.detach()
-            undone = undo.rollback()
-            if obs.enabled:
-                obs.rollback(txn.txn_id, undone)
-            self.scheme.abort(txn, "RHS execution failed")
+            if isinstance(error, FiringCrashed):
+                return _CRASHED
+            self._settle(wave, instantiation, txn, _RHS_RAISED)
             raise
         undo.detach()
+        # commit.victims carry the rule-(ii) aborts; their own turn
+        # finds them stale.
         self.scheme.commit(txn)
         undo.commit()
         self.result.firings.append(
@@ -514,13 +536,51 @@ class ParallelEngine:
         self.result.outputs.extend(outcome.outputs)
         wave.committed.append(instantiation.production.name)
         if obs.enabled:
-            obs.firing_committed(
-                instantiation.production.name, wave.wave
-            )
+            obs.firing_committed(instantiation.production.name, wave.wave)
         if outcome.halted:
             self.result.halted = True
-        # commit.victims carry the rule-(ii) aborts; their slots
-        # are skipped when their turn comes (txn.is_aborted above).
+        return None
+
+    def _settle(
+        self, wave: WaveResult, instantiation: Instantiation,
+        txn: Transaction, out: _Exit,
+    ) -> float | None:
+        """Every non-commit exit: release the locks, file the attempt
+        in the wave, charge the retry budget.  Returns the backoff
+        after which the firing may be re-driven, None when it may not.
+        """
+        self.scheme.abort(txn, out.why)
+        bucket = wave.deferred if out.deferred else wave.aborted
+        bucket.append(instantiation.production.name)
+        if out.charge is None:
+            return None
+        return self._note_failure(instantiation, out.charge)
+
+    def _note_failure(
+        self, instantiation: Instantiation, reason: str
+    ) -> float | None:
+        """Charge one retry attempt for a deferred/aborted firing.
+
+        No-op without a retry policy (the pre-retry behavior: failed
+        candidates simply stay eligible for later waves, forever).
+        """
+        if self.retry_policy is None:
+            return None
+        attempts = self._attempts.get(instantiation, 0) + 1
+        self._attempts[instantiation] = attempts
+        rule = instantiation.production.name
+        if self.retry_policy.should_retry(attempts):
+            delay = self.retry_policy.backoff(attempts, key=rule)
+            self.retry_clock(delay)
+            self.retry_count += 1
+            if self.obs.enabled:
+                self.obs.retry_attempt(rule, attempts, delay, reason)
+            return delay
+        self._gave_up.add(instantiation)
+        self.gave_up.append(rule)
+        if self.obs.enabled:
+            self.obs.retry_exhausted(rule, attempts, reason)
+        return None
 
     # -- whole runs -------------------------------------------------------------------------
 
@@ -528,9 +588,11 @@ class ParallelEngine:
         """Run waves until quiescence, ``halt`` or ``max_waves``.
 
         When a wave commits nothing while candidates existed (mutual
-        2PL blocking), the engine falls back to one single-thread
-        firing to guarantee progress — equivalent to shrinking that
-        wave to width 1, still inside ``ES_single``.
+        blocking under threads, injected faults), the one next wave is
+        shrunk to width 1: alone in its wave a firing cannot be
+        blocked, which guarantees progress, still inside
+        ``ES_single``.  It is a wave like any other — locks, fault
+        sites, history and retry budget.
         """
         obs = self.obs
         spans = obs.spans if obs.enabled else None
@@ -541,8 +603,10 @@ class ParallelEngine:
                 "run",
                 scheme=type(self.scheme).__name__,
                 processors=self.processors,
+                **self._span_tags,
             )
             spans.push_scope(run_span)
+        width = None
         try:
             while len(self.waves) < max_waves:
                 if self.result.halted:
@@ -569,10 +633,10 @@ class ParallelEngine:
                 wave = self.run_wave(
                     started_at=check_start if obs.enabled else None,
                     eligible=candidates,
+                    width=width,
                 )
                 self.result.cycles += 1
-                if not wave.committed:
-                    self._fire_single()
+                width = 1 if width is None and not wave.committed else None
             else:
                 self.result.stop_reason = "max_waves"
         finally:
@@ -588,79 +652,3 @@ class ParallelEngine:
                 )
         self.result.final_snapshot = WMSnapshot.capture(self.memory)
         return self.result
-
-    def _fire_single(self) -> None:
-        """Progress fallback: one single-thread firing.
-
-        Counts as its own sequential cycle and runs under an undo log,
-        so an RHS exception leaves working memory exactly as the wave
-        machinery would — rolled back, not half-mutated.
-        """
-        candidates = self._eligible_candidates()
-        if not candidates:
-            return
-        obs = self.obs
-        spans = obs.spans if obs.enabled else None
-        if spans is not None and spans.scope_dropped():
-            spans = None
-        instantiation = self.strategy.select(candidates)
-        txn = Transaction(rule_name=instantiation.production.name)
-        fire_start = obs.clock() if obs.enabled else 0.0
-        cycle_span = firing = None
-        if spans is not None:
-            cycle_span = spans.start(
-                "cycle", parent=spans.current(),
-                wave=len(self.waves), kind="single",
-            )
-            firing = spans.start(
-                "firing", parent=cycle_span,
-                rule=instantiation.production.name, txn=txn.txn_id,
-                single=True, **self._span_fields(instantiation),
-            )
-            spans.bind(txn.txn_id, firing)
-        try:
-            undo = UndoLog(self.memory).attach()
-            try:
-                self.matcher.conflict_set.mark_fired(instantiation)
-                with getattr(self.matcher, "batch", nullcontext)():
-                    outcome = self.executor.execute(instantiation)
-            except Exception:
-                undo.detach()
-                undone = undo.rollback()
-                if obs.enabled:
-                    obs.rollback(txn.txn_id, undone)
-                self.history.abort(txn.txn_id)
-                txn.abort("RHS execution failed")
-                if firing is not None:
-                    firing.annotate(status="aborted")
-                raise
-            undo.detach()
-            self.history.commit(txn.txn_id)
-            txn.commit()
-            undo.commit()
-            self.result.cycles += 1
-            self.result.firings.append(
-                FiringRecord.from_instantiation(
-                    instantiation, len(self.waves)
-                )
-            )
-            self.result.outputs.extend(outcome.outputs)
-            if firing is not None:
-                firing.annotate(status="committed")
-            if obs.enabled:
-                obs.single_fire_committed(
-                    instantiation.production.name, len(self.waves),
-                    obs.clock() - fire_start,
-                )
-            if outcome.halted:
-                self.result.halted = True
-        finally:
-            if spans is not None:
-                firing.finish()
-                cycle_span.finish()
-                spans.unbind(txn.txn_id)
-            if obs.enabled:
-                obs.firing_finished(
-                    instantiation.production.name, txn.txn_id,
-                    obs.clock() - fire_start,
-                )

@@ -48,7 +48,15 @@ from repro.locks.prevention import (
     acquire_with_prevention,
 )
 
+#: The lock schemes by name — the one registry that engines, simulators
+#: and the CLI's ``choices`` read.
+SCHEMES: dict[str, type[TwoPhaseScheme] | type[RcScheme]] = {
+    cls.name: cls
+    for cls in (RcScheme, TwoPhaseScheme, ConservativeTwoPhaseScheme)
+}
+
 __all__ = [
+    "SCHEMES",
     "LockMode",
     "compatible",
     "COMPATIBILITY",

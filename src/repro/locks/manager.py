@@ -52,7 +52,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 import repro.obs as obs_module
-from repro.errors import LockError
+from repro.errors import LockError, TransactionError
 from repro.locks.modes import LockMode, compatible, is_upgrade
 from repro.locks.request import LockRequest, RequestStatus
 from repro.txn.schedule import History
@@ -702,12 +702,20 @@ class LockManager:
                 if _blocked(entry, request.txn, request.mode):
                     ahead.append(request)
                     continue
-                self._grant(
-                    stripe, entry, request.txn, obj, request.mode,
-                    request.enqueued_at,
-                )
+                status = RequestStatus.GRANTED
+                try:
+                    self._grant(
+                        stripe, entry, request.txn, obj, request.mode,
+                        request.enqueued_at,
+                    )
+                except TransactionError:
+                    # The waiter was aborted from outside while queued
+                    # (a rule-(ii) or deadlock victim): that must not
+                    # raise in whoever is releasing.  Wake it refused;
+                    # its own release_all drops the unrecorded grant.
+                    status = RequestStatus.CANCELLED
                 _forget_pending(stripe, request)
-                request.resolve(RequestStatus.GRANTED)
+                request.resolve(status)
         if not entry.holders and not entry.queue:
             del stripe.entries[obj]
 

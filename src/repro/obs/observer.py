@@ -303,8 +303,6 @@ class Observer:
         self._c_txn_commits.inc()
         # Plain int += under the GIL; flushed into the health window
         # once per wave so the hot path never takes the monitor lock.
-        # (The schemeless single-fire fallback reports through
-        # single_fire_committed instead — no txn commit fires there.)
         self._health_commits += 1
         if self._trace_on:
             self.trace.emit("txn.commit", txn=txn_id, scheme=scheme)
@@ -395,27 +393,6 @@ class Observer:
     def firing_committed(self, rule: str, cycle: int) -> None:
         if self._trace_on:
             self.trace.emit("firing.commit", rule=rule, cycle=cycle)
-
-    def single_fire_committed(
-        self, rule: str, cycle: int, duration: float
-    ) -> None:
-        """The progress fallback committed one firing.
-
-        That path runs outside any wave and without a lock-scheme
-        transaction, so neither ``wave_finished`` nor ``txn_committed``
-        will ever see it — the commit count, the cycle-latency sample
-        and the health-window feed all land here instead (a chaos run
-        whose waves are all denied must not look idle to the monitor).
-        """
-        self._c_fire_committed.inc()
-        self._health_commits += 1
-        self._cycle_sketch.observe(duration)
-        self._flush_health()
-        self.health.evaluate()
-        if self._trace_on:
-            self.trace.emit(
-                "firing.commit", rule=rule, cycle=cycle, single=True
-            )
 
     def rollback(self, txn_id: str, undone: int) -> None:
         self._c_rollbacks.inc()

@@ -25,8 +25,7 @@ from typing import Literal, Sequence
 
 import repro.obs as obs_module
 from repro.errors import SimulationError
-from repro.locks.rc_scheme import RcScheme
-from repro.locks.two_phase import ConservativeTwoPhaseScheme, TwoPhaseScheme
+from repro.locks import SCHEMES
 from repro.sim.gantt import ABORTED, COMMITTED, ExecutionTrace
 from repro.sim.processor import ProcessorPool
 from repro.txn.schedule import History
@@ -199,18 +198,9 @@ def simulate_lock_scheme(
     """
     obs = observer if observer is not None else obs_module.get_observer()
     history = History()
-    if scheme == "2pl":
-        discipline: TwoPhaseScheme | RcScheme = TwoPhaseScheme(
-            history=history, observer=obs
-        )
-    elif scheme == "c2pl":
-        discipline = ConservativeTwoPhaseScheme(
-            history=history, observer=obs
-        )
-    elif scheme == "rc":
-        discipline = RcScheme(history=history, observer=obs)
-    else:
+    if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}")
+    discipline = SCHEMES[scheme](history=history, observer=obs)
     preclaims = getattr(discipline, "preclaims", False)
 
     pool = ProcessorPool(processors)

@@ -38,7 +38,6 @@ from repro.engine import (  # noqa: E402
     Session,
     ThreadedWaveExecutor,
 )
-from repro.errors import EngineError  # noqa: E402
 from repro.fault import FaultPlan, RetryPolicy, VirtualSleeper  # noqa: E402
 from repro.lang import parse_program  # noqa: E402
 from repro.txn.serializability import (  # noqa: E402
@@ -78,8 +77,7 @@ ON_CALL = {
 
 
 def build(executor: str, spec: dict, scheme: str, matcher: str, chaos: bool):
-    """``(engine, rules, memory)`` for one cell; skips a cell whose
-    executor refuses the scheme."""
+    """``(engine, rules, memory)`` for one cell."""
     rules = parse_program(spec["rules"])
     memory = WorkingMemory(thread_safe=executor == "threaded")
     for relation, values in spec["facts"]:
@@ -93,51 +91,33 @@ def build(executor: str, spec: dict, scheme: str, matcher: str, chaos: bool):
             max_attempts=4, base_delay=0.0005, seed=SEED
         )
     config = spec["engine"]
-    try:
-        if executor == "parallel":
-            engine = ParallelEngine(
-                rules, memory, strategy=config["strategy"],
-                processors=config.get("processors"), **options,
-            )
-        elif executor == "multiuser":
-            half = (len(rules) + 1) // 2
-            engine = MultiUserEngine(
-                [Session.of("ann", rules[:half]),
-                 Session.of("bo", rules[half:])],
-                memory, base_strategy=config["strategy"],
-                processors=config.get("processors"), **options,
-            )
-        else:
-            engine = ThreadedWaveExecutor(
-                rules, memory, lock_timeout=5.0, **options
-            )
-    except EngineError as refused:
-        pytest.skip(f"{executor} refuses {scheme}: {refused}")
+    if executor == "parallel":
+        engine = ParallelEngine(
+            rules, memory, strategy=config["strategy"],
+            processors=config.get("processors"), **options,
+        )
+    elif executor == "multiuser":
+        half = (len(rules) + 1) // 2
+        engine = MultiUserEngine(
+            [Session.of("ann", rules[:half]),
+             Session.of("bo", rules[half:])],
+            memory, base_strategy=config["strategy"],
+            processors=config.get("processors"), **options,
+        )
+    else:
+        engine = ThreadedWaveExecutor(
+            rules, memory, lock_timeout=5.0, **options
+        )
     return engine, rules, memory
 
 
 def collect(engine, max_waves: int = 2_000) -> tuple[RunResult, int]:
     """Run to the end and close; returns the run's result and how many
-    attempts ended without a commit (aborted, deferred, timed out)."""
-    try:
-        out = engine.run(max_waves)
-    finally:
-        getattr(engine, "close", engine.matcher.detach)()
-    if isinstance(out, RunResult):
-        return out, sum(
-            len(w.aborted) + len(w.deferred) for w in engine.waves
-        )
-    # ThreadedWaveExecutor.run() returns its per-wave results.
-    result = RunResult(
-        firings=[r for wave in out for r in wave.committed],
-        cycles=len(out),
-        stop_reason=(
-            "max_waves" if engine.matcher.conflict_set.eligible()
-            else "quiescent"
-        ),
-    )
+    attempts ended without a commit (aborted or deferred)."""
+    with engine:
+        result = engine.run(max_waves)
     return result, sum(
-        len(w.aborted) + len(w.timed_out) for w in out
+        len(w.aborted) + len(w.deferred) for w in engine.waves
     )
 
 

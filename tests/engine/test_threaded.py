@@ -1,5 +1,7 @@
 """Tests for the real-threads wave executor (lock-manager stress)."""
 
+import sys
+
 import pytest
 
 from repro.engine import ThreadedWaveExecutor, replay_commit_sequence
@@ -7,6 +9,8 @@ from repro.errors import EngineError
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
+from repro.locks import LockMode
+from repro.txn import Transaction
 from repro.txn.serializability import is_conflict_serializable
 from repro.wm import WMSnapshot, WorkingMemory
 
@@ -38,7 +42,7 @@ class TestThreadedWave:
         assert len(result.committed) == 6
         assert result.aborted == []
         outcome = replay_commit_sequence(
-            snapshot, rules, result.committed
+            snapshot, rules, executor.result.firings
         )
         assert outcome.consistent, outcome.detail
         assert is_conflict_serializable(executor.history)
@@ -68,10 +72,10 @@ class TestThreadedWave:
         executor = ThreadedWaveExecutor(
             rules, wm, scheme=scheme, lock_timeout=0.5
         )
-        result = executor.run_wave()
+        executor.run_wave()
         assert is_conflict_serializable(executor.history)
         outcome = replay_commit_sequence(
-            snapshot, rules, result.committed
+            snapshot, rules, executor.result.firings
         )
         assert outcome.consistent, outcome.detail
 
@@ -90,8 +94,12 @@ class TestThreadedWave:
     def test_run_drains_to_quiescence(self):
         wm, rules = disjoint_setup(5)
         executor = ThreadedWaveExecutor(rules, wm, scheme="rc")
-        results = executor.run()
-        assert sum(len(r.committed) for r in results) == 5
+        result = executor.run()
+        assert len(result.firings) == 5
+        assert sum(len(w.committed) for w in executor.waves) == 5
+        assert result.stop_reason == "quiescent"
+        assert result.cycles == len(executor.waves)
+        assert result.final_snapshot is not None
         assert not executor.matcher.conflict_set.eligible()
 
 
@@ -118,9 +126,10 @@ def figure_44_setup():
 
 
 class TestAbortTimeoutClassification:
-    """Regression for the abort/timeout conflation: ``_acquire_all``
-    used to return one flat False for both failure modes, so rule-(ii)
-    victims were reported as timeouts."""
+    """Regression for the abort/timeout conflation: a blocking
+    acquisition returns one flat False for both failure modes, and
+    rule-(ii) victims were once reported as timeouts (now
+    ``WaveResult.deferred``) instead of aborts."""
 
     def test_figure_44_loser_is_aborted_not_timed_out(self):
         """Figure 4.4 on real threads: every lock grant is immediate
@@ -134,22 +143,40 @@ class TestAbortTimeoutClassification:
         result = executor.run_wave()
         assert len(result.committed) == 1
         assert len(result.aborted) == 1
-        assert result.timed_out == []
-        assert {result.committed[0].rule_name, result.aborted[0]} == {
-            "pi", "pj"
-        }
-        outcome = replay_commit_sequence(snapshot, rules, result.committed)
+        assert result.deferred == []
+        assert {result.committed[0], result.aborted[0]} == {"pi", "pj"}
+        outcome = replay_commit_sequence(
+            snapshot, rules, executor.result.firings
+        )
         assert outcome.consistent, outcome.detail
 
+    def test_abort_landing_mid_acquire_is_a_victim_not_a_crash(self):
+        """The lock manager raises when asked to grant to a transaction
+        aborted an instant earlier; the thread must take the victim
+        exit (and release the half-recorded grant), not die."""
+        wm, rules = disjoint_setup(1)
+        executor = ThreadedWaveExecutor(rules, wm, scheme="rc")
+        manager = executor.scheme.manager
+        real_acquire = manager.acquire
+
+        def racing_acquire(txn, *args, **kwargs):
+            txn.try_abort("rule (ii) landed mid-acquire")
+            return real_acquire(txn, *args, **kwargs)
+
+        manager.acquire = racing_acquire
+        result = executor.run_wave()
+        assert (result.committed, result.aborted) == ([], ["cook"])
+        assert manager.grant_table() == {}
+
     def test_injected_lock_denial_is_a_timeout(self):
-        """A denied lock is an unavailable lock: timed_out, not aborted."""
+        """A denied lock is an unavailable lock: deferred, not aborted."""
         wm, rules = disjoint_setup(1)
         plan = FaultPlan([FaultSpec("lock_deny", rule="cook")], seed=0)
         executor = ThreadedWaveExecutor(
             rules, wm, scheme="rc", fault_injector=plan.injector()
         )
         result = executor.run_wave()
-        assert result.timed_out == ["cook"]
+        assert result.deferred == ["cook"]
         assert result.aborted == []
         assert result.committed == []
 
@@ -161,7 +188,7 @@ class TestAbortTimeoutClassification:
         )
         result = executor.run_wave()
         assert result.aborted == ["cook"]
-        assert result.timed_out == []
+        assert result.deferred == []
         assert result.committed == []
 
 
@@ -192,10 +219,12 @@ class TestDeadlockDetection:
         snapshot, rules, executor, result = self._run()
         assert len(result.committed) == 1
         assert len(result.aborted) == 1
-        assert result.timed_out == []  # detected, not timed out
-        assert len(result.deadlock_victims) == 1
+        assert result.deferred == []  # detected, not timed out
+        assert len(executor.deadlock_victims) == 1
         assert executor.detector.detected  # the cycle was observed
-        outcome = replay_commit_sequence(snapshot, rules, result.committed)
+        outcome = replay_commit_sequence(
+            snapshot, rules, executor.result.firings
+        )
         assert outcome.consistent, outcome.detail
         assert is_conflict_serializable(executor.history)
 
@@ -207,7 +236,30 @@ class TestDeadlockDetection:
     ):
         _, _, executor, result = self._run(victim_policy)
         assert len(result.committed) == 1
-        assert len(result.deadlock_victims) == 1
+        assert len(executor.deadlock_victims) == 1
+
+    def test_one_block_event_breaks_every_cycle_it_closes(self):
+        """A request waits for *every* incompatible holder, so going
+        to wait can close several cycles at once; nothing would look
+        at the ones left standing until the stall backstop fired."""
+        executor = ThreadedWaveExecutor(
+            [], WorkingMemory(thread_safe=True), scheme="2pl"
+        )
+        manager = executor.scheme.manager
+        writer, reader_1, reader_2 = (
+            Transaction(rule_name=name) for name in ("w", "r1", "r2")
+        )
+        manager.acquire(writer, "audit", LockMode.W)
+        for reader in (reader_1, reader_2):
+            manager.acquire(reader, "stock", LockMode.R)
+            executor._on_block(manager.acquire(reader, "audit", LockMode.W))
+        assert executor.deadlock_victims == []
+        # The writer now waits for both readers, each waiting for it.
+        executor._on_block(manager.acquire(writer, "stock", LockMode.W))
+        assert sorted(executor.deadlock_victims) == sorted(
+            [reader_1.txn_id, reader_2.txn_id]
+        )
+        assert executor.detector.find_cycle() is None
 
     def test_unknown_victim_policy_rejected(self):
         wm, rules = figure_44_setup()
@@ -220,7 +272,7 @@ class TestDeadlockDetection:
 class TestThreadedRetry:
     def test_denied_locks_retried_to_commit(self):
         """Two denials then success: the retry policy re-drives the
-        firing and the final outcome is a commit, not a timeout."""
+        firing and the final outcome is a commit, not a deferral."""
         wm, rules = disjoint_setup(1)
         snapshot = WMSnapshot.capture(wm)
         plan = FaultPlan(
@@ -234,10 +286,13 @@ class TestThreadedRetry:
             fault_injector=plan.injector(),
         )
         result = executor.run_wave()
-        assert [r.rule_name for r in result.committed] == ["cook"]
-        assert result.timed_out == []
-        assert result.retries == 2
-        outcome = replay_commit_sequence(snapshot, rules, result.committed)
+        assert result.committed == ["cook"]
+        # Every attempt is filed: two denials, then the commit.
+        assert result.deferred == ["cook", "cook"]
+        assert executor.retry_count == 2
+        outcome = replay_commit_sequence(
+            snapshot, rules, executor.result.firings
+        )
         assert outcome.consistent, outcome.detail
 
     def test_retries_exhausted_keeps_timeout_classification(self):
@@ -251,9 +306,36 @@ class TestThreadedRetry:
             fault_injector=plan.injector(),
         )
         result = executor.run_wave()
-        assert result.timed_out == ["cook"]
+        assert result.deferred == ["cook"] * 3
         assert result.aborted == []
-        assert result.retries == 2
+        assert executor.retry_count == 2
+        assert executor.gave_up == ["cook"]
+
+    def test_shared_retry_accounting_loses_no_update(self):
+        """More threads than cores, a short switch interval and a
+        coin-flip denial at every lock: each deferral is charged to
+        the one accountant exactly once, whichever thread it was on."""
+        wm, rules = disjoint_setup(24)
+        plan = FaultPlan([FaultSpec("lock_deny", rate=0.5)], seed=4)
+        executor = ThreadedWaveExecutor(
+            rules,
+            wm,
+            scheme="rc",
+            retry_policy=RetryPolicy(max_attempts=64, base_delay=0.0),
+            fault_injector=plan.injector(),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = executor.run_wave()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(result.committed) == 24
+        assert result.aborted == []
+        assert len(result.deferred) > 0
+        assert executor.retry_count == len(result.deferred)
+        assert executor.retry_clock.calls == executor.retry_count
+        assert executor.gave_up == []
 
     def test_crash_before_commit_rolls_back_and_retries(self):
         """An injected pre-commit crash leaves no trace in working
@@ -271,7 +353,77 @@ class TestThreadedRetry:
             fault_injector=plan.injector(),
         )
         result = executor.run_wave()
-        assert [r.rule_name for r in result.committed] == ["cook"]
+        assert result.committed == ["cook"]
         assert [w["state"] for w in wm.elements("cell")] == ["done"]
-        outcome = replay_commit_sequence(snapshot, rules, result.committed)
+        outcome = replay_commit_sequence(
+            snapshot, rules, executor.result.firings
+        )
         assert outcome.consistent, outcome.detail
+
+
+class TestInheritedFromTheWaveEngine:
+    """What the threaded driver gets by being a ``ParallelEngine``."""
+
+    def test_one_match_flush_per_committed_firing(self):
+        """A 4-action RHS on a partitioned matcher goes through one
+        barrier, not four: RHS and commit run under the commit mutex,
+        so one thread at a time is inside ``matcher.batch()``."""
+        wm = WorkingMemory(thread_safe=True)
+        for i in range(5):
+            wm.make("cell", id=i, state="raw")
+        rule = (
+            RuleBuilder("cook")
+            .when("cell", id=var("i"), state="raw")
+            .modify(1, state="done")
+            .make("audit", cell=var("i"), step="one")
+            .make("audit", cell=var("i"), step="two")
+            .make("audit", cell=var("i"), step="three")
+            .build()
+        )
+        with ThreadedWaveExecutor(
+            [rule], wm, scheme="rc", matcher="partitioned:rete:2:serial"
+        ) as executor:
+            before = executor.matcher.stats()["flushes"]
+            result = executor.run()
+            flushes = executor.matcher.stats()["flushes"] - before
+        assert len(result.firings) == 5
+        assert flushes == 5
+
+    def test_context_manager_detaches_the_matcher(self):
+        wm, rules = disjoint_setup(2)
+        with ThreadedWaveExecutor(rules, wm, scheme="rc") as executor:
+            executor.run()
+        wm.make("cell", id=99, state="raw")  # no longer matched
+        assert not executor.matcher.conflict_set.eligible()
+
+    def test_conservative_2pl_preclaims_without_waiting(self):
+        """c2pl under threads: each thread takes its whole footprint
+        or nothing, never waits while holding, and the run drains."""
+        wm = WorkingMemory(thread_safe=True)
+        for i in range(4):
+            wm.make("flag", id=i, state="on")
+        rules = [
+            RuleBuilder("toggle")
+            .when("flag", id=var("f"), state="on")
+            .modify(1, state="off")
+            .build(),
+            RuleBuilder("observe")
+            .when("flag", id=var("f"), state="on")
+            .make("seen", flag=var("f"))
+            .build(),
+        ]
+        snapshot = WMSnapshot.capture(wm)
+        executor = ThreadedWaveExecutor(rules, wm, scheme="c2pl")
+        result = executor.run()
+        assert result.stop_reason == "quiescent"
+        assert all(w["state"] == "off" for w in wm.elements("flag"))
+        assert executor.deadlock_victims == []
+        assert executor.scheme.manager.grant_table() == {}
+        outcome = replay_commit_sequence(snapshot, rules, result.firings)
+        assert outcome.consistent, outcome.detail
+        assert is_conflict_serializable(executor.history)
+
+    def test_unknown_scheme_rejected(self):
+        wm, rules = disjoint_setup(1)
+        with pytest.raises(EngineError):
+            ThreadedWaveExecutor(rules, wm, scheme="optimistic")

@@ -52,9 +52,8 @@ def run_threaded_chaos(scheme, seed, rate, kinds, max_waves=20):
         ),
         fault_injector=plan.injector(),
     )
-    waves = executor.run(max_waves=max_waves)
-    committed = [r for wave in waves for r in wave.committed]
-    return snapshot, rules, executor, waves, committed
+    committed = executor.run(max_waves=max_waves).firings
+    return snapshot, rules, executor, executor.waves, committed
 
 
 @settings(max_examples=12, deadline=None)
@@ -92,7 +91,7 @@ def test_fault_free_threaded_run_drains_all_work(seed):
 
 def test_wave_accounting_is_complete():
     """Every candidate ends up in exactly one bucket per attempt wave:
-    committed, aborted, or timed_out — nothing is dropped silently."""
+    committed, aborted, or deferred — nothing is dropped silently."""
     wm, rules = contended_setup(2)
     plan = FaultPlan.chaos(5, 0.5, kinds=CHAOS_KINDS)
     executor = ThreadedWaveExecutor(
@@ -103,6 +102,6 @@ def test_wave_accounting_is_complete():
     accounted = (
         len(result.committed)
         + len(result.aborted)
-        + len(result.timed_out)
+        + len(result.deferred)
     )
     assert accounted == candidates

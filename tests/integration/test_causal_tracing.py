@@ -220,22 +220,25 @@ class TestEngineCoverage:
         assert len(shards) == 2
 
     def test_single_firing_mode_is_spanned(self):
+        """Re-pinned: the progress fallback is no longer a lock-free
+        path with its own ``kind="single"`` cycle span; it is a wave of
+        width 1 and is spanned exactly like one, through the scheme."""
         wm = WorkingMemory()
         wm.make("flag", id=1, state="on")
         with obs.observed() as observer:
             engine = ParallelEngine(
                 conflict_rules(), wm, scheme="2pl",
-                strategy="priority", observer=observer, processors=1,
+                strategy="priority", observer=observer,
             )
-            engine._fire_single()
-        cycles = observer.spans.spans("cycle")
-        assert cycles
-        assert all(c.fields.get("kind") == "single" for c in cycles)
-        statuses = {
-            s.fields.get("status")
-            for s in observer.spans.spans("firing")
-        }
-        assert "committed" in statuses
+            engine.run_wave(width=1)
+        (cycle,) = observer.spans.spans("cycle")
+        assert "kind" not in cycle.fields
+        names = observer.spans.names()
+        assert names["acquire"] == names["firing"] == 1
+        (firing,) = observer.spans.spans("firing")
+        assert firing.fields["rule"] == "toggle"
+        assert firing.fields["status"] == "committed"
+        assert firing.fields["scheme"] == "2pl"
 
 
 class TestLevels:

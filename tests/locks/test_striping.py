@@ -310,6 +310,25 @@ class TestForcedAbortRace:
         assert manager.grant_table() == {}
         manager.audit_now()
 
+    def test_release_wakes_a_queued_victim_instead_of_raising(self):
+        """The same abort landing on a *queued* request: the grant
+        happens in the releasing transaction's thread, so raising there
+        would kill an innocent commit half-way through its release
+        (seen as a rare lock leak under the threaded executor)."""
+        manager = LockManager()
+        writer, victim = txn("writer"), txn("victim")
+        manager.acquire(victim, "q", LockMode.RC)
+        manager.acquire(writer, "q", LockMode.WA)
+        queued = manager.acquire(victim, "q", LockMode.WA)
+        assert queued.is_waiting
+        victim.try_abort("rule (ii): writer commits first")
+        manager.release_all(writer)  # must not raise
+        assert not queued.is_waiting and not queued.is_granted
+        assert manager.waiting_requests() == []
+        manager.release_all(victim)
+        assert manager.grant_table() == {}
+        manager.audit_now()
+
 
 class TestThreadedHammer:
     @pytest.mark.parametrize("stripes", STRIPE_COUNTS)

@@ -188,11 +188,15 @@ class TestEngineIntegration:
         assert "health.transition" in kinds
 
     def test_lock_denial_storm_is_red_even_via_single_fire_fallback(self):
-        """High-rate injected lock denials starve every wave, so all
-        progress happens through the schemeless single-fire fallback.
-        Those commits must still reach health/metrics, and the injected
-        denials must count as failures (reason "injected lock denial",
-        not the benign contention deferral)."""
+        """Re-pinned: the fallback used to be a schemeless single
+        firing that bypassed every fault site, so a denial storm still
+        ran to completion through it.  It is now a wave of width 1
+        that honours fault sites and the retry budget, so the same
+        storm starves it too: the run stops ``retries_exhausted``, and
+        must be red.  Whatever does commit must reach health/metrics
+        through the one wave path, and the injected denials must count
+        as failures (reason "injected lock denial", not the benign
+        contention deferral)."""
         from repro.fault import FaultPlan, RetryPolicy, VirtualSleeper
 
         observer = obs.Observer(level="full")
@@ -206,12 +210,16 @@ class TestEngineIntegration:
             retry_policy=RetryPolicy(max_attempts=2, seed=3),
         )
         result = engine.run()
+        assert result.stop_reason == "retries_exhausted"
+        # The commit-less first wave was followed by a width-1 wave,
+        # which was denied at the same fault sites.
+        assert len(engine.waves[1].deferred) == 1
         reasons = {
             e.get("reason") for e in observer.trace.events()
             if e.kind == "txn.abort"
         }
         assert "injected lock denial" in reasons
-        # Fallback commits are visible to the metrics and the monitor.
+        # Every commit is visible to the metrics and the monitor.
         snap = observer.metrics.snapshot()
         assert snap["firing.committed"]["value"] == len(result.firings)
         report = observer.health.evaluate()
