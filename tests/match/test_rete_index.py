@@ -12,9 +12,9 @@ observable may change — these tests pin that from four sides:
     matcher and the brute-force reference matcher over the element-level
     dict closures and over the seed's interpreted walks — after the
     build and after every delta;
-(b) the order of conflict-set calls over a recorded Manners delta
-    stream, as a digest recorded before the memories were hashed
-    (whole-memory scans), with the same three oracles alongside;
+(b) the conflict-set calls of every WM delta of a recorded Manners
+    stream, as a digest of the per-delta sorted calls recorded with
+    written-order joins, with the same three oracles alongside;
 (c) join tests counted, not timed;
 (d) the indexes recomputed from their memories after every step of a
     random delta stream, and nothing left once the store is empty.
@@ -302,31 +302,38 @@ def test_shared_store_keeps_one_index_per_child_key_spec():
 
 
 # ---------------------------------------------------------------------------
-# (b) order pin
+# (b) content pin
 # ---------------------------------------------------------------------------
 
-#: Recorded with Rete scanning whole memories (before PR 15).
-_PARENT_ORDER_DIGEST = "faf7ebd2c3750b1b"
-_PARENT_ORDER_CALLS = 162
+#: Recorded at 8b86f77 (written-order joins), identical in all three
+#: oracle modes.  The calls of one WM delta are sorted before hashing:
+#: a matcher is free to emit the matches of one delta in any order (a
+#: join order changes exactly that), never to add, drop or move one to
+#: another delta.
+_PARENT_CONTENT_DIGEST = "2fd2d459dfa227b5"
+_PARENT_CONTENT_CALLS = 162
 
 
 class _RecordingConflictSet(ConflictSet):
-    """Hashes every ``add`` / ``remove`` call, in call order."""
+    """Hashes every ``add`` / ``remove`` call, delta by delta: the
+    calls one WM delta caused are hashed in sorted order when
+    :meth:`end_of_delta` closes it."""
 
     def __init__(self, base_timetag: int) -> None:
         super().__init__()
         self._base = base_timetag
+        self._pending: list[str] = []
         self.sha = hashlib.sha256()
         self.calls = 0
 
     def _note(self, op, inst) -> None:
         self.calls += 1
-        self.sha.update(repr((
+        self._pending.append(repr((
             op,
             inst.production.name,
             tuple(w.timetag - self._base for w in inst.wmes),
             inst.bindings_items,
-        )).encode())
+        )))
 
     def add(self, inst) -> bool:
         self._note("+", inst)
@@ -335,6 +342,12 @@ class _RecordingConflictSet(ConflictSet):
     def remove(self, inst) -> bool:
         self._note("-", inst)
         return super().remove(inst)
+
+    def end_of_delta(self, delta=None) -> None:
+        for note in sorted(self._pending):
+            self.sha.update(note.encode())
+        self.sha.update(b"|")
+        self._pending.clear()
 
 
 def _recorded_manners_stream():
@@ -355,23 +368,26 @@ def _recorded_manners_stream():
 
 @pytest.mark.parametrize("mode", sorted(_ORACLES))
 def test_conflict_set_call_order_is_the_parents(mode):
+    """Per WM delta, the same conflict-set calls as the parent (their
+    order inside one delta is the matcher's own business)."""
     initial, deltas = _recorded_manners_stream()
     assert len(deltas) == 51
     memory = WorkingMemory()
     rules = build_manners_rules()
     rete = ReteMatcher(memory)
     # Timetags are process-wide; the digest takes them relative.
-    rete.conflict_set = _RecordingConflictSet(initial[0].timetag)
+    recorded = rete.conflict_set = _RecordingConflictSet(initial[0].timetag)
     rete.add_productions(rules)
     rete.attach()
+    # Subscribed after the matcher: runs once the delta is matched.
+    memory.subscribe(recorded.end_of_delta)
     _compare_after_every_delta(memory, rete, _ORACLES[mode](memory, rules))
     for wme in initial:
         memory.add(wme)
     for delta in deltas:
         memory.apply(delta)
-    recorded = rete.conflict_set
-    assert recorded.calls == _PARENT_ORDER_CALLS
-    assert recorded.sha.hexdigest()[:16] == _PARENT_ORDER_DIGEST
+    assert recorded.calls == _PARENT_CONTENT_CALLS
+    assert recorded.sha.hexdigest()[:16] == _PARENT_CONTENT_DIGEST
 
 
 # ---------------------------------------------------------------------------
