@@ -36,6 +36,23 @@ against the LHS-prefix widths so Rete's shared beta prefixes keep
 sharing (two productions with a common prefix assign identical slots
 to the prefix's variables).
 
+Join order
+----------
+A plan is compiled over an element *sequence*, and the written LHS is
+only one such sequence.  :func:`join_order` picks the one Rete joins in
+— the written order with the elements the rule's own RHS modifies or
+removes sunk last, so a firing stops tearing down the partial matches
+of everything written after them — and
+:meth:`~repro.lang.production.Production.join_plan` is the same
+:class:`SlottedPlan` class built over that permutation (the very same
+object as ``token_plan()`` when nothing moves).  The one thing a
+permuted sequence needs beyond the written one is in
+:func:`deferred_predicates`: a variable predicate whose operand is not
+bound yet at its own step is tested at the step that binds it.  The
+order is a function of the production alone — no rule set, data or
+switch enters — and the matchers that store no partial matches (naive,
+TREAT, cond) keep the written-order plan.
+
 Semantics
 ---------
 A predicate referencing an unbound variable raises
@@ -51,6 +68,7 @@ matcher to it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ValidationError
@@ -263,6 +281,12 @@ def compile_beta(element: "ConditionElement") -> BetaEvaluator:
 #: ``i`` a token has ``VariableIndex.prefix_widths[i]`` slots.
 SlotToken = tuple
 SlottedBeta = Callable[[WME, SlotToken], "SlotToken | None"]
+#: One step's deferred-predicate signature ``(skipped, landed)``: the
+#: element's own variable predicates the step leaves out, and the
+#: ``(op, left slot, operand slot)`` comparisons of earlier elements it
+#: runs instead (:func:`deferred_predicates`).  Both empty in every
+#: written-order plan.
+Deferred = tuple[tuple, tuple]
 
 
 class VariableIndex:
@@ -388,6 +412,7 @@ def compile_beta_slots(
     index: VariableIndex,
     in_width: int,
     out_width: int,
+    deferred: Deferred = ((), ()),
 ) -> SlottedBeta:
     """Compile the variable bind/join tests into a slot-aware closure.
 
@@ -398,9 +423,22 @@ def compile_beta_slots(
     token.  The copy is lazy: a probe that binds nothing returns the
     incoming token object itself (padded only when the widths differ)
     — the join fast path allocates nothing.
+
+    ``deferred`` is the step's ``(skipped, landed)`` pair from
+    :func:`deferred_predicates`: the element's own variable predicates
+    in ``skipped`` are left out, and each ``(op, left, right)`` of
+    ``landed`` is tested slot against slot on the extended token.
     """
     from repro.lang.ast import _PREDICATES
 
+    skipped, landed = deferred
+    if landed:
+        own = compile_beta_slots(
+            element, index, in_width, out_width, (skipped, ())
+        )
+        return _with_landed(
+            own, tuple((_PREDICATES[op], a, b) for op, a, b in landed)
+        )
     slots = index.slots
     var_items = tuple(
         (t.attribute, slots[t.variable], slots[t.variable] < in_width)
@@ -415,6 +453,7 @@ def compile_beta_slots(
             t,
         )
         for t in element.variable_predicates()
+        if t not in skipped
     )
     tail = (_MISSING,) * (out_width - in_width)
 
@@ -488,12 +527,85 @@ def compile_beta_slots(
     return beta_slots
 
 
+def _with_landed(beta: SlottedBeta, landed: tuple) -> SlottedBeta:
+    """``beta`` followed by the predicates deferred to its step, each
+    ``compare(token[left], token[right])`` on the extended token — the
+    operator keeps its direction, and ordering across unlike types is
+    no match, as in ``beta_slots``."""
+
+    def beta_landed(
+        wme: WME, token: SlotToken, *, _beta=beta, _landed=landed
+    ) -> "SlotToken | None":
+        extended = _beta(wme, token)
+        if extended is None:
+            return None
+        for compare, left, right in _landed:
+            try:
+                if not compare(extended[left], extended[right]):
+                    return None
+            except TypeError:
+                return None
+        return extended
+
+    return beta_landed
+
+
+def deferred_predicates(
+    elements: "tuple[ConditionElement, ...]",
+    index: VariableIndex,
+    bound: tuple[frozenset[str], ...],
+) -> tuple[Deferred, ...]:
+    """Per step of the element sequence, its :data:`Deferred` pair.
+
+    A positive element's variable predicate whose operand neither an
+    earlier positive element nor the element itself binds cannot run
+    at its own step.  It is *skipped* there and *lands* on the first
+    step whose element binds the operand, as a comparison between the
+    slot of the variable the element bound to the tested attribute and
+    the operand's slot.  In written order a validated production
+    defers nothing; a join order that moves an element above the
+    binder of its operand does (:func:`join_order` only does so where
+    the attribute has such a variable).  Negated elements never defer:
+    their predicates read what is bound on arrival or inside the
+    negation.
+    """
+    slots = index.slots
+    pending: list[tuple[str, tuple[str, int, int]]] = []
+    steps = []
+    for position, element in enumerate(elements):
+        if element.negated:
+            steps.append(((), ()))
+            continue
+        leaving = bound[position + 1]
+        skipped = tuple(
+            pred
+            for pred in element.variable_predicates()
+            if str(pred.operand) not in leaving
+        )
+        landed = tuple(sig for name, sig in pending if name in leaving)
+        pending = [item for item in pending if item[0] not in leaving]
+        if skipped:
+            attribute_slot = {
+                attribute: slots[variable]
+                for attribute, variable in reversed(
+                    element.compiled().variable_items
+                )
+            }
+            for pred in skipped:
+                name = str(pred.operand)
+                left = attribute_slot[pred.attribute]
+                pending.append((name, (pred.op, left, slots[name])))
+        steps.append((skipped, landed))
+    return tuple(steps)
+
+
 class SlottedStep:
     """One condition element compiled against a production's slots.
 
     ``beta``/``match`` take a token of ``in_width`` slots and return
-    one of ``out_width`` (the widths are the production index's prefix
-    widths at this LHS position).
+    one of ``out_width`` (the widths are the plan index's prefix
+    widths at this step).  ``deferred`` is the step's
+    :data:`Deferred` pair — empty in every written-order plan.
     """
 
     __slots__ = (
@@ -508,6 +620,7 @@ class SlottedStep:
         "in_width",
         "out_width",
         "tail",
+        "deferred",
         "_prefix_mask",
     )
 
@@ -518,6 +631,7 @@ class SlottedStep:
         in_width: int,
         out_width: int,
         bound: frozenset[str],
+        deferred: Deferred = ((), ()),
     ) -> None:
         compiled = element.compiled()
         self.element = element
@@ -528,7 +642,10 @@ class SlottedStep:
         self.in_width = in_width
         self.out_width = out_width
         self.tail = (_MISSING,) * (out_width - in_width)
-        beta = compile_beta_slots(element, index, in_width, out_width)
+        self.deferred = deferred
+        beta = compile_beta_slots(
+            element, index, in_width, out_width, deferred
+        )
         self.beta = beta
         alpha = compiled.alpha
 
@@ -602,19 +719,57 @@ def _instantiation_class():
 
 
 class SlottedPlan:
-    """A production's match plan: index + per-element steps."""
+    """A production's match plan: index + one step per element.
 
-    __slots__ = ("production", "index", "steps", "_instantiation")
+    ``order`` lists the 0-based LHS positions in step order.  Without
+    one the steps follow the written LHS (the plan of
+    :meth:`~repro.lang.production.Production.token_plan`); with one —
+    :func:`join_order`'s, for :meth:`~repro.lang.production.Production.
+    join_plan` — slots, join keys and deferred predicates are compiled
+    over the permuted element sequence.  Either way
+    :meth:`instantiate` takes the matched WMEs in *written* order:
+    :attr:`in_lhs_order` puts a step-order path back.
+    """
 
-    def __init__(self, production: "Production") -> None:
+    __slots__ = (
+        "production",
+        "order",
+        "index",
+        "steps",
+        "in_lhs_order",
+        "_instantiation",
+    )
+
+    def __init__(
+        self, production: "Production", order: "tuple[int, ...] | None" = None
+    ) -> None:
         self.production = production
-        index = VariableIndex.for_production(production)
+        lhs = production.lhs
+        if order is None:
+            order = tuple(range(len(lhs)))
+            elements = lhs
+            index = VariableIndex.for_production(production)
+        else:
+            elements = tuple(lhs[i] for i in order)
+            index = VariableIndex(elements)
+        self.order = order
         self.index = index
         widths = index.prefix_widths
-        bound = bound_prefixes(production.lhs)
+        bound = bound_prefixes(elements)
+        deferred = deferred_predicates(elements, index, bound)
         self.steps = tuple(
-            SlottedStep(element, index, widths[i], widths[i + 1], bound[i])
-            for i, element in enumerate(production.lhs)
+            SlottedStep(
+                element, index, widths[i], widths[i + 1], bound[i], deferred[i]
+            )
+            for i, element in enumerate(elements)
+        )
+        #: ``wmes -> wmes``: the positive elements' WMEs of a match,
+        #: from step order into written LHS order; ``None`` when the
+        #: two agree.
+        positives = [i for i in order if not lhs[i].negated]
+        ranks = tuple(positives.index(i) for i in sorted(positives))
+        self.in_lhs_order = (
+            None if ranks == tuple(range(len(ranks))) else itemgetter(*ranks)
         )
         self._instantiation = _instantiation_class()
 
@@ -622,7 +777,8 @@ class SlottedPlan:
         return ()
 
     def instantiate(self, wmes: tuple[WME, ...], token: SlotToken):
-        """A conflict-set instantiation from a full-width token —
+        """A conflict-set instantiation from the matched WMEs in
+        written LHS order and a full-width token —
         ``bindings_items`` materializes lazily from the slot vector."""
         return self._instantiation.from_slots(
             self.production, wmes, token, self.index
@@ -631,6 +787,106 @@ class SlottedPlan:
     def token_of(self, instantiation) -> SlotToken:
         """The instantiation's full bindings as a full-width token."""
         return instantiation.slot_token(self.index)
+
+
+# ---------------------------------------------------------------------------
+# Join order
+# ---------------------------------------------------------------------------
+
+
+def join_order(production: "Production") -> tuple[int, ...]:
+    """The 0-based LHS positions in the order Rete should join them:
+    the written order with the rule's own volatile elements sunk last.
+
+    The order encodes a certainty, not a statistic: a rule that
+    modifies or removes its own k-th element kills every partial match
+    through that element each time it fires, so everything joined
+    below it is rebuilt per firing.  It reads nothing but the
+    production, so every matcher, shard and worker process derives the
+    same one.
+
+    *Sunk set.*  Seeded with the positive elements the RHS names in
+    ``modify k`` / ``remove k``, then closed in one pass in written
+    order, with ``first(v)`` the first positive element carrying a
+    variable test on ``v``.  A positive element sinks when it has key
+    variables (those of its variable tests that an earlier element
+    first binds) and sunk elements first bind all of them — it was a
+    lookup *from* a volatile element — or when it carries a variable
+    predicate whose operand a sunk element first binds on an attribute
+    it does not also bind to a variable (nothing to defer the
+    comparison from).  A negated element sinks when a sunk element
+    first binds a variable it reads on arrival.
+
+    *Order.*  The kept elements in written order, then the sunk ones
+    in written order.  A kept element's predicate on a sunk operand is
+    deferred to the step that binds it (:func:`deferred_predicates`).
+
+    *Guards — the written order stands* when nothing or everything
+    sinks; when a kept positive element with variable tests, other
+    than the first such, has no key variable a kept element first
+    binds (the stable prefix would store a cross product the written
+    order never stored); and when a negated element would arrive with
+    a different set of its variables bound than in written order (a
+    negation reads only what earlier *written* positives bind: in
+    ``-(a ^k <x>) (b ^k <x>)`` the ``<x>`` is local to the negation).
+    """
+    from repro.lang.ast import ModifyAction, RemoveAction
+
+    lhs = production.lhs
+    written = tuple(range(len(lhs)))
+    sunk = {
+        action.ce_index - 1
+        for action in production.rhs
+        if isinstance(action, (ModifyAction, RemoveAction))
+    }
+    if not sunk:
+        return written
+    first: dict[str, int] = {}
+    for i, element in enumerate(lhs):
+        if not element.negated:
+            for test in element.variable_tests():
+                first.setdefault(test.variable, i)
+    for i, element in enumerate(lhs):
+        if i in sunk:
+            continue
+        if element.negated:
+            # Variables local to the negation have no earlier binder.
+            if any(
+                first.get(name, i) < i and first[name] in sunk
+                for name in element.variables()
+            ):
+                sunk.add(i)
+            continue
+        tests = element.variable_tests()
+        key = [t.variable for t in tests if first[t.variable] < i]
+        bound_attributes = {t.attribute for t in tests}
+        if (key and all(first[name] in sunk for name in key)) or any(
+            first[str(pred.operand)] in sunk
+            and pred.attribute not in bound_attributes
+            for pred in element.variable_predicates()
+        ):
+            sunk.add(i)
+    kept = [i for i in written if i not in sunk]
+    order = (*kept, *sorted(sunk))
+    if order == written:  # also when everything sank
+        return written
+    keyed = [
+        i for i in kept if not lhs[i].negated and lhs[i].variable_tests()
+    ]
+    for i in keyed[1:]:
+        if not any(
+            first[t.variable] < i and first[t.variable] not in sunk
+            for t in lhs[i].variable_tests()
+        ):
+            return written
+    arriving_written = bound_prefixes(lhs)
+    arriving = bound_prefixes(tuple(lhs[i] for i in order))
+    for step, i in enumerate(order):
+        if lhs[i].negated:
+            names = lhs[i].variables()
+            if names & arriving[step] != names & arriving_written[i]:
+                return written
+    return order
 
 
 #: The name ``match/cond.py`` imports for its annotations; it leaves

@@ -54,8 +54,8 @@ class Production:
         self.validate()
 
     def __reduce__(self):
-        # Compiled token plans, the variable index and the LEX static
-        # rank are cached on the instance via ``object.__setattr__``;
+        # Compiled token and join plans, the variable index and the LEX
+        # static rank are cached on the instance via ``object.__setattr__``;
         # rebuild from the AST so pickles never carry closures or
         # derived data (mirrors WME.__reduce__).
         return (Production, (self.name, self.lhs, self.rhs, self.priority))
@@ -145,6 +145,25 @@ class Production:
 
             plan = SlottedPlan(self)
             object.__setattr__(self, "_token_plan", plan)
+            return plan
+
+    def join_plan(self):
+        """The plan Rete builds its join chain from: the steps in
+        :func:`~repro.lang.compile.join_order`, which sinks the
+        elements the rule's own RHS modifies or removes.  Cached like
+        :meth:`token_plan`, and the very same object whenever the
+        order is the written one.
+        """
+        try:
+            return self._join_plan
+        except AttributeError:
+            from repro.lang.compile import SlottedPlan, join_order
+
+            plan = self.token_plan()
+            order = join_order(self)
+            if order != plan.order:
+                plan = SlottedPlan(self, order)
+            object.__setattr__(self, "_join_plan", plan)
             return plan
 
     # -- conflict-resolution rank ---------------------------------------------------

@@ -61,7 +61,7 @@ class BaseMatcher:
         return self._productions
 
     def _register(self, production: Production) -> SlottedPlan:
-        """Validate, fetch the token plan, and record both.
+        """Validate, fetch the matcher's plan, and record both.
 
         Every concrete matcher routes ``add_production`` through here:
         unvalidated productions (built without :meth:`Production.
@@ -70,10 +70,16 @@ class BaseMatcher:
         forward-referencing predicate must not reach a join.
         """
         ensure_validated(production)
-        plan = production.token_plan()
+        plan = self._plan_of(production)
         self._productions[production.name] = production
         self._plans[production.name] = plan
         return plan
+
+    @staticmethod
+    def _plan_of(production: Production) -> SlottedPlan:
+        """The plan this kind of matcher joins by: the written-order
+        token plan (Rete alone overrides, with the join plan)."""
+        return production.token_plan()
 
     def _unregister(self, name: str) -> None:
         self._productions.pop(name, None)

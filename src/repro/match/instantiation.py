@@ -97,7 +97,11 @@ class Instantiation:
         # sentinel would tie an all-negated instantiation with one
         # whose goal element matched timetag 0.
         self._mea_key = (timetags[0] if timetags else -1, *recency)
-        self._lex_key = (recency, production.lex_static())
+        # The LHS-order timetags end the key: one rule over the same
+        # timetags in two LHS orders is the only tie left without them,
+        # and a tie would hand the choice to the matcher's emission
+        # order.
+        self._lex_key = (recency, production.lex_static(), timetags)
         self._lock_footprint = None
 
     @staticmethod
@@ -198,9 +202,9 @@ class Instantiation:
     def lex_key(self) -> tuple:
         """The complete LEX rank, larger preferred: recency, then the
         production's :meth:`~repro.lang.production.Production.lex_static`
-        (specificity, name tiebreak).  Cached at construction; only
-        instantiations of one rule over the same timetags in a
-        different LHS order tie.
+        (specificity, name tiebreak), then the timetags in LHS order.
+        Cached at construction.  A total order: two instantiations
+        with equal keys have equal identities.
         """
         return self._lex_key
 

@@ -1,13 +1,29 @@
 """The :class:`ReteMatcher` facade over the alpha and beta networks.
 
-Building a production's network walks its LHS left to right, sharing
-alpha memories globally (by constant pattern) and beta nodes by
-(parent, element) — so two rules with a common LHS prefix share the
-whole prefix, Rete's second key property from Section 2.
+Building a production's network walks its *join plan*
+(:meth:`~repro.lang.production.Production.join_plan`) step by step,
+sharing alpha memories globally (by constant pattern) and beta nodes by
+(parent, element, deferred predicates) — so two rules whose join orders
+start with the same elements share that whole prefix, Rete's second key
+property from Section 2.
+
+Join order
+----------
+The plan's steps follow :func:`~repro.lang.compile.join_order`: the
+written LHS with the elements the rule's own RHS modifies or removes —
+and the lookups made from them — joined last, so a firing deletes the
+few tokens below its volatile element instead of the whole chain.  Only
+Rete stores partial matches, so only Rete reorders; the other matchers
+keep the written-order plan and stay the independent oracle.  Nothing
+outside the network sees the order: the production node hands the
+matched WMEs back in written LHS order, so instantiation identity,
+recency and bindings are those of the written rule.
+:meth:`ReteMatcher.join_order` shows the order a rule got.
 """
 
 from __future__ import annotations
 
+from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production
 from repro.match.base import BaseMatcher
 from repro.match.rete.alpha import AlphaNetwork
@@ -37,7 +53,7 @@ class ReteMatcher(BaseMatcher):
         self.top = DummyTopNode(self.state)
         self._pnodes: dict[str, ProductionNode] = {}
         self._shared_nodes: dict[tuple, JoinNode | NegativeNode] = {}
-        #: Per production, the share keys of its join chain in LHS
+        #: Per production, the share keys of its join chain in join
         #: order — what :meth:`remove_production` walks back up.
         self._chains: dict[str, list[tuple]] = {}
         self.activation_count = 0
@@ -52,27 +68,29 @@ class ReteMatcher(BaseMatcher):
         produce instantiations.
 
         Sharing stays intact under the slotted token layout: slot
-        assignment is a pure function of the LHS element sequence, so
-        two productions sharing a prefix compile identical widths,
-        slots and join keys for it — the shared nodes' step closures
-        and indexes are interchangeable.
+        assignment, join keys and deferred predicates are pure
+        functions of the plan's element sequence, so two productions
+        sharing a join-order prefix compile identical steps for it —
+        the shared nodes' step closures and indexes are
+        interchangeable.  The step's deferred-predicate signature is
+        part of the share key all the same: a node is shared only by
+        rules it tests the same thing for.
         """
         if production.name in self._pnodes:
             self.remove_production(production.name)
         plan = self._register(production)
         current: TokenStore = self.top
         chain: list[tuple] = []
-        for position, element in enumerate(production.lhs):
-            share_key = (id(current), element, element.negated)
+        for step in plan.steps:
+            element = step.element
+            share_key = (id(current), element, element.negated, step.deferred)
             node = self._shared_nodes.get(share_key)
             if node is None:
                 alpha, created = self.alpha.build_or_share(element)
                 if created and self._attached:
                     self._backfill(alpha)
                 node_class = NegativeNode if element.negated else JoinNode
-                node = node_class(
-                    self.state, current, alpha, plan.steps[position]
-                )
+                node = node_class(self.state, current, alpha, step)
                 self._shared_nodes[share_key] = node
                 self._prime(node)
             node.users += 1
@@ -84,6 +102,11 @@ class ReteMatcher(BaseMatcher):
         self._pnodes[production.name] = pnode
         self._chains[production.name] = chain
         self._prime(pnode)
+
+    @staticmethod
+    def _plan_of(production: Production) -> SlottedPlan:
+        """Rete stores partial matches, so it joins in join order."""
+        return production.join_plan()
 
     def remove_production(self, name: str) -> None:
         """Retract the rule's instantiations and take its nodes out.
@@ -149,6 +172,11 @@ class ReteMatcher(BaseMatcher):
 
     # -- introspection ---------------------------------------------------------------------
 
+    def join_order(self, name: str) -> tuple[int, ...]:
+        """The LHS positions of rule ``name`` in the order its chain
+        joins them, 1-based like the designators of ``modify k``."""
+        return tuple(position + 1 for position in self._plans[name].order)
+
     def stats(self) -> dict[str, int]:
         """Node and memory counts, for benchmarks and debugging."""
         joins = sum(
@@ -160,6 +188,11 @@ class ReteMatcher(BaseMatcher):
             "join_nodes": joins,
             "negative_nodes": negatives,
             "production_nodes": len(self._pnodes),
+            "reordered_productions": sum(
+                1
+                for plan in self._plans.values()
+                if plan is not plan.production.token_plan()
+            ),
             "activations": self.activation_count,
         }
 

@@ -3,10 +3,22 @@
 The design follows Doorenbos' formulation ("Production Matching for
 Large Learning Systems") adapted to carry an explicit binding payload
 per token — a fixed-width slot tuple.  Join tests are the per-element
-step closures from the production's token plan; because slot
-assignment is a pure function of the LHS prefix, productions sharing a
-prefix still share the join chain (identical widths and slots by
-induction from the dummy top node).
+step closures from the production's *join plan*
+(:meth:`~repro.lang.production.Production.join_plan`), whose steps come
+in :func:`~repro.lang.compile.join_order` — the written LHS with the
+rule's own ``modify``/``remove`` targets sunk last — and may run a
+predicate deferred from an earlier step.  Because slot assignment is a
+pure function of the plan's element prefix, productions sharing a
+join-order prefix still share the join chain (identical widths and
+slots by induction from the dummy top node).  A token's path is
+therefore in join order; :class:`ProductionNode` puts the WMEs back in
+written LHS order before it builds the instantiation, so nothing
+downstream can tell how the chain was ordered.
+
+One alpha memory can feed several nodes of one chain (``(a) (a)``):
+its successors are kept descendants-first, so a new WME reaches the
+lower join before the upper one has built the token that would meet it
+again from the left — every match is built once.
 
 Hashed memories
 ---------------
@@ -39,7 +51,7 @@ Node taxonomy
 * :class:`JoinNode` — joins its parent's tokens with an alpha memory.
 * :class:`NegativeNode` (doubles as both kinds).
 * :class:`ProductionNode` — terminal; converts full tokens into
-  conflict-set instantiations.
+  conflict-set instantiations (WMEs in written LHS order).
 """
 
 from __future__ import annotations
@@ -92,7 +104,7 @@ class Token:
             parent.children.append(self)
 
     def wmes(self) -> tuple[WME, ...]:
-        """The positive-element WMEs along the path, in LHS order."""
+        """The positive-element WMEs along the path, in join order."""
         path: list[WME] = []
         token: Token | None = self
         while token is not None:
@@ -214,7 +226,14 @@ class TwoInputNode:
         self._token_key = token_index.key_of
         self._token_buckets = token_index.buckets
         parent.children.append(self)
-        alpha.successors.append(self)
+        # Descendants before ancestors (Doorenbos): a node is linked
+        # after every node above it, so when one alpha memory feeds two
+        # elements of a chain the lower join meets a new WME first,
+        # while the token the upper join is about to build does not
+        # exist yet — each match is built once.  Appended, the lower
+        # join would be right-activated after that token already
+        # reached it from the left, and build it again.
+        alpha.successors.insert(0, self)
 
     def own_tokens(self) -> tuple[Token, ...]:
         return tuple(self.output.tokens)
@@ -370,12 +389,16 @@ class ProductionNode:
         self.plan = plan
         self.production = plan.production
         self.conflict_set = conflict_set
+        self._in_lhs_order = plan.in_lhs_order
         parent.children.append(self)
 
     def on_token_added(self, token: Token) -> None:
         own = Token(token, None, token.data, self)
         self.network.register_token(own)
-        own.instantiation = self.plan.instantiate(token.wmes(), token.data)
+        wmes = token.wmes()
+        if self._in_lhs_order is not None:
+            wmes = self._in_lhs_order(wmes)
+        own.instantiation = self.plan.instantiate(wmes, token.data)
         self.conflict_set.add(own.instantiation)
 
     def remove_token(self, token: Token) -> None:

@@ -39,11 +39,14 @@ class Strategy(Protocol):
 class KeyedStrategy:
     """A strategy that is a total-order ``key`` plus a direction.
 
-    ``select`` is the first extreme of the key and ``order`` one stable
-    (partial) sort on it, so candidates tied on the key keep their list
-    order in both and ``order`` equals repeated ``select``-then-remove.
-    Keys read ranks cached on the instantiation; none does work
-    proportional to the size of the rule.
+    ``select`` is the extreme of the key and ``order`` one (partial)
+    sort on it, so ``order`` equals repeated ``select``-then-remove.
+    Every key ends in the instantiation's identity (LEX's in the
+    LHS-order timetags, after the rule name), so distinct candidates
+    never tie and neither result depends on the order of the candidate
+    list — that is, on the order the matcher emitted them in.  Keys
+    read ranks cached on the instantiation; none does work proportional
+    to the size of the rule.
     """
 
     name: str
@@ -62,7 +65,7 @@ class KeyedStrategy:
             return sorted(
                 candidates, key=self.key, reverse=self.descending
             )
-        # Documented as ``sorted(...)[:limit]``, ties in list order.
+        # Documented as ``sorted(...)[:limit]``.
         take = nlargest if self.descending else nsmallest
         return take(limit, candidates, key=self.key)
 
@@ -97,10 +100,12 @@ class PriorityStrategy(KeyedStrategy):
 
 
 class FifoStrategy(KeyedStrategy):
-    """Oldest instantiation first (ascending recency): a fair queue."""
+    """Oldest instantiation first (ascending recency): a fair queue.
+    Recency ties across rules and LHS orders; the identity breaks
+    them."""
 
     name = "fifo"
-    key = attrgetter("_recency_key")
+    key = attrgetter("_recency_key", "_identity")
     descending = False
 
 

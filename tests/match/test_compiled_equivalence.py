@@ -24,6 +24,7 @@ from repro.lang import RuleBuilder
 from repro.lang.ast import (
     ConditionElement,
     ConstantTest,
+    ModifyAction,
     PredicateTest,
     RemoveAction,
     VariableTest,
@@ -173,7 +174,11 @@ _OPS = (">", ">=", "<", "<=", "<>")
 def _random_program(draw) -> list[Production]:
     """Random valid productions: joins, negated CEs (also in first
     position), constant and variable-operand predicates,
-    negation-local variables."""
+    negation-local variables — and what makes Rete's join order move:
+    RHSs that ``modify`` / ``remove`` any of the rule's own positive
+    elements (or none), and attributes both bound to a variable and
+    compared with another element's variable (the predicate a moved
+    element defers)."""
     rules = []
     for r in range(draw(st.integers(1, 3))):
         bound: set[str] = set()
@@ -192,20 +197,36 @@ def _random_program(draw) -> list[Production]:
                     )
                 )
             bound.add(name)
-        for _ in range(draw(st.integers(0 if lhs else 1, 3))):
+        for _ in range(draw(st.integers(0 if lhs else 1, 4))):
             negated = bool(lhs) and draw(st.booleans())
             tests = []
             local: set[str] = set()
             for attr in _ATTRS:
-                choice = draw(st.integers(0, 3))
+                choice = draw(st.integers(0, 4))
                 if choice == 0:
                     continue
                 if choice == 1:
                     tests.append(ConstantTest(attr, draw(st.integers(0, 2))))
-                elif choice == 2:
+                elif choice == 2 or (choice == 4 and not bound):
                     name = draw(st.sampled_from(_VARS))
                     tests.append(VariableTest(attr, name))
                     local.add(name)
+                elif choice == 4:
+                    # ``^attr <x> ^attr <op> <y>``, <y> from another
+                    # element: deferred when that element sinks and
+                    # this one, bringing a variable of its own, stays.
+                    fresh = sorted(set(_VARS) - bound)
+                    name = draw(st.sampled_from(fresh or _VARS))
+                    tests.append(VariableTest(attr, name))
+                    local.add(name)
+                    tests.append(
+                        PredicateTest(
+                            attr,
+                            draw(st.sampled_from(_OPS)),
+                            draw(st.sampled_from(sorted(bound))),
+                            True,
+                        )
+                    )
                 else:
                     # Variable-operand predicates only against variables
                     # already in scope (validate() rejects forward refs).
@@ -226,10 +247,23 @@ def _random_program(draw) -> list[Production]:
             )
             if not negated:
                 bound |= local
-        first_positive = [ce.negated for ce in lhs].index(False) + 1
-        rules.append(
-            Production(f"r{r}", tuple(lhs), (RemoveAction(first_positive),))
+        positives = [i + 1 for i, ce in enumerate(lhs) if not ce.negated]
+        # Mostly one or two targets: a rule without any never reorders.
+        targets = draw(
+            st.lists(
+                st.sampled_from(positives),
+                min_size=draw(st.sampled_from((0, 1, 1, 1))),
+                max_size=2,
+                unique=True,
+            )
         )
+        rhs = tuple(
+            RemoveAction(k)
+            if draw(st.booleans())
+            else ModifyAction.build(k, {"note": 1})
+            for k in targets
+        )
+        rules.append(Production(f"r{r}", tuple(lhs), rhs))
     return rules
 
 
@@ -301,11 +335,37 @@ def _lhs(*elements) -> list[Production]:
     program=_lhs(("a", None, False), ("a", None, False), ("a", None, True)),
     operations=[("add", "a", 0, 0), ("remove", 0), ("remove", 2)],
 )
+# Rete joins `b` first and runs its `< <x>` where `a` binds <x>: the
+# operator must keep its direction (b.v < a.v), the other matchers join
+# as written.
+@example(
+    program=[
+        Production(
+            "r0",
+            (
+                ConditionElement("a", (VariableTest("v", "x"),)),
+                ConditionElement(
+                    "b",
+                    (
+                        VariableTest("v", "y"),
+                        PredicateTest("v", "<", "x", True),
+                    ),
+                ),
+            ),
+            (RemoveAction(1),),
+        )
+    ],
+    operations=[
+        ("add", "a", 0, 5), ("add", "b", 0, 3), ("add", "b", 0, 7),
+        ("remove", 0), ("add", "a", 0, 8),
+    ],
+)
 @settings(max_examples=40, deadline=None)
 def test_slotted_and_dict_tokens_bit_identical(program, operations):
     """Identities AND ``bindings_items`` of all five matchers equal the
     reference on randomized productions (negated CEs, negation first,
-    variable-predicate joins, key-preserving modifies)."""
+    variable-predicate joins, own-RHS targets that move Rete's join
+    order, key-preserving modifies)."""
     memory = WorkingMemory()
     for relation in _RELATIONS:  # seed some matches before attach
         memory.make(relation, k=1, v=1)

@@ -118,8 +118,11 @@ class TestCachedKeys:
         specificity = sum(len(ce.tests) for ce in rule.lhs)
         assert rule.lex_static() == (specificity, (-ord("a"), -ord("b")))
         assert rule.lex_static() is rule.lex_static()
-        assert inst.lex_key() == ((9, 3, 1), rule.lex_static())
+        # ... and ends in the LHS-order timetags, so no two distinct
+        # instantiations tie.
+        assert inst.lex_key() == ((9, 3, 1), rule.lex_static(), (3, 9, 1))
         assert inst.lex_key()[1] is rule.lex_static()
+        assert inst.lex_key()[2] is inst.timetags()
 
     def test_merge_key_is_most_recent_first_then_rule_name(self):
         inst = _inst(_rule("ab"), 3, 9, 1)

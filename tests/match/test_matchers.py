@@ -235,8 +235,10 @@ class TestReteSharing:
         common = lambda b: b.when("item", kind="x").when(
             "other", v=var("n")
         )
+        # ``remove(2)`` keeps a's join order the written one, like b's:
+        # a rule removing its *first* element joins it last.
         rules = [
-            common(RuleBuilder("a")).remove(1).build(),
+            common(RuleBuilder("a")).remove(2).build(),
             common(RuleBuilder("b")).make("out", v=var("n")).build(),
         ]
         wm = WorkingMemory()

@@ -396,12 +396,12 @@ def test_conflict_set_call_order_is_the_parents(mode):
 
 
 def _count_join_tests(rules) -> list[int]:
-    """Wrap every step's ``beta``; the returned one-element
+    """Wrap every join step's ``beta``; the returned one-element
     list counts calls.  Must run before the matcher is built (nodes
     bind ``step.beta`` once)."""
     calls = [0]
     for rule in rules:
-        for step in rule.token_plan().steps:
+        for step in rule.join_plan().steps:
 
             def counted(wme, token, _inner=step.beta):
                 calls[0] += 1

@@ -1,5 +1,7 @@
 """Tests for conflict-resolution strategies."""
 
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -199,15 +201,39 @@ class TestOrder:
         make_strategy(name, seed=1).order(candidates, 2)
         assert same_objects(candidates, before)
 
-    def test_full_tie_keeps_list_order(self):
-        # Same rule, same timetags in a different LHS order: tied on
-        # every deterministic key, so list order decides.
-        # (MEA also needs the same first timetag.)
+    def test_former_full_tie_is_decided_by_lhs_order_timetags(self):
+        # Same rule, same timetags in a different LHS order (MEA also
+        # needs the same first timetag): tied on recency and rule, so
+        # the list — the matcher's emission order — used to decide.
         a, b = inst(_RULES[0], 3, 1, 2), inst(_RULES[0], 3, 2, 1)
-        for name in ("lex", "mea", "priority", "fifo"):
+        for name in ("lex", "mea", "priority"):
             strategy = make_strategy(name)
-            assert same_objects(strategy.order([a, b]), [a, b])
+            assert same_objects(strategy.order([a, b]), [b, a])
             assert same_objects(strategy.order([b, a]), [b, a])
+        fifo = make_strategy("fifo")
+        assert same_objects(fifo.order([a, b]), [a, b])
+        assert same_objects(fifo.order([b, a]), [a, b])
+
+    @pytest.mark.parametrize("name", ["lex", "mea", "priority", "fifo"])
+    def test_list_order_never_decides(self, name):
+        """Selection is a total order: whatever order the matcher
+        emitted the candidates in, ``order`` and ``select`` agree."""
+        candidates = [
+            # one rule, the same timetags in three LHS orders
+            inst(_RULES[0], 3, 1, 2),
+            inst(_RULES[0], 3, 2, 1),
+            inst(_RULES[0], 2, 3, 1),
+            # the same recency under other rules (FIFO's tie)
+            inst(_RULES[1], 3, 2, 1),
+            inst(_RULES[3], 1, 2, 3),
+            inst(_RULES[2], 4),
+        ]
+        strategy = make_strategy(name)
+        expected = strategy.order(candidates)
+        for shuffled in itertools.permutations(candidates):
+            assert same_objects(strategy.order(shuffled), expected)
+            assert same_objects(strategy.order(shuffled, 3), expected[:3])
+            assert strategy.select(shuffled) is expected[0]
 
     def test_longer_name_wins_the_prefix_tiebreak(self):
         short, long = inst(_RULES[0], 5), inst(_RULES[1], 5)
