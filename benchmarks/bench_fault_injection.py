@@ -85,6 +85,10 @@ def test_consistency_and_throughput_vs_fault_rate(benchmark, rate):
             ("virtual backoff (s)", 0.0,
              round(engine.retry_clock.total, 4)),
             ("rule-(ii) aborts", 0, engine.abort_count),
+            # A deterministic wave reads rule (ii)'s outcome off its own
+            # commit order and never locks the loser; what is left in
+            # the row above are the injected aborts and crashes.
+            ("held back (rule (ii) at admission)", "-", engine.held_count),
             ("replay consistent", True, replay.consistent),
         ],
     )

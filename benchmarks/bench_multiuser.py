@@ -87,6 +87,9 @@ def test_multiuser_fairness_and_consistency(benchmark):
             ("firings: analytics", N_ORDERS, counts["analytics"]),
             ("waves", "-", len(engine.waves)),
             ("rule-(ii) aborts", "-", engine.abort_count),
+            # A deterministic wave reads rule (ii)'s outcome off its own
+            # commit order and never locks the loser.
+            ("held back (rule (ii) at admission)", "-", engine.held_count),
             ("semantically consistent", "yes",
              "yes" if replay.consistent else "NO"),
             ("serializable", "yes",

@@ -83,6 +83,9 @@ def test_dynamic_locking_exploits_tuple_disjointness(benchmark):
             ("firings in first wave", N_SHARDS, len(first_wave.committed)),
             ("total waves", 1, len(engine.waves)),
             ("rule-(ii) aborts", 0, engine.abort_count),
+            # A deterministic wave reads rule (ii)'s outcome off its own
+            # commit order and never locks the loser.
+            ("held back (rule (ii) at admission)", 0, engine.held_count),
             (
                 "parallelism gained vs static",
                 f"{N_SHARDS}x",

@@ -107,9 +107,12 @@ def main() -> None:
         engine = ParallelEngine(rules, wm, scheme=scheme, seed=7)
         result = engine.run()
         waves = len(engine.waves)
+        # A deterministic wave decides rule (ii) from its own commit
+        # order: the would-be victims are held back before locking.
         print(
             f"parallel ({scheme:>3s}): {len(result)} firings in {waves} "
-            f"waves, {engine.abort_count} rule-(ii) aborts, "
+            f"waves, {engine.held_count} held back, "
+            f"{engine.abort_count} rule-(ii) aborts, "
             f"{wm.count('manifest')} shipped"
         )
 

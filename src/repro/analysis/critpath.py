@@ -12,14 +12,18 @@ Three toolkits:
 * **Per-cycle attribution** (:func:`cycle_breakdowns`) — for every
   ``cycle`` span, a sweep over its descendants attributes each instant
   of the cycle to the *deepest* covering span's category (``lock_wait``
-  / ``match`` / ``acquire`` / ``rhs`` / ``other``).  The buckets sum
-  to the cycle duration exactly, so summing cycles against the ``run``
-  span's makespan is a built-in self-check (:func:`coverage`).
+  / ``match`` / ``admit`` / ``acquire`` / ``rhs`` / ``other``).  The
+  buckets sum to the cycle duration exactly, so summing cycles against
+  the ``run`` span's makespan is a built-in self-check
+  (:func:`coverage`).
   :func:`critical_chain` extracts the dominant child chain — the
   longest spine of each wave.
 * **Abort chains** (:func:`abort_chains`) — walks ``rc_wa_abort``
   links, mapping every rule-(ii) victim back to the committing Wa
-  transaction's span.
+  transaction's span.  :func:`held_backs` reads the same question off
+  a deterministic wave, which decides rule (ii) at admission: one
+  ``held`` record per reader held back, naming the admitted writer and
+  the object.
 * **Bench regression diff** (:func:`diff_bench`) — compares two
   ``BENCH_*.json`` files (the benchmark harness output) value by
   value with a configurable relative tolerance; ``repro obs diff``
@@ -36,7 +40,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 #: Attribution buckets, in report order.
-CATEGORIES = ("lock_wait", "match", "acquire", "rhs", "storage", "other")
+CATEGORIES = (
+    "lock_wait", "match", "admit", "acquire", "rhs", "storage", "other",
+)
 
 
 def categorize(name: str) -> str:
@@ -45,6 +51,8 @@ def categorize(name: str) -> str:
         return "lock_wait"
     if name.startswith("match") or name == "phase.match":
         return "match"
+    if name == "phase.admit" or name == "held":
+        return "admit"
     if name == "phase.acquire" or name == "acquire":
         return "acquire"
     if name in ("firing", "rhs", "phase.act") or name.startswith("txn."):
@@ -403,6 +411,31 @@ def abort_chains(spans: Iterable) -> list[AbortChain]:
             )
     out.sort(key=lambda c: (c.victim_span, c.committer_span))
     return out
+
+
+@dataclass
+class HeldBack:
+    """One candidate wave admission held back, and for whom."""
+
+    wave: int
+    reader_rule: str
+    writer_rule: str
+    obj: str
+
+
+def held_backs(spans: Iterable) -> list[HeldBack]:
+    """Every ``held`` record, in the order the waves decided them."""
+    roots, by_id = build_tree(spans)
+    return [
+        HeldBack(
+            wave=int(node.fields.get("wave", 0)),
+            reader_rule=str(node.fields.get("rule", "?")),
+            writer_rule=str(node.fields.get("writer", "?")),
+            obj=str(node.fields.get("obj", "?")),
+        )
+        for node in by_id.values()
+        if node.name == "held"
+    ]
 
 
 # -- BENCH_*.json regression diff --------------------------------------------------------

@@ -16,8 +16,9 @@ Subcommands
     figures.
 ``repro trace RULES [--scheme rc] ...``
     Run under the wave-parallel engine with observability enabled and
-    emit the structured trace (lock grant/wait/deny, rule-(ii) aborts,
-    wave spans) as JSON lines.
+    emit the structured trace (lock grant/wait/deny, wave events with
+    their committed / aborted / deferred / held-back counts) as JSON
+    lines.
 ``repro metrics RULES [--scheme rc] ...``
     Same run, but emit the metrics registry snapshot (lock-wait
     histogram, abort/commit counters, wave widths) as one JSON object.
@@ -35,8 +36,10 @@ Subcommands
     span dump for offline analysis.
 ``repro obs report RULES ...``
     Same run, reduced: per-cycle critical paths with lock-wait vs.
-    match vs. RHS vs. storage attribution, the rule-(ii) abort
-    attribution table, and the lock-wait histogram summary.
+    match vs. admission vs. RHS vs. storage attribution, the
+    rule-(ii) abort attribution table, the admission hold-backs
+    (``writer -> reader on object``), and the lock-wait histogram
+    summary.
 ``repro obs profile RULES [--level sampled] [--top 10] ...``
     Run with the always-on per-rule profiler and print the top-N
     productions by self-time, split across match / lock-wait /
@@ -71,6 +74,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import repro.obs as obs
@@ -200,6 +204,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"retries: {engine.retry_count} "
                 f"(gave up: {len(engine.gave_up)})"
             )
+        # A deterministic wave decides rule (ii) at admission, so its
+        # readers are held back before locking instead of aborted.
+        print(
+            f"waves: {len(engine.waves)}, held back: "
+            f"{engine.held_count}, rule-(ii) aborts: "
+            f"{engine.abort_count}, deferred: "
+            f"{sum(len(w.deferred) for w in engine.waves)}"
+        )
     else:
         interpreter = Interpreter(
             rules,
@@ -402,6 +414,7 @@ def _render_obs_report(observer, top: int = 10) -> str:
         abort_chains,
         coverage,
         cycle_breakdowns,
+        held_backs,
         makespan,
         shard_attribution,
     )
@@ -416,8 +429,8 @@ def _render_obs_report(observer, top: int = 10) -> str:
     )
     lines.append(
         f"  {'wave':>4} {'duration':>10} {'lock_wait':>10} "
-        f"{'match':>10} {'acquire':>10} {'rhs':>10} {'storage':>10} "
-        f"{'other':>10}  dominant chain"
+        f"{'match':>10} {'admit':>10} {'acquire':>10} {'rhs':>10} "
+        f"{'storage':>10} {'other':>10}  dominant chain"
     )
     ranked = sorted(breakdowns, key=lambda b: -b.duration)[:top]
     for b in sorted(ranked, key=lambda b: b.wave):
@@ -426,6 +439,7 @@ def _render_obs_report(observer, top: int = 10) -> str:
             f"  {b.wave:>4} {b.duration:>10.6f} "
             f"{b.buckets['lock_wait']:>10.6f} "
             f"{b.buckets['match']:>10.6f} "
+            f"{b.buckets['admit']:>10.6f} "
             f"{b.buckets['acquire']:>10.6f} "
             f"{b.buckets['rhs']:>10.6f} "
             f"{b.buckets['storage']:>10.6f} "
@@ -470,6 +484,16 @@ def _render_obs_report(observer, top: int = 10) -> str:
                 f"{c.committer_rule:<16} {c.committer_txn:<6} "
                 f"{', '.join(c.objs) or '-'}"
             )
+
+    # A deterministic wave decides rule (ii) at admission: its readers
+    # are held back, not aborted, and show up here instead.
+    held = held_backs(spans)
+    lines.append(f"admission: {len(held)} held back")
+    pairs = Counter((h.writer_rule, h.reader_rule, h.obj) for h in held)
+    for (writer, reader, obj), count in pairs.most_common(top):
+        lines.append(f"  {count:>5}  {writer} -> {reader} on {obj}")
+    if len(pairs) > top:
+        lines.append(f"  ... {len(pairs) - top} more pairs")
 
     lines.append("")
     snap = observer.metrics.snapshot().get("lock.wait_seconds")
@@ -555,12 +579,14 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         waves = metrics.get("wave.count")
         committed = metrics.get("firing.committed")
         aborted = metrics.get("firing.aborted")
+        held = metrics.get("firing.held")
         cycle_sketch = metrics.get("cycle.sketch_seconds")
         p95 = cycle_sketch.quantile(0.95) if cycle_sketch else None
         return (
             f"waves={waves.value if waves else 0:>5} "
             f"committed={committed.value if committed else 0:>6} "
             f"aborted={aborted.value if aborted else 0:>5} "
+            f"held={held.value if held else 0:>5} "
             f"cycle_p95={'%.6f' % p95 if p95 is not None else '-':>9} "
             f"health={observer.health.status}"
         )

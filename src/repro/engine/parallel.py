@@ -12,11 +12,16 @@ A *wave* of logically concurrent firings:
 1. The wave's candidates are the eligible instantiations (at most
    ``processors`` of them, Section 5's ``Np``), in conflict-resolution
    order.
-2. Every candidate acquires condition locks (``R``/``Rc``) on the data
-   objects its LHS examined — tuple-level for matched WMEs, relation
-   level (SYSTEM-CATALOG tuple) for negated condition elements, per
-   Section 4.3's escalation rule.
-3. Candidates then execute their RHSs in conflict-resolution order,
+2. *Admission* (deterministic driver, ``Rc`` only): the wave holds back
+   every candidate its own commit order is certain to abort — see
+   "Wave admission" below.  A held-back candidate stays in the conflict
+   set for the next wave and costs no transaction, no lock request and
+   no history operation.
+3. Every admitted candidate acquires condition locks (``R``/``Rc``) on
+   the data objects its LHS examined — tuple-level for matched WMEs,
+   relation level (SYSTEM-CATALOG tuple) for negated condition
+   elements, per Section 4.3's escalation rule.
+4. Candidates then execute their RHSs in conflict-resolution order,
    each acquiring its action locks at RHS start:
 
    * under **2PL**, a firing whose ``W`` locks conflict with another
@@ -26,11 +31,52 @@ A *wave* of logically concurrent firings:
      at commit, conflicting ``Rc`` holders are aborted (rule (ii)) and
      their partial work rolled back.
 
-4. Aborted/deferred candidates release their locks at wave end; the
+5. Aborted/deferred candidates release their locks at wave end; the
    next wave re-runs match over the updated database.
 
-:class:`ParallelEngine` drives a wave deterministically (all
-candidates acquire, then the granted ones act in order);
+**Wave admission.**  Section 4.3 grants ``Rc`` freely and pays at
+commit because on a multiprocessor nobody knows who commits first.  The
+deterministic driver does know: candidates act in conflict-resolution
+order.  So rule (ii) is decided before the locks are taken
+(:meth:`ParallelEngine._admit`): walk the wave in order with
+``written`` empty; a candidate whose footprint *reads* meet ``written``
+is held back, otherwise it is admitted and its footprint *writes* join
+``written``.  This is the wave's own outcome computed early, not a
+heuristic:
+
+* every ``Rc`` is granted (no ``Wa`` is held across candidates) and slot
+  *k* reaches its turn after every earlier slot has committed or
+  released, so *k* is a rule-(ii) victim iff some earlier *committed*
+  slot wrote an object *k* read;
+* write-write overlap with an earlier slot is harmless (its ``Wa`` is
+  gone by then), and a reader ordered *before* the writer commits first
+  (rule (i)) — hence reads against earlier writes only, in order,
+  asymmetric;
+* a retracted instantiation is subsumed: every retraction comes from a
+  written tuple key or a catalog key the footprint reads;
+* key equality is the lock manager's (flat ``data_object_key`` /
+  ``catalog_lock_key`` equality), not ``core.interference``'s
+  containment — a wider test would hold back candidates that commit.
+
+The pass runs exactly when Table 4.1 lets the scheme's write mode
+through its condition mode (``compatible(Wa, Rc)``); ``2pl``/``c2pl``
+refuse at the first denied lock already and are driven as before.
+Real threads have no commit order to read the outcome from — the race
+decides, and an ``Rc`` holder that wins it must survive — so
+:class:`~repro.engine.threaded.ThreadedWaveExecutor` keeps real rule
+(ii).  Under an injected fault an admitted writer may fail to commit,
+and the readers held back for it wait a wave they would not have had
+to: safe (they never left the conflict set), and they wait for as long
+as that writer keeps being ranked first and refused.  A retry policy
+bounds it — the writer runs out of budget, lands in ``gave_up`` and its
+readers are next.  Without one (the default) a *persistent* fault on
+the first-ranked writer holds its readers back in every full-width
+wave, the width-1 fallback picks the writer again, and the run ends at
+``max_waves`` with the readers unfired — where rule (ii) at commit let
+them through in wave 1, the refused writer never having written.
+
+:class:`ParallelEngine` drives a wave deterministically (admit, all
+admitted candidates acquire, then the granted ones act in order);
 :class:`~repro.engine.threaded.ThreadedWaveExecutor` drives the same
 steps on one OS thread per candidate with blocking locks, and
 :class:`~repro.engine.multiuser.MultiUserEngine` only changes how a
@@ -61,6 +107,7 @@ from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy, VirtualSleeper
 from repro.lang.production import Production
 from repro.locks import SCHEMES
+from repro.locks.modes import compatible
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
 from repro.match.strategies import Strategy, make_strategy
@@ -80,18 +127,22 @@ class WaveResult:
     ``deferred`` holds the attempts whose locks were unavailable
     (denied, timed out or refused by an injected fault); ``aborted``
     the rule-(ii) and deadlock victims, invalidated instantiations and
-    failed RHSs.
+    failed RHSs.  ``held`` is not an attempt: the candidates wave
+    admission held back before any lock was taken, because an earlier
+    candidate of this wave writes what they read.
     """
 
     wave: int
     committed: list[str] = field(default_factory=list)
     aborted: list[str] = field(default_factory=list)
     deferred: list[str] = field(default_factory=list)
+    held: list[str] = field(default_factory=list)
 
     def __str__(self) -> str:
         return (
             f"wave {self.wave}: committed={self.committed} "
-            f"aborted={self.aborted} deferred={self.deferred}"
+            f"aborted={self.aborted} deferred={self.deferred} "
+            f"held={self.held}"
         )
 
 
@@ -208,6 +259,11 @@ class ParallelEngine:
             history=self.history, observer=self.obs, stripes=lock_stripes
         )
         self._preclaims = getattr(self.scheme, "preclaims", False)
+        #: Table 4.1 lets the write mode through the condition mode
+        #: (Wa over Rc): rule (ii) exists, and :meth:`_admit` decides it.
+        self._admits = compatible(
+            self.scheme.action_write_mode, self.scheme.condition_mode
+        )
         self.processors = processors
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
@@ -229,6 +285,11 @@ class ParallelEngine:
     def abort_count(self) -> int:
         """Aborted attempts across the run (rule (ii) and the rest)."""
         return sum(len(wave.aborted) for wave in self.waves)
+
+    @property
+    def held_count(self) -> int:
+        """Candidates held back by wave admission across the run."""
+        return sum(len(wave.held) for wave in self.waves)
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -329,6 +390,7 @@ class ParallelEngine:
                     committed=len(wave.committed),
                     aborted=len(wave.aborted),
                     deferred=len(wave.deferred),
+                    held=len(wave.held),
                     duration=obs.clock() - wave_start,
                 )
         finally:
@@ -338,13 +400,70 @@ class ParallelEngine:
                     committed=len(wave.committed),
                     aborted=len(wave.aborted),
                     deferred=len(wave.deferred),
+                    held=len(wave.held),
                 )
         return wave
 
+    def _admit(
+        self, wave: WaveResult, candidates: list[Instantiation],
+        spans, cycle_span,
+    ) -> list[Instantiation]:
+        """Rule (ii) decided before the locks are taken: the candidates
+        of ``wave`` that can commit, in order.  A candidate that reads
+        what an earlier admitted candidate writes is this wave's
+        certain rule-(ii) victim (module docstring, "Wave admission");
+        it is held back — filed in ``wave.held``, left in the conflict
+        set — instead of being locked, aborted and released.
+
+        Decides from the ordered footprints alone, and only where
+        Table 4.1 lets a writer past a condition reader; elsewhere the
+        list comes back untouched.
+        """
+        if not self._admits:
+            return candidates
+        obs = self.obs
+        start = obs.clock() if obs.enabled else 0.0
+        phase_span = (
+            spans.start("phase.admit", parent=cycle_span)
+            if spans is not None else None
+        )
+        #: object -> rule of the first admitted candidate writing it.
+        written: dict = {}
+        unwritten = written.keys().isdisjoint  # the view is live
+        admitted: list[Instantiation] = []
+        for instantiation in candidates:
+            reads, writes = instantiation.lock_footprint()
+            rule = instantiation.production.name
+            if unwritten(reads):
+                admitted.append(instantiation)
+                for obj in writes:
+                    written.setdefault(obj, rule)
+                continue
+            wave.held.append(rule)
+            if phase_span is not None:
+                # The determination record: which admitted writer, on
+                # which object, this wave chose over the reader.
+                obj = next(obj for obj in reads if obj in written)
+                now = spans.clock()
+                spans.record(
+                    "held", start=now, end=now, parent=phase_span,
+                    wave=wave.wave, rule=rule, obj=repr(obj),
+                    writer=written[obj],
+                    **self._span_fields(instantiation),
+                )
+        if phase_span is not None:
+            phase_span.finish(
+                candidates=len(candidates), held=len(wave.held)
+            )
+        if obs.enabled:
+            obs.admit_finished(obs.clock() - start)
+        return admitted
+
     def _drive(self, wave: WaveResult, candidates, spans, cycle_span) -> None:
-        """Deterministic driving: every candidate takes its condition
-        locks (phase 1), then the granted ones act in conflict-
-        resolution order (phase 2)."""
+        """Deterministic driving: admission, then every admitted
+        candidate takes its condition locks (phase 1), then the granted
+        ones act in conflict-resolution order (phase 2)."""
+        candidates = self._admit(wave, candidates, spans, cycle_span)
         obs = self.obs
         slots: list[tuple[Instantiation, Transaction]] = []
         phase_span = (
@@ -367,9 +486,7 @@ class ParallelEngine:
                 slots.append((instantiation, txn))
                 if acq is not None:
                     # The binding stays on the acquire span until the
-                    # firing span takes over in phase 2, so a
-                    # rule-(ii) abort link from an earlier commit
-                    # lands on the span holding the Rc locks.
+                    # firing span takes over in phase 2.
                     acq.finish(granted=True)
             else:
                 self._settle(wave, instantiation, txn, out)
@@ -397,9 +514,11 @@ class ParallelEngine:
                     )
                     spans.bind(txn.txn_id, firing)
                 try:
-                    # Victims and retracted instantiations are found
-                    # before they ask for action locks; commit.victims
-                    # of an earlier slot show up here as is_aborted.
+                    # A candidate aborted from outside or retracted
+                    # since it locked is found before it asks for
+                    # action locks.  Admission leaves no such slot in a
+                    # deterministic wave; the check is the firing
+                    # contract's own and costs two lookups.
                     out = self._stale(instantiation, txn) or self._act(
                         wave, instantiation, txn
                     )

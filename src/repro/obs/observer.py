@@ -188,6 +188,7 @@ class Observer:
         self._c_fire_committed = m.counter("firing.committed")
         self._c_fire_aborted = m.counter("firing.aborted")
         self._c_fire_deferred = m.counter("firing.deferred")
+        self._c_fire_held = m.counter("firing.held")
         self._c_rollbacks = m.counter("engine.rollbacks")
         self._c_fault_injected = m.counter("fault.injected")
         self._c_retry_attempts = m.counter("retry.attempts")
@@ -375,19 +376,21 @@ class Observer:
 
     def wave_finished(
         self, wave: int, committed: int, aborted: int, deferred: int,
-        duration: float,
+        held: int, duration: float,
     ) -> None:
         self._c_waves.inc()
         self._c_fire_committed.inc(committed)
         self._c_fire_aborted.inc(aborted)
         self._c_fire_deferred.inc(deferred)
+        self._c_fire_held.inc(held)
         self._cycle_sketch.observe(duration)
         self._flush_health()
         self.health.evaluate()
         if self._trace_on:
             self.trace.emit(
                 "wave.end", wave=wave, committed=committed,
-                aborted=aborted, deferred=deferred, duration=duration,
+                aborted=aborted, deferred=deferred, held=held,
+                duration=duration,
             )
 
     def firing_committed(self, rule: str, cycle: int) -> None:
@@ -414,6 +417,10 @@ class Observer:
         self.profiler.record_match(seconds)
 
     # -- profiler feeds (span-close timings from the engines) ------------------------------
+
+    def admit_finished(self, seconds: float) -> None:
+        """A wave's admission pass closed."""
+        self.profiler.record_admit(seconds)
 
     def acquire_finished(
         self, rule: str, txn_id: str, seconds: float

@@ -20,7 +20,10 @@ Four buckets per rule:
   ``record_acquire``/``record_firing`` for that transaction — the
   call that *does* know the rule.
 * ``acquire`` — lock acquisition self-time (acquire span duration
-  minus the claimed lock wait).
+  minus the claimed lock wait).  Wave admission — deciding, from the
+  ordered footprints, which candidates get to acquire at all — lands
+  here on the ``(admit)`` pseudo-rule, for the same reason match time
+  has one: it is work of the wave, not of one rule.
 * ``rhs``     — right-hand-side execution self-time (firing span
   duration minus any wait claimed inside it — the threaded executor
   acquires locks inside the firing attempt).
@@ -39,6 +42,9 @@ BUCKETS = ("match", "lock_wait", "acquire", "rhs")
 
 #: Pseudo-rule that owns engine-level match time.
 MATCH_RULE = "(match)"
+
+#: Pseudo-rule that owns wave-admission time.
+ADMIT_RULE = "(admit)"
 
 
 class RuleStats:
@@ -108,6 +114,11 @@ class RuleProfiler:
         """Engine-level match latency for one cycle."""
         with self._mutex:
             self._stats(MATCH_RULE).match += seconds
+
+    def record_admit(self, seconds: float) -> None:
+        """One wave's admission pass."""
+        with self._mutex:
+            self._stats(ADMIT_RULE).acquire += seconds
 
     def record_acquire(
         self, rule: str, txn_id: str, seconds: float

@@ -9,6 +9,9 @@ caused this cascade of Rc aborts?").  The taxonomy the engines emit::
     run                          one engine run
     └─ cycle                     one wave (the paper's recognize-act cycle)
        ├─ phase.match            conflict-set ordering / selection
+       ├─ phase.admit            rule (ii) decided from the footprints
+       │  └─ held                one candidate held back (zero duration:
+       │                         wave, rule, obj, admitted writer)
        ├─ phase.acquire          condition-lock acquisition
        │  └─ acquire             one candidate's condition locks
        │     └─ lock.acquire     one lock grant (dur = wait time)

@@ -128,7 +128,8 @@ class WME:
             return mapping
 
     def __reduce__(self):
-        # The cached mapping is derived state; pickle only the fields.
+        # The cached mapping and data-object key are derived state;
+        # pickle only the fields.
         return (WME, (self.relation, self.items, self.timetag))
 
     # -- derivation ----------------------------------------------------------
@@ -166,8 +167,19 @@ def data_object_key(wme: WME) -> tuple[str, Any]:
     or ``id`` attribute (tuple-level locking) and otherwise at its full
     value identity.  Relation-level escalation is handled separately by
     :mod:`repro.locks.escalation`.
+
+    Cached on the element the way :meth:`WME.mapping` caches its dict:
+    every lock footprint naming the element asks again.
     """
-    for candidate in ("key", "id"):
-        if candidate in wme:
-            return (wme.relation, wme[candidate])
-    return (wme.relation, wme.items)
+    try:
+        return wme._data_object_key
+    except AttributeError:
+        mapping = wme.mapping()
+        if "key" in mapping:
+            key = (wme.relation, mapping["key"])
+        elif "id" in mapping:
+            key = (wme.relation, mapping["id"])
+        else:
+            key = (wme.relation, wme.items)
+        object.__setattr__(wme, "_data_object_key", key)
+        return key

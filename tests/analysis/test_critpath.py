@@ -10,6 +10,7 @@ from repro.analysis.critpath import (
     critical_chain,
     cycle_breakdowns,
     diff_bench,
+    held_backs,
     makespan,
 )
 from repro.obs import SpanRecorder
@@ -51,6 +52,8 @@ class TestCategorize:
             ("phase.match", "match"),
             ("match.flush", "match"),
             ("match.shard", "match"),
+            ("phase.admit", "admit"),
+            ("held", "admit"),
             ("phase.acquire", "acquire"),
             ("acquire", "acquire"),
             ("firing", "rhs"),
@@ -163,6 +166,39 @@ class TestAbortChains:
         (chain,) = abort_chains(rec)
         assert chain.committer_rule == "?"
         assert chain.committer_span == 999
+
+
+class TestHeldBacks:
+    def test_records_come_back_in_decision_order(self):
+        rec = SpanRecorder()
+        cycle = rec.record("cycle", start=0.0, end=4.0, wave=3)
+        admit = rec.record(
+            "phase.admit", start=0.0, end=1.0, parent=cycle
+        )
+        for reader in ("observe", "audit"):
+            rec.record(
+                "held", start=0.5, end=0.5, parent=admit, wave=3,
+                rule=reader, obj="('flag', 1)", writer="toggle",
+            )
+        rec.record("acquire", start=1.0, end=2.0, rule="toggle")
+        first, second = held_backs(rec)
+        assert (first.wave, first.reader_rule) == (3, "observe")
+        assert (first.writer_rule, first.obj) == ("toggle", "('flag', 1)")
+        assert second.reader_rule == "audit"
+
+    def test_admission_time_is_its_own_bucket(self):
+        rec = SpanRecorder()
+        cycle = rec.record("cycle", start=0.0, end=4.0, wave=1)
+        admit = rec.record(
+            "phase.admit", start=1.0, end=2.5, parent=cycle
+        )
+        rec.record(
+            "held", start=2.0, end=2.0, parent=admit, wave=1,
+            rule="observe", obj="q", writer="toggle",
+        )
+        (breakdown,) = cycle_breakdowns(rec)
+        assert breakdown.buckets["admit"] == pytest.approx(1.5)
+        assert breakdown.buckets["other"] == pytest.approx(2.5)
 
 
 def bench_payload(wall=1.0, speedup=2.25, seq="p3p2p4"):

@@ -113,11 +113,13 @@ def build(executor: str, spec: dict, scheme: str, matcher: str, chaos: bool):
 
 def collect(engine, max_waves: int = 2_000) -> tuple[RunResult, int]:
     """Run to the end and close; returns the run's result and how many
-    attempts ended without a commit (aborted or deferred)."""
+    times a candidate lost its wave: aborted, deferred, or — where the
+    wave decides rule (ii) at admission — held back unlocked."""
     with engine:
         result = engine.run(max_waves)
     return result, sum(
-        len(w.aborted) + len(w.deferred) for w in engine.waves
+        len(w.aborted) + len(w.deferred) + len(w.held)
+        for w in engine.waves
     )
 
 
@@ -166,8 +168,8 @@ def test_firing_contract(program, executor, scheme, matcher, chaos):
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_upgrade_conflict_commits_exactly_once(executor, scheme):
     """Both readers want the upgrade; one commits, the other must be
-    seen to lose (abort, deferral or deadlock victim) — never two
-    commits, which would leave nobody on call."""
+    seen to lose (abort, deferral, deadlock victim or hold-back) —
+    never two commits, which would leave nobody on call."""
     engine, rules, memory = build(executor, ON_CALL, scheme, "rete", False)
     snapshot = WMSnapshot.capture(memory)
     result, lost = collect(engine)

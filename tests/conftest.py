@@ -6,6 +6,8 @@ import pytest
 
 from repro.lang import RuleBuilder
 from repro.lang.builder import gt, var
+from repro.locks import RcScheme
+from repro.txn import Transaction
 from repro.wm import WorkingMemory
 
 
@@ -49,3 +51,36 @@ def order_wm() -> WorkingMemory:
         memory.make("order", id=i, status="open", total=40 + i * 10)
     memory.make("hold", order=3)
     return memory
+
+
+@pytest.fixture
+def rule_ii_by_hand():
+    """``drive(observer)``: rule (ii) where it still runs.
+
+    A deterministic wave decides rule (ii) at admission and never
+    aborts anybody, so the tests of the abort's telemetry drive
+    ``RcScheme`` the way a racing executor meets it: ``observe`` holds
+    Rc on the flag, ``toggle`` takes Wa over it and reaches its commit
+    point first.  Transactions are bound to ``firing`` spans as the
+    executors bind them.
+    """
+
+    def drive(observer) -> None:
+        spans = observer.spans
+        scheme = RcScheme(observer=observer)
+        reader = Transaction(rule_name="observe")
+        writer = Transaction(rule_name="toggle")
+        for txn in (reader, writer):
+            spans.bind(
+                txn.txn_id,
+                spans.start("firing", rule=txn.rule_name, txn=txn.txn_id),
+            )
+        scheme.lock_condition(reader, ("flag", 1))
+        scheme.lock_action(writer, writes=[("flag", 1)])
+        assert scheme.commit(writer).victims == [reader]
+        scheme.abort(reader, "rule (ii) victim")
+        for txn in (reader, writer):
+            spans.for_txn(txn.txn_id).finish()
+            spans.unbind(txn.txn_id)
+
+    return drive

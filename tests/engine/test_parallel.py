@@ -208,18 +208,20 @@ def test_every_strategy_orders_waves_consistently(
 
 
 @pytest.mark.parametrize(
-    "scheme, digest, waves, aborts, deferrals",
+    "scheme, digest, waves, held, deferrals",
     [
         ("rc", "f622b6739465d63f", 25, 88, 0),
         ("2pl", "0747bac9b6dfbff7", 19, 0, 20),
     ],
 )
 def test_lanes_commit_sequence_is_pinned(
-    scheme, digest, waves, aborts, deferrals
+    scheme, digest, waves, held, deferrals
 ):
     """``Strategy.order`` must produce the order repeated ``select``
     produced: these values were recorded with the selection-sort wave
-    ordering (LEX, 8 processors) and may not move."""
+    ordering (LEX, 8 processors) and may not move.  Re-pinned: the 88
+    rule-(ii) aborts of the ``rc`` run are the same 88 candidates, now
+    held back at admission before any lock is taken."""
     engine = ParallelEngine(
         parse_program(LANES), lanes_memory(), scheme=scheme,
         strategy="lex", processors=8,
@@ -233,5 +235,6 @@ def test_lanes_commit_sequence_is_pinned(
     assert len(result.firings) == 16 * 6
     assert sha.hexdigest()[:16] == digest
     assert len(engine.waves) == result.cycles == waves
-    assert engine.abort_count == aborts
+    assert engine.held_count == held
+    assert engine.abort_count == 0
     assert sum(len(w.deferred) for w in engine.waves) == deferrals

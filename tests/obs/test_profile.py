@@ -6,7 +6,12 @@ import repro.obs as obs
 from repro.engine import ParallelEngine
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
-from repro.obs.profile import MATCH_RULE, RuleProfiler, render_profile
+from repro.obs.profile import (
+    ADMIT_RULE,
+    MATCH_RULE,
+    RuleProfiler,
+    render_profile,
+)
 from repro.wm import WorkingMemory
 from repro.workloads.manners import (
     build_manners_memory,
@@ -64,6 +69,15 @@ class TestRuleProfiler:
         row = profiler.snapshot()["rules"][0]
         assert row["rule"] == MATCH_RULE
         assert row["match"] == pytest.approx(0.25)
+        assert row["firings"] == 0
+
+    def test_admission_time_lands_on_its_own_pseudo_rule(self):
+        profiler = RuleProfiler()
+        profiler.record_admit(0.125)
+        profiler.record_admit(0.125)
+        row = profiler.snapshot()["rules"][0]
+        assert row["rule"] == ADMIT_RULE
+        assert row["acquire"] == pytest.approx(0.25)
         assert row["firings"] == 0
 
     def test_unclaimed_wait_is_reported_not_lost(self):
@@ -126,8 +140,14 @@ class TestEngineAttribution:
         per-wave bookkeeping around the firings, and of an 8-guest
         run (5 ms) that was already 8-10 % — the bar sat inside the
         run-to-run spread, and every match speed-up shrinks the
-        attributed share further.  At 32 guests the run is ~50 ms and
-        coverage reads 0.93 run after run."""
+        attributed share further.  At 32 guests the run is ~30 ms and
+        coverage reads 0.94-0.95 run after run.
+
+        Re-targeted: a quarter of that run is wave admission (the
+        footprints of the candidates it holds back), which used to be
+        attributed as acquire/firing time of the aborted attempts; it
+        is covered through the ``(admit)`` row, and would read 0.6
+        without it."""
         observer = obs.Observer(level="sampled")
         engine = ParallelEngine(
             build_manners_rules(),
@@ -142,6 +162,9 @@ class TestEngineAttribution:
         # Real Manners productions show up under their own names.
         named = {r["rule"] for r in snap["rules"]}
         assert any(not r.startswith("(") for r in named)
+        rows = {r["rule"]: r for r in snap["rules"]}
+        assert rows[ADMIT_RULE]["acquire"] > 0
+        assert rows[ADMIT_RULE]["firings"] == 0
 
     def test_profiling_works_with_spans_fully_sampled_out(self):
         """Profiling is an aggregate: rate 0.0 drops every span tree

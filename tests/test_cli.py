@@ -415,6 +415,28 @@ class TestObsExport:
         assert any(r["name"] == "cycle" for r in rows)
 
 
+class TestRunSaysWhoLostTheWave:
+    @pytest.mark.parametrize(
+        "scheme, summary",
+        [
+            ("rc", "held back: 1, rule-(ii) aborts: 0, deferred: 0"),
+            ("2pl", "held back: 0, rule-(ii) aborts: 0, deferred: 1"),
+        ],
+    )
+    def test_parallel_summary_counts_hold_backs(
+        self, conflict_rule_file, conflict_facts_file, capsys, scheme,
+        summary,
+    ):
+        code = main(
+            ["run", str(conflict_rule_file),
+             "--facts", str(conflict_facts_file),
+             "--strategy", "priority", "--parallel", scheme]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert summary in out
+
+
 class TestObsReport:
     def test_report_shows_critical_paths_and_aborts(
         self, conflict_rule_file, conflict_facts_file, capsys
@@ -428,8 +450,26 @@ class TestObsReport:
         assert code == 0
         assert "critical paths" in out
         assert "makespan" in out
-        assert "rule-(ii) abort attribution: 1 abort" in out
+        # Re-targeted: the deterministic wave holds the reader back at
+        # admission, so nothing is left for rule (ii) to abort.
+        assert "rule-(ii) abort attribution: 0 aborts" in out
+        assert "admission: 1 held back" in out
+        assert "toggle -> observe on ('flag', 1)" in out
+
+    def test_report_still_attributes_real_rule_ii_aborts(
+        self, rule_ii_by_hand
+    ):
+        """Rule (ii) where it still runs keeps its victim <- committer
+        table."""
+        import repro.obs as obs
+        from repro.cli import _render_obs_report
+
+        observer = obs.Observer()
+        rule_ii_by_hand(observer)
+        out = _render_obs_report(observer)
+        assert "rule-(ii) abort attribution: 1 aborts" in out
         assert "observe" in out and "toggle" in out
+        assert "admission: 0 held back" in out
 
 
 class TestObsDiff:

@@ -120,3 +120,15 @@ class TestDataObjectKey:
         old = WME.make("order", id=5, status="open")
         new = old.replaced({"status": "shipped"})
         assert data_object_key(old) == data_object_key(new)
+
+    def test_key_is_cached_on_the_element_and_never_pickled(self):
+        import pickle
+
+        w = WME.make("order", id=5, status="open")
+        twin = WME("order", w.items, w.timetag)
+        assert data_object_key(w) is data_object_key(w)
+        # Derived state: no part of equality, hashing or the pickle.
+        assert w == twin and hash(w) == hash(twin)
+        data = pickle.dumps(w)
+        assert b"_data_object_key" not in data
+        assert data_object_key(pickle.loads(data)) == ("order", 5)
