@@ -13,9 +13,14 @@ top of the reproduction.  Three claims are measured:
    incremental compaction keeps total WAL bytes flat while the
    uncompacted log grows linearly in the number of deltas.
 
+Everything goes through the public API with bare mutations, so each
+delta is a unit of one and one WAL record (the store journals one
+commit record per ``WorkingMemory.atomic`` unit).
+
 Set ``REPRO_BENCH_SMOKE=1`` (CI recovery-smoke job) for a reduced
-grid; the committed ``BENCH_recovery.json`` carries the full grid
-(up to ~1M WMEs).
+grid; the committed ``BENCH_recovery.json`` carries the default grid
+(up to 100k WMEs).  The 1M-WME tier takes minutes and is opt-in:
+``REPRO_BENCH_FULL=1``.
 """
 
 import os
@@ -27,12 +32,14 @@ from conftest import report
 from repro.wm import DurableStore, WorkingMemory
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
 #: Working-memory sizes for the restart-time sweep.  Tier titles stay
-#: the same in smoke and full runs so CI's reduced grid diffs cleanly
-#: against the committed full-grid baseline (tier 3 exists only in
-#: the full run).
-SIZES = (2_000, 10_000) if SMOKE else (10_000, 100_000, 1_000_000)
+#: the same in every grid so CI's reduced one diffs cleanly against the
+#: committed baseline (tier 3 exists only under ``REPRO_BENCH_FULL``).
+SIZES = (2_000, 10_000) if SMOKE else (10_000, 100_000)
+if FULL:
+    SIZES += (1_000_000,)
 #: Ops for the snapshot-interval sweep; intervals divide it.
 INTERVAL_OPS = 2_000 if SMOKE else 50_000
 INTERVALS = (0, 4, 64)  # checkpoints per run
@@ -42,9 +49,10 @@ CHURN_OPS = 200 if SMOKE else 2_000  # add/remove pairs per round
 
 
 def _populate(directory, count):
-    """Journal a history of ``3 * count`` deltas leaving ``count``
-    live elements (each kept add rides with a churned add/remove
-    pair), with no fsync — build cost is not the thing under test.
+    """Journal a history of ``3 * count`` deltas — bare mutations, so
+    ``3 * count`` records — leaving ``count`` live elements (each kept
+    add rides with a churned add/remove pair), with no fsync — build
+    cost is not the thing under test.
     Returns total WAL bytes.  The 3:1 history:live ratio is what
     separates replay restart (pays for history) from snapshot restart
     (pays for live elements only)."""

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -96,6 +98,24 @@ def _out_dir() -> Path | None:
     return Path(__file__).resolve().parent.parent
 
 
+def _host_stamp() -> dict:
+    """Where the numbers were taken: core count, Python version and
+    the commit the tree was at (``-dirty`` when it had local edits)."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": commit,
+    }
+
+
 def pytest_sessionfinish(session, exitstatus) -> None:
     """Write one ``BENCH_<module>.json`` per benchmark module."""
     out_dir = _out_dir()
@@ -106,10 +126,12 @@ def pytest_sessionfinish(session, exitstatus) -> None:
         module = Path(nodeid.split("::", 1)[0]).stem
         by_module.setdefault(module, {})[nodeid] = tables
     out_dir.mkdir(parents=True, exist_ok=True)
+    host = _host_stamp()
     for module, tests in sorted(by_module.items()):
         stem = module.removeprefix("bench_")
         payload = {
             "module": module,
+            "host": host,
             "generated_at": time.strftime(
                 "%Y-%m-%dT%H:%M:%S%z", time.localtime()
             ),

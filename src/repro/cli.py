@@ -58,13 +58,15 @@ Subcommands
 ``repro storage inspect|checkpoint|compact DIR``
     Durable-store maintenance: describe the on-disk state (checkpoint
     LSN, segment ranges, bytes), land a snapshot + truncate covered
-    segments, or merge sealed segments dropping cancelling deltas.
+    segments, or merge sealed segments into their net change.
 ``repro storage chaos [--seeds N] [--ops M]``
-    The recovery proof: seeded op sequences crashed at every storage
-    fault window (WAL write, rotation, checkpoint tmp/rename/dir-
-    fsync/truncate, compaction) must recover bit-identically to the
-    journalled prefix.  Exits non-zero on any divergence or any
-    window the workload failed to reach.
+    The recovery proof: seeded op sequences, and the order pipeline
+    under ``Interpreter`` and ``ParallelEngine``, crashed at every
+    storage fault window (WAL commit, rotation, checkpoint tmp/rename/
+    dir-fsync/truncate, compaction) must recover bit-identically to a
+    commit-sequence prefix — whole units, whole firings.  Exits
+    non-zero on any divergence or any window the workload failed to
+    reach.
 
 Installed as the ``repro`` console script.
 """
@@ -787,15 +789,16 @@ def _cmd_storage_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage_chaos(args: argparse.Namespace) -> int:
-    from repro.fault.storage_chaos import crash_equivalence_sweep
+    from repro.fault.storage_chaos import DRIVERS, crash_equivalence_sweep
     from repro.wm.storage import STORAGE_FAULT_SITES
 
     if args.seeds < 1 or args.ops < 1:
         raise ReproError("storage chaos needs --seeds >= 1 and --ops >= 1")
     print(
         f"storage chaos: {args.seeds} seeds x "
-        f"{len(STORAGE_FAULT_SITES)} crash sites, {args.ops} ops, "
-        f"durability={args.durability}"
+        f"{len(STORAGE_FAULT_SITES)} crash sites x "
+        f"{len(DRIVERS)} drivers ({args.ops} raw ops, or the order "
+        f"pipeline's firings), durability={args.durability}"
     )
     result = crash_equivalence_sweep(
         seeds=range(args.seeds),
@@ -803,11 +806,12 @@ def _cmd_storage_chaos(args: argparse.Namespace) -> int:
         durability=args.durability,
     )
     print(
-        f"{'seed':>4} {'site':<22} {'fired':>5} {'ops':>4} recovery"
+        f"{'seed':>4} {'site':<22} {'driver':<12} {'fired':>5} "
+        f"{'ops':>4} recovery"
     )
     for case in result.cases:
         print(
-            f"{case.seed:>4} {case.site:<22} "
+            f"{case.seed:>4} {case.site:<22} {case.driver:<12} "
             f"{'yes' if case.fired else 'no':>5} "
             f"{case.ops_applied:>4} "
             f"{'ok' if case.ok else 'DIVERGED: ' + case.detail}"
@@ -818,7 +822,7 @@ def _cmd_storage_chaos(args: argparse.Namespace) -> int:
     if result.failures:
         print(
             f"FAILED: {len(result.failures)}/{len(result.cases)} cases "
-            "recovered a state different from the journalled prefix",
+            "recovered a state that is no commit-sequence prefix",
             file=sys.stderr,
         )
         return 1
@@ -829,8 +833,8 @@ def _cmd_storage_chaos(args: argparse.Namespace) -> int:
         )
         return 1
     print(
-        f"all {len(result.cases)} crash cases recovered the journalled "
-        "prefix exactly"
+        f"all {len(result.cases)} crash cases recovered a "
+        "commit-sequence prefix exactly"
     )
     return 0
 
@@ -1063,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
     storage_chaos = storage_sub.add_parser(
         "chaos",
         help="crash at every storage fault window; recovery must equal "
-        "the journalled prefix",
+        "a commit-sequence prefix",
     )
     storage_chaos.add_argument(
         "--seeds",
@@ -1075,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ops",
         type=int,
         default=48,
-        help="operations per sequence (default 48)",
+        help="operations per raw-op sequence (default 48)",
     )
     storage_chaos.add_argument(
         "--durability",

@@ -189,10 +189,16 @@ class Interpreter:
         RHS publishes all its WM deltas through one match barrier
         (one partitioned flush per firing instead of one per action).
         Nothing consults the conflict set until the next ``select``.
+
+        The firing is one ``memory.atomic`` unit: whatever persists the
+        memory persists the RHS whole, at the bracket's close, or not
+        at all.  There is no undo log here — an error from the RHS or
+        from that close propagates with memory as the RHS left it.
         """
         self.conflict_set.mark_fired(instantiation)
         with getattr(self.matcher, "batch", nullcontext)():
-            outcome = self.executor.execute(instantiation)
+            with self.memory.atomic(instantiation.production.name):
+                outcome = self.executor.execute(instantiation)
         self.result.firings.append(
             FiringRecord.from_instantiation(
                 instantiation, self.result.cycles

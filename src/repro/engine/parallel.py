@@ -613,37 +613,46 @@ class ParallelEngine:
         """The firing transaction — the one place a firing changes the
         database: RHS under an undo log, then commit, or roll back.
         The caller holds every lock of the footprint.
+
+        The RHS is one ``memory.atomic`` unit whose commit point comes
+        *before* ``scheme.commit`` releases a lock (write-ahead: what
+        persists the memory sees firings in commit order), and the
+        rollback runs inside the same unit, so an aborted firing nets
+        to nothing there.
         """
         obs = self.obs
         conflict_set = self.matcher.conflict_set
         undo = UndoLog(self.memory).attach()
-        try:
-            conflict_set.mark_fired(instantiation)
-            # Batch the RHS's WM deltas behind one match barrier; one
-            # firing at a time runs here, and the conflict set is next
-            # consulted by the following candidate's staleness check
-            # (after the batch has flushed).
-            with getattr(self.matcher, "batch", nullcontext)():
-                outcome = self.executor.execute(instantiation)
-            if self.fault is not None:
-                self.fault.crash_point(txn)
-        except Exception as error:
-            # The firing died — an injected crash after its RHS, or the
-            # RHS itself raising: roll back and clear the fired mark
-            # (the restored WMEs revive the same instantiation
-            # identity, which could otherwise never fire again).  A
-            # crash is survivable: the wave goes on and the retry
-            # budget governs re-driving.  A real error takes the same
-            # exit and then propagates.
-            undo.detach()
-            undone = undo.rollback()
-            conflict_set.forget_fired(instantiation)
-            if obs.enabled:
-                obs.rollback(txn.txn_id, undone)
-            if isinstance(error, FiringCrashed):
-                return _CRASHED
-            self._settle(wave, instantiation, txn, _RHS_RAISED)
-            raise
+        with self.memory.atomic(instantiation.production.name) as unit:
+            try:
+                conflict_set.mark_fired(instantiation)
+                # Batch the RHS's WM deltas behind one match barrier;
+                # one firing at a time runs here, and the conflict set
+                # is next consulted by the following candidate's
+                # staleness check (after the batch has flushed).
+                with getattr(self.matcher, "batch", nullcontext)():
+                    outcome = self.executor.execute(instantiation)
+                if self.fault is not None:
+                    self.fault.crash_point(txn)
+                unit.commit()
+            except Exception as error:
+                # The firing died — an injected crash after its RHS,
+                # the RHS itself raising, or the unit's commit failing:
+                # roll back and clear the fired mark (the restored WMEs
+                # revive the same instantiation identity, which could
+                # otherwise never fire again).  A crash is survivable:
+                # the wave goes on and the retry budget governs
+                # re-driving.  A real error takes the same exit and
+                # then propagates.
+                undo.detach()
+                undone = undo.rollback()
+                conflict_set.forget_fired(instantiation)
+                if obs.enabled:
+                    obs.rollback(txn.txn_id, undone)
+                if isinstance(error, FiringCrashed):
+                    return _CRASHED
+                self._settle(wave, instantiation, txn, _RHS_RAISED)
+                raise
         undo.detach()
         # commit.victims carry the rule-(ii) aborts; their own turn
         # finds them stale.

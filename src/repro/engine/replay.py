@@ -33,6 +33,9 @@ class ReplayOutcome:
     consistent: bool
     replayed: int
     detail: str = ""
+    #: Value identities of the replayed database after the last firing
+    #: replayed: the node of the execution graph the sequence reaches.
+    identities: frozenset[tuple] = frozenset()
 
     def __bool__(self) -> bool:
         return self.consistent
@@ -82,6 +85,7 @@ def replay_commit_sequence(
                     f"firing #{index} ({record.rule_name}) not in the "
                     f"replayed conflict set (active rules: {in_set_names})"
                 ),
+                identities=memory.value_identity_set(),
             )
         engine_matcher.conflict_set.mark_fired(chosen)
         executor.execute(chosen)
@@ -89,4 +93,5 @@ def replay_commit_sequence(
         consistent=True,
         replayed=len(firings),
         detail=f"all {len(firings)} firings replayed in order",
+        identities=memory.value_identity_set(),
     )

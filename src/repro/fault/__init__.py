@@ -16,8 +16,11 @@ single-threaded.
   firings instead of silently deferring them.
 * :class:`VirtualSleeper` — virtual time for deterministic backoff.
 * :mod:`repro.fault.storage_chaos` — the crash-equivalence sweep that
-  crashes the durable store at every checkpoint/rotation/compaction
-  window and proves recovery lands on the journalled prefix.
+  crashes the durable store at every commit/checkpoint/rotation/
+  compaction window, under raw operations and
+  (:mod:`repro.fault.firing_chaos`, not imported here: it needs the
+  engines) under the engines, and proves recovery lands on a
+  commit-sequence prefix.
 """
 
 from repro.fault.plan import (

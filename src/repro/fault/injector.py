@@ -13,7 +13,8 @@ Engines call one hook per fault site:
 * :meth:`rhs_abort` between lock acquisition and RHS execution;
 * :meth:`crash_point` after RHS execution, before the commit is
   recorded (raises :class:`~repro.errors.FiringCrashed`);
-* :meth:`storage_fault` before each durable-store write (raises
+* :meth:`storage_fault` before each durable-store write — one per
+  committed unit (``wal:commit``), not per delta (raises
   :class:`~repro.errors.StorageFailure`).
 
 All hooks are cheap no-ops when the plan has no matching spec, and the
@@ -137,7 +138,7 @@ class FaultInjector:
     def storage_fault(self, site: str = "wal") -> None:
         """Fault site: one durable-store operation.  Raises on injection.
 
-        ``site`` names the window (``"wal:add"``,
+        ``site`` names the window (``"wal:commit"``,
         ``"checkpoint:rename"``, ``"compact:truncate"``, ...; see
         :data:`repro.wm.storage.STORAGE_FAULT_SITES`) and doubles as
         the spec's ``obj`` filter, so a plan can crash one specific

@@ -33,9 +33,9 @@ from repro.errors import ReproError
 #:   rule-(ii) victim would;
 #: * ``crash_commit``— kill the firing after its RHS executed but
 #:   before its commit is recorded (rollback must recover);
-#: * ``storage_fail``— fail a durable-store operation (WAL write,
-#:   segment rotation, checkpoint, or compaction window; narrow with
-#:   ``obj=<site>``).
+#: * ``storage_fail``— fail a durable-store operation (a unit's WAL
+#:   commit record, segment rotation, checkpoint, or compaction window;
+#:   narrow with ``obj=<site>``).
 FaultKind = Literal[
     "lock_delay", "lock_deny", "abort_rhs", "crash_commit", "storage_fail"
 ]
@@ -64,7 +64,7 @@ class FaultSpec:
     obj:
         Only sites whose data-object ``repr`` contains this substring:
         the locked object for lock kinds, the storage window name
-        (``"checkpoint:rename"``, ``"wal:add"``, ...) for
+        (``"checkpoint:rename"``, ``"wal:commit"``, ...) for
         ``storage_fail``.
     mode:
         Only lock sites requesting this lock mode, by name

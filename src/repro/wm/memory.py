@@ -9,6 +9,12 @@ Change propagation is delta-based: every mutation produces a
 :class:`WMDelta` that is pushed to registered listeners.  The Rete and
 TREAT matchers subscribe to these deltas for incremental matching; the
 undo log subscribes to support transactional abort.
+
+Deltas group into *units* (:meth:`WorkingMemory.atomic`): a production
+execution is one unit, a ``modify`` is one unit, a mutation outside any
+bracket is a unit of one.  Unit listeners — the durable store — hear
+where a unit opens and where it commits, so what they persist is always
+the state after a whole number of units.
 """
 
 from __future__ import annotations
@@ -24,6 +30,11 @@ from repro.wm.schema import Catalog
 
 #: Signature of a working-memory change listener.
 DeltaListener = Callable[["WMDelta"], None]
+#: The two halves of a unit listener: ``opened(label)`` when an
+#: outermost :meth:`WorkingMemory.atomic` bracket opens, ``committed()``
+#: at its commit point.
+UnitOpened = Callable[["str | None"], None]
+UnitCommitted = Callable[[], None]
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,9 @@ class WorkingMemory:
         self._elements: dict[Timetag, WME] = {}
         self._index = AttributeIndex()
         self._listeners: list[DeltaListener] = []
+        self._unit_listeners: list[tuple[UnitOpened, UnitCommitted]] = []
+        #: Open :meth:`atomic` brackets (the outermost counts 1).
+        self._unit_depth = 0
         self._mutex = threading.RLock() if thread_safe else None
 
     # -- listeners ------------------------------------------------------------
@@ -78,9 +92,54 @@ class WorkingMemory:
         """Remove a previously registered listener."""
         self._listeners.remove(listener)
 
+    def subscribe_units(
+        self, opened: UnitOpened, committed: UnitCommitted
+    ) -> None:
+        """Register a unit listener (see :meth:`atomic`)."""
+        self._unit_listeners.append((opened, committed))
+
+    def unsubscribe_units(
+        self, opened: UnitOpened, committed: UnitCommitted
+    ) -> None:
+        """Remove a previously registered unit listener."""
+        self._unit_listeners.remove((opened, committed))
+
     def _publish(self, delta: WMDelta) -> None:
-        for listener in self._listeners:
-            listener(delta)
+        if self._unit_depth or not self._unit_listeners:
+            for listener in self._listeners:
+                listener(delta)
+        else:
+            # A mutation outside any bracket is a unit of one.
+            with Unit(self, None):
+                for listener in self._listeners:
+                    listener(delta)
+
+    # -- units -----------------------------------------------------------------
+
+    def atomic(self, label: str | None = None) -> "Unit":
+        """Bracket the mutations that must persist together or not at
+        all — one production execution (``label`` its rule name).
+
+        Re-entrant: an inner bracket joins the outermost one.  The
+        bracket holds :meth:`locked` for its duration, so on a
+        thread-safe memory units serialise.  Delta listeners (matchers,
+        the undo log) are untouched and hear every delta at once; unit
+        listeners hear ``opened(label)`` when the outermost bracket
+        opens and ``committed()`` at its *commit point*: a clean exit,
+        or :meth:`Unit.commit` called inside it — each ``committed()``
+        covers the deltas since the one before.  A bracket left by an
+        exception commits nothing — its deltas are abandoned by the
+        unit listeners, **not** undone: the bracket adds no undo log,
+        so without one (the single-thread interpreter) memory keeps the
+        partial change while the log stays at the unit before it.
+        """
+        return Unit(self, label)
+
+    @property
+    def in_unit(self) -> bool:
+        """Is an :meth:`atomic` bracket open (on this thread, when the
+        caller holds :meth:`locked`)?"""
+        return self._unit_depth > 0
 
     # -- mutation -------------------------------------------------------------
 
@@ -138,8 +197,11 @@ class WorkingMemory:
             if old is None:
                 raise UnknownElementError(f"no element with timetag {timetag}")
             new = old.replaced(changes)
-            self.remove(old)
-            self.add(new)
+            # The remove and the add persist together: inside a unit
+            # they join it, outside they are a unit of their own.
+            with _JOINED if self._unit_depth else Unit(self, None):
+                self.remove(old)
+                self.add(new)
             return new
 
     def apply(self, delta: WMDelta) -> None:
@@ -231,9 +293,58 @@ class WorkingMemory:
         return _NullContext()
 
 
+class Unit:
+    """One :meth:`WorkingMemory.atomic` bracket."""
+
+    __slots__ = ("_memory", "_label")
+
+    def __init__(self, memory: WorkingMemory, label: str | None) -> None:
+        self._memory = memory
+        self._label = label
+
+    def __enter__(self) -> "Unit":
+        memory = self._memory
+        if memory._mutex is not None:
+            memory._mutex.acquire()
+        try:
+            if not memory._unit_depth:
+                for opened, _ in memory._unit_listeners:
+                    opened(self._label)
+        except BaseException:
+            if memory._mutex is not None:
+                memory._mutex.release()
+            raise
+        memory._unit_depth += 1
+        return self
+
+    def commit(self) -> None:
+        """The commit point, taken early: tell the unit listeners now
+        (a no-op inside an outer bracket).  When one raises, the unit
+        is still open — undo inside it and nothing is left to commit.
+        """
+        memory = self._memory
+        if memory._unit_depth == 1:
+            for _, committed in memory._unit_listeners:
+                committed()
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        memory = self._memory
+        try:
+            if exc_type is None:
+                self.commit()
+        finally:
+            memory._unit_depth -= 1
+            if memory._mutex is not None:
+                memory._mutex.release()
+
+
 class _NullContext:
     def __enter__(self) -> None:
         return None
 
     def __exit__(self, *exc: object) -> None:
         return None
+
+
+#: What an operation inside an open unit brackets itself with.
+_JOINED = _NullContext()

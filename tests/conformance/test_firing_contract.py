@@ -11,6 +11,12 @@ whose every cell asserts the same four things:
 4. teardown is clean: no held locks, no queued requests, no child
    processes, no live ``firing-*`` threads.
 
+A ``durable`` axis runs the same cells with a store attached and adds:
+the recovered database equals the live one, the log holds the loaded
+facts plus exactly one record per commit, and the rules read back from
+it are the commit sequence (log order = commit order — what fails if a
+record is written after the locks are released under real threads).
+
 Programs and checks are taken read-only from ``benchmarks/e2e`` at
 smoke size, so the benchmark and tier-1 judge a run by the same rules.
 Only ``build`` and ``collect`` know how an executor is constructed and
@@ -38,12 +44,17 @@ from repro.engine import (  # noqa: E402
     Session,
     ThreadedWaveExecutor,
 )
-from repro.fault import FaultPlan, RetryPolicy, VirtualSleeper  # noqa: E402
+from repro.fault import (  # noqa: E402
+    FaultPlan,
+    RetryPolicy,
+    VirtualSleeper,
+    memory_signature,
+)
 from repro.lang import parse_program  # noqa: E402
 from repro.txn.serializability import (  # noqa: E402
     is_conflict_serializable,
 )
-from repro.wm import WMSnapshot, WorkingMemory  # noqa: E402
+from repro.wm import DurableStore, WMSnapshot, WorkingMemory  # noqa: E402
 
 SEED = 11
 FAULT_RATE = 0.15
@@ -76,10 +87,15 @@ ON_CALL = {
 }
 
 
-def build(executor: str, spec: dict, scheme: str, matcher: str, chaos: bool):
-    """``(engine, rules, memory)`` for one cell."""
+def build(
+    executor: str, spec: dict, scheme: str, matcher: str, chaos: bool,
+    memory: WorkingMemory | None = None,
+):
+    """``(engine, rules, memory)`` for one cell, the facts loaded into
+    ``memory`` (a fresh one by default)."""
     rules = parse_program(spec["rules"])
-    memory = WorkingMemory(thread_safe=executor == "threaded")
+    if memory is None:
+        memory = WorkingMemory(thread_safe=executor == "threaded")
     for relation, values in spec["facts"]:
         memory.make(relation, values)
     options = {"scheme": scheme, "matcher": matcher}
@@ -162,6 +178,36 @@ def test_firing_contract(program, executor, scheme, matcher, chaos):
         assert engine.fault.total_injected > 0  # the plan did bite
     else:
         assert checks.check_outcome(spec, result, memory) == []
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_durable_firing_contract(
+    tmp_path, wal_records, program, executor, scheme, chaos
+):
+    spec = e2e.build_spec(PROGRAMS[program], SEED, smoke=True)
+    # Attached before the facts load, as the benchmark attaches it; the
+    # engine never learns of it.
+    memory = WorkingMemory(thread_safe=executor == "threaded")
+    with DurableStore(memory, tmp_path, durability="none"):
+        engine, rules, _ = build(
+            executor, spec, scheme, "rete", chaos, memory
+        )
+        snapshot = WMSnapshot.capture(memory)
+        result, _ = collect(engine)
+    assert_contract(engine, rules, snapshot, result)
+    records = wal_records(tmp_path)
+    loaded = len(spec["facts"])
+    assert len(records) == loaded + len(result.firings)
+    assert [r["rule"] for r in records[loaded:]] == [
+        r.rule_name for r in result.firings
+    ]
+    recovered, store = DurableStore.open(tmp_path, durability="none")
+    store.close()
+    assert store.lsn == len(records)
+    assert memory_signature(recovered) == memory_signature(memory)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.lang import RuleBuilder
 from repro.lang.builder import gt, var
 from repro.locks import RcScheme
 from repro.txn import Transaction
-from repro.wm import WorkingMemory
+from repro.wm import DurableStore, WorkingMemory
+
+
+@pytest.fixture
+def wal_records():
+    """``read(directory)``: every WAL record of a durable-store
+    directory, in replay order."""
+
+    def read(directory) -> list[dict]:
+        return [
+            json.loads(line)
+            for path in DurableStore.segment_paths(directory)
+            for line in path.read_text().splitlines()
+            if line.strip()
+        ]
+
+    return read
 
 
 @pytest.fixture

@@ -123,7 +123,7 @@ class TestInjectorSites:
             [FaultSpec("storage_fail")], seed=0
         ).injector()
         with pytest.raises(StorageFailure):
-            injector.storage_fault(site="wal:add")
+            injector.storage_fault(site="wal:commit")
 
     def test_summary_counts_by_kind(self):
         injector = FaultPlan(

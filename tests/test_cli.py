@@ -554,7 +554,8 @@ class TestStorageCommands:
         code = main(["storage", "chaos", "--seeds", "1", "--ops", "40"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "recovered the journalled prefix exactly" in out
+        assert "recovered a commit-sequence prefix exactly" in out
+        assert {"ops", "interpreter", "parallel"} <= set(out.split())
 
     def test_chaos_rejects_bad_args(self, capsys):
         assert main(["storage", "chaos", "--seeds", "0"]) == 2

@@ -85,10 +85,32 @@ class TestJournalAndRecovery:
         active = store.active_segment_path
         store.close()
         with open(active, "a") as handle:
-            handle.write('{"lsn": 99, "kind": "add", "wme": {"rel')
+            handle.write('{"lsn": 99, "rule": null, "remove": [], "add": [[7, "ord')
         recovered, store2 = DurableStore.open(tmp_path)
         store2.close()
         assert len(recovered) == 2
+
+    def test_torn_first_line_does_not_poison_the_next_generation(
+        self, tmp_path
+    ):
+        """The crash tore the first record of a fresh active segment:
+        recovery deletes that file (the next active segment takes its
+        name) instead of appending behind the torn line."""
+        wm = WorkingMemory()
+        store = DurableStore(wm, tmp_path, segment_max_records=2)
+        wm.make("order", id=1)
+        wm.make("order", id=2)
+        store.compact()  # seals: the active segment is fresh and empty
+        active = store.active_segment_path
+        store.close()
+        active.write_text('{"lsn": 3, "rule": null, "remo')
+        recovered, store2 = DurableStore.open(tmp_path)
+        assert store2.active_segment_path == active
+        recovered.make("order", id=3)
+        store2.close()
+        second, store3 = DurableStore.open(tmp_path)
+        store3.close()
+        assert sorted(w["id"] for w in second) == [1, 2, 3]
 
     def test_new_elements_after_recovery_get_fresh_timetags(self, tmp_path):
         wm = WorkingMemory()

@@ -129,7 +129,7 @@ class TestClosedWalRace:
 
 class TestLsnAccounting:
     def test_concurrent_writers_get_strictly_increasing_lsns(
-        self, tmp_path
+        self, tmp_path, wal_records
     ):
         """Satellite 4: N threads hammering a thread_safe memory must
         produce a gapless, strictly increasing LSN sequence on disk —
@@ -152,12 +152,63 @@ class TestLsnAccounting:
         for t in threads:
             t.join()
         store.close()
-        lsns = []
-        for path in DurableStore.segment_paths(tmp_path):
-            for line in path.read_text().splitlines():
-                if line.strip():
-                    lsns.append(json.loads(line)["lsn"])
-        assert lsns == list(range(1, 4 * per_thread + 1))
+        records = wal_records(tmp_path)
+        assert [r["lsn"] for r in records] == list(
+            range(1, 4 * per_thread + 1)
+        )
+        # A bare delta is a unit of one: one record, one change.
+        assert all(
+            r["remove"] == [] and len(r["add"]) == 1 for r in records
+        )
+        recovered, store2 = DurableStore.open(tmp_path)
+        store2.close()
+        assert memory_signature(recovered) == memory_signature(wm)
+
+    def test_concurrent_units_never_interleave(self, tmp_path, wal_records):
+        """More threads than cores, each committing multi-delta units
+        (a bracket of two makes and a modify): the bracket holds the
+        memory lock, so every record is one thread's whole unit — the
+        lost update here would be a record mixing two threads' deltas,
+        or a unit split over two records."""
+        import sys
+
+        wm = WorkingMemory(thread_safe=True)
+        store = DurableStore(
+            wm, tmp_path, durability="none", segment_max_records=25
+        )
+        units = 40
+
+        def worker(t):
+            row = wm.make("row", t=t, n=0)
+            for n in range(1, units + 1):
+                with wm.atomic(f"worker-{t}"):
+                    wm.make("log", t=t, n=n)
+                    row = wm.modify(row, {"n": n})
+                    wm.make("log", t=t, n=-n)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        store.close()
+        records = wal_records(tmp_path)
+        assert [r["lsn"] for r in records] == list(
+            range(1, 6 * (units + 1) + 1)
+        )
+        for record in (r for r in records if r["rule"]):
+            t = int(record["rule"].removeprefix("worker-"))
+            owners = {dict(zip(e[2::2], e[3::2]))["t"] for e in record["add"]}
+            assert owners == {t}
+            assert len(record["add"]) == 3 and len(record["remove"]) == 1
         recovered, store2 = DurableStore.open(tmp_path)
         store2.close()
         assert memory_signature(recovered) == memory_signature(wm)

@@ -1,9 +1,9 @@
 """Failure-injection property tests for durable storage.
 
 The recovery contract: truncating the WAL at *any* byte boundary (a
-crash mid-write) must still recover successfully, yielding a state that
-is a prefix of the journalled history — never an error, never a
-half-applied record.
+crash mid-write) must still recover successfully, yielding the state
+after a prefix of the committed units — never an error, never a
+half-applied record, never half a ``modify`` or half a firing.
 """
 
 import json
@@ -22,7 +22,8 @@ _command = st.one_of(
 
 def _apply(memory: WorkingMemory, commands) -> list[frozenset]:
     """Apply commands, returning the value-identity state after each
-    delta (the prefix states recovery may land on)."""
+    one — each is a unit, so these are the prefix states recovery may
+    land on (the inside of a ``modify`` is not among them)."""
     states = [memory.value_identity_set()]
     for command in commands:
         live = sorted(memory, key=lambda w: w.timetag)
@@ -47,14 +48,7 @@ def test_recovery_from_any_wal_truncation(tmp_path_factory, commands, cut_fracti
     directory = tmp_path_factory.mktemp("walcut")
     memory = WorkingMemory()
     store = DurableStore(memory, directory)
-    # Record the valid delta-prefix states.
-    delta_states: list[frozenset] = []
-
-    def track(delta):
-        delta_states.append(memory.value_identity_set())
-
-    memory.subscribe(track)
-    _apply(memory, commands)
+    valid_states = _apply(memory, commands)
     active = store.active_segment_path
     store.close()
 
@@ -64,7 +58,6 @@ def test_recovery_from_any_wal_truncation(tmp_path_factory, commands, cut_fracti
 
     recovered, store2 = DurableStore.open(directory)
     store2.close()
-    valid_states = [frozenset()] + delta_states
     assert recovered.value_identity_set() in valid_states
 
 
@@ -115,18 +108,55 @@ def test_interrupted_checkpoint_leaves_recoverable_pair(tmp_path):
 
 # -- crash-at-every-window equivalence (satellite: chaos sweep) ------------------------
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.fault import run_crash_case
+from repro.fault import crash_equivalence_sweep, firing_chaos, run_crash_case
 from repro.wm.storage import STORAGE_FAULT_SITES
 
 
 @pytest.mark.parametrize("site", STORAGE_FAULT_SITES)
 def test_crash_at_site_recovers_journalled_prefix(tmp_path, site):
     """Crashing at any storage window must recover bit-identical to
-    the journalled prefix (every acknowledged delta, nothing more)."""
+    the journalled prefix (every acknowledged unit, whole, nothing
+    more)."""
     case = run_crash_case(seed=1, site=site, directory=tmp_path)
     assert case.ok, case.detail
+
+
+def test_engine_driven_sweep_recovers_a_commit_sequence_prefix():
+    """The crash sweep knows what a firing is: the order pipeline under
+    ``Interpreter`` and ``ParallelEngine(rc, processors=4)``, crashed at
+    every storage window on four seeds, recovers the state
+    ``replay_commit_sequence`` reaches after the firings the log
+    acknowledged — and every window is reached."""
+    result = crash_equivalence_sweep(
+        seeds=range(4), drivers=("interpreter", "parallel")
+    )
+    assert len(result.cases) == 4 * len(STORAGE_FAULT_SITES) * 2
+    assert [c.detail for c in result.failures] == []
+    assert all(result.sites_fired().values()), result.sites_fired()
+    crashed_mid_run = [
+        c for c in result.cases if c.crashed and 0 < c.ops_applied < 120
+    ]
+    assert {c.driver for c in crashed_mid_run} == {"interpreter", "parallel"}
+
+
+def test_sweep_pipeline_is_the_benchmark_orders_program():
+    """The sweep runs the e2e orders rules at smoke size; the library
+    carries its own copy (it cannot import ``benchmarks/``), pinned
+    here to the benchmark's generator."""
+    sys.path.insert(
+        0, str(Path(__file__).resolve().parents[2] / "benchmarks" / "e2e")
+    )
+    import workloads
+
+    smoke = workloads.WORKLOADS["orders_durable"].sizes(smoke=True)
+    rules, facts = workloads.orders_program(seed=3, **smoke)
+    assert firing_chaos.PIPELINE_RULES == rules
+    assert firing_chaos.pipeline_facts(seed=3, **smoke) == facts
 
 
 @given(
@@ -136,7 +166,8 @@ def test_crash_at_site_recovers_journalled_prefix(tmp_path, site):
 @settings(max_examples=25, deadline=None)
 def test_crash_equivalence_property(tmp_path_factory, seed, site):
     """Property form of the sweep: arbitrary seeds, arbitrary windows —
-    recovery always lands on the journalled prefix and is idempotent."""
+    recovery always lands on the journalled prefix (whole units) and is
+    idempotent."""
     directory = tmp_path_factory.mktemp("chaos")
     case = run_crash_case(
         seed=seed, site=site, directory=directory, ops=32

@@ -123,7 +123,7 @@ class TestCompaction:
         wm.make("keep", i=1)
         store.close()
         records = _all_records(tmp_path)
-        assert any(r["kind"] == "noop" for r in records)
+        assert any(r.get("kind") == "noop" for r in records)
         recovered, store2 = DurableStore.open(tmp_path)
         store2.close()
         assert _signature(recovered) == _signature(wm)
@@ -137,7 +137,7 @@ class TestCompaction:
             store.compact()
         store.close()
         records = _all_records(tmp_path)
-        assert sum(1 for r in records if r["kind"] == "noop") == 1
+        assert [r.get("kind") for r in records] == ["noop"]
         recovered, store2 = DurableStore.open(tmp_path)
         store2.close()
         assert len(recovered) == 0
@@ -151,31 +151,79 @@ class TestCompaction:
     def test_interrupted_merge_is_shadowed_on_recovery(self, tmp_path):
         """Crash between the merge rename and deleting old segments:
         the leftover segments' LSNs are all covered by the merged
-        segment, so recovery skips and then deletes them."""
+        record, so recovery skips and then deletes them."""
         wm = WorkingMemory()
         store = DurableStore(wm, tmp_path, segment_max_records=2)
         for i in range(6):
             wm.make("r", i=i)
         expected = _signature(wm)
+        # The pre-merge segment holding commits 3-4, as the crash would
+        # have failed to delete it.
+        stale = tmp_path / _segment_filename(3)
+        leftovers = stale.read_text()
+        assert [json.loads(line)["lsn"] for line in
+                leftovers.splitlines()] == [3, 4]
         store.compact()
         store.close()
-        # Resurrect an "old" pre-merge segment that the crash failed
-        # to delete: records 3-4 are already inside the merged file.
-        merged = DurableStore.segment_paths(tmp_path)[0]
-        leftovers = [
-            json.loads(line)
-            for line in merged.read_text().splitlines()
-            if line.strip()
-        ][2:4]
-        stale = tmp_path / _segment_filename(leftovers[0]["lsn"])
-        stale.write_text(
-            "".join(json.dumps(r) + "\n" for r in leftovers)
-        )
+        assert not stale.exists()
+        stale.write_text(leftovers)
         recovered, store2 = DurableStore.open(tmp_path)
         assert store2.last_recovery.shadowed >= 2
         store2.close()
         assert _signature(recovered) == expected
         assert not stale.exists()  # interrupted truncation completed
+
+    def test_merge_is_one_net_record_at_the_range_maximum(self, tmp_path):
+        """Compaction folds the sealed records exactly as an open unit
+        folds its deltas: one record, removes by timetag, carrying the
+        merged range's maximum LSN (so no marker is needed)."""
+        wm = WorkingMemory()
+        store = DurableStore(wm, tmp_path, segment_max_records=3)
+        keep = wm.make("keep", i=0)
+        store.checkpoint()  # keep's body now lives in the snapshot
+        temp = wm.make("temp", i=1)
+        new = wm.modify(keep, {"i": 2})
+        wm.remove(temp)
+        kept = wm.make("keep", i=3)
+        summary = store.compact()
+        store.close()
+        assert summary["records_before"] == 4
+        assert summary["records_after"] == 1
+        assert summary["dropped"] == 2  # temp's add and remove
+        (record,) = _all_records(tmp_path)
+        assert record["lsn"] == 5 and record["rule"] is None
+        assert record["remove"] == [keep.timetag]
+        assert [e[0] for e in record["add"]] == [
+            new.timetag, kept.timetag
+        ]
+        recovered, store2 = DurableStore.open(tmp_path)
+        store2.close()
+        assert _signature(recovered) == _signature(wm)
+
+    def test_merge_leaves_out_segments_the_checkpoint_covers(self, tmp_path):
+        """A checkpoint whose snapshot landed but whose truncation was
+        interrupted leaves covered segments sealed.  Folded into a
+        merge, their changes would replay over the snapshot."""
+        from repro.errors import StorageFailure
+        from repro.fault import FaultPlan, FaultSpec
+
+        wm = WorkingMemory()
+        injector = FaultPlan(
+            [FaultSpec("storage_fail", obj="checkpoint:truncate",
+                       max_hits=1)], seed=0
+        ).injector()
+        store = DurableStore(wm, tmp_path, injector, segment_max_records=2)
+        first = [wm.make("r", i=i) for i in range(4)]
+        with pytest.raises(StorageFailure):
+            store.checkpoint()
+        wm.remove(first[0])
+        wm.make("r", i=4)
+        wm.make("r", i=5)
+        store.compact()
+        store.close()
+        recovered, store2 = DurableStore.open(tmp_path)
+        store2.close()
+        assert _signature(recovered) == _signature(wm)
 
     def test_wal_stays_bounded_under_churn(self, tmp_path):
         """Checkpoint-free churn workload: compaction keeps total WAL
@@ -225,7 +273,7 @@ class TestDurabilityModes:
         with DurableStore(wm, tmp_path):
             wm.make("r", i=1)
         plan = FaultPlan(
-            [FaultSpec("storage_fail", rate=1.0, obj="wal:add")], seed=3
+            [FaultSpec("storage_fail", rate=1.0, obj="wal:commit")], seed=3
         )
         injector = plan.injector()
         recovered, store = DurableStore.open(
@@ -286,6 +334,43 @@ class TestUnsupportedFormat:
         assert contents() == before
         assert "wal.jsonl" not in json.dumps(DurableStore.inspect(tmp_path))
         assert single not in DurableStore.segment_paths(tmp_path)
+
+
+class TestRefusesPerDeltaRecords:
+    def test_old_kind_record_is_refused_untouched(self, tmp_path):
+        """A segment of the per-delta format (one ``add`` / ``remove``
+        record per working-memory delta) is not replayed and not
+        skipped: the directory is refused by name and left as found."""
+        wm = WorkingMemory()
+        with DurableStore(wm, tmp_path, segment_max_records=2) as store:
+            for i in range(3):
+                wm.make("r", i=i)
+        old = tmp_path / _segment_filename(4)
+        old.write_text(
+            json.dumps(
+                {
+                    "lsn": 4,
+                    "kind": "remove",
+                    "wme": {
+                        "relation": "r",
+                        "items": [["i", 0]],
+                        "timetag": 1,
+                    },
+                }
+            )
+            + "\n"
+        )
+        (tmp_path / "checkpoint.jsonl.tmp").write_text("stray")
+
+        def contents():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        before = contents()
+        with pytest.raises(StorageError) as refused:
+            DurableStore.open(tmp_path)
+        assert str(old) in str(refused.value)
+        assert "'remove'" in str(refused.value)
+        assert contents() == before
 
 
 class TestObservability:
