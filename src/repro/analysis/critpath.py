@@ -20,10 +20,12 @@ Three toolkits:
   longest spine of each wave.
 * **Abort chains** (:func:`abort_chains`) — walks ``rc_wa_abort``
   links, mapping every rule-(ii) victim back to the committing Wa
-  transaction's span.  :func:`held_backs` reads the same question off
-  a deterministic wave, which decides rule (ii) at admission: one
-  ``held`` record per reader held back, naming the admitted writer and
-  the object.
+  transaction's span.  A deterministic wave chooses its commit order at
+  admission instead, and :func:`held_backs` / :func:`ordered_firsts`
+  read the choices it recorded: one ``held`` record per candidate cut
+  from a cycle (the ring of admitted rules it would have closed and
+  the two objects tying it in), one ``ordered`` record per reader that
+  acted before a writer ranked above it (rule (i)).
 * **Bench regression diff** (:func:`diff_bench`) — compares two
   ``BENCH_*.json`` files (the benchmark harness output) value by
   value with a configurable relative tolerance; ``repro obs diff``
@@ -51,7 +53,7 @@ def categorize(name: str) -> str:
         return "lock_wait"
     if name.startswith("match") or name == "phase.match":
         return "match"
-    if name == "phase.admit" or name == "held":
+    if name in ("phase.admit", "held", "ordered"):
         return "admit"
     if name == "phase.acquire" or name == "acquire":
         return "acquire"
@@ -415,7 +417,42 @@ def abort_chains(spans: Iterable) -> list[AbortChain]:
 
 @dataclass
 class HeldBack:
-    """One candidate wave admission held back, and for whom."""
+    """One candidate wave admission cut from a cycle.
+
+    ``cycle`` starts with the held rule and follows the precedence
+    edges through the admitted rules it would have tied into a ring;
+    ``objs`` are the two objects on its own edges — what it reads that
+    ``cycle[1]`` writes, what ``cycle[-1]`` reads that it writes.
+    """
+
+    wave: int
+    rule: str
+    cycle: tuple[str, ...]
+    objs: tuple[str, ...]
+
+
+def _records(spans: Iterable, name: str) -> list[SpanNode]:
+    """Every span called ``name``, in recording order."""
+    roots, by_id = build_tree(spans)
+    return [node for node in by_id.values() if node.name == name]
+
+
+def held_backs(spans: Iterable) -> list[HeldBack]:
+    """Every ``held`` record, in the order the waves decided them."""
+    return [
+        HeldBack(
+            wave=int(node.fields.get("wave", 0)),
+            rule=str(node.fields.get("rule", "?")),
+            cycle=tuple(map(str, node.fields.get("cycle", ()))),
+            objs=tuple(map(str, node.fields.get("objs", ()))),
+        )
+        for node in _records(spans, "held")
+    ]
+
+
+@dataclass
+class OrderedFirst:
+    """One reader that acted before a writer ranked above it."""
 
     wave: int
     reader_rule: str
@@ -423,18 +460,16 @@ class HeldBack:
     obj: str
 
 
-def held_backs(spans: Iterable) -> list[HeldBack]:
-    """Every ``held`` record, in the order the waves decided them."""
-    roots, by_id = build_tree(spans)
+def ordered_firsts(spans: Iterable) -> list[OrderedFirst]:
+    """Every ``ordered`` record, in the order the waves decided them."""
     return [
-        HeldBack(
+        OrderedFirst(
             wave=int(node.fields.get("wave", 0)),
-            reader_rule=str(node.fields.get("rule", "?")),
+            reader_rule=str(node.fields.get("reader", "?")),
             writer_rule=str(node.fields.get("writer", "?")),
             obj=str(node.fields.get("obj", "?")),
         )
-        for node in by_id.values()
-        if node.name == "held"
+        for node in _records(spans, "ordered")
     ]
 
 

@@ -206,10 +206,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"retries: {engine.retry_count} "
                 f"(gave up: {len(engine.gave_up)})"
             )
-        # A deterministic wave decides rule (ii) at admission, so its
-        # readers are held back before locking instead of aborted.
+        # A deterministic wave chooses its commit order at admission:
+        # a reader acts before its writer (ordered first), and only a
+        # candidate that closes a cycle is held back.
         print(
-            f"waves: {len(engine.waves)}, held back: "
+            f"waves: {len(engine.waves)}, ordered first: "
+            f"{engine.ordered_count}, held back: "
             f"{engine.held_count}, rule-(ii) aborts: "
             f"{engine.abort_count}, deferred: "
             f"{sum(len(w.deferred) for w in engine.waves)}"
@@ -418,6 +420,7 @@ def _render_obs_report(observer, top: int = 10) -> str:
         cycle_breakdowns,
         held_backs,
         makespan,
+        ordered_firsts,
         shard_attribution,
     )
 
@@ -487,15 +490,27 @@ def _render_obs_report(observer, top: int = 10) -> str:
                 f"{', '.join(c.objs) or '-'}"
             )
 
-    # A deterministic wave decides rule (ii) at admission: its readers
-    # are held back, not aborted, and show up here instead.
+    # A deterministic wave chooses its commit order at admission: the
+    # candidates it cut from a cycle and the readers it put before a
+    # higher-ranked writer show up here, not as aborts.
     held = held_backs(spans)
-    lines.append(f"admission: {len(held)} held back")
-    pairs = Counter((h.writer_rule, h.reader_rule, h.obj) for h in held)
-    for (writer, reader, obj), count in pairs.most_common(top):
-        lines.append(f"  {count:>5}  {writer} -> {reader} on {obj}")
-    if len(pairs) > top:
-        lines.append(f"  ... {len(pairs) - top} more pairs")
+    ordered = ordered_firsts(spans)
+    lines.append(
+        f"admission: {len(held)} held back, {len(ordered)} ordered first"
+    )
+    tally = Counter(
+        f"held {h.rule}: cycle {' -> '.join(h.cycle + h.cycle[:1])} "
+        f"on {', '.join(h.objs)}"
+        for h in held
+    )
+    tally.update(
+        f"ordered {o.reader_rule} before {o.writer_rule} on {o.obj}"
+        for o in ordered
+    )
+    for line, count in tally.most_common(top):
+        lines.append(f"  {count:>5}  {line}")
+    if len(tally) > top:
+        lines.append(f"  ... {len(tally) - top} more")
 
     lines.append("")
     snap = observer.metrics.snapshot().get("lock.wait_seconds")

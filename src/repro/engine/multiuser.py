@@ -16,13 +16,14 @@ still replay single-threaded, which the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from repro.engine.parallel import ParallelEngine, SchemeName
 from repro.errors import EngineError
 from repro.lang.production import Production
 from repro.match.instantiation import Instantiation
-from repro.match.strategies import Strategy, make_strategy
+from repro.match.strategies import Strategy, make_strategy, order_rest
 from repro.wm.memory import WorkingMemory
 
 
@@ -36,6 +37,19 @@ class Session:
     @staticmethod
     def of(user: str, productions: Iterable[Production]) -> "Session":
         return Session(user, tuple(productions))
+
+
+def _round_robin(queues: list[Iterator]) -> Iterator:
+    """One from each queue in turn, dropping a queue when it runs
+    dry."""
+    while queues:
+        alive = []
+        for queue in queues:
+            for item in queue:
+                yield item
+                alive.append(queue)
+                break
+        queues = alive
 
 
 class MultiUserEngine(ParallelEngine):
@@ -97,33 +111,32 @@ class MultiUserEngine(ParallelEngine):
 
     # -- fair wave ordering ------------------------------------------------------------
 
-    def _ordered_candidates(
+    def _ranking(
         self, eligible: list[Instantiation], width: int | None
-    ) -> list[Instantiation]:
-        """Interleave users' candidates, rotating the lead user."""
+    ) -> tuple[list[Instantiation], Iterator[Instantiation]]:
+        """Interleave users' candidates, rotating the lead user: the
+        first ``width`` of the round-robin, and the iterator that goes
+        on dealing it."""
         buckets: dict[str, list[Instantiation]] = {}
         for candidate in eligible:
             user = self._owners.get(candidate.production.name, "?")
             buckets.setdefault(user, []).append(candidate)
-        # A user supplies at most ``width`` of a wave, so that is all
-        # the base strategy has to rank within a bucket.
-        ranked = {
-            user: self.strategy.order(candidates, width)
-            for user, candidates in buckets.items()
-        }
+        # A user supplies at most ``width`` of a full wave, so that is
+        # all the base strategy ranks within a bucket up front.
+        ranked = {}
+        for user, candidates in buckets.items():
+            head = self.strategy.order(candidates, width)
+            ranked[user] = chain(
+                head, order_rest(self.strategy, candidates, head)
+            )
         # Rotate the user list so the lead changes every wave.
         users = self._users
         rotation = users[self._turn:] + users[: self._turn]
         self._turn = (self._turn + 1) % len(users) if users else 0
-        queues = [ranked[user] for user in rotation if user in ranked]
-        depth = max(map(len, queues), default=0)
-        interleaved = [
-            queue[cursor]
-            for cursor in range(depth)
-            for queue in queues
-            if cursor < len(queue)
-        ]
-        return interleaved[:width]
+        dealt = _round_robin(
+            [ranked[user] for user in rotation if user in ranked]
+        )
+        return list(islice(dealt, width)), dealt
 
     # -- attribution -----------------------------------------------------------------
 

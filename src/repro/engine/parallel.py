@@ -9,20 +9,22 @@ without committing.
 
 A *wave* of logically concurrent firings:
 
-1. The wave's candidates are the eligible instantiations (at most
-   ``processors`` of them, Section 5's ``Np``), in conflict-resolution
-   order.
-2. *Admission* (deterministic driver, ``Rc`` only): the wave holds back
-   every candidate its own commit order is certain to abort — see
-   "Wave admission" below.  A held-back candidate stays in the conflict
-   set for the next wave and costs no transaction, no lock request and
-   no history operation.
+1. The wave's candidates are the eligible instantiations in
+   conflict-resolution order — the first ``processors`` of them
+   (Section 5's ``Np``), and more of the same ranking if admission asks.
+2. *Admission* (deterministic driver, ``Rc`` only): the wave is ordered
+   by read -> write precedence so that every reader commits before its
+   writer (rule (i)); a candidate is held back only when no such order
+   exists — see "Wave admission" below.  A held-back candidate stays in
+   the conflict set for the next wave and costs no transaction, no lock
+   request and no history operation.
 3. Every admitted candidate acquires condition locks (``R``/``Rc``) on
    the data objects its LHS examined — tuple-level for matched WMEs,
    relation level (SYSTEM-CATALOG tuple) for negated condition
    elements, per Section 4.3's escalation rule.
-4. Candidates then execute their RHSs in conflict-resolution order,
-   each acquiring its action locks at RHS start:
+4. Candidates then execute their RHSs — in precedence order under
+   admission, in conflict-resolution order otherwise — each acquiring
+   its action locks at RHS start:
 
    * under **2PL**, a firing whose ``W`` locks conflict with another
      candidate's ``R`` locks *blocks* — it is deferred to a later wave
@@ -34,49 +36,71 @@ A *wave* of logically concurrent firings:
 5. Aborted/deferred candidates release their locks at wave end; the
    next wave re-runs match over the updated database.
 
-**Wave admission.**  Section 4.3 grants ``Rc`` freely and pays at
-commit because on a multiprocessor nobody knows who commits first.  The
-deterministic driver does know: candidates act in conflict-resolution
-order.  So rule (ii) is decided before the locks are taken
-(:meth:`ParallelEngine._admit`): walk the wave in order with
-``written`` empty; a candidate whose footprint *reads* meet ``written``
-is held back, otherwise it is admitted and its footprint *writes* join
-``written``.  This is the wave's own outcome computed early, not a
-heuristic:
+**Wave admission.**  Section 4.3 grants ``Rc`` freely and settles at
+commit, because on a multiprocessor nobody knows who commits first:
+when an ``Rc`` holder and a ``Wa`` holder of one object meet, both
+commit if the reader commits first (rule (i), Figure 4.3) and the
+reader is aborted if the writer does (rule (ii)).  The deterministic
+driver *chooses* who commits first, so it chooses rule (i)
+(:meth:`ParallelEngine._admit`,
+:class:`~repro.engine.precedence.Precedence`):
 
-* every ``Rc`` is granted (no ``Wa`` is held across candidates) and slot
-  *k* reaches its turn after every earlier slot has committed or
-  released, so *k* is a rule-(ii) victim iff some earlier *committed*
-  slot wrote an object *k* read;
-* write-write overlap with an earlier slot is harmless (its ``Wa`` is
-  gone by then), and a reader ordered *before* the writer commits first
-  (rule (i)) — hence reads against earlier writes only, in order,
-  asymmetric;
-* a retracted instantiation is subsumed: every retraction comes from a
-  written tuple key or a catalog key the footprint reads;
-* key equality is the lock manager's (flat ``data_object_key`` /
-  ``catalog_lock_key`` equality), not ``core.interference``'s
-  containment — a wider test would hold back candidates that commit.
+* **Edges.**  Walk the ranking in conflict-resolution order.  A
+  candidate *c* gets an edge ``c -> w`` for every admitted *w* writing
+  an object *c* reads (*c* must commit first) and ``r -> c`` for every
+  admitted *r* reading an object *c* writes.  Write-write overlap is no
+  edge: a ``Wa`` is taken at RHS start and gone at commit, and one
+  firing acts at a time.  Key equality is the lock manager's (flat
+  ``data_object_key`` / ``catalog_lock_key`` equality), not
+  ``core.interference``'s containment — a wider test would cut cycles
+  that are not there.
+* **Cycle cut.**  *c* is held back only if its edges would close a
+  cycle — Figure 4.4's circular case, where every commit order aborts
+  somebody: two firings that each read what the other writes (two
+  ``bump`` firings on one gauge, two ``extend-seating`` firings for one
+  party), or a longer ring.  Being the lower-ranked member of the
+  ring, it waits.
+* **Order.**  The admitted slots take their ``Rc`` locks and act in
+  topological order of the edges, rank breaking ties.  Every reader has
+  committed and released before its writer asks for ``Wa``, every
+  retraction comes from a written tuple key or a catalog key some
+  footprint reads, so no slot is stale at its turn and rule (ii) finds
+  no victim: every admitted candidate commits.
+* **Fill.**  ``processors`` bounds *admitted* firings, not ranked
+  candidates: when a hold-back leaves the wave short, admission keeps
+  pulling from the same ranking until the wave is full or the ranking
+  is exhausted.  A wave that holds nobody back ranks exactly
+  ``processors`` candidates, and the width-1 fallback wave stays one
+  candidate wide (the first candidate has no edges).
 
-The pass runs exactly when Table 4.1 lets the scheme's write mode
-through its condition mode (``compatible(Wa, Rc)``); ``2pl``/``c2pl``
-refuse at the first denied lock already and are driven as before.
-Real threads have no commit order to read the outcome from — the race
-decides, and an ``Rc`` holder that wins it must survive — so
+The run this produces is a member of ``ES_single`` like any other —
+commit order inside a wave is a choice among admissible outcomes, and
+the choice is recorded (``held`` and ``ordered`` spans under
+``phase.admit``).  The pass costs a footprint per candidate: a scan
+of its reads and an ``isdisjoint`` probe of its writes when it has no
+edge, a direct test against the slot it found when the cycle is a
+mutual pair, a search only when it has edges both ways, a sort only
+when an edge goes against rank.
+
+It runs exactly when Table 4.1 lets the scheme's write mode through its
+condition mode (``compatible(Wa, Rc)``); ``2pl``/``c2pl`` refuse at the
+first denied lock already and get their list back untouched.  Real
+threads have no commit order to choose — the race decides, and an
+``Rc`` holder that wins it must survive — so
 :class:`~repro.engine.threaded.ThreadedWaveExecutor` keeps real rule
-(ii).  Under an injected fault an admitted writer may fail to commit,
-and the readers held back for it wait a wave they would not have had
-to: safe (they never left the conflict set), and they wait for as long
-as that writer keeps being ranked first and refused.  A retry policy
-bounds it — the writer runs out of budget, lands in ``gave_up`` and its
-readers are next.  Without one (the default) a *persistent* fault on
-the first-ranked writer holds its readers back in every full-width
-wave, the width-1 fallback picks the writer again, and the run ends at
-``max_waves`` with the readers unfired — where rule (ii) at commit let
-them through in wave 1, the refused writer never having written.
+(ii).  Under an injected fault an admitted slot may fail to commit.
+Nobody admitted with it is affected: a refused reader releases and its
+writer goes ahead, and a refused writer's readers have already
+committed.  What is left is the cycle: a candidate cut for an admitted
+partner waits for as long as that partner keeps out-ranking it and
+being refused.  A retry policy bounds that — the partner runs out of
+budget, lands in ``gave_up`` and the candidate is next; without one
+(the default) a *persistent* fault on the higher-ranked member of a
+cycle ends the run at ``max_waves`` with the other unfired.
 
 :class:`ParallelEngine` drives a wave deterministically (admit, all
-admitted candidates acquire, then the granted ones act in order);
+admitted candidates acquire, then the granted ones act, both in
+precedence order);
 :class:`~repro.engine.threaded.ThreadedWaveExecutor` drives the same
 steps on one OS thread per candidate with blocking locks, and
 :class:`~repro.engine.multiuser.MultiUserEngine` only changes how a
@@ -96,11 +120,13 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 import repro.obs as obs_module
 from repro.engine.actions import ActionExecutor
 from repro.engine.interpreter import MatcherName, build_matcher
+from repro.engine.precedence import Precedence
 from repro.engine.result import FiringRecord, RunResult
 from repro.errors import EngineError, FiringCrashed
 from repro.fault.injector import FaultInjector
@@ -110,7 +136,7 @@ from repro.locks import SCHEMES
 from repro.locks.modes import compatible
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
-from repro.match.strategies import Strategy, make_strategy
+from repro.match.strategies import Strategy, make_strategy, order_rest
 from repro.txn.schedule import History
 from repro.txn.transaction import Transaction
 from repro.wm.memory import WorkingMemory
@@ -124,12 +150,17 @@ SchemeName = Literal["2pl", "rc", "c2pl"]
 class WaveResult:
     """What one wave did: rule names, one entry per attempt.
 
-    ``deferred`` holds the attempts whose locks were unavailable
-    (denied, timed out or refused by an injected fault); ``aborted``
-    the rule-(ii) and deadlock victims, invalidated instantiations and
-    failed RHSs.  ``held`` is not an attempt: the candidates wave
-    admission held back before any lock was taken, because an earlier
-    candidate of this wave writes what they read.
+    ``committed`` is commit order — under wave admission that is
+    precedence order inside the wave (every reader before its writer),
+    not conflict-resolution order.  ``deferred`` holds the attempts
+    whose locks were unavailable (denied, timed out or refused by an
+    injected fault); ``aborted`` the rule-(ii) and deadlock victims,
+    invalidated instantiations and failed RHSs.  ``held`` is not an
+    attempt: the candidates wave admission held back before any lock
+    was taken, because no commit order of this wave lets them and the
+    slots admitted before them all commit.  ``ordered`` counts the
+    precedence edges that went against rank: a reader acted before a
+    writer that out-ranked it (rule (i)).
     """
 
     wave: int
@@ -137,12 +168,13 @@ class WaveResult:
     aborted: list[str] = field(default_factory=list)
     deferred: list[str] = field(default_factory=list)
     held: list[str] = field(default_factory=list)
+    ordered: int = 0
 
     def __str__(self) -> str:
         return (
             f"wave {self.wave}: committed={self.committed} "
             f"aborted={self.aborted} deferred={self.deferred} "
-            f"held={self.held}"
+            f"held={self.held} ordered={self.ordered}"
         )
 
 
@@ -199,7 +231,10 @@ class ParallelEngine:
         (Figure 4.1), or ``"c2pl"`` (conservative/preclaiming 2PL,
         the deadlock-avoidance variant).
     processors:
-        Wave width limit (``Np``); ``None`` means unbounded.
+        Wave width limit (``Np``): the most firings one wave attempts;
+        ``None`` means unbounded.  Under wave admission it bounds the
+        *admitted* candidates, not the ranked ones — a hold-back is
+        replaced by the next candidate of the ranking that fits.
     observer:
         Observability sink (wave spans, firing/rollback events, match
         latency), shared with the lock scheme and manager.  Defaults
@@ -260,7 +295,8 @@ class ParallelEngine:
         )
         self._preclaims = getattr(self.scheme, "preclaims", False)
         #: Table 4.1 lets the write mode through the condition mode
-        #: (Wa over Rc): rule (ii) exists, and :meth:`_admit` decides it.
+        #: (Wa over Rc): commit order matters, and :meth:`_admit`
+        #: chooses it.
         self._admits = compatible(
             self.scheme.action_write_mode, self.scheme.condition_mode
         )
@@ -291,6 +327,12 @@ class ParallelEngine:
         """Candidates held back by wave admission across the run."""
         return sum(len(wave.held) for wave in self.waves)
 
+    @property
+    def ordered_count(self) -> int:
+        """Readers that acted before a writer ranked above them (rule
+        (i) edges against rank) across the run."""
+        return sum(wave.ordered for wave in self.waves)
+
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self) -> None:
@@ -316,12 +358,15 @@ class ParallelEngine:
             return eligible
         return [c for c in eligible if c not in self._gave_up]
 
-    def _ordered_candidates(
+    def _ranking(
         self, eligible: list[Instantiation], width: int | None
-    ) -> list[Instantiation]:
-        """The wave: the first ``width`` of ``eligible`` in
-        conflict-resolution order."""
-        return self.strategy.order(eligible, width)
+    ) -> tuple[list[Instantiation], Iterator[Instantiation]]:
+        """The wave's one ranking of ``eligible``, in two instalments:
+        the first ``width`` in conflict-resolution order, and an
+        iterator over the rest that ranks nothing until it is asked
+        (admission asks when a hold-back leaves the wave short)."""
+        head = self.strategy.order(eligible, width)
+        return head, order_rest(self.strategy, eligible, head)
 
     def _span_fields(self, instantiation: Instantiation) -> dict:
         """Extra fields stamped on acquire/firing spans (overridable)."""
@@ -374,13 +419,13 @@ class ParallelEngine:
                 with spans.span(
                     "phase.match", parent=cycle_span, scope=True
                 ):
-                    candidates = self._ordered_candidates(eligible, width)
+                    candidates, rest = self._ranking(eligible, width)
             else:
-                candidates = self._ordered_candidates(eligible, width)
+                candidates, rest = self._ranking(eligible, width)
             if obs.enabled:
                 obs.match_latency(obs.clock() - wave_start)
                 obs.wave_started(wave.wave, len(candidates))
-            self._drive(wave, candidates, spans, cycle_span)
+            self._drive(wave, candidates, rest, spans, cycle_span)
             # Fire wave_finished (and with it the health evaluation)
             # while the cycle span is still open, so watchdog work is
             # charged to the cycle on the causal timeline.
@@ -401,21 +446,24 @@ class ParallelEngine:
                     aborted=len(wave.aborted),
                     deferred=len(wave.deferred),
                     held=len(wave.held),
+                    ordered=wave.ordered,
                 )
         return wave
 
     def _admit(
         self, wave: WaveResult, candidates: list[Instantiation],
-        spans, cycle_span,
+        rest: Iterator[Instantiation], spans, cycle_span,
     ) -> list[Instantiation]:
-        """Rule (ii) decided before the locks are taken: the candidates
-        of ``wave`` that can commit, in order.  A candidate that reads
-        what an earlier admitted candidate writes is this wave's
-        certain rule-(ii) victim (module docstring, "Wave admission");
-        it is held back — filed in ``wave.held``, left in the conflict
-        set — instead of being locked, aborted and released.
+        """Rule (i) chosen before the locks are taken: the candidates
+        of ``wave`` that all commit, in the order they must act in
+        (module docstring, "Wave admission").  ``candidates`` is the
+        head of the ranking and its length the wave's width; ``rest``
+        is consulted only while a hold-back leaves the wave short.  A
+        candidate cut from a cycle is filed in ``wave.held`` and left
+        in the conflict set instead of being locked, aborted and
+        released.
 
-        Decides from the ordered footprints alone, and only where
+        Decides from the ranked footprints alone, and only where
         Table 4.1 lets a writer past a condition reader; elsewhere the
         list comes back untouched.
         """
@@ -427,43 +475,62 @@ class ParallelEngine:
             spans.start("phase.admit", parent=cycle_span)
             if spans is not None else None
         )
-        #: object -> rule of the first admitted candidate writing it.
-        written: dict = {}
-        unwritten = written.keys().isdisjoint  # the view is live
-        admitted: list[Instantiation] = []
-        for instantiation in candidates:
-            reads, writes = instantiation.lock_footprint()
-            rule = instantiation.production.name
-            if unwritten(reads):
-                admitted.append(instantiation)
-                for obj in writes:
-                    written.setdefault(obj, rule)
+        width = len(candidates)
+        graph = Precedence()
+        admit, slots, held = graph.admit, graph.admitted, wave.held
+        for instantiation in chain(candidates, rest):
+            if admit(instantiation):
+                if len(slots) == width:
+                    # Full: ``rest`` is left unranked.
+                    break
                 continue
-            wave.held.append(rule)
+            rule = instantiation.production.name
+            held.append(rule)
             if phase_span is not None:
-                # The determination record: which admitted writer, on
-                # which object, this wave chose over the reader.
-                obj = next(obj for obj in reads if obj in written)
+                # The determination record: the ring of admitted slots
+                # this wave kept, and the two objects tying the
+                # candidate into it.
+                path, read, written = graph.cycle(instantiation)
                 now = spans.clock()
                 spans.record(
                     "held", start=now, end=now, parent=phase_span,
-                    wave=wave.wave, rule=rule, obj=repr(obj),
-                    writer=written[obj],
+                    wave=wave.wave, rule=rule,
+                    cycle=[rule] + [
+                        slots[slot].production.name for slot in path
+                    ],
+                    objs=[repr(read), repr(written)],
                     **self._span_fields(instantiation),
                 )
+        admitted = graph.acting_order()
+        wave.ordered = graph.ordered
         if phase_span is not None:
+            # One record per reader that acted before a writer ranked
+            # above it — where the acting order left the ranking.
+            for reader, writer, obj in graph.edges_against_rank():
+                now = spans.clock()
+                spans.record(
+                    "ordered", start=now, end=now, parent=phase_span,
+                    wave=wave.wave, reader=reader.production.name,
+                    writer=writer.production.name, obj=repr(obj),
+                    **self._span_fields(reader),
+                )
             phase_span.finish(
-                candidates=len(candidates), held=len(wave.held)
+                candidates=len(admitted) + len(held),
+                held=len(held), ordered=wave.ordered,
             )
         if obs.enabled:
-            obs.admit_finished(obs.clock() - start)
+            obs.admit_finished(obs.clock() - start, wave.ordered)
         return admitted
 
-    def _drive(self, wave: WaveResult, candidates, spans, cycle_span) -> None:
+    def _drive(
+        self, wave: WaveResult, candidates, rest, spans, cycle_span
+    ) -> None:
         """Deterministic driving: admission, then every admitted
         candidate takes its condition locks (phase 1), then the granted
-        ones act in conflict-resolution order (phase 2)."""
-        candidates = self._admit(wave, candidates, spans, cycle_span)
+        ones act (phase 2) — both in the order admission returned:
+        precedence order under ``Rc``, conflict-resolution order where
+        there is no admission."""
+        candidates = self._admit(wave, candidates, rest, spans, cycle_span)
         obs = self.obs
         slots: list[tuple[Instantiation, Transaction]] = []
         phase_span = (
@@ -516,8 +583,8 @@ class ParallelEngine:
                 try:
                     # A candidate aborted from outside or retracted
                     # since it locked is found before it asks for
-                    # action locks.  Admission leaves no such slot in a
-                    # deterministic wave; the check is the firing
+                    # action locks.  Precedence order leaves no such
+                    # slot in an admitted wave; the check is the firing
                     # contract's own and costs two lookups.
                     out = self._stale(instantiation, txn) or self._act(
                         wave, instantiation, txn

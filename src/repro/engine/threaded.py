@@ -137,10 +137,14 @@ class ThreadedWaveExecutor(ParallelEngine):
 
     # -- driving a wave --------------------------------------------------------------------
 
-    def _drive(self, wave: WaveResult, candidates, spans, cycle_span) -> None:
+    def _drive(
+        self, wave: WaveResult, candidates, rest, spans, cycle_span
+    ) -> None:
         """One thread per candidate; the first exception a thread
         raised (an RHS error, already rolled back and filed) is
-        re-raised once every thread has finished."""
+        re-raised once every thread has finished.  The wave is the
+        ranking's head as it stands: nothing is held back, so ``rest``
+        has nothing to replace."""
         errors: list[Exception] = []
 
         def fire(instantiation: Instantiation) -> None:

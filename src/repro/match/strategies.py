@@ -13,7 +13,13 @@ from __future__ import annotations
 import random
 from heapq import nlargest, nsmallest
 from operator import attrgetter
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import (
+    Callable,
+    Iterator,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.match.instantiation import Instantiation
 
@@ -140,6 +146,27 @@ class RandomStrategy:
             limit = len(pool)
         draw = self._rng.randrange
         return [pool.pop(draw(len(pool))) for _ in range(limit)]
+
+
+def order_rest(
+    strategy: Strategy,
+    candidates: Sequence[Instantiation],
+    head: Sequence[Instantiation],
+) -> Iterator[Instantiation]:
+    """What ``strategy.order(candidates)`` goes on to return after
+    ``head = strategy.order(candidates, limit)``, ranked only when the
+    first of them is asked for.
+
+    One ranking in two instalments: a keyed order is total, so the
+    rest of it is the order of the rest; a seeded random draw without
+    replacement resumes on the same sorted pool in the same generator
+    state.
+    """
+    if len(head) < len(candidates):
+        taken = set(head)
+        yield from strategy.order(
+            [c for c in candidates if c not in taken]
+        )
 
 
 _REGISTRY = {

@@ -189,6 +189,7 @@ class Observer:
         self._c_fire_aborted = m.counter("firing.aborted")
         self._c_fire_deferred = m.counter("firing.deferred")
         self._c_fire_held = m.counter("firing.held")
+        self._c_fire_ordered = m.counter("firing.ordered")
         self._c_rollbacks = m.counter("engine.rollbacks")
         self._c_fault_injected = m.counter("fault.injected")
         self._c_retry_attempts = m.counter("retry.attempts")
@@ -418,8 +419,10 @@ class Observer:
 
     # -- profiler feeds (span-close timings from the engines) ------------------------------
 
-    def admit_finished(self, seconds: float) -> None:
-        """A wave's admission pass closed."""
+    def admit_finished(self, seconds: float, ordered: int) -> None:
+        """A wave's admission pass closed, having ordered ``ordered``
+        readers before a writer ranked above them."""
+        self._c_fire_ordered.inc(ordered)
         self.profiler.record_admit(seconds)
 
     def acquire_finished(

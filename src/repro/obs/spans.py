@@ -9,13 +9,16 @@ caused this cascade of Rc aborts?").  The taxonomy the engines emit::
     run                          one engine run
     └─ cycle                     one wave (the paper's recognize-act cycle)
        ├─ phase.match            conflict-set ordering / selection
-       ├─ phase.admit            rule (ii) decided from the footprints
-       │  └─ held                one candidate held back (zero duration:
-       │                         wave, rule, obj, admitted writer)
+       ├─ phase.admit            commit order chosen from the footprints
+       │  ├─ held                one candidate cut from a cycle (zero
+       │  │                      duration: wave, rule, cycle, objs)
+       │  └─ ordered             one reader put before a writer ranked
+       │                         above it (zero duration: wave, reader,
+       │                         writer, obj)
        ├─ phase.acquire          condition-lock acquisition
        │  └─ acquire             one candidate's condition locks
        │     └─ lock.acquire     one lock grant (dur = wait time)
-       └─ phase.act              RHS execution in CR order
+       └─ phase.act              RHS execution in acting order
           └─ firing              one firing txn (commit/abort/defer)
              ├─ lock.acquire     action-lock grants
              └─ rhs              the RHS body

@@ -12,6 +12,7 @@ from repro.analysis.critpath import (
     diff_bench,
     held_backs,
     makespan,
+    ordered_firsts,
 )
 from repro.obs import SpanRecorder
 
@@ -54,6 +55,7 @@ class TestCategorize:
             ("match.shard", "match"),
             ("phase.admit", "admit"),
             ("held", "admit"),
+            ("ordered", "admit"),
             ("phase.acquire", "acquire"),
             ("acquire", "acquire"),
             ("firing", "rhs"),
@@ -175,16 +177,27 @@ class TestHeldBacks:
         admit = rec.record(
             "phase.admit", start=0.0, end=1.0, parent=cycle
         )
-        for reader in ("observe", "audit"):
+        for held in ("dim", "audit"):
             rec.record(
                 "held", start=0.5, end=0.5, parent=admit, wave=3,
-                rule=reader, obj="('flag', 1)", writer="toggle",
+                rule=held, cycle=[held, "toggle"],
+                objs=["('flag', 1)", "('flag', 2)"],
             )
+        rec.record(
+            "ordered", start=0.75, end=0.75, parent=admit, wave=3,
+            reader="observe", writer="toggle", obj="('flag', 1)",
+        )
         rec.record("acquire", start=1.0, end=2.0, rule="toggle")
         first, second = held_backs(rec)
-        assert (first.wave, first.reader_rule) == (3, "observe")
-        assert (first.writer_rule, first.obj) == ("toggle", "('flag', 1)")
-        assert second.reader_rule == "audit"
+        assert (first.wave, first.rule) == (3, "dim")
+        assert first.cycle == ("dim", "toggle")
+        assert first.objs == ("('flag', 1)", "('flag', 2)")
+        assert second.rule == "audit"
+        (ordered,) = ordered_firsts(rec)
+        assert (ordered.wave, ordered.obj) == (3, "('flag', 1)")
+        assert (ordered.reader_rule, ordered.writer_rule) == (
+            "observe", "toggle",
+        )
 
     def test_admission_time_is_its_own_bucket(self):
         rec = SpanRecorder()
@@ -194,7 +207,11 @@ class TestHeldBacks:
         )
         rec.record(
             "held", start=2.0, end=2.0, parent=admit, wave=1,
-            rule="observe", obj="q", writer="toggle",
+            rule="dim", cycle=["dim", "toggle"], objs=["q", "q"],
+        )
+        rec.record(
+            "ordered", start=2.25, end=2.25, parent=admit, wave=1,
+            reader="observe", writer="toggle", obj="q",
         )
         (breakdown,) = cycle_breakdowns(rec)
         assert breakdown.buckets["admit"] == pytest.approx(1.5)

@@ -1,16 +1,19 @@
-"""Wave admission: rule (ii) decided before the locks are taken.
+"""Wave admission: rule (i) chosen before the locks are taken.
 
-The parent behaviour is the oracle.  A deterministic wave used to lock
-every candidate, let the earlier slots commit and abort the readers of
-what they wrote; ``ParallelEngine._admit`` computes that outcome from
-the ordered footprints and holds the readers back instead.  An engine
-whose ``_admit`` returns its input *is* the old engine, so every cell
-runs both and demands the same commits, wave by wave, with the
-oracle's ``aborted`` list equal to the engine's ``held`` list.
+Section 4.3, Figure 4.3: an ``Rc`` holder and a ``Wa`` holder of one
+object both commit if the reader commits first (rule (i)); the other
+order aborts the reader (rule (ii)).  ``ParallelEngine._admit`` orders
+every ``Rc`` wave by that read -> write precedence, holds back only a
+candidate that would close a cycle (Figure 4.4) and refills the wave
+from the ranking.  The oracle is a brute-force replay of each wave
+written here, from the ranked footprints alone: who closes a cycle by
+plain reachability, who acts when by repeated search for the
+lowest-ranked candidate with no predecessor left.
 
 Programs are taken read-only from ``benchmarks/e2e`` (as
-``tests/conformance`` does), plus the SNIPPETS.md S->X upgrade fixture
-and Figure 4.4's circular pair.
+``tests/conformance`` does), plus the SNIPPETS.md S->X upgrade fixture,
+Figure 4.3's reader/writer pair, Figure 4.4's circular pair, and
+Hypothesis-drawn programs from ``tests/match``.
 """
 
 from __future__ import annotations
@@ -19,11 +22,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-sys.path.insert(
-    0, str(Path(__file__).resolve().parents[2] / "benchmarks" / "e2e")
-)
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+sys.path.insert(0, str(ROOT / "tests" / "match"))
 import run as e2e  # noqa: E402
+from test_compiled_equivalence import (  # noqa: E402
+    _RELATIONS,
+    _random_program,
+)
 
 from repro.engine import (  # noqa: E402
     MultiUserEngine,
@@ -32,6 +40,7 @@ from repro.engine import (  # noqa: E402
     replay_commit_sequence,
 )
 from repro.engine.parallel import WaveResult  # noqa: E402
+from repro.errors import UnknownElementError  # noqa: E402
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy  # noqa: E402
 from repro.lang import parse_program  # noqa: E402
 from repro.txn.serializability import (  # noqa: E402
@@ -62,6 +71,21 @@ ON_CALL = (
     ],
 )
 
+#: Figure 4.3: Pi holds Rc on q, Pj holds Wa on q and out-ranks it.
+FIGURE_4_3 = (
+    """
+(p pj 10
+   (item ^id "q" ^state "fresh")
+   -->
+   (modify 1 ^state "written-by-pj"))
+(p pi 0
+   (item ^id "q" ^state "fresh")
+   -->
+   (make seen ^id "q"))
+""",
+    [("item", {"id": "q", "state": "fresh"})],
+)
+
 #: Figure 4.4: Pi reads q and r and writes r; Pj reads both and writes q.
 FIGURE_4_4 = (
     """
@@ -82,38 +106,62 @@ FIGURE_4_4 = (
     ],
 )
 
+FIXTURES = {
+    "on_call": ON_CALL, "figure_4_3": FIGURE_4_3, "figure_4_4": FIGURE_4_4,
+}
+
 
 def program(name: str):
     """``(rule text, facts)`` of one fixture, e2e programs at smoke
     size."""
-    if name == "on_call":
-        return ON_CALL
-    if name == "figure_4_4":
-        return FIGURE_4_4
+    if name in FIXTURES:
+        return FIXTURES[name]
     spec = e2e.build_spec(E2E_PROGRAMS[name], SEED, smoke=True)
     return spec["rules"], spec["facts"]
 
 
-class _NoAdmission:
-    """The parent's behaviour: every candidate is locked, and rule
-    (ii) sorts them out at commit."""
+class _Watched:
+    """Records what every admission pass was given and returned."""
 
-    def _admit(self, wave, candidates, spans, cycle_span):
-        return candidates
+    def __init__(self, *args, **options):
+        self.admissions = []
+        super().__init__(*args, **options)
+
+    def _admit(self, wave, candidates, rest, spans, cycle_span):
+        pulled = []
+
+        def watched_rest():
+            for candidate in rest:
+                pulled.append(candidate)
+                yield candidate
+
+        order = super()._admit(
+            wave, candidates, watched_rest(), spans, cycle_span
+        )
+        self.admissions.append({
+            "wave": wave, "width": len(candidates),
+            "ranked": [*candidates, *pulled], "pulled": len(pulled),
+            "order": list(order),
+            # Safe to look now that the wave is decided.
+            "exhausted": next(rest, None) is None,
+        })
+        return order
 
 
-class ParallelOracle(_NoAdmission, ParallelEngine):
+class WatchedParallel(_Watched, ParallelEngine):
     pass
 
 
-class MultiUserOracle(_NoAdmission, MultiUserEngine):
+class WatchedMultiUser(_Watched, MultiUserEngine):
     pass
 
 
-def build(cls, rules_text, facts, scheme="rc", strategy="lex",
+def build(cls, rules, facts, scheme="rc", strategy="lex",
           processors=None, **options):
-    """``(engine, rules, snapshot)`` with the facts loaded."""
-    rules = parse_program(rules_text)
+    """``(engine, rules, snapshot)`` with the facts loaded; ``rules``
+    is rule text or parsed productions."""
+    if isinstance(rules, str):
+        rules = parse_program(rules)
     memory = WorkingMemory()
     for relation, values in facts:
         memory.make(relation, values)
@@ -134,10 +182,6 @@ def build(cls, rules_text, facts, scheme="rc", strategy="lex",
     return engine, rules, snapshot
 
 
-def commit_sequence(result):
-    return [(r.rule_name, r.value_identities) for r in result.firings]
-
-
 def assert_contract(engine, rules, snapshot, result) -> None:
     outcome = replay_commit_sequence(snapshot, rules, result.firings)
     assert outcome.consistent, outcome.detail
@@ -145,53 +189,236 @@ def assert_contract(engine, rules, snapshot, result) -> None:
     assert engine.scheme.manager.grant_table() == {}
 
 
-# -- (a) the parent is the oracle ----------------------------------------------------------
+# -- the oracle: one wave replayed by brute force --------------------------------------
+
+
+def precedes(a, b) -> bool:
+    """The edge ``a -> b``: a reads what b writes, so both commit only
+    if a commits first."""
+    return not set(a.lock_footprint()[0]).isdisjoint(b.lock_footprint()[1])
+
+
+def closes_cycle(admitted, candidate) -> bool:
+    """Can ``candidate`` be reached from itself along the edges among
+    ``admitted`` and itself?"""
+    nodes = [*admitted, candidate]
+    reached, frontier = set(), [candidate]
+    while frontier:
+        a = frontier.pop()
+        for b in nodes:
+            if b is not a and b not in reached and precedes(a, b):
+                reached.add(b)
+                frontier.append(b)
+    return candidate in reached
+
+
+def replay_wave(ranked, width):
+    """``(admitted in rank order, acting order, held)`` of a wave that
+    examined ``ranked``."""
+    admitted, held = [], []
+    for candidate in ranked:
+        assert len(admitted) < width, "ranked a candidate past a full wave"
+        (held if closes_cycle(admitted, candidate) else admitted).append(
+            candidate
+        )
+    order, left = [], list(admitted)  # ``left`` stays in rank order
+    while left:
+        first = next(
+            c for c in left
+            if not any(precedes(o, c) for o in left if o is not c)
+        )
+        left.remove(first)
+        order.append(first)
+    return admitted, order, held
+
+
+def assert_admission_oracle(engine, faults=False) -> None:
+    """Every wave of ``engine`` (a ``_Watched`` one) is the brute-force
+    wave."""
+    for seen in engine.admissions:
+        wave, width = seen["wave"], seen["width"]
+        admitted, order, held = replay_wave(seen["ranked"], width)
+        assert seen["order"] == order
+        assert wave.held == [c.production.name for c in held]
+        # ``processors`` bounds admitted firings: short only when the
+        # ranking ran out, lazy when nobody was held back.
+        assert len(order) == width or seen["exhausted"]
+        assert seen["pulled"] == 0 or held
+        # Edges against rank: a reader behind the writer it precedes.
+        assert wave.ordered == sum(
+            precedes(reader, writer)
+            for slot, writer in enumerate(admitted)
+            for reader in admitted[slot + 1:]
+        )
+        if not faults:
+            # Every admitted candidate commits, in acting order.
+            assert wave.committed == [c.production.name for c in order]
+            assert wave.aborted == wave.deferred == []
+
+
+# -- (a) every wave is the brute-force wave --------------------------------------------
 
 
 @pytest.mark.parametrize("processors", PROCESSORS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize(
-    "name", [*E2E_PROGRAMS, "on_call", "figure_4_4"]
+    "name", [*E2E_PROGRAMS, "on_call", "figure_4_4", "figure_4_3"]
 )
 @pytest.mark.parametrize(
-    "cls, oracle_cls",
-    [(ParallelEngine, ParallelOracle), (MultiUserEngine, MultiUserOracle)],
-    ids=["parallel", "multiuser"],
+    "cls", [WatchedParallel, WatchedMultiUser], ids=["parallel", "multiuser"]
 )
-def test_admission_is_the_waves_own_outcome(
-    cls, oracle_cls, name, strategy, processors
-):
+def test_admission_is_the_waves_own_outcome(cls, name, strategy, processors):
     rules_text, facts = program(name)
-    oracle, _, _ = build(
-        oracle_cls, rules_text, facts,
-        strategy=strategy, processors=processors,
-    )
-    with oracle:
-        expected = oracle.run(2_000)
     engine, rules, snapshot = build(
         cls, rules_text, facts, strategy=strategy, processors=processors,
     )
     with engine:
         result = engine.run(2_000)
 
-    assert result.stop_reason == expected.stop_reason == "quiescent"
-    assert commit_sequence(result) == commit_sequence(expected)
-    assert [w.committed for w in engine.waves] == [
-        w.committed for w in oracle.waves
-    ]
-    # What the oracle locked, aborted and released is exactly what
-    # admission never locked.
-    assert [w.held for w in engine.waves] == [
-        w.aborted for w in oracle.waves
-    ]
-    assert engine.abort_count == 0 and oracle.held_count == 0
-    assert [w.deferred for w in engine.waves] == [
-        w.deferred for w in oracle.waves
-    ]
+    assert result.stop_reason == "quiescent"
+    assert len(engine.admissions) == len(engine.waves)
+    assert_admission_oracle(engine)
+    assert engine.abort_count == 0
+    assert_contract(engine, rules, snapshot, result)
+
+
+def test_figure_4_3_reader_and_writer_both_commit_reader_first():
+    engine, rules, snapshot = build(
+        WatchedParallel, *FIGURE_4_3, strategy="priority"
+    )
+    ranked, _ = engine._ranking(engine._eligible_candidates(), None)
+    assert [c.production.name for c in ranked] == ["pj", "pi"]
+    with engine:
+        result = engine.run()
+    (wave,) = engine.waves
+    assert wave.committed == ["pi", "pj"]
+    assert wave.held == [] and wave.ordered == 1
+    assert engine.abort_count == 0
+    assert_contract(engine, rules, snapshot, result)
+
+
+@pytest.mark.parametrize("processors", [None, 2])
+def test_figure_4_4_exactly_one_of_the_pair_per_wave(processors):
+    engine, rules, snapshot = build(
+        WatchedParallel, *FIGURE_4_4, processors=processors
+    )
+    with engine:
+        result = engine.run()
+    # pi's write un-matches pj: one wave, one commit, one cycle cut.
+    (wave,) = engine.waves
+    assert len(wave.committed) == 1 and len(wave.held) == 1
+    assert {*wave.committed, *wave.held} == {"pi", "pj"}
+    assert wave.ordered == 0 and engine.abort_count == 0
+    assert_contract(engine, rules, snapshot, result)
+
+
+def _items(*ids):
+    return [("item", {"id": i, "s": 0}) for i in ids]
+
+
+#: The searches behind the cycle cut, one fixture each; rank is the
+#: priority.  name -> (rules, facts, committed, held, ordered).
+SEARCHES = {
+    # a <- b <- c <- a: no pair is mutual, the ring closes at c.
+    "ring_of_three": (
+        """
+(p a 30 (item ^id "x" ^s 0) (item ^id "y" ^s 0) --> (modify 2 ^s 1))
+(p b 20 (item ^id "y" ^s 0) (item ^id "z" ^s 0) --> (modify 2 ^s 1))
+(p c 10 (item ^id "z" ^s 0) (item ^id "x" ^s 0) --> (modify 2 ^s 1))
+""",
+        _items("x", "y", "z"), ["b", "a"], ["c"], 1,
+    ),
+    # c must precede a and follow d, and nothing leads from a to d:
+    # edges both ways, no ring.
+    "edges_both_ways": (
+        """
+(p a 30 (item ^id "x" ^s 0) (item ^id "y" ^s 0) --> (modify 2 ^s 1))
+(p d 20 (item ^id "w" ^s 0) --> (make seen ^id "w"))
+(p c 10 (item ^id "y" ^s 0) (item ^id "w" ^s 0) --> (modify 2 ^s 1))
+""",
+        _items("w", "x", "y"), ["d", "c", "a"], [], 1,
+    ),
+    # The first writer c finds (a, of p) is not its partner; b is.
+    "second_writer_is_mutual": (
+        """
+(p a 30 (item ^id "p" ^s 0) --> (modify 1 ^s 1))
+(p b 20 (item ^id "q" ^s 0) (item ^id "r" ^s 0) --> (modify 1 ^s 1))
+(p c 10 (item ^id "p" ^s 0) (item ^id "q" ^s 0) (item ^id "r" ^s 0)
+   --> (modify 3 ^s 1))
+""",
+        _items("p", "q", "r"), ["a", "b"], ["c"], 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_the_cycle_search_beyond_the_mutual_pair(name):
+    rules_text, facts, committed, held, ordered = SEARCHES[name]
+    engine, rules, snapshot = build(
+        WatchedParallel, rules_text, facts, strategy="priority"
+    )
+    with engine:
+        result = engine.run()
+    first = engine.waves[0]
+    assert (first.committed, first.held, first.ordered) == (
+        committed, held, ordered
+    )
+    assert result.stop_reason == "quiescent"
+    assert_admission_oracle(engine)
+    assert_contract(engine, rules, snapshot, result)
+
+
+_facts = st.lists(
+    st.tuples(
+        st.sampled_from(_RELATIONS),
+        st.fixed_dictionaries(
+            {"k": st.integers(0, 3), "v": st.integers(0, 8)}
+        ),
+    ),
+    max_size=10,
+)
+
+
+@given(
+    rules=_random_program(),
+    facts=_facts,
+    strategy=st.sampled_from((*STRATEGIES, "random")),
+    processors=st.sampled_from((None, 1, 2, 3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_programs_keep_the_contract_under_rc(
+    rules, facts, strategy, processors
+):
+    """Joins, negations and own-RHS ``modify``/``remove`` targets drawn
+    at random: whatever the precedence graph looks like, the run replays
+    single-threaded, its history is serializable and nothing is left
+    granted.  A ``modify`` re-matches its own rule, so a run may end at
+    the wave bound instead of at quiescence."""
+    seeded = [(relation, {"k": 1, "v": 1}) for relation in _RELATIONS]
+    engine, rules, snapshot = build(
+        WatchedParallel, rules, seeded + facts, strategy=strategy,
+        processors=processors, seed=3,
+    )
+    with engine:
+        try:
+            result = engine.run(max_waves=8)
+        except UnknownElementError:
+            # A self-join matched one element at two ``modify`` targets:
+            # the second finds it gone, on every engine.
+            reject()
+    assert result.stop_reason in ("quiescent", "max_waves")
+    assert_admission_oracle(engine)
+    assert engine.abort_count == 0
+    assert engine.scheme.manager.waiting_requests() == []
     assert_contract(engine, rules, snapshot, result)
 
 
 # -- (b) schemes that refuse at the lock are driven as before -------------------------
+
+
+def _never_asked():
+    raise AssertionError("a blocking scheme pulled from the ranking")
+    yield
 
 
 @pytest.mark.parametrize("scheme", ["2pl", "c2pl"])
@@ -203,23 +430,27 @@ def test_blocking_schemes_are_not_admitted(name, cls, scheme):
     candidates = engine._eligible_candidates()
     assert candidates
     probe = WaveResult(wave=0)
-    assert engine._admit(probe, candidates, None, None) is candidates
-    assert probe.held == []
+    admitted = engine._admit(probe, candidates, _never_asked(), None, None)
+    assert admitted is candidates
+    assert probe.held == [] and probe.ordered == 0
     with engine:
         result = engine.run(2_000)
     assert result.stop_reason == "quiescent"
-    assert engine.held_count == 0
+    assert engine.held_count == engine.ordered_count == 0
     assert_contract(engine, rules, snapshot, result)
 
 
 # -- (c) a wave locks winners only: counting pins ------------------------------------
+
+#: Waves of the two pinned runs (PR 19: 53 and 657).
+WAVES = {"manners_rc": 53, "hot_rc": 288}
 
 
 @pytest.mark.parametrize(
     "workload, commits, held, history_ops, grants",
     [
         ("manners_rc", 106, 2450, 1150, 1044),
-        ("hot_rc", 2048, 2964, 11_264, 9216),
+        ("hot_rc", 2048, 248, 11_264, 9216),
     ],
 )
 def test_a_wave_locks_only_what_commits(
@@ -227,7 +458,10 @@ def test_a_wave_locks_only_what_commits(
 ):
     """Full-size benchmark inputs, seed 5.  Before admission these runs
     made 2556 and 5012 attempts, 17 892 and 20 156 history operations;
-    every grant below is a winner's."""
+    every grant below is a winner's.  Manners is one cycle per party
+    and keeps its 2450 hold-backs; on lanes only a second ``bump`` of a
+    gauge is held (2964 -> 248) and the waves are refilled (657 ->
+    288)."""
     spec = e2e.build_spec(workload, 5, smoke=False)
     config = spec["engine"]
     engine, _, _ = build(
@@ -242,21 +476,24 @@ def test_a_wave_locks_only_what_commits(
         for w in engine.waves
     )
     assert attempts == len(result.firings) == commits
+    assert len(engine.waves) == WAVES[workload]
     assert engine.held_count == held
     assert engine.abort_count == 0
     assert len(engine.history) == history_ops
     assert engine.scheme.manager.stats_snapshot()["grants"] == grants
 
 
-# -- (d) faults: a held-back reader waits for as long as its writer is refused -------
+# -- (d) faults: a refused writer costs its readers nothing; a cycle still waits ------
 
-#: One writer of the gauge, ranked first, and three readers of it that
-#: write only their own job: the readers survive the writer's commit
-#: (re-matched against the new gauge) and fire afterwards.
-GAUGE = (
-    """
+_GAUGE_RULES = """
 (p bump 10
    (job ^id <j> ^kind "bump" ^gauge <g> ^left 1)
+   (gauge ^id <g> ^level <v>)
+   -->
+   (modify 1 ^left 0)
+   (modify 2 ^level (<v> + 1)))
+(p rebump 5
+   (job ^id <j> ^kind "rebump" ^gauge <g> ^left 1)
    (gauge ^id <g> ^level <v>)
    -->
    (modify 1 ^left 0)
@@ -266,79 +503,120 @@ GAUGE = (
    (gauge ^id <g> ^level <v>)
    -->
    (modify 1 ^left 0))
-""",
-    [("gauge", {"id": 0, "level": 0}),
-     ("job", {"id": 0, "kind": "bump", "gauge": 0, "left": 1})]
-    + [("job", {"id": i, "kind": "work", "gauge": 0, "left": 1})
-       for i in (1, 2, 3)],
-)
+"""
+
+
+def gauge(*kinds):
+    """One gauge and one job per entry of ``kinds``.  ``bump`` writes
+    the gauge and is ranked first; ``work`` only reads it; ``rebump``
+    writes it too, so it closes a cycle with ``bump`` and, being
+    ranked behind it, is the one cut."""
+    return _GAUGE_RULES, [("gauge", {"id": 0, "level": 0})] + [
+        ("job", {"id": i, "kind": kind, "gauge": 0, "left": 1})
+        for i, kind in enumerate(kinds)
+    ]
+
+
+GAUGE = gauge("bump", "work", "work", "work")
+CYCLE = gauge("bump", "rebump")
+
+
+@pytest.mark.parametrize("retries", [None, 2], ids=["no-retries", "retries"])
+def test_a_denied_writer_no_longer_starves_its_readers(retries):
+    """PR 19 ranked the refused writer first and held its readers back
+    in every wave, to ``max_waves``.  In precedence order the readers
+    act before it, as they did when rule (ii) ran at commit."""
+    plan = FaultPlan([FaultSpec("lock_deny", rule="bump")])
+    engine, rules, snapshot = build(
+        WatchedParallel, *GAUGE, strategy="priority",
+        fault_injector=plan.injector(),
+        retry_policy=retries and RetryPolicy(
+            max_attempts=retries, base_delay=0.0
+        ),
+    )
+    with engine:
+        result = engine.run(max_waves=6)
+    assert engine.waves[0].committed == ["work"] * 3
+    assert engine.waves[0].deferred == ["bump"]
+    assert engine.waves[0].ordered == 3 and engine.held_count == 0
+    assert [r.rule_name for r in result.firings] == ["work"] * 3
+    if retries:
+        assert result.stop_reason == "retries_exhausted"
+        assert engine.gave_up == ["bump"]
+    else:
+        assert result.stop_reason == "max_waves"
+        assert [w.deferred for w in engine.waves] == [["bump"]] * 6
+    assert_admission_oracle(engine, faults=True)
+    assert_contract(engine, rules, snapshot, result)
 
 
 def test_held_back_readers_fire_once_a_denied_writer_gets_through():
+    """What is left of the wait: ``rebump`` reads the gauge ``bump``
+    writes and writes it back, so it is cut from the cycle for as long
+    as ``bump`` out-ranks it — also while ``bump`` is being refused."""
     plan = FaultPlan([FaultSpec("lock_deny", rule="bump", max_hits=3)])
     engine, rules, snapshot = build(
-        ParallelEngine, *GAUGE, strategy="priority",
+        WatchedParallel, *CYCLE, strategy="priority",
         fault_injector=plan.injector(),
     )
     with engine:
         result = engine.run()
     assert engine.fault.total_injected == 3
     assert result.stop_reason == "quiescent"
-    assert [r.rule_name for r in result.firings] == ["bump"] + ["work"] * 3
-    # While the writer was refused its readers waited, unlocked: a
-    # wide wave holds all three back, the width-1 fallback wave
-    # between them sees the writer alone.
+    assert [r.rule_name for r in result.firings] == ["bump", "rebump"]
+    # While the writer was refused its partner waited, unlocked: a wide
+    # wave cuts it, the width-1 fallback wave between them sees the
+    # writer alone.
     denied = [w for w in engine.waves if w.deferred]
     assert [w.deferred for w in denied] == [["bump"]] * 3
     assert all(w.committed == [] for w in denied)
-    assert [len(w.held) for w in denied] == [3, 0, 3]
+    assert [w.held for w in denied] == [["rebump"], [], ["rebump"]]
     assert engine.abort_count == 0
+    assert_admission_oracle(engine, faults=True)
     assert_contract(engine, rules, snapshot, result)
 
 
 def test_a_writer_out_of_retries_stops_holding_its_readers_back():
     plan = FaultPlan([FaultSpec("lock_deny", rule="bump")])
     engine, rules, snapshot = build(
-        ParallelEngine, *GAUGE, strategy="priority",
+        WatchedParallel, *CYCLE, strategy="priority",
         fault_injector=plan.injector(),
         retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
     )
     with engine:
         result = engine.run()
-    assert engine.gave_up == ["bump"]
-    assert [r.rule_name for r in result.firings] == ["work"] * 3
+    # ``rebump`` rewrote the gauge, so ``bump`` matched afresh and ran
+    # out of a second budget.
+    assert engine.gave_up == ["bump"] * 2
+    assert [r.rule_name for r in result.firings] == ["rebump"]
     assert result.stop_reason == "retries_exhausted"
     # A hold-back is not an attempt: only the writer was charged.
-    assert engine.retry_count == 1
-    assert engine.held_count == 3
+    assert engine.retry_count == 2
+    assert [w.held for w in engine.waves[:3]] == [["rebump"], [], []]
+    assert engine.waves[2].committed == ["rebump"]
+    assert engine.held_count == 1
+    assert_admission_oracle(engine, faults=True)
     assert_contract(engine, rules, snapshot, result)
 
 
-def test_a_persistently_denied_writer_starves_its_readers_without_retries():
-    """The price of deciding from footprints alone, pinned: nothing
-    drops a writer that is refused forever when there is no retry
-    budget, so it is admitted first in every wide wave (readers held),
+def test_a_cycle_partner_refused_forever_starves_the_candidate_cut_for_it():
+    """The known limit, narrowed to the cycle: nothing drops a
+    candidate that is refused forever when there is no retry budget,
+    so ``bump`` is admitted first in every wide wave (``rebump`` cut),
     alone in every width-1 fallback wave, and the run ends at
-    ``max_waves``.  The parent let the readers through in wave 1 — a
-    writer refused its locks never writes."""
-
-    def run(cls):
-        plan = FaultPlan([FaultSpec("lock_deny", rule="bump")])
-        engine, rules, snapshot = build(
-            cls, *GAUGE, strategy="priority", fault_injector=plan.injector(),
-        )
-        with engine:
-            result = engine.run(max_waves=6)
-        assert result.stop_reason == "max_waves"
-        assert [w.deferred for w in engine.waves] == [["bump"]] * 6
-        assert_contract(engine, rules, snapshot, result)
-        return engine, result
-
-    engine, result = run(ParallelEngine)
+    ``max_waves``.  Rule (ii) at commit would have let ``rebump``
+    through in wave 1 — a writer refused its locks never writes."""
+    plan = FaultPlan([FaultSpec("lock_deny", rule="bump")])
+    engine, rules, snapshot = build(
+        WatchedParallel, *CYCLE, strategy="priority",
+        fault_injector=plan.injector(),
+    )
+    with engine:
+        result = engine.run(max_waves=6)
+    assert result.stop_reason == "max_waves"
     assert result.firings == []
-    assert [len(w.held) for w in engine.waves] == [3, 0] * 3
+    assert [w.deferred for w in engine.waves] == [["bump"]] * 6
+    assert [w.held for w in engine.waves] == [["rebump"], []] * 3
     assert engine.abort_count == 0 and engine.gave_up == []
-
-    oracle, expected = run(ParallelOracle)
-    assert [w.committed for w in oracle.waves] == [["work"] * 3] + [[]] * 5
-    assert len(expected.firings) == 3
+    assert_admission_oracle(engine, faults=True)
+    assert_contract(engine, rules, snapshot, result)

@@ -210,7 +210,7 @@ def test_every_strategy_orders_waves_consistently(
 @pytest.mark.parametrize(
     "scheme, digest, waves, held, deferrals",
     [
-        ("rc", "f622b6739465d63f", 25, 88, 0),
+        ("rc", "817e84ecee718c05", 16, 5, 0),
         ("2pl", "0747bac9b6dfbff7", 19, 0, 20),
     ],
 )
@@ -218,10 +218,12 @@ def test_lanes_commit_sequence_is_pinned(
     scheme, digest, waves, held, deferrals
 ):
     """``Strategy.order`` must produce the order repeated ``select``
-    produced: these values were recorded with the selection-sort wave
-    ordering (LEX, 8 processors) and may not move.  Re-pinned: the 88
-    rule-(ii) aborts of the ``rc`` run are the same 88 candidates, now
-    held back at admission before any lock is taken."""
+    produced: the ``2pl`` values were recorded with the selection-sort
+    wave ordering (LEX, 8 processors) and may not move.  The ``rc``
+    cell is re-pinned to the run wave admission chooses — readers act
+    before their writers (48 edges against rank, was 88 hold-backs) and
+    a short wave is refilled from the ranking: 25 -> 16 waves, the only
+    5 hold-backs left are second ``bump`` firings on one gauge."""
     engine = ParallelEngine(
         parse_program(LANES), lanes_memory(), scheme=scheme,
         strategy="lex", processors=8,
@@ -236,5 +238,6 @@ def test_lanes_commit_sequence_is_pinned(
     assert sha.hexdigest()[:16] == digest
     assert len(engine.waves) == result.cycles == waves
     assert engine.held_count == held
+    assert engine.ordered_count == (48 if scheme == "rc" else 0)
     assert engine.abort_count == 0
     assert sum(len(w.deferred) for w in engine.waves) == deferrals

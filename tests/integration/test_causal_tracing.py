@@ -8,12 +8,14 @@ must yield
     firing -> lock spans,
 (b) per-cycle critical-path buckets that sum exactly to each cycle
     and cover most of the makespan, and
-(c) the reason the reader lost: on the deterministic engine a ``held``
-    record naming the admitted writer (the wave decides rule (ii)
-    before locking), and wherever rule (ii) really runs an Rc-Wa abort
-    link from the victim to the committing Wa transaction's firing
-    span — shown on ``RcScheme`` driven the way a racing executor
-    drives it (the ``rule_ii_by_hand`` fixture).
+(c) the commit order the wave chose: on the deterministic engine an
+    ``ordered`` record naming the reader put before the writer that
+    out-ranked it (rule (i), chosen at admission), a ``held`` record
+    naming the cycle when no order keeps everyone (Figure 4.4), and
+    wherever rule (ii) really runs an Rc-Wa abort link from the victim
+    to the committing Wa transaction's firing span — shown on
+    ``RcScheme`` driven the way a racing executor drives it (the
+    ``rule_ii_by_hand`` fixture).
 """
 
 import json
@@ -23,11 +25,13 @@ import pytest
 import repro.obs as obs
 from repro.analysis.critpath import (
     HeldBack,
+    OrderedFirst,
     abort_chains,
     coverage,
     cycle_breakdowns,
     held_backs,
     makespan,
+    ordered_firsts,
 )
 from repro.engine import ParallelEngine, ThreadedWaveExecutor
 from repro.engine.multiuser import MultiUserEngine, Session
@@ -39,8 +43,9 @@ from repro.wm import WorkingMemory
 
 
 def conflict_rules():
-    """Writer (high priority) is ordered first and writes the ``flag``
-    tuple the reader's condition read: the reader loses the wave."""
+    """Writer (high priority) is ranked first and writes the ``flag``
+    tuple the reader's condition read: in rank order the reader loses
+    the wave, reader first both commit."""
     toggle = (
         RuleBuilder("toggle", priority=10)
         .when("flag", id=var("f"), state="on")
@@ -56,15 +61,29 @@ def conflict_rules():
     return [toggle, observe]
 
 
-def run_conflict_workload(observer):
+def run_conflict_workload(observer, rules=None):
     wm = WorkingMemory()
     wm.make("flag", id=1, state="on")
     engine = ParallelEngine(
-        conflict_rules(), wm, scheme="rc", strategy="priority",
+        rules or conflict_rules(), wm, scheme="rc", strategy="priority",
         observer=observer,
     )
     engine.run()
     return engine
+
+
+def circular_rules():
+    """Two writers of the tuple both read: every commit order aborts
+    one of them (Figure 4.4), so the lower-ranked one is held back."""
+    return [
+        RuleBuilder(name, priority=priority)
+        .when("flag", id=var("f"), state="on")
+        .modify(1, state=state)
+        .build()
+        for name, priority, state in (
+            ("toggle", 10, "off"), ("dim", 0, "low"),
+        )
+    ]
 
 
 class TestAcceptance:
@@ -114,17 +133,42 @@ class TestAcceptance:
         self, rule_ii_by_hand
     ):
         """Re-targeted: the deterministic engine no longer plays rule
-        (ii) out — it records why the reader was held back; the abort
-        chain is asserted where rule (ii) still runs."""
+        (ii) out — it records the commit order it chose instead; the
+        abort chain is asserted where rule (ii) still runs."""
         with obs.observed() as observer:
             engine = run_conflict_workload(observer)
-        assert engine.waves[0].held == ["observe"]
-        assert engine.abort_count == 0
+        assert engine.waves[0].committed == ["observe", "toggle"]
+        assert engine.held_count == engine.abort_count == 0
         assert abort_chains(observer.spans) == []
-        assert held_backs(observer.spans) == [
-            HeldBack(
+        assert held_backs(observer.spans) == []
+        assert ordered_firsts(observer.spans) == [
+            OrderedFirst(
                 wave=1, reader_rule="observe", writer_rule="toggle",
                 obj="('flag', 1)",
+            )
+        ]
+        (record,) = observer.spans.spans("ordered")
+        assert record.duration == 0
+        admit = observer.spans.get(record.parent_id)
+        assert admit.name == "phase.admit"
+        assert admit.fields["ordered"] == 1 and admit.fields["held"] == 0
+        (cycle,) = [
+            c for c in observer.spans.spans("cycle")
+            if c.fields["wave"] == 1
+        ]
+        assert admit.parent_id == cycle.span_id
+        assert cycle.fields["ordered"] == 1
+
+        # The cycle cut: no order keeps both writers.
+        with obs.observed() as observer:
+            engine = run_conflict_workload(observer, circular_rules())
+        assert engine.waves[0].committed == ["toggle"]
+        assert engine.waves[0].held == ["dim"]
+        assert ordered_firsts(observer.spans) == []
+        assert held_backs(observer.spans) == [
+            HeldBack(
+                wave=1, rule="dim", cycle=("dim", "toggle"),
+                objs=("('flag', 1)", "('flag', 1)"),
             )
         ]
         (record,) = observer.spans.spans("held")
@@ -132,12 +176,7 @@ class TestAcceptance:
         admit = observer.spans.get(record.parent_id)
         assert admit.name == "phase.admit"
         assert admit.fields["held"] == 1
-        (cycle,) = [
-            c for c in observer.spans.spans("cycle")
-            if c.fields["wave"] == 1
-        ]
-        assert admit.parent_id == cycle.span_id
-        assert cycle.fields["held"] == 1
+        assert observer.spans.get(admit.parent_id).fields["held"] == 1
 
         with obs.observed() as observer:
             rule_ii_by_hand(observer)
@@ -169,6 +208,10 @@ class TestAcceptance:
         assert cycle_breakdowns(rows)[0].buckets == (
             cycle_breakdowns(observer.spans)[0].buckets
         )
+        assert ordered_firsts(rows) == ordered_firsts(observer.spans) != []
+        with obs.observed() as observer:
+            run_conflict_workload(observer, circular_rules())
+        rows = load_spans_json_lines(observer.spans.to_json_lines())
         assert held_backs(rows) == held_backs(observer.spans) != []
         with obs.observed() as observer:
             rule_ii_by_hand(observer)

@@ -419,7 +419,13 @@ class TestRunSaysWhoLostTheWave:
     @pytest.mark.parametrize(
         "scheme, summary",
         [
-            ("rc", "held back: 1, rule-(ii) aborts: 0, deferred: 0"),
+            # The reader acts before the writer that out-ranks it.
+            pytest.param(
+                "rc",
+                "ordered first: 1, held back: 0, rule-(ii) aborts: 0, "
+                "deferred: 0",
+                id="rc",
+            ),
             ("2pl", "held back: 0, rule-(ii) aborts: 0, deferred: 1"),
         ],
     )
@@ -450,11 +456,35 @@ class TestObsReport:
         assert code == 0
         assert "critical paths" in out
         assert "makespan" in out
-        # Re-targeted: the deterministic wave holds the reader back at
-        # admission, so nothing is left for rule (ii) to abort.
+        # Re-targeted: the deterministic wave puts the reader before
+        # the writer at admission, so nothing is left for rule (ii) to
+        # abort and nobody is held back.
         assert "rule-(ii) abort attribution: 0 aborts" in out
-        assert "admission: 1 held back" in out
-        assert "toggle -> observe on ('flag', 1)" in out
+        assert "admission: 0 held back, 1 ordered first" in out
+        assert "ordered observe before toggle on ('flag', 1)" in out
+
+    def test_report_names_the_cycle_a_hold_back_was_cut_from(
+        self, tmp_path, conflict_facts_file, capsys
+    ):
+        rules = tmp_path / "circular.ops"
+        rules.write_text(
+            """
+(p toggle 10 (flag ^id <f> ^state "on") --> (modify 1 ^state "off"))
+(p dim 0 (flag ^id <f> ^state "on") --> (modify 1 ^state "low"))
+"""
+        )
+        code = main(
+            ["obs", "report", str(rules),
+             "--facts", str(conflict_facts_file),
+             "--strategy", "priority"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "admission: 1 held back, 0 ordered first" in out
+        assert (
+            "held dim: cycle dim -> toggle -> dim "
+            "on ('flag', 1), ('flag', 1)"
+        ) in out
 
     def test_report_still_attributes_real_rule_ii_aborts(
         self, rule_ii_by_hand
