@@ -32,149 +32,51 @@ Quickstart::
     print(result.firing_sequence())      # ('ship-open-orders',)
 """
 
-from repro.errors import (
-    DeadlockDetected,
-    EngineError,
-    LockError,
-    ParseError,
-    ReproError,
-    SchemaError,
-    TransactionAborted,
-    ValidationError,
-)
-from repro.wm import (
-    Catalog,
-    DurableStore,
-    Query,
-    RelationSchema,
-    WME,
-    WMSnapshot,
-    WorkingMemory,
-)
-from repro.lang import (
-    Production,
-    RuleBuilder,
-    parse_production,
-    parse_program,
-)
-from repro.lang.builder import var, gt, ge, lt, le, ne
-from repro.match import (
-    CondRelationMatcher,
-    ConflictSet,
-    Instantiation,
-    NaiveMatcher,
-    ReteMatcher,
-    TreatMatcher,
-    make_strategy,
-)
-from repro.core import (
-    AddDeleteSystem,
-    ConsistencyChecker,
-    ExecutionGraph,
-    check_theorem_1,
-    check_theorem_2,
-    interferes,
-    section_3_3_example,
-    table_5_1,
-    table_5_2,
-)
-from repro.locks import (
-    ConservativeTwoPhaseScheme,
-    LockMode,
-    RcScheme,
-    TwoPhaseScheme,
-    table_4_1,
-)
-from repro.txn import History, Transaction, is_conflict_serializable
-from repro.engine import (
-    Interpreter,
-    MultiUserEngine,
-    ParallelEngine,
-    PartitionedEngine,
-    Session,
-    ThreadedWaveExecutor,
-    replay_commit_sequence,
-)
-from repro.lang.lint import lint_program
-from repro.sim import (
-    FiringSpec,
-    simulate_lock_scheme,
-    simulate_multithread,
-    simulate_single_thread,
-)
-from repro.analysis import section_5_cases
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # errors
-    "ReproError",
-    "ParseError",
-    "ValidationError",
-    "SchemaError",
-    "TransactionAborted",
-    "LockError",
-    "DeadlockDetected",
-    "EngineError",
-    # working memory
-    "WME",
-    "WorkingMemory",
-    "WMSnapshot",
-    "RelationSchema",
-    "Catalog",
-    "DurableStore",
-    "Query",
-    # language
-    "Production",
-    "RuleBuilder",
-    "parse_production",
-    "parse_program",
-    "var",
-    "gt",
-    "ge",
-    "lt",
-    "le",
-    "ne",
-    # match
-    "Instantiation",
-    "ConflictSet",
-    "NaiveMatcher",
-    "ReteMatcher",
-    "TreatMatcher",
-    "CondRelationMatcher",
-    "make_strategy",
-    # core semantics
-    "AddDeleteSystem",
-    "ExecutionGraph",
-    "ConsistencyChecker",
-    "check_theorem_1",
-    "check_theorem_2",
-    "interferes",
-    "section_3_3_example",
-    "table_5_1",
-    "table_5_2",
-    # locks & transactions
-    "LockMode",
-    "TwoPhaseScheme",
-    "ConservativeTwoPhaseScheme",
-    "RcScheme",
-    "table_4_1",
-    "Transaction",
-    "History",
-    "is_conflict_serializable",
-    # engines
-    "Interpreter",
-    "ParallelEngine",
-    "ThreadedWaveExecutor",
-    "MultiUserEngine",
-    "Session",
-    "PartitionedEngine",
-    "replay_commit_sequence",
-    "lint_program",
-    # simulation & analysis
-    "simulate_multithread",
-    "simulate_single_thread",
-    "simulate_lock_scheme",
-    "FiringSpec",
-    "section_5_cases",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "errors": (
+            "ReproError", "ParseError", "ValidationError", "SchemaError",
+            "TransactionAborted", "LockError", "DeadlockDetected",
+            "EngineError",
+        ),
+        "wm": (
+            "WME", "WorkingMemory", "WMSnapshot", "RelationSchema",
+            "Catalog", "DurableStore", "Query",
+        ),
+        "lang": (
+            "Production", "RuleBuilder", "parse_production",
+            "parse_program",
+        ),
+        "lang.builder": ("var", "gt", "ge", "lt", "le", "ne"),
+        "lang.lint": ("lint_program",),
+        "match": (
+            "Instantiation", "ConflictSet", "NaiveMatcher", "ReteMatcher",
+            "TreatMatcher", "CondRelationMatcher", "make_strategy",
+        ),
+        "core": (
+            "AddDeleteSystem", "ExecutionGraph", "ConsistencyChecker",
+            "check_theorem_1", "check_theorem_2", "interferes",
+            "section_3_3_example", "table_5_1", "table_5_2",
+        ),
+        "locks": (
+            "LockMode", "TwoPhaseScheme", "ConservativeTwoPhaseScheme",
+            "RcScheme", "table_4_1",
+        ),
+        "txn": ("Transaction", "History", "is_conflict_serializable"),
+        "engine": (
+            "Interpreter", "ParallelEngine", "ThreadedWaveExecutor",
+            "MultiUserEngine", "Session", "PartitionedEngine",
+            "replay_commit_sequence",
+        ),
+        "sim": (
+            "simulate_multithread", "simulate_single_thread",
+            "simulate_lock_scheme", "FiringSpec",
+        ),
+        "analysis": ("section_5_cases",),
+    },
+)

@@ -1,69 +1,29 @@
 """Section 5 analytics: speedup models, factor sweeps, critical paths."""
 
-from repro.analysis.speedup import (
-    multi_thread_uniprocessor_time,
-    single_thread_time,
-    speedup_bound,
-    SpeedupCase,
-    section_5_cases,
-)
-from repro.analysis.factors import (
-    sweep_conflict_degree,
-    sweep_exec_times,
-    sweep_processors,
-)
-from repro.analysis.pipeline import (
-    balanced_speedup_bound,
-    overlap_speedup,
-    pipelined_time,
-    sequential_time,
-)
-from repro.analysis.match_parallel import (
-    lpt_makespan,
-    match_speedup,
-    skewed_costs,
-    speedup_ceiling,
-    speedup_curve,
-)
-from repro.analysis.critpath import (
-    AbortChain,
-    BenchDiff,
-    CycleBreakdown,
-    abort_chains,
-    build_tree,
-    coverage,
-    critical_chain,
-    cycle_breakdowns,
-    diff_bench,
-    makespan,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "single_thread_time",
-    "multi_thread_uniprocessor_time",
-    "speedup_bound",
-    "SpeedupCase",
-    "section_5_cases",
-    "sweep_conflict_degree",
-    "sweep_exec_times",
-    "sweep_processors",
-    "sequential_time",
-    "pipelined_time",
-    "overlap_speedup",
-    "balanced_speedup_bound",
-    "lpt_makespan",
-    "match_speedup",
-    "speedup_ceiling",
-    "skewed_costs",
-    "speedup_curve",
-    "AbortChain",
-    "BenchDiff",
-    "CycleBreakdown",
-    "abort_chains",
-    "build_tree",
-    "coverage",
-    "critical_chain",
-    "cycle_breakdowns",
-    "diff_bench",
-    "makespan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "speedup": (
+            "single_thread_time", "multi_thread_uniprocessor_time",
+            "speedup_bound", "SpeedupCase", "section_5_cases",
+        ),
+        "factors": (
+            "sweep_conflict_degree", "sweep_exec_times", "sweep_processors",
+        ),
+        "pipeline": (
+            "sequential_time", "pipelined_time", "overlap_speedup",
+            "balanced_speedup_bound",
+        ),
+        "match_parallel": (
+            "lpt_makespan", "match_speedup", "speedup_ceiling",
+            "skewed_costs", "speedup_curve",
+        ),
+        "critpath": (
+            "AbortChain", "BenchDiff", "CycleBreakdown", "abort_chains",
+            "build_tree", "coverage", "critical_chain", "cycle_breakdowns",
+            "diff_bench", "makespan",
+        ),
+    },
+)

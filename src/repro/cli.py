@@ -80,14 +80,20 @@ from collections import Counter
 from pathlib import Path
 
 import repro.obs as obs
-from repro.core import ExecutionGraph, section_3_3_example
-from repro.engine import Interpreter, ParallelEngine, replay_commit_sequence
 from repro.errors import ReproError
-from repro.analysis.speedup import section_5_cases
-from repro.fault import FAULT_KINDS, FaultPlan, RetryPolicy, VirtualSleeper
 from repro.lang import parse_program
-from repro.locks import SCHEMES
 from repro.wm import WMSnapshot, WorkingMemory
+
+# A subsystem is imported by the handler that runs it: ``repro run`` on
+# the single-thread interpreter loads no locks, faults or telemetry, and
+# ``--help`` loads no engine.  So the ``choices=`` lists are spelled out
+# here; tests/test_cli.py holds each equal to the registry it mirrors
+# (``locks.SCHEMES``, ``fault.FAULT_KINDS``, ``obs.LEVELS``).
+SCHEMES = ("rc", "2pl", "c2pl")
+FAULT_KINDS = (
+    "lock_delay", "lock_deny", "abort_rhs", "crash_commit", "storage_fail",
+)
+OBS_LEVELS = ("metrics", "trace", "sampled", "full")
 
 
 def _matcher_spec(value: str) -> str:
@@ -145,6 +151,8 @@ def _make_chaos_injector(
     """A seeded injector with a virtual clock, or None at rate 0."""
     if rate <= 0:
         return None
+    from repro.fault import FaultPlan, VirtualSleeper
+
     plan = FaultPlan.chaos(seed, rate, kinds=kinds)
     return plan.injector(sleeper=VirtualSleeper())
 
@@ -167,6 +175,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     snapshot = WMSnapshot.capture(memory)
 
     if args.parallel:
+        from repro.engine import ParallelEngine, replay_commit_sequence
+        from repro.fault import RetryPolicy
+
         retry_policy = None
         if args.retries > 1:
             retry_policy = RetryPolicy(
@@ -217,6 +228,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{sum(len(w.deferred) for w in engine.waves)}"
         )
     else:
+        from repro.engine import Interpreter
+
         interpreter = Interpreter(
             rules,
             memory,
@@ -283,13 +296,16 @@ def _load_workload(
 
 def _prepare_observed(
     args: argparse.Namespace,
-) -> tuple["obs.Observer", ParallelEngine]:
+) -> tuple["obs.Observer", "ParallelEngine"]:
     """A live observer plus an engine wired to it, not yet run.
 
     Honors the optional ``--level``/``--sample-rate``/``--sample-seed``
     observability flags and (when the parser carries them) the chaos
     fault flags, so health/profile runs can drive failure modes.
     """
+    from repro.engine import ParallelEngine
+    from repro.fault import RetryPolicy
+
     if args.capacity < 1:
         raise ReproError(
             f"--capacity must be >= 1, got {args.capacity}"
@@ -667,6 +683,9 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.engine import ParallelEngine, replay_commit_sequence
+    from repro.fault import RetryPolicy
+
     rules_text = Path(args.rules).read_text(encoding="utf-8")
     rules = parse_program(rules_text)
     if not rules:
@@ -855,6 +874,8 @@ def _cmd_storage_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from repro.core import ExecutionGraph, section_3_3_example
+
     graph = ExecutionGraph(section_3_3_example(), max_depth=args.depth)
     if args.dot:
         print(graph.to_dot())
@@ -869,6 +890,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_section5(args: argparse.Namespace) -> int:
+    from repro.analysis.speedup import section_5_cases
+
     print(f"{'case':<20} {'T_single':>9} {'T_multi':>8} "
           f"{'speedup':>8} {'paper':>8}  status")
     exit_code = 0
@@ -1130,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--facts", help="JSON-lines facts file")
         parser.add_argument(
             "--level",
-            choices=list(obs.LEVELS),
+            choices=list(OBS_LEVELS),
             default="full",
             help="observer cost tier: metrics (aggregates only), "
             "trace (+ ring events), sampled (+ head-sampled spans), "

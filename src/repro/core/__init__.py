@@ -16,45 +16,25 @@
 * :mod:`~repro.core.theorems` — executable checks of Theorems 1 and 2.
 """
 
-from repro.core.addsets import (
-    AddDeleteSystem,
-    section_3_3_example,
-    table_5_1,
-    table_5_2,
-    SECTION_5_EXEC_TIMES,
-)
-from repro.core.semantics import ExecutionString, SystemState
-from repro.core.execution_graph import ExecutionGraph
-from repro.core.consistency import ConsistencyChecker, ConsistencyReport
-from repro.core.interference import (
-    interferes,
-    interference_graph,
-    conflicting_objects,
-)
-from repro.core.static_partition import (
-    greedy_partition,
-    maximal_noninterfering_subset,
-    partition_conflict_set,
-)
-from repro.core.theorems import check_theorem_1, check_theorem_2
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddDeleteSystem",
-    "section_3_3_example",
-    "table_5_1",
-    "table_5_2",
-    "SECTION_5_EXEC_TIMES",
-    "SystemState",
-    "ExecutionString",
-    "ExecutionGraph",
-    "ConsistencyChecker",
-    "ConsistencyReport",
-    "interferes",
-    "interference_graph",
-    "conflicting_objects",
-    "greedy_partition",
-    "maximal_noninterfering_subset",
-    "partition_conflict_set",
-    "check_theorem_1",
-    "check_theorem_2",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "addsets": (
+            "AddDeleteSystem", "section_3_3_example", "table_5_1",
+            "table_5_2", "SECTION_5_EXEC_TIMES",
+        ),
+        "semantics": ("SystemState", "ExecutionString"),
+        "execution_graph": ("ExecutionGraph",),
+        "consistency": ("ConsistencyChecker", "ConsistencyReport"),
+        "interference": (
+            "interferes", "interference_graph", "conflicting_objects",
+        ),
+        "static_partition": (
+            "greedy_partition", "maximal_noninterfering_subset",
+            "partition_conflict_set",
+        ),
+        "theorems": ("check_theorem_1", "check_theorem_2"),
+    },
+)

@@ -17,28 +17,18 @@
   exclusion.
 """
 
-from repro.engine.actions import ActionExecutor, ActionOutcome
-from repro.engine.result import RunResult, FiringRecord
-from repro.engine.interpreter import Interpreter
-from repro.engine.parallel import ParallelEngine, WaveResult
-from repro.engine.replay import replay_commit_sequence, ReplayOutcome
-from repro.engine.threaded import ThreadedWaveExecutor
-from repro.engine.multiuser import MultiUserEngine, Session
-from repro.engine.partitioned import PartitionedEngine, ShardRun
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActionExecutor",
-    "ActionOutcome",
-    "RunResult",
-    "FiringRecord",
-    "Interpreter",
-    "ParallelEngine",
-    "WaveResult",
-    "replay_commit_sequence",
-    "ReplayOutcome",
-    "ThreadedWaveExecutor",
-    "MultiUserEngine",
-    "Session",
-    "PartitionedEngine",
-    "ShardRun",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "actions": ("ActionExecutor", "ActionOutcome"),
+        "result": ("RunResult", "FiringRecord"),
+        "interpreter": ("Interpreter",),
+        "parallel": ("ParallelEngine", "WaveResult"),
+        "replay": ("replay_commit_sequence", "ReplayOutcome"),
+        "threaded": ("ThreadedWaveExecutor",),
+        "multiuser": ("MultiUserEngine", "Session"),
+        "partitioned": ("PartitionedEngine", "ShardRun"),
+    },
+)

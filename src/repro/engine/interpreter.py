@@ -20,26 +20,15 @@ from repro.engine.actions import ActionExecutor
 from repro.engine.result import FiringRecord, RunResult
 from repro.errors import EngineError
 from repro.lang.production import Production
-from repro.match.base import BaseMatcher
+from repro.match.base import MATCHERS, BaseMatcher, matcher_class
 from repro.match.instantiation import Instantiation
-from repro.match.naive import NaiveMatcher
-from repro.match.rete.network import ReteMatcher
 from repro.match.strategies import Strategy, make_strategy
-from repro.match.cond import CondRelationMatcher
-from repro.match.treat import TreatMatcher
 from repro.wm.memory import WorkingMemory
 from repro.wm.snapshot import WMSnapshot
 
 #: A matcher name (``"naive"``/``"rete"``/``"treat"``/``"cond"``) or a
 #: partitioned spec ``"partitioned[:inner[:shards[:backend]]]"``.
 MatcherName = str
-
-_MATCHERS: dict[str, type[BaseMatcher]] = {
-    "naive": NaiveMatcher,
-    "rete": ReteMatcher,
-    "treat": TreatMatcher,
-    "cond": CondRelationMatcher,
-}
 
 
 def parse_matcher_spec(name: MatcherName) -> MatcherName:
@@ -58,10 +47,10 @@ def parse_matcher_spec(name: MatcherName) -> MatcherName:
 
         parse_partitioned_spec(name)
         return name
-    if name not in _MATCHERS:
+    if name not in MATCHERS:
         raise EngineError(
             f"unknown matcher {name!r}; expected one of "
-            f"{sorted(_MATCHERS) + ['partitioned[:inner[:K[:backend]]]']}"
+            f"{sorted(MATCHERS) + ['partitioned[:inner[:K[:backend]]]']}"
         )
     return name
 
@@ -71,8 +60,9 @@ def build_matcher(
 ) -> BaseMatcher:
     """Instantiate a matcher by name or partitioned spec.
 
-    Plain names resolve via the registry; anything starting with
-    ``"partitioned"`` is parsed as ``partitioned[:inner[:shards
+    Plain names resolve via :data:`~repro.match.base.MATCHERS`, which
+    imports only the module of the matcher asked for; anything starting
+    with ``"partitioned"`` is parsed as ``partitioned[:inner[:shards
     [:backend]]]`` (e.g. ``"partitioned:rete:4"``) and builds a
     :class:`~repro.match.partitioned.PartitionedMatcher`.  ``observer``
     is forwarded to matchers that are observability-instrumented
@@ -93,14 +83,7 @@ def build_matcher(
             backend=backend,
             observer=observer,
         )
-    try:
-        cls = _MATCHERS[name]
-    except KeyError:
-        raise EngineError(
-            f"unknown matcher {name!r}; expected one of "
-            f"{sorted(_MATCHERS) + ['partitioned[:inner[:K[:backend]]]']}"
-        ) from None
-    return cls(memory)
+    return matcher_class(parse_matcher_spec(name))(memory)
 
 
 class Interpreter:

@@ -18,41 +18,24 @@ single-threaded.
 * :mod:`repro.fault.storage_chaos` — the crash-equivalence sweep that
   crashes the durable store at every commit/checkpoint/rotation/
   compaction window, under raw operations and
-  (:mod:`repro.fault.firing_chaos`, not imported here: it needs the
+  (:mod:`repro.fault.firing_chaos`, not exported here: it needs the
   engines) under the engines, and proves recovery lands on a
   commit-sequence prefix.
 """
 
-from repro.fault.plan import (
-    FAULT_KINDS,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    LOCK_KINDS,
-)
-from repro.fault.injector import FaultInjector
-from repro.fault.retry import NO_RETRY, RetryPolicy, VirtualSleeper
-from repro.fault.storage_chaos import (
-    CrashCase,
-    SweepResult,
-    crash_equivalence_sweep,
-    memory_signature,
-    run_crash_case,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "LOCK_KINDS",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultInjector",
-    "RetryPolicy",
-    "NO_RETRY",
-    "VirtualSleeper",
-    "CrashCase",
-    "SweepResult",
-    "crash_equivalence_sweep",
-    "memory_signature",
-    "run_crash_case",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "plan": (
+            "FAULT_KINDS", "LOCK_KINDS", "FaultKind", "FaultPlan", "FaultSpec",
+        ),
+        "injector": ("FaultInjector",),
+        "retry": ("RetryPolicy", "NO_RETRY", "VirtualSleeper"),
+        "storage_chaos": (
+            "CrashCase", "SweepResult", "crash_equivalence_sweep",
+            "memory_signature", "run_crash_case",
+        ),
+    },
+)

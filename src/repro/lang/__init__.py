@@ -14,45 +14,19 @@ Rules can be written either as text in the DSL and parsed with
 programmatically with :class:`~repro.lang.builder.RuleBuilder`.
 """
 
-from repro.lang.ast import (
-    BinaryExpr,
-    Bindings,
-    ConditionElement,
-    Constant,
-    ConstantTest,
-    HaltAction,
-    MakeAction,
-    ModifyAction,
-    PredicateTest,
-    RemoveAction,
-    BindAction,
-    WriteAction,
-    ValueExpr,
-    VariableRef,
-    VariableTest,
-)
-from repro.lang.production import Production
-from repro.lang.parser import parse_production, parse_program
-from repro.lang.builder import RuleBuilder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Bindings",
-    "ConditionElement",
-    "ConstantTest",
-    "VariableTest",
-    "PredicateTest",
-    "Constant",
-    "VariableRef",
-    "BinaryExpr",
-    "ValueExpr",
-    "MakeAction",
-    "ModifyAction",
-    "RemoveAction",
-    "BindAction",
-    "WriteAction",
-    "HaltAction",
-    "Production",
-    "parse_production",
-    "parse_program",
-    "RuleBuilder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ast": (
+            "Bindings", "ConditionElement", "ConstantTest", "VariableTest",
+            "PredicateTest", "Constant", "VariableRef", "BinaryExpr",
+            "ValueExpr", "MakeAction", "ModifyAction", "RemoveAction",
+            "BindAction", "WriteAction", "HaltAction",
+        ),
+        "production": ("Production",),
+        "parser": ("parse_production", "parse_program"),
+        "builder": ("RuleBuilder",),
+    },
+)

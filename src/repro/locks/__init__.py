@@ -21,64 +21,35 @@ that the new scheme "requires minor modifications to conventional lock
 managers".
 """
 
-from repro.locks.modes import (
-    LockMode,
-    compatible,
-    COMPATIBILITY,
-    TWO_PHASE_COMPATIBILITY,
-    table_4_1,
-)
-from repro.locks.request import LockGrant, LockRequest, RequestStatus
-from repro.locks.manager import GrantOutcome, LockManager
-from repro.locks.two_phase import ConservativeTwoPhaseScheme, TwoPhaseScheme
+from repro._lazy import lazy_exports
 from repro.locks.rc_scheme import RcScheme
-from repro.locks.deadlock import (
-    DeadlockDetector,
-    VictimPolicy,
-    youngest_victim,
-    oldest_victim,
-    most_locks_victim,
-    make_fewest_locks_victim,
-    resolve_victim_policy,
-)
-from repro.locks.escalation import EscalationPolicy
-from repro.locks.prevention import (
-    WaitDie,
-    WoundWait,
-    acquire_with_prevention,
-)
+from repro.locks.two_phase import ConservativeTwoPhaseScheme, TwoPhaseScheme
 
-#: The lock schemes by name — the one registry that engines, simulators
-#: and the CLI's ``choices`` read.
+#: The lock schemes by name — the one registry that engines and
+#: simulators read (and that the CLI's ``choices`` are pinned to).
 SCHEMES: dict[str, type[TwoPhaseScheme] | type[RcScheme]] = {
     cls.name: cls
     for cls in (RcScheme, TwoPhaseScheme, ConservativeTwoPhaseScheme)
 }
 
-__all__ = [
-    "SCHEMES",
-    "LockMode",
-    "compatible",
-    "COMPATIBILITY",
-    "TWO_PHASE_COMPATIBILITY",
-    "table_4_1",
-    "LockRequest",
-    "LockGrant",
-    "RequestStatus",
-    "LockManager",
-    "GrantOutcome",
-    "TwoPhaseScheme",
-    "ConservativeTwoPhaseScheme",
-    "RcScheme",
-    "DeadlockDetector",
-    "VictimPolicy",
-    "youngest_victim",
-    "oldest_victim",
-    "most_locks_victim",
-    "make_fewest_locks_victim",
-    "resolve_victim_policy",
-    "EscalationPolicy",
-    "WoundWait",
-    "WaitDie",
-    "acquire_with_prevention",
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "modes": (
+            "LockMode", "compatible", "COMPATIBILITY",
+            "TWO_PHASE_COMPATIBILITY", "table_4_1",
+        ),
+        "request": ("LockRequest", "LockGrant", "RequestStatus"),
+        "manager": ("LockManager", "GrantOutcome"),
+        "deadlock": (
+            "DeadlockDetector", "VictimPolicy", "youngest_victim",
+            "oldest_victim", "most_locks_victim",
+            "make_fewest_locks_victim", "resolve_victim_policy",
+        ),
+        "escalation": ("EscalationPolicy",),
+        "prevention": ("WoundWait", "WaitDie", "acquire_with_prevention"),
+    },
+)
+__all__ += [
+    "SCHEMES", "TwoPhaseScheme", "ConservativeTwoPhaseScheme", "RcScheme",
 ]

@@ -25,43 +25,22 @@ All five expose the same protocol (:class:`~repro.match.base.Matcher`)
 and are interchangeable in the engine.
 """
 
-from repro.match.base import Matcher
-from repro.match.instantiation import Instantiation
-from repro.match.conflict_set import ConflictSet, ConflictSetDelta
-from repro.match.naive import NaiveMatcher
-from repro.match.treat import TreatMatcher
-from repro.match.cond import CondRelationMatcher
-from repro.match.partitioned import (
-    PartitionedMatcher,
-    parse_partitioned_spec,
-)
-from repro.match.rete.network import ReteMatcher
-from repro.match.strategies import (
-    FifoStrategy,
-    LexStrategy,
-    MeaStrategy,
-    PriorityStrategy,
-    RandomStrategy,
-    Strategy,
-    make_strategy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Matcher",
-    "Instantiation",
-    "ConflictSet",
-    "ConflictSetDelta",
-    "NaiveMatcher",
-    "ReteMatcher",
-    "TreatMatcher",
-    "CondRelationMatcher",
-    "PartitionedMatcher",
-    "parse_partitioned_spec",
-    "Strategy",
-    "LexStrategy",
-    "MeaStrategy",
-    "PriorityStrategy",
-    "FifoStrategy",
-    "RandomStrategy",
-    "make_strategy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("Matcher",),
+        "instantiation": ("Instantiation",),
+        "conflict_set": ("ConflictSet", "ConflictSetDelta"),
+        "naive": ("NaiveMatcher",),
+        "treat": ("TreatMatcher",),
+        "cond": ("CondRelationMatcher",),
+        "partitioned": ("PartitionedMatcher", "parse_partitioned_spec"),
+        "rete.network": ("ReteMatcher",),
+        "strategies": (
+            "Strategy", "LexStrategy", "MeaStrategy", "PriorityStrategy",
+            "FifoStrategy", "RandomStrategy", "make_strategy",
+        ),
+    },
+)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from importlib import import_module
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.lang.compile import SlottedPlan
@@ -147,3 +148,20 @@ class BaseMatcher:
 
     def _on_delta(self, delta) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
+
+
+#: The monolithic matchers by name -> (module, class): the one registry
+#: behind the engines' ``matcher=`` names and the partitioned matcher's
+#: inner matchers.  A module is imported when its matcher is built.
+MATCHERS: dict[str, tuple[str, str]] = {
+    "naive": ("repro.match.naive", "NaiveMatcher"),
+    "rete": ("repro.match.rete.network", "ReteMatcher"),
+    "treat": ("repro.match.treat", "TreatMatcher"),
+    "cond": ("repro.match.cond", "CondRelationMatcher"),
+}
+
+
+def matcher_class(name: str) -> type[BaseMatcher]:
+    """The matcher class registered as ``name`` (``KeyError`` if none)."""
+    module, cls = MATCHERS[name]
+    return getattr(import_module(module), cls)

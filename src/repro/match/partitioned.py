@@ -66,38 +66,33 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 import repro.obs as obs_module
 from repro.errors import MatchError
 from repro.lang.production import Production
-from repro.match.base import BaseMatcher
-from repro.match.cond import CondRelationMatcher
+from repro.match.base import MATCHERS, BaseMatcher, matcher_class
 from repro.match.conflict_set import ConflictSetDelta
 from repro.match.instantiation import Instantiation
-from repro.match.naive import NaiveMatcher
-from repro.match.procpool import (
-    DEFAULT_TIMEOUT as PROCPOOL_TIMEOUT,
-    ProcessPool,
-    ShardReply,
-    decode_wme,
-)
-from repro.match.rete.network import ReteMatcher
-from repro.match.treat import TreatMatcher
-from repro.sim.engine import Simulator
 from repro.wm.memory import WMDelta, WorkingMemory
 
-#: Inner matcher registry (mirrors the engine's name → class map
-#: without importing the engine layer).
-INNER_MATCHERS: dict[str, type[BaseMatcher]] = {
-    "naive": NaiveMatcher,
-    "rete": ReteMatcher,
-    "treat": TreatMatcher,
-    "cond": CondRelationMatcher,
-}
+# Each substrate and inner matcher is imported by the constructor
+# branch that builds it — a serial Rete run loads no pool, simulator
+# or second matcher — and never later: a run imports nothing.
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.match.procpool import ProcessPool, ShardReply
+    from repro.sim.engine import Simulator
 
 BACKENDS = ("thread", "serial", "des", "process")
 ASSIGNMENTS = ("round-robin", "hash", "lpt")
@@ -120,10 +115,10 @@ def parse_partitioned_spec(spec: str) -> tuple[str, int, str]:
             "partitioned[:inner[:shards[:backend]]]"
         )
     inner = parts[1] if len(parts) > 1 and parts[1] else "rete"
-    if inner not in INNER_MATCHERS:
+    if inner not in MATCHERS:
         raise MatchError(
             f"unknown inner matcher {inner!r} in {spec!r}; expected one "
-            f"of {sorted(INNER_MATCHERS)}"
+            f"of {sorted(MATCHERS)}"
         )
     shards = DEFAULT_SHARDS
     if len(parts) > 2 and parts[2]:
@@ -206,7 +201,10 @@ class _RemoteShard:
     is_attached = True
 
     def __init__(self, owner: "PartitionedMatcher", index: int) -> None:
+        from repro.match.procpool import decode_wme
+
         self._owner = owner
+        self._decode_wme = decode_wme
         self.index = index
         self.productions: dict[str, Production] = {}
         self.conflict_set = _StagedDelta()
@@ -249,6 +247,7 @@ class _RemoteShard:
         production = self._owner._productions.get(rule_name)
         if production is None:
             production = self.productions[rule_name]
+        decode_wme = self._decode_wme
         return Instantiation(
             production,
             tuple(decode_wme(w) for w in wme_payloads),
@@ -281,8 +280,8 @@ class PartitionedMatcher(BaseMatcher):
         Number of partitions ``K`` (the paper's ``Np`` for the match
         phase).
     inner:
-        Inner matcher: a name from :data:`INNER_MATCHERS` or a
-        ``WorkingMemory -> BaseMatcher`` factory.
+        Inner matcher: a name from :data:`~repro.match.base.MATCHERS`
+        or a ``WorkingMemory -> BaseMatcher`` factory.
     backend:
         ``"thread"`` (default; ThreadPoolExecutor barrier),
         ``"serial"`` (in-process reference), ``"des"``
@@ -306,6 +305,10 @@ class PartitionedMatcher(BaseMatcher):
     simulator:
         Virtual clock for the DES backend (a fresh
         :class:`~repro.sim.engine.Simulator` when omitted).
+    procpool_timeout:
+        Seconds the process backend waits on a worker reply before
+        declaring it dead (:data:`repro.match.procpool.DEFAULT_TIMEOUT`
+        when omitted).
     """
 
     def __init__(
@@ -318,7 +321,7 @@ class PartitionedMatcher(BaseMatcher):
         cost_model: CostModel | None = None,
         observer=None,
         simulator: Simulator | None = None,
-        procpool_timeout: float = PROCPOOL_TIMEOUT,
+        procpool_timeout: float | None = None,
     ) -> None:
         super().__init__(memory)
         if shards < 1:
@@ -333,18 +336,20 @@ class PartitionedMatcher(BaseMatcher):
                 f"{ASSIGNMENTS}"
             )
         if isinstance(inner, str):
-            if inner not in INNER_MATCHERS:
+            if inner not in MATCHERS:
                 raise MatchError(
                     f"unknown inner matcher {inner!r}; expected one of "
-                    f"{sorted(INNER_MATCHERS)}"
+                    f"{sorted(MATCHERS)}"
                 )
-            factory = INNER_MATCHERS[inner]
+            # Loaded for process shards too, though only the workers
+            # build it: forked workers inherit the module.
+            factory = matcher_class(inner)
             self.inner_name = inner
         else:
             if backend == "process":
                 raise MatchError(
                     "process backend needs a named inner matcher (one "
-                    f"of {sorted(INNER_MATCHERS)}); a custom factory "
+                    f"of {sorted(MATCHERS)}); a custom factory "
                     "cannot be rebuilt inside worker processes"
                 )
             factory = inner
@@ -355,7 +360,15 @@ class PartitionedMatcher(BaseMatcher):
             observer if observer is not None else obs_module.get_observer()
         )
         self._cost_model = cost_model
+        self._pool: ThreadPoolExecutor | None = None
+        self._procpool: ProcessPool | None = None
+        self.procpool_timeout = procpool_timeout
+        self.simulator = simulator
         if backend == "process":
+            from repro.match.procpool import DEFAULT_TIMEOUT
+
+            if procpool_timeout is None:
+                self.procpool_timeout = DEFAULT_TIMEOUT
             self._shards = [
                 _Shard(i, _RemoteShard(self, i)) for i in range(shards)
             ]
@@ -363,19 +376,18 @@ class PartitionedMatcher(BaseMatcher):
             self._shards = [
                 _Shard(i, factory(memory)) for i in range(shards)
             ]
+        if backend == "thread":
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool_class = ThreadPoolExecutor
+        elif backend == "des" and simulator is None:
+            from repro.sim.engine import Simulator
+
+            self.simulator = Simulator()
         self._rule_shard: dict[str, int] = {}
         self._registered = 0
         self._batch_depth = 0
         self._buffer: list[WMDelta] = []
-        self._pool: ThreadPoolExecutor | None = None
-        self._procpool: ProcessPool | None = None
-        self.procpool_timeout = procpool_timeout
-        if backend == "des":
-            self.simulator = (
-                simulator if simulator is not None else Simulator()
-            )
-        else:
-            self.simulator = simulator
         #: Virtual busy time summed over shards (DES backend) — the
         #: sequential match time the parallel makespan is compared to.
         self.virtual_busy = 0.0
@@ -590,7 +602,7 @@ class PartitionedMatcher(BaseMatcher):
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            self._pool = ThreadPoolExecutor(
+            self._pool = self._pool_class(
                 max_workers=len(self._shards),
                 thread_name_prefix="match-shard",
             )
@@ -614,6 +626,8 @@ class PartitionedMatcher(BaseMatcher):
         remove-then-re-add, so the net delta is exactly the difference
         and fired marks survive for persisting members.
         """
+        from repro.match.procpool import ProcessPool
+
         if self._procpool is not None:
             self._procpool.shutdown()
         pool = ProcessPool(

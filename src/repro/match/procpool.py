@@ -54,6 +54,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import MatchError
 from repro.lang.production import Production
+from repro.match.base import matcher_class
 from repro.match.instantiation import Instantiation
 from repro.wm.element import WME
 from repro.wm.memory import WMDelta, WorkingMemory
@@ -189,14 +190,6 @@ def recv_message(conn, timeout: float | None = None) -> tuple[object, int]:
 # ---------------------------------------------------------------------------
 
 
-def _build_inner_matcher(inner_name: str, memory: WorkingMemory):
-    # Imported here so ``spawn`` workers resolve the registry inside
-    # their own interpreter, and to avoid a cycle with partitioned.py.
-    from repro.match.partitioned import INNER_MATCHERS
-
-    return INNER_MATCHERS[inner_name](memory)
-
-
 def _take_encoded_delta(matcher) -> tuple[tuple, tuple]:
     """The inner matcher's conflict-set delta, encoded and sorted.
 
@@ -235,7 +228,7 @@ def worker_main(conn, inner_name: str) -> None:
     replica down with it.
     """
     memory = WorkingMemory()
-    matcher = _build_inner_matcher(inner_name, memory)
+    matcher = matcher_class(inner_name)(memory)
     matcher.attach()
     while True:
         try:
@@ -250,7 +243,7 @@ def worker_main(conn, inner_name: str) -> None:
             if command == "reset":
                 _, productions, wme_triples = message
                 memory = WorkingMemory()
-                matcher = _build_inner_matcher(inner_name, memory)
+                matcher = matcher_class(inner_name)(memory)
                 matcher.add_productions(productions)
                 matcher.attach()
                 for payload in wme_triples:

@@ -16,6 +16,11 @@ memories, join/negative/production nodes), and
 :mod:`~repro.match.rete.network` (the :class:`ReteMatcher` facade).
 """
 
-from repro.match.rete.network import ReteMatcher
+from repro._lazy import lazy_exports
 
-__all__ = ["ReteMatcher"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "network": ("ReteMatcher",),
+    },
+)

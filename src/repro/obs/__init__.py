@@ -17,7 +17,10 @@ sketches (:class:`QuantileSketch`), a per-rule self-time profiler
   text exposition, and JSONL span dumps;
 * :mod:`repro.obs.observer` — the :class:`Observer` facade whose
   semantic hooks the lock manager, lock schemes, engines and
-  simulators call.
+  simulators call;
+* :mod:`repro.obs.null` — :data:`NULL_OBSERVER` and the default-
+  observer slot: the only piece ``import repro.obs`` loads, so
+  learning that telemetry is off costs no telemetry import.
 
 Instrumentation is **off by default**: components resolve the
 module-level default observer at construction time, and that default
@@ -40,129 +43,27 @@ Components also accept an explicit ``observer=`` argument for
 isolated measurement (several engines, separate registries).
 """
 
-from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Callable, Iterator
-
-from repro.obs.health import (
-    GREEN,
-    HealthMonitor,
-    HealthReport,
-    RED,
-    YELLOW,
-)
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-    TIME_BUCKETS,
-)
-from repro.obs.observer import (
-    LEVELS,
+from repro._lazy import lazy_exports
+from repro.obs.null import (
     NULL_OBSERVER,
     NullObserver,
-    Observer,
+    get_observer,
+    set_observer,
 )
-from repro.obs.profile import RuleProfiler, render_profile
-from repro.obs.sampling import DroppedSpan, HeadSampler
-from repro.obs.spans import Span, SpanRecorder
-from repro.obs.trace import TraceCollector, TraceEvent
 
-_default: Observer | NullObserver = NULL_OBSERVER
-
-
-def get_observer() -> Observer | NullObserver:
-    """The observer newly constructed components will attach to."""
-    return _default
-
-
-def set_observer(
-    observer: Observer | NullObserver,
-) -> Observer | NullObserver:
-    """Install ``observer`` as the default; returns the previous one."""
-    global _default
-    previous = _default
-    _default = observer
-    return previous
-
-
-def enable(
-    trace_capacity: int = 65_536,
-    clock: Callable[[], float] | None = None,
-    level: str = "full",
-    sample_rate: float = 0.1,
-    sample_seed: int = 0,
-) -> Observer:
-    """Create a live :class:`Observer` and make it the default.
-
-    Only components constructed *after* this call pick it up — enable
-    observability before building engines/managers.
-    """
-    observer = Observer(
-        trace_capacity=trace_capacity, clock=clock, level=level,
-        sample_rate=sample_rate, sample_seed=sample_seed,
-    )
-    set_observer(observer)
-    return observer
-
-
-def disable() -> None:
-    """Restore the inert default observer."""
-    set_observer(NULL_OBSERVER)
-
-
-@contextmanager
-def observed(
-    trace_capacity: int = 65_536,
-    clock: Callable[[], float] | None = None,
-    level: str = "full",
-    sample_rate: float = 0.1,
-    sample_seed: int = 0,
-) -> Iterator[Observer]:
-    """Scoped :func:`enable`: restores the previous default on exit."""
-    observer = Observer(
-        trace_capacity=trace_capacity, clock=clock, level=level,
-        sample_rate=sample_rate, sample_seed=sample_seed,
-    )
-    previous = set_observer(observer)
-    try:
-        yield observer
-    finally:
-        set_observer(previous)
-
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "QuantileSketch",
-    "MetricsRegistry",
-    "TIME_BUCKETS",
-    "COUNT_BUCKETS",
-    "TraceCollector",
-    "TraceEvent",
-    "Span",
-    "SpanRecorder",
-    "HeadSampler",
-    "DroppedSpan",
-    "RuleProfiler",
-    "render_profile",
-    "HealthMonitor",
-    "HealthReport",
-    "GREEN",
-    "YELLOW",
-    "RED",
-    "LEVELS",
-    "Observer",
-    "NullObserver",
-    "NULL_OBSERVER",
-    "get_observer",
-    "set_observer",
-    "enable",
-    "disable",
-    "observed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "metrics": (
+            "Counter", "Gauge", "Histogram", "QuantileSketch",
+            "MetricsRegistry", "TIME_BUCKETS", "COUNT_BUCKETS",
+        ),
+        "trace": ("TraceCollector", "TraceEvent"),
+        "spans": ("Span", "SpanRecorder"),
+        "sampling": ("HeadSampler", "DroppedSpan"),
+        "profile": ("RuleProfiler", "render_profile"),
+        "health": ("HealthMonitor", "HealthReport", "GREEN", "YELLOW", "RED"),
+        "observer": ("LEVELS", "Observer", "enable", "disable", "observed"),
+    },
+)
+__all__ += ["NullObserver", "NULL_OBSERVER", "get_observer", "set_observer"]

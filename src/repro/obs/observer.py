@@ -41,7 +41,8 @@ construction so a hook never pays a registry lookup.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 from repro.obs.health import (
     BENIGN_ABORT_REASONS,
@@ -53,6 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     TIME_BUCKETS,
 )
+from repro.obs.null import NULL_OBSERVER, set_observer
 from repro.obs.profile import RuleProfiler
 from repro.obs.sampling import HeadSampler
 from repro.obs.spans import Span, SpanRecorder
@@ -651,35 +653,46 @@ class Observer:
         self.metrics.histogram(name, buckets).observe(value)
 
 
-def _noop(self, *args, **kwargs) -> None:
-    return None
+def enable(
+    trace_capacity: int = 65_536,
+    clock: Callable[[], float] | None = None,
+    level: str = "full",
+    sample_rate: float = 0.1,
+    sample_seed: int = 0,
+) -> Observer:
+    """Create a live :class:`Observer` and make it the default.
 
-
-class NullObserver:
-    """The disabled observer: every hook is a no-op.
-
-    ``enabled`` is False, so correctly guarded call sites never even
-    invoke the hooks; the no-op methods are a safety net for unguarded
-    (cold-path) calls.  ``spans`` is None, matching a live observer
-    below the ``"sampled"`` level.
+    Only components constructed *after* this call pick it up — enable
+    observability before building engines/managers.
     """
-
-    enabled = False
-    spans = None
-    sampler = None
-
-    def clock(self) -> float:
-        return 0.0
-
-
-for _name in [
-    attr
-    for attr in vars(Observer)
-    if not attr.startswith("_") and callable(getattr(Observer, attr))
-    and attr != "clock"
-]:
-    setattr(NullObserver, _name, _noop)
+    observer = Observer(
+        trace_capacity=trace_capacity, clock=clock, level=level,
+        sample_rate=sample_rate, sample_seed=sample_seed,
+    )
+    set_observer(observer)
+    return observer
 
 
-#: The process-wide disabled observer (see :mod:`repro.obs`).
-NULL_OBSERVER = NullObserver()
+def disable() -> None:
+    """Restore the inert default observer."""
+    set_observer(NULL_OBSERVER)
+
+
+@contextmanager
+def observed(
+    trace_capacity: int = 65_536,
+    clock: Callable[[], float] | None = None,
+    level: str = "full",
+    sample_rate: float = 0.1,
+    sample_seed: int = 0,
+) -> Iterator[Observer]:
+    """Scoped :func:`enable`: restores the previous default on exit."""
+    observer = Observer(
+        trace_capacity=trace_capacity, clock=clock, level=level,
+        sample_rate=sample_rate, sample_seed=sample_seed,
+    )
+    previous = set_observer(observer)
+    try:
+        yield observer
+    finally:
+        set_observer(previous)

@@ -18,35 +18,20 @@ which is the reproduction substitution recorded in DESIGN.md).
 * :mod:`~repro.sim.metrics` — speedup/utilization accounting.
 """
 
-from repro.sim.engine import EventQueue, Simulator
-from repro.sim.processor import ProcessorPool
-from repro.sim.gantt import ExecutionTrace, TraceSegment
-from repro.sim.multithread import (
-    MultiThreadResult,
-    simulate_multithread,
-    simulate_single_thread,
-)
-from repro.sim.lock_sim import FiringSpec, LockSimResult, simulate_lock_scheme
-from repro.sim.workload import (
-    random_add_delete_system,
-    random_firing_batch,
-)
-from repro.sim.metrics import speedup, utilization
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "Simulator",
-    "ProcessorPool",
-    "ExecutionTrace",
-    "TraceSegment",
-    "MultiThreadResult",
-    "simulate_multithread",
-    "simulate_single_thread",
-    "FiringSpec",
-    "LockSimResult",
-    "simulate_lock_scheme",
-    "random_add_delete_system",
-    "random_firing_batch",
-    "speedup",
-    "utilization",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("EventQueue", "Simulator"),
+        "processor": ("ProcessorPool",),
+        "gantt": ("ExecutionTrace", "TraceSegment"),
+        "multithread": (
+            "MultiThreadResult", "simulate_multithread",
+            "simulate_single_thread",
+        ),
+        "lock_sim": ("FiringSpec", "LockSimResult", "simulate_lock_scheme"),
+        "workload": ("random_add_delete_system", "random_firing_batch"),
+        "metrics": ("speedup", "utilization"),
+    },
+)

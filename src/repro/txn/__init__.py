@@ -9,22 +9,16 @@ graph, [PAPA86]) that the correctness tests apply to every history the
 lock schemes produce.
 """
 
-from repro.txn.transaction import Transaction, TxnState
-from repro.txn.schedule import History, Operation
-from repro.txn.serializability import (
-    conflicts,
-    is_conflict_serializable,
-    precedence_graph,
-    serialization_orders,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Transaction",
-    "TxnState",
-    "Operation",
-    "History",
-    "conflicts",
-    "precedence_graph",
-    "is_conflict_serializable",
-    "serialization_orders",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "transaction": ("Transaction", "TxnState"),
+        "schedule": ("Operation", "History"),
+        "serializability": (
+            "conflicts", "precedence_graph", "is_conflict_serializable",
+            "serialization_orders",
+        ),
+    },
+)

@@ -19,39 +19,22 @@ Public classes
     Records inverse operations for transactional abort.
 """
 
-from repro.wm.element import WME, Timetag
-from repro.wm.schema import Catalog, RelationSchema
-from repro.wm.index import AttributeIndex
-from repro.wm.memory import WMDelta, WorkingMemory
-from repro.wm.undo import UndoLog
-from repro.wm.snapshot import WMSnapshot
-from repro.wm.storage import (
-    DURABILITY_MODES,
-    DurableStore,
-    RecoveryReport,
-    STORAGE_FAULT_SITES,
-    SegmentInfo,
-    deserialize_wme,
-    serialize_wme,
-)
-from repro.wm.query import Query
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WME",
-    "Timetag",
-    "RelationSchema",
-    "Catalog",
-    "AttributeIndex",
-    "WorkingMemory",
-    "WMDelta",
-    "UndoLog",
-    "WMSnapshot",
-    "DurableStore",
-    "DURABILITY_MODES",
-    "STORAGE_FAULT_SITES",
-    "SegmentInfo",
-    "RecoveryReport",
-    "serialize_wme",
-    "deserialize_wme",
-    "Query",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "element": ("WME", "Timetag"),
+        "schema": ("RelationSchema", "Catalog"),
+        "index": ("AttributeIndex",),
+        "memory": ("WorkingMemory", "WMDelta"),
+        "undo": ("UndoLog",),
+        "snapshot": ("WMSnapshot",),
+        "storage": (
+            "DurableStore", "DURABILITY_MODES", "STORAGE_FAULT_SITES",
+            "SegmentInfo", "RecoveryReport", "serialize_wme",
+            "deserialize_wme",
+        ),
+        "query": ("Query",),
+    },
+)

@@ -6,16 +6,14 @@ benchmarks — currently the classic *Miss Manners* seating benchmark
 production-system match performance.
 """
 
-from repro.workloads.manners import (
-    build_manners_memory,
-    build_manners_rules,
-    seating_order,
-    validate_seating,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "build_manners_rules",
-    "build_manners_memory",
-    "seating_order",
-    "validate_seating",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "manners": (
+            "build_manners_rules", "build_manners_memory", "seating_order",
+            "validate_seating",
+        ),
+    },
+)

@@ -720,3 +720,60 @@ class TestLevelGuards:
         )
         assert code == 2
         assert "needs span recording" in capsys.readouterr().err
+
+
+class TestStartUp:
+    """The CLI imports what the command it was given runs."""
+
+    #: ``python -m repro.cli ARGV`` itself, then what it loaded.
+    AS_MAIN = """
+import json, runpy, sys
+sys.argv = ["repro"] + {argv!r}
+try:
+    runpy.run_module("{module}", run_name="__main__")
+except SystemExit as done:
+    assert done.code == 0, done.code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+    @pytest.mark.parametrize("module", ["repro.cli", "repro"])
+    def test_run_loads_what_an_interpreter_run_loads(
+        self, module, rule_file, facts_file
+    ):
+        from test_import_budget import (
+            NOT_FOR_AN_INTERPRETER, loaded_under, run_python,
+        )
+
+        argv = ["run", str(rule_file), "--facts", str(facts_file)]
+        out = run_python(self.AS_MAIN.format(argv=argv, module=module))
+        *printed, modules = out.splitlines()
+        assert "stop reason: quiescent (single-thread)" in printed
+        assert loaded_under(
+            json.loads(modules), NOT_FOR_AN_INTERPRETER
+        ) == []
+
+    def test_help_lists_every_scheme_matcher_and_fault_kind(self, capsys):
+        from repro.cli import build_parser
+        from repro.fault import FAULT_KINDS
+        from repro.locks import SCHEMES
+        from repro.match.base import MATCHERS
+        from repro.match.partitioned import BACKENDS
+        from repro.obs import LEVELS
+
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        run_help = subcommands["run"].format_help()
+        for name in (*SCHEMES, *MATCHERS, *FAULT_KINDS, *BACKENDS):
+            assert name in run_help, name
+        trace_help = subcommands["trace"].format_help()
+        for name in (*SCHEMES, *LEVELS):
+            assert name in trace_help, name
+
+    def test_choices_are_the_registries(self):
+        import repro.cli as cli
+        from repro.fault import FAULT_KINDS
+        from repro.locks import SCHEMES
+        from repro.obs import LEVELS
+
+        assert cli.SCHEMES == tuple(SCHEMES)
+        assert cli.FAULT_KINDS == FAULT_KINDS
+        assert cli.OBS_LEVELS == LEVELS
