@@ -10,8 +10,8 @@ Since ISSUE 2 the model has an executable counterpart:
 :class:`repro.match.partitioned.PartitionedMatcher`.  The second half
 of this module validates it both ways — the DES substrate's virtual
 makespans against the analytic ``lpt_makespan`` curve (within 5% on
-the skewed-cost workload), and the real-thread substrate's conflict
-set bit-for-bit against the monolithic matcher on Miss Manners.
+the skewed-cost workload), and the serial substrate's conflict set
+bit-for-bit against the monolithic matcher on Miss Manners.
 """
 
 from conftest import report
@@ -163,12 +163,12 @@ def test_partitioned_des_validates_lpt_predictions(benchmark):
     )
 
 
-def test_partitioned_threads_bit_identical_on_manners(benchmark):
-    """Acceptance: thread substrate == monolithic Rete on Manners.
+def test_partitioned_serial_bit_identical_on_manners(benchmark):
+    """Acceptance: serial substrate == monolithic Rete on Manners.
 
     One working memory, two attached matchers: the monolithic Rete
     drives an interpreter run of mini Miss Manners while the
-    partitioned matcher (4 thread shards) rides the same delta stream.
+    partitioned matcher (4 serial shards) rides the same delta stream.
     After every cycle — and at quiescence — the shared conflict set
     must equal the monolithic one bit-for-bit (same instantiation
     identities, same timetags).
@@ -178,7 +178,7 @@ def test_partitioned_threads_bit_identical_on_manners(benchmark):
         memory = build_manners_memory(16, seed=3)
         rules = build_manners_rules()
         partitioned = PartitionedMatcher(
-            memory, shards=4, inner="rete", backend="thread"
+            memory, shards=4, inner="rete", backend="serial"
         )
         partitioned.add_productions(rules)
         partitioned.attach()
@@ -212,7 +212,7 @@ def test_partitioned_threads_bit_identical_on_manners(benchmark):
     )
     validate_seating(memory)
     report(
-        "Partitioned thread substrate vs monolithic Rete — "
+        "Partitioned serial substrate vs monolithic Rete — "
         "Miss Manners (16 guests)",
         [
             ("per-cycle conflict-set divergences", 0, divergences),

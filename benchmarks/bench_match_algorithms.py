@@ -39,7 +39,6 @@ MATCHERS = {
     "treat": TreatMatcher,
     "cond": CondRelationMatcher,
     "partitioned-rete": _partitioned("rete", "serial"),
-    "partitioned-rete-threads": _partitioned("rete", "thread"),
     "partitioned-treat": _partitioned("treat", "serial"),
 }
 

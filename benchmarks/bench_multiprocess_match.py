@@ -1,16 +1,16 @@
 """Multi-process match substrate benchmark: escaping the GIL.
 
 The paper's Section 5 speedup curves assume match runs on real
-processors.  The thread backend can't show that under CPython's GIL;
-the process backend (``repro.match.procpool``) can — each shard is a
+processors.  Threads can't show that under CPython's GIL; the
+process backend (``repro.match.procpool``) can — each shard is a
 worker *process* with its own working-memory replica, so shard match
 runs on real cores.  This module measures:
 
 * **replay speedup vs workers** — the same match-bound delta stream
   through the process backend at 1/2/4/8 workers, against the
   single-shard serial reference;
-* **thread vs process at equal shard counts** — the head-to-head the
-  GIL decides;
+* **serial vs process at equal shard counts** — the same shards in
+  one interpreter against one worker process each;
 * **IPC overhead** — roundtrips, payload bytes, and bytes per WM
   delta for the whole stream (the cost replication pays for
   share-nothing parallelism);
@@ -191,33 +191,33 @@ def test_process_speedup_vs_workers():
     report("process-backend speedup vs workers", rows)
 
 
-def test_thread_vs_process_equal_shards():
-    """The GIL head-to-head: same shard count, threads vs processes."""
+def test_serial_vs_process_equal_shards():
+    """Same shard count, one interpreter vs one process per shard."""
     shards = 4
-    thread_seconds, thread_matcher, _ = _stream(
+    serial_seconds, serial_matcher, _ = _stream(
         lambda m: PartitionedMatcher(
-            m, shards=shards, inner="naive", backend="thread"
+            m, shards=shards, inner="naive", backend="serial"
         )
     )
-    thread_signatures = _signatures(thread_matcher)
-    thread_matcher.detach()
+    serial_signatures = _signatures(serial_matcher)
+    serial_matcher.detach()
     process_seconds, process_matcher, _ = _stream(
         lambda m: PartitionedMatcher(
             m, shards=shards, inner="naive", backend="process"
         )
     )
-    assert _signatures(process_matcher) == thread_signatures
+    assert _signatures(process_matcher) == serial_signatures
     process_matcher.detach()
-    ratio = thread_seconds / process_seconds
+    ratio = serial_seconds / process_seconds
     report(
-        "thread vs process at equal shards",
+        "serial vs process at equal shards",
         [
             ("cores", "", CORES),
             ("shards", "", shards),
-            ("thread (s)", "", round(thread_seconds, 4)),
+            ("serial (s)", "", round(serial_seconds, 4)),
             ("process (s)", "", round(process_seconds, 4)),
             (
-                "process/thread advantage",
+                "process/serial advantage",
                 "> 1.0 on multi-core" if CORES >= 2
                 else "advisory (1 core)",
                 round(ratio, 2),
@@ -227,7 +227,7 @@ def test_thread_vs_process_equal_shards():
     if not SMOKE and CORES >= shards:
         assert ratio > 1.0, (
             f"process backend ({process_seconds:.4f}s) not faster than "
-            f"threads ({thread_seconds:.4f}s) on a {CORES}-core host"
+            f"serial ({serial_seconds:.4f}s) on a {CORES}-core host"
         )
 
 

@@ -288,7 +288,7 @@ class ShardAttribution:
 
     Built from ``match.flush`` spans.  Shard busy-times come from
     per-shard ``match.shard`` child spans when the substrate emits
-    them (thread/serial on the wall clock), or from the
+    them (serial, on the wall clock), or from the
     ``shard_seconds`` flush annotation the DES and **process**
     substrates record instead — DES seconds are virtual charges, and
     process seconds are worker self-times reported over IPC (they

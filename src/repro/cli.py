@@ -198,7 +198,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             retry_policy=retry_policy,
             fault_injector=injector,
-            lock_stripes=args.lock_stripes,
         )
         try:
             result = engine.run(max_waves=args.max_cycles)
@@ -341,7 +340,6 @@ def _prepare_observed(
         processors=args.processors,
         seed=args.seed,
         observer=observer,
-        lock_stripes=args.lock_stripes,
         retry_policy=retry_policy,
         fault_injector=injector,
     )
@@ -720,7 +718,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             seed=args.seed,
             retry_policy=RetryPolicy(max_attempts=args.retries, seed=seed),
             fault_injector=injector,
-            lock_stripes=args.lock_stripes,
         )
         try:
             result = engine.run(max_waves=args.max_cycles)
@@ -947,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="rete | treat | naive | cond | "
         "partitioned[:inner[:shards[:backend]]] with backend one of "
-        "thread|serial|des|process "
+        "serial|des|process "
         "(e.g. partitioned:rete:4:process)",
     )
     run.add_argument(
@@ -961,14 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the wave-parallel engine with this lock scheme",
     )
     run.add_argument("--processors", type=int, default=None)
-    run.add_argument(
-        "--lock-stripes",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lock-table stripes (default 1 = one mutex over the "
-        "whole table; >1 shards it)",
-    )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--max-cycles", type=int, default=10_000)
     run.add_argument(
@@ -1032,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="rete | treat | naive | cond | "
         "partitioned[:inner[:shards[:backend]]] with backend one of "
-        "thread|serial|des|process",
+        "serial|des|process",
     )
     chaos.add_argument(
         "--strategy",
@@ -1040,13 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="lex",
     )
     chaos.add_argument("--processors", type=int, default=None)
-    chaos.add_argument(
-        "--lock-stripes",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lock-table stripes (default 1 = one mutex)",
-    )
     chaos.add_argument("--seed", type=int, default=None)
     chaos.add_argument("--max-cycles", type=int, default=10_000)
     add_fault_arguments(chaos)
@@ -1186,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SPEC",
             help="rete | treat | naive | cond | "
             "partitioned[:inner[:shards[:backend]]] with backend one "
-            "of thread|serial|des|process",
+            "of serial|des|process",
         )
         parser.add_argument(
             "--strategy",
@@ -1194,13 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="lex",
         )
         parser.add_argument("--processors", type=int, default=None)
-        parser.add_argument(
-            "--lock-stripes",
-            type=int,
-            default=1,
-            metavar="N",
-            help="lock-table stripes (default 1 = one mutex)",
-        )
         parser.add_argument("--seed", type=int, default=None)
         parser.add_argument("--max-cycles", type=int, default=10_000)
         parser.add_argument(

@@ -134,7 +134,7 @@ class Interpreter:
 
     def close(self) -> None:
         """Release matcher resources: the store subscription and any
-        thread/process pools (the partitioned matcher's process
+        worker processes (the partitioned matcher's process
         backend keeps live worker processes until detached).
         Idempotent; the engine must not run again afterwards.
         """

@@ -76,7 +76,6 @@ class MultiUserEngine(ParallelEngine):
         observer=None,
         retry_policy=None,
         fault_injector=None,
-        lock_stripes: int = 1,
     ) -> None:
         owners: dict[str, str] = {}
         productions: list[Production] = []
@@ -102,7 +101,6 @@ class MultiUserEngine(ParallelEngine):
             observer=observer,
             retry_policy=retry_policy,
             fault_injector=fault_injector,
-            lock_stripes=lock_stripes,
         )
         self.sessions = tuple(sessions)
         self._owners = owners

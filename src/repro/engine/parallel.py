@@ -269,7 +269,6 @@ class ParallelEngine:
         observer=None,
         retry_policy: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
-        lock_stripes: int = 1,
     ) -> None:
         self.obs = (
             observer if observer is not None else obs_module.get_observer()
@@ -291,7 +290,7 @@ class ParallelEngine:
         if scheme not in SCHEMES:
             raise EngineError(f"unknown scheme {scheme!r}")
         self.scheme = SCHEMES[scheme](
-            history=self.history, observer=self.obs, stripes=lock_stripes
+            history=self.history, observer=self.obs
         )
         self._preclaims = getattr(self.scheme, "preclaims", False)
         #: Table 4.1 lets the write mode through the condition mode
@@ -337,7 +336,7 @@ class ParallelEngine:
 
     def close(self) -> None:
         """Release matcher resources: the store subscription and any
-        thread/process pools (the partitioned matcher's process
+        worker processes (the partitioned matcher's process
         backend keeps live worker processes until detached).
         Idempotent; the engine must not run again afterwards.
         """

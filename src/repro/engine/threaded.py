@@ -70,7 +70,7 @@ class ThreadedWaveExecutor(ParallelEngine):
     Parameters
     ----------
     productions, memory, scheme, matcher, observer, retry_policy,
-    fault_injector, lock_stripes:
+    fault_injector:
         As for :class:`~repro.engine.parallel.ParallelEngine`, except
         that ``memory`` must be thread-safe.  Under ``"c2pl"`` a thread
         preclaims its whole footprint without waiting (that is the
@@ -103,7 +103,6 @@ class ThreadedWaveExecutor(ParallelEngine):
         retry_policy: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
         sleeper: Callable[[float], None] = time.sleep,
-        lock_stripes: int = 1,
     ) -> None:
         if memory._mutex is None:  # noqa: SLF001 - deliberate check
             raise EngineError(
@@ -112,7 +111,7 @@ class ThreadedWaveExecutor(ParallelEngine):
         super().__init__(
             productions, memory, scheme=scheme, matcher=matcher,
             observer=observer, retry_policy=retry_policy,
-            fault_injector=fault_injector, lock_stripes=lock_stripes,
+            fault_injector=fault_injector,
         )
         self.lock_timeout = lock_timeout
         self._sleep = sleeper

@@ -17,7 +17,8 @@ A :class:`ConditionElement` names a relation and carries per-attribute
 
 A condition element may be *negated*: it matches when **no** WME
 satisfies it, OPS5's negation-as-absence.  Negative conditions are what
-motivate relation-level lock escalation in Section 4.3.
+motivate relation-level lock escalation in Section 4.3 (the catalog
+key in ``Instantiation.lock_footprint()``).
 
 RHS side
 --------

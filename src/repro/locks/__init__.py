@@ -16,9 +16,10 @@ manager"):
   ``Rc`` lock is aborted (or optionally revalidated).
 
 Both are built on the same :class:`~repro.locks.manager.LockManager`
-core (grant queues, upgrades, deadlock detection) — the paper's point
-that the new scheme "requires minor modifications to conventional lock
-managers".
+— one grant table behind one mutex, with FIFO queues and upgrades —
+and share deadlock detection (:mod:`~repro.locks.deadlock`): the
+paper's point that the new scheme "requires minor modifications to
+conventional lock managers".
 """
 
 from repro._lazy import lazy_exports
@@ -46,8 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "oldest_victim", "most_locks_victim",
             "make_fewest_locks_victim", "resolve_victim_policy",
         ),
-        "escalation": ("EscalationPolicy",),
-        "prevention": ("WoundWait", "WaitDie", "acquire_with_prevention"),
     },
 )
 __all__ += [

@@ -1,4 +1,4 @@
-"""The lock manager: one striped grant table with per-object mode counts.
+"""The lock manager: one grant table with per-object mode counts.
 
 Implements the machinery both schemes share (Section 4.2 introduces it:
 "below is an example of such a scheme, using a centralized lock
@@ -15,13 +15,12 @@ and :mod:`repro.locks.rc_scheme`.
 
 The table
 ---------
-The table is sharded into ``stripes`` independent stripes
-(``stripe_fn(obj) % stripes``; one stripe by default), each owning its
-own mutex, per-transaction indexes and counters, so uncontended
-acquisitions on objects of different stripes never touch the same
-latch.  Cross-stripe reads (``waits_for_edges``, ``grant_table``,
-``stats_snapshot``...) take *ordered* all-stripe snapshots, which keeps
-the deadlock detector and the auditor sound.
+One table guarded by one mutex: Section 4.2's centralized lock
+manager.  The mutex is what lets the threaded wave executor share the
+manager between threads, and it makes every whole-table read
+(``waits_for_edges``, ``grant_table``, ``stats_snapshot``...) a
+consistent cut, which keeps the deadlock detector and the auditor
+sound.
 
 Each locked object has one entry: the holder map (transaction -> held
 modes), a count of holders per mode, and its FIFO queue.  A grant is
@@ -38,9 +37,9 @@ by induction the same invariant as re-checking all pairs, at O(holders)
 instead of O(holders²) — and :meth:`LockManager.audit_now` still sweeps
 every pair of every object and recounts the modes.
 
-``tests/locks/reference_manager.py`` keeps the original single-mutex
-table (every decision a walk over the holders through ``compatible()``)
-as the model the hypothesis schedule test compares this one against.
+``tests/locks/reference_manager.py`` keeps a count-free table (every
+decision a walk over the holders through ``compatible()``) as the model
+the hypothesis schedule test compares this one against.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from __future__ import annotations
 import enum
 import threading
 from collections import Counter
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 import repro.obs as obs_module
@@ -57,9 +55,6 @@ from repro.locks.modes import LockMode, compatible, is_upgrade
 from repro.locks.request import LockRequest, RequestStatus
 from repro.txn.schedule import History
 from repro.txn.transaction import DataObject, Transaction
-
-#: Counter names reported by :meth:`LockManager.stats_snapshot`.
-STAT_KEYS = ("grants", "waits", "denials", "upgrades")
 
 
 def _compatible_or_none(requested: LockMode, held: LockMode) -> bool | None:
@@ -139,35 +134,6 @@ class _Entry:
         self.queue: list[LockRequest] = []
 
 
-class _Stripe:
-    """One shard of the table.
-
-    Everything here is guarded by :attr:`mutex`; the stripe never
-    reaches into another stripe.
-    """
-
-    __slots__ = (
-        "mutex", "entries", "held", "pending",
-        "grants_n", "waits_n", "denials_n", "upgrades_n", "queue_visits",
-    )
-
-    def __init__(self) -> None:
-        self.mutex = threading.Lock()
-        self.entries: dict[DataObject, _Entry] = {}
-        #: txn -> objects it holds grants on *in this stripe* — makes
-        #: release_all O(held) instead of O(table).
-        self.held: dict[Transaction, set[DataObject]] = {}
-        #: txn -> its waiting requests in this stripe — makes
-        #: commit/abort-time cancellation O(waiting) instead of a scan
-        #: over every queue.
-        self.pending: dict[Transaction, set[LockRequest]] = {}
-        self.grants_n = 0
-        self.waits_n = 0
-        self.denials_n = 0
-        self.upgrades_n = 0
-        self.queue_visits = 0
-
-
 def _blocked(entry: _Entry, txn: Transaction, mode: LockMode) -> bool:
     """The grant rule (classic no-barging), from the counts.
 
@@ -197,15 +163,6 @@ def _blocked(entry: _Entry, txn: Transaction, mode: LockMode) -> bool:
             ):
                 return True
     return False
-
-
-def _forget_pending(stripe: _Stripe, request: LockRequest) -> None:
-    """``request`` no longer waits: drop it from the stripe's index."""
-    pending = stripe.pending.get(request.txn)
-    if pending is not None:
-        pending.discard(request)
-        if not pending:
-            del stripe.pending[request.txn]
 
 
 def _uncount(counts: dict[LockMode, int], modes: Iterable[LockMode]) -> None:
@@ -253,12 +210,6 @@ class LockManager:
         Observability sink for lock events (grant/wait/deny/cancel)
         and metrics; defaults to the module-level observer from
         :mod:`repro.obs` (inert unless enabled).
-    stripes:
-        Lock-table stripe count (default 1: one mutex, one shard).
-    stripe_fn:
-        Object-to-integer hash used for stripe placement; defaults to
-        :func:`hash`.  Tests inject a custom function to force objects
-        into chosen stripes.
     """
 
     def __init__(
@@ -266,37 +217,26 @@ class LockManager:
         history: History | None = None,
         audit: bool = True,
         observer=None,
-        *,
-        stripes: int = 1,
-        stripe_fn: Callable[[DataObject], int] | None = None,
     ) -> None:
-        if stripes < 1:
-            raise ValueError(f"stripes must be >= 1, got {stripes}")
         self.history = history
         self.audit = audit
         self.obs = (
             observer if observer is not None else obs_module.get_observer()
         )
-        self.stripes = stripes
-        self._stripe_fn = stripe_fn if stripe_fn is not None else hash
-        self._table = [_Stripe() for _ in range(stripes)]
-
-    # -- stripe plumbing ---------------------------------------------------------------
-
-    def _stripe_of(self, obj: DataObject) -> _Stripe:
-        return self._table[self._stripe_fn(obj) % self.stripes]
-
-    @contextmanager
-    def _locked_all(self):
-        """All stripe mutexes, acquired in index order (deadlock-free
-        by total ordering), for consistent cross-stripe snapshots."""
-        for stripe in self._table:
-            stripe.mutex.acquire()
-        try:
-            yield
-        finally:
-            for stripe in reversed(self._table):
-                stripe.mutex.release()
+        #: Guards every field below.
+        self._mutex = threading.Lock()
+        self._entries: dict[DataObject, _Entry] = {}
+        #: txn -> objects it holds grants on — makes release_all
+        #: O(held) instead of O(table).
+        self._held: dict[Transaction, set[DataObject]] = {}
+        #: txn -> its waiting requests — makes commit/abort-time
+        #: cancellation O(waiting) instead of a scan over every queue.
+        self._pending: dict[Transaction, set[LockRequest]] = {}
+        self._grants_n = 0
+        self._waits_n = 0
+        self._denials_n = 0
+        self._upgrades_n = 0
+        self._queue_visits = 0
 
     # -- queries ---------------------------------------------------------------------
 
@@ -305,9 +245,8 @@ class LockManager:
     ) -> list[Transaction]:
         """Transactions holding a lock on ``obj`` (optionally filtered
         to one mode)."""
-        stripe = self._stripe_of(obj)
-        with stripe.mutex:
-            entry = stripe.entries.get(obj)
+        with self._mutex:
+            entry = self._entries.get(obj)
             if entry is None:
                 return []
             if mode is None:
@@ -316,9 +255,8 @@ class LockManager:
 
     def held_modes(self, txn: Transaction, obj: DataObject) -> set[LockMode]:
         """Modes ``txn`` currently holds on ``obj``."""
-        stripe = self._stripe_of(obj)
-        with stripe.mutex:
-            entry = stripe.entries.get(obj)
+        with self._mutex:
+            entry = self._entries.get(obj)
             if entry is None:
                 return set()
             return set(entry.holders.get(txn, ()))
@@ -331,27 +269,18 @@ class LockManager:
 
     def locked_objects(self, txn: Transaction) -> frozenset[DataObject]:
         """Objects on which ``txn`` holds at least one lock."""
-        out: set[DataObject] = set()
-        for stripe in self._table:
-            with stripe.mutex:
-                out.update(stripe.held.get(txn, ()))
-        return frozenset(out)
+        with self._mutex:
+            return frozenset(self._held.get(txn, ()))
 
     def waiting_requests(self, obj: DataObject | None = None) -> list[LockRequest]:
         """Waiting requests, globally or for one object (FIFO order)."""
-        if obj is not None:
-            stripe = self._stripe_of(obj)
-            with stripe.mutex:
-                entry = stripe.entries.get(obj)
-                if entry is None:
-                    return []
-                return [r for r in entry.queue if r.is_waiting]
-        out: list[LockRequest] = []
-        with self._locked_all():
-            for stripe in self._table:
-                for entry in stripe.entries.values():
-                    out.extend(r for r in entry.queue if r.is_waiting)
-        return out
+        with self._mutex:
+            if obj is None:
+                entries = self._entries.values()
+            else:
+                entry = self._entries.get(obj)
+                entries = [] if entry is None else [entry]
+            return [r for e in entries for r in e.queue if r.is_waiting]
 
     def waits_for_edges(self) -> Iterator[tuple[Transaction, Transaction]]:
         """Edges ``waiter -> holder`` of the waits-for graph.
@@ -362,24 +291,23 @@ class LockManager:
         One consistent cut of the whole table.
         """
         edges: list[tuple[Transaction, Transaction]] = []
-        with self._locked_all():
-            for stripe in self._table:
-                for entry in stripe.entries.values():
-                    waiting = [r for r in entry.queue if r.is_waiting]
-                    for position, request in enumerate(waiting):
-                        blockers = _BLOCKERS[request.mode]
-                        for holder, modes in entry.holders.items():
-                            if (
-                                holder is not request.txn
-                                and not blockers.isdisjoint(modes)
-                            ):
-                                edges.append((request.txn, holder))
-                        for ahead in waiting[:position]:
-                            if (
-                                ahead.txn is not request.txn
-                                and ahead.mode in blockers
-                            ):
-                                edges.append((request.txn, ahead.txn))
+        with self._mutex:
+            for entry in self._entries.values():
+                waiting = [r for r in entry.queue if r.is_waiting]
+                for position, request in enumerate(waiting):
+                    blockers = _BLOCKERS[request.mode]
+                    for holder, modes in entry.holders.items():
+                        if (
+                            holder is not request.txn
+                            and not blockers.isdisjoint(modes)
+                        ):
+                            edges.append((request.txn, holder))
+                    for ahead in waiting[:position]:
+                        if (
+                            ahead.txn is not request.txn
+                            and ahead.mode in blockers
+                        ):
+                            edges.append((request.txn, ahead.txn))
         return iter(edges)
 
     def write_read_conflicts(
@@ -390,7 +318,7 @@ class LockManager:
         candidates: Iterable[DataObject] | None = None,
     ) -> dict[Transaction, list[DataObject]]:
         """Holders of ``read_mode`` on objects where ``txn`` holds
-        ``write_mode``, one consistent pass per stripe.
+        ``write_mode``, in one consistent pass.
 
         The commit-time rule (ii) scan.  ``candidates`` narrows the
         scan to a superset of the objects ``txn`` may hold
@@ -398,28 +326,22 @@ class LockManager:
         doesn't actually hold the mode are filtered here, so a stale
         superset is safe.
         """
-        if candidates is None:
-            candidates = self.locked_objects(txn)
-        by_stripe: dict[int, list[DataObject]] = {}
-        stripe_fn, count = self._stripe_fn, self.stripes
-        for obj in candidates:
-            by_stripe.setdefault(stripe_fn(obj) % count, []).append(obj)
         victims: dict[Transaction, list[DataObject]] = {}
-        for index in sorted(by_stripe):
-            stripe = self._table[index]
-            with stripe.mutex:
-                for obj in by_stripe[index]:
-                    entry = stripe.entries.get(obj)
-                    if entry is None:
-                        continue
-                    own = entry.holders.get(txn)
-                    if own is None or write_mode not in own:
-                        continue
-                    if entry.counts.get(read_mode, 0) == (read_mode in own):
-                        continue  # nobody else holds read_mode
-                    for holder, modes in entry.holders.items():
-                        if holder is not txn and read_mode in modes:
-                            victims.setdefault(holder, []).append(obj)
+        with self._mutex:
+            if candidates is None:
+                candidates = self._held.get(txn, ())
+            for obj in candidates:
+                entry = self._entries.get(obj)
+                if entry is None:
+                    continue
+                own = entry.holders.get(txn)
+                if own is None or write_mode not in own:
+                    continue
+                if entry.counts.get(read_mode, 0) == (read_mode in own):
+                    continue  # nobody else holds read_mode
+                for holder, modes in entry.holders.items():
+                    if holder is not txn and read_mode in modes:
+                        victims.setdefault(holder, []).append(obj)
         return victims
 
     def can_grant(
@@ -430,16 +352,14 @@ class LockManager:
         Pure probe: no state changes, no queueing.  Used by the
         discrete-event simulator for all-or-nothing acquisition.
         """
-        stripe = self._stripe_of(obj)
-        with stripe.mutex:
-            entry = stripe.entries.get(obj)
+        with self._mutex:
+            entry = self._entries.get(obj)
             return entry is None or not _blocked(entry, txn, mode)
 
     # -- acquisition --------------------------------------------------------------------
 
     def _grant(
         self,
-        stripe: _Stripe,
         entry: _Entry | None,
         txn: Transaction,
         obj: DataObject,
@@ -447,26 +367,26 @@ class LockManager:
         enqueued_at: float | None = None,
     ) -> None:
         """Record a grant and its side effects; the caller holds the
-        stripe mutex and has already applied the grant rule."""
+        mutex and has already applied the grant rule."""
         if entry is None:
-            entry = stripe.entries[obj] = _Entry()
+            entry = self._entries[obj] = _Entry()
         holders = entry.holders
         own = holders.get(txn)
         if own is None:
             holders[txn] = {mode}
             entry.counts[mode] = entry.counts.get(mode, 0) + 1
-            held = stripe.held.get(txn)
+            held = self._held.get(txn)
             if held is None:
-                stripe.held[txn] = {obj}
+                self._held[txn] = {obj}
             else:
                 held.add(obj)
         else:
             if not _UPGRADES_FROM[mode].isdisjoint(own):
-                stripe.upgrades_n += 1
+                self._upgrades_n += 1
             if mode not in own:
                 own.add(mode)
                 entry.counts[mode] = entry.counts.get(mode, 0) + 1
-        stripe.grants_n += 1
+        self._grants_n += 1
         if self.obs.enabled:
             waited = (
                 self.obs.clock() - enqueued_at
@@ -518,17 +438,16 @@ class LockManager:
         timeout expires is cancelled and counts as a denial in
         :meth:`stats_snapshot`.
         """
-        stripe = self._stripe_of(obj)
         request = LockRequest(txn, obj, mode)
-        with stripe.mutex:
-            entry = stripe.entries.get(obj)
+        with self._mutex:
+            entry = self._entries.get(obj)
             if entry is None or not _blocked(entry, txn, mode):
-                self._grant(stripe, entry, txn, obj, mode)
+                self._grant(entry, txn, obj, mode)
                 request.resolve(RequestStatus.GRANTED)
                 return request
             entry.queue.append(request)
-            stripe.pending.setdefault(txn, set()).add(request)
-            stripe.waits_n += 1
+            self._pending.setdefault(txn, set()).add(request)
+            self._waits_n += 1
             if self.obs.enabled:
                 request.enqueued_at = self.obs.clock()
                 self.obs.lock_queued(
@@ -544,8 +463,8 @@ class LockManager:
                     # The wait timed out (nobody granted concurrently):
                     # the caller was refused the lock, which is a
                     # denial for accounting purposes.
-                    with stripe.mutex:
-                        stripe.denials_n += 1
+                    with self._mutex:
+                        self._denials_n += 1
                     if self.obs.enabled:
                         self.obs.lock_denied(
                             txn.txn_id, obj, str(mode), reason="timeout"
@@ -560,17 +479,16 @@ class LockManager:
         The hottest call in the system (one per candidate per object
         per wave): no request object, no allocation on a refusal.
         """
-        stripe = self._stripe_of(obj)
-        with stripe.mutex:
-            entry = stripe.entries.get(obj)
+        with self._mutex:
+            entry = self._entries.get(obj)
             if entry is not None and _blocked(entry, txn, mode):
-                stripe.denials_n += 1
+                self._denials_n += 1
                 if self.obs.enabled:
                     self.obs.lock_denied(
                         txn.txn_id, obj, str(mode), reason="busy"
                     )
                 return False
-            self._grant(stripe, entry, txn, obj, mode)
+            self._grant(entry, txn, obj, mode)
             return True
 
     def try_acquire_held(
@@ -582,7 +500,7 @@ class LockManager:
         already-held case distinguished, so scheme-level all-or-nothing
         acquisition can tell "not ours to undo" from "newly acquired".
         """
-        entry = self._stripe_of(obj).entries.get(obj)
+        entry = self._entries.get(obj)
         if entry is not None:
             own = entry.holders.get(txn)
             # Sound without the mutex: only txn's own thread (or its
@@ -601,9 +519,8 @@ class LockManager:
         self, txn: Transaction, obj: DataObject, mode: LockMode | None = None
     ) -> None:
         """Release one mode (or all modes) ``txn`` holds on ``obj``."""
-        stripe = self._stripe_of(obj)
-        with stripe.mutex:
-            entry = stripe.entries.get(obj)
+        with self._mutex:
+            entry = self._entries.get(obj)
             own = entry.holders.get(txn) if entry is not None else None
             if own is None:
                 return
@@ -615,52 +532,50 @@ class LockManager:
                 own.remove(mode)
             if not own:
                 del entry.holders[txn]
-                held = stripe.held[txn]
+                held = self._held[txn]
                 held.discard(obj)
                 if not held:
-                    del stripe.held[txn]
-            self._process_queue(stripe, obj, entry)
+                    del self._held[txn]
+            self._process_queue(obj, entry)
 
     def release_all(self, txn: Transaction) -> None:
         """Release every lock ``txn`` holds and cancel its waiting
         requests (commit/abort epilogue — both schemes hold all locks
-        to the end, Figures 4.1/4.2) in O(held + waiting + stripes).
+        to the end, Figures 4.1/4.2) in O(held + waiting).
 
-        Every stripe is visited once and probed for the transaction in
-        its held/pending indexes *under the stripe mutex*.  The
-        indexes, not the transaction's read/write sets, are the
-        authoritative record of what to release: a rule-(ii) force
-        abort can land between a grant's bookkeeping and
-        ``record_read``, leaving a granted object outside the read
-        set, and a deadlock victim's waiting request can be granted by
-        a concurrent release while this runs.  Only queues the
-        transaction held or waited on are processed.
+        The transaction is looked up in the held/pending indexes
+        *under the mutex*.  The indexes, not the transaction's
+        read/write sets, are the authoritative record of what to
+        release: a rule-(ii) force abort can land between a grant's
+        bookkeeping and ``record_read``, leaving a granted object
+        outside the read set, and a deadlock victim's waiting request
+        can be granted by a concurrent release while this runs.  Only
+        queues the transaction held or waited on are processed.
         """
         cancelled: list[LockRequest] = []
-        for stripe in self._table:
-            with stripe.mutex:
-                held = stripe.held.pop(txn, None)
-                pending = stripe.pending.pop(txn, None)
-                entries = stripe.entries
-                wake: dict[DataObject, _Entry] = {}
-                for obj in held or ():
-                    entry = entries[obj]
-                    _uncount(entry.counts, entry.holders.pop(txn))
-                    if entry.queue:
-                        wake[obj] = entry
-                    elif not entry.holders:
-                        del entries[obj]
-                for request in pending or ():
-                    if request.is_waiting:
-                        request.resolve(RequestStatus.CANCELLED)
-                        cancelled.append(request)
-                    entry = entries.get(request.obj)
-                    if entry is not None:
-                        if request in entry.queue:
-                            entry.queue.remove(request)
-                        wake[request.obj] = entry
-                for obj, entry in wake.items():
-                    self._process_queue(stripe, obj, entry)
+        with self._mutex:
+            held = self._held.pop(txn, None)
+            pending = self._pending.pop(txn, None)
+            entries = self._entries
+            wake: dict[DataObject, _Entry] = {}
+            for obj in held or ():
+                entry = entries[obj]
+                _uncount(entry.counts, entry.holders.pop(txn))
+                if entry.queue:
+                    wake[obj] = entry
+                elif not entry.holders:
+                    del entries[obj]
+            for request in pending or ():
+                if request.is_waiting:
+                    request.resolve(RequestStatus.CANCELLED)
+                    cancelled.append(request)
+                entry = entries.get(request.obj)
+                if entry is not None:
+                    if request in entry.queue:
+                        entry.queue.remove(request)
+                    wake[request.obj] = entry
+            for obj, entry in wake.items():
+                self._process_queue(obj, entry)
         if self.obs.enabled:
             for request in cancelled:
                 self.obs.lock_cancelled(
@@ -669,28 +584,34 @@ class LockManager:
 
     def cancel(self, request: LockRequest) -> None:
         """Withdraw a waiting request (timeout or deadlock victim)."""
-        stripe = self._stripe_of(request.obj)
-        with stripe.mutex:
-            _forget_pending(stripe, request)
+        with self._mutex:
+            self._forget_pending(request)
             if request.is_waiting:
                 request.resolve(RequestStatus.CANCELLED)
                 if self.obs.enabled:
                     self.obs.lock_cancelled(
                         request.txn.txn_id, request.obj, str(request.mode)
                     )
-            entry = stripe.entries.get(request.obj)
+            entry = self._entries.get(request.obj)
             if entry is not None:
                 if request in entry.queue:
                     entry.queue.remove(request)
-                self._process_queue(stripe, request.obj, entry)
+                self._process_queue(request.obj, entry)
 
-    def _process_queue(
-        self, stripe: _Stripe, obj: DataObject, entry: _Entry
-    ) -> None:
+    def _forget_pending(self, request: LockRequest) -> None:
+        """``request`` no longer waits: drop it from the pending index;
+        the caller holds the mutex."""
+        pending = self._pending.get(request.txn)
+        if pending is not None:
+            pending.discard(request)
+            if not pending:
+                del self._pending[request.txn]
+
+    def _process_queue(self, obj: DataObject, entry: _Entry) -> None:
         """Grant ``obj``'s queued requests in FIFO order while the
         grant rule allows, then drop the entry if nothing holds or
-        waits on it; the caller holds the stripe mutex."""
-        stripe.queue_visits += 1
+        waits on it; the caller holds the mutex."""
+        self._queue_visits += 1
         queue = entry.queue
         if queue:
             # No barging: while a request is probed the entry's queue
@@ -705,7 +626,7 @@ class LockManager:
                 status = RequestStatus.GRANTED
                 try:
                     self._grant(
-                        stripe, entry, request.txn, obj, request.mode,
+                        entry, request.txn, obj, request.mode,
                         request.enqueued_at,
                     )
                 except TransactionError:
@@ -714,52 +635,40 @@ class LockManager:
                     # raise in whoever is releasing.  Wake it refused;
                     # its own release_all drops the unrecorded grant.
                     status = RequestStatus.CANCELLED
-                _forget_pending(stripe, request)
+                self._forget_pending(request)
                 request.resolve(status)
         if not entry.holders and not entry.queue:
-            del stripe.entries[obj]
+            del self._entries[obj]
 
     # -- diagnostics ----------------------------------------------------------------------------
 
     def grant_table(self) -> dict[DataObject, dict[str, tuple[str, ...]]]:
         """A printable snapshot of the grant table."""
-        table: dict[DataObject, dict[str, tuple[str, ...]]] = {}
-        with self._locked_all():
-            for stripe in self._table:
-                for obj, entry in stripe.entries.items():
-                    if entry.holders:
-                        table[obj] = {
-                            txn.txn_id: tuple(sorted(map(str, modes)))
-                            for txn, modes in entry.holders.items()
-                        }
-        return table
-
-    def stripe_stats(self) -> list[dict[str, int]]:
-        """Per-stripe counter breakdown (load-balance diagnostics)."""
-        with self._locked_all():
-            return [
-                {
-                    "grants": s.grants_n,
-                    "waits": s.waits_n,
-                    "denials": s.denials_n,
-                    "upgrades": s.upgrades_n,
-                    "queue_visits": s.queue_visits,
+        with self._mutex:
+            return {
+                obj: {
+                    txn.txn_id: tuple(sorted(map(str, modes)))
+                    for txn, modes in entry.holders.items()
                 }
-                for s in self._table
-            ]
+                for obj, entry in self._entries.items()
+                if entry.holders
+            }
 
     def stats_snapshot(self) -> dict[str, int]:
-        """The grant/wait/denial/upgrade totals, aggregated over the
-        stripes under an all-stripe lock — a consistent cut."""
-        per_stripe = self.stripe_stats()
-        return {key: sum(s[key] for s in per_stripe) for key in STAT_KEYS}
+        """The grant/wait/denial/upgrade totals — a consistent cut."""
+        with self._mutex:
+            return {
+                "grants": self._grants_n,
+                "waits": self._waits_n,
+                "denials": self._denials_n,
+                "upgrades": self._upgrades_n,
+            }
 
     @property
     def queue_visits(self) -> int:
-        """Queue-processing passes performed, over all stripes — the
-        regression counter for the commit cost (see
-        :meth:`release_all`)."""
-        return sum(s.queue_visits for s in self._table)
+        """Queue-processing passes performed — the regression counter
+        for the commit cost (see :meth:`release_all`)."""
+        return self._queue_visits
 
     def audit_now(self) -> None:
         """Verify the whole table: every pair of holders of every
@@ -770,17 +679,16 @@ class LockManager:
         post-run safety sweep (the per-grant auditor covers the
         incremental case).
         """
-        with self._locked_all():
-            for stripe in self._table:
-                for obj, entry in stripe.entries.items():
-                    _check_audit_pairs(obj, entry.holders)
-                    recount = Counter(
-                        mode
-                        for modes in entry.holders.values()
-                        for mode in modes
+        with self._mutex:
+            for obj, entry in self._entries.items():
+                _check_audit_pairs(obj, entry.holders)
+                recount = Counter(
+                    mode
+                    for modes in entry.holders.values()
+                    for mode in modes
+                )
+                if recount != entry.counts:
+                    raise LockError(
+                        f"mode counts out of step on {obj!r}: "
+                        f"{entry.counts} for holders {dict(recount)}"
                     )
-                    if recount != entry.counts:
-                        raise LockError(
-                            f"mode counts out of step on {obj!r}: "
-                            f"{entry.counts} for holders {dict(recount)}"
-                        )

@@ -74,16 +74,12 @@ class RcScheme:
         revalidator: Revalidator | None = None,
         audit: bool = True,
         observer=None,
-        *,
-        stripes: int = 1,
-        stripe_fn=None,
     ) -> None:
         self.obs = (
             observer if observer is not None else obs_module.get_observer()
         )
         self.manager = LockManager(
-            history=history, audit=audit, observer=self.obs,
-            stripes=stripes, stripe_fn=stripe_fn,
+            history=history, audit=audit, observer=self.obs
         )
         self.revalidator = revalidator
         #: Forced aborts performed by rule (ii), for benchmarks.
@@ -177,7 +173,7 @@ class RcScheme:
         """
         # The write set is a superset of the objects currently holding
         # Wa (every Wa grant records a write), so it narrows the scan
-        # to the relevant stripes; the manager re-checks actual holds.
+        # to those objects; the manager re-checks actual holds.
         return self.manager.write_read_conflicts(
             txn, LockMode.WA, LockMode.RC, candidates=txn.write_set
         )

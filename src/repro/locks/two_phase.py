@@ -57,16 +57,12 @@ class TwoPhaseScheme:
         history: History | None = None,
         audit: bool = True,
         observer=None,
-        *,
-        stripes: int = 1,
-        stripe_fn=None,
     ) -> None:
         self.obs = (
             observer if observer is not None else obs_module.get_observer()
         )
         self.manager = LockManager(
-            history=history, audit=audit, observer=self.obs,
-            stripes=stripes, stripe_fn=stripe_fn,
+            history=history, audit=audit, observer=self.obs
         )
 
     # -- acquisition entry points --------------------------------------------------------

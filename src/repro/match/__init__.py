@@ -17,8 +17,8 @@ set)" (Section 2).  Three matchers are provided:
 * :class:`~repro.match.partitioned.PartitionedMatcher` — Section 2's
   intra-phase parallelism: productions sharded across K passive inner
   matchers (any of the above), batched WM deltas behind a barrier,
-  deterministic conflict-set merge; thread, serial, virtual-time
-  (DES) and multi-process (:mod:`~repro.match.procpool` — worker
+  deterministic conflict-set merge; serial, virtual-time (DES) and
+  multi-process (:mod:`~repro.match.procpool` — worker
   processes over replicated WM, no GIL) substrates.
 
 All five expose the same protocol (:class:`~repro.match.base.Matcher`)

@@ -37,10 +37,9 @@ partitioned:rete:4``).  Architecture:
   preserved because the engine sees the same conflict set it would
   have seen single-threaded (``tests/match/test_partitioned_matcher
   .py`` asserts equality property-style).
-* **Substrates** — ``backend="thread"`` matches shards concurrently on
-  a :class:`~concurrent.futures.ThreadPoolExecutor` (correctness under
-  real concurrency; CPython's GIL means wall-clock speedup is not the
-  point).  ``backend="process"`` escapes the GIL: each shard lives in
+* **Substrates** — ``backend="serial"`` (the default) replays each
+  batch shard after shard on the caller's thread: the in-process
+  reference.  ``backend="process"`` escapes the GIL: each shard lives in
   a persistent worker *process* (:mod:`repro.match.procpool`) holding
   a full working-memory replica; the parent streams the same delta
   batches and folds back the conflict-set deltas the workers report,
@@ -49,8 +48,7 @@ partitioned:rete:4``).  Architecture:
   per-production match cost on the discrete-event simulator's virtual
   clock, so ``benchmarks/bench_intraphase_match.py`` can validate the
   analytic ``lpt_makespan``/``speedup_ceiling`` curves against this
-  executable system.  ``backend="serial"`` is the in-process
-  reference.
+  executable system.
 
 Observability (the PR-1 ``obs`` layer): per-shard match latency
 histogram (``match.shard_seconds``), batch size (``match.batch_size``)
@@ -89,12 +87,10 @@ from repro.wm.memory import WMDelta, WorkingMemory
 # branch that builds it — a serial Rete run loads no pool, simulator
 # or second matcher — and never later: a run imports nothing.
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.match.procpool import ProcessPool, ShardReply
     from repro.sim.engine import Simulator
 
-BACKENDS = ("thread", "serial", "des", "process")
+BACKENDS = ("serial", "des", "process")
 ASSIGNMENTS = ("round-robin", "hash", "lpt")
 DEFAULT_SHARDS = 4
 
@@ -106,7 +102,7 @@ def parse_partitioned_spec(spec: str) -> tuple[str, int, str]:
     """Parse ``partitioned[:inner[:shards[:backend]]]``.
 
     >>> parse_partitioned_spec("partitioned:rete:4")
-    ('rete', 4, 'thread')
+    ('rete', 4, 'serial')
     """
     parts = spec.split(":")
     if parts[0] != "partitioned" or len(parts) > 4:
@@ -130,7 +126,7 @@ def parse_partitioned_spec(spec: str) -> tuple[str, int, str]:
             ) from None
     if shards < 1:
         raise MatchError(f"need >= 1 shard, got {shards}")
-    backend = parts[3] if len(parts) > 3 and parts[3] else "thread"
+    backend = parts[3] if len(parts) > 3 and parts[3] else "serial"
     if backend not in BACKENDS:
         raise MatchError(
             f"unknown backend {backend!r} in {spec!r}; expected one of "
@@ -283,8 +279,7 @@ class PartitionedMatcher(BaseMatcher):
         Inner matcher: a name from :data:`~repro.match.base.MATCHERS`
         or a ``WorkingMemory -> BaseMatcher`` factory.
     backend:
-        ``"thread"`` (default; ThreadPoolExecutor barrier),
-        ``"serial"`` (in-process reference), ``"des"``
+        ``"serial"`` (default; in-process reference), ``"des"``
         (virtual-time, cost-charged) or ``"process"`` (persistent
         worker-process pool with per-worker WM replicas — real
         multi-core match; requires a *named* inner matcher so workers
@@ -316,7 +311,7 @@ class PartitionedMatcher(BaseMatcher):
         memory: WorkingMemory,
         shards: int = DEFAULT_SHARDS,
         inner: str | Callable[[WorkingMemory], BaseMatcher] = "rete",
-        backend: str = "thread",
+        backend: str = "serial",
         assign: str = "round-robin",
         cost_model: CostModel | None = None,
         observer=None,
@@ -360,7 +355,6 @@ class PartitionedMatcher(BaseMatcher):
             observer if observer is not None else obs_module.get_observer()
         )
         self._cost_model = cost_model
-        self._pool: ThreadPoolExecutor | None = None
         self._procpool: ProcessPool | None = None
         self.procpool_timeout = procpool_timeout
         self.simulator = simulator
@@ -376,11 +370,7 @@ class PartitionedMatcher(BaseMatcher):
             self._shards = [
                 _Shard(i, factory(memory)) for i in range(shards)
             ]
-        if backend == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool_class = ThreadPoolExecutor
-        elif backend == "des" and simulator is None:
+        if backend == "des" and simulator is None:
             from repro.sim.engine import Simulator
 
             self.simulator = Simulator()
@@ -472,9 +462,6 @@ class PartitionedMatcher(BaseMatcher):
 
     def detach(self) -> None:
         super().detach()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._procpool is not None:
             self._procpool.shutdown()
             self._procpool = None
@@ -523,12 +510,7 @@ class PartitionedMatcher(BaseMatcher):
                 "match.flush", parent=spans.current(), ts=flush_start,
                 deltas=len(deltas), backend=self.backend,
             )
-        if self.backend == "thread" and len(shards) > 1:
-            pool = self._ensure_pool()
-            durations = list(
-                pool.map(lambda s: self._replay(s, deltas), shards)
-            )
-        elif self.backend == "des":
+        if self.backend == "des":
             durations = self._des_replay(deltas)
         elif self.backend == "process":
             durations = self._process_replay(deltas)
@@ -580,17 +562,13 @@ class PartitionedMatcher(BaseMatcher):
                     ipc_bytes_in=pool.last_bytes_in,
                 )
         else:
-            concurrent_shards = (
-                self.backend == "thread" and len(self._shards) > 1
-            )
-            offset = flush_start
+            start = flush_start
             for shard, seconds in zip(self._shards, durations):
-                start = flush_start if concurrent_shards else offset
                 spans.record(
                     "match.shard", start=start, end=start + seconds,
                     parent=flush_span, shard=shard.index,
                 )
-                offset += seconds
+                start += seconds
         flush_span.finish(merge_seconds=merge_seconds)
 
     def _replay(self, shard: _Shard, deltas: Sequence[WMDelta]) -> float:
@@ -599,14 +577,6 @@ class PartitionedMatcher(BaseMatcher):
         for delta in deltas:
             feed(delta)
         return time.perf_counter() - start
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = self._pool_class(
-                max_workers=len(self._shards),
-                thread_name_prefix="match-shard",
-            )
-        return self._pool
 
     # -- process substrate ---------------------------------------------------------------
 

@@ -2,12 +2,13 @@
 
 The paper's intra-phase match parallelism (Sections 2 and 5) promises
 real speedup on multiple *processors* — but CPython's GIL serializes
-the :class:`~repro.match.partitioned.PartitionedMatcher` thread
-backend, so its Figure 5.x speedup shapes were only ever demonstrated
-on virtual (DES) clocks.  This module is the escape hatch: a
-persistent pool of **worker processes**, each owning one rule shard
-and a full replica of working memory, kept consistent by streaming
-the same WM deltas the thread backend already replays.
+threads in one interpreter, so the
+:class:`~repro.match.partitioned.PartitionedMatcher`'s Figure 5.x
+speedup shapes were only ever demonstrated on virtual (DES) clocks.
+This module is the escape hatch: a persistent pool of **worker
+processes**, each owning one rule shard and a full replica of working
+memory, kept consistent by streaming the same WM deltas the serial
+backend replays.
 
 Design (share-nothing, rule-partitioned — the rule class the CHR
 parallelism survey and "Parallelisable Existential Rules" identify as

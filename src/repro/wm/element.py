@@ -165,8 +165,8 @@ def data_object_key(wme: WME) -> tuple[str, Any]:
     Section 4 locks "data objects" in working memory.  We lock at the
     granularity of the WME's value identity when it carries a ``key``
     or ``id`` attribute (tuple-level locking) and otherwise at its full
-    value identity.  Relation-level escalation is handled separately by
-    :mod:`repro.locks.escalation`.
+    value identity.  Relation-level escalation (the catalog key) is
+    added by :meth:`repro.match.instantiation.Instantiation.lock_footprint`.
 
     Cached on the element the way :meth:`WME.mapping` caches its dict:
     every lock footprint naming the element asks again.

@@ -164,7 +164,10 @@ class Catalog:
 
     The catalog is itself modeled as a relation (``SYSTEM-CATALOG``)
     whose tuples are the schemas, so relation-level lock escalation can
-    target a concrete lockable object (Section 4.3, last paragraph).
+    target a concrete lockable object (Section 4.3, last paragraph):
+    :meth:`catalog_lock_key`, which
+    ``Instantiation.lock_footprint()`` reads for negated condition
+    elements and writes for every membership change.
     """
 
     #: Name of the distinguished catalog relation used for escalation.

@@ -281,7 +281,7 @@ class TestEngineCoverage:
     def test_partitioned_matcher_emits_flush_spans(self):
         wm = WorkingMemory()
         with obs.observed() as observer:
-            matcher = PartitionedMatcher(wm, shards=2, backend="thread")
+            matcher = PartitionedMatcher(wm, shards=2, backend="serial")
             engine = ParallelEngine(
                 conflict_rules(), wm, scheme="rc",
                 strategy="priority", matcher=matcher,
@@ -292,12 +292,15 @@ class TestEngineCoverage:
         flushes = observer.spans.spans("match.flush")
         assert flushes
         flush = flushes[0]
-        assert flush.fields["backend"] == "thread"
+        assert flush.fields["backend"] == "serial"
         shards = [
             s for s in observer.spans.spans("match.shard")
             if s.parent_id == flush.span_id
         ]
         assert len(shards) == 2
+        # Serial shards run end to end from the flush start.
+        assert shards[0].start == flush.start
+        assert shards[1].start == shards[0].end
 
     def test_single_firing_mode_is_spanned(self):
         """Re-pinned: the progress fallback is no longer a lock-free

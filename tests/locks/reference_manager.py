@@ -5,9 +5,9 @@ This is the original single-table ``LockManager`` (Section 4.2's
 every grant decision walks the object's holders and queue through
 :func:`repro.locks.modes.compatible`, and every grant re-audits all
 pairs of holders.  It is slow on purpose and keeps no derived state —
-no mode counts, no per-transaction indexes beyond ``_txn_objects``, no
-stripes — so it is the oracle the hypothesis schedule test in
-``test_striping.py`` compares ``repro.locks.LockManager`` against.
+no mode counts, no per-transaction indexes beyond ``_txn_objects`` —
+so it is the oracle the hypothesis schedule test in
+``test_lock_table.py`` compares ``repro.locks.LockManager`` against.
 
 Single-threaded: the mutex, the observer hooks and the blocking wait of
 the seed are gone (a schedule is a deterministic list of calls), and so

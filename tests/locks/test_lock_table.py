@@ -1,21 +1,19 @@
-"""The striped lock table: equivalence, scaling fixes, cross-stripe safety.
+"""The one lock table: reference equivalence, commit cost, races, threads.
 
 Four pillars:
 
-* a hypothesis property test that the manager (stripes ∈ {1, 2, 4, 8})
-  and the reference model in ``reference_manager.py`` — the seed's
-  centralized table, every decision a walk through ``compatible()`` —
-  make *identical* grant/wait/deny decisions for any deterministic
-  request schedule, and that the per-mode counts the manager decides
-  from equal a recount of its holder maps after every step;
+* a hypothesis property test that the manager and the reference model
+  in ``reference_manager.py`` — a count-free table, every decision a
+  walk through ``compatible()`` — make *identical* grant/wait/deny
+  decisions for any deterministic request schedule, and that the
+  per-mode counts the manager decides from equal a recount of its
+  holder maps after every step;
 * the commit-cost regression: ``release_all`` visits only the
-  transaction's own queues (O(held + waiting)), at any stripe count;
-* an 8-thread hammer on disjoint objects with exact grant totals and a
-  post-run cross-stripe audit;
-* deadlock detection across stripes — a circular wait whose objects
-  are forced into different stripes must still yield a cycle and
-  exactly one victim (the Figure 4.4 shape generalized to four
-  objects).
+  transaction's own queues (O(held + waiting));
+* the forced-abort races: a grant or a queued request that a rule-(ii)
+  abort lands on is still released;
+* 8-thread hammers with exact grant totals and a post-run audit, and
+  the Figure 4.4 Rc/Wa shape committing exactly one side.
 """
 
 import threading
@@ -28,7 +26,6 @@ from hypothesis import strategies as st
 from repro.errors import TransactionError
 from repro.locks import (
     DeadlockDetector,
-    GrantOutcome,
     LockManager,
     LockMode,
     RcScheme,
@@ -38,42 +35,9 @@ from repro.txn import Transaction
 
 from reference_manager import ReferenceLockManager
 
-STRIPE_COUNTS = [2, 4, 8]
-
 
 def txn(name=""):
     return Transaction(rule_name=name)
-
-
-class TestConstruction:
-    def test_default_is_single_stripe(self):
-        manager = LockManager()
-        assert type(manager) is LockManager
-        assert manager.stripes == 1
-
-    def test_one_class_at_every_stripe_count(self):
-        manager = LockManager(stripes=4)
-        assert type(manager) is LockManager
-        assert manager.stripes == 4
-        assert len(manager.stripe_stats()) == 4
-        assert len(LockManager().stripe_stats()) == 1
-
-    def test_invalid_stripe_counts_rejected(self):
-        with pytest.raises(ValueError):
-            LockManager(stripes=0)
-        with pytest.raises(ValueError):
-            LockManager(stripes=-2)
-
-    def test_stripe_fn_controls_placement(self):
-        manager = LockManager(stripes=4, stripe_fn=lambda obj: 2)
-        t = txn()
-        assert manager.try_acquire(t, "a", LockMode.W)
-        assert manager.try_acquire(t, "b", LockMode.W)
-        per_stripe = manager.stripe_stats()
-        assert per_stripe[2]["grants"] == 2
-        assert all(
-            s["grants"] == 0 for i, s in enumerate(per_stripe) if i != 2
-        )
 
 
 # -- decision equivalence ------------------------------------------------------------
@@ -166,34 +130,28 @@ def assert_counts_match_holders(manager):
     """The per-mode counts the grant rule reads, recounted from the
     holder maps; and nothing is kept for an object nobody holds or
     waits on."""
-    for stripe in manager._table:
-        for obj, entry in stripe.entries.items():
-            recount = Counter(
-                mode for modes in entry.holders.values() for mode in modes
-            )
-            assert entry.counts == recount, obj
-            assert all(entry.holders.values()), obj
-            assert entry.holders or entry.queue, obj
-        held = {
-            (t, obj)
-            for obj, entry in stripe.entries.items()
-            for t in entry.holders
-        }
-        assert held == {(t, o) for t, objs in stripe.held.items() for o in objs}
-        waiting = {
-            r for entry in stripe.entries.values() for r in entry.queue
-            if r.is_waiting
-        }
-        assert waiting == {r for rs in stripe.pending.values() for r in rs}
+    entries = manager._entries
+    for obj, entry in entries.items():
+        recount = Counter(
+            mode for modes in entry.holders.values() for mode in modes
+        )
+        assert entry.counts == recount, obj
+        assert all(entry.holders.values()), obj
+        assert entry.holders or entry.queue, obj
+    held = {(t, obj) for obj, entry in entries.items() for t in entry.holders}
+    assert held == {(t, o) for t, objs in manager._held.items() for o in objs}
+    waiting = {
+        r for entry in entries.values() for r in entry.queue if r.is_waiting
+    }
+    assert waiting == {r for rs in manager._pending.values() for r in rs}
 
 
-class TestStripedEquivalence:
-    @pytest.mark.parametrize("stripes", [1] + STRIPE_COUNTS)
+class TestReferenceEquivalence:
     @settings(max_examples=250, deadline=None)
     @given(schedule=schedule_strategy)
-    def test_same_decisions_as_single_stripe(self, stripes, schedule):
+    def test_same_decisions_as_the_reference(self, schedule):
         reference = ReferenceLockManager()
-        manager = LockManager(stripes=stripes)
+        manager = LockManager()
         reference_txns = [txn(f"t{i}") for i in range(N_TXNS)]
         manager_txns = [txn(f"t{i}") for i in range(N_TXNS)]
 
@@ -214,11 +172,10 @@ class TestStripedEquivalence:
         )
         manager.audit_now()
 
-    @pytest.mark.parametrize("stripes", STRIPE_COUNTS)
-    def test_fifo_wakeup_order_matches(self, stripes):
+    def test_fifo_wakeup_order_matches(self):
         # After the writer releases, queued readers are granted and the
-        # queued writer behind them keeps waiting — in both variants.
-        for manager in (ReferenceLockManager(), LockManager(stripes=stripes)):
+        # queued writer behind them keeps waiting — in both tables.
+        for manager in (ReferenceLockManager(), LockManager()):
             w, r1, r2, w2 = (txn(n) for n in ("w", "r1", "r2", "w2"))
             assert manager.acquire(w, "q", LockMode.W).is_granted
             first = manager.acquire(r1, "q", LockMode.R)
@@ -245,59 +202,53 @@ def _make_noise(manager, count):
 class TestReleaseAllQueueVisits:
     """Regression for the O(total objects) commit epilogue.
 
-    The seed's ``release_all`` iterated every queue in the system and
-    reprocessed every object — even ones the committing transaction
+    A ``release_all`` that iterates every queue in the system
+    reprocesses every object — even ones the committing transaction
     never touched (the reference model still does).  The per-
     transaction indexes must visit only the transaction's own objects,
-    independent of how many unrelated queues exist — at one stripe as
-    at many.
+    independent of how many unrelated queues exist.
     """
 
-    def test_striped_release_visits_only_own_objects(self):
-        for stripes in (1, 4):
-            manager = LockManager(stripes=stripes)
-            _make_noise(manager, 40)
+    def test_release_visits_only_own_objects(self):
+        manager = LockManager()
+        _make_noise(manager, 40)
+        t = txn("committer")
+        assert manager.try_acquire(t, "mine", LockMode.W)
+        before = manager.queue_visits
+        manager.release_all(t)
+        visits = manager.queue_visits - before
+        assert visits <= 1, (
+            f"release_all visited {visits} queues for a 1-object txn"
+        )
+
+    def test_visits_scale_with_own_footprint_only(self):
+        for noise in (5, 50):
+            manager = LockManager()
+            _make_noise(manager, noise)
             t = txn("committer")
-            assert manager.try_acquire(t, "mine", LockMode.W)
+            for j in range(3):
+                assert manager.try_acquire(t, f"mine{j}", LockMode.W)
+            waiting_obj = "noise0"
+            assert manager.acquire(t, waiting_obj, LockMode.W).is_waiting
             before = manager.queue_visits
             manager.release_all(t)
             visits = manager.queue_visits - before
-            assert visits <= 1, (
-                f"release_all visited {visits} queues for a 1-object txn"
-            )
-
-    def test_striped_visits_scale_with_own_footprint_only(self):
-        for stripes in (1, 8):
-            for noise in (5, 50):
-                manager = LockManager(stripes=stripes)
-                _make_noise(manager, noise)
-                t = txn("committer")
-                for j in range(3):
-                    assert manager.try_acquire(t, f"mine{j}", LockMode.W)
-                waiting_obj = "noise0"
-                assert manager.acquire(t, waiting_obj, LockMode.W).is_waiting
-                before = manager.queue_visits
-                manager.release_all(t)
-                visits = manager.queue_visits - before
-                # 3 held objects + 1 pending queue, regardless of noise.
-                assert visits <= 4, (
-                    f"{visits} visits with {noise} noise objs"
-                )
+            # 3 held objects + 1 pending queue, regardless of noise.
+            assert visits <= 4, f"{visits} visits with {noise} noise objs"
 
 
-# -- threaded hammer --------------------------------------------------------------------
+# -- forced-abort races -----------------------------------------------------------------
 
 
 class TestForcedAbortRace:
     """A rule-(ii) force abort can land between a grant's lock-table
     bookkeeping and ``record_read`` — the grant then exists but the
     object is missing from the read set.  ``release_all`` must release
-    it anyway (it consults the per-stripe held index, never the
-    transaction's read/write sets)."""
+    it anyway (it consults the held index, never the transaction's
+    read/write sets)."""
 
-    @pytest.mark.parametrize("stripes", [1] + STRIPE_COUNTS)
-    def test_release_all_recovers_unrecorded_grant(self, stripes):
-        manager = LockManager(stripes=stripes)
+    def test_release_all_recovers_unrecorded_grant(self):
+        manager = LockManager()
         victim = txn("victim")
         victim.try_abort("rule (ii) landed mid-acquire")
         with pytest.raises(TransactionError):
@@ -330,10 +281,12 @@ class TestForcedAbortRace:
         manager.audit_now()
 
 
+# -- threaded hammer --------------------------------------------------------------------
+
+
 class TestThreadedHammer:
-    @pytest.mark.parametrize("stripes", STRIPE_COUNTS)
-    def test_disjoint_hammer_exact_totals(self, stripes):
-        manager = LockManager(stripes=stripes, audit=False)
+    def test_disjoint_hammer_exact_totals(self):
+        manager = LockManager(audit=False)
         threads, iterations, per_iter = 8, 40, 6
         errors = []
         barrier = threading.Barrier(threads)
@@ -373,7 +326,7 @@ class TestThreadedHammer:
         manager.audit_now()
 
     def test_contended_hammer_accounts_every_attempt(self):
-        manager = LockManager(stripes=4, audit=False)
+        manager = LockManager(audit=False)
         threads, iterations = 8, 50
         hot = [f"hot{i}" for i in range(4)]
         outcomes = []
@@ -413,69 +366,26 @@ class TestThreadedHammer:
         manager.audit_now()
 
 
-# -- cross-stripe deadlock detection -----------------------------------------------------
-
-#: Forces each of the four conflict objects into a distinct stripe
-#: (modulo the stripe count), so every waits-for edge crosses stripes.
-PLACEMENT = {"a": 0, "b": 1, "c": 2, "d": 3}
+# -- Figure 4.4 on the table -------------------------------------------------------------
 
 
-class TestCrossStripeDeadlock:
-    @pytest.mark.parametrize("stripes", STRIPE_COUNTS)
-    def test_circular_wait_across_stripes_found(self, stripes):
-        manager = LockManager(
-            stripes=stripes, stripe_fn=lambda obj: PLACEMENT[obj]
-        )
-        txns = [txn(f"t{i}") for i in range(4)]
-        objs = ["a", "b", "c", "d"]
-        for t, obj in zip(txns, objs):
-            assert manager.acquire(t, obj, LockMode.W).is_granted
-        # Each waits on the next transaction's object: a 4-cycle whose
-        # every edge spans two different stripes (for stripes=4).
-        for i, t in enumerate(txns):
-            wanted = objs[(i + 1) % 4]
-            assert manager.acquire(t, wanted, LockMode.W).is_waiting
+def test_figure_4_4_rc_wa_conflict_commits_one():
+    # The literal Figure 4.4 shape on the Rc scheme: P_i holds
+    # Rc(q), Wa(r); P_j holds Rc(r), Wa(q).  No waits-for cycle
+    # exists (Wa bypasses Rc) — whichever commits first aborts the
+    # other via rule (ii).
+    scheme = RcScheme()
+    p_i, p_j = txn("p_i"), txn("p_j")
+    assert scheme.try_lock_condition(p_i, "q")
+    assert scheme.try_lock_condition(p_j, "r")
+    assert scheme.try_lock_action(p_i, writes=["r"])
+    assert scheme.try_lock_action(p_j, writes=["q"])
 
-        detector = DeadlockDetector(manager)
-        cycle = detector.find_cycle()
-        assert cycle is not None
-        assert {t.txn_id for t in cycle} == {t.txn_id for t in txns}
+    assert DeadlockDetector(scheme.manager).find_cycle() is None
 
-        victim = detector.choose_victim()
-        assert victim is not None
-        assert len(detector.detected) == 1
-        manager.release_all(victim)
-        assert detector.find_cycle() is None
-        # Exactly one victim: the three survivors still hold their
-        # original locks (plus whatever the broken cycle granted).
-        survivors = [t for t in txns if t is not victim]
-        for t, obj in zip(txns, objs):
-            if t is victim:
-                continue
-            assert manager.holds(t, obj, LockMode.W)
-        assert len(survivors) == 3
-
-    @pytest.mark.parametrize("stripes", STRIPE_COUNTS)
-    def test_figure_4_4_rc_wa_conflict_across_stripes(self, stripes):
-        # The literal Figure 4.4 shape on the Rc scheme: P_i holds
-        # Rc(q), Wa(r); P_j holds Rc(r), Wa(q).  No waits-for cycle
-        # exists (Wa bypasses Rc) — whichever commits first aborts the
-        # other via rule (ii).  Here q and r live in different stripes.
-        scheme = RcScheme(
-            stripes=stripes,
-            stripe_fn=lambda obj: {"q": 0, "r": 1}[obj],
-        )
-        p_i, p_j = txn("p_i"), txn("p_j")
-        assert scheme.try_lock_condition(p_i, "q")
-        assert scheme.try_lock_condition(p_j, "r")
-        assert scheme.try_lock_action(p_i, writes=["r"])
-        assert scheme.try_lock_action(p_j, writes=["q"])
-
-        assert DeadlockDetector(scheme.manager).find_cycle() is None
-
-        outcome = scheme.commit(p_i)
-        assert outcome.committed
-        assert outcome.victims == [p_j]
-        scheme.abort(p_j, "rule (ii)")
-        assert scheme.manager.grant_table() == {}
-        scheme.manager.audit_now()
+    outcome = scheme.commit(p_i)
+    assert outcome.committed
+    assert outcome.victims == [p_j]
+    scheme.abort(p_j, "rule (ii)")
+    assert scheme.manager.grant_table() == {}
+    scheme.manager.audit_now()

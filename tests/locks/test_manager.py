@@ -177,7 +177,7 @@ class TestBookkeeping:
 
 def entry_of(manager, obj):
     """The table's row for ``obj`` (None once pruned)."""
-    return manager._stripe_of(obj).entries.get(obj)
+    return manager._entries.get(obj)
 
 
 def plant_holder(manager, obj, holder, mode):
@@ -267,10 +267,9 @@ class TestPruning:
 
     @staticmethod
     def assert_table_empty(manager):
-        for stripe in manager._table:
-            assert stripe.entries == {}
-            assert stripe.held == {}
-            assert stripe.pending == {}
+        assert manager._entries == {}
+        assert manager._held == {}
+        assert manager._pending == {}
         assert manager.grant_table() == {}
         assert manager.waiting_requests() == []
 

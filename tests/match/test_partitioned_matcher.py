@@ -122,7 +122,7 @@ def test_partitioned_equals_monolithic(inner, operations):
 class TestSpecParsing:
     def test_defaults(self):
         assert parse_partitioned_spec("partitioned") == (
-            "rete", 4, "thread",
+            "rete", 4, "serial",
         )
 
     def test_full_spec(self):
@@ -132,10 +132,10 @@ class TestSpecParsing:
 
     def test_partial_spec_keeps_defaults(self):
         assert parse_partitioned_spec("partitioned:cond") == (
-            "cond", 4, "thread",
+            "cond", 4, "serial",
         )
         assert parse_partitioned_spec("partitioned::2") == (
-            "rete", 2, "thread",
+            "rete", 2, "serial",
         )
 
     @pytest.mark.parametrize(
@@ -157,7 +157,7 @@ class TestSpecParsing:
         assert isinstance(matcher, PartitionedMatcher)
         assert matcher.inner_name == "treat"
         assert len(matcher._shards) == 3
-        assert matcher.backend == "thread"
+        assert matcher.backend == "serial"
 
 
 class TestPartitioning:
@@ -279,37 +279,6 @@ class TestBatching:
             assert matcher.conflict_set.is_empty()
         assert matcher.flush_count == 1
         assert len(matcher.conflict_set) > 0
-
-
-class TestThreadSubstrate:
-    def test_thread_backend_equals_serial(self):
-        thread_memory, serial_memory = WorkingMemory(), WorkingMemory()
-        thread = PartitionedMatcher(
-            thread_memory, shards=4, inner="rete", backend="thread"
-        )
-        serial = PartitionedMatcher(
-            serial_memory, shards=4, inner="rete", backend="serial"
-        )
-        for matcher, memory in (
-            (thread, thread_memory), (serial, serial_memory),
-        ):
-            matcher.add_productions(_program())
-            matcher.attach()
-            for k in range(6):
-                memory.make("a", k=k % 3, v=k)
-                memory.make("b", k=(k + 1) % 3, v=k)
-            for wme in list(memory.elements("b"))[:2]:
-                memory.remove(wme)
-
-        def signatures(matcher):
-            return {
-                (i.production.name, tuple(w.identity() for w in i.wmes))
-                for i in matcher.conflict_set
-            }
-
-        assert signatures(thread) == signatures(serial)
-        thread.detach()
-        assert thread._pool is None
 
 
 class TestDesSubstrate:

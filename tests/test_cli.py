@@ -116,6 +116,17 @@ class TestRun:
         assert excinfo.value.code == 2
         assert "unknown matcher" in err
 
+    def test_removed_lock_stripes_option_is_refused(
+        self, rule_file, facts_file, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["run", str(rule_file), "--facts", str(facts_file),
+                 "--parallel", "rc", "--lock-stripes", "8"]
+            )
+        assert excinfo.value.code == 2
+        assert "--lock-stripes" in capsys.readouterr().err
+
     def test_empty_rule_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.ops"
         empty.write_text("; nothing here\n")

@@ -36,8 +36,6 @@ EXCEPTIONS = {
     # (docs/architecture.md, "fault"); ``fault/__init__`` does not
     # export it, so importing ``repro.fault`` stays engine-free.
     ("fault/firing_chaos.py", "engine"),
-    # ROADMAP 7(e)'s island: no consumer but its own test.
-    ("core/observe.py", "engine"),
 }
 
 

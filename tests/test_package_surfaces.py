@@ -67,10 +67,9 @@ PUBLIC_NAMES = {
     """,
     "repro.locks": """
         COMPATIBILITY ConservativeTwoPhaseScheme DeadlockDetector
-        EscalationPolicy GrantOutcome LockGrant LockManager LockMode
+        GrantOutcome LockGrant LockManager LockMode
         LockRequest RcScheme RequestStatus SCHEMES TWO_PHASE_COMPATIBILITY
-        TwoPhaseScheme VictimPolicy WaitDie WoundWait
-        acquire_with_prevention compatible make_fewest_locks_victim
+        TwoPhaseScheme VictimPolicy compatible make_fewest_locks_victim
         most_locks_victim oldest_victim resolve_victim_policy table_4_1
         youngest_victim
     """,
