@@ -157,30 +157,3 @@ class MultiUserEngine(ParallelEngine):
         for record in self.result.firings:
             counts[self.user_of(record.rule_name)] += 1
         return counts
-
-    def profile_by_user(self) -> dict[str, dict[str, float]]:
-        """The observer's per-rule profile folded onto sessions.
-
-        Rolls every rule's self-time buckets up to the session that
-        owns it (the cost-attribution view of fairness: who *spent*
-        the wall, not just who committed).  Engine-level pseudo-rules
-        like ``(match)`` land under ``"(engine)"``.
-        """
-        snapshot = self.obs.profiler.snapshot() if self.obs.enabled else {
-            "rules": []
-        }
-        out: dict[str, dict[str, float]] = {}
-        for row in snapshot["rules"]:
-            user = self._owners.get(row["rule"], "(engine)")
-            bucket = out.setdefault(
-                user,
-                {"total_seconds": 0.0, "match": 0.0, "lock_wait": 0.0,
-                 "acquire": 0.0, "rhs": 0.0, "firings": 0},
-            )
-            bucket["total_seconds"] += row["total_seconds"]
-            bucket["match"] += row["match"]
-            bucket["lock_wait"] += row["lock_wait"]
-            bucket["acquire"] += row["acquire"]
-            bucket["rhs"] += row["rhs"]
-            bucket["firings"] += row["firings"]
-        return out

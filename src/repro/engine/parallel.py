@@ -30,73 +30,27 @@ A *wave* of logically concurrent firings:
      candidate's ``R`` locks *blocks* — it is deferred to a later wave
      (the conservatism Theorem 2 pays for);
    * under **Rc**, the ``Wa`` is granted over outstanding ``Rc`` locks;
-     at commit, conflicting ``Rc`` holders are aborted (rule (ii)) and
-     their partial work rolled back.
+     admission has already put every reader before its writer, so
+     rule (ii) finds nobody to abort.
 
-5. Aborted/deferred candidates release their locks at wave end; the
-   next wave re-runs match over the updated database.
+5. Deferred candidates release their locks; the next wave re-runs
+   match over the updated database.
 
-**Wave admission.**  Section 4.3 grants ``Rc`` freely and settles at
-commit, because on a multiprocessor nobody knows who commits first:
-when an ``Rc`` holder and a ``Wa`` holder of one object meet, both
-commit if the reader commits first (rule (i), Figure 4.3) and the
-reader is aborted if the writer does (rule (ii)).  The deterministic
-driver *chooses* who commits first, so it chooses rule (i)
-(:meth:`ParallelEngine._admit`,
-:class:`~repro.engine.precedence.Precedence`):
+"Lock" here is Table 4.1's decision, not a lock manager's state: see
+"Grants from footprints" below.
 
-* **Edges.**  Walk the ranking in conflict-resolution order.  A
-  candidate *c* gets an edge ``c -> w`` for every admitted *w* writing
-  an object *c* reads (*c* must commit first) and ``r -> c`` for every
-  admitted *r* reading an object *c* writes.  Write-write overlap is no
-  edge: a ``Wa`` is taken at RHS start and gone at commit, and one
-  firing acts at a time.  Key equality is the lock manager's (flat
-  ``data_object_key`` / ``catalog_lock_key`` equality), not
-  ``core.interference``'s containment — a wider test would cut cycles
-  that are not there.
-* **Cycle cut.**  *c* is held back only if its edges would close a
-  cycle — Figure 4.4's circular case, where every commit order aborts
-  somebody: two firings that each read what the other writes (two
-  ``bump`` firings on one gauge, two ``extend-seating`` firings for one
-  party), or a longer ring.  Being the lower-ranked member of the
-  ring, it waits.
-* **Order.**  The admitted slots take their ``Rc`` locks and act in
-  topological order of the edges, rank breaking ties.  Every reader has
-  committed and released before its writer asks for ``Wa``, every
-  retraction comes from a written tuple key or a catalog key some
-  footprint reads, so no slot is stale at its turn and rule (ii) finds
-  no victim: every admitted candidate commits.
-* **Fill.**  ``processors`` bounds *admitted* firings, not ranked
-  candidates: when a hold-back leaves the wave short, admission keeps
-  pulling from the same ranking until the wave is full or the ranking
-  is exhausted.  A wave that holds nobody back ranks exactly
-  ``processors`` candidates, and the width-1 fallback wave stays one
-  candidate wide (the first candidate has no edges).
-
-The run this produces is a member of ``ES_single`` like any other —
-commit order inside a wave is a choice among admissible outcomes, and
-the choice is recorded (``held`` and ``ordered`` spans under
-``phase.admit``).  The pass costs a footprint per candidate: a scan
-of its reads and an ``isdisjoint`` probe of its writes when it has no
-edge, a direct test against the slot it found when the cycle is a
-mutual pair, a search only when it has edges both ways, a sort only
-when an edge goes against rank.
-
-It runs exactly when Table 4.1 lets the scheme's write mode through its
-condition mode (``compatible(Wa, Rc)``); ``2pl``/``c2pl`` refuse at the
-first denied lock already and get their list back untouched.  Real
-threads have no commit order to choose — the race decides, and an
-``Rc`` holder that wins it must survive — so
-:class:`~repro.engine.threaded.ThreadedWaveExecutor` keeps real rule
-(ii).  Under an injected fault an admitted slot may fail to commit.
-Nobody admitted with it is affected: a refused reader releases and its
-writer goes ahead, and a refused writer's readers have already
-committed.  What is left is the cycle: a candidate cut for an admitted
-partner waits for as long as that partner keeps out-ranking it and
-being refused.  A retry policy bounds that — the partner runs out of
-budget, lands in ``gave_up`` and the candidate is next; without one
-(the default) a *persistent* fault on the higher-ranked member of a
-cycle ends the run at ``max_waves`` with the other unfired.
+**Wave admission** (:meth:`ParallelEngine._admit`,
+:class:`~repro.engine.precedence.Precedence`).  Section 4.3 grants
+``Rc`` freely and settles at commit, because on a multiprocessor nobody
+knows who commits first.  The deterministic driver *chooses* who
+commits first, so it chooses rule (i): every reader before its writer,
+a candidate held back only when its read -> write edges would close a
+cycle (Figure 4.4), and the wave refilled from the same ranking.  It
+runs where Table 4.1 lets the write mode through the condition mode
+(``rc``); :class:`~repro.engine.threaded.ThreadedWaveExecutor` has no
+order to choose and keeps real rule (ii).  ``docs/architecture.md``,
+"Wave admission", gives the edges, the cut, the order, the fill, what
+it costs and what a persistent fault can make it wait for.
 
 :class:`ParallelEngine` drives a wave deterministically (admit, all
 admitted candidates acquire, then the granted ones act, both in
@@ -109,11 +63,27 @@ wave is ordered.  The single-thread
 purpose: it is the reference ``ES_single`` is defined by and has no
 transaction, undo log or history to share.
 
-The engine records the commit sequence (the σ of Definition 3.2),
-every lock operation (via :class:`~repro.txn.schedule.History`), and
-per-wave statistics.  ``repro.engine.replay`` checks the commit
-sequence against single-thread semantics — the operational form of
-Theorem 2's conclusion.
+**Grants from footprints.**  One firing acts at a time and releases
+everything when it commits or settles, so the only locks held across
+slots are the condition locks of the slots that have not acted yet
+(and, under ``c2pl``, their preclaimed writes).  Every grant Table 4.1
+would make is therefore a function of the wave's footprints, and the
+deterministic driver's scheme,
+:class:`~repro.engine.footprint.FootprintScheme`, decides it
+from them: under ``Rc`` nothing is refused or kept, under 2PL a writer
+is deferred iff another unsettled slot reads an object it writes, and
+a ``c2pl`` preclaim is refused iff it meets an unsettled slot's
+footprint.  The lock manager serves the threaded executor, where
+threads race.
+
+The engine records the commit sequence (the σ of Definition 3.2) and
+per-wave statistics, and certifies every commit on the way
+(:class:`~repro.txn.schedule.Certifier`): a firing that would commit
+after another overwrote what it read raises instead.  ``history``
+rebuilds the committed reads and writes from the certifier on request,
+and ``repro.engine.replay`` checks the commit sequence against
+single-thread semantics — the operational form of Theorem 2's
+conclusion.
 """
 
 from __future__ import annotations
@@ -125,6 +95,7 @@ from typing import Iterable, Iterator, Literal, NamedTuple
 
 import repro.obs as obs_module
 from repro.engine.actions import ActionExecutor
+from repro.engine.footprint import FootprintScheme
 from repro.engine.interpreter import MatcherName, build_matcher
 from repro.engine.precedence import Precedence
 from repro.engine.result import FiringRecord, RunResult
@@ -137,14 +108,13 @@ from repro.locks.modes import compatible
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
 from repro.match.strategies import Strategy, make_strategy, order_rest
-from repro.txn.schedule import History
+from repro.txn.schedule import Certifier, History
 from repro.txn.transaction import Transaction
 from repro.wm.memory import WorkingMemory
 from repro.wm.snapshot import WMSnapshot
 from repro.wm.undo import UndoLog
 
 SchemeName = Literal["2pl", "rc", "c2pl"]
-
 
 @dataclass
 class WaveResult:
@@ -286,12 +256,9 @@ class ParallelEngine:
             self.strategy = make_strategy(strategy, seed)
         else:
             self.strategy = strategy
-        self.history = History()
         if scheme not in SCHEMES:
             raise EngineError(f"unknown scheme {scheme!r}")
-        self.scheme = SCHEMES[scheme](
-            history=self.history, observer=self.obs
-        )
+        self.scheme = self._make_scheme(SCHEMES[scheme])
         self._preclaims = getattr(self.scheme, "preclaims", False)
         #: Table 4.1 lets the write mode through the condition mode
         #: (Wa over Rc): commit order matters, and :meth:`_admit`
@@ -299,6 +266,9 @@ class ParallelEngine:
         self._admits = compatible(
             self.scheme.action_write_mode, self.scheme.condition_mode
         )
+        #: Every commit passes it; it raises at the first that would
+        #: make the commit sequence other than a serial order.
+        self.certifier = Certifier()
         self.processors = processors
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
@@ -315,6 +285,16 @@ class ParallelEngine:
         self.retry_count = 0
         #: Virtual clock accumulating retry backoff (seconds).
         self.retry_clock = VirtualSleeper()
+
+    def _make_scheme(self, scheme: type):
+        """The lock scheme that decides this engine's grants."""
+        return FootprintScheme(scheme, self.obs)
+
+    @property
+    def history(self) -> History:
+        """The committed firings' reads and writes, where they happened
+        (:meth:`~repro.txn.schedule.Certifier.history`)."""
+        return self.certifier.history()
 
     @property
     def abort_count(self) -> int:
@@ -531,7 +511,8 @@ class ParallelEngine:
         there is no admission."""
         candidates = self._admit(wave, candidates, rest, spans, cycle_span)
         obs = self.obs
-        slots: list[tuple[Instantiation, Transaction]] = []
+        # (candidate, its transaction, commits certified when it read)
+        slots: list[tuple[Instantiation, Transaction, int]] = []
         phase_span = (
             spans.start("phase.acquire", parent=cycle_span)
             if spans is not None else None
@@ -549,7 +530,7 @@ class ParallelEngine:
                 spans.bind(txn.txn_id, acq)
             out = self._acquire(instantiation, txn)
             if out is None:
-                slots.append((instantiation, txn))
+                slots.append((instantiation, txn, self.certifier.commits))
                 if acq is not None:
                     # The binding stays on the acquire span until the
                     # firing span takes over in phase 2.
@@ -568,8 +549,10 @@ class ParallelEngine:
                 candidates=len(candidates), granted=len(slots)
             )
             phase_span = spans.start("phase.act", parent=cycle_span)
+        acted = 0
         try:
-            for instantiation, txn in slots:
+            for instantiation, txn, read_at in slots:
+                acted += 1
                 rule = instantiation.production.name
                 fire_start = obs.clock() if obs.enabled else 0.0
                 firing = None
@@ -586,7 +569,7 @@ class ParallelEngine:
                     # slot in an admitted wave; the check is the firing
                     # contract's own and costs two lookups.
                     out = self._stale(instantiation, txn) or self._act(
-                        wave, instantiation, txn
+                        wave, instantiation, txn, read_at
                     )
                     if out is not None:
                         self._settle(wave, instantiation, txn, out)
@@ -599,6 +582,10 @@ class ParallelEngine:
                             rule, txn.txn_id, obs.clock() - fire_start
                         )
         finally:
+            # A firing that raised leaves the slots after it unsettled:
+            # their locks go with the wave.
+            for _, txn, _ in slots[acted:]:
+                self.scheme.abort(txn, "wave abandoned")
             if phase_span is not None:
                 phase_span.finish(slots=len(slots))
 
@@ -607,13 +594,16 @@ class ParallelEngine:
     def _fault_denies_locks(
         self, txn: Transaction, objects, mode
     ) -> bool:
-        """Run lock fault sites over ``objects`` (in the given order);
-        True when any acquisition is denied."""
+        """Run lock fault sites over ``objects``; True when any
+        acquisition is denied."""
         if self.fault is None:
             return False
+        # A fault site stands for a lock request, so it is visited in
+        # the order locks are requested in: a seeded plan's rolls land
+        # on the same objects whichever driver runs it.
         return any(
             self.fault.lock_fault(txn, obj, str(mode)) == "deny"
-            for obj in objects
+            for obj in sorted(objects, key=repr)
         )
 
     def _lock_condition(self, txn: Transaction, reads, writes) -> bool:
@@ -636,8 +626,6 @@ class ParallelEngine:
         self, instantiation: Instantiation, txn: Transaction
     ) -> _Exit | None:
         """Condition locks for one candidate; None when granted."""
-        # Both sorted by repr, once per instantiation: the order
-        # locks are requested (and recorded in the history) in.
         reads, writes = instantiation.lock_footprint()
         if self._fault_denies_locks(txn, reads, self.scheme.condition_mode):
             return _CONDITION_FAULT
@@ -657,10 +645,11 @@ class ParallelEngine:
 
     def _act(
         self, wave: WaveResult, instantiation: Instantiation,
-        txn: Transaction,
+        txn: Transaction, read_at: int,
     ) -> _Exit | None:
-        """Drive one candidate holding its condition locks through
-        action locks, RHS and commit; None when it committed."""
+        """Drive one candidate holding its condition locks (taken when
+        ``read_at`` commits were certified) through action locks, RHS
+        and commit; None when it committed."""
         writes = instantiation.lock_footprint()[1]
         if self._fault_denies_locks(
             txn, writes, self.scheme.action_write_mode
@@ -670,11 +659,11 @@ class ParallelEngine:
             return _ACTION_DENIED
         if self.fault is not None and self.fault.rhs_abort(txn):
             return _RHS_FAULT
-        return self._transact(wave, instantiation, txn)
+        return self._transact(wave, instantiation, txn, read_at)
 
     def _transact(
         self, wave: WaveResult, instantiation: Instantiation,
-        txn: Transaction,
+        txn: Transaction, read_at: int,
     ) -> _Exit | None:
         """The firing transaction — the one place a firing changes the
         database: RHS under an undo log, then commit, or roll back.
@@ -688,8 +677,10 @@ class ParallelEngine:
         """
         obs = self.obs
         conflict_set = self.matcher.conflict_set
+        rule = instantiation.production.name
+        reads, writes = instantiation.lock_footprint()
         undo = UndoLog(self.memory).attach()
-        with self.memory.atomic(instantiation.production.name) as unit:
+        with self.memory.atomic(rule) as unit:
             try:
                 conflict_set.mark_fired(instantiation)
                 # Batch the RHS's WM deltas behind one match barrier;
@@ -700,6 +691,9 @@ class ParallelEngine:
                     outcome = self.executor.execute(instantiation)
                 if self.fault is not None:
                     self.fault.crash_point(txn)
+                # Before the commit point: a refused firing never
+                # reaches what persists the memory.
+                self.certifier.check(rule, read_at, reads)
                 unit.commit()
             except Exception as error:
                 # The firing died — an injected crash after its RHS,
@@ -720,17 +714,18 @@ class ParallelEngine:
                 self._settle(wave, instantiation, txn, _RHS_RAISED)
                 raise
         undo.detach()
-        # commit.victims carry the rule-(ii) aborts; their own turn
-        # finds them stale.
+        self.certifier.commit(rule, txn.txn_id, read_at, reads, writes)
+        # commit.victims carry the rule-(ii) aborts (threads only);
+        # their own turn finds them stale.
         self.scheme.commit(txn)
         undo.commit()
         self.result.firings.append(
             FiringRecord.from_instantiation(instantiation, wave.wave)
         )
         self.result.outputs.extend(outcome.outputs)
-        wave.committed.append(instantiation.production.name)
+        wave.committed.append(rule)
         if obs.enabled:
-            obs.firing_committed(instantiation.production.name, wave.wave)
+            obs.firing_committed(rule, wave.wave)
         if outcome.halted:
             self.result.halted = True
         return None
@@ -795,7 +790,7 @@ class ParallelEngine:
         if spans is not None:
             run_span = spans.start(
                 "run",
-                scheme=type(self.scheme).__name__,
+                scheme=self.scheme.name,
                 processors=self.processors,
                 **self._span_tags,
             )

@@ -57,9 +57,6 @@ class RunResult:
         """The commit sequence as rule names — the paper's σ."""
         return tuple(f.rule_name for f in self.firings)
 
-    def fired_rules(self) -> frozenset[str]:
-        return frozenset(f.rule_name for f in self.firings)
-
     def __iter__(self) -> Iterator[FiringRecord]:
         return iter(self.firings)
 

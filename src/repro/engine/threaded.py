@@ -6,12 +6,14 @@ exclusion* under real OS-thread interleavings.  It is a stress/test
 harness, not a performance vehicle — the GIL precludes real speedups
 (DESIGN.md records that substitution).
 
-It is :class:`~repro.engine.parallel.ParallelEngine` with one thing
-changed: how a wave's ordered candidates are *driven*.  Run loop, wave
-scaffold, firing transaction, exit classification, retry budget, fault
-sites, ``close()`` and :class:`~repro.engine.result.RunResult` are all
-inherited.  Here every candidate fires on its own thread with
-*blocking* lock acquisition.  Each thread:
+It is :class:`~repro.engine.parallel.ParallelEngine` with two things
+changed: how a wave's ordered candidates are *driven*, and who grants
+their locks — the scheme's lock manager, not the footprints.  Run
+loop, wave scaffold, firing transaction, certifier, exit
+classification, retry budget, fault sites, ``close()`` and
+:class:`~repro.engine.result.RunResult` are all inherited.  Here every
+candidate fires on its own thread with *blocking* lock acquisition.
+Each thread:
 
 1. acquires condition locks (``Rc``/``R``) on its read objects;
 2. acquires action locks (``Wa``/``W``) on its write objects;
@@ -60,6 +62,7 @@ from repro.locks.deadlock import (
 from repro.locks.modes import LockMode
 from repro.locks.request import LockRequest
 from repro.match.instantiation import Instantiation
+from repro.txn.schedule import History
 from repro.txn.transaction import Transaction
 from repro.wm.memory import WorkingMemory
 
@@ -194,7 +197,7 @@ class ThreadedWaveExecutor(ParallelEngine):
             delay = None
             try:
                 out = self._acquire(instantiation, txn) or self._act(
-                    wave, instantiation, txn
+                    wave, instantiation, txn, self.certifier.commits
                 )
                 if out is not None:
                     if out.deferred and txn.is_aborted:
@@ -220,13 +223,13 @@ class ThreadedWaveExecutor(ParallelEngine):
             if delay > 0:
                 self._sleep(delay)
 
-    def _transact(self, wave, instantiation, txn):
+    def _transact(self, wave, instantiation, txn, read_at):
         # Serialize the database update + commit decision.  A rule-(ii)
         # or deadlock abort, or a retraction, may have landed while the
         # locks were awaited: re-checked here, where neither can move.
         with self._commit_mutex:
             return self._stale(instantiation, txn) or super()._transact(
-                wave, instantiation, txn
+                wave, instantiation, txn, read_at
             )
 
     def _note_failure(self, instantiation, reason):
@@ -234,6 +237,16 @@ class ThreadedWaveExecutor(ParallelEngine):
             return super()._note_failure(instantiation, reason)
 
     # -- lock acquisition --------------------------------------------------------------------
+
+    def _make_scheme(self, scheme: type):
+        # Threads race, so here the footprints cannot decide: every
+        # grant is the lock manager's, rule (ii) included.
+        return scheme(history=History(), observer=self.obs)
+
+    @property
+    def history(self) -> History:
+        """Every lock operation the scheme's manager granted."""
+        return self.scheme.manager.history
 
     def _lock_condition(self, txn: Transaction, reads, writes) -> bool:
         if self._preclaims:
@@ -246,9 +259,8 @@ class ThreadedWaveExecutor(ParallelEngine):
         )
 
     def _block_on(self, txn: Transaction, objects, mode: LockMode) -> bool:
-        """Blocking acquisition of ``objects`` in the order given (an
-        instantiation's footprint is sorted: deterministic, and the
-        textbook static deadlock-avoidance aid).
+        """Blocking acquisition of ``objects``, sorted by ``repr``:
+        deterministic, and the textbook static deadlock-avoidance aid.
 
         False covers both failure modes; the caller tells them apart
         by ``txn.is_aborted`` — the lock never arriving (a deferral)
@@ -256,7 +268,7 @@ class ThreadedWaveExecutor(ParallelEngine):
         victim).
         """
         manager = self.scheme.manager
-        for obj in objects:
+        for obj in sorted(objects, key=repr):
             if txn.is_aborted:
                 # An injected delay or an earlier wait widened the
                 # window for a concurrent rule-(ii)/deadlock abort.

@@ -108,12 +108,14 @@ class TransactionAborted(TransactionError):
         self.reason = reason
 
 
+class NotSerializable(TransactionError):
+    """A firing was about to commit after another firing overwrote
+    something it read: the commit sequence would not be a serial
+    order (:class:`repro.txn.schedule.Certifier`)."""
+
+
 class LockError(ReproError):
     """Base class for lock-manager errors."""
-
-
-class LockDenied(LockError):
-    """A non-blocking lock request could not be granted."""
 
 
 class DeadlockDetected(LockError):
@@ -125,10 +127,6 @@ class DeadlockDetected(LockError):
         )
         self.victim = victim
         self.cycle = cycle
-
-
-class LockUpgradeError(LockError):
-    """An unsupported lock-mode transition was requested."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,3 @@ class SimulationError(ReproError):
 
 class EngineError(ReproError):
     """Base class for interpreter/engine errors."""
-
-
-class HaltRequested(EngineError):
-    """Raised by the ``halt`` RHS action to stop the recognize-act cycle."""

@@ -212,9 +212,11 @@ class Instantiation:
         self,
     ) -> tuple[tuple[Hashable, ...], tuple[Hashable, ...]]:
         """``(reads, writes)``: the data objects the LHS read and the
-        RHS will write, each sorted by ``repr`` — the order every
-        engine requests their locks in.  Computed on first use and
-        cached: a candidate that loses a wave asks again the next.
+        RHS will write, each without repeats, in LHS / RHS order.
+        Computed on first use and cached: a candidate that loses a
+        wave asks again the next.  Deciding a wave from footprints
+        needs no order; whoever requests real locks sorts them
+        (:meth:`~repro.engine.threaded.ThreadedWaveExecutor._block_on`).
 
         Reads: matched WMEs at tuple granularity; negated condition
         elements read *absence*, protected at relation level via the
@@ -228,22 +230,23 @@ class Instantiation:
         if footprint is None:
             production = self.production
             wmes = self.wmes
-            reads = {data_object_key(w) for w in wmes}
+            # dicts, not sets: insertion order is the same in every
+            # process (a set of string keys is not, under hash
+            # randomization), so whatever walks a footprint in order —
+            # the fault sites, the trace — repeats run to run.
+            reads = dict.fromkeys(data_object_key(w) for w in wmes)
             for element in production.negative_elements():
-                reads.add(Catalog.catalog_lock_key(element.relation))
+                reads[Catalog.catalog_lock_key(element.relation)] = None
             positive = production.positive_indices()
-            writes = set()
+            writes = {}
             for action in production.rhs:
                 if isinstance(action, (ModifyAction, RemoveAction)):
                     wme = wmes[positive.index(action.ce_index - 1)]
-                    writes.add(data_object_key(wme))
-                    writes.add(Catalog.catalog_lock_key(wme.relation))
+                    writes[data_object_key(wme)] = None
+                    writes[Catalog.catalog_lock_key(wme.relation)] = None
                 elif isinstance(action, MakeAction):
-                    writes.add(Catalog.catalog_lock_key(action.relation))
-            footprint = self._lock_footprint = (
-                tuple(sorted(reads, key=repr)),
-                tuple(sorted(writes, key=repr)),
-            )
+                    writes[Catalog.catalog_lock_key(action.relation)] = None
+            footprint = self._lock_footprint = (tuple(reads), tuple(writes))
         return footprint
 
     def merge_key(self) -> tuple:

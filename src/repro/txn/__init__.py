@@ -15,7 +15,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "transaction": ("Transaction", "TxnState"),
-        "schedule": ("Operation", "History"),
+        "schedule": ("Operation", "History", "Certifier"),
         "serializability": (
             "conflicts", "precedence_graph", "is_conflict_serializable",
             "serialization_orders",

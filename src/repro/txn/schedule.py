@@ -13,6 +13,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.errors import NotSerializable
 from repro.txn.transaction import DataObject
 
 #: Operation kinds.
@@ -134,3 +135,77 @@ class History:
 
     def __str__(self) -> str:
         return " ".join(str(op) for op in self.operations())
+
+
+class Certifier:
+    """Online check that commit order is a serial order.
+
+    Definition 3.2 constrains the *commit sequence*: it must be a
+    single-thread execution.  That holds iff no firing commits after a
+    firing that overwrote something it read — every other conflicting
+    pair is ordered by the one-at-a-time commit itself.  So the
+    certifier keeps, per object, the number of the last commit that
+    wrote it, and each firing brings the commit count at which it took
+    its reads.  Constant work per object of a footprint, and a raise at
+    the offending commit (:meth:`check`, before the firing's changes
+    are made durable; :meth:`commit` after).  The commits are logged,
+    and :meth:`history` turns the log into a :class:`History` on
+    request.
+    """
+
+    __slots__ = ("commits", "_written", "_log")
+
+    def __init__(self) -> None:
+        #: Commits certified so far.
+        self.commits = 0
+        #: object -> (commit number, name) of its last writer.
+        self._written: dict[DataObject, tuple[int, str]] = {}
+        #: (txn id, read_at, reads, writes) per commit, in commit order.
+        self._log: list[tuple] = []
+
+    def check(
+        self, name: str, read_at: int, reads: Iterable[DataObject]
+    ) -> None:
+        """May ``name``, whose reads were taken when :attr:`commits`
+        was ``read_at``, commit now?  Raises
+        :class:`~repro.errors.NotSerializable`, naming both firings and
+        the object, when a later commit wrote one of ``reads``."""
+        written = self._written
+        for obj in reads:
+            last = written.get(obj)
+            if last is not None and last[0] > read_at:
+                raise NotSerializable(
+                    f"{name} read {obj!r} before commit {last[0]} "
+                    f"({last[1]}) wrote it, and commits after it"
+                )
+
+    def commit(
+        self, name: str, txn_id: str, read_at: int,
+        reads: tuple[DataObject, ...], writes: tuple[DataObject, ...],
+    ) -> None:
+        """Count one checked commit, which read ``reads`` at
+        ``read_at`` and wrote ``writes``."""
+        self.commits = number = self.commits + 1
+        entry = (number, name)
+        for obj in writes:
+            self._written[obj] = entry
+        self._log.append((txn_id, read_at, reads, writes))
+
+    def history(self) -> History:
+        """The logged commits as a history: each firing's reads after
+        the ``read_at`` commits before them, its writes and commit
+        where it committed — the operations a lock manager would have
+        recorded for the committed firings, in an order it could have
+        recorded them."""
+        log = self._log
+        by_read = sorted(log, key=lambda entry: entry[1])
+        operations: list[Operation] = []
+        taken = 0
+        for number, (txn_id, _, _, writes) in enumerate(log):
+            while taken < len(by_read) and by_read[taken][1] <= number:
+                reader, _, reads, _ = by_read[taken]
+                operations += (Operation(reader, READ, obj) for obj in reads)
+                taken += 1
+            operations += (Operation(txn_id, WRITE, obj) for obj in writes)
+            operations.append(Operation(txn_id, COMMIT))
+        return History(operations)

@@ -5,11 +5,18 @@ whose every cell asserts the same four things:
 
 1. the commit sequence replays single-threaded (Definition 3.2,
    ``replay_commit_sequence`` on a matcher the run did not use);
-2. the lock history is conflict-serializable (Theorem 2);
+2. every commit was certified serial (Theorem 2) and the engine's
+   history — the threaded executor's lock manager's, or the one rebuilt
+   from the certifier — is conflict-serializable;
 3. a fault-free run ends quiescent with the workload's pinned firing
    count and the program's own post-condition;
 4. teardown is clean: no held locks, no queued requests, no child
    processes, no live ``firing-*`` threads.
+
+A deterministic cell (``parallel``, ``multiuser``) decides its grants
+from footprints; it is also run through the lock-taking reference
+(``tests/engine/locking_reference.py``), which must make the same
+waves with a serializable history.
 
 A ``durable`` axis runs the same cells with a store attached and adds:
 the recovered database equals the live one, the log holds the loaded
@@ -31,11 +38,16 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(
-    0, str(Path(__file__).resolve().parents[2] / "benchmarks" / "e2e")
-)
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+sys.path.insert(0, str(ROOT / "tests" / "engine"))
 import checks  # noqa: E402
 import run as e2e  # noqa: E402
+from locking_reference import (  # noqa: E402
+    LockingMultiUserEngine,
+    LockingParallelEngine,
+    wave_outcomes,
+)
 
 from repro.engine import (  # noqa: E402
     MultiUserEngine,
@@ -89,10 +101,11 @@ ON_CALL = {
 
 def build(
     executor: str, spec: dict, scheme: str, matcher: str, chaos: bool,
-    memory: WorkingMemory | None = None,
+    memory: WorkingMemory | None = None, reference: bool = False,
 ):
     """``(engine, rules, memory)`` for one cell, the facts loaded into
-    ``memory`` (a fresh one by default)."""
+    ``memory`` (a fresh one by default); ``reference`` swaps in the
+    lock-taking twin of a deterministic executor."""
     rules = parse_program(spec["rules"])
     if memory is None:
         memory = WorkingMemory(thread_safe=executor == "threaded")
@@ -108,13 +121,15 @@ def build(
         )
     config = spec["engine"]
     if executor == "parallel":
-        engine = ParallelEngine(
+        cls = LockingParallelEngine if reference else ParallelEngine
+        engine = cls(
             rules, memory, strategy=config["strategy"],
             processors=config.get("processors"), **options,
         )
     elif executor == "multiuser":
         half = (len(rules) + 1) // 2
-        engine = MultiUserEngine(
+        cls = LockingMultiUserEngine if reference else MultiUserEngine
+        engine = cls(
             [Session.of("ann", rules[:half]),
              Session.of("bo", rules[half:])],
             memory, base_strategy=config["strategy"],
@@ -143,6 +158,7 @@ def assert_contract(engine, rules, snapshot, result) -> None:
     """Assertions 1, 2 and 4 — what holds under any fault plan."""
     failures, _ = checks.check_replay(snapshot, rules, result.firings)
     assert failures == []
+    assert engine.certifier.commits == len(result.firings)
     assert is_conflict_serializable(engine.history)
     assert checks.check_teardown(engine) == []
     assert [
@@ -178,6 +194,17 @@ def test_firing_contract(program, executor, scheme, matcher, chaos):
         assert engine.fault.total_injected > 0  # the plan did bite
     else:
         assert checks.check_outcome(spec, result, memory) == []
+    if executor != "threaded":
+        twin, _, _ = build(
+            executor, spec, scheme, matcher, chaos, reference=True
+        )
+        collect(twin)
+        assert wave_outcomes(twin) == wave_outcomes(engine)
+        assert [r.value_identities for r in twin.result.firings] == [
+            r.value_identities for r in result.firings
+        ]
+        assert is_conflict_serializable(twin.history)
+        assert checks.check_teardown(twin) == []
 
 
 @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])

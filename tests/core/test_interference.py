@@ -116,9 +116,10 @@ class TestDynamicInterference:
             {Catalog.catalog_lock_key("log-reader")}
         )
 
-    def test_lock_footprint_is_both_sets_sorted_by_repr_and_cached(self):
-        # The engines request locks in this order, wave after wave, so
-        # it is computed once per instantiation and never re-sorted.
+    def test_lock_footprint_is_both_sets_in_rule_order_and_cached(self):
+        # Computed once per instantiation, in LHS / RHS order without
+        # repeats: the same order in every process, and no sort — only
+        # a driver requesting real locks sorts them.
         rule = (
             RuleBuilder("r")
             .when("order", id=var("x"))
@@ -134,22 +135,17 @@ class TestDynamicInterference:
         )
         reads, writes = inst.lock_footprint()
         assert inst.lock_footprint() is inst.lock_footprint()
-        assert reads == tuple(
-            sorted(instantiation_read_objects(inst), key=repr)
-        )
-        assert writes == tuple(
-            sorted(instantiation_write_objects(inst), key=repr)
-        )
-        assert set(reads) == {
+        assert reads == (
             ("order", 10), ("customer", 9),
             Catalog.catalog_lock_key("hold"),
-        }
-        assert set(writes) == {
-            ("order", 10), ("customer", 9),
-            Catalog.catalog_lock_key("order"),
-            Catalog.catalog_lock_key("customer"),
+        )
+        assert writes == (
+            ("order", 10), Catalog.catalog_lock_key("order"),
+            ("customer", 9), Catalog.catalog_lock_key("customer"),
             Catalog.catalog_lock_key("shipment"),
-        }
+        )
+        assert set(reads) == instantiation_read_objects(inst)
+        assert set(writes) == instantiation_write_objects(inst)
 
     def test_same_tuple_conflict(self):
         wme = WME.make("a", id=1)

@@ -28,6 +28,10 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 sys.path.insert(0, str(ROOT / "tests" / "match"))
 import run as e2e  # noqa: E402
+from locking_reference import (  # noqa: E402
+    LockingParallelEngine,
+    wave_outcomes,
+)
 from test_compiled_equivalence import (  # noqa: E402
     _RELATIONS,
     _random_program,
@@ -457,30 +461,37 @@ def test_a_wave_locks_only_what_commits(
     workload, commits, held, history_ops, grants
 ):
     """Full-size benchmark inputs, seed 5.  Before admission these runs
-    made 2556 and 5012 attempts, 17 892 and 20 156 history operations;
-    every grant below is a winner's.  Manners is one cycle per party
-    and keeps its 2450 hold-backs; on lanes only a second ``bump`` of a
-    gauge is held (2964 -> 248) and the waves are refilled (657 ->
-    288)."""
+    made 2556 and 5012 attempts, 17 892 and 20 156 history operations.
+    Manners is one cycle per party and keeps its 2450 hold-backs; on
+    lanes only a second ``bump`` of a gauge is held (2964 -> 248) and
+    the waves are refilled (657 -> 288).  The lock-taking reference
+    grants locks to winners only (``grants``), and the history the
+    engine rebuilds from its certifier has the reference's length."""
     spec = e2e.build_spec(workload, 5, smoke=False)
     config = spec["engine"]
-    engine, _, _ = build(
-        ParallelEngine, spec["rules"], spec["facts"],
-        scheme=config["scheme"], strategy=config["strategy"],
-        processors=config["processors"],
-    )
-    with engine:
-        result = engine.run(10**9)
-    attempts = sum(
-        len(w.committed) + len(w.aborted) + len(w.deferred)
-        for w in engine.waves
-    )
-    assert attempts == len(result.firings) == commits
-    assert len(engine.waves) == WAVES[workload]
-    assert engine.held_count == held
-    assert engine.abort_count == 0
-    assert len(engine.history) == history_ops
-    assert engine.scheme.manager.stats_snapshot()["grants"] == grants
+    runs = []
+    for cls in (ParallelEngine, LockingParallelEngine):
+        engine, _, _ = build(
+            cls, spec["rules"], spec["facts"],
+            scheme=config["scheme"], strategy=config["strategy"],
+            processors=config["processors"],
+        )
+        with engine:
+            result = engine.run(10**9)
+        attempts = sum(
+            len(w.committed) + len(w.aborted) + len(w.deferred)
+            for w in engine.waves
+        )
+        assert attempts == len(result.firings) == commits
+        assert len(engine.waves) == WAVES[workload]
+        assert engine.held_count == held
+        assert engine.abort_count == 0
+        assert engine.certifier.commits == commits
+        runs.append(engine)
+    engine, reference = runs
+    assert wave_outcomes(engine) == wave_outcomes(reference)
+    assert len(engine.history) == len(reference.history) == history_ops
+    assert reference.scheme.manager.stats_snapshot()["grants"] == grants
 
 
 # -- (d) faults: a refused writer costs its readers nothing; a cycle still waits ------

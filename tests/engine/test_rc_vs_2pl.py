@@ -27,6 +27,11 @@ sys.path.insert(
 import checks  # noqa: E402
 import workloads  # noqa: E402
 
+from locking_reference import (  # noqa: E402
+    LockingParallelEngine,
+    wave_outcomes,
+)
+
 from repro.engine import ParallelEngine  # noqa: E402
 from repro.lang import parse_program  # noqa: E402
 from repro.txn.serializability import (  # noqa: E402
@@ -40,34 +45,51 @@ CONFLICTS = (1 / 8, 1 / 4, 1 / 2, 1)
 PROCESSORS = (2, 4, 8, 16, None)
 
 
-def waves(
-    scheme: str, sizes: dict, processors: int | None, whole_graph: bool
-) -> int:
-    """Waves of one complete, checked run."""
+def run(cls, scheme: str, sizes: dict, processors: int | None):
+    """``(engine, rules, snapshot, result)`` of one complete run."""
     rules_text, facts = workloads.lanes_program(seed=SEED, **sizes)
     rules = parse_program(rules_text)
     memory = WorkingMemory()
     for relation, values in facts:
         memory.make(relation, values)
     snapshot = WMSnapshot.capture(memory)
-    engine = ParallelEngine(
+    engine = cls(
         rules, memory, scheme=scheme, matcher=HOT.engine["matcher"],
         strategy=HOT.engine["strategy"], processors=processors,
     )
     with engine:
         result = engine.run(10**9)
+    return engine, rules, snapshot, result
+
+
+def waves(
+    scheme: str, sizes: dict, processors: int | None, whole_graph: bool
+) -> int:
+    """Waves of one complete, checked run."""
+    engine, rules, snapshot, result = run(
+        ParallelEngine, scheme, sizes, processors
+    )
     assert result.stop_reason == "quiescent"
     assert len(result.firings) == workloads.reference_firings(HOT, sizes)
     # Replayed by TREAT, the matcher the run did not use.
     assert checks.check_replay(snapshot, rules, result.firings)[0] == []
-    # Every conflicting pair of the history is ordered like the commits:
-    # a linear certificate that the precedence graph is acyclic.  The
-    # graph itself is quadratic here (every firing writes the ``job``
-    # catalog key) and is built at smoke size only.
+    # Every commit was certified, and every conflicting pair of the
+    # history rebuilt from the certifier is ordered like the commits: a
+    # linear certificate that the precedence graph is acyclic.
+    assert engine.certifier.commits == len(result.firings)
     assert checks._commit_order_violations(engine.history) == []
+    assert checks.check_teardown(engine) == []
     if whole_graph:
         assert is_conflict_serializable(engine.history)
-    assert checks.check_teardown(engine) == []
+        # The lock-taking reference makes the same waves, and its lock
+        # history passes both checks.  The graph is quadratic here
+        # (every firing writes the ``job`` catalog key), so smoke size
+        # only.
+        reference = run(LockingParallelEngine, scheme, sizes, processors)[0]
+        assert wave_outcomes(reference) == wave_outcomes(engine)
+        assert checks._commit_order_violations(reference.history) == []
+        assert is_conflict_serializable(reference.history)
+        assert checks.check_teardown(reference) == []
     return len(engine.waves)
 
 

@@ -84,6 +84,7 @@ NOT_FOR_AN_INTERPRETER = NEVER_ON_A_RUN + TELEMETRY + (
 #: All that ``ParallelEngine`` may load beyond the interpreter's set.
 PARALLEL_ADDS = {
     "repro.engine.parallel", "repro.engine.precedence",
+    "repro.engine.footprint",
     "repro.locks", "repro.locks.manager", "repro.locks.modes",
     "repro.locks.request", "repro.locks.rc_scheme",
     "repro.locks.two_phase",

@@ -97,7 +97,7 @@ PUBLIC_NAMES = {
         simulate_multithread simulate_single_thread speedup utilization
     """,
     "repro.txn": """
-        History Operation Transaction TxnState conflicts
+        Certifier History Operation Transaction TxnState conflicts
         is_conflict_serializable precedence_graph serialization_orders
     """,
     "repro.wm": """
