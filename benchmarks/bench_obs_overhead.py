@@ -9,7 +9,8 @@ run over a widening item workload is timed four ways:
 * ``metrics`` — counters/gauges/histograms/sketches (``level="metrics"``),
 * ``sampled`` — metrics + head-sampled spans at the default 10% rate
   (the always-on production tier),
-* ``full``    — metrics + trace events + the complete span tree.
+* ``full``    — metrics + the complete span tree (every event a
+  zero-duration span in it).
 
 The interesting quantity is the *ratio* to the ``off`` baseline; the
 assertion only guards against pathological blow-ups (instrumentation

@@ -126,7 +126,7 @@ def build_tree(spans: Iterable) -> tuple[list[SpanNode], dict[int, SpanNode]]:
     """Normalize spans and wire parent/child pointers.
 
     Returns ``(roots, by_id)``; spans whose parent fell out of the
-    ring buffer are treated as roots.
+    span ring are treated as roots.
     """
     nodes = _normalize(
         spans.spans() if hasattr(spans, "spans") else spans

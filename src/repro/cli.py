@@ -14,14 +14,6 @@ Subcommands
 ``repro section5``
     Print the paper-vs-measured table for the Section 5 speedup
     figures.
-``repro trace RULES [--scheme rc] ...``
-    Run under the wave-parallel engine with observability enabled and
-    emit the structured trace (lock grant/wait/deny, wave events with
-    their committed / aborted / deferred / held-back counts) as JSON
-    lines.
-``repro metrics RULES [--scheme rc] ...``
-    Same run, but emit the metrics registry snapshot (lock-wait
-    histogram, abort/commit counters, wave widths) as one JSON object.
 ``repro chaos RULES [--seeds 10] [--fault-rate 0.2] ...``
     Run the program repeatedly under seeded fault injection (denied
     locks, forced aborts, pre-commit crashes) with bounded retries,
@@ -30,10 +22,12 @@ Subcommands
     inconsistency — the semantic-consistency claim, demonstrated
     under adversity.
 ``repro obs export RULES --format chrome|prom|jsonl ...``
-    Run with full span recording and export the run: Chrome
-    ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``),
-    the Prometheus text exposition of the metrics registry, or a JSONL
-    span dump for offline analysis.
+    Run under the wave-parallel engine with full span recording and
+    export the run: Chrome ``trace_event`` JSON (loadable in Perfetto
+    / ``chrome://tracing``; point events such as lock denials are
+    instants), the Prometheus text exposition of the metrics registry
+    (lock-wait histogram, abort/commit counters, wave widths), or a
+    JSONL span dump for offline analysis.
 ``repro obs report RULES ...``
     Same run, reduced: per-cycle critical paths with lock-wait vs.
     match vs. admission vs. RHS vs. storage attribution, the
@@ -93,7 +87,7 @@ SCHEMES = ("rc", "2pl", "c2pl")
 FAULT_KINDS = (
     "lock_delay", "lock_deny", "abort_rhs", "crash_commit", "storage_fail",
 )
-OBS_LEVELS = ("metrics", "trace", "sampled", "full")
+OBS_LEVELS = ("metrics", "sampled", "full")
 
 
 def _matcher_spec(value: str) -> str:
@@ -311,7 +305,7 @@ def _prepare_observed(
         )
     rules, memory = _load_workload(args)
     observer = obs.Observer(
-        trace_capacity=args.capacity,
+        capacity=args.capacity,
         level=getattr(args, "level", "full"),
         sample_rate=getattr(args, "sample_rate", 0.1),
         sample_seed=getattr(args, "sample_seed", 0),
@@ -372,28 +366,6 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    observer, result = _run_observed(args)
-    _write_or_print(observer.trace.to_json_lines(args.kind), args.out)
-    summary = ", ".join(
-        f"{kind}={count}" for kind, count in observer.trace.kinds().items()
-    )
-    print(
-        f"# {len(observer.trace)} events "
-        f"({observer.trace.dropped} dropped), "
-        f"stop={result.stop_reason}: {summary}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    observer, result = _run_observed(args)
-    _write_or_print(observer.metrics.to_json(), args.out)
-    print(f"# stop={result.stop_reason}", file=sys.stderr)
-    return 0
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
@@ -1138,8 +1110,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(OBS_LEVELS),
             default="full",
             help="observer cost tier: metrics (aggregates only), "
-            "trace (+ ring events), sampled (+ head-sampled spans), "
-            "full (everything; default)",
+            "sampled (+ head-sampled spans), full (every span; "
+            "default)",
         )
         parser.add_argument(
             "--sample-rate",
@@ -1182,30 +1154,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--capacity",
             type=int,
             default=65_536,
-            help="trace ring-buffer capacity",
+            help="span ring capacity",
         )
         parser.add_argument(
             "--out", help="write the JSON payload to this file"
         )
-
-    trace = sub.add_parser(
-        "trace",
-        help="run with observability on; emit the trace as JSON lines",
-    )
-    add_observed_arguments(trace)
-    trace.add_argument(
-        "--kind",
-        help="only events of this kind (a trailing '.' matches the "
-        "prefix family, e.g. 'lock.')",
-    )
-    trace.set_defaults(handler=_cmd_trace)
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run with observability on; emit the metrics snapshot JSON",
-    )
-    add_observed_arguments(metrics)
-    metrics.set_defaults(handler=_cmd_metrics)
 
     obs_cmd = sub.add_parser(
         "obs",

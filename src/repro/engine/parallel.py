@@ -724,8 +724,6 @@ class ParallelEngine:
         )
         self.result.outputs.extend(outcome.outputs)
         wave.committed.append(rule)
-        if obs.enabled:
-            obs.firing_committed(rule, wave.wave)
         if outcome.halted:
             self.result.halted = True
         return None

@@ -3,8 +3,8 @@
 A :class:`FaultInjector` binds one :class:`~repro.fault.plan.FaultPlan`
 to one run: it owns the seeded RNG, the per-spec hit counters, the
 sleeper used for injected delays, and the observability hookup (every
-fired fault emits a ``fault.injected`` trace event and bumps the
-``fault.injected.<kind>`` counter).
+fired fault records a ``fault.<kind>`` event in the span it fired in
+and bumps the ``fault.injected.<kind>`` counter).
 
 Engines call one hook per fault site:
 

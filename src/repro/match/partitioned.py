@@ -50,10 +50,10 @@ partitioned:rete:4``).  Architecture:
   analytic ``lpt_makespan``/``speedup_ceiling`` curves against this
   executable system.
 
-Observability (the PR-1 ``obs`` layer): per-shard match latency
+Observability (the ``obs`` layer): per-shard match latency
 histogram (``match.shard_seconds``), batch size (``match.batch_size``)
-and merge time (``match.merge_seconds``), plus ``match.shard`` /
-``match.batch`` trace events — all guarded by ``obs.enabled``.  With
+and merge time (``match.merge_seconds``) — all guarded by
+``obs.enabled``.  With
 span recording on, every flush additionally emits a ``match.flush``
 span (parented under the engine's current scope) with per-shard
 ``match.shard`` child spans on the wall clock, or shard charges as

@@ -1,4 +1,4 @@
-"""Observability: traces + metrics + causal spans for engines and locks.
+"""Observability: metrics + causal spans for engines and locks.
 
 The measurement substrate behind the Section 5 evaluation, and — as
 of the telemetry PR — an always-on production layer: head-sampled
@@ -7,12 +7,12 @@ sketches (:class:`QuantileSketch`), a per-rule self-time profiler
 (:mod:`repro.obs.profile`) and a rolling-window health watchdog
 (:mod:`repro.obs.health`).  Core pieces:
 
-* :mod:`repro.obs.trace` — immutable :class:`TraceEvent` records in a
-  bounded ring buffer (:class:`TraceCollector`);
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms with a JSON snapshot;
 * :mod:`repro.obs.spans` — the causal :class:`Span` tree (cycle →
-  phase → firing → lock) with rule-(ii) abort links;
+  phase → firing → lock) with rule-(ii) abort links, in a bounded
+  ring; a point event (a denial, a fault, a retry) is a zero-duration
+  span;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON, Prometheus
   text exposition, and JSONL span dumps;
 * :mod:`repro.obs.observer` — the :class:`Observer` facade whose
@@ -36,7 +36,7 @@ Typical use::
     with obs.observed() as observer:
         engine = ParallelEngine(rules, wm, scheme="rc")
         engine.run()
-    print(observer.trace.kinds())
+    print(observer.spans.names())
     print(observer.metrics.to_json())
 
 Components also accept an explicit ``observer=`` argument for
@@ -58,7 +58,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "Counter", "Gauge", "Histogram", "QuantileSketch",
             "MetricsRegistry", "TIME_BUCKETS", "COUNT_BUCKETS",
         ),
-        "trace": ("TraceCollector", "TraceEvent"),
         "spans": ("Span", "SpanRecorder"),
         "sampling": ("HeadSampler", "DroppedSpan"),
         "profile": ("RuleProfiler", "render_profile"),

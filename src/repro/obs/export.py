@@ -6,10 +6,10 @@ tooling:
 * :func:`chrome_trace` / :func:`chrome_trace_json` — the Chrome
   ``trace_event`` format (``chrome://tracing`` / Perfetto): each
   finished span becomes a complete (``"ph": "X"``) event on its
-  recorder lane, span point-annotations become instant events, and
-  causal links become flow (``"s"``/``"f"``) arrows — so a rule-(ii)
-  abort renders as an arrow from the committing Wa firing to its
-  victim.
+  recorder lane, a zero-duration span (a point event) an instant
+  (``"ph": "i"``), and causal links become flow (``"s"``/``"f"``)
+  arrows — so a rule-(ii) abort renders as an arrow from the
+  committing Wa firing to its victim.
 * :func:`prometheus_text` — the Prometheus text exposition format for
   a :class:`~repro.obs.metrics.MetricsRegistry` snapshot (counters as
   ``_total``, histograms with cumulative ``le`` buckets), scrapeable
@@ -49,9 +49,9 @@ def chrome_trace(
 ) -> dict:
     """Spans as a Chrome ``trace_event`` document (JSON-able dict).
 
-    Loads in ``chrome://tracing`` and Perfetto.  Only finished spans
-    become duration slices; open spans are skipped (their events are
-    still emitted as instants so a crash mid-run loses nothing).
+    Loads in ``chrome://tracing`` and Perfetto.  Finished spans
+    become duration slices, zero-duration ones instants; open spans
+    are skipped.
     """
     spans = _spans_of(source)
     events: list[dict] = [
@@ -79,7 +79,20 @@ def chrome_trace(
             "parent_id": span.parent_id,
             **{k: _str_safe(v) for k, v in span.fields.items()},
         }
-        if span.is_finished:
+        if span.end == span.start:
+            events.append(
+                {
+                    "name": name,
+                    "cat": "event",
+                    "ph": "i",
+                    "s": "t",
+                    "ts": us(span.start),
+                    "pid": 0,
+                    "tid": span.tid,
+                    "args": args,
+                }
+            )
+        elif span.is_finished:
             events.append(
                 {
                     "name": name,
@@ -92,22 +105,6 @@ def chrome_trace(
                     "pid": 0,
                     "tid": span.tid,
                     "args": args,
-                }
-            )
-        for ts, event_name, fields in span.events:
-            events.append(
-                {
-                    "name": event_name,
-                    "cat": "event",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": us(ts),
-                    "pid": 0,
-                    "tid": span.tid,
-                    "args": {
-                        "span_id": span.span_id,
-                        **{k: _str_safe(v) for k, v in fields.items()},
-                    },
                 }
             )
         for target_id, kind in span.links:

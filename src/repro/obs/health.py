@@ -24,9 +24,10 @@ over short rolling windows of raw signals:
 Signals arrive via :meth:`HealthMonitor.record` (the Observer feeds
 them from its hooks); :meth:`evaluate` prunes each window, scores
 every rule, and returns a :class:`HealthReport`.  Status transitions
-invoke ``on_transition`` so the observer can emit a structured
-``health.transition`` trace event — the audit trail of *when* a run
-went red and which rule pushed it there.
+are logged in :attr:`HealthMonitor.transitions` and invoke
+``on_transition``, so the observer can record a ``health.transition``
+event — the audit trail of *when* a run went red and which rule
+pushed it there.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ Instruments are deliberately minimal (Prometheus-shaped, no labels):
   whose memory never grows past its budget.
 
 A :class:`MetricsRegistry` owns the instruments by name and produces
-one JSON-able snapshot of everything — the payload ``repro metrics``
-prints and the benchmark harness archives next to its ``BENCH_*.json``
-results.  Registration is copy-on-write: readers (``snapshot``,
+one JSON-able snapshot of everything — the payload ``repro obs export
+--format prom`` renders and the benchmark harness archives next to its
+``BENCH_*.json`` results.  Registration is copy-on-write: readers (``snapshot``,
 ``names``, ``get``) dereference one immutable dict and never take the
 registry mutex, so a scrape racing a ``_get_or_create`` on another
 thread always sees a consistent instrument table.

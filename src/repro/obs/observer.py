@@ -1,19 +1,21 @@
-"""The observer facade: named hooks over one trace + registry + spans.
+"""The observer facade: named hooks over one registry + span tree.
 
 Instrumented components (lock manager, lock schemes, engines,
-simulators) do not build trace events or look up metrics themselves —
-they call semantic hooks on an :class:`Observer` (``lock_granted``,
+simulators) do not build spans or look up metrics themselves — they
+call semantic hooks on an :class:`Observer` (``lock_granted``,
 ``rule_ii_abort``, ``wave_finished``, ...).  The observer translates
-each hook into a trace event, the matching metric updates, and — when
-span recording is on — the matching mutation of the causal span tree
+each hook into the matching metric updates and — when span recording
+is on — the matching mutation of the causal span tree
 (:mod:`repro.obs.spans`), keeping every instrumentation point a
 one-liner and the naming scheme in one place.
 
 Hooks that only know a transaction id reach the right span through
 the recorder's txn binding: the engines bind each transaction to its
 acquire/firing span, so a lock grant becomes a ``lock.acquire`` child
-span, a fault annotates the firing it hit, and a rule-(ii) abort
-links the victim's span to the committing Wa transaction's span.
+span and a rule-(ii) abort links the victim's span to the committing
+Wa transaction's span.  A point event (a denial, a fault, a rollback,
+a retry) is a zero-duration span under the bound span, else under the
+current scope.
 
 The hot-path contract: components hold a reference to an observer and
 guard every hook call with ``if obs.enabled:``.  The default observer
@@ -24,13 +26,11 @@ allocated, stamped or counted.  A live observer's cost is tiered by
 
 * ``"metrics"`` — counters, histograms, quantile sketches, the
   per-rule profiler and the health monitor (all aggregates);
-* ``"trace"``   — + ring-buffer trace events (the PR-1 behavior);
 * ``"sampled"`` — the always-on production tier: aggregates plus
   head-sampled span trees (:mod:`repro.obs.sampling`) — a seeded
   fraction of runs keeps its complete run→cycle→phase→firing
-  subtree, the rest cost one sentinel per would-be span.  The trace
-  ring stays off; health transitions still reach the trace.
-* ``"full"``    — everything, every span (the default).
+  subtree, the rest cost one sentinel per would-be span;
+* ``"full"``    — aggregates and every span (the default).
 
 Every hook self-locks at the instrument it touches (counters,
 histograms and sketches carry their own locks), so there is no
@@ -41,6 +41,7 @@ construction so a hook never pays a registry lookup.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
@@ -58,31 +59,27 @@ from repro.obs.null import NULL_OBSERVER, set_observer
 from repro.obs.profile import RuleProfiler
 from repro.obs.sampling import HeadSampler
 from repro.obs.spans import Span, SpanRecorder
-from repro.obs.trace import TraceCollector
 
 #: Observer cost tiers, cheapest first.
-LEVELS = ("metrics", "trace", "sampled", "full")
+LEVELS = ("metrics", "sampled", "full")
 
 
 class Observer:
-    """Live observer: every hook traces, meters and (optionally) spans.
+    """Live observer: every hook meters and (optionally) spans.
 
     Parameters
     ----------
-    trace_capacity:
-        Ring-buffer size for the trace collector (and, by default,
-        the span recorder).
+    capacity:
+        Ring size of the span recorder.
     clock:
-        Monotonic time source shared by trace, spans and wait-timing;
-        pass a virtual clock when observing a discrete-event
-        simulation.
+        Monotonic time source shared by spans, health and
+        wait-timing; pass a virtual clock when observing a
+        discrete-event simulation.
     level:
-        ``"metrics"``, ``"trace"``, ``"sampled"``, or ``"full"``
-        (default): how much each hook records.  ``"sampled"`` and
-        ``"full"`` carry a :attr:`spans` recorder; only ``"sampled"``
-        attaches a head sampler to it.
-    span_capacity:
-        Ring size for the span recorder; defaults to ``trace_capacity``.
+        ``"metrics"``, ``"sampled"``, or ``"full"`` (default): how
+        much each hook records.  ``"sampled"`` and ``"full"`` carry a
+        :attr:`spans` recorder; only ``"sampled"`` attaches a head
+        sampler to it.
     sample_rate:
         Fraction of root spans the ``"sampled"`` level keeps
         (ignored at other levels).
@@ -94,10 +91,9 @@ class Observer:
 
     def __init__(
         self,
-        trace_capacity: int = 65_536,
+        capacity: int = 65_536,
         clock: Callable[[], float] | None = None,
         level: str = "full",
-        span_capacity: int | None = None,
         sample_rate: float = 0.1,
         sample_seed: int = 0,
     ) -> None:
@@ -106,38 +102,24 @@ class Observer:
                 f"unknown observer level {level!r}; expected one of {LEVELS}"
             )
         self.level = level
-        if clock is None:
-            self.trace = TraceCollector(capacity=trace_capacity)
-        else:
-            self.trace = TraceCollector(
-                capacity=trace_capacity, clock=clock
-            )
-        self._trace_on = level in ("trace", "full")
+        # The bare clock function (usually ``time.perf_counter``): the
+        # engine reads it several times per firing, so ``clock`` is an
+        # instance attribute, not a method wrapping it.
+        self.clock = clock if clock is not None else time.perf_counter
         self.sampler: HeadSampler | None = None
         self.spans: SpanRecorder | None = None
-        if level in ("sampled", "full"):
+        if level != "metrics":
             if level == "sampled":
                 self.sampler = HeadSampler(
                     rate=sample_rate, seed=sample_seed
                 )
             self.spans = SpanRecorder(
-                capacity=(
-                    span_capacity if span_capacity is not None
-                    else trace_capacity
-                ),
-                clock=self.trace.clock,
-                sampler=self.sampler,
+                capacity=capacity, clock=self.clock, sampler=self.sampler
             )
-        # Shadow the ``clock`` method with the collector's underlying
-        # clock (usually ``time.perf_counter``): the engine reads the
-        # clock several times per firing, and the instance binding
-        # skips two Python frames per read.
-        self.clock = self.trace.clock
         self.metrics = MetricsRegistry()
         self.profiler = RuleProfiler()
         self.health = HealthMonitor(
-            clock=self.trace.clock,
-            on_transition=self._health_transition,
+            clock=self.clock, on_transition=self._health_transition
         )
         # Per-wave batches for the health window (plain ints, GIL-safe
         # increments) so per-txn hooks never take the monitor lock.
@@ -207,11 +189,35 @@ class Observer:
         self._c_rotations = m.counter("storage.rotations")
         self._c_recoveries = m.counter("storage.recoveries")
 
-    def clock(self) -> float:
-        return self.trace.clock()
-
     def _span_for_txn(self, txn_id: str) -> Span | None:
         return self.spans.for_txn(txn_id) if self.spans is not None else None
+
+    def _event(
+        self, name: str, /, txn: str | None = None,
+        ts: float | None = None, **fields: object,
+    ) -> None:
+        """Record a point event: a zero-duration span at ``ts`` (now
+        by default) under the span transaction ``txn`` is bound to,
+        else under the current scope.
+
+        An event never starts a trace: with no parent at all, a
+        head-sampled recorder drops it rather than spend a head
+        decision on it, so the decisions stay one per run.
+        """
+        spans = self.spans
+        if spans is None:
+            return
+        parent = None
+        if txn is not None:
+            parent = spans.for_txn(txn)
+            fields["txn"] = txn
+        if parent is None:
+            parent = spans.current()
+            if parent is None and spans.sampler is not None:
+                return
+        if ts is None:
+            ts = spans.clock()
+        spans.record(name, ts, ts, parent=parent, **fields)
 
     def _flush_health(self) -> None:
         """Move batched commit/abort counts into the health window."""
@@ -225,12 +231,10 @@ class Observer:
     def _health_transition(
         self, old: str, new: str, report: HealthReport
     ) -> None:
-        """Status changed: put the structured event on the trace.
-
-        Emits at every level (transitions are rare and are exactly the
-        evidence a post-mortem needs), tagged with the rule verdicts.
-        """
-        self.trace.emit(
+        """Status changed: record the event, tagged with the rule
+        verdicts (:attr:`HealthMonitor.transitions` keeps the log at
+        every level)."""
+        self._event(
             "health.transition", old=old, new=new,
             rules={r.name: r.status for r in report.results},
         )
@@ -250,11 +254,6 @@ class Observer:
             self._lock_wait_sketch.observe(waited)
             self.profiler.record_wait(txn_id, waited)
             self.health.record("lock.wait_seconds", waited)
-        if self._trace_on:
-            self.trace.emit(
-                "lock.grant", txn=txn_id, obj=repr(obj), mode=mode,
-                waited=waited, queued=queued,
-            )
         if self.spans is not None:
             owner = self.spans.for_txn(txn_id)
             if owner is not None:
@@ -270,36 +269,22 @@ class Observer:
     ) -> None:
         self._c_lock_waits.inc()
         self._queue_depth.set(depth)
-        if self._trace_on:
-            self.trace.emit(
-                "lock.wait", txn=txn_id, obj=repr(obj), mode=mode,
-                depth=depth,
-            )
+        self._event(
+            "lock.wait", txn=txn_id, obj=repr(obj), mode=mode, depth=depth
+        )
 
     def lock_denied(
         self, txn_id: str, obj: object, mode: str, reason: str
     ) -> None:
         self._c_lock_denials.inc()
-        if self._trace_on:
-            self.trace.emit(
-                "lock.deny", txn=txn_id, obj=repr(obj), mode=mode,
-                reason=reason,
-            )
-        owner = self._span_for_txn(txn_id)
-        if owner is not None:
-            owner.event(
-                "lock.deny", obj=repr(obj), mode=mode, reason=reason
-            )
+        self._event(
+            "lock.deny", txn=txn_id, obj=repr(obj), mode=mode,
+            reason=reason,
+        )
 
     def lock_cancelled(self, txn_id: str, obj: object, mode: str) -> None:
         self._c_lock_cancels.inc()
-        if self._trace_on:
-            self.trace.emit(
-                "lock.cancel", txn=txn_id, obj=repr(obj), mode=mode
-            )
-        owner = self._span_for_txn(txn_id)
-        if owner is not None:
-            owner.event("lock.cancel", obj=repr(obj), mode=mode)
+        self._event("lock.cancel", txn=txn_id, obj=repr(obj), mode=mode)
 
     # -- lock schemes ----------------------------------------------------------------------
 
@@ -308,8 +293,6 @@ class Observer:
         # Plain int += under the GIL; flushed into the health window
         # once per wave so the hot path never takes the monitor lock.
         self._health_commits += 1
-        if self._trace_on:
-            self.trace.emit("txn.commit", txn=txn_id, scheme=scheme)
         owner = self._span_for_txn(txn_id)
         if owner is not None:
             owner.annotate(status="committed", scheme=scheme)
@@ -320,10 +303,6 @@ class Observer:
         # protocol, not failures: only real aborts feed the watchdog.
         if reason not in BENIGN_ABORT_REASONS:
             self._health_aborts += 1
-        if self._trace_on:
-            self.trace.emit(
-                "txn.abort", txn=txn_id, scheme=scheme, reason=reason
-            )
         owner = self._span_for_txn(txn_id)
         if owner is not None:
             owner.annotate(status="aborted", abort_reason=reason)
@@ -335,15 +314,11 @@ class Observer:
 
         With spans on, the victim's span gets a causal link to the
         committing Wa transaction's span (kind ``"rc_wa_abort"``) —
-        the edge the abort-chain analysis walks.
+        the edge the abort-chain analysis walks — and the committer's
+        span an ``rc.rule_ii_abort`` event.
         """
         objs = tuple(repr(o) for o in objs)
         self._c_rule_ii.inc()
-        if self._trace_on:
-            self.trace.emit(
-                "rc.rule_ii_abort", victim=victim_id,
-                committer=committer_id, objs=objs,
-            )
         if self.spans is not None:
             victim = self.spans.for_txn(victim_id)
             committer = self.spans.for_txn(committer_id)
@@ -354,28 +329,21 @@ class Observer:
                     aborted_by_span=committer.span_id,
                     conflict_objs=objs,
                 )
-                committer.event(
-                    "rc.rule_ii_abort", victim=victim_id, objs=objs
-                )
+            self._event(
+                "rc.rule_ii_abort", txn=committer_id, victim=victim_id,
+                objs=objs,
+            )
 
     def revalidation_spared(
         self, holder_id: str, committer_id: str
     ) -> None:
         self._c_revalidated.inc()
-        if self._trace_on:
-            self.trace.emit(
-                "rc.revalidated", holder=holder_id, committer=committer_id
-            )
-        owner = self._span_for_txn(holder_id)
-        if owner is not None:
-            owner.event("rc.revalidated", committer=committer_id)
+        self._event("rc.revalidated", txn=holder_id, committer=committer_id)
 
     # -- engines ---------------------------------------------------------------------------
 
     def wave_started(self, wave: int, candidates: int) -> None:
         self._wave_width.observe(candidates)
-        if self._trace_on:
-            self.trace.emit("wave.start", wave=wave, candidates=candidates)
 
     def wave_finished(
         self, wave: int, committed: int, aborted: int, deferred: int,
@@ -389,24 +357,10 @@ class Observer:
         self._cycle_sketch.observe(duration)
         self._flush_health()
         self.health.evaluate()
-        if self._trace_on:
-            self.trace.emit(
-                "wave.end", wave=wave, committed=committed,
-                aborted=aborted, deferred=deferred, held=held,
-                duration=duration,
-            )
-
-    def firing_committed(self, rule: str, cycle: int) -> None:
-        if self._trace_on:
-            self.trace.emit("firing.commit", rule=rule, cycle=cycle)
 
     def rollback(self, txn_id: str, undone: int) -> None:
         self._c_rollbacks.inc()
-        if self._trace_on:
-            self.trace.emit("engine.rollback", txn=txn_id, undone=undone)
-        owner = self._span_for_txn(txn_id)
-        if owner is not None:
-            owner.event("engine.rollback", undone=undone)
+        self._event("engine.rollback", txn=txn_id, undone=undone)
 
     def match_latency(self, seconds: float) -> None:
         self._match_latency.observe(seconds)
@@ -445,8 +399,6 @@ class Observer:
         """An engine run closed; wall time anchors profiler coverage."""
         self.profiler.record_run(seconds)
         self._flush_health()
-        if self._trace_on:
-            self.trace.emit("run.end", cycles=cycles, seconds=seconds)
 
     # -- robustness (faults / retries / deadlocks) -----------------------------------------
 
@@ -455,19 +407,13 @@ class Observer:
     ) -> None:
         """The fault layer fired one injected fault at a site.
 
-        With spans on, the fault annotates the span it fired inside
-        (the bound acquire/firing span of ``txn_id``).
+        With spans on, the fault is a ``fault.<kind>`` event inside
+        the span it fired in (the bound acquire/firing span of
+        ``txn_id``).
         """
         self._c_fault_injected.inc()
         self.metrics.counter(f"fault.injected.{kind}").inc()
-        if self._trace_on:
-            self.trace.emit(
-                "fault.injected", kind=kind, txn=txn_id, site=site,
-                detail=detail,
-            )
-        owner = self._span_for_txn(txn_id)
-        if owner is not None:
-            owner.event(f"fault.{kind}", site=site, detail=detail)
+        self._event(f"fault.{kind}", txn=txn_id, site=site, detail=detail)
 
     def retry_attempt(
         self, rule: str, attempt: int, delay: float, reason: str
@@ -475,21 +421,18 @@ class Observer:
         """A timed-out/aborted firing is being re-driven after backoff."""
         self._c_retry_attempts.inc()
         self._retry_delay.observe(delay)
-        if self._trace_on:
-            self.trace.emit(
-                "retry.attempt", rule=rule, attempt=attempt, delay=delay,
-                reason=reason,
-            )
+        self._event(
+            "retry.attempt", rule=rule, attempt=attempt, delay=delay,
+            reason=reason,
+        )
 
     def retry_exhausted(self, rule: str, attempts: int, reason: str) -> None:
         """A firing used up its retry budget and was abandoned."""
         self._c_retry_exhausted.inc()
         self.health.record("retry.exhausted")
-        if self._trace_on:
-            self.trace.emit(
-                "retry.exhausted", rule=rule, attempts=attempts,
-                reason=reason,
-            )
+        self._event(
+            "retry.exhausted", rule=rule, attempts=attempts, reason=reason
+        )
 
     def deadlock_victim(
         self, txn_id: str, cycle: Iterable[str], policy: str
@@ -497,24 +440,13 @@ class Observer:
         """Deadlock detection chose and aborted a victim."""
         cycle = tuple(cycle)
         self._c_deadlock_victims.inc()
-        if self._trace_on:
-            self.trace.emit(
-                "deadlock.victim", victim=txn_id, cycle=cycle,
-                policy=policy,
-            )
-        owner = self._span_for_txn(txn_id)
-        if owner is not None:
-            owner.event("deadlock.victim", cycle=cycle, policy=policy)
+        self._event("deadlock.victim", txn=txn_id, cycle=cycle, policy=policy)
 
     # -- partitioned match -----------------------------------------------------------------
 
     def shard_match(self, shard: int, seconds: float, deltas: int) -> None:
         """One shard finished matching a delta batch."""
         self._shard_match.observe(seconds)
-        if self._trace_on:
-            self.trace.emit(
-                "match.shard", shard=shard, seconds=seconds, deltas=deltas
-            )
 
     def match_batch(
         self, size: int, shards: int, merge_seconds: float
@@ -523,11 +455,6 @@ class Observer:
         self._c_match_batches.inc()
         self._batch_size.observe(size)
         self._merge_time.observe(merge_seconds)
-        if self._trace_on:
-            self.trace.emit(
-                "match.batch", size=size, shards=shards,
-                merge_seconds=merge_seconds,
-            )
 
     def procpool_roundtrip(self, bytes_out: int, bytes_in: int) -> None:
         """The process-backend pool completed one IPC round-trip
@@ -535,19 +462,13 @@ class Observer:
         ``bytes_*`` are pickle payload bytes, headers excluded."""
         self._c_procpool_roundtrips.inc()
         self._c_procpool_bytes.inc(bytes_out + bytes_in)
-        if self._trace_on:
-            self.trace.emit(
-                "procpool.roundtrip", bytes_out=bytes_out,
-                bytes_in=bytes_in,
-            )
+        self._event(
+            "procpool.roundtrip", bytes_out=bytes_out, bytes_in=bytes_in
+        )
 
     def match_flush(self, shards: int, seconds: float) -> None:
         """A full partitioned flush (all shards + merge) completed."""
         self._flush_sketch.observe(seconds)
-        if self._trace_on:
-            self.trace.emit(
-                "match.flush", shards=shards, seconds=seconds
-            )
 
     # -- durable storage -------------------------------------------------------------------
 
@@ -560,11 +481,6 @@ class Observer:
         self._ckpt_seconds.observe(seconds)
         self._ckpt_sketch.observe(seconds)
         self.health.record("storage.checkpoints")
-        if self._trace_on:
-            self.trace.emit(
-                "storage.checkpoint", elements=elements, lsn=lsn,
-                truncated=truncated, seconds=seconds,
-            )
         if self.spans is not None:
             now = self.spans.clock()
             self.spans.record(
@@ -585,12 +501,6 @@ class Observer:
         self._c_compacted.inc(max(0, records_before - records_after))
         self._compact_seconds.observe(seconds)
         self._compact_sketch.observe(seconds)
-        if self._trace_on:
-            self.trace.emit(
-                "storage.compaction", records_before=records_before,
-                records_after=records_after, segments=segments_merged,
-                seconds=seconds,
-            )
         if self.spans is not None:
             now = self.spans.clock()
             self.spans.record(
@@ -606,11 +516,9 @@ class Observer:
         """The active WAL segment was sealed and a successor opened."""
         self._c_rotations.inc()
         self.health.record("storage.rotations")
-        if self._trace_on:
-            self.trace.emit(
-                "storage.rotate", segment=segment, records=records,
-                bytes=bytes_,
-            )
+        self._event(
+            "storage.rotate", segment=segment, records=records, bytes=bytes_
+        )
 
     def recovery_completed(
         self,
@@ -623,11 +531,6 @@ class Observer:
         """A store recovered a working memory from disk."""
         self._c_recoveries.inc()
         self._recovery_seconds.observe(seconds)
-        if self._trace_on:
-            self.trace.emit(
-                "storage.recovery", elements=elements, replayed=replayed,
-                shadowed=shadowed, segments=segments, seconds=seconds,
-            )
         if self.spans is not None:
             now = self.spans.clock()
             self.spans.record(
@@ -640,10 +543,10 @@ class Observer:
     # -- simulators ------------------------------------------------------------------------
 
     def sim_event(self, ts: float, kind: str, **fields: object) -> None:
-        """Virtual-time event from a discrete-event simulation."""
+        """Virtual-time event from a discrete-event simulation,
+        recorded at its virtual ``ts``."""
         self.metrics.counter(f"{kind}.count").inc()
-        if self._trace_on:
-            self.trace.emit_at(ts, kind, **fields)
+        self._event(kind, ts=ts, **fields)
 
     def sim_observe(
         self, name: str, value: float,
@@ -654,7 +557,7 @@ class Observer:
 
 
 def enable(
-    trace_capacity: int = 65_536,
+    capacity: int = 65_536,
     clock: Callable[[], float] | None = None,
     level: str = "full",
     sample_rate: float = 0.1,
@@ -666,7 +569,7 @@ def enable(
     observability before building engines/managers.
     """
     observer = Observer(
-        trace_capacity=trace_capacity, clock=clock, level=level,
+        capacity=capacity, clock=clock, level=level,
         sample_rate=sample_rate, sample_seed=sample_seed,
     )
     set_observer(observer)
@@ -680,7 +583,7 @@ def disable() -> None:
 
 @contextmanager
 def observed(
-    trace_capacity: int = 65_536,
+    capacity: int = 65_536,
     clock: Callable[[], float] | None = None,
     level: str = "full",
     sample_rate: float = 0.1,
@@ -688,7 +591,7 @@ def observed(
 ) -> Iterator[Observer]:
     """Scoped :func:`enable`: restores the previous default on exit."""
     observer = Observer(
-        trace_capacity=trace_capacity, clock=clock, level=level,
+        capacity=capacity, clock=clock, level=level,
         sample_rate=sample_rate, sample_seed=sample_seed,
     )
     previous = set_observer(observer)

@@ -128,7 +128,6 @@ class DroppedSpan:
     tid = -1
     fields: dict = {}
     links: list = []
-    events: list = []
 
     @property
     def duration(self) -> float:
@@ -139,9 +138,6 @@ class DroppedSpan:
         return True
 
     def annotate(self, **fields: object) -> "DroppedSpan":
-        return self
-
-    def event(self, name, ts=None, **fields: object) -> "DroppedSpan":
         return self
 
     def link(self, target, kind: str = "causes") -> "DroppedSpan":

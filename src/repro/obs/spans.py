@@ -1,8 +1,7 @@
-"""Causal spans: the tree-structured half of the observability layer.
+"""Causal spans: the one event model of the observability layer.
 
-Where :mod:`repro.obs.trace` records *flat* events and
-:mod:`repro.obs.metrics` keeps label-less totals, the span layer
-records *intervals with parents* — the structure the Section 5
+Where :mod:`repro.obs.metrics` keeps label-less totals, the span
+layer records *intervals with parents* — the structure the Section 5
 questions need ("which lock wait bounded this wave?", "which Wa commit
 caused this cascade of Rc aborts?").  The taxonomy the engines emit::
 
@@ -21,9 +20,15 @@ caused this cascade of Rc aborts?").  The taxonomy the engines emit::
        └─ phase.act              RHS execution in acting order
           └─ firing              one firing txn (commit/abort/defer)
              ├─ lock.acquire     action-lock grants
+             ├─ lock.deny, ...   point events (zero duration)
              └─ rhs              the RHS body
 
-Design constraints (shared with the trace layer):
+An *event* is a zero-duration span (``start == end``): a lock denial,
+a rollback, an injected fault, a retry, a health transition.  It hangs
+under the span of the transaction it happened to, or under the current
+scope, and it never starts a trace of its own.
+
+Design constraints:
 
 * **Explicit clock injection.**  The recorder stamps with its own
   ``clock`` (default :func:`time.perf_counter`); virtual-time owners
@@ -59,7 +64,23 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.obs.sampling import DroppedSpan, HeadSampler
-from repro.obs.trace import _jsonable
+
+
+def _jsonable(value: object) -> object:
+    """Coerce a field value to something ``json.dumps`` accepts.
+
+    Containers are converted structurally (sets deterministically, by
+    sorted repr); everything else non-scalar falls back to ``repr``.
+    """
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, (set, frozenset)):
+        return [_jsonable(v) for v in sorted(value, key=repr)]
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return repr(value)
 
 
 class Span:
@@ -71,7 +92,7 @@ class Span:
 
     __slots__ = (
         "_recorder", "span_id", "parent_id", "name", "start", "end",
-        "tid", "fields", "links", "events",
+        "tid", "fields", "links",
     )
 
     def __init__(
@@ -94,8 +115,6 @@ class Span:
         self.fields = fields
         #: ``(target_span_id, kind)`` causal links.
         self.links: list[tuple[int, str]] = []
-        #: ``(ts, name, fields)`` point annotations inside the span.
-        self.events: list[tuple[float, str, dict]] = []
 
     # -- state -------------------------------------------------------------------------
 
@@ -114,14 +133,6 @@ class Span:
         """Merge fields into the span (allowed after finish)."""
         with self._recorder._mutex:
             self.fields.update(fields)
-        return self
-
-    def event(self, name: str, ts: float | None = None, **fields: object) -> "Span":
-        """Record a point annotation inside the span (e.g. a fault)."""
-        if ts is None:
-            ts = self._recorder.clock()
-        with self._recorder._mutex:
-            self.events.append((ts, name, fields))
         return self
 
     def link(self, target: "Span | int", kind: str = "causes") -> "Span":
@@ -166,14 +177,6 @@ class Span:
                 "links": [
                     {"target": target, "kind": kind}
                     for target, kind in self.links
-                ],
-                "events": [
-                    {
-                        "ts": ts,
-                        "name": name,
-                        **{k: _jsonable(v) for k, v in fields.items()},
-                    }
-                    for ts, name, fields in self.events
                 ],
             }
 
@@ -379,8 +382,8 @@ class SpanRecorder:
     def spans(self, name: str | None = None) -> list[Span]:
         """Buffered spans (oldest first), optionally filtered by name.
 
-        A ``name`` ending in ``"."`` matches the prefix family, as in
-        :meth:`TraceCollector.events`.
+        A ``name`` ending in ``"."`` matches the prefix family
+        (``spans("lock.")`` returns grants, waits, denials, ...).
         """
         with self._mutex:
             snapshot = list(self._spans)

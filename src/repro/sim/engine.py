@@ -60,8 +60,9 @@ class Simulator:
         self.queue = EventQueue()
         self.max_events = max_events
         self.processed = 0
-        #: Observability sink; handler dispatches are traced (with
-        #: virtual timestamps) when a live observer is installed.
+        #: Observability sink; handler dispatches are recorded as
+        #: events at their virtual timestamps when a live observer is
+        #: installed.
         self.obs = (
             observer if observer is not None else obs_module.get_observer()
         )

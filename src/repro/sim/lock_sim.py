@@ -191,10 +191,9 @@ def simulate_lock_scheme(
     case where the update did *not* falsify it), which is the setting
     the revalidation ablation compares against.
 
-    With a live observer the simulation emits virtual-time trace
-    events (``sim.phase``/``sim.commit``/``sim.abort``/``sim.deadlock``)
-    and blocked-time histograms alongside the lock manager's own
-    events.
+    With a live observer the simulation records virtual-time events
+    (``sim.phase``/``sim.commit``/``sim.abort``/``sim.deadlock``) and
+    blocked-time histograms alongside the lock manager's own hooks.
     """
     obs = observer if observer is not None else obs_module.get_observer()
     history = History()

@@ -98,8 +98,13 @@ class TestAcceptance:
                 event
             )
         for required in ("run", "cycle", "phase.acquire", "phase.act",
-                         "firing", "acquire", "lock.acquire"):
+                         "firing", "acquire"):
             assert required in by_name, f"missing {required} slices"
+        # A grant that waited is a slice, one that did not an instant.
+        grants = [e for e in doc["traceEvents"] if e["name"] == "lock.acquire"]
+        assert grants and all(
+            e["ph"] == ("X" if e["args"]["waited"] else "i") for e in grants
+        )
         # Spot-check the nesting chain via parent ids.
         ids = {
             e["args"]["span_id"]: e
@@ -331,15 +336,14 @@ class TestLevels:
             run_conflict_workload(observer)
         assert observer.metrics.snapshot()
 
-    def test_trace_level_skips_spans_but_keeps_events(self):
-        with obs.observed(level="trace") as observer:
-            assert observer.spans is None
-            run_conflict_workload(observer)
-        assert observer.trace.kinds()
+    def test_trace_level_is_gone(self):
+        with pytest.raises(ValueError, match="unknown observer level"):
+            obs.Observer(level="trace")
 
     def test_full_level_shares_the_trace_clock(self):
         with obs.observed() as observer:
-            assert observer.spans.clock is observer.trace.clock
+            assert observer.spans.clock is observer.clock
+            assert observer.health.clock is observer.clock
 
     def test_span_dump_is_valid_json_lines(self):
         with obs.observed() as observer:

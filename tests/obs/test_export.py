@@ -27,7 +27,7 @@ def recorder_with_tree():
         txn="t2",
     )
     victim.link(firing, kind="rc_wa_abort")
-    firing.event("rc.rule_ii_abort", ts=1.8, victim="t2")
+    rec.record("rc.rule_ii_abort", 1.8, 1.8, parent=firing, victim="t2")
     return rec, run, cycle, firing, victim
 
 
@@ -62,10 +62,12 @@ class TestChromeTrace:
         assert start["id"] == end["id"]
 
     def test_span_events_become_instants(self):
-        rec, *_ = recorder_with_tree()
+        rec, run, cycle, firing, victim = recorder_with_tree()
         doc = chrome_trace(rec)
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert [e["name"] for e in instants] == ["rc.rule_ii_abort"]
+        assert instants[0]["ts"] == pytest.approx(0.8e6)
+        assert instants[0]["args"]["parent_id"] == firing.span_id
 
     def test_unfinished_spans_are_skipped_as_slices(self):
         rec = SpanRecorder()
@@ -128,7 +130,9 @@ class TestJsonLines:
         rows = load_spans_json_lines(dump)
         assert len(rows) == len(rec.spans())
         names = {r["name"] for r in rows}
-        assert {"run", "cycle", "firing", "acquire"} == names
+        assert names == {
+            "run", "cycle", "firing", "acquire", "rc.rule_ii_abort"
+        }
         victim = next(r for r in rows if r["name"] == "acquire")
         assert victim["links"][0]["kind"] == "rc_wa_abort"
 

@@ -1,6 +1,7 @@
 """Tests for counters, gauges, histograms and the registry."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -263,18 +264,21 @@ class TestRegistryRaces:
 
     THREADS = 8
     ITERS = 400
+    #: Snapshots per reader: each walks every instrument registered so
+    #: far, so the readers, not the writers, set this test's run time.
+    READS = 25
 
     def test_register_while_snapshotting(self):
         registry = MetricsRegistry()
         registry.counter("warm")  # non-empty from the start
 
         def work(index):
+            n = work.counts[index] = work.counts.get(index, 0) + 1
             if index % 2 == 0:
                 # Writers: register fresh instruments and bump them.
-                n = work.counts[index] = work.counts.get(index, 0) + 1
                 registry.counter(f"c-{index}-{n}").inc()
                 registry.sketch(f"s-{index}-{n}").observe(1.0)
-            else:
+            elif n <= self.READS:
                 # Readers: snapshot/names/get concurrently.
                 snap = registry.snapshot()
                 assert "warm" in snap
@@ -284,7 +288,17 @@ class TestRegistryRaces:
                 registry.get("warm").snapshot()
 
         work.counts = {}
-        _hammer(self.THREADS, self.ITERS, work)
+        # Switch threads every 0.1 ms instead of every 5 ms: a writer
+        # is then often preempted between copying the instrument table
+        # and publishing the copy, the window the registry mutex
+        # closes, and the hammer spends no time queued behind a
+        # preempted mutex holder.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            _hammer(self.THREADS, self.ITERS, work)
+        finally:
+            sys.setswitchinterval(interval)
         # Every writer registration landed exactly once.
         snap = registry.snapshot()
         writers = self.THREADS // 2

@@ -1,223 +1,58 @@
-"""Tests for the trace layer: events, ring buffer, spans, JSON."""
+"""Tests for trace events on the span recorder.
+
+An event is a zero-duration span: ``SpanRecorder.record(name, ts, ts)``.
+"""
 
 import json
 import threading
 
-import pytest
-
-from repro.obs import TraceCollector
+from repro.obs import SpanRecorder
 
 
 class TestEmission:
-    def test_emit_records_kind_and_fields(self):
-        trace = TraceCollector()
-        event = trace.emit("lock.grant", txn="t1", waited=0.5)
-        assert event.kind == "lock.grant"
-        assert event.get("txn") == "t1"
-        assert event.get("waited") == 0.5
-        assert event.get("missing", "dflt") == "dflt"
-        assert trace.events() == [event]
-
-    def test_sequence_numbers_are_monotonic(self):
-        trace = TraceCollector()
-        events = [trace.emit("e") for _ in range(5)]
-        assert [e.seq for e in events] == [1, 2, 3, 4, 5]
-
-    def test_timestamps_use_the_clock(self):
-        ticks = iter([1.0, 2.0, 3.0])
-        trace = TraceCollector(clock=lambda: next(ticks))
-        assert trace.emit("a").ts == 1.0
-        assert trace.emit("b").ts == 2.0
-
     def test_emit_at_takes_virtual_time(self):
-        trace = TraceCollector()
-        event = trace.emit_at(42.5, "sim.commit", pid="P1")
-        assert event.ts == 42.5
+        # A virtual-time event on a wall-clock recorder: the explicit
+        # timestamp is kept as given, never mixed with the wall clock.
+        rec = SpanRecorder()
+        event = rec.record("sim.commit", start=42.5, end=42.5, pid="P1")
+        assert (event.start, event.end, event.duration) == (42.5, 42.5, 0)
+        assert event.fields == {"pid": "P1"}
 
 
 class TestRingBuffer:
-    def test_overflow_drops_oldest_and_counts(self):
-        trace = TraceCollector(capacity=3)
-        for i in range(5):
-            trace.emit("e", i=i)
-        assert len(trace) == 3
-        assert trace.dropped == 2
-        assert [e.get("i") for e in trace.events()] == [2, 3, 4]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceCollector(capacity=0)
-
-    def test_clear_resets_buffer_and_dropped(self):
-        trace = TraceCollector(capacity=2)
-        for _ in range(4):
-            trace.emit("e")
-        trace.clear()
-        assert len(trace) == 0
-        assert trace.dropped == 0
-
     def test_loss_accounting_under_concurrent_overflow(self):
-        """emitted == buffered + dropped, exactly, with many threads
+        """recorded == buffered + dropped, exactly, with many threads
         overflowing one small ring at once."""
         threads, per_thread, capacity = 8, 500, 64
-        trace = TraceCollector(capacity=capacity)
+        rec = SpanRecorder(capacity=capacity)
         barrier = threading.Barrier(threads)
 
-        def emit(worker: int) -> None:
+        def record(worker: int) -> None:
             barrier.wait()
             for i in range(per_thread):
-                trace.emit("lock.grant", worker=worker, i=i)
+                rec.record("lock.deny", 0.0, 0.0, worker=worker, i=i)
 
         pool = [
-            threading.Thread(target=emit, args=(w,))
+            threading.Thread(target=record, args=(w,))
             for w in range(threads)
         ]
         for thread in pool:
             thread.start()
         for thread in pool:
             thread.join()
-        emitted = threads * per_thread
-        assert len(trace) == capacity
-        assert trace.dropped == emitted - capacity
-        # Sequence numbers never collide even under contention.
-        seqs = [e.seq for e in trace.events()]
-        assert len(set(seqs)) == capacity
-
-    def test_prefix_filter_sees_only_survivors(self):
-        trace = TraceCollector(capacity=4)
-        for i in range(6):
-            trace.emit("lock.grant", i=i)
-        trace.emit("wave.start")
-        trace.emit("lock.deny")
-        # Ring holds the last 4: grants 4,5 then wave.start, lock.deny.
-        family = trace.events("lock.")
-        assert [e.kind for e in family] == [
-            "lock.grant", "lock.grant", "lock.deny",
-        ]
-        assert [e.get("i") for e in family[:2]] == [4, 5]
-        assert trace.dropped == 4
-
-    def test_json_lines_round_trip_after_overflow(self):
-        trace = TraceCollector(capacity=2)
-        trace.emit("a", obj=("order", 1))
-        trace.emit("b", payload={"k": {1, 2}})
-        trace.emit("c", fn=len)
-        lines = trace.to_json_lines().splitlines()
-        assert len(lines) == 2
-        rows = [json.loads(line) for line in lines]
-        assert [r["kind"] for r in rows] == ["b", "c"]
-        # _jsonable: sets become sorted lists, callables fall back to
-        # repr — every survivor stays parseable.
-        assert rows[0]["payload"] == {"k": [1, 2]}
-        assert isinstance(rows[1]["fn"], str)
-
-
-class TestFiltering:
-    def test_events_by_exact_kind(self):
-        trace = TraceCollector()
-        trace.emit("lock.grant")
-        trace.emit("lock.deny")
-        trace.emit("wave.start")
-        assert len(trace.events("lock.grant")) == 1
-        assert len(trace.events("wave.start")) == 1
-
-    def test_events_by_prefix_family(self):
-        trace = TraceCollector()
-        trace.emit("lock.grant")
-        trace.emit("lock.deny")
-        trace.emit("wave.start")
-        assert len(trace.events("lock.")) == 2
-
-    def test_kinds_counts(self):
-        trace = TraceCollector()
-        trace.emit("a")
-        trace.emit("a")
-        trace.emit("b")
-        assert trace.kinds() == {"a": 2, "b": 1}
-
-
-class TestSpan:
-    def test_span_emits_start_and_end_with_duration(self):
-        ticks = iter([10.0, 13.5])
-        trace = TraceCollector(clock=lambda: next(ticks))
-        with trace.span("wave", wave=1):
-            pass
-        start, end = trace.events()
-        assert start.kind == "wave.start"
-        assert end.kind == "wave.end"
-        assert end.get("duration") == pytest.approx(3.5)
-        assert end.get("wave") == 1
-
-    def test_span_emits_end_on_exception(self):
-        trace = TraceCollector()
-        with pytest.raises(RuntimeError):
-            with trace.span("wave"):
-                raise RuntimeError("boom")
-        assert [e.kind for e in trace.events()] == [
-            "wave.start", "wave.end",
-        ]
-
-    def test_span_at_uses_the_injected_clock(self):
-        """A virtual-time owner spans on its own clock even when the
-        collector itself runs on wall time."""
-        virtual = iter([100.0, 107.25])
-        trace = TraceCollector()  # wall clock
-        with trace.span_at("sim.phase", lambda: next(virtual), pid="P1"):
-            pass
-        start, end = trace.events()
-        assert start.ts == 100.0
-        assert end.ts == 107.25
-        assert end.get("duration") == pytest.approx(7.25)
-        assert end.get("pid") == "P1"
-
-    def test_span_wall_and_span_at_virtual_do_not_mix(self):
-        wall = iter([1.0, 2.0])
-        virtual = iter([500.0, 510.0])
-        trace = TraceCollector(clock=lambda: next(wall))
-        with trace.span("wave"):
-            with trace.span_at("sim.step", lambda: next(virtual)):
-                pass
-        by_kind = {e.kind: e for e in trace.events()}
-        assert by_kind["wave.end"].get("duration") == pytest.approx(1.0)
-        assert by_kind["sim.step.end"].get("duration") == pytest.approx(
-            10.0
-        )
-
-    def test_caller_supplied_duration_field_is_rejected(self):
-        trace = TraceCollector()
-        with pytest.raises(ValueError, match="duration"):
-            with trace.span("wave", duration=3.0):
-                pass
-        with pytest.raises(ValueError, match="duration"):
-            with trace.span_at("wave", trace.clock, duration=3.0):
-                pass
+        assert len(rec) == capacity
+        assert rec.dropped == threads * per_thread - capacity
+        # Span ids never collide even under contention.
+        assert len({s.span_id for s in rec.spans()}) == capacity
 
 
 class TestJson:
-    def test_json_lines_round_trip(self):
-        trace = TraceCollector()
-        trace.emit("lock.grant", txn="t1", obj=("order", 1), waited=0.0)
-        trace.emit("wave.end", committed=2)
-        lines = trace.to_json_lines().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["kind"] == "lock.grant"
-        assert first["txn"] == "t1"
-        assert first["obj"] == ["order", 1]
-
-    def test_json_lines_respects_kind_filter(self):
-        trace = TraceCollector()
-        trace.emit("a")
-        trace.emit("b")
-        lines = trace.to_json_lines("a").splitlines()
-        assert len(lines) == 1
-
     def test_non_jsonable_fields_fall_back_to_repr(self):
         class Weird:
             def __repr__(self):
                 return "<weird>"
 
-        trace = TraceCollector()
-        trace.emit("e", thing=Weird())
-        payload = json.loads(trace.to_json_lines())
-        assert payload["thing"] == "<weird>"
+        rec = SpanRecorder()
+        rec.record("e", 1.0, 1.0, thing=Weird())
+        payload = json.loads(rec.to_json_lines())
+        assert payload["fields"]["thing"] == "<weird>"

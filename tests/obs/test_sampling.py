@@ -107,7 +107,6 @@ class TestRecorderSampling:
         rec = SpanRecorder(sampler=HeadSampler(rate=0.0))
         span = rec.start("run")
         span.annotate(status="committed")
-        span.event("lock.grant", obj="x")
         span.finish()
         with span:
             pass
@@ -134,31 +133,40 @@ class TestRecorderSampling:
         assert orphans == []
 
     def test_engine_runs_are_deterministically_sampled(self):
-        """Same seed + rate => identical sampled span sets, run for run."""
+        """Same seed + rate => identical sampled span sets, run for run.
+
+        An event never starts a trace: the parentless events between
+        runs spend no head decision, so the kept runs are the ones a
+        run-only stream keeps.
+        """
         def record(seed):
             observer = obs.Observer(
                 level="sampled", sample_rate=0.3, sample_seed=seed
             )
-            for _ in range(12):
+            kept = []
+            for run in range(1, 13):
+                before = len(observer.spans.spans("run"))
                 ParallelEngine(
                     consume_rules(), item_memory(3), scheme="rc",
                     observer=observer,
                 ).run()
+                if len(observer.spans.spans("run")) > before:
+                    kept.append(run)
+                observer.segment_rotated("wal-1.jsonl", records=1, bytes_=1)
+                observer.retry_exhausted("consume", 3, "injected lock denial")
+            assert observer.sampler.decisions == 12
             shapes = [
                 (s.name, s.parent_id is None) for s in observer.spans.spans()
             ]
-            pattern = [
-                observer.sampler.keep(i) for i in range(1, 13)
-            ]
-            return shapes, pattern
+            return shapes, kept
 
-        first, pattern_first = record(seed=5)
-        second, pattern_second = record(seed=5)
-        _, pattern_third = record(seed=6)
+        first, kept_first = record(seed=5)
+        second, kept_second = record(seed=5)
+        _, kept_third = record(seed=6)
         assert first == second
-        assert pattern_first == pattern_second
+        assert kept_first == kept_second == [2, 4, 8, 10]
         # A different seed keeps a different subset of the 12 runs.
-        assert pattern_third != pattern_first
+        assert kept_third == [2, 4, 7, 10]
 
     def test_aggregates_see_every_run_despite_sampling(self):
         """Sampling drops causal detail, never totals."""

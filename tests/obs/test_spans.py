@@ -70,15 +70,17 @@ class TestTree:
         assert rec.current() is None
 
     def test_links_and_events(self):
-        rec = SpanRecorder(clock=ticker(1.0, 2.0, 3.0))
+        rec = SpanRecorder(clock=ticker(1.0, 2.0))
         committer = rec.start("firing", txn="t1")
         victim = rec.start("acquire", txn="t2")
         victim.link(committer, kind="rc_wa_abort")
-        victim.event("lock.deny", obj="x")
+        # An event is a zero-duration child span.
+        deny = rec.record("lock.deny", 3.0, 3.0, parent=victim, obj="x")
         assert victim.links == [(committer.span_id, "rc_wa_abort")]
-        ts, name, fields = victim.events[0]
-        assert (name, fields) == ("lock.deny", {"obj": "x"})
-        assert ts == 3.0
+        assert (deny.parent_id, deny.name, deny.fields) == (
+            victim.span_id, "lock.deny", {"obj": "x"},
+        )
+        assert (deny.start, deny.duration) == (3.0, 0)
 
 
 class TestTxnBinding:
@@ -152,18 +154,20 @@ class TestLanes:
 
 class TestSerialization:
     def test_to_dict_is_jsonable(self):
-        rec = SpanRecorder(clock=ticker(1.0, 2.0, 3.0))
-        span = rec.start("firing", rule="r", objs=("a", {"b"}))
-        span.event("fault.lock_deny", site="cond")
+        rec = SpanRecorder(clock=ticker(1.0, 2.0))
+        span = rec.start(
+            "firing", rule="r", objs=("a", {"b"}), payload={"k": {2, 1}},
+        )
         span.link(span, kind="self")
         span.finish()
         payload = json.loads(json.dumps(span.to_dict()))
         assert payload["name"] == "firing"
         assert payload["fields"]["objs"] == ["a", ["b"]]
+        # Sets become sorted lists.
+        assert payload["fields"]["payload"] == {"k": [1, 2]}
         assert payload["links"] == [
             {"target": span.span_id, "kind": "self"}
         ]
-        assert payload["events"][0]["name"] == "fault.lock_deny"
 
     def test_json_lines_round_trip(self):
         rec = SpanRecorder()

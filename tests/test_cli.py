@@ -256,75 +256,60 @@ class TestLint:
 
 
 class TestTrace:
+    """The span dump: ``obs export --format jsonl``."""
+
     def test_trace_emits_json_lines(self, rule_file, facts_file, capsys):
         code = main(
-            ["trace", str(rule_file), "--facts", str(facts_file)]
+            ["obs", "export", str(rule_file), "--facts", str(facts_file),
+             "--format", "jsonl"]
         )
         captured = capsys.readouterr()
         assert code == 0
-        events = [json.loads(line) for line in captured.out.splitlines()]
-        kinds = {event["kind"] for event in events}
-        assert "wave.start" in kinds
-        assert "lock.grant" in kinds
-        assert "txn.commit" in kinds
+        rows = [json.loads(line) for line in captured.out.splitlines()]
+        names = {row["name"] for row in rows}
+        assert {"run", "cycle", "lock.acquire", "firing"} <= names
+        assert any(r["fields"].get("status") == "committed" for r in rows)
         assert "stop=quiescent" in captured.err
 
-    def test_trace_includes_partitioned_match_events(
-        self, rule_file, facts_file, capsys
-    ):
-        code = main(
-            ["trace", str(rule_file), "--facts", str(facts_file),
-             "--matcher", "partitioned:rete:2"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        events = [json.loads(line) for line in captured.out.splitlines()]
-        kinds = {event["kind"] for event in events}
-        assert "match.shard" in kinds
-        assert "match.batch" in kinds
-        shard_ids = {
-            e["shard"] for e in events if e["kind"] == "match.shard"
-        }
-        assert shard_ids == {0, 1}
-
-    def test_kind_filter_prefix(self, rule_file, facts_file, capsys):
-        code = main(
-            ["trace", str(rule_file), "--facts", str(facts_file),
-             "--kind", "lock."]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        for line in out.splitlines():
-            assert json.loads(line)["kind"].startswith("lock.")
-
-    def test_out_writes_file(self, rule_file, facts_file, tmp_path):
+    def test_out_writes_file(self, rule_file, facts_file, tmp_path, capsys):
         target = tmp_path / "trace.jsonl"
         code = main(
-            ["trace", str(rule_file), "--facts", str(facts_file),
-             "--out", str(target)]
+            ["obs", "export", str(rule_file), "--facts", str(facts_file),
+             "--format", "jsonl", "--out", str(target)]
         )
         assert code == 0
+        assert capsys.readouterr().out == ""
         assert target.exists()
         json.loads(target.read_text().splitlines()[0])
 
 
 class TestMetrics:
+    """The metrics registry: ``obs export --format prom``."""
+
     def test_metrics_emits_snapshot(self, rule_file, facts_file, capsys):
         code = main(
-            ["metrics", str(rule_file), "--facts", str(facts_file)]
+            ["obs", "export", str(rule_file), "--facts", str(facts_file),
+             "--format", "prom"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        snap = json.loads(out)
-        assert snap["lock.wait_seconds"]["type"] == "histogram"
-        assert snap["txn.commits"]["value"] == 2
-        assert snap["firing.committed"]["value"] == 2
+        assert "# TYPE repro_lock_wait_seconds histogram" in out
+        assert "repro_txn_commits_total 2" in out
+        assert "repro_firing_committed_total 2" in out
 
-    def test_empty_rule_file_fails(self, tmp_path, capsys):
-        empty = tmp_path / "empty.ops"
-        empty.write_text("; nothing here\n")
-        assert main(["metrics", str(empty)]) == 2
-        assert "error" in capsys.readouterr().err
+
+class TestRemovedObservability:
+    """``repro trace``, ``repro metrics`` and ``--level trace`` are
+    gone: ``repro obs export`` carries the spans and the registry."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace"], ["metrics"], ["obs", "export", "--level", "trace"],
+    ])
+    def test_is_refused(self, argv, rule_file, facts_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(rule_file), "--facts", str(facts_file)])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 CONFLICT_RULES = """
@@ -408,6 +393,29 @@ class TestObsExport:
         out = capsys.readouterr().out
         assert code == 0
         assert "repro_txn_commits_total" in out
+
+    def test_empty_rule_file_fails(self, tmp_path, capsys):
+        empty = tmp_path / "empty.ops"
+        empty.write_text("; nothing here\n")
+        assert main(["obs", "export", str(empty)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_jsonl_export_includes_partitioned_match_spans(
+        self, rule_file, facts_file, capsys
+    ):
+        code = main(
+            ["obs", "export", str(rule_file), "--facts", str(facts_file),
+             "--format", "jsonl", "--matcher", "partitioned:rete:2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        spans = [json.loads(line) for line in captured.out.splitlines()]
+        assert any(span["name"] == "match.flush" for span in spans)
+        shard_ids = {
+            span["fields"]["shard"] for span in spans
+            if span["name"] == "match.shard"
+        }
+        assert shard_ids == {0, 1}
 
     def test_jsonl_export_writes_file(
         self, conflict_rule_file, conflict_facts_file, tmp_path
@@ -775,9 +783,10 @@ print(json.dumps(sorted(sys.modules)))
         run_help = subcommands["run"].format_help()
         for name in (*SCHEMES, *MATCHERS, *FAULT_KINDS, *BACKENDS):
             assert name in run_help, name
-        trace_help = subcommands["trace"].format_help()
-        for name in (*SCHEMES, *LEVELS):
-            assert name in trace_help, name
+        obs_commands = subcommands["obs"]._subparsers._group_actions[0]
+        export_help = obs_commands.choices["export"].format_help()
+        for name in (*SCHEMES, *LEVELS, "span ring capacity"):
+            assert name in export_help, name
 
     def test_choices_are_the_registries(self):
         import repro.cli as cli

@@ -70,8 +70,8 @@ NEVER_ON_A_RUN = (
 TELEMETRY = tuple(
     f"repro.obs.{module}"
     for module in (
-        "observer", "spans", "metrics", "trace", "health", "profile",
-        "sampling", "export",
+        "observer", "spans", "metrics", "health", "profile", "sampling",
+        "export",
     )
 )
 #: What one single-thread Rete run does without.

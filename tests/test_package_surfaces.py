@@ -86,9 +86,8 @@ PUBLIC_NAMES = {
         COUNT_BUCKETS Counter DroppedSpan GREEN Gauge HeadSampler
         HealthMonitor HealthReport Histogram LEVELS MetricsRegistry
         NULL_OBSERVER NullObserver Observer QuantileSketch RED
-        RuleProfiler Span SpanRecorder TIME_BUCKETS TraceCollector
-        TraceEvent YELLOW disable enable get_observer observed
-        render_profile set_observer
+        RuleProfiler Span SpanRecorder TIME_BUCKETS YELLOW disable
+        enable get_observer observed render_profile set_observer
     """,
     "repro.sim": """
         EventQueue ExecutionTrace FiringSpec LockSimResult

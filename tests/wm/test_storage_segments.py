@@ -375,7 +375,7 @@ class TestRefusesPerDeltaRecords:
 
 class TestObservability:
     def test_storage_hooks_count_and_span(self, tmp_path):
-        observer = obs.Observer(trace_capacity=1024)
+        observer = obs.Observer(capacity=1024)
         wm = WorkingMemory()
         store = DurableStore(
             wm,
@@ -397,17 +397,15 @@ class TestObservability:
         assert snapshot["storage.compactions"]["value"] == 1
         assert snapshot["storage.checkpoints"]["value"] == 1
         assert snapshot["storage.recoveries"]["value"] == 1
-        kinds = observer.trace.kinds()
-        assert kinds.get("storage.rotate", 0) >= 2
-        assert kinds.get("storage.checkpoint") == 1
-        assert kinds.get("storage.compaction") == 1
-        assert kinds.get("storage.recovery") == 1
-        names = {s.name for s in observer.spans.spans("storage.")}
-        assert {
-            "storage.checkpoint",
-            "storage.compaction",
-            "storage.recovery",
-        } <= names
+        names = observer.spans.names()
+        assert names.get("storage.rotate", 0) >= 2
+        assert names.get("storage.checkpoint") == 1
+        assert names.get("storage.compaction") == 1
+        assert names.get("storage.recovery") == 1
+        assert all(
+            span.duration == 0
+            for span in observer.spans.spans("storage.rotate")
+        )
 
 
 class TestInspect:
