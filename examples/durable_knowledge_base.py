@@ -1,16 +1,12 @@
-"""A durable, queryable knowledge base — the paper's Section 1 pitch.
+"""A durable knowledge base — the paper's Section 1 pitch.
 
 "Expert system users are asking for knowledge sharing and knowledge
 persistence, features found currently in databases."  This example
-shows both database faces bolted onto the production system:
-
-* **persistence** — the working memory journals to a write-ahead log
-  with checkpoints (`repro.wm.storage.DurableStore`); we run rules,
-  simulate a crash (abandon the process state), recover from disk, and
-  continue the run seamlessly;
-* **querying** — the relational query layer (`repro.wm.query.Query`)
-  runs selections, joins and grouped aggregates over the same store the
-  rules fire against.
+shows persistence bolted onto the production system: the working
+memory journals to a write-ahead log with checkpoints
+(`repro.wm.storage.DurableStore`); we run rules, simulate a crash
+(abandon the process state), recover from disk, continue the run
+seamlessly, and read the recovered facts back.
 
 Run with::
 
@@ -22,7 +18,7 @@ from pathlib import Path
 
 from repro import Interpreter, RuleBuilder, WorkingMemory, var
 from repro.lang.builder import gt
-from repro.wm import DurableStore, Query
+from repro.wm import DurableStore
 
 
 def build_rules():
@@ -78,31 +74,17 @@ def main() -> None:
               f"firings -> quiescent")
         store2.close()
 
-        # -- query the recovered knowledge base. -------------------------
-        vips = Query.from_(recovered, "vip").values("cid")
-        print("VIP customers:", sorted(vips))
-        express = (
-            Query.from_(recovered, "order")
-            .where(tier="express")
-            .join("customer", "customer", "cid")
-            .order_by("id")
-            .rows()
+        # -- read the recovered knowledge base. --------------------------
+        vips = sorted(wme["cid"] for wme in recovered.elements("vip"))
+        print("VIP customers:", vips)
+        express = sorted(
+            wme["id"] for wme in recovered.elements("order")
+            if wme["tier"] == "express"
         )
-        print("express orders:")
-        for row in express:
-            print(f"  order {row['id']} for {row['customer']} "
-                  f"(spend {row['customer.spend']})")
-        by_tier = Query.from_(recovered, "order").group_by(
-            "tier", n=("count", "id")
-        )
-        print("orders by tier:", by_tier)
+        print("express orders:", express)
 
-        assert sorted(vips) == ["c1", "c3"]
-        assert {row["id"] for row in express} == {1, 3, 4}
-        assert by_tier == {
-            "express": {"n": 3},
-            "standard": {"n": 1},
-        }
+        assert vips == ["c1", "c3"]
+        assert express == [1, 3, 4]
     print("\ndurable_knowledge_base OK")
 
 

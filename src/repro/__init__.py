@@ -46,7 +46,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "wm": (
             "WME", "WorkingMemory", "WMSnapshot", "RelationSchema",
-            "Catalog", "DurableStore", "Query",
+            "Catalog", "DurableStore",
         ),
         "lang": (
             "Production", "RuleBuilder", "parse_production",

@@ -286,13 +286,10 @@ def coverage(spans: Iterable) -> float:
 class ShardAttribution:
     """Where the partitioned matcher's shard time went across a run.
 
-    Built from ``match.flush`` spans.  Shard busy-times come from
-    per-shard ``match.shard`` child spans when the substrate emits
-    them (serial, on the wall clock), or from the
-    ``shard_seconds`` flush annotation the DES and **process**
-    substrates record instead — DES seconds are virtual charges, and
-    process seconds are worker self-times reported over IPC (they
-    overlap in parent wall time, so they can only ever be fields).
+    Built from ``match.flush`` spans: every flush carries its
+    ``shard_seconds`` — wall seconds on the serial substrate, virtual
+    charges on DES, and on **process** worker self-times reported over
+    IPC (they overlap in parent wall time).
     """
 
     #: Finished ``match.flush`` spans observed.
@@ -339,19 +336,9 @@ def shard_attribution(spans: Iterable) -> ShardAttribution | None:
         flush_wall += node.duration
         ipc_bytes += int(node.fields.get("ipc_bytes_out", 0))
         ipc_bytes += int(node.fields.get("ipc_bytes_in", 0))
-        annotated = node.fields.get("shard_seconds")
-        if annotated is not None:
-            for index, seconds in enumerate(annotated):
-                shard_seconds[index] = (
-                    shard_seconds.get(index, 0.0) + float(seconds)
-                )
-            continue
-        for child in node.children:
-            if child.name != "match.shard" or child.end is None:
-                continue
-            index = int(child.fields.get("shard", 0))
+        for index, seconds in enumerate(node.fields["shard_seconds"]):
             shard_seconds[index] = (
-                shard_seconds.get(index, 0.0) + child.duration
+                shard_seconds.get(index, 0.0) + float(seconds)
             )
     if not flushes:
         return None

@@ -206,8 +206,8 @@ class ParallelEngine:
         *admitted* candidates, not the ranked ones — a hold-back is
         replaced by the next candidate of the ranking that fits.
     observer:
-        Observability sink (wave spans, firing/rollback events, match
-        latency), shared with the lock scheme and manager.  Defaults
+        Observability sink (the run's timed steps, its rollback and
+        retry events), shared with the lock scheme and manager.  Defaults
         to the module-level observer from :mod:`repro.obs`.
     retry_policy:
         When given, deferred/aborted firings are re-driven across
@@ -285,6 +285,8 @@ class ParallelEngine:
         self.retry_count = 0
         #: Virtual clock accumulating retry backoff (seconds).
         self.retry_clock = VirtualSleeper()
+        #: The open ``run`` step, the parent of each wave's cycle.
+        self._run_step = None
 
     def _make_scheme(self, scheme: type):
         """The lock scheme that decides this engine's grants."""
@@ -361,9 +363,9 @@ class ParallelEngine:
     ) -> WaveResult:
         """Execute one wave; returns its summary.
 
-        ``started_at`` backdates the cycle span to when the run loop
-        began this iteration's eligibility pre-check, so that match
-        work stays inside the cycle on the causal timeline;
+        ``started_at`` backdates the cycle and its ``phase.match`` to
+        when the run loop began this iteration's eligibility pre-check,
+        so that match work is timed once, inside the cycle;
         ``eligible`` is that pre-check's candidate list, so a wave
         reads the conflict set once; ``width`` narrows this one wave
         below ``processors``.
@@ -377,50 +379,24 @@ class ParallelEngine:
         # for the attempts it made.
         self.waves.append(wave)
         obs = self.obs
-        spans = obs.spans if obs.enabled else None
-        if spans is not None and spans.scope_dropped():
-            # The enclosing run's trace was sampled out: skip per-
-            # candidate span construction for the whole wave.
-            spans = None
-        if started_at is not None:
-            wave_start = started_at
-        else:
-            wave_start = obs.clock() if obs.enabled else 0.0
-        cycle_span = None
-        if spans is not None:
-            cycle_span = spans.start(
-                "cycle", parent=spans.current(), ts=wave_start,
+        cycle = match = None
+        if obs.enabled:
+            cycle = obs.begin(
+                "cycle", self._run_step, ts=started_at, scope=True,
                 wave=wave.wave, **self._span_tags,
             )
-            spans.push_scope(cycle_span)
+            match = obs.begin(
+                "phase.match", cycle, ts=cycle.start, scope=True
+            )
         try:
-            if spans is not None:
-                with spans.span(
-                    "phase.match", parent=cycle_span, scope=True
-                ):
-                    candidates, rest = self._ranking(eligible, width)
-            else:
-                candidates, rest = self._ranking(eligible, width)
-            if obs.enabled:
-                obs.match_latency(obs.clock() - wave_start)
-                obs.wave_started(wave.wave, len(candidates))
-            self._drive(wave, candidates, rest, spans, cycle_span)
-            # Fire wave_finished (and with it the health evaluation)
-            # while the cycle span is still open, so watchdog work is
-            # charged to the cycle on the causal timeline.
-            if obs.enabled:
-                obs.wave_finished(
-                    wave.wave,
-                    committed=len(wave.committed),
-                    aborted=len(wave.aborted),
-                    deferred=len(wave.deferred),
-                    held=len(wave.held),
-                    duration=obs.clock() - wave_start,
-                )
+            candidates, rest = self._ranking(eligible, width)
+            if match is not None:
+                obs.end(match, candidates=len(candidates))
+            self._drive(wave, candidates, rest, cycle)
         finally:
-            if spans is not None:
-                spans.pop_scope(cycle_span)
-                cycle_span.finish(
+            if cycle is not None:
+                obs.end(
+                    cycle,
                     committed=len(wave.committed),
                     aborted=len(wave.aborted),
                     deferred=len(wave.deferred),
@@ -431,7 +407,7 @@ class ParallelEngine:
 
     def _admit(
         self, wave: WaveResult, candidates: list[Instantiation],
-        rest: Iterator[Instantiation], spans, cycle_span,
+        rest: Iterator[Instantiation], cycle,
     ) -> list[Instantiation]:
         """Rule (i) chosen before the locks are taken: the candidates
         of ``wave`` that all commit, in the order they must act in
@@ -449,11 +425,9 @@ class ParallelEngine:
         if not self._admits:
             return candidates
         obs = self.obs
-        start = obs.clock() if obs.enabled else 0.0
-        phase_span = (
-            spans.start("phase.admit", parent=cycle_span)
-            if spans is not None else None
-        )
+        phase = obs.begin("phase.admit", cycle) if cycle is not None else None
+        # The determination records below are built only for a span.
+        recorded = phase.span if phase is not None else None
         width = len(candidates)
         graph = Precedence()
         admit, slots, held = graph.admit, graph.admitted, wave.held
@@ -465,14 +439,13 @@ class ParallelEngine:
                 continue
             rule = instantiation.production.name
             held.append(rule)
-            if phase_span is not None:
-                # The determination record: the ring of admitted slots
-                # this wave kept, and the two objects tying the
-                # candidate into it.
+            if recorded is not None:
+                # The ring of admitted slots this wave kept, and the
+                # two objects tying the candidate into it.
                 path, read, written = graph.cycle(instantiation)
-                now = spans.clock()
-                spans.record(
-                    "held", start=now, end=now, parent=phase_span,
+                now = obs.clock()
+                obs.spans.record(
+                    "held", start=now, end=now, parent=recorded,
                     wave=wave.wave, rule=rule,
                     cycle=[rule] + [
                         slots[slot].production.name for slot in path
@@ -482,86 +455,67 @@ class ParallelEngine:
                 )
         admitted = graph.acting_order()
         wave.ordered = graph.ordered
-        if phase_span is not None:
+        if recorded is not None:
             # One record per reader that acted before a writer ranked
             # above it — where the acting order left the ranking.
             for reader, writer, obj in graph.edges_against_rank():
-                now = spans.clock()
-                spans.record(
-                    "ordered", start=now, end=now, parent=phase_span,
+                now = obs.clock()
+                obs.spans.record(
+                    "ordered", start=now, end=now, parent=recorded,
                     wave=wave.wave, reader=reader.production.name,
                     writer=writer.production.name, obj=repr(obj),
                     **self._span_fields(reader),
                 )
-            phase_span.finish(
-                candidates=len(admitted) + len(held),
+        if phase is not None:
+            obs.end(
+                phase, candidates=len(admitted) + len(held),
                 held=len(held), ordered=wave.ordered,
             )
-        if obs.enabled:
-            obs.admit_finished(obs.clock() - start, wave.ordered)
         return admitted
 
-    def _drive(
-        self, wave: WaveResult, candidates, rest, spans, cycle_span
-    ) -> None:
+    def _drive(self, wave: WaveResult, candidates, rest, cycle) -> None:
         """Deterministic driving: admission, then every admitted
         candidate takes its condition locks (phase 1), then the granted
         ones act (phase 2) — both in the order admission returned:
         precedence order under ``Rc``, conflict-resolution order where
         there is no admission."""
-        candidates = self._admit(wave, candidates, rest, spans, cycle_span)
+        candidates = self._admit(wave, candidates, rest, cycle)
         obs = self.obs
         # (candidate, its transaction, commits certified when it read)
         slots: list[tuple[Instantiation, Transaction, int]] = []
-        phase_span = (
-            spans.start("phase.acquire", parent=cycle_span)
-            if spans is not None else None
+        phase = (
+            obs.begin("phase.acquire", cycle) if cycle is not None else None
         )
         for instantiation in candidates:
             rule = instantiation.production.name
             txn = Transaction(rule_name=rule)
             acq = None
-            acq_start = obs.clock() if obs.enabled else 0.0
-            if spans is not None:
-                acq = spans.start(
-                    "acquire", parent=phase_span, rule=rule,
-                    txn=txn.txn_id, **self._span_fields(instantiation),
+            if phase is not None:
+                acq = obs.begin(
+                    "acquire", phase, txn=txn.txn_id, rule=rule,
+                    **self._span_fields(instantiation),
                 )
-                spans.bind(txn.txn_id, acq)
             out = self._acquire(instantiation, txn)
             if out is None:
                 slots.append((instantiation, txn, self.certifier.commits))
-                if acq is not None:
-                    # The binding stays on the acquire span until the
-                    # firing span takes over in phase 2.
-                    acq.finish(granted=True)
             else:
                 self._settle(wave, instantiation, txn, out)
-                if acq is not None:
-                    acq.finish(granted=False)
-                    spans.unbind(txn.txn_id)
-            if obs.enabled:
-                obs.acquire_finished(
-                    rule, txn.txn_id, obs.clock() - acq_start
-                )
-        if phase_span is not None:
-            phase_span.finish(
-                candidates=len(candidates), granted=len(slots)
-            )
-            phase_span = spans.start("phase.act", parent=cycle_span)
+            if acq is not None:
+                obs.end(acq, granted=out is None)
+        if phase is not None:
+            obs.end(phase, candidates=len(candidates), granted=len(slots))
+            phase = obs.begin("phase.act", cycle)
         acted = 0
         try:
             for instantiation, txn, read_at in slots:
                 acted += 1
-                rule = instantiation.production.name
-                fire_start = obs.clock() if obs.enabled else 0.0
                 firing = None
-                if spans is not None:
-                    firing = spans.start(
-                        "firing", parent=phase_span, rule=rule,
-                        txn=txn.txn_id, **self._span_fields(instantiation),
+                if phase is not None:
+                    firing = obs.begin(
+                        "firing", phase, txn=txn.txn_id,
+                        rule=instantiation.production.name,
+                        **self._span_fields(instantiation),
                     )
-                    spans.bind(txn.txn_id, firing)
                 try:
                     # A candidate aborted from outside or retracted
                     # since it locked is found before it asks for
@@ -575,19 +529,14 @@ class ParallelEngine:
                         self._settle(wave, instantiation, txn, out)
                 finally:
                     if firing is not None:
-                        firing.finish()
-                        spans.unbind(txn.txn_id)
-                    if obs.enabled:
-                        obs.firing_finished(
-                            rule, txn.txn_id, obs.clock() - fire_start
-                        )
+                        obs.end(firing)
         finally:
             # A firing that raised leaves the slots after it unsettled:
             # their locks go with the wave.
             for _, txn, _ in slots[acted:]:
                 self.scheme.abort(txn, "wave abandoned")
-            if phase_span is not None:
-                phase_span.finish(slots=len(slots))
+            if phase is not None:
+                obs.end(phase, slots=len(slots))
 
     # -- one candidate: the steps both drivers share ----------------------------------------
 
@@ -782,17 +731,12 @@ class ParallelEngine:
         sites, history and retry budget.
         """
         obs = self.obs
-        spans = obs.spans if obs.enabled else None
-        run_start = obs.clock() if obs.enabled else 0.0
-        run_span = None
-        if spans is not None:
-            run_span = spans.start(
-                "run",
-                scheme=self.scheme.name,
-                processors=self.processors,
-                **self._span_tags,
+        run = None
+        if obs.enabled:
+            run = self._run_step = obs.begin(
+                "run", scope=True, scheme=self.scheme.name,
+                processors=self.processors, **self._span_tags,
             )
-            spans.push_scope(run_span)
         width = None
         try:
             while len(self.waves) < max_waves:
@@ -800,13 +744,9 @@ class ParallelEngine:
                     self.result.stop_reason = "halt"
                     break
                 # The eligibility pre-check flushes pending match
-                # deltas — that is match work, charged to the
-                # profiler's (match) row (run_wave's own candidate
-                # ordering is covered by match_latency).
-                check_start = obs.clock() if obs.enabled else 0.0
+                # deltas: match work, timed in the wave's phase.match.
+                started_at = obs.clock() if run is not None else None
                 candidates = self._eligible_candidates()
-                if obs.enabled:
-                    obs.match_prepass(obs.clock() - check_start)
                 if not candidates:
                     # With a retry policy, work may remain in the
                     # conflict set whose budget is exhausted — that is
@@ -818,24 +758,18 @@ class ParallelEngine:
                     )
                     break
                 wave = self.run_wave(
-                    started_at=check_start if obs.enabled else None,
-                    eligible=candidates,
-                    width=width,
+                    started_at=started_at, eligible=candidates, width=width
                 )
                 self.result.cycles += 1
                 width = 1 if width is None and not wave.committed else None
             else:
                 self.result.stop_reason = "max_waves"
         finally:
-            if spans is not None:
-                spans.pop_scope(run_span)
-                run_span.finish(
-                    cycles=self.result.cycles,
+            if run is not None:
+                self._run_step = None
+                obs.end(
+                    run, cycles=self.result.cycles,
                     stop_reason=self.result.stop_reason,
-                )
-            if obs.enabled:
-                obs.run_finished(
-                    self.result.cycles, obs.clock() - run_start
                 )
         self.result.final_snapshot = WMSnapshot.capture(self.memory)
         return self.result

@@ -139,9 +139,7 @@ class ThreadedWaveExecutor(ParallelEngine):
 
     # -- driving a wave --------------------------------------------------------------------
 
-    def _drive(
-        self, wave: WaveResult, candidates, rest, spans, cycle_span
-    ) -> None:
+    def _drive(self, wave: WaveResult, candidates, rest, cycle) -> None:
         """One thread per candidate; the first exception a thread
         raised (an RHS error, already rolled back and filed) is
         re-raised once every thread has finished.  The wave is the
@@ -151,7 +149,7 @@ class ThreadedWaveExecutor(ParallelEngine):
 
         def fire(instantiation: Instantiation) -> None:
             try:
-                self._fire(wave, instantiation, spans, cycle_span)
+                self._fire(wave, instantiation, cycle)
             except Exception as error:
                 errors.append(error)
 
@@ -172,8 +170,7 @@ class ThreadedWaveExecutor(ParallelEngine):
             raise errors[0]
 
     def _fire(
-        self, wave: WaveResult, instantiation: Instantiation, spans,
-        cycle_span,
+        self, wave: WaveResult, instantiation: Instantiation, cycle
     ) -> None:
         """One candidate on its own thread: attempt it, and re-drive
         it with a fresh transaction while the retry budget allows."""
@@ -183,18 +180,16 @@ class ThreadedWaveExecutor(ParallelEngine):
         while True:
             attempt += 1
             txn = Transaction(rule_name=rule)
-            fire_start = obs.clock() if obs.enabled else 0.0
             firing = None
-            if spans is not None:
+            if cycle is not None:
                 # Bound for the whole attempt, so lock grants, faults,
                 # deadlock victimhood and rule-(ii) links land on the
                 # right firing even across OS threads.
-                firing = spans.start(
-                    "firing", parent=cycle_span, rule=rule,
-                    txn=txn.txn_id, attempt=attempt,
+                firing = obs.begin(
+                    "firing", cycle, txn=txn.txn_id, rule=rule,
+                    attempt=attempt,
                 )
-                spans.bind(txn.txn_id, firing)
-            delay = None
+            delay = outcome = None
             try:
                 out = self._acquire(instantiation, txn) or self._act(
                     wave, instantiation, txn, self.certifier.commits
@@ -205,19 +200,13 @@ class ThreadedWaveExecutor(ParallelEngine):
                         # lock: a victim, not a deferral.
                         out = _VICTIM
                     delay = self._settle(wave, instantiation, txn, out)
-                if firing is not None:
-                    firing.annotate(
-                        outcome="committed" if out is None
-                        else "deferred" if out.deferred else "aborted"
-                    )
+                outcome = (
+                    "committed" if out is None
+                    else "deferred" if out.deferred else "aborted"
+                )
             finally:
                 if firing is not None:
-                    firing.finish()
-                    spans.unbind(txn.txn_id)
-                if obs.enabled:
-                    obs.firing_finished(
-                        rule, txn.txn_id, obs.clock() - fire_start
-                    )
+                    obs.end(firing, outcome=outcome)
             if delay is None:
                 return
             if delay > 0:

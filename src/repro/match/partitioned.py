@@ -50,14 +50,12 @@ partitioned:rete:4``).  Architecture:
   analytic ``lpt_makespan``/``speedup_ceiling`` curves against this
   executable system.
 
-Observability (the ``obs`` layer): per-shard match latency
-histogram (``match.shard_seconds``), batch size (``match.batch_size``)
-and merge time (``match.merge_seconds``) — all guarded by
-``obs.enabled``.  With
-span recording on, every flush additionally emits a ``match.flush``
-span (parented under the engine's current scope) with per-shard
-``match.shard`` child spans on the wall clock, or shard charges as
-fields on the DES/virtual-clock paths.
+Observability (the ``obs`` layer): every flush is one
+``match.flush`` step, closed with its per-shard seconds and merge
+time; the observer derives the shard, batch, merge and flush
+instruments from that close and, with spans on, the ``match.flush``
+span (under the engine's current scope) with ``match.shard`` children
+where the shards ran serially on the wall clock.
 """
 
 from __future__ import annotations
@@ -496,80 +494,34 @@ class PartitionedMatcher(BaseMatcher):
         if not deltas:
             return
         obs = self.obs
-        spans = obs.spans if obs.enabled else None
-        shards = self._shards
-        flush_span = None
-        flush_start = 0.0
-        wall_start = time.perf_counter() if obs.enabled else 0.0
-        if spans is not None:
-            # Parent under the innermost scoped span — the engine's
-            # phase.match while candidates are gathered, or its cycle
-            # span when a mid-RHS delta triggers an immediate flush.
-            flush_start = spans.clock()
-            flush_span = spans.start(
-                "match.flush", parent=spans.current(), ts=flush_start,
-                deltas=len(deltas), backend=self.backend,
-            )
+        # Parented under the current scope: the engine's phase.match
+        # while candidates are gathered, or its cycle when a mid-RHS
+        # delta triggers an immediate flush.
+        step = (
+            obs.begin("match.flush", deltas=len(deltas), backend=self.backend)
+            if obs.enabled else None
+        )
         if self.backend == "des":
             durations = self._des_replay(deltas)
         elif self.backend == "process":
             durations = self._process_replay(deltas)
         else:
-            durations = [self._replay(shard, deltas) for shard in shards]
+            durations = [self._replay(shard, deltas) for shard in self._shards]
         merge_start = time.perf_counter()
         self._merge()
         merge_seconds = time.perf_counter() - merge_start
         self.flush_count += 1
         self.delta_count += len(deltas)
-        if flush_span is not None:
-            self._flush_spans(
-                spans, flush_span, flush_start, durations, merge_seconds
+        if step is not None:
+            pool = self._procpool  # process backend only
+            ipc = {} if pool is None else {
+                "ipc_bytes_out": pool.last_bytes_out,
+                "ipc_bytes_in": pool.last_bytes_in,
+            }
+            obs.end(
+                step, merge_seconds=merge_seconds,
+                shard_seconds=durations, **ipc,
             )
-        if obs.enabled:
-            for shard, seconds in zip(shards, durations):
-                obs.shard_match(shard.index, seconds, len(deltas))
-            obs.match_batch(len(deltas), len(shards), merge_seconds)
-            obs.match_flush(
-                len(shards), time.perf_counter() - wall_start
-            )
-
-    def _flush_spans(
-        self, spans, flush_span, flush_start: float,
-        durations: Sequence[float], merge_seconds: float,
-    ) -> None:
-        """Child spans (or annotations) for one flush's shard work.
-
-        Shard durations are wall-clock (``perf_counter``) except on
-        the DES backend, where they are virtual charges.  Per-shard
-        child spans are emitted only when the recorder itself runs on
-        ``perf_counter`` — under an injected (virtual) clock the
-        durations would mix timelines, so they stay as fields.  The
-        process backend also annotates instead of spanning: its
-        durations are worker-reported self-times on *other* processes'
-        clocks (they overlap in parent time), so — like DES — the
-        critical-path attribution consumes the ``shard_seconds``
-        annotation, plus the flush's IPC cost.
-        """
-        wall_clock = spans.clock is time.perf_counter
-        if self.backend in ("des", "process") or not wall_clock:
-            flush_span.annotate(
-                shard_seconds=[round(d, 9) for d in durations]
-            )
-            pool = self._procpool
-            if self.backend == "process" and pool is not None:
-                flush_span.annotate(
-                    ipc_bytes_out=pool.last_bytes_out,
-                    ipc_bytes_in=pool.last_bytes_in,
-                )
-        else:
-            start = flush_start
-            for shard, seconds in zip(self._shards, durations):
-                spans.record(
-                    "match.shard", start=start, end=start + seconds,
-                    parent=flush_span, shard=shard.index,
-                )
-                start += seconds
-        flush_span.finish(merge_seconds=merge_seconds)
 
     def _replay(self, shard: _Shard, deltas: Sequence[WMDelta]) -> float:
         start = time.perf_counter()

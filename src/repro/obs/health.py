@@ -22,8 +22,8 @@ over short rolling windows of raw signals:
   truncating it.
 
 Signals arrive via :meth:`HealthMonitor.record` (the Observer feeds
-them from its hooks); :meth:`evaluate` prunes each window, scores
-every rule, and returns a :class:`HealthReport`.  Status transitions
+them from step closes and event hooks); :meth:`evaluate` prunes each
+window, scores every rule, and returns a :class:`HealthReport`.  Status transitions
 are logged in :attr:`HealthMonitor.transitions` and invoke
 ``on_transition``, so the observer can record a ``health.transition``
 event — the audit trail of *when* a run went red and which rule
@@ -163,7 +163,8 @@ class HealthMonitor:
         self.lock_wait_share_red = lock_wait_share_red
         self.wal_stall_rotations = wal_stall_rotations
         self._mutex = threading.Lock()
-        self._signals: dict[str, deque[tuple[float, float]]] = {}
+        #: signal -> [its (ts, value) pairs in the window, their sum]
+        self._signals: dict[str, list] = {}
         self._started = self.clock()
         self.status = GREEN
         #: (ts, old, new) transition log for post-hoc inspection.
@@ -175,20 +176,24 @@ class HealthMonitor:
         if ts is None:
             ts = self.clock()
         with self._mutex:
-            series = self._signals.get(signal)
-            if series is None:
-                series = deque()
-                self._signals[signal] = series
-            series.append((ts, value))
+            entry = self._signals.get(signal)
+            if entry is None:
+                entry = self._signals[signal] = [deque(), 0.0]
+            entry[0].append((ts, value))
+            entry[1] += value
 
     def _window_sum(self, signal: str, horizon: float) -> float:
-        """Sum of a signal's values inside the window (prunes old)."""
-        series = self._signals.get(signal)
-        if not series:
+        """Sum of a signal's values inside the window (prunes old).
+        A running total: an evaluation per wave rescans nothing."""
+        entry = self._signals.get(signal)
+        if entry is None:
             return 0.0
+        series = entry[0]
         while series and series[0][0] < horizon:
-            series.popleft()
-        return sum(value for _, value in series)
+            entry[1] -= series.popleft()[1]
+        if not series:
+            entry[1] = 0.0
+        return entry[1]
 
     def evaluate(self, ts: float | None = None) -> HealthReport:
         """Score every rule, update status, fire transition callback."""

@@ -1,42 +1,45 @@
-"""The observer facade: named hooks over one registry + span tree.
+"""The observer facade: timed steps and point events over one
+registry and one span tree.
 
-Instrumented components (lock manager, lock schemes, engines,
-simulators) do not build spans or look up metrics themselves — they
-call semantic hooks on an :class:`Observer` (``lock_granted``,
-``rule_ii_abort``, ``wave_finished``, ...).  The observer translates
-each hook into the matching metric updates and — when span recording
-is on — the matching mutation of the causal span tree
-(:mod:`repro.obs.spans`), keeping every instrumentation point a
-one-liner and the naming scheme in one place.
+Instrumented components (engines, lock manager and schemes, matcher,
+durable store, simulators) never build spans or look up metrics
+themselves.  They make two kinds of call on an :class:`Observer`:
 
-Hooks that only know a transaction id reach the right span through
-the recorder's txn binding: the engines bind each transaction to its
-acquire/firing span, so a lock grant becomes a ``lock.acquire`` child
-span and a rule-(ii) abort links the victim's span to the committing
-Wa transaction's span.  A point event (a denial, a fault, a rollback,
-a retry) is a zero-duration span under the bound span, else under the
-current scope.
+* **A timed step** — one :meth:`~Observer.begin` where it opens and
+  one :meth:`~Observer.end` where it closes (``run``, ``cycle``,
+  ``phase.*``, ``acquire``, ``firing``, ``match.flush``,
+  ``storage.*``).  Everything else is derived from that close: the
+  span when one is recorded, the txn binding and scope it held, and
+  every aggregate the step feeds — the table :attr:`Observer._closes`
+  lists them by step name (counters, histograms, sketches, the
+  per-rule profiler, the health window).  One clock pair times a
+  step for every aggregate; its span opens at the same instant and
+  closes once the aggregates are fed.
+* **A point event** — a named hook (``lock_granted``,
+  ``rule_ii_abort``, ``fault_injected``, ``retry_attempt``, ...): its
+  counters and, with spans on, a zero-duration span under the span
+  the transaction is bound to, else under the current scope.  A
+  lock grant is a ``lock.acquire`` child of the bound span, and a
+  rule-(ii) abort links the victim's span to the committing Wa
+  transaction's.
 
 The hot-path contract: components hold a reference to an observer and
-guard every hook call with ``if obs.enabled:``.  The default observer
-is :data:`NULL_OBSERVER` (``enabled = False``), so an uninstrumented
-run costs one attribute load and a falsy branch per site — nothing is
+guard every call with ``if obs.enabled:``.  The default observer is
+:data:`NULL_OBSERVER` (``enabled = False``), so an uninstrumented run
+costs one attribute load and a falsy branch per site — nothing is
 allocated, stamped or counted.  A live observer's cost is tiered by
 ``level``:
 
-* ``"metrics"`` — counters, histograms, quantile sketches, the
-  per-rule profiler and the health monitor (all aggregates);
+* ``"metrics"`` — the aggregates only; a step is a bare timer;
 * ``"sampled"`` — the always-on production tier: aggregates plus
   head-sampled span trees (:mod:`repro.obs.sampling`) — a seeded
   fraction of runs keeps its complete run→cycle→phase→firing
-  subtree, the rest cost one sentinel per would-be span;
+  subtree; in the rest every step is a bare timer;
 * ``"full"``    — aggregates and every span (the default).
 
-Every hook self-locks at the instrument it touches (counters,
-histograms and sketches carry their own locks), so there is no
-observer-wide mutex on the hot path; all instruments are pre-bound at
-construction so a hook never pays a registry lookup.
-``benchmarks/bench_obs_overhead.py`` measures the tiers.
+Instruments carry their own locks and are bound at construction, so
+there is no observer-wide mutex and no registry lookup on the hot
+path.  ``benchmarks/bench_obs_overhead.py`` measures the tiers.
 """
 
 from __future__ import annotations
@@ -57,15 +60,36 @@ from repro.obs.metrics import (
 )
 from repro.obs.null import NULL_OBSERVER, set_observer
 from repro.obs.profile import RuleProfiler
-from repro.obs.sampling import HeadSampler
+from repro.obs.sampling import DroppedSpan, HeadSampler
 from repro.obs.spans import Span, SpanRecorder
 
 #: Observer cost tiers, cheapest first.
 LEVELS = ("metrics", "sampled", "full")
 
 
+class Step:
+    """One timed step, from :meth:`Observer.begin` to
+    :meth:`Observer.end`: its name, start, the fields it was opened
+    with and the transaction it carries, and the span recording it —
+    None when none is (below ``sampled``, or under a sampled-out
+    step)."""
+
+    __slots__ = ("name", "start", "fields", "txn", "span", "scoped")
+
+    def __init__(
+        self, name: str, start: float, fields: dict, txn: str | None
+    ) -> None:
+        self.name = name
+        self.start = start
+        self.fields = fields
+        self.txn = txn
+        self.span: Span | DroppedSpan | None = None
+        self.scoped = False
+
+
 class Observer:
-    """Live observer: every hook meters and (optionally) spans.
+    """Live observer: every step and event meters and (optionally)
+    spans.
 
     Parameters
     ----------
@@ -77,7 +101,7 @@ class Observer:
         discrete-event simulation.
     level:
         ``"metrics"``, ``"sampled"``, or ``"full"`` (default): how
-        much each hook records.  ``"sampled"`` and ``"full"`` carry a
+        much each call records.  ``"sampled"`` and ``"full"`` carry a
         :attr:`spans` recorder; only ``"sampled"`` attaches a head
         sampler to it.
     sample_rate:
@@ -102,9 +126,8 @@ class Observer:
                 f"unknown observer level {level!r}; expected one of {LEVELS}"
             )
         self.level = level
-        # The bare clock function (usually ``time.perf_counter``): the
-        # engine reads it several times per firing, so ``clock`` is an
-        # instance attribute, not a method wrapping it.
+        # The bare clock function (usually ``time.perf_counter``),
+        # read twice per step: an attribute, not a method wrapping it.
         self.clock = clock if clock is not None else time.perf_counter
         self.sampler: HeadSampler | None = None
         self.spans: SpanRecorder | None = None
@@ -126,39 +149,24 @@ class Observer:
         self._health_commits = 0
         self._health_aborts = 0
         m = self.metrics
-        # Pre-bound histograms (hot hooks never pay a registry lookup).
+        # Pre-bound histograms and quantile sketches.
         self._lock_wait = m.histogram("lock.wait_seconds", TIME_BUCKETS)
         self._queue_depth = m.gauge("lock.queue_depth")
         self._wave_width = m.histogram("wave.width", COUNT_BUCKETS)
-        self._match_latency = m.histogram(
-            "engine.match_seconds", TIME_BUCKETS
-        )
-        self._shard_match = m.histogram(
-            "match.shard_seconds", TIME_BUCKETS
-        )
+        self._match = m.histogram("engine.match_seconds", TIME_BUCKETS)
+        self._shard = m.histogram("match.shard_seconds", TIME_BUCKETS)
         self._batch_size = m.histogram("match.batch_size", COUNT_BUCKETS)
         self._merge_time = m.histogram("match.merge_seconds", TIME_BUCKETS)
-        self._retry_delay = m.histogram(
-            "retry.backoff_seconds", TIME_BUCKETS
-        )
-        self._ckpt_seconds = m.histogram(
-            "storage.checkpoint_seconds", TIME_BUCKETS
-        )
-        self._compact_seconds = m.histogram(
-            "storage.compaction_seconds", TIME_BUCKETS
-        )
-        self._recovery_seconds = m.histogram(
-            "storage.recovery_seconds", TIME_BUCKETS
-        )
-        # Quantile sketches: the always-on percentile instruments.
+        self._retry_delay = m.histogram("retry.backoff_seconds", TIME_BUCKETS)
+        self._ckpt = m.histogram("storage.checkpoint_seconds", TIME_BUCKETS)
+        self._compact = m.histogram("storage.compaction_seconds", TIME_BUCKETS)
+        self._recover = m.histogram("storage.recovery_seconds", TIME_BUCKETS)
         self._cycle_sketch = m.sketch("cycle.sketch_seconds")
         self._lock_wait_sketch = m.sketch("lock.wait.sketch_seconds")
         self._flush_sketch = m.sketch("match.flush.sketch_seconds")
         self._firing_sketch = m.sketch("firing.sketch_seconds")
         self._ckpt_sketch = m.sketch("storage.checkpoint.sketch_seconds")
-        self._compact_sketch = m.sketch(
-            "storage.compaction.sketch_seconds"
-        )
+        self._compact_sketch = m.sketch("storage.compaction.sketch_seconds")
         # Pre-bound counters.
         self._c_lock_grants = m.counter("lock.grants")
         self._c_lock_waits = m.counter("lock.waits")
@@ -188,6 +196,19 @@ class Observer:
         self._c_compacted = m.counter("storage.records_compacted")
         self._c_rotations = m.counter("storage.rotations")
         self._c_recoveries = m.counter("storage.recoveries")
+        #: What a step's close feeds, by step name (:meth:`end`).
+        self._closes = {
+            "run": self._close_run,
+            "cycle": self._close_cycle,
+            "phase.match": self._close_match,
+            "phase.admit": self._close_admit,
+            "acquire": self._close_acquire,
+            "firing": self._close_firing,
+            "match.flush": self._close_flush,
+            "storage.checkpoint": self._close_checkpoint,
+            "storage.compaction": self._close_compaction,
+            "storage.recovery": self._close_recovery,
+        }
 
     def _span_for_txn(self, txn_id: str) -> Span | None:
         return self.spans.for_txn(txn_id) if self.spans is not None else None
@@ -238,6 +259,147 @@ class Observer:
             "health.transition", old=old, new=new,
             rules={r.name: r.status for r in report.results},
         )
+
+    # -- timed steps -----------------------------------------------------------------------
+
+    def begin(
+        self, name: str, parent: Step | None = None, /,
+        txn: str | None = None, ts: float | None = None,
+        scope: bool = False, **fields: object,
+    ) -> Step:
+        """Open a timed step at ``ts`` (now by default).
+
+        ``parent`` is the enclosing step; without one the step hangs
+        under the current scope, and is a trace root when there is
+        none.  ``txn`` binds that transaction to the step's span, so
+        txn-keyed hooks land on it; ``scope=True`` makes the span the
+        current scope.  ``fields`` go on the span and are what the
+        close reads (the ``rule`` of an acquire or a firing).
+
+        A step under a sampled-out step is a bare timer: no span is
+        built and nothing is counted, yet its close still feeds every
+        aggregate.
+        """
+        if ts is None:
+            ts = self.clock()
+        step = Step(name, ts, fields, txn)
+        spans = self.spans
+        if spans is None:
+            return step
+        if parent is None:
+            under = spans.current()
+        else:
+            under = parent.span
+            if under is None or under is spans.dropped_span:
+                return step
+        if txn is not None:
+            fields["txn"] = txn
+        span = step.span = spans.start(name, parent=under, ts=ts, **fields)
+        if txn is not None:
+            spans.bind(txn, span)
+        if scope:
+            spans.push_scope(span)
+            step.scoped = True
+        return step
+
+    def end(self, step: Step, /, **fields: object) -> None:
+        """Close ``step`` now: feed what :attr:`_closes` lists for its
+        name (reading the fields it was opened and closed with), then
+        finish its span with ``fields``, leave its scope and unbind
+        its transaction.  The span closes after the aggregates, so
+        the watchdog work of a cycle's close, and any event it raises,
+        is inside the cycle."""
+        now = self.clock()
+        close = self._closes.get(step.name)
+        if close is not None:
+            if fields:
+                step.fields.update(fields)
+            close(step, now - step.start)
+        span = step.span
+        if span is not None:
+            spans = self.spans
+            if step.scoped:
+                spans.pop_scope(span)
+            if step.txn is not None:
+                spans.unbind(step.txn)
+            span.finish(**fields)
+
+    def _close_run(self, step: Step, seconds: float) -> None:
+        # Run wall time is the profiler's coverage denominator.
+        self.profiler.record_run(seconds)
+        self._flush_health()
+
+    def _close_cycle(self, step: Step, seconds: float) -> None:
+        fields = step.fields
+        self._c_waves.inc()
+        self._c_fire_committed.inc(fields["committed"])
+        self._c_fire_aborted.inc(fields["aborted"])
+        self._c_fire_deferred.inc(fields["deferred"])
+        self._c_fire_held.inc(fields["held"])
+        self._cycle_sketch.observe(seconds)
+        self._flush_health()
+        self.health.evaluate()
+
+    def _close_match(self, step: Step, seconds: float) -> None:
+        self._match.observe(seconds)
+        self._wave_width.observe(step.fields["candidates"])
+        self.profiler.record_match(seconds)
+
+    def _close_admit(self, step: Step, seconds: float) -> None:
+        self._c_fire_ordered.inc(step.fields["ordered"])
+        self.profiler.record_admit(seconds)
+
+    def _close_acquire(self, step: Step, seconds: float) -> None:
+        self.profiler.record_acquire(step.fields["rule"], step.txn, seconds)
+
+    def _close_firing(self, step: Step, seconds: float) -> None:
+        self._firing_sketch.observe(seconds)
+        self.profiler.record_firing(step.fields["rule"], step.txn, seconds)
+
+    def _close_flush(self, step: Step, seconds: float) -> None:
+        shard_seconds = step.fields["shard_seconds"]
+        for shard in shard_seconds:
+            self._shard.observe(shard)
+        self._c_match_batches.inc()
+        self._batch_size.observe(step.fields["deltas"])
+        self._merge_time.observe(step.fields["merge_seconds"])
+        self._flush_sketch.observe(seconds)
+        span = step.span
+        if (
+            span is not None and step.fields["backend"] == "serial"
+            and self.clock is time.perf_counter
+        ):
+            # Serial shards ran one after another on this clock: lay
+            # them end to end from the flush's start.  Other
+            # substrates' seconds are virtual or another process's,
+            # and stay the ``shard_seconds`` field.
+            start = step.start
+            for index, shard in enumerate(shard_seconds):
+                self.spans.record(
+                    "match.shard", start=start, end=start + shard,
+                    parent=span, shard=index,
+                )
+                start += shard
+
+    def _close_checkpoint(self, step: Step, seconds: float) -> None:
+        self._c_ckpts.inc()
+        self._c_truncated.inc(step.fields["truncated"])
+        self._ckpt.observe(seconds)
+        self._ckpt_sketch.observe(seconds)
+        self.health.record("storage.checkpoints")
+
+    def _close_compaction(self, step: Step, seconds: float) -> None:
+        fields = step.fields
+        self._c_compactions.inc()
+        self._c_compacted.inc(
+            max(0, fields["records_before"] - fields["records_after"])
+        )
+        self._compact.observe(seconds)
+        self._compact_sketch.observe(seconds)
+
+    def _close_recovery(self, step: Step, seconds: float) -> None:
+        self._c_recoveries.inc()
+        self._recover.observe(seconds)
 
     # -- lock manager ----------------------------------------------------------------------
 
@@ -340,65 +502,9 @@ class Observer:
         self._c_revalidated.inc()
         self._event("rc.revalidated", txn=holder_id, committer=committer_id)
 
-    # -- engines ---------------------------------------------------------------------------
-
-    def wave_started(self, wave: int, candidates: int) -> None:
-        self._wave_width.observe(candidates)
-
-    def wave_finished(
-        self, wave: int, committed: int, aborted: int, deferred: int,
-        held: int, duration: float,
-    ) -> None:
-        self._c_waves.inc()
-        self._c_fire_committed.inc(committed)
-        self._c_fire_aborted.inc(aborted)
-        self._c_fire_deferred.inc(deferred)
-        self._c_fire_held.inc(held)
-        self._cycle_sketch.observe(duration)
-        self._flush_health()
-        self.health.evaluate()
-
     def rollback(self, txn_id: str, undone: int) -> None:
         self._c_rollbacks.inc()
         self._event("engine.rollback", txn=txn_id, undone=undone)
-
-    def match_latency(self, seconds: float) -> None:
-        self._match_latency.observe(seconds)
-        self.profiler.record_match(seconds)
-
-    def match_prepass(self, seconds: float) -> None:
-        """Match work done outside a wave (the run loop's eligibility
-        check, which flushes pending deltas).  Profiler-only — the
-        ``engine.match_seconds`` histogram stays one sample per wave.
-        """
-        self.profiler.record_match(seconds)
-
-    # -- profiler feeds (span-close timings from the engines) ------------------------------
-
-    def admit_finished(self, seconds: float, ordered: int) -> None:
-        """A wave's admission pass closed, having ordered ``ordered``
-        readers before a writer ranked above them."""
-        self._c_fire_ordered.inc(ordered)
-        self.profiler.record_admit(seconds)
-
-    def acquire_finished(
-        self, rule: str, txn_id: str, seconds: float
-    ) -> None:
-        """A candidate's condition-lock acquisition closed."""
-        self.profiler.record_acquire(rule, txn_id, seconds)
-
-    def firing_finished(
-        self, rule: str, txn_id: str | None, seconds: float
-    ) -> None:
-        """One firing transaction closed (committed, aborted or
-        deferred) after ``seconds`` of wall time."""
-        self._firing_sketch.observe(seconds)
-        self.profiler.record_firing(rule, txn_id, seconds)
-
-    def run_finished(self, cycles: int, seconds: float) -> None:
-        """An engine run closed; wall time anchors profiler coverage."""
-        self.profiler.record_run(seconds)
-        self._flush_health()
 
     # -- robustness (faults / retries / deadlocks) -----------------------------------------
 
@@ -442,19 +548,7 @@ class Observer:
         self._c_deadlock_victims.inc()
         self._event("deadlock.victim", txn=txn_id, cycle=cycle, policy=policy)
 
-    # -- partitioned match -----------------------------------------------------------------
-
-    def shard_match(self, shard: int, seconds: float, deltas: int) -> None:
-        """One shard finished matching a delta batch."""
-        self._shard_match.observe(seconds)
-
-    def match_batch(
-        self, size: int, shards: int, merge_seconds: float
-    ) -> None:
-        """A partitioned delta batch was matched and merged."""
-        self._c_match_batches.inc()
-        self._batch_size.observe(size)
-        self._merge_time.observe(merge_seconds)
+    # -- match and storage ------------------------------------------------------------------
 
     def procpool_roundtrip(self, bytes_out: int, bytes_in: int) -> None:
         """The process-backend pool completed one IPC round-trip
@@ -466,50 +560,6 @@ class Observer:
             "procpool.roundtrip", bytes_out=bytes_out, bytes_in=bytes_in
         )
 
-    def match_flush(self, shards: int, seconds: float) -> None:
-        """A full partitioned flush (all shards + merge) completed."""
-        self._flush_sketch.observe(seconds)
-
-    # -- durable storage -------------------------------------------------------------------
-
-    def checkpoint_completed(
-        self, elements: int, lsn: int, truncated: int, seconds: float
-    ) -> None:
-        """The durable store landed a snapshot and truncated the WAL."""
-        self._c_ckpts.inc()
-        self._c_truncated.inc(truncated)
-        self._ckpt_seconds.observe(seconds)
-        self._ckpt_sketch.observe(seconds)
-        self.health.record("storage.checkpoints")
-        if self.spans is not None:
-            now = self.spans.clock()
-            self.spans.record(
-                "storage.checkpoint", start=now - seconds, end=now,
-                parent=self.spans.current(),
-                elements=elements, lsn=lsn, truncated=truncated,
-            )
-
-    def compaction_completed(
-        self,
-        records_before: int,
-        records_after: int,
-        segments_merged: int,
-        seconds: float,
-    ) -> None:
-        """Sealed WAL segments were merged and cancelling pairs dropped."""
-        self._c_compactions.inc()
-        self._c_compacted.inc(max(0, records_before - records_after))
-        self._compact_seconds.observe(seconds)
-        self._compact_sketch.observe(seconds)
-        if self.spans is not None:
-            now = self.spans.clock()
-            self.spans.record(
-                "storage.compaction", start=now - seconds, end=now,
-                parent=self.spans.current(),
-                records_before=records_before,
-                records_after=records_after, segments=segments_merged,
-            )
-
     def segment_rotated(
         self, segment: str, records: int, bytes_: int
     ) -> None:
@@ -519,26 +569,6 @@ class Observer:
         self._event(
             "storage.rotate", segment=segment, records=records, bytes=bytes_
         )
-
-    def recovery_completed(
-        self,
-        elements: int,
-        replayed: int,
-        shadowed: int,
-        segments: int,
-        seconds: float,
-    ) -> None:
-        """A store recovered a working memory from disk."""
-        self._c_recoveries.inc()
-        self._recovery_seconds.observe(seconds)
-        if self.spans is not None:
-            now = self.spans.clock()
-            self.spans.record(
-                "storage.recovery", start=now - seconds, end=now,
-                parent=self.spans.current(),
-                elements=elements, replayed=replayed,
-                shadowed=shadowed, segments=segments,
-            )
 
     # -- simulators ------------------------------------------------------------------------
 

@@ -2,35 +2,38 @@
 
 The paper's measurement question — match vs. lock vs. RHS — asked
 continuously, per production, at production-run cost.  The profiler is
-a pure aggregate: a dict of per-rule accumulators fed from the span
-close hooks in the engines, so it works at every observer level
-(including ``sampled`` runs where most span trees are dropped —
-profiling sees *every* firing, sampling only thins the causal detail).
+a pure aggregate: a dict of per-rule accumulators that the observer
+feeds from the close of each timed step (``Observer.end``), so it
+works at every observer level — a step under a sampled-out trace is
+still timed, so profiling sees *every* firing and sampling only thins
+the causal detail.
 
 Four buckets per rule:
 
-* ``match``   — recognize time.  Engine-level match latency lands on
-  the ``(match)`` pseudo-rule because the matcher does not know which
-  rule's candidates a wave will select; partitioned flush time is part
-  of this window (or of the firing that triggered it) and is therefore
-  *not* double-recorded here.
+* ``match``   — recognize time: each wave's ``phase.match`` step, from
+  the run loop's eligibility pre-check to the ranked candidates, on
+  the ``(match)`` pseudo-rule (the matcher does not know which rule's
+  candidates a wave will select).  It is the same interval as the
+  ``engine.match_seconds`` histogram.  Partitioned flushes run inside
+  that window (or inside the firing that triggered them) and are not
+  recorded again.
 * ``lock_wait`` — time a rule's transaction spent queued for locks.
   Lock grants only know the transaction id, so waits park in a
   per-transaction pending table and are claimed by the next
   ``record_acquire``/``record_firing`` for that transaction — the
   call that *does* know the rule.
-* ``acquire`` — lock acquisition self-time (acquire span duration
+* ``acquire`` — lock acquisition self-time (``acquire`` step duration
   minus the claimed lock wait).  Wave admission — deciding, from the
   ordered footprints, which candidates get to acquire at all — lands
   here on the ``(admit)`` pseudo-rule, for the same reason match time
   has one: it is work of the wave, not of one rule.
-* ``rhs``     — right-hand-side execution self-time (firing span
+* ``rhs``     — right-hand-side execution self-time (``firing`` step
   duration minus any wait claimed inside it — the threaded executor
   acquires locks inside the firing attempt).
 
 ``coverage()`` is the honesty check: attributed seconds over run wall
-seconds.  The obs issue requires ≥ 0.9 on a Manners run; anything
-lower means an engine phase is not reporting its close times.
+seconds.  ``tests/obs/test_profile.py`` requires >= 0.9 on a Manners
+run; anything lower means a phase of the run is not a timed step.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class RuleProfiler:
             self._rules[rule] = stats
         return stats
 
-    # -- feeding (called from Observer hooks) ----------------------------------------------
+    # -- feeding (called from step closes) -------------------------------------------------
 
     def record_wait(self, txn_id: str, seconds: float) -> None:
         """A lock grant reported ``seconds`` of queue wait for a txn."""

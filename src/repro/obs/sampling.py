@@ -1,8 +1,7 @@
 """Deterministic head-based trace sampling.
 
-A production engine cannot afford the full span tree on every run —
-PR 4 measured it at ~1.45× the uninstrumented engine — but it also
-cannot afford to lose whole categories of evidence.  Head sampling is
+A production engine cannot afford the full span tree on every run,
+but it also cannot afford to lose whole categories of evidence.  Head sampling is
 the standard answer: decide *once, at the root*, whether a trace is
 kept, and let every descendant span inherit that decision, so a
 sampled run carries its complete run → cycle → phase → firing subtree
@@ -24,9 +23,10 @@ Two properties the rest of the telemetry layer depends on:
 The sampler only gates *root* spans (spans started with no parent —
 the engines' ``run`` spans and the store's standalone checkpoint /
 compaction / recovery spans).  Aggregate telemetry (metrics, quantile
-sketches, the per-rule profiler, health windows) is fed from observer
-hooks, not spans, and therefore sees **every** run regardless of the
-sampling decision — sampling trades away causal detail, never totals.
+sketches, the per-rule profiler, health windows) is derived from each
+step's close, and a step under a sampled-out trace is still timed, so
+aggregates see **every** run regardless of the sampling decision —
+sampling trades away causal detail, never totals.
 """
 
 from __future__ import annotations
@@ -107,35 +107,17 @@ class HeadSampler:
 class DroppedSpan:
     """The inert span a sampled-out trace gets instead of real spans.
 
-    Supports the full mutation surface of
-    :class:`~repro.obs.spans.Span` as no-ops, so instrumentation sites
-    never branch on the sampling decision — they annotate, link,
-    finish and context-manage exactly as they would a live span, and
-    it all costs one method call.  Identity is the contract: the
-    recorder hands out **one** instance, and ``span is
-    recorder.dropped`` marks the whole subtree as sampled out (every
-    child started under it inherits the drop).
+    Absorbs the mutation surface of :class:`~repro.obs.spans.Span`
+    (annotate, link, finish) as no-ops.  Identity is the
+    contract: the recorder hands out **one** instance, and a span
+    started under it (or under its ``-1`` id) is that instance again,
+    counted in :attr:`~repro.obs.spans.SpanRecorder.sampled_out`.
     """
 
     __slots__ = ()
 
-    #: Sentinel ids — never collide with real (positive) span ids.
+    #: Sentinel id — never collides with real (positive) span ids.
     span_id = -1
-    parent_id = None
-    name = "(sampled-out)"
-    start = 0.0
-    end = 0.0
-    tid = -1
-    fields: dict = {}
-    links: list = []
-
-    @property
-    def duration(self) -> float:
-        return 0.0
-
-    @property
-    def is_finished(self) -> bool:
-        return True
 
     def annotate(self, **fields: object) -> "DroppedSpan":
         return self
@@ -145,15 +127,3 @@ class DroppedSpan:
 
     def finish(self, ts=None, **fields: object) -> "DroppedSpan":
         return self
-
-    def __enter__(self) -> "DroppedSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-    def to_dict(self) -> dict:
-        return {"span_id": self.span_id, "name": self.name}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<DroppedSpan (sampled out)>"

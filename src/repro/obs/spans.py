@@ -7,7 +7,7 @@ caused this cascade of Rc aborts?").  The taxonomy the engines emit::
 
     run                          one engine run
     └─ cycle                     one wave (the paper's recognize-act cycle)
-       ├─ phase.match            conflict-set ordering / selection
+       ├─ phase.match            eligibility pre-check + ranking
        ├─ phase.admit            commit order chosen from the footprints
        │  ├─ held                one candidate cut from a cycle (zero
        │  │                      duration: wave, rule, cycle, objs)
@@ -50,8 +50,8 @@ Design constraints:
   into traversable chains.
 * **Txn binding.**  Hooks that only know a transaction id (the lock
   manager, the fault injector, the Rc scheme) reach the right span
-  through :meth:`bind`/:meth:`for_txn` — the engine binds each txn to
-  its acquire/firing span for the span's lifetime.
+  through :meth:`bind`/:meth:`for_txn` — the observer binds a step's
+  transaction to its acquire/firing span until the step ends.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ import json
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.obs.sampling import DroppedSpan, HeadSampler
 
@@ -153,12 +152,6 @@ class Span:
                 self.fields.update(fields)
         return self
 
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.finish()
-
     # -- serialization -----------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -229,8 +222,8 @@ class SpanRecorder:
         self._next_id = 0
         #: txn id -> the span currently carrying that transaction.
         self._txn_spans: dict[str, Span] = {}
-        #: Explicit scope stack (cycle/phase spans) for components
-        #: that have no parent handle (e.g. the partitioned matcher).
+        #: Scope stack (run/cycle/phase.match spans) for components
+        #: that have no parent handle (the matcher, the store, events).
         self._scopes: list[Span] = []
         #: OS thread ident -> small stable lane id for exporters.
         self._lanes: dict[int, int] = {}
@@ -284,7 +277,7 @@ class SpanRecorder:
                 name=name,
                 start=ts,
                 tid=self._lane(),
-                fields=dict(fields),
+                fields=fields,
             )
             if len(self._spans) == self.capacity:
                 self.dropped += 1
@@ -308,26 +301,6 @@ class SpanRecorder:
         span.finish(ts=end)
         return span
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        parent: Span | int | None = None,
-        scope: bool = False,
-        **fields: object,
-    ) -> Iterator[Span]:
-        """Context-managed span; ``scope=True`` also pushes it on the
-        scope stack for the duration of the block."""
-        span = self.start(name, parent=parent, **fields)
-        if scope:
-            self.push_scope(span)
-        try:
-            yield span
-        finally:
-            if scope:
-                self.pop_scope(span)
-            span.finish()
-
     # -- scope stack -------------------------------------------------------------------
 
     def push_scope(self, span: Span) -> None:
@@ -335,9 +308,13 @@ class SpanRecorder:
             self._scopes.append(span)
 
     def pop_scope(self, span: Span) -> None:
+        """Leave ``span``'s scope, and any scope left open above it."""
         with self._mutex:
-            if span in self._scopes:
-                self._scopes.remove(span)
+            scopes = self._scopes
+            for index in range(len(scopes) - 1, -1, -1):
+                if scopes[index] is span:
+                    del scopes[index:]
+                    return
 
     def current(self) -> Span | None:
         """The innermost scoped span (or None)."""
@@ -363,19 +340,6 @@ class SpanRecorder:
 
     def for_txn(self, txn_id: str) -> Span | None:
         return self._txn_spans.get(txn_id)
-
-    def scope_dropped(self) -> bool:
-        """True when the active scope's trace was sampled out.
-
-        Instrumented hot loops (the engine's per-candidate span
-        creation) use this once per wave to skip span construction
-        entirely inside a dropped trace, instead of building kwargs
-        for the sentinel to discard span by span.  Suppressed spans do
-        not count in :attr:`sampled_out` — that counter tracks spans
-        that actually reached the recorder.
-        """
-        scopes = self._scopes
-        return bool(scopes) and scopes[-1].span_id == -1
 
     # -- inspection --------------------------------------------------------------------
 

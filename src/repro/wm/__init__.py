@@ -35,6 +35,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "SegmentInfo", "RecoveryReport", "serialize_wme",
             "deserialize_wme",
         ),
-        "query": ("Query",),
     },
 )

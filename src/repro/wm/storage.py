@@ -481,7 +481,8 @@ class DurableStore:
         never truncated.  The snapshot itself is written outside the
         locks, so writers keep journalling while the checkpoint lands.
         """
-        start = time.perf_counter()
+        obs = self.obs
+        step = obs.begin("storage.checkpoint") if obs.enabled else None
         with self._maint_mutex:
             with self._between_units():
                 elements = sorted(self.memory, key=lambda w: w.timetag)
@@ -489,10 +490,10 @@ class DurableStore:
                 self._seal_active_segment()
             self._write_snapshot(elements, checkpoint_lsn)
             dropped = self._truncate(checkpoint_lsn)
-        if self.obs.enabled:
-            self.obs.checkpoint_completed(
-                len(elements), checkpoint_lsn, dropped,
-                time.perf_counter() - start,
+        if step is not None:
+            obs.end(
+                step, elements=len(elements), lsn=checkpoint_lsn,
+                truncated=dropped,
             )
         return len(elements)
 
@@ -581,7 +582,6 @@ class DurableStore:
         (records/bytes before and after, segments merged, deltas
         cancelled).
         """
-        start = time.perf_counter()
         with self._maint_mutex:
             with self._between_units():
                 self._seal_active_segment()
@@ -594,6 +594,8 @@ class DurableStore:
                     ("segments_merged", "records_before", "records_after",
                      "bytes_before", "bytes_after", "dropped"), 0,
                 )
+            obs = self.obs
+            step = obs.begin("storage.compaction") if obs.enabled else None
             records = deltas = 0
             removes: dict[int, None] = {}
             adds: dict[int, list] = {}
@@ -646,12 +648,11 @@ class DurableStore:
             "bytes_after": len(line),
             "dropped": deltas - len(removes) - len(adds),
         }
-        if self.obs.enabled:
-            self.obs.compaction_completed(
-                summary["records_before"],
-                summary["records_after"],
-                summary["segments_merged"],
-                time.perf_counter() - start,
+        if step is not None:
+            obs.end(
+                step, records_before=summary["records_before"],
+                records_after=summary["records_after"],
+                segments=summary["segments_merged"],
             )
         return summary
 
@@ -799,13 +800,16 @@ class DurableStore:
         report.segments = len(sources)
         report.seconds = time.perf_counter() - start
         store.last_recovery = report
-        if store.obs.enabled:
-            store.obs.recovery_completed(
-                report.elements,
-                report.replayed,
-                report.shadowed,
-                report.segments,
-                report.seconds,
+        obs = store.obs
+        if obs.enabled:
+            # The observer exists only now: the step is the interval
+            # the report measured, ending here.
+            obs.end(
+                obs.begin(
+                    "storage.recovery", ts=obs.clock() - report.seconds
+                ),
+                elements=report.elements, replayed=report.replayed,
+                shadowed=report.shadowed, segments=report.segments,
             )
         return memory, store
 

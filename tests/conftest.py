@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,29 @@ def wal_records():
         ]
 
     return read
+
+
+@pytest.fixture
+def lanes_smoke():
+    """``build(thread_safe=False, memory=None) -> (productions,
+    memory)``: the benchmark's ``hot_rc`` lanes program at its smoke
+    size, seed 5, its facts loaded into ``memory`` (a new one by
+    default)."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "benchmarks/e2e"))
+    import workloads
+    from repro.lang import parse_program
+
+    workload = workloads.WORKLOADS["hot_rc"]
+    rules, facts = workloads.generate(workload, workload.sizes(True), 5)
+
+    def build(thread_safe: bool = False, memory=None):
+        if memory is None:
+            memory = WorkingMemory(thread_safe=thread_safe)
+        for relation, values in facts:
+            memory.make(relation, values)
+        return parse_program(rules), memory
+
+    return build
 
 
 @pytest.fixture

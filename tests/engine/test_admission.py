@@ -131,7 +131,7 @@ class _Watched:
         self.admissions = []
         super().__init__(*args, **options)
 
-    def _admit(self, wave, candidates, rest, spans, cycle_span):
+    def _admit(self, wave, candidates, rest, cycle):
         pulled = []
 
         def watched_rest():
@@ -140,7 +140,7 @@ class _Watched:
                 yield candidate
 
         order = super()._admit(
-            wave, candidates, watched_rest(), spans, cycle_span
+            wave, candidates, watched_rest(), cycle
         )
         self.admissions.append({
             "wave": wave, "width": len(candidates),
@@ -434,7 +434,7 @@ def test_blocking_schemes_are_not_admitted(name, cls, scheme):
     candidates = engine._eligible_candidates()
     assert candidates
     probe = WaveResult(wave=0)
-    admitted = engine._admit(probe, candidates, _never_asked(), None, None)
+    admitted = engine._admit(probe, candidates, _never_asked(), None)
     assert admitted is candidates
     assert probe.held == [] and probe.ordered == 0
     with engine:

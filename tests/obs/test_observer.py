@@ -10,8 +10,11 @@ counters.  The rule-(ii) abort event and its counters are asserted
 where rule (ii) still runs: on ``RcScheme`` driven directly (the
 ``rule_ii_by_hand`` fixture).
 
-``TestEventParity`` pins the one event model: every kind of event
-the observer ever recorded is found in the span dump.
+``test_every_event_kind_is_in_the_span_dump`` pins the one event
+model: every kind of event the observer ever recorded is found in the
+span dump.  ``test_aggregates_match_the_engines_books`` pins what the
+observer derives from step closes: every registry count equals the
+engine's, matcher's or store's own accounting.
 """
 
 import functools
@@ -20,7 +23,12 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro.engine import ParallelEngine, ThreadedWaveExecutor
+from repro.engine import (
+    MultiUserEngine,
+    ParallelEngine,
+    ThreadedWaveExecutor,
+)
+from repro.engine.multiuser import Session
 from repro.fault import (
     FaultPlan,
     FaultSpec,
@@ -427,3 +435,112 @@ def test_every_event_kind_is_in_the_span_dump(
             else row["name"] == name)
         and fields.items() <= row["fields"].items()
     ], f"{kind}: no {name} span with {fields} in the {run} run"
+
+
+# -- aggregates derived from step closes match the components' books ----------
+
+
+def _lanes_run(cls=ParallelEngine, **options):
+    """A lanes run of ``cls``; no store calls."""
+
+    def run(lanes_smoke, observer, directory):
+        rules, memory = lanes_smoke(thread_safe=cls is ThreadedWaveExecutor)
+        if cls is MultiUserEngine:
+            half = len(rules) // 2
+            rules = [
+                Session.of("a", rules[:half]), Session.of("b", rules[half:])
+            ]
+        with cls(rules, memory, observer=observer, **options) as engine:
+            engine.run()
+        return engine, {}
+
+    return run
+
+
+def _durable_run(lanes_smoke, observer, directory):
+    """A journalled lanes run, then one compaction, one checkpoint and
+    one recovery."""
+    memory = WorkingMemory()
+    store = DurableStore(
+        memory, directory, segment_max_records=64, observer=observer
+    )
+    rules, memory = lanes_smoke(memory=memory)
+    with ParallelEngine(
+        rules, memory, processors=8, observer=observer
+    ) as engine:
+        engine.run()
+    assert store.compact()["segments_merged"] > 0
+    store.checkpoint()
+    store.close()
+    DurableStore.open(directory, observer=observer)[1].close()
+    once = (
+        "storage.compactions", "storage.compaction_seconds",
+        "storage.compaction.sketch_seconds", "storage.checkpoints",
+        "storage.checkpoint_seconds", "storage.checkpoint.sketch_seconds",
+        "storage.recoveries", "storage.recovery_seconds",
+    )
+    return engine, dict.fromkeys(once, 1)
+
+
+AGGREGATE_RUNS = {
+    "rc": _lanes_run(scheme="rc", processors=8),
+    "2pl": _lanes_run(scheme="2pl", processors=8),
+    "c2pl": _lanes_run(scheme="c2pl", processors=8),
+    "threaded": _lanes_run(ThreadedWaveExecutor, scheme="rc"),
+    "multi-user": _lanes_run(MultiUserEngine, scheme="rc", processors=8),
+    "partitioned-serial": _lanes_run(
+        matcher="partitioned:rete:2", processors=8
+    ),
+    "partitioned-des": _lanes_run(
+        matcher="partitioned:rete:2:des", processors=8
+    ),
+    "durable": _durable_run,
+}
+
+
+@pytest.mark.parametrize("level", obs.LEVELS)
+@pytest.mark.parametrize("run", AGGREGATE_RUNS)
+def test_aggregates_match_the_engines_books(
+    lanes_smoke, tmp_path, run, level
+):
+    observer = obs.Observer(level=level, sample_rate=0.5)
+    engine, store_calls = AGGREGATE_RUNS[run](
+        lanes_smoke, observer, tmp_path
+    )
+    snapshot = observer.metrics.snapshot()
+
+    def count(name):
+        metric = snapshot[name]
+        return metric["value"] if metric["type"] == "counter" else (
+            metric["count"]
+        )
+
+    def total(bucket):
+        return sum(len(getattr(wave, bucket)) for wave in engine.waves)
+
+    waves = len(engine.waves)
+    attempts = total("committed") + total("aborted") + total("deferred")
+    if run == "c2pl":
+        # A refused preclaim is deferred before its firing opens.
+        attempts -= count("lock.denials")
+    flushes = getattr(engine.matcher, "flush_count", 0)
+    expected = {
+        "wave.count": waves,
+        "wave.width": waves,
+        "engine.match_seconds": waves,
+        "cycle.sketch_seconds": waves,
+        "firing.committed": total("committed"),
+        "firing.aborted": total("aborted"),
+        "firing.deferred": total("deferred"),
+        "firing.held": total("held"),
+        "firing.ordered": engine.ordered_count,
+        "firing.sketch_seconds": attempts,
+        "match.batches": flushes,
+        "match.batch_size": flushes,
+        "match.merge_seconds": flushes,
+        "match.flush.sketch_seconds": flushes,
+        "match.shard_seconds": 2 * flushes,
+        **store_calls,
+    }
+    assert {name: count(name) for name in expected} == expected
+    assert waves > 1 and total("committed") == len(engine.result.firings)

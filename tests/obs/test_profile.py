@@ -166,6 +166,25 @@ class TestEngineAttribution:
         assert rows[ADMIT_RULE]["acquire"] > 0
         assert rows[ADMIT_RULE]["firings"] == 0
 
+    @pytest.mark.parametrize("level", obs.LEVELS)
+    def test_match_row_is_the_match_histogram(self, lanes_smoke, level):
+        """A wave's match work — the run loop's eligibility pre-check
+        and the ranking — is one interval, counted once by both the
+        ``(match)`` row and ``engine.match_seconds``.  The run's last,
+        empty pre-check opens no wave and is in neither."""
+        rules, memory = lanes_smoke()
+        observer = obs.Observer(level=level, sample_rate=0.5)
+        engine = ParallelEngine(
+            rules, memory, scheme="rc", processors=8, observer=observer
+        )
+        engine.run()
+        histogram = observer.metrics.get("engine.match_seconds").snapshot()
+        rows = {r["rule"]: r for r in observer.profiler.snapshot()["rules"]}
+        assert histogram["count"] == len(engine.waves) > 1
+        assert rows[MATCH_RULE]["match"] == pytest.approx(
+            histogram["sum"], rel=1e-9
+        )
+
     def test_profiling_works_with_spans_fully_sampled_out(self):
         """Profiling is an aggregate: rate 0.0 drops every span tree
         but the profiler still sees every firing."""

@@ -108,10 +108,31 @@ class TestRecorderSampling:
         span = rec.start("run")
         span.annotate(status="committed")
         span.finish()
-        with span:
-            pass
         assert span.span_id == -1
         assert rec.spans() == []
+
+    def test_a_step_under_a_sampled_out_step_is_a_bare_timer(self):
+        """Nothing is built or counted under a dropped step, a
+        parentless step found through the dropped scope counts once,
+        and every close still feeds the aggregates."""
+        observer = obs.Observer(level="sampled", sample_rate=0.0)
+        run = observer.begin("run", scope=True)
+        cycle = observer.begin("cycle", run, wave=1)
+        flush = observer.begin("match.flush", deltas=3, backend="des")
+        assert run.span is observer.spans.dropped_span is flush.span
+        assert cycle.span is None
+        observer.end(flush, merge_seconds=0.0, shard_seconds=[0.0, 0.0])
+        observer.end(
+            cycle, committed=2, aborted=0, deferred=1, held=0, ordered=0
+        )
+        observer.end(run)
+        assert observer.spans.sampled_out == 2
+        assert observer.spans.current() is None
+        counts = observer.metrics.snapshot()
+        assert counts["wave.count"]["value"] == 1
+        assert counts["firing.deferred"]["value"] == 1
+        assert counts["match.shard_seconds"]["count"] == 2
+        assert observer.profiler.snapshot()["runs"] == 1
 
     def test_no_half_dropped_subtree_in_engine_run(self):
         """Every recorded span's parent chain is recorded too."""

@@ -32,13 +32,6 @@ class TestLifecycle:
         assert span.end == 2.0
         assert span.fields["status"] == "late"  # fields still merge
 
-    def test_context_manager_finishes_on_exit(self):
-        rec = SpanRecorder(clock=ticker(1.0, 2.0, 3.0))
-        with rec.span("phase.match") as span:
-            inner = rec.start("match.flush", parent=span)
-        assert span.is_finished
-        assert inner.parent_id == span.span_id
-
     def test_explicit_timestamps_record_post_hoc(self):
         rec = SpanRecorder()
         span = rec.record("lock.acquire", start=5.0, end=7.5, obj="x")
@@ -62,11 +55,23 @@ class TestTree:
     def test_scope_stack_provides_ambient_parent(self):
         rec = SpanRecorder()
         assert rec.current() is None
-        with rec.span("run", scope=True) as run:
-            assert rec.current() is run
-            with rec.span("cycle", parent=rec.current(), scope=True) as c:
-                assert rec.current() is c
-            assert rec.current() is run
+        run = rec.start("run")
+        rec.push_scope(run)
+        assert rec.current() is run
+        cycle = rec.start("cycle", parent=rec.current())
+        rec.push_scope(cycle)
+        assert rec.current() is cycle and cycle.parent_id == run.span_id
+        rec.pop_scope(cycle)
+        assert rec.current() is run
+        rec.pop_scope(run)
+        assert rec.current() is None
+
+    def test_leaving_a_scope_leaves_those_left_open_above_it(self):
+        rec = SpanRecorder()
+        run = rec.start("run")
+        rec.push_scope(run)
+        rec.push_scope(rec.start("cycle", parent=run))  # never popped
+        rec.pop_scope(run)
         assert rec.current() is None
 
     def test_links_and_events(self):

@@ -63,7 +63,7 @@ engine = Interpreter(rules, memory, matcher="partitioned:rete:2:process")
 #: Nothing reachable from building and running either engine.
 NEVER_ON_A_RUN = (
     "repro.sim", "repro.analysis", "repro.core", "repro.workloads",
-    "repro.wm.query", "repro.fault.storage_chaos",
+    "repro.fault.storage_chaos",
 )
 #: The telemetry stack: all of ``obs`` but its ``__init__`` and
 #: ``obs.null``, which are free to import.

@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
         DurableStore EngineError ExecutionGraph FiringSpec History
         Instantiation Interpreter LockError LockMode MultiUserEngine
         NaiveMatcher ParallelEngine ParseError PartitionedEngine
-        Production Query RcScheme RelationSchema ReproError ReteMatcher
+        Production RcScheme RelationSchema ReproError ReteMatcher
         RuleBuilder SchemaError Session ThreadedWaveExecutor Transaction
         TransactionAborted TreatMatcher TwoPhaseScheme ValidationError WME
         WMSnapshot WorkingMemory check_theorem_1 check_theorem_2 ge gt
@@ -100,7 +100,7 @@ PUBLIC_NAMES = {
         is_conflict_serializable precedence_graph serialization_orders
     """,
     "repro.wm": """
-        AttributeIndex Catalog DURABILITY_MODES DurableStore Query
+        AttributeIndex Catalog DURABILITY_MODES DurableStore
         RecoveryReport RelationSchema STORAGE_FAULT_SITES SegmentInfo
         Timetag UndoLog WMDelta WME WMSnapshot WorkingMemory
         deserialize_wme serialize_wme
@@ -207,7 +207,7 @@ def test_null_observer_answers_every_observer_hook():
         name for name, member in vars(Observer).items()
         if not name.startswith("_") and callable(member)
     ]
-    assert len(hooks) > 30
+    assert {"begin", "end", "lock_granted", "sim_event"} <= set(hooks)
     for name in hooks:
         if name != "clock":
             assert getattr(NULL_OBSERVER, name)(1, key=2) is None
