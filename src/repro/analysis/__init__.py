@@ -21,9 +21,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "skewed_costs", "speedup_curve",
         ),
         "critpath": (
-            "AbortChain", "BenchDiff", "CycleBreakdown", "abort_chains",
-            "build_tree", "coverage", "critical_chain", "cycle_breakdowns",
-            "diff_bench", "makespan",
+            "AbortChain", "CycleBreakdown", "abort_chains", "build_tree",
+            "coverage", "critical_chain", "cycle_breakdowns", "makespan",
         ),
     },
 )

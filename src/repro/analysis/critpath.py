@@ -1,4 +1,4 @@
-"""Critical-path extraction, abort-chain attribution, bench diffing.
+"""Critical-path extraction and abort-chain attribution.
 
 The analysis half of the causal-tracing layer: the span trees emitted
 by the engines (:mod:`repro.obs.spans`) answer the Section 5 questions
@@ -7,7 +7,7 @@ only once they are *reduced* — where did each wave's time go
 which committed Wa transaction caused each Rc abort (the Table
 4.1/Figure 5.2 commit-rule behavior).
 
-Three toolkits:
+Two toolkits:
 
 * **Per-cycle attribution** (:func:`cycle_breakdowns`) — for every
   ``cycle`` span, a sweep over its descendants attributes each instant
@@ -26,10 +26,6 @@ Three toolkits:
   from a cycle (the ring of admitted rules it would have closed and
   the two objects tying it in), one ``ordered`` record per reader that
   acted before a writer ranked above it (rule (i)).
-* **Bench regression diff** (:func:`diff_bench`) — compares two
-  ``BENCH_*.json`` files (the benchmark harness output) value by
-  value with a configurable relative tolerance; ``repro obs diff``
-  exits non-zero when anything regressed.
 
 All functions accept live :class:`~repro.obs.spans.Span` objects, a
 :class:`~repro.obs.spans.SpanRecorder`, or plain span dicts re-read
@@ -458,123 +454,3 @@ def ordered_firsts(spans: Iterable) -> list[OrderedFirst]:
         )
         for node in _records(spans, "ordered")
     ]
-
-
-# -- BENCH_*.json regression diff --------------------------------------------------------
-
-
-@dataclass
-class DiffEntry:
-    """One compared quantity between two benchmark files."""
-
-    key: str
-    a: object
-    b: object
-    #: Relative delta ``(b - a) / |a|`` for numeric pairs, else None.
-    delta: float | None
-    regressed: bool
-    note: str = ""
-
-
-@dataclass
-class BenchDiff:
-    """The full comparison of two ``BENCH_*.json`` payloads."""
-
-    entries: list[DiffEntry]
-    tolerance: float
-
-    @property
-    def regressions(self) -> list[DiffEntry]:
-        return [e for e in self.entries if e.regressed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def _iter_bench_values(payload: dict):
-    """Yield ``(key, value)`` comparison points from one BENCH payload."""
-    for nodeid, test in sorted(payload.get("tests", {}).items()):
-        wall = test.get("wall_seconds")
-        if wall is not None:
-            yield f"{nodeid}::wall_seconds", wall
-        for table_index, table in enumerate(test.get("reports", [])):
-            title = table.get("title", f"report[{table_index}]")
-            for row in table.get("rows", []):
-                quantity = row.get("quantity", "?")
-                yield (
-                    f"{nodeid}::{title}::{quantity}",
-                    row.get("measured"),
-                )
-
-
-def diff_bench(
-    a: dict,
-    b: dict,
-    tolerance: float = 0.15,
-    compare_wall: bool = True,
-) -> BenchDiff:
-    """Compare two benchmark payloads with a relative tolerance.
-
-    Rules:
-
-    * ``wall_seconds`` regresses only when ``b`` is *slower* than
-      ``a`` by more than ``tolerance`` (faster is fine);
-    * numeric measured values regress when they move in *either*
-      direction by more than ``tolerance`` (they are reproduction
-      quantities, not timings);
-    * non-numeric values regress on any change;
-    * a test present on one side only regresses.
-    """
-    values_a = dict(_iter_bench_values(a))
-    values_b = dict(_iter_bench_values(b))
-    entries: list[DiffEntry] = []
-    for key in sorted(values_a.keys() | values_b.keys()):
-        is_wall = key.endswith("::wall_seconds")
-        if is_wall and not compare_wall:
-            continue
-        in_a, in_b = key in values_a, key in values_b
-        if not (in_a and in_b):
-            entries.append(
-                DiffEntry(
-                    key=key,
-                    a=values_a.get(key),
-                    b=values_b.get(key),
-                    delta=None,
-                    regressed=True,
-                    note="missing in B" if in_a else "missing in A",
-                )
-            )
-            continue
-        va, vb = values_a[key], values_b[key]
-        numeric = isinstance(va, (int, float)) and isinstance(
-            vb, (int, float)
-        ) and not isinstance(va, bool) and not isinstance(vb, bool)
-        if numeric:
-            if va == vb:
-                delta = 0.0
-            elif va == 0:
-                delta = float("inf") if vb > 0 else float("-inf")
-            else:
-                delta = (vb - va) / abs(va)
-            if is_wall:
-                regressed = delta > tolerance
-                note = "slower" if regressed else ""
-            else:
-                regressed = abs(delta) > tolerance
-                note = "drifted" if regressed else ""
-            entries.append(
-                DiffEntry(
-                    key=key, a=va, b=vb, delta=delta,
-                    regressed=regressed, note=note,
-                )
-            )
-        else:
-            changed = va != vb
-            entries.append(
-                DiffEntry(
-                    key=key, a=va, b=vb, delta=None,
-                    regressed=changed, note="changed" if changed else "",
-                )
-            )
-    return BenchDiff(entries=entries, tolerance=tolerance)

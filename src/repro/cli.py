@@ -3,11 +3,10 @@
 Subcommands
 -----------
 ``repro run RULES [--facts FACTS] ...``
-    Load a rule file (the OPS5-style DSL) and optional facts (JSON
-    lines: ``{"relation": "order", "id": 1, ...}``), run the system to
-    quiescence, and print the firing sequence, outputs and final
-    working memory.  ``--parallel {rc,2pl,c2pl}`` switches to the
-    wave-parallel engine (with replay validation).
+    Load a program, run it to quiescence, and print the firing
+    sequence, outputs and final working memory.  ``--parallel
+    {rc,2pl,c2pl}`` switches to the wave-parallel engine (with replay
+    validation).
 ``repro graph``
     Print the execution graph of the paper's Section 3.3 example
     (Figure 3.2).
@@ -21,6 +20,9 @@ Subcommands
     still replays single-threaded.  Exits non-zero on any
     inconsistency — the semantic-consistency claim, demonstrated
     under adversity.
+``repro lint RULES [--facts FACTS]``
+    Static findings on the program; the relations the facts provide
+    count as provided.
 ``repro obs export RULES --format chrome|prom|jsonl ...``
     Run under the wave-parallel engine with full span recording and
     export the run: Chrome ``trace_event`` JSON (loadable in Perfetto
@@ -45,10 +47,6 @@ Subcommands
 ``repro obs top RULES [--interval 0.5] ...``
     Live view of a run: one snapshot line per interval with wave,
     commit/abort totals, cycle p95 and health status.
-``repro obs diff BENCH_a.json BENCH_b.json [--tolerance 0.15]``
-    Compare two benchmark result files; exits non-zero when a wall
-    time regressed or a measured quantity drifted beyond the
-    tolerance (``--report-only`` demotes regressions to warnings).
 ``repro storage inspect|checkpoint|compact DIR``
     Durable-store maintenance: describe the on-disk state (checkpoint
     LSN, segment ranges, bytes), land a snapshot + truncate covered
@@ -61,6 +59,13 @@ Subcommands
     commit-sequence prefix — whole units, whole firings.  Exits
     non-zero on any divergence or any window the workload failed to
     reach.
+
+Every command that runs a program (``run``, ``chaos``, ``lint``, ``obs
+*``) takes one RULES: a rule file with optional ``--facts`` (JSON lines:
+``{"relation": "order", "id": 1, ...}``), or ``manners:N[:SEED]``, the
+Manners benchmark with N guests.  One loader, one argument group and
+one engine builder serve them all, so bad input is one ``error:`` line
+and exit 2 on each.
 
 Installed as the ``repro`` console script.
 """
@@ -82,12 +87,14 @@ from repro.wm import WMSnapshot, WorkingMemory
 # the single-thread interpreter loads no locks, faults or telemetry, and
 # ``--help`` loads no engine.  So the ``choices=`` lists are spelled out
 # here; tests/test_cli.py holds each equal to the registry it mirrors
-# (``locks.SCHEMES``, ``fault.FAULT_KINDS``, ``obs.LEVELS``).
+# (``locks.SCHEMES``, ``fault.FAULT_KINDS``, ``obs.LEVELS``, the
+# strategy registry).
 SCHEMES = ("rc", "2pl", "c2pl")
 FAULT_KINDS = (
     "lock_delay", "lock_deny", "abort_rhs", "crash_commit", "storage_fail",
 )
 OBS_LEVELS = ("metrics", "sampled", "full")
+STRATEGIES = ("lex", "mea", "priority", "fifo", "random")
 
 
 def _matcher_spec(value: str) -> str:
@@ -105,9 +112,15 @@ def _matcher_spec(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_facts(memory: WorkingMemory, path: Path) -> int:
-    """Load JSON-lines facts into working memory; returns the count."""
-    count = 0
+def _at_least_one(value: str) -> int:
+    """Argparse type for a count that must be >= 1."""
+    if not value.lstrip("-").isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value!r}")
+    return int(value)
+
+
+def _load_facts(memory: WorkingMemory, path: Path) -> None:
+    """Load JSON-lines facts into working memory."""
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -121,8 +134,43 @@ def _load_facts(memory: WorkingMemory, path: Path) -> int:
                     f"{path}:{line_no}: bad fact line ({exc})"
                 ) from exc
             memory.make(relation, record)
-            count += 1
-    return count
+
+
+def _load_program(
+    args: argparse.Namespace,
+) -> tuple[list, WorkingMemory]:
+    """Rules + working memory from a rule file and ``--facts``, or
+    from ``manners:N[:SEED]``.  An unreadable file, a bad fact line or
+    a program without productions is a :class:`ReproError`."""
+    parts = args.rules.split(":")
+    if parts[0] == "manners" and all(p.isdigit() for p in parts[1:]) \
+            and len(parts) <= 3:
+        from repro.workloads.manners import (
+            build_manners_memory,
+            build_manners_rules,
+        )
+
+        if args.facts:
+            raise ReproError(
+                "--facts cannot be combined with the manners:N workload"
+            )
+        n_guests = int(parts[1]) if len(parts) > 1 else 8
+        seed = int(parts[2]) if len(parts) > 2 else 0
+        return build_manners_rules(), build_manners_memory(
+            n_guests, seed=seed
+        )
+    memory = WorkingMemory()
+    try:
+        rules = parse_program(Path(args.rules).read_text(encoding="utf-8"))
+        if args.facts:
+            _load_facts(memory, Path(args.facts))
+    except OSError as exc:
+        raise ReproError(
+            f"cannot read {exc.filename}: {exc.strerror}"
+        ) from exc
+    if not rules:
+        raise ReproError("no productions found")
+    return rules, memory
 
 
 def _parse_fault_kinds(text: str | None) -> tuple[str, ...]:
@@ -139,70 +187,69 @@ def _parse_fault_kinds(text: str | None) -> tuple[str, ...]:
     return kinds
 
 
-def _make_chaos_injector(
-    seed: int, rate: float, kinds: tuple[str, ...]
-) -> "FaultInjector | None":
-    """A seeded injector with a virtual clock, or None at rate 0."""
-    if rate <= 0:
-        return None
-    from repro.fault import FaultPlan, VirtualSleeper
+def _parallel_engine(
+    args: argparse.Namespace,
+    rules: list,
+    memory: WorkingMemory,
+    scheme: str,
+    fault_seed: int | None = None,
+    observer: "obs.Observer | None" = None,
+) -> "ParallelEngine":
+    """The wave-parallel engine the engine and fault flags describe.
 
-    plan = FaultPlan.chaos(seed, rate, kinds=kinds)
-    return plan.injector(sleeper=VirtualSleeper())
+    ``fault_seed`` (default ``--fault-seed``) seeds both the fault plan
+    and the retry jitter.  Faults are injected iff ``--fault-rate`` is
+    positive, on a virtual clock; a firing is re-driven under a
+    :class:`~repro.fault.RetryPolicy` iff ``--retries`` is above 1.
+    """
+    from repro.engine import ParallelEngine
+
+    kinds = _parse_fault_kinds(args.fault_kinds)
+    if fault_seed is None:
+        fault_seed = args.fault_seed
+    injector = retry_policy = None
+    if args.fault_rate > 0:
+        from repro.fault import FaultPlan, VirtualSleeper
+
+        plan = FaultPlan.chaos(fault_seed, args.fault_rate, kinds=kinds)
+        injector = plan.injector(sleeper=VirtualSleeper())
+    if args.retries > 1:
+        from repro.fault import RetryPolicy
+
+        retry_policy = RetryPolicy(max_attempts=args.retries, seed=fault_seed)
+    return ParallelEngine(
+        rules, memory, scheme=scheme, matcher=args.matcher,
+        strategy=args.strategy, processors=args.processors,
+        seed=args.seed, observer=observer, retry_policy=retry_policy,
+        fault_injector=injector,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    rules = parse_program(Path(args.rules).read_text(encoding="utf-8"))
-    if not rules:
-        print("no productions found", file=sys.stderr)
-        return 1
-    fault_options = args.fault_rate > 0 or args.retries > 1
-    if fault_options and not args.parallel:
+    rules, memory = _load_program(args)
+    if (args.fault_rate > 0 or args.retries > 1) and not args.parallel:
         raise ReproError(
             "--fault-rate/--retries require --parallel "
             "(the single-thread interpreter has no fault sites)"
         )
-    memory = WorkingMemory()
     if args.facts:
-        loaded = _load_facts(memory, Path(args.facts))
-        print(f"loaded {loaded} facts")
+        print(f"loaded {len(memory)} facts")
     snapshot = WMSnapshot.capture(memory)
 
     if args.parallel:
-        from repro.engine import ParallelEngine, replay_commit_sequence
-        from repro.fault import RetryPolicy
+        from repro.engine import replay_commit_sequence
 
-        retry_policy = None
-        if args.retries > 1:
-            retry_policy = RetryPolicy(
-                max_attempts=args.retries, seed=args.fault_seed
-            )
-        injector = _make_chaos_injector(
-            args.fault_seed,
-            args.fault_rate,
-            _parse_fault_kinds(args.fault_kinds),
-        )
-        engine = ParallelEngine(
-            rules,
-            memory,
-            scheme=args.parallel,
-            matcher=args.matcher,
-            strategy=args.strategy,
-            processors=args.processors,
-            seed=args.seed,
-            retry_policy=retry_policy,
-            fault_injector=injector,
-        )
+        engine = _parallel_engine(args, rules, memory, args.parallel)
         try:
             result = engine.run(max_waves=args.max_cycles)
         finally:
             engine.close()
         replay = replay_commit_sequence(snapshot, rules, result.firings)
         validity = "consistent" if replay.consistent else "INCONSISTENT"
-        if injector is not None and injector.total_injected:
+        if engine.fault is not None and engine.fault.total_injected:
             counts = ", ".join(
                 f"{kind}={count}"
-                for kind, count in injector.summary().items()
+                for kind, count in engine.fault.summary().items()
             )
             print(f"injected faults: {counts}")
         if engine.retry_count or engine.gave_up:
@@ -224,10 +271,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.engine import Interpreter
 
         interpreter = Interpreter(
-            rules,
-            memory,
-            matcher=args.matcher,
-            strategy=args.strategy,
+            rules, memory, matcher=args.matcher, strategy=args.strategy,
             seed=args.seed,
         )
         try:
@@ -251,91 +295,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_workload(
-    args: argparse.Namespace,
-) -> tuple[list, WorkingMemory]:
-    """Rules + working memory from a rule file or a named workload.
-
-    ``manners:N[:SEED]`` builds the Manners benchmark program with N
-    guests instead of reading a file — the shape the obs subcommands
-    use in CI smoke runs.
-    """
-    spec = args.rules
-    parts = spec.split(":")
-    if parts[0] == "manners" and all(p.isdigit() for p in parts[1:]) \
-            and len(parts) <= 3:
-        from repro.workloads.manners import (
-            build_manners_memory,
-            build_manners_rules,
-        )
-
-        if args.facts:
-            raise ReproError(
-                "--facts cannot be combined with the manners:N workload"
-            )
-        n_guests = int(parts[1]) if len(parts) > 1 else 8
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return build_manners_rules(), build_manners_memory(
-            n_guests, seed=seed
-        )
-    rules = parse_program(Path(spec).read_text(encoding="utf-8"))
-    if not rules:
-        raise ReproError("no productions found")
-    memory = WorkingMemory()
-    if args.facts:
-        _load_facts(memory, Path(args.facts))
-    return rules, memory
-
-
 def _prepare_observed(
     args: argparse.Namespace,
 ) -> tuple["obs.Observer", "ParallelEngine"]:
-    """A live observer plus an engine wired to it, not yet run.
-
-    Honors the optional ``--level``/``--sample-rate``/``--sample-seed``
-    observability flags and (when the parser carries them) the chaos
-    fault flags, so health/profile runs can drive failure modes.
-    """
-    from repro.engine import ParallelEngine
-    from repro.fault import RetryPolicy
-
+    """A live observer plus an engine wired to it, not yet run."""
     if args.capacity < 1:
         raise ReproError(
             f"--capacity must be >= 1, got {args.capacity}"
         )
-    rules, memory = _load_workload(args)
+    if not 0.0 <= args.sample_rate <= 1.0:
+        raise ReproError(
+            f"--sample-rate must be in [0, 1], got {args.sample_rate}"
+        )
+    rules, memory = _load_program(args)
     observer = obs.Observer(
         capacity=args.capacity,
-        level=getattr(args, "level", "full"),
-        sample_rate=getattr(args, "sample_rate", 0.1),
-        sample_seed=getattr(args, "sample_seed", 0),
+        level=args.level,
+        sample_rate=args.sample_rate,
+        sample_seed=args.sample_seed,
     )
-    fault_rate = getattr(args, "fault_rate", 0.0)
-    injector = None
-    if fault_rate > 0:
-        kinds = _parse_fault_kinds(getattr(args, "fault_kinds", None))
-        injector = _make_chaos_injector(
-            getattr(args, "fault_seed", 0), fault_rate, kinds
-        )
-    retries = getattr(args, "retries", 1)
-    retry_policy = (
-        RetryPolicy(
-            max_attempts=retries, seed=getattr(args, "fault_seed", 0)
-        )
-        if retries > 1
-        else None
-    )
-    engine = ParallelEngine(
-        rules,
-        memory,
-        scheme=args.scheme,
-        matcher=args.matcher,
-        strategy=args.strategy,
-        processors=args.processors,
-        seed=args.seed,
-        observer=observer,
-        retry_policy=retry_policy,
-        fault_injector=injector,
+    engine = _parallel_engine(
+        args, rules, memory, args.scheme, observer=observer
     )
     return observer, engine
 
@@ -562,7 +542,6 @@ def _cmd_obs_health(args: argparse.Namespace) -> int:
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     """Live snapshots during a run: one status line per interval."""
     import threading
-    import time as time_module
 
     if args.interval <= 0:
         raise ReproError(
@@ -611,56 +590,10 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
     return 1 if observer.health.status == obs.RED else 0
 
 
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.analysis.critpath import diff_bench
-
-    try:
-        payload_a = json.loads(Path(args.bench_a).read_text("utf-8"))
-        payload_b = json.loads(Path(args.bench_b).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot read benchmark file: {exc}") from exc
-    diff = diff_bench(
-        payload_a,
-        payload_b,
-        tolerance=args.tolerance,
-        compare_wall=not args.no_wall,
-    )
-    shown = 0
-    for entry in diff.entries:
-        if not entry.regressed and not args.verbose:
-            continue
-        marker = "REGRESSED" if entry.regressed else "ok"
-        delta = (
-            f"{entry.delta:+.1%}" if entry.delta is not None else "-"
-        )
-        print(
-            f"{marker:<9} {entry.key}: {entry.a!r} -> {entry.b!r} "
-            f"({delta}{', ' + entry.note if entry.note else ''})"
-        )
-        shown += 1
-    compared = len(diff.entries)
-    bad = len(diff.regressions)
-    print(
-        f"# compared {compared} quantities, {bad} regressed "
-        f"(tolerance {args.tolerance:.0%})",
-        file=sys.stderr,
-    )
-    if bad and args.report_only:
-        print("# report-only: exiting 0 despite regressions",
-              file=sys.stderr)
-        return 0
-    return 1 if bad else 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.engine import ParallelEngine, replay_commit_sequence
-    from repro.fault import RetryPolicy
+    from repro.engine import replay_commit_sequence
 
-    rules_text = Path(args.rules).read_text(encoding="utf-8")
-    rules = parse_program(rules_text)
-    if not rules:
-        print("no productions found", file=sys.stderr)
-        return 1
+    rules, loaded = _load_program(args)
     kinds = _parse_fault_kinds(args.fault_kinds)
     if args.fault_rate <= 0:
         raise ReproError("chaos needs --fault-rate > 0")
@@ -673,23 +606,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"{'seed':>4} {'firings':>7} {'faults':>6} {'retries':>7} "
         f"{'gave-up':>7} {'stop':<18} replay"
     )
+    snapshot = WMSnapshot.capture(loaded)
     failures = 0
     for seed in range(args.seeds):
-        memory = WorkingMemory()
-        if args.facts:
-            _load_facts(memory, Path(args.facts))
-        snapshot = WMSnapshot.capture(memory)
-        injector = _make_chaos_injector(seed, args.fault_rate, kinds)
-        engine = ParallelEngine(
+        engine = _parallel_engine(
+            args,
             rules,
-            memory,
-            scheme=args.scheme,
-            matcher=args.matcher,
-            strategy=args.strategy,
-            processors=args.processors,
-            seed=args.seed,
-            retry_policy=RetryPolicy(max_attempts=args.retries, seed=seed),
-            fault_injector=injector,
+            snapshot.materialize(loaded.catalog),
+            args.scheme,
+            fault_seed=seed,
         )
         try:
             result = engine.run(max_waves=args.max_cycles)
@@ -700,7 +625,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             failures += 1
         print(
             f"{seed:>4} {len(result.firings):>7} "
-            f"{injector.total_injected if injector else 0:>6} "
+            f"{engine.fault.total_injected if engine.fault else 0:>6} "
             f"{engine.retry_count:>7} {len(engine.gave_up):>7} "
             f"{result.stop_reason:<18} "
             f"{'consistent' if replay.consistent else 'INCONSISTENT'}"
@@ -881,21 +806,124 @@ def _cmd_section5(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lang.lint import format_findings, lint_program
 
-    rules = parse_program(Path(args.rules).read_text(encoding="utf-8"))
-    known: set[str] = set()
-    if args.facts:
-        with open(args.facts, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    known.add(json.loads(line)["relation"])
-                except (json.JSONDecodeError, KeyError):
-                    continue
+    rules, memory = _load_program(args)
+    known = {wme.relation for wme in memory}
     findings = lint_program(rules, known_relations=known)
     print(format_findings(findings))
     return 1 if findings else 0
+
+
+def _add_program_arguments(
+    parser: argparse.ArgumentParser,
+    engine: bool = True,
+    scheme: bool = True,
+    faults: bool = True,
+) -> None:
+    """The flags :func:`_load_program` and :func:`_parallel_engine`
+    read.  ``engine=False`` declares the program alone, ``scheme=False``
+    leaves the scheme flag to the command, and ``faults=False`` sets
+    the fault flags' off defaults without declaring them."""
+    parser.add_argument(
+        "rules",
+        help="rule file (OPS5-style DSL), or the built-in workload "
+        "shortcut manners:N[:SEED]",
+    )
+    parser.add_argument("--facts", help="JSON-lines facts file")
+    if not engine:
+        return
+    if scheme:
+        parser.add_argument(
+            "--scheme",
+            choices=list(SCHEMES),
+            default="rc",
+            help="lock scheme for the wave-parallel engine",
+        )
+    parser.add_argument(
+        "--matcher",
+        default="rete",
+        type=_matcher_spec,
+        metavar="SPEC",
+        help="rete | treat | naive | cond | "
+        "partitioned[:inner[:shards[:backend]]] with backend one of "
+        "serial|des|process "
+        "(e.g. partitioned:rete:4:process)",
+    )
+    parser.add_argument(
+        "--strategy", choices=list(STRATEGIES), default="lex"
+    )
+    parser.add_argument("--processors", type=_at_least_one, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--max-cycles", type=int, default=10_000)
+    if not faults:
+        parser.set_defaults(
+            retries=1, fault_rate=0.0, fault_seed=0, fault_kinds=None
+        )
+        return
+    parser.add_argument(
+        "--retries",
+        type=_at_least_one,
+        default=1,
+        metavar="N",
+        help="attempts per firing before giving up (default 1 = "
+        "no retry); backoff is exponential with seeded jitter",
+    )
+    parser.add_argument(
+        "--fault-rate",
+        type=float,
+        default=0.0,
+        metavar="P",
+        help="probability each fault site injects (default 0 = off)",
+    )
+    parser.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed for the fault-injection RNG",
+    )
+    parser.add_argument(
+        "--fault-kinds",
+        metavar="K1,K2",
+        help="comma-separated kinds from: " + ", ".join(FAULT_KINDS)
+        + " (default lock_deny,abort_rhs,crash_commit)",
+    )
+
+
+def _add_observed_arguments(
+    parser: argparse.ArgumentParser, faults: bool = True
+) -> None:
+    """The program flags plus the observer's."""
+    _add_program_arguments(parser, faults=faults)
+    parser.add_argument(
+        "--level",
+        choices=list(OBS_LEVELS),
+        default="full",
+        help="observer cost tier: metrics (aggregates only), "
+        "sampled (+ head-sampled spans), full (every span; "
+        "default)",
+    )
+    parser.add_argument(
+        "--sample-rate",
+        type=float,
+        default=0.1,
+        metavar="P",
+        help="fraction of traces the sampled level keeps "
+        "(default 0.1)",
+    )
+    parser.add_argument(
+        "--sample-seed",
+        type=int,
+        default=0,
+        help="seed for the deterministic head sampler",
+    )
+    parser.add_argument(
+        "--capacity",
+        type=int,
+        default=65_536,
+        help="span ring capacity",
+    )
+    parser.add_argument(
+        "--out", help="write the JSON payload to this file"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -907,103 +935,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a rule program")
-    run.add_argument("rules", help="rule file (OPS5-style DSL)")
-    run.add_argument("--facts", help="JSON-lines facts file")
-    run.add_argument(
-        "--matcher",
-        default="rete",
-        type=_matcher_spec,
-        metavar="SPEC",
-        help="rete | treat | naive | cond | "
-        "partitioned[:inner[:shards[:backend]]] with backend one of "
-        "serial|des|process "
-        "(e.g. partitioned:rete:4:process)",
-    )
-    run.add_argument(
-        "--strategy",
-        choices=["lex", "mea", "priority", "fifo", "random"],
-        default="lex",
-    )
+    _add_program_arguments(run, scheme=False)
     run.add_argument(
         "--parallel",
         choices=list(SCHEMES),
         help="use the wave-parallel engine with this lock scheme",
     )
-    run.add_argument("--processors", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--max-cycles", type=int, default=10_000)
     run.add_argument(
         "--dump", action="store_true", help="print final working memory"
     )
-
-    def add_fault_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--retries",
-            type=int,
-            default=1,
-            metavar="N",
-            help="attempts per firing before giving up (default 1 = "
-            "no retry); backoff is exponential with seeded jitter",
-        )
-        parser.add_argument(
-            "--fault-rate",
-            type=float,
-            default=0.0,
-            metavar="P",
-            help="probability each fault site injects (default 0 = off)",
-        )
-        parser.add_argument(
-            "--fault-seed",
-            type=int,
-            default=0,
-            help="seed for the fault-injection RNG",
-        )
-        parser.add_argument(
-            "--fault-kinds",
-            metavar="K1,K2",
-            help="comma-separated kinds from: " + ", ".join(FAULT_KINDS)
-            + " (default lock_deny,abort_rhs,crash_commit)",
-        )
-
-    add_fault_arguments(run)
     run.set_defaults(handler=_cmd_run)
 
     chaos = sub.add_parser(
         "chaos",
         help="sweep seeded fault schedules; validate replay consistency",
     )
-    chaos.add_argument("rules", help="rule file (OPS5-style DSL)")
-    chaos.add_argument("--facts", help="JSON-lines facts file")
+    _add_program_arguments(chaos)
     chaos.add_argument(
         "--seeds",
         type=int,
         default=10,
         help="number of fault-plan seeds to sweep (default 10)",
     )
-    chaos.add_argument(
-        "--scheme",
-        choices=list(SCHEMES),
-        default="rc",
-        help="lock scheme for the wave-parallel engine",
-    )
-    chaos.add_argument(
-        "--matcher",
-        default="rete",
-        type=_matcher_spec,
-        metavar="SPEC",
-        help="rete | treat | naive | cond | "
-        "partitioned[:inner[:shards[:backend]]] with backend one of "
-        "serial|des|process",
-    )
-    chaos.add_argument(
-        "--strategy",
-        choices=["lex", "mea", "priority", "fifo", "random"],
-        default="lex",
-    )
-    chaos.add_argument("--processors", type=int, default=None)
-    chaos.add_argument("--seed", type=int, default=None)
-    chaos.add_argument("--max-cycles", type=int, default=10_000)
-    add_fault_arguments(chaos)
     chaos.set_defaults(handler=_cmd_chaos, fault_rate=0.25, retries=4)
 
     storage = sub.add_parser(
@@ -1098,71 +1051,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     section5.set_defaults(handler=_cmd_section5)
 
-    def add_observed_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "rules",
-            help="rule file (OPS5-style DSL), or the built-in "
-            "workload shortcut manners:N[:SEED]",
-        )
-        parser.add_argument("--facts", help="JSON-lines facts file")
-        parser.add_argument(
-            "--level",
-            choices=list(OBS_LEVELS),
-            default="full",
-            help="observer cost tier: metrics (aggregates only), "
-            "sampled (+ head-sampled spans), full (every span; "
-            "default)",
-        )
-        parser.add_argument(
-            "--sample-rate",
-            type=float,
-            default=0.1,
-            metavar="P",
-            help="fraction of traces the sampled level keeps "
-            "(default 0.1)",
-        )
-        parser.add_argument(
-            "--sample-seed",
-            type=int,
-            default=0,
-            help="seed for the deterministic head sampler",
-        )
-        parser.add_argument(
-            "--scheme",
-            choices=list(SCHEMES),
-            default="rc",
-            help="lock scheme for the wave-parallel engine",
-        )
-        parser.add_argument(
-            "--matcher",
-            default="rete",
-            type=_matcher_spec,
-            metavar="SPEC",
-            help="rete | treat | naive | cond | "
-            "partitioned[:inner[:shards[:backend]]] with backend one "
-            "of serial|des|process",
-        )
-        parser.add_argument(
-            "--strategy",
-            choices=["lex", "mea", "priority", "fifo", "random"],
-            default="lex",
-        )
-        parser.add_argument("--processors", type=int, default=None)
-        parser.add_argument("--seed", type=int, default=None)
-        parser.add_argument("--max-cycles", type=int, default=10_000)
-        parser.add_argument(
-            "--capacity",
-            type=int,
-            default=65_536,
-            help="span ring capacity",
-        )
-        parser.add_argument(
-            "--out", help="write the JSON payload to this file"
-        )
-
     obs_cmd = sub.add_parser(
         "obs",
-        help="causal-span observability: export, report, diff",
+        help="causal-span observability: export, report, profile, "
+        "health, top",
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
@@ -1170,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export",
         help="run with span recording; export trace/metrics/spans",
     )
-    add_observed_arguments(obs_export)
+    _add_observed_arguments(obs_export, faults=False)
     obs_export.add_argument(
         "--format",
         choices=["chrome", "prom", "jsonl"],
@@ -1185,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run with span recording; print critical paths, abort "
         "attribution and lock-wait summary",
     )
-    add_observed_arguments(obs_report)
+    _add_observed_arguments(obs_report, faults=False)
     obs_report.add_argument(
         "--top",
         type=int,
@@ -1199,8 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run with the always-on profiler; print top-N rules by "
         "self-time across match/lock-wait/acquire/rhs buckets",
     )
-    add_observed_arguments(obs_profile)
-    add_fault_arguments(obs_profile)
+    _add_observed_arguments(obs_profile)
     obs_profile.add_argument(
         "--top",
         type=int,
@@ -1215,8 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "red (abort spike, retry exhaustion, lock-wait share, WAL "
         "stall)",
     )
-    add_observed_arguments(obs_health)
-    add_fault_arguments(obs_health)
+    _add_observed_arguments(obs_health)
     obs_health.add_argument(
         "--json",
         action="store_true",
@@ -1229,8 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run with live periodic snapshots: waves, commit/abort "
         "totals, cycle p95 and health status per interval",
     )
-    add_observed_arguments(obs_top)
-    add_fault_arguments(obs_top)
+    _add_observed_arguments(obs_top)
     obs_top.add_argument(
         "--interval",
         type=float,
@@ -1240,43 +1129,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_top.set_defaults(handler=_cmd_obs_top, level="sampled")
 
-    obs_diff = obs_sub.add_parser(
-        "diff",
-        help="compare two BENCH_*.json files; non-zero exit on "
-        "regression",
+    lint = sub.add_parser(
+        "lint",
+        help="lint a rule program (the relations of --facts count as "
+        "provided)",
     )
-    obs_diff.add_argument("bench_a", help="baseline BENCH_*.json")
-    obs_diff.add_argument("bench_b", help="candidate BENCH_*.json")
-    obs_diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="relative tolerance before a change counts as a "
-        "regression (default 0.15)",
-    )
-    obs_diff.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="ignore wall_seconds (compare measured quantities only)",
-    )
-    obs_diff.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print regressions but exit 0 (CI advisory mode)",
-    )
-    obs_diff.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print every compared quantity, not just regressions",
-    )
-    obs_diff.set_defaults(handler=_cmd_obs_diff)
-
-    lint = sub.add_parser("lint", help="lint a rule program")
-    lint.add_argument("rules", help="rule file (OPS5-style DSL)")
-    lint.add_argument(
-        "--facts",
-        help="JSON-lines facts file (its relations count as provided)",
-    )
+    _add_program_arguments(lint, engine=False)
     lint.set_defaults(handler=_cmd_lint)
     return parser
 

@@ -201,10 +201,11 @@ class ParallelEngine:
         (Figure 4.1), or ``"c2pl"`` (conservative/preclaiming 2PL,
         the deadlock-avoidance variant).
     processors:
-        Wave width limit (``Np``): the most firings one wave attempts;
-        ``None`` means unbounded.  Under wave admission it bounds the
-        *admitted* candidates, not the ranked ones — a hold-back is
-        replaced by the next candidate of the ranking that fits.
+        Wave width limit (``Np``): the most firings one wave attempts,
+        at least 1 (:class:`EngineError` otherwise); ``None`` means
+        unbounded.  Under wave admission it bounds the *admitted*
+        candidates, not the ranked ones — a hold-back is replaced by
+        the next candidate of the ranking that fits.
     observer:
         Observability sink (the run's timed steps, its rollback and
         retry events), shared with the lock scheme and manager.  Defaults
@@ -240,6 +241,8 @@ class ParallelEngine:
         retry_policy: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
+        if processors is not None and processors < 1:
+            raise EngineError(f"processors must be >= 1, got {processors}")
         self.obs = (
             observer if observer is not None else obs_module.get_observer()
         )

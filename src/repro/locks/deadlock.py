@@ -14,6 +14,7 @@ from collections import defaultdict
 from typing import Callable, Sequence
 
 from repro.locks.manager import LockManager
+from repro.txn.serializability import graph_cycle
 from repro.txn.transaction import Transaction
 
 #: Given the transactions on a cycle, pick the one to abort.
@@ -107,34 +108,8 @@ class DeadlockDetector:
 
     def find_cycle(self) -> list[Transaction] | None:
         """Return one waits-for cycle (as a transaction list), or None."""
-        graph = self.build_graph()
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: dict[Transaction, int] = {t: WHITE for t in graph}
-        stack: list[Transaction] = []
-
-        def visit(node: Transaction) -> list[Transaction] | None:
-            color[node] = GRAY
-            stack.append(node)
-            for succ in sorted(
-                graph.get(node, ()), key=lambda t: t.txn_id
-            ):
-                state = color.get(succ, WHITE)
-                if state == GRAY:
-                    return stack[stack.index(succ):]
-                if state == WHITE:
-                    found = visit(succ)
-                    if found is not None:
-                        return found
-            stack.pop()
-            color[node] = BLACK
-            return None
-
-        for node in sorted(graph, key=lambda t: t.txn_id):
-            if color.get(node, WHITE) == WHITE:
-                found = visit(node)
-                if found is not None:
-                    return found
-        return None
+        cycle = graph_cycle(self.build_graph(), key=lambda t: t.txn_id)
+        return None if cycle is None else list(cycle[:-1])
 
     def choose_victim(self) -> Transaction | None:
         """Detect one cycle and pick (but do not abort) the victim.

@@ -29,6 +29,7 @@ from repro.locks import SCHEMES
 from repro.sim.gantt import ABORTED, COMMITTED, ExecutionTrace
 from repro.sim.processor import ProcessorPool
 from repro.txn.schedule import History
+from repro.txn.serializability import graph_cycle
 from repro.txn.transaction import Transaction
 
 SchemeName = Literal["2pl", "rc", "c2pl"]
@@ -114,36 +115,10 @@ def _deadlock_victim(states, manager, discipline):
                 held = manager.held_modes(other.txn, obj)
                 if any(not compatible(mode, h) for h in held):
                     edges[firing.spec.pid].add(other.spec.pid)
-    # Iterative DFS cycle search.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {pid: WHITE for pid in edges}
-    for start in sorted(edges):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(sorted(edges[start])))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for succ in successors:
-                if color.get(succ, WHITE) == GRAY:
-                    cycle = path[path.index(succ):]
-                    return max(
-                        (by_pid[p] for p in cycle),
-                        key=lambda f: f.txn.start_order,
-                    )
-                if color.get(succ, WHITE) == WHITE:
-                    color[succ] = GRAY
-                    path.append(succ)
-                    stack.append((succ, iter(sorted(edges[succ]))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                path.pop()
-                color[node] = BLACK
-    return None
+    cycle = graph_cycle(edges)
+    if cycle is None:
+        return None
+    return max((by_pid[p] for p in cycle), key=lambda f: f.txn.start_order)
 
 
 class _Firing:

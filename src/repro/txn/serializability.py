@@ -15,9 +15,11 @@ with ``ES_single``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
-from repro.txn.schedule import COMMIT, History, Operation, READ, WRITE
+from repro.txn.schedule import History, Operation, READ, WRITE
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def conflicts(first: Operation, second: Operation) -> bool:
@@ -66,21 +68,27 @@ def precedence_graph(
     return graph
 
 
-def _find_cycle(graph: dict[str, set[str]]) -> tuple[str, ...] | None:
-    """Return one cycle as a node tuple, or ``None`` when acyclic.
+def graph_cycle(
+    graph: Mapping[Node, Iterable[Node]],
+    key: Callable[[Node], object] | None = None,
+) -> tuple[Node, ...] | None:
+    """One cycle of a directed graph, closed (its first node repeated
+    at the end), or ``None`` when the graph is acyclic.
 
-    Depth-first from the sorted nodes through sorted successors, on an
-    explicit stack: a serial history of *n* transactions is a path *n*
-    deep.
+    ``graph`` maps a node to its successors; a successor need not be a
+    key.  Depth-first from the roots through the successors, both
+    sorted by ``key``, on an explicit stack: a serial history of *n*
+    transactions is a path *n* deep.  The precedence graph, the lock
+    manager's waits-for graph and the lock simulator's all use it.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {node: WHITE for node in graph}
-    for root in sorted(graph):
+    for root in sorted(graph, key=key):
         if color[root] != WHITE:
             continue
         color[root] = GRAY
         path = [root]
-        pending = [iter(sorted(graph[root]))]
+        pending = [iter(sorted(graph[root], key=key))]
         while path:
             for successor in pending[-1]:
                 state = color.get(successor, WHITE)
@@ -90,7 +98,9 @@ def _find_cycle(graph: dict[str, set[str]]) -> tuple[str, ...] | None:
                 if state == WHITE:
                     color[successor] = GRAY
                     path.append(successor)
-                    pending.append(iter(sorted(graph.get(successor, ()))))
+                    pending.append(
+                        iter(sorted(graph.get(successor, ()), key=key))
+                    )
                     break
             else:
                 color[path.pop()] = BLACK
@@ -103,14 +113,14 @@ def is_conflict_serializable(
 ) -> bool:
     """True when the (committed projection of the) history is
     conflict-serializable."""
-    return _find_cycle(precedence_graph(history, committed_only)) is None
+    return graph_cycle(precedence_graph(history, committed_only)) is None
 
 
 def find_cycle(
     history: History, committed_only: bool = True
 ) -> tuple[str, ...] | None:
     """The first precedence-graph cycle found, or ``None``."""
-    return _find_cycle(precedence_graph(history, committed_only))
+    return graph_cycle(precedence_graph(history, committed_only))
 
 
 def serialization_orders(
@@ -124,7 +134,7 @@ def serialization_orders(
     serializable.
     """
     graph = precedence_graph(history, committed_only=True)
-    if _find_cycle(graph) is not None:
+    if graph_cycle(graph) is not None:
         return []
     indegree: dict[str, int] = {node: 0 for node in graph}
     for successors in graph.values():

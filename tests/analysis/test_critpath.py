@@ -1,4 +1,4 @@
-"""Tests for critical-path attribution, abort chains and bench diff."""
+"""Tests for critical-path attribution and abort chains."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.analysis.critpath import (
     coverage,
     critical_chain,
     cycle_breakdowns,
-    diff_bench,
     held_backs,
     makespan,
     ordered_firsts,
@@ -216,106 +215,6 @@ class TestHeldBacks:
         (breakdown,) = cycle_breakdowns(rec)
         assert breakdown.buckets["admit"] == pytest.approx(1.5)
         assert breakdown.buckets["other"] == pytest.approx(2.5)
-
-
-def bench_payload(wall=1.0, speedup=2.25, seq="p3p2p4"):
-    return {
-        "tests": {
-            "benchmarks/bench_x.py::test_x": {
-                "wall_seconds": wall,
-                "reports": [
-                    {
-                        "title": "Figure X",
-                        "rows": [
-                            {
-                                "quantity": "speedup",
-                                "paper": 2.25,
-                                "measured": speedup,
-                            },
-                            {
-                                "quantity": "commit sequence",
-                                "paper": seq,
-                                "measured": seq,
-                            },
-                        ],
-                    }
-                ],
-            }
-        }
-    }
-
-
-class TestDiffBench:
-    def test_identical_payloads_pass(self):
-        diff = diff_bench(bench_payload(), bench_payload())
-        assert diff.ok
-        assert diff.regressions == []
-        assert len(diff.entries) == 3
-
-    def test_slower_wall_beyond_tolerance_regresses(self):
-        diff = diff_bench(
-            bench_payload(wall=1.0), bench_payload(wall=1.2),
-            tolerance=0.15,
-        )
-        (bad,) = diff.regressions
-        assert bad.key.endswith("::wall_seconds")
-        assert bad.delta == pytest.approx(0.2)
-        assert bad.note == "slower"
-
-    def test_faster_wall_is_not_a_regression(self):
-        diff = diff_bench(
-            bench_payload(wall=1.0), bench_payload(wall=0.5)
-        )
-        assert diff.ok
-
-    def test_wall_within_tolerance_passes(self):
-        diff = diff_bench(
-            bench_payload(wall=1.0), bench_payload(wall=1.1),
-            tolerance=0.15,
-        )
-        assert diff.ok
-
-    def test_measured_quantity_drift_regresses_both_ways(self):
-        for drifted in (2.25 * 1.2, 2.25 * 0.8):
-            diff = diff_bench(
-                bench_payload(), bench_payload(speedup=drifted),
-                tolerance=0.15,
-            )
-            (bad,) = diff.regressions
-            assert bad.key.endswith("::speedup")
-            assert bad.note == "drifted"
-
-    def test_non_numeric_change_regresses(self):
-        diff = diff_bench(
-            bench_payload(seq="p3p2p4"), bench_payload(seq="p2p3p4")
-        )
-        (bad,) = diff.regressions
-        assert bad.key.endswith("::commit sequence")
-        assert bad.note == "changed"
-
-    def test_missing_test_regresses(self):
-        diff = diff_bench(bench_payload(), {"tests": {}})
-        assert not diff.ok
-        assert all(
-            e.note == "missing in B" for e in diff.regressions
-        )
-
-    def test_compare_wall_false_ignores_timings(self):
-        diff = diff_bench(
-            bench_payload(wall=1.0), bench_payload(wall=9.0),
-            compare_wall=False,
-        )
-        assert diff.ok
-        assert not any(
-            e.key.endswith("::wall_seconds") for e in diff.entries
-        )
-
-    def test_zero_baseline_handled(self):
-        a = bench_payload(speedup=0.0)
-        b = bench_payload(speedup=0.1)
-        diff = diff_bench(a, b)
-        (bad,) = diff.regressions
-        assert bad.delta == float("inf")
 
 
 class TestStorageBucket:

@@ -115,6 +115,17 @@ class TestSchemeDifferences:
         with pytest.raises(EngineError):
             ParallelEngine([], WorkingMemory(), scheme="optimistic")
 
+    @pytest.mark.parametrize("scheme", ["rc", "2pl"])
+    @pytest.mark.parametrize("processors", [0, -1])
+    def test_wave_width_below_one_rejected(
+        self, order_rules, scheme, processors
+    ):
+        with pytest.raises(EngineError, match="processors must be >= 1"):
+            ParallelEngine(
+                order_rules, fresh_order_wm(), scheme=scheme,
+                processors=processors,
+            )
+
 
 class TestWaveAccounting:
     def test_waves_recorded(self, order_rules):

@@ -130,7 +130,8 @@ class TestRun:
     def test_empty_rule_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.ops"
         empty.write_text("; nothing here\n")
-        assert main(["run", str(empty)]) == 1
+        assert main(["run", str(empty)]) == 2
+        assert "error: no productions found" in capsys.readouterr().err
 
     def test_bad_fact_line_reports_error(self, rule_file, tmp_path, capsys):
         facts = tmp_path / "bad.jsonl"
@@ -341,31 +342,6 @@ def conflict_facts_file(tmp_path):
     return path
 
 
-def bench_file(tmp_path, name, wall=1.0, speedup=2.25):
-    payload = {
-        "tests": {
-            "benchmarks/bench_x.py::test_x": {
-                "wall_seconds": wall,
-                "reports": [
-                    {
-                        "title": "Figure X",
-                        "rows": [
-                            {
-                                "quantity": "speedup",
-                                "paper": 2.25,
-                                "measured": speedup,
-                            }
-                        ],
-                    }
-                ],
-            }
-        }
-    }
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return path
-
-
 class TestObsExport:
     def test_chrome_export_is_a_loadable_trace(
         self, conflict_rule_file, conflict_facts_file, capsys
@@ -519,36 +495,6 @@ class TestObsReport:
         assert "rule-(ii) abort attribution: 1 aborts" in out
         assert "observe" in out and "toggle" in out
         assert "admission: 0 held back" in out
-
-
-class TestObsDiff:
-    def test_identical_benches_exit_zero(self, tmp_path, capsys):
-        a = bench_file(tmp_path, "a.json")
-        b = bench_file(tmp_path, "b.json")
-        assert main(["obs", "diff", str(a), str(b)]) == 0
-        assert "0 regressed" in capsys.readouterr().err
-
-    def test_regression_exits_nonzero(self, tmp_path, capsys):
-        a = bench_file(tmp_path, "a.json", speedup=2.25)
-        b = bench_file(tmp_path, "b.json", speedup=2.25 * 0.7)
-        code = main(["obs", "diff", str(a), str(b), "--no-wall"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "REGRESSED" in captured.out
-
-    def test_report_only_exits_zero_on_regression(self, tmp_path):
-        a = bench_file(tmp_path, "a.json", wall=1.0)
-        b = bench_file(tmp_path, "b.json", wall=5.0)
-        assert main(
-            ["obs", "diff", str(a), str(b), "--report-only"]
-        ) == 0
-
-    def test_missing_file_fails_cleanly(self, tmp_path, capsys):
-        a = bench_file(tmp_path, "a.json")
-        assert main(
-            ["obs", "diff", str(a), str(tmp_path / "absent.json")]
-        ) == 2
-        assert "error" in capsys.readouterr().err
 
 
 class TestStorageCommands:
@@ -705,6 +651,83 @@ class TestMannersShortcut:
         assert "cannot be combined" in capsys.readouterr().err
 
 
+#: Every command that runs a program, as it is invoked before RULES.
+PROGRAM_COMMANDS = {
+    "run": ["run"],
+    "chaos": ["chaos", "--seeds", "1"],
+    "lint": ["lint"],
+    "obs export": ["obs", "export", "--format", "prom"],
+    "obs report": ["obs", "report"],
+    "obs profile": ["obs", "profile"],
+    "obs health": ["obs", "health"],
+    "obs top": ["obs", "top"],
+}
+_ALL = set(PROGRAM_COMMANDS)
+_ENGINE = _ALL - {"lint"}
+_RETRIES = {"run", "chaos", "obs profile", "obs health", "obs top"}
+_OBSERVED = {name for name in _ALL if name.startswith("obs")}
+
+#: (case, the commands with that flag, RULES or None for the rule
+#: file, extra flags, what the error line names)
+BAD_INPUT = [
+    ("missing-rules", _ALL, "absent.ops", [], "absent.ops"),
+    ("missing-facts", _ALL, None, ["--facts", "{tmp}/absent.jsonl"],
+     "absent.jsonl"),
+    ("bad-fact-line", _ALL, None, ["--facts", "{tmp}/bad.jsonl"],
+     "bad fact line"),
+    ("empty-program", _ALL, "empty.ops", [], "no productions found"),
+    ("processors-0", _ENGINE, None, ["--processors", "0"], "--processors"),
+    ("retries-0", _RETRIES, None, ["--retries", "0"], "--retries"),
+    ("sample-rate-2", _OBSERVED, None, ["--sample-rate", "2"],
+     "--sample-rate"),
+]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as done:  # argparse refusals
+        return done.code
+
+
+class TestErrorContract:
+    """Every command that runs a program reads it through one loader
+    and one argument group: bad outside input is exit 2 with one
+    ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("command, rules, flags, names", [
+        pytest.param(command, rules, flags, names, id=f"{command.replace(' ', '-')}-{case}")
+        for case, commands, rules, flags, names in BAD_INPUT
+        for command in PROGRAM_COMMANDS if command in commands
+    ])
+    def test_bad_input_is_one_error_line(
+        self, command, rules, flags, names, rule_file, tmp_path, capsys
+    ):
+        (tmp_path / "bad.jsonl").write_text("{not json}\n")
+        (tmp_path / "empty.ops").write_text("; nothing here\n")
+        target = str(tmp_path / rules) if rules else str(rule_file)
+        code = _exit_code([
+            *PROGRAM_COMMANDS[command], target,
+            *(flag.format(tmp=tmp_path) for flag in flags),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        assert names in errors[0]
+
+    @pytest.mark.parametrize("command", list(PROGRAM_COMMANDS), ids=[
+        command.replace(" ", "-") for command in PROGRAM_COMMANDS
+    ])
+    def test_manners_is_accepted(self, command, capsys):
+        code = _exit_code([*PROGRAM_COMMANDS[command], "manners:6"])
+        err = capsys.readouterr().err
+        assert "error:" not in err
+        # lint's findings exit 1; every other command exits green.
+        assert code == (1 if command == "lint" else 0), err
+
+
 class TestLevelGuards:
     def test_span_export_requires_span_level(
         self, conflict_rule_file, conflict_facts_file, capsys
@@ -792,8 +815,10 @@ print(json.dumps(sorted(sys.modules)))
         import repro.cli as cli
         from repro.fault import FAULT_KINDS
         from repro.locks import SCHEMES
+        from repro.match.strategies import _REGISTRY
         from repro.obs import LEVELS
 
         assert cli.SCHEMES == tuple(SCHEMES)
         assert cli.FAULT_KINDS == FAULT_KINDS
         assert cli.OBS_LEVELS == LEVELS
+        assert cli.STRATEGIES == tuple(_REGISTRY)

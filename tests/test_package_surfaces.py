@@ -32,9 +32,9 @@ PUBLIC_NAMES = {
         table_4_1 table_5_1 table_5_2 var
     """,
     "repro.analysis": """
-        AbortChain BenchDiff CycleBreakdown SpeedupCase abort_chains
+        AbortChain CycleBreakdown SpeedupCase abort_chains
         balanced_speedup_bound build_tree coverage critical_chain
-        cycle_breakdowns diff_bench lpt_makespan makespan match_speedup
+        cycle_breakdowns lpt_makespan makespan match_speedup
         multi_thread_uniprocessor_time overlap_speedup pipelined_time
         section_5_cases sequential_time single_thread_time skewed_costs
         speedup_bound speedup_ceiling speedup_curve sweep_conflict_degree
