@@ -8,7 +8,6 @@ are performed, which may cause changes to the database").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.errors import EngineError
 from repro.lang.ast import (
@@ -22,10 +21,6 @@ from repro.lang.ast import (
 from repro.match.instantiation import Instantiation
 from repro.wm.element import Scalar, WME
 from repro.wm.memory import WorkingMemory
-
-#: Sink for ``write`` action output.
-OutputSink = Callable[[tuple[Scalar, ...]], None]
-
 
 @dataclass
 class ActionOutcome:
@@ -49,13 +44,8 @@ class ActionOutcome:
 class ActionExecutor:
     """Executes instantiations' RHSs against one working memory."""
 
-    def __init__(
-        self,
-        memory: WorkingMemory,
-        output_sink: OutputSink | None = None,
-    ) -> None:
+    def __init__(self, memory: WorkingMemory) -> None:
         self.memory = memory
-        self._sink = output_sink
 
     def execute(self, instantiation: Instantiation) -> ActionOutcome:
         """Run every RHS action of ``instantiation`` in order.
@@ -111,10 +101,9 @@ class ActionExecutor:
             elif isinstance(action, BindAction):
                 bindings[action.variable] = action.expr.evaluate(bindings)
             elif isinstance(action, WriteAction):
-                values = tuple(e.evaluate(bindings) for e in action.exprs)
-                outcome.outputs.append(values)
-                if self._sink is not None:
-                    self._sink(values)
+                outcome.outputs.append(
+                    tuple(e.evaluate(bindings) for e in action.exprs)
+                )
             elif isinstance(action, HaltAction):
                 outcome.halted = True
             else:  # pragma: no cover - exhaustive over the AST

@@ -102,8 +102,8 @@ class Interpreter:
     strategy:
         Conflict-resolution strategy name (``"lex"`` default) or a
         :class:`~repro.match.strategies.Strategy` instance.
-    refraction:
-        Suppress refiring of already-fired instantiations (default on).
+
+    Refraction always applies: an instantiation fires at most once.
     """
 
     def __init__(
@@ -112,7 +112,6 @@ class Interpreter:
         memory: WorkingMemory | None = None,
         matcher: MatcherName | BaseMatcher = "rete",
         strategy: str | Strategy = "lex",
-        refraction: bool = True,
         seed: int | None = None,
     ) -> None:
         self.memory = memory if memory is not None else WorkingMemory()
@@ -126,7 +125,6 @@ class Interpreter:
             self.strategy = make_strategy(strategy, seed)
         else:
             self.strategy = strategy
-        self.refraction = refraction
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
 
@@ -154,9 +152,7 @@ class Interpreter:
 
     def eligible(self) -> list[Instantiation]:
         """The *select* phase's candidates, after refraction."""
-        if self.refraction:
-            return self.conflict_set.eligible()
-        return self.conflict_set.ordered()
+        return self.conflict_set.eligible()
 
     def select(self) -> Instantiation | None:
         """Pick the dominant instantiation, or None when quiescent."""

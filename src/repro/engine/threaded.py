@@ -24,10 +24,10 @@ Each thread:
 
 Deadlocks are *detected*, not timed out: every blocking acquisition
 registers an ``on_block`` hook that runs the waits-for cycle detector
-(:mod:`repro.locks.deadlock`); when a cycle closes, a victim chosen by
-a pluggable policy (youngest / fewest-locks / ...) is aborted and its
-waiting requests cancelled, waking its thread immediately.  Timeouts
-remain only as a backstop for pathological stalls.
+(:mod:`repro.locks.deadlock`); when a cycle closes, its youngest
+transaction is aborted and its waiting requests cancelled, waking its
+thread immediately.  Timeouts remain only as a backstop for
+pathological stalls.
 
 A timed-out or aborted firing is re-driven on its own thread — fresh
 transaction, real backoff — for as long as the engine's
@@ -54,11 +54,7 @@ from repro.errors import EngineError, TransactionError
 from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy
 from repro.lang.production import Production
-from repro.locks.deadlock import (
-    DeadlockDetector,
-    VictimPolicy,
-    resolve_victim_policy,
-)
+from repro.locks.deadlock import DeadlockDetector
 from repro.locks.modes import LockMode
 from repro.locks.request import LockRequest
 from repro.match.instantiation import Instantiation
@@ -79,14 +75,9 @@ class ThreadedWaveExecutor(ParallelEngine):
         preclaims its whole footprint without waiting (that is the
         discipline), so only the commit is concurrent.
     lock_timeout:
-        A stall backstop, not the deadlock breaker.
-    deadlock_detection:
-        When true (default), blocking acquisitions run the waits-for
-        cycle detector and abort a victim instead of waiting for the
-        timeout.
-    victim_policy:
-        ``"youngest"`` (default), ``"oldest"``, ``"fewest-locks"``,
-        ``"most-locks"``, or a callable ``cycle -> Transaction``.
+        A stall backstop, not the deadlock breaker: blocking
+        acquisitions run the waits-for cycle detector and abort the
+        youngest transaction on a cycle.
     sleeper:
         Time source for retry backoff (default :func:`time.sleep`).
     """
@@ -101,8 +92,6 @@ class ThreadedWaveExecutor(ParallelEngine):
         matcher: MatcherName = "rete",
         lock_timeout: float = 0.2,
         observer=None,
-        deadlock_detection: bool = True,
-        victim_policy: str | VictimPolicy = "youngest",
         retry_policy: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
         sleeper: Callable[[float], None] = time.sleep,
@@ -118,17 +107,7 @@ class ThreadedWaveExecutor(ParallelEngine):
         )
         self.lock_timeout = lock_timeout
         self._sleep = sleeper
-        self.victim_policy_name = (
-            victim_policy if isinstance(victim_policy, str) else "custom"
-        )
-        self.detector: DeadlockDetector | None = None
-        if deadlock_detection:
-            self.detector = DeadlockDetector(
-                self.scheme.manager,
-                policy=resolve_victim_policy(
-                    victim_policy, self.scheme.manager
-                ),
-            )
+        self.detector = DeadlockDetector(self.scheme.manager)
         self._detector_mutex = threading.Lock()
         #: Serializes the firing transaction (RHS, commit, rollback).
         self._commit_mutex = threading.Lock()
@@ -297,20 +276,15 @@ class ThreadedWaveExecutor(ParallelEngine):
         event would re-examine the ones left standing, so this breaks
         cycles until none remains.
         """
-        if self.detector is None:
-            return
         manager = self.scheme.manager
         with self._detector_mutex:
-            while (cycle := self.detector.find_cycle()) is not None:
-                cycle_ids = tuple(t.txn_id for t in cycle)
-                self.detector.detected.append(cycle_ids)
-                victim = self.detector.policy(cycle)
+            while (victim := self.detector.choose_victim()) is not None:
                 if not victim.try_abort("deadlock victim"):
                     return
                 self.deadlock_victims.append(victim.txn_id)
                 if self.obs.enabled:
                     self.obs.deadlock_victim(
-                        victim.txn_id, cycle_ids, self.victim_policy_name
+                        victim.txn_id, self.detector.detected[-1]
                     )
                 # Wake the victim: cancelling its waiting requests
                 # unblocks its thread immediately (it sees is_aborted,

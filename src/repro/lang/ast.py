@@ -492,7 +492,7 @@ class BindAction:
 
 @dataclass(frozen=True)
 class WriteAction:
-    """``(write expr ...)`` — emit values to the engine's output sink."""
+    """``(write expr ...)`` — emit values into the run's ``outputs``."""
 
     exprs: tuple[ValueExpr, ...]
 

@@ -17,7 +17,8 @@ manager"):
 
 Both are built on the same :class:`~repro.locks.manager.LockManager`
 — one grant table behind one mutex, with FIFO queues and upgrades —
-and share deadlock detection (:mod:`~repro.locks.deadlock`): the
+and share deadlock detection (:mod:`~repro.locks.deadlock`, which
+aborts the youngest transaction on a waits-for cycle): the
 paper's point that the new scheme "requires minor modifications to
 conventional lock managers".
 """
@@ -42,11 +43,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "request": ("LockRequest", "LockGrant", "RequestStatus"),
         "manager": ("LockManager", "GrantOutcome"),
-        "deadlock": (
-            "DeadlockDetector", "VictimPolicy", "youngest_victim",
-            "oldest_victim", "most_locks_victim",
-            "make_fewest_locks_victim", "resolve_victim_policy",
-        ),
+        "deadlock": ("DeadlockDetector", "youngest_victim"),
     },
 )
 __all__ += [

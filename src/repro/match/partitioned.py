@@ -15,11 +15,11 @@ Matcher` protocol and is interchangeable with the monolithic matchers
 partitioned:rete:4``).  Architecture:
 
 * **Sharding** — every registered production is assigned to one of
-  ``K`` inner matchers (any of naive/Rete/TREAT/cond), by round-robin,
-  stable hash, or LPT over a per-production cost model.  Inner
-  matchers run *passively*: only the partitioned matcher subscribes to
-  the store; shards receive deltas via :meth:`~repro.match.base.
-  BaseMatcher.feed`.
+  ``K`` inner matchers (any of naive/Rete/TREAT/cond), by round-robin
+  or by LPT over a per-production cost model.  Inner matchers run
+  *passively*: only the partitioned matcher subscribes to the store;
+  shards receive deltas via :meth:`~repro.match.base.BaseMatcher.
+  feed`.
 * **Delta batching** — by default every WM delta is flushed to all
   shards immediately (batch size 1), keeping the shared conflict set
   consistent after each mutation, which the engines rely on
@@ -61,7 +61,6 @@ where the shards ran serially on the wall clock.
 from __future__ import annotations
 
 import time
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -89,7 +88,7 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
 
 BACKENDS = ("serial", "des", "process")
-ASSIGNMENTS = ("round-robin", "hash", "lpt")
+ASSIGNMENTS = ("round-robin", "lpt")
 DEFAULT_SHARDS = 4
 
 #: Per-production match cost: a callable or a name → cost mapping.
@@ -284,10 +283,9 @@ class PartitionedMatcher(BaseMatcher):
         can rebuild it, and compiled closures never cross the
         boundary).
     assign:
-        Production→shard policy: ``"round-robin"`` (default),
-        ``"hash"`` (stable on rule name) or ``"lpt"`` (greedy
-        least-loaded under ``cost_model`` — with a full
-        :meth:`add_productions` this is exactly LPT scheduling and
+        Production→shard policy: ``"round-robin"`` (default) or
+        ``"lpt"`` (greedy least-loaded under ``cost_model`` — with a
+        full :meth:`add_productions` this is exactly LPT scheduling and
         realizes :func:`repro.analysis.match_parallel.lpt_makespan`).
     cost_model:
         Per-production match cost (callable or name→cost mapping);
@@ -295,9 +293,6 @@ class PartitionedMatcher(BaseMatcher):
         Defaults to uniform 1.0.
     observer:
         Observability sink; defaults to the module-level observer.
-    simulator:
-        Virtual clock for the DES backend (a fresh
-        :class:`~repro.sim.engine.Simulator` when omitted).
     procpool_timeout:
         Seconds the process backend waits on a worker reply before
         declaring it dead (:data:`repro.match.procpool.DEFAULT_TIMEOUT`
@@ -313,7 +308,6 @@ class PartitionedMatcher(BaseMatcher):
         assign: str = "round-robin",
         cost_model: CostModel | None = None,
         observer=None,
-        simulator: Simulator | None = None,
         procpool_timeout: float | None = None,
     ) -> None:
         super().__init__(memory)
@@ -355,7 +349,8 @@ class PartitionedMatcher(BaseMatcher):
         self._cost_model = cost_model
         self._procpool: ProcessPool | None = None
         self.procpool_timeout = procpool_timeout
-        self.simulator = simulator
+        #: Virtual clock of the DES backend (None on the others).
+        self.simulator: Simulator | None = None
         if backend == "process":
             from repro.match.procpool import DEFAULT_TIMEOUT
 
@@ -368,7 +363,7 @@ class PartitionedMatcher(BaseMatcher):
             self._shards = [
                 _Shard(i, factory(memory)) for i in range(shards)
             ]
-        if backend == "des" and simulator is None:
+        if backend == "des":
             from repro.sim.engine import Simulator
 
             self.simulator = Simulator()
@@ -394,9 +389,6 @@ class PartitionedMatcher(BaseMatcher):
         return float(model.get(production.name, 1.0))
 
     def _pick_shard(self, production: Production) -> _Shard:
-        if self.assign == "hash":
-            digest = zlib.crc32(production.name.encode("utf-8"))
-            return self._shards[digest % len(self._shards)]
         if self.assign == "lpt":
             return min(self._shards, key=lambda s: (s.load, s.index))
         return self._shards[self._registered % len(self._shards)]

@@ -330,7 +330,6 @@ class ProcessPool:
         self,
         shards: int,
         inner_name: str,
-        context: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ) -> None:
         if shards < 1:
@@ -340,9 +339,7 @@ class ProcessPool:
         self.shards = shards
         self.inner_name = inner_name
         self.timeout = timeout
-        self._ctx = multiprocessing.get_context(
-            context if context is not None else default_context()
-        )
+        self._ctx = multiprocessing.get_context(default_context())
         self._processes: list = []
         self._conns: list = []
         self._alive = False

@@ -18,16 +18,18 @@ over short rolling windows of raw signals:
   window.  High share means the run is serializing on hot objects
   (the paper's Rc-vs-Wa contention story, live).
 * ``wal_stall`` — WAL segments rotating with **zero** checkpoints in
-  the window: the PR 6 storage layer is growing its log without ever
+  the window: the storage layer is growing its log without ever
   truncating it.
 
-Signals arrive via :meth:`HealthMonitor.record` (the Observer feeds
-them from step closes and event hooks); :meth:`evaluate` prunes each
-window, scores every rule, and returns a :class:`HealthReport`.  Status transitions
-are logged in :attr:`HealthMonitor.transitions` and invoke
-``on_transition``, so the observer can record a ``health.transition``
-event — the audit trail of *when* a run went red and which rule
-pushed it there.
+Each rule is a row of :data:`RULES` — its name and its yellow and red
+thresholds — graded over the last :data:`WINDOW_S` seconds.  Signals
+arrive via :meth:`HealthMonitor.record` (the Observer feeds them from
+step closes and event hooks); :meth:`evaluate` prunes each window,
+grades every rule in one loop over :data:`RULES`, and returns a
+:class:`HealthReport`.  Status transitions are logged in
+:attr:`HealthMonitor.transitions` and invoke ``on_transition``, so the
+observer can record a ``health.transition`` event — the audit trail of
+*when* a run went red and which rule pushed it there.
 """
 
 from __future__ import annotations
@@ -42,6 +44,20 @@ YELLOW = "yellow"
 RED = "red"
 
 _SEVERITY = {GREEN: 0, YELLOW: 1, RED: 2}
+
+#: Seconds of signal every evaluation looks back over.
+WINDOW_S = 5.0
+
+#: ``(rule, yellow, red)``: a rule whose graded value reaches a
+#: threshold has that status.  Tuned so a healthy Manners run stays
+#: green while a chaos run with a fault spike goes red (pinned by
+#: tests).  A rule reports its red threshold as ``threshold``.
+RULES = (
+    ("abort_rate", 0.25, 0.5),
+    ("retry_exhaustion", 1, 3),
+    ("lock_wait_share", 0.25, 0.5),
+    ("wal_stall", 2, 3),
+)
 
 #: Abort reasons that are part of normal wave-protocol operation, not
 #: failures: deferrals (locks unavailable this wave, retried next) and
@@ -126,9 +142,8 @@ class HealthReport:
 class HealthMonitor:
     """Rolling-window threshold/ratio rules over raw run signals.
 
-    Parameters are the rule thresholds; the defaults are tuned so a
-    healthy Manners run stays green while a chaos run with a fault
-    spike goes red (pinned by tests).
+    Every rule is one row of :data:`RULES`, graded over the last
+    :data:`WINDOW_S` seconds of signal.
 
     Signal names the observer feeds (each ``record`` appends a
     ``(ts, value)`` pair and old pairs age out of the window):
@@ -140,28 +155,10 @@ class HealthMonitor:
     def __init__(
         self,
         clock: Callable[[], float] | None = None,
-        window: float = 5.0,
         on_transition: Callable[[str, str, HealthReport], None] | None = None,
-        abort_rate_yellow: float = 0.25,
-        abort_rate_red: float = 0.5,
-        retry_exhausted_yellow: int = 1,
-        retry_exhausted_red: int = 3,
-        lock_wait_share_yellow: float = 0.25,
-        lock_wait_share_red: float = 0.5,
-        wal_stall_rotations: int = 3,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
         self.clock = clock if clock is not None else time.monotonic
-        self.window = window
         self.on_transition = on_transition
-        self.abort_rate_yellow = abort_rate_yellow
-        self.abort_rate_red = abort_rate_red
-        self.retry_exhausted_yellow = retry_exhausted_yellow
-        self.retry_exhausted_red = retry_exhausted_red
-        self.lock_wait_share_yellow = lock_wait_share_yellow
-        self.lock_wait_share_red = lock_wait_share_red
-        self.wal_stall_rotations = wal_stall_rotations
         self._mutex = threading.Lock()
         #: signal -> [its (ts, value) pairs in the window, their sum]
         self._signals: dict[str, list] = {}
@@ -198,7 +195,7 @@ class HealthMonitor:
     def evaluate(self, ts: float | None = None) -> HealthReport:
         """Score every rule, update status, fire transition callback."""
         now = ts if ts is not None else self.clock()
-        horizon = now - self.window
+        horizon = now - WINDOW_S
         with self._mutex:
             committed = self._window_sum("firing.committed", horizon)
             aborted = self._window_sum("firing.aborted", horizon)
@@ -206,55 +203,41 @@ class HealthMonitor:
             wait = self._window_sum("lock.wait_seconds", horizon)
             rotations = self._window_sum("storage.rotations", horizon)
             checkpoints = self._window_sum("storage.checkpoints", horizon)
-        elapsed = min(self.window, max(1e-9, now - self._started))
-
-        results: list[RuleResult] = []
-
+        elapsed = min(WINDOW_S, max(1e-9, now - self._started))
         total = committed + aborted
         rate = aborted / total if total else 0.0
-        status = GREEN
-        if rate >= self.abort_rate_red:
-            status = RED
-        elif rate >= self.abort_rate_yellow:
-            status = YELLOW
-        results.append(RuleResult(
-            "abort_rate", status, rate, self.abort_rate_red,
-            f"{int(aborted)}/{int(total)} transactions failed in window",
-        ))
-
-        status = GREEN
-        if exhausted >= self.retry_exhausted_red:
-            status = RED
-        elif exhausted >= self.retry_exhausted_yellow:
-            status = YELLOW
-        results.append(RuleResult(
-            "retry_exhaustion", status, exhausted,
-            float(self.retry_exhausted_red),
-            f"{int(exhausted)} firings exhausted retries in window",
-        ))
-
         share = wait / elapsed
-        status = GREEN
-        if share >= self.lock_wait_share_red:
-            status = RED
-        elif share >= self.lock_wait_share_yellow:
-            status = YELLOW
-        results.append(RuleResult(
-            "lock_wait_share", status, share, self.lock_wait_share_red,
-            f"{wait:.4f}s queued over {elapsed:.4f}s of window",
-        ))
-
-        status = GREEN
-        if checkpoints == 0 and rotations >= self.wal_stall_rotations:
-            status = RED
-        elif checkpoints == 0 and rotations >= 2:
-            status = YELLOW
-        results.append(RuleResult(
-            "wal_stall", status, rotations,
-            float(self.wal_stall_rotations),
-            f"{int(rotations)} WAL rotations, "
-            f"{int(checkpoints)} checkpoints in window",
-        ))
+        # rule -> (reported value, graded value, detail)
+        measured = {
+            "abort_rate": (
+                rate, rate,
+                f"{int(aborted)}/{int(total)} transactions failed in window",
+            ),
+            "retry_exhaustion": (
+                exhausted, exhausted,
+                f"{int(exhausted)} firings exhausted retries in window",
+            ),
+            "lock_wait_share": (
+                share, share,
+                f"{wait:.4f}s queued over {elapsed:.4f}s of window",
+            ),
+            # A checkpoint in the window means the log is truncating.
+            "wal_stall": (
+                rotations, 0.0 if checkpoints else rotations,
+                f"{int(rotations)} WAL rotations, "
+                f"{int(checkpoints)} checkpoints in window",
+            ),
+        }
+        results: list[RuleResult] = []
+        for name, yellow, red in RULES:
+            value, graded, detail = measured[name]
+            status = (
+                RED if graded >= red else YELLOW if graded >= yellow
+                else GREEN
+            )
+            results.append(
+                RuleResult(name, status, value, float(red), detail)
+            )
 
         overall = worst(r.status for r in results)
         report = HealthReport(overall, now, results)

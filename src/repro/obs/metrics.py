@@ -160,7 +160,7 @@ class Histogram:
             }
 
 
-#: Quantiles every sketch reports by default.
+#: Quantiles every sketch reports.
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
 
 #: Default reservoir budget.  Rank-space standard error for quantile q
@@ -188,7 +188,7 @@ class QuantileSketch:
     """
 
     __slots__ = (
-        "name", "budget", "quantiles", "count", "sum", "min", "max",
+        "name", "budget", "count", "sum", "min", "max",
         "_values", "_rng", "_lock",
     )
 
@@ -196,21 +196,14 @@ class QuantileSketch:
         self,
         name: str,
         budget: int = DEFAULT_SKETCH_BUDGET,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
         seed: int | None = None,
     ) -> None:
         if budget < 1:
             raise ValueError(
                 f"sketch {name}: budget must be >= 1, got {budget}"
             )
-        qs = tuple(float(q) for q in quantiles)
-        if any(not 0.0 < q < 1.0 for q in qs):
-            raise ValueError(
-                f"sketch {name}: quantiles must be in (0, 1), got {qs}"
-            )
         self.name = name
         self.budget = budget
-        self.quantiles = qs
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
@@ -260,7 +253,7 @@ class QuantileSketch:
             vmin = self.min if self.count else None
             vmax = self.max if self.count else None
         estimates: dict[str, float | None] = {}
-        for q in self.quantiles:
+        for q in DEFAULT_QUANTILES:
             if not ordered:
                 estimates[f"{q:g}"] = None
                 continue
@@ -315,16 +308,9 @@ class MetricsRegistry:
             name, Histogram, lambda: Histogram(name, buckets)
         )
 
-    def sketch(
-        self,
-        name: str,
-        budget: int = DEFAULT_SKETCH_BUDGET,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ) -> QuantileSketch:
+    def sketch(self, name: str) -> QuantileSketch:
         return self._get_or_create(
-            name,
-            QuantileSketch,
-            lambda: QuantileSketch(name, budget=budget, quantiles=quantiles),
+            name, QuantileSketch, lambda: QuantileSketch(name)
         )
 
     def _get_or_create(self, name, cls, factory):

@@ -540,13 +540,11 @@ class Observer:
             "retry.exhausted", rule=rule, attempts=attempts, reason=reason
         )
 
-    def deadlock_victim(
-        self, txn_id: str, cycle: Iterable[str], policy: str
-    ) -> None:
-        """Deadlock detection chose and aborted a victim."""
-        cycle = tuple(cycle)
+    def deadlock_victim(self, txn_id: str, cycle: Iterable[str]) -> None:
+        """Deadlock detection aborted the youngest transaction on a
+        cycle."""
         self._c_deadlock_victims.inc()
-        self._event("deadlock.victim", txn=txn_id, cycle=cycle, policy=policy)
+        self._event("deadlock.victim", txn=txn_id, cycle=tuple(cycle))
 
     # -- match and storage ------------------------------------------------------------------
 

@@ -56,7 +56,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -382,12 +381,3 @@ class SpanRecorder:
     def __len__(self) -> int:
         with self._mutex:
             return len(self._spans)
-
-    # -- serialization -----------------------------------------------------------------
-
-    def to_json_lines(self, name: str | None = None) -> str:
-        """One JSON object per span, oldest first."""
-        return "\n".join(
-            json.dumps(span.to_dict(), sort_keys=True)
-            for span in self.spans(name)
-        )

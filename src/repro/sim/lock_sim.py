@@ -26,6 +26,7 @@ from typing import Literal, Sequence
 import repro.obs as obs_module
 from repro.errors import SimulationError
 from repro.locks import SCHEMES
+from repro.locks.deadlock import youngest_victim
 from repro.sim.gantt import ABORTED, COMMITTED, ExecutionTrace
 from repro.sim.processor import ProcessorPool
 from repro.txn.schedule import History
@@ -118,7 +119,13 @@ def _deadlock_victim(states, manager, discipline):
     cycle = graph_cycle(edges)
     if cycle is None:
         return None
-    return max((by_pid[p] for p in cycle), key=lambda f: f.txn.start_order)
+    return _youngest(by_pid[p] for p in cycle)
+
+
+def _youngest(firings):
+    """The firing whose transaction :func:`youngest_victim` picks."""
+    by_txn = {f.txn: f for f in firings}
+    return by_txn[youngest_victim(list(by_txn))]
 
 
 class _Firing:
@@ -363,9 +370,7 @@ def simulate_lock_scheme(
                 # Defensive: no cycle found — abort the youngest
                 # lock-holder so the simulation cannot wedge.
                 holders = [f for f in waiting if f.phase == "wait_act"]
-                victim = max(
-                    holders or waiting, key=lambda f: f.txn.start_order
-                )
+                victim = _youngest(holders or waiting)
             deadlock_aborts += 1
             abort_firing(victim, "deadlock victim", restart=True)
             victim.wait_since = now

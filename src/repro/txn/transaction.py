@@ -50,7 +50,7 @@ class Transaction:
     state: TxnState = TxnState.ACTIVE
     read_set: set[DataObject] = field(default_factory=set)
     write_set: set[DataObject] = field(default_factory=set)
-    #: Monotonic start order; used by deadlock victim policies.
+    #: Monotonic start order; the deadlock victim is the youngest.
     start_order: int = 0
     abort_reason: str = ""
 

@@ -96,12 +96,8 @@ class TestActions:
             '(p r (n ^v <x>) --> (write "value" <x>))'
         )
         wm.make("n", v=4)
-        seen = []
-        outcome = ActionExecutor(wm, output_sink=seen.append).execute(
-            instantiate(rule, wm)
-        )
+        outcome = ActionExecutor(wm).execute(instantiate(rule, wm))
         assert outcome.outputs == [("value", 4)]
-        assert seen == [("value", 4)]
 
     def test_halt_reported_not_raised(self, wm):
         rule = parse_production("(p r (n ^v 1) --> (halt))")

@@ -80,17 +80,6 @@ class TestRefraction:
         assert result.stop_reason == "quiescent"
         assert len(result) == 1
 
-    def test_without_refraction_rule_loops(self, wm):
-        rule = (
-            RuleBuilder("loop")
-            .when("x", v=var("n"))
-            .make("y", copied=var("n"))
-            .build()
-        )
-        wm.make("x", v=1)
-        result = Interpreter([rule], wm, refraction=False).run(max_cycles=7)
-        assert result.stop_reason == "max_cycles"
-
     def test_new_instantiation_fires_after_modify(self, wm):
         # Modify gives the WME a new timetag -> new instantiation.
         rule = parse_production(

@@ -195,7 +195,7 @@ class TestAbortTimeoutClassification:
 class TestDeadlockDetection:
     """2PL upgrade deadlock on real threads, broken by detection."""
 
-    def _run(self, victim_policy="youngest"):
+    def _run(self):
         wm, rules = figure_44_setup()
         snapshot = WMSnapshot.capture(wm)
         # Stall both threads before their W request (rate 1.0, mode W)
@@ -209,7 +209,6 @@ class TestDeadlockDetection:
             wm,
             scheme="2pl",
             lock_timeout=10.0,
-            victim_policy=victim_policy,
             fault_injector=plan.injector(),
         )
         result = executor.run_wave()
@@ -227,16 +226,6 @@ class TestDeadlockDetection:
         )
         assert outcome.consistent, outcome.detail
         assert is_conflict_serializable(executor.history)
-
-    @pytest.mark.parametrize(
-        "victim_policy", ["oldest", "fewest-locks", "most-locks"]
-    )
-    def test_alternative_victim_policies_break_the_cycle(
-        self, victim_policy
-    ):
-        _, _, executor, result = self._run(victim_policy)
-        assert len(result.committed) == 1
-        assert len(executor.deadlock_victims) == 1
 
     def test_one_block_event_breaks_every_cycle_it_closes(self):
         """A request waits for *every* incompatible holder, so going
@@ -260,13 +249,6 @@ class TestDeadlockDetection:
             [reader_1.txn_id, reader_2.txn_id]
         )
         assert executor.detector.find_cycle() is None
-
-    def test_unknown_victim_policy_rejected(self):
-        wm, rules = figure_44_setup()
-        with pytest.raises(ValueError):
-            ThreadedWaveExecutor(
-                rules, wm, scheme="2pl", victim_policy="coin-flip"
-            )
 
 
 class TestThreadedRetry:

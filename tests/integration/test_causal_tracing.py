@@ -38,7 +38,11 @@ from repro.engine.multiuser import MultiUserEngine, Session
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
 from repro.match import PartitionedMatcher
-from repro.obs.export import chrome_trace, load_spans_json_lines
+from repro.obs.export import (
+    chrome_trace,
+    load_spans_json_lines,
+    spans_json_lines,
+)
 from repro.wm import WorkingMemory
 
 
@@ -208,7 +212,7 @@ class TestAcceptance:
     ):
         with obs.observed() as observer:
             run_conflict_workload(observer)
-        dump = observer.spans.to_json_lines()
+        dump = spans_json_lines(observer.spans)
         rows = load_spans_json_lines(dump)
         assert cycle_breakdowns(rows)[0].buckets == (
             cycle_breakdowns(observer.spans)[0].buckets
@@ -216,11 +220,11 @@ class TestAcceptance:
         assert ordered_firsts(rows) == ordered_firsts(observer.spans) != []
         with obs.observed() as observer:
             run_conflict_workload(observer, circular_rules())
-        rows = load_spans_json_lines(observer.spans.to_json_lines())
+        rows = load_spans_json_lines(spans_json_lines(observer.spans))
         assert held_backs(rows) == held_backs(observer.spans) != []
         with obs.observed() as observer:
             rule_ii_by_hand(observer)
-        rows = load_spans_json_lines(observer.spans.to_json_lines())
+        rows = load_spans_json_lines(spans_json_lines(observer.spans))
         assert abort_chains(rows) == abort_chains(observer.spans) != []
 
 
@@ -348,5 +352,5 @@ class TestLevels:
     def test_span_dump_is_valid_json_lines(self):
         with obs.observed() as observer:
             run_conflict_workload(observer)
-        for line in observer.spans.to_json_lines().splitlines():
+        for line in spans_json_lines(observer.spans).splitlines():
             json.loads(line)

@@ -1,14 +1,9 @@
-"""Tests for deadlock detection and victim policies."""
+"""Tests for deadlock detection and victim selection."""
 
 import pytest
 
 from repro.locks import LockManager, LockMode
-from repro.locks.deadlock import (
-    DeadlockDetector,
-    make_most_locks_victim,
-    oldest_victim,
-    youngest_victim,
-)
+from repro.locks.deadlock import DeadlockDetector, youngest_victim
 from repro.txn import Transaction
 
 
@@ -105,21 +100,8 @@ class TestVictimPolicies:
         a, b = txn(), txn()
         assert youngest_victim([a, b]) is b
 
-    def test_oldest_victim(self):
-        a, b = txn(), txn()
-        assert oldest_victim([a, b]) is a
-
-    def test_most_locks_victim(self):
-        manager = LockManager()
-        a, b = txn(), txn()
-        manager.acquire(a, "x", LockMode.R)
-        manager.acquire(a, "y", LockMode.R)
-        manager.acquire(b, "z", LockMode.R)
-        policy = make_most_locks_victim(manager)
-        assert policy([a, b]) is a
-
     def test_policy_applied_by_detector(self):
         manager = LockManager()
         t1, t2 = make_cycle(manager)
-        detector = DeadlockDetector(manager, policy=oldest_victim)
-        assert detector.choose_victim() is t1
+        detector = DeadlockDetector(manager)
+        assert detector.choose_victim() is t2

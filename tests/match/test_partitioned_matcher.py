@@ -170,17 +170,6 @@ class TestPartitioning:
         assert layout[0] == ["big-a", "match-pair"]
         assert layout[1] == ["lonely-a", "triple"]
 
-    def test_hash_assignment_is_stable(self):
-        first = PartitionedMatcher(
-            WorkingMemory(), shards=3, assign="hash", backend="serial"
-        )
-        second = PartitionedMatcher(
-            WorkingMemory(), shards=3, assign="hash", backend="serial"
-        )
-        first.add_productions(_program())
-        second.add_productions(reversed(_program()))
-        assert first.stats()["layout"] == second.stats()["layout"]
-
     def test_lpt_assignment_matches_model(self):
         costs = [7.0, 5.0, 4.0, 3.0, 2.0, 2.0, 1.0]
         rules = [

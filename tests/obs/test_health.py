@@ -26,9 +26,9 @@ class FakeClock:
         return self.now
 
 
-def monitor(**kwargs):
+def monitor():
     clock = FakeClock()
-    return HealthMonitor(clock=clock, **kwargs), clock
+    return HealthMonitor(clock=clock), clock
 
 
 def rule(report, name):
@@ -64,7 +64,7 @@ class TestAbortRate:
         assert "3/6 transactions failed" in result.detail
 
     def test_old_aborts_age_out_of_the_window(self):
-        mon, clock = monitor(window=5.0)
+        mon, clock = monitor()
         mon.record("firing.aborted", 10)
         mon.record("firing.committed", 1)
         assert mon.evaluate().status == RED
@@ -92,7 +92,7 @@ class TestRetryExhaustion:
 
 class TestLockWaitShare:
     def test_share_is_wait_over_window_elapsed(self):
-        mon, clock = monitor(window=5.0)
+        mon, clock = monitor()
         clock.now += 5.0  # a full window has elapsed
         mon.record("lock.wait_seconds", 1.0)
         result = rule(mon.evaluate(), "lock_wait_share")
@@ -102,7 +102,7 @@ class TestLockWaitShare:
         assert rule(mon.evaluate(), "lock_wait_share").status == RED
 
     def test_early_evaluation_uses_actual_elapsed_not_window(self):
-        mon, clock = monitor(window=5.0)
+        mon, clock = monitor()
         clock.now += 1.0
         mon.record("lock.wait_seconds", 0.6)  # 0.6s / 1s elapsed => red
         assert rule(mon.evaluate(), "lock_wait_share").status == RED
@@ -148,10 +148,6 @@ class TestTransitions:
         mon.evaluate()
         mon.evaluate()
         assert len(mon.transitions) == 1
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            HealthMonitor(window=0)
 
 
 class TestEngineIntegration:

@@ -240,8 +240,6 @@ class TestQuantileSketch:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuantileSketch("s", budget=0)
-        with pytest.raises(ValueError):
-            QuantileSketch("s", quantiles=(0.5, 1.0))
 
     def test_registry_factory_idempotent_and_typed(self):
         registry = MetricsRegistry()

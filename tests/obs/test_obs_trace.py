@@ -7,6 +7,7 @@ import json
 import threading
 
 from repro.obs import SpanRecorder
+from repro.obs.export import spans_json_lines
 
 
 class TestEmission:
@@ -54,5 +55,5 @@ class TestJson:
 
         rec = SpanRecorder()
         rec.record("e", 1.0, 1.0, thing=Weird())
-        payload = json.loads(rec.to_json_lines())
+        payload = json.loads(spans_json_lines(rec))
         assert payload["fields"]["thing"] == "<weird>"

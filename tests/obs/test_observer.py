@@ -183,7 +183,7 @@ class TestAcceptanceScenario:
 
     def test_trace_json_lines_parse(self):
         spans = contention_run(obs.Observer()).obs.spans
-        for line in spans.to_json_lines().splitlines():
+        for line in spans_json_lines(spans).splitlines():
             json.loads(line)
 
 

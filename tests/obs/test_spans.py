@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.obs import SpanRecorder
+from repro.obs.export import spans_json_lines
 
 
 def ticker(*values):
@@ -180,7 +181,7 @@ class TestSerialization:
         rec.record("firing", start=0.1, end=0.9, rule="r")
         rows = [
             json.loads(line)
-            for line in rec.to_json_lines().splitlines()
+            for line in spans_json_lines(rec).splitlines()
         ]
         assert [r["name"] for r in rows] == ["cycle", "firing"]
         assert rows[0]["duration"] == pytest.approx(1.0)

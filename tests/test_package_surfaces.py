@@ -69,9 +69,7 @@ PUBLIC_NAMES = {
         COMPATIBILITY ConservativeTwoPhaseScheme DeadlockDetector
         GrantOutcome LockGrant LockManager LockMode
         LockRequest RcScheme RequestStatus SCHEMES TWO_PHASE_COMPATIBILITY
-        TwoPhaseScheme VictimPolicy compatible make_fewest_locks_victim
-        most_locks_victim oldest_victim resolve_victim_policy table_4_1
-        youngest_victim
+        TwoPhaseScheme compatible table_4_1 youngest_victim
     """,
     "repro.match": """
         CondRelationMatcher ConflictSet ConflictSetDelta FifoStrategy
@@ -215,3 +213,51 @@ def test_null_observer_answers_every_observer_hook():
     assert NULL_OBSERVER.enabled is False and NULL_OBSERVER.spans is None
     with pytest.raises(AttributeError):
         NULL_OBSERVER._private
+
+
+#: Every option a constructor takes, recorded so that a new knob is
+#: added on purpose: an option with no caller outside the tests is a
+#: constant, not a parameter.
+SIGNATURES = {
+    "repro.engine:ParallelEngine": (
+        "productions", "memory", "scheme", "matcher", "strategy",
+        "processors", "seed", "observer", "retry_policy", "fault_injector",
+    ),
+    "repro.engine:ThreadedWaveExecutor": (
+        "productions", "memory", "scheme", "matcher", "lock_timeout",
+        "observer", "retry_policy", "fault_injector", "sleeper",
+    ),
+    "repro.engine:MultiUserEngine": (
+        "sessions", "memory", "scheme", "matcher", "base_strategy",
+        "processors", "seed", "observer", "retry_policy", "fault_injector",
+    ),
+    "repro.engine:Interpreter": (
+        "productions", "memory", "matcher", "strategy", "seed",
+    ),
+    "repro.engine:ActionExecutor": ("memory",),
+    "repro.match:PartitionedMatcher": (
+        "memory", "shards", "inner", "backend", "assign", "cost_model",
+        "observer", "procpool_timeout",
+    ),
+    "repro.match.procpool:ProcessPool": ("shards", "inner_name", "timeout"),
+    "repro.wm.storage:DurableStore": (
+        "memory", "directory", "fault_injector", "durability",
+        "segment_max_records", "segment_max_bytes", "observer",
+    ),
+    "repro.obs:Observer": (
+        "capacity", "clock", "level", "sample_rate", "sample_seed",
+    ),
+    "repro.obs:HealthMonitor": ("clock", "on_transition"),
+    "repro.obs:QuantileSketch": ("name", "budget", "seed"),
+    "repro.obs:MetricsRegistry.sketch": ("self", "name"),
+    "repro.locks:DeadlockDetector": ("manager",),
+}
+
+
+@pytest.mark.parametrize("target", sorted(SIGNATURES))
+def test_constructor_options_are_the_recorded_set(target):
+    module_name, _, path = target.partition(":")
+    obj = importlib.import_module(module_name)
+    for attribute in path.split("."):
+        obj = getattr(obj, attribute)
+    assert tuple(inspect.signature(obj).parameters) == SIGNATURES[target]
