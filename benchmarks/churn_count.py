@@ -1,0 +1,100 @@
+"""Conflict-set churn per e2e workload: instantiations built vs fired.
+
+Builds each ``benchmarks/e2e`` workload exactly as its child does (same
+generator, sizes, seed and engine), wraps the engine's conflict set to
+count the instantiations that enter it, and runs once, uncapped and
+untimed.  Most instantiations leave unfired: a ``modify`` retracts and
+re-derives every instantiation joined to the element, and only one
+per cycle (or a wave's worth) fires.
+
+Run from the repository root::
+
+    PYTHONPATH=src python benchmarks/churn_count.py [--seed 5] [WORKLOAD ...]
+
+It prints one row per workload: instantiations in the engine's conflict
+set after attach, instantiations added during the run, firings, and
+all built over fired.  Counting is outside ``src/`` so that no run
+pays for it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "e2e"))
+
+import child  # noqa: E402
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+
+def count(name: str, seed: int) -> tuple[int, int, int]:
+    """(instantiations in the conflict set after attach, instantiations
+    added during the run, firings)."""
+    from repro.lang import parse_program
+    from repro.wm.memory import WorkingMemory
+    from repro.wm.storage import DurableStore
+
+    spec = run.build_spec(name, seed, smoke=False)
+    memory = WorkingMemory()
+    store_dir = store = None
+    if spec["engine"].get("durable"):
+        store_dir = tempfile.mkdtemp(prefix="churn-")
+        store = DurableStore(
+            memory, store_dir, durability=spec["engine"]["durable"]
+        )
+    for relation, values in spec["facts"]:
+        memory.make(relation, values)
+    engine = child.build_engine(spec, parse_program(spec["rules"]), memory)
+    conflict_set = engine.matcher.conflict_set
+    attached = len(conflict_set)
+    added = 0
+    add = conflict_set.add
+
+    def counted_add(instantiation) -> bool:
+        nonlocal added
+        fresh = add(instantiation)
+        added += fresh
+        return fresh
+
+    conflict_set.add = counted_add
+    parallel = spec["engine"]["kind"] == "parallel"
+    limit = {"max_waves" if parallel else "max_cycles": 10**9}
+    try:
+        result = engine.run(**limit)
+    finally:
+        engine.close()
+        if store is not None:
+            store.close()
+            shutil.rmtree(store_dir, ignore_errors=True)
+    return attached, added, len(result.firings)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "workloads", nargs="*", default=list(workloads.WORKLOADS)
+    )
+    parser.add_argument("--seed", type=int, default=5)
+    args = parser.parse_args()
+    print(
+        f"{'workload':<16} {'attach':>7} {'run':>7} {'fired':>6} "
+        f"{'built/fired':>11}"
+    )
+    for name in args.workloads:
+        attached, added, fired = count(name, args.seed)
+        built = attached + added
+        print(
+            f"{name:<16} {attached:>7} {added:>7} {fired:>6} "
+            f"{built / fired:>11.2f}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

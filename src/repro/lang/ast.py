@@ -254,10 +254,9 @@ class ConditionElement:
     # -- evaluation --------------------------------------------------------------
     #
     # Evaluation delegates to the compiled closures (repro.lang.compile):
-    # one alpha and one beta closure per element, built on first use and
-    # cached.  The matchers bind the closures directly at their hot
-    # sites; these methods remain the convenient (and equivalent) entry
-    # points for everything else.
+    # the element's alpha closure, built on first use and cached.  Join
+    # tests compile per production, against its slotted token layout
+    # (``Production.token_plan()``).
 
     def compiled(self):
         """The element's :class:`~repro.lang.compile.CompiledCondition`.
@@ -277,26 +276,6 @@ class ConditionElement:
     def alpha_matches(self, wme: WME) -> bool:
         """True when ``wme`` passes the relation and constant tests."""
         return self.compiled().alpha(wme)
-
-    def beta_matches(
-        self, wme: WME, bindings: Bindings
-    ) -> dict[str, Scalar] | None:
-        """Join ``wme`` against existing ``bindings``.
-
-        Returns the *extended* bindings dict when all variable tests
-        succeed, or ``None`` on failure.  ``alpha_matches`` is assumed
-        to have been checked already.
-        """
-        return self.compiled().beta(wme, bindings)
-
-    def matches(
-        self, wme: WME, bindings: Bindings | None = None
-    ) -> dict[str, Scalar] | None:
-        """Full single-WME match: alpha tests then beta join.
-
-        Convenience for the naive matcher and for tests.
-        """
-        return self.compiled().match(wme, bindings)
 
     def __reduce__(self):
         # Cached partitions/closures are derived state; pickle only the

@@ -11,15 +11,11 @@ layers.
 Element level
 -------------
 A :class:`CompiledCondition`, cached on the element, holds
-
-* ``alpha(wme) -> bool`` — the relation + constant-test +
-  constant-predicate check (the alpha-network filter), specialized to
-  the element's actual test shape (relation-only and constants-only
-  elements get dedicated, branch-free closures);
-* ``beta(wme, bindings) -> dict | None`` — the variable bind/join tests
-  and variable-operand predicates over a binding dict: the
-  element's own ``beta_matches``/``matches`` API, for callers that hold
-  one element and no production.
+``alpha(wme) -> bool`` — the relation + constant-test +
+constant-predicate check (the alpha-network filter), specialized to
+the element's actual test shape (relation-only and constants-only
+elements get dedicated, branch-free closures) — and the test layout
+the production level compiles its join tests from.
 
 Production level: slotted tokens
 --------------------------------
@@ -58,7 +54,7 @@ Semantics
 A predicate referencing an unbound variable raises
 ``ValidationError`` (unreachable for validated productions —
 :meth:`~repro.lang.production.Production.validate` rejects such rules
-at load time — but kept for bare condition elements); ordering across
+at load time — but kept in the compiled join test); ordering across
 unlike types is ``False``/``None``; a stored ``None`` is a value, an
 absent attribute never matches.  ``tests/match/reference_matcher.py``
 re-derives whole conflict sets by brute force from the AST, sharing
@@ -82,19 +78,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _MISSING = object()
 
 AlphaEvaluator = Callable[[WME], bool]
-BetaEvaluator = Callable[[WME, "Bindings"], "dict[str, Scalar] | None"]
 
 
 class CompiledCondition:
-    """One condition element's precompiled evaluators and test layout.
+    """One condition element's precompiled alpha test and test layout.
 
     Attributes
     ----------
-    alpha, beta:
-        The two closures described in the module docstring.
-    match:
-        Convenience composition: ``beta(wme, bindings)`` when
-        ``alpha(wme)`` passes, else ``None``.
+    alpha:
+        The closure described in the module docstring.
     constant_equalities:
         ``(attribute, value)`` pairs from the constant tests — the
         index-probe keys the naive/TREAT candidate selectors use.
@@ -106,35 +98,19 @@ class CompiledCondition:
     __slots__ = (
         "element",
         "alpha",
-        "beta",
-        "match",
         "constant_equalities",
         "variable_items",
     )
 
     def __init__(self, element: "ConditionElement") -> None:
         self.element = element
-        self.alpha = alpha = compile_alpha(element)
-        self.beta = beta = compile_beta(element)
+        self.alpha = compile_alpha(element)
         self.constant_equalities = tuple(
             (t.attribute, t.value) for t in element.constant_tests()
         )
         self.variable_items = tuple(
             (t.attribute, t.variable) for t in element.variable_tests()
         )
-
-        def match(
-            wme: WME,
-            bindings=None,
-            *,
-            _alpha=alpha,
-            _beta=beta,
-        ):
-            if not _alpha(wme):
-                return None
-            return _beta(wme, bindings if bindings is not None else {})
-
-        self.match = match
 
 
 # ---------------------------------------------------------------------------
@@ -208,68 +184,6 @@ def compile_alpha(element: "ConditionElement") -> AlphaEvaluator:
         return True
 
     return alpha_full
-
-
-def compile_beta(element: "ConditionElement") -> BetaEvaluator:
-    """Compile the variable bind/join tests into one closure."""
-    from repro.lang.ast import _PREDICATES
-
-    var_items = tuple(
-        (t.attribute, t.variable) for t in element.variable_tests()
-    )
-    pred_items = tuple(
-        (t.attribute, _PREDICATES[t.op], str(t.operand), t)
-        for t in element.variable_predicates()
-    )
-
-    if not var_items and not pred_items:
-        # A test-free element binds nothing, and no caller mutates a
-        # beta result before the next extension copies it anyway — so
-        # hand the incoming token back unchanged instead of allocating
-        # a fresh dict per probe (the allocation-count tests pin this).
-
-        def beta_pass(wme: WME, bindings) -> dict[str, Scalar]:
-            return bindings
-
-        return beta_pass
-
-    def beta(
-        wme: WME,
-        bindings,
-        *,
-        _vars=var_items,
-        _preds=pred_items,
-        _missing=_MISSING,
-    ) -> dict[str, Scalar] | None:
-        mapping = wme.mapping()
-        extended = dict(bindings)
-        for attribute, variable in _vars:
-            value = mapping.get(attribute, _missing)
-            if value is _missing:
-                return None
-            prior = extended.get(variable, _missing)
-            if prior is _missing:
-                extended[variable] = value
-            elif prior != value:
-                return None
-        for attribute, compare, operand_name, test in _preds:
-            value = mapping.get(attribute, _missing)
-            if value is _missing:
-                return None
-            operand = extended.get(operand_name, _missing)
-            if operand is _missing:
-                raise ValidationError(
-                    f"predicate {test} references unbound variable "
-                    f"<{operand_name}>"
-                )
-            try:
-                if not compare(value, operand):
-                    return None
-            except TypeError:
-                return None
-        return extended
-
-    return beta
 
 
 # ---------------------------------------------------------------------------

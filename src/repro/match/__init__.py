@@ -32,11 +32,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "base": ("Matcher",),
         "instantiation": ("Instantiation",),
-        "conflict_set": ("ConflictSet", "ConflictSetDelta"),
+        "conflict_set": ("ConflictSet",),
         "naive": ("NaiveMatcher",),
         "treat": ("TreatMatcher",),
         "cond": ("CondRelationMatcher",),
-        "partitioned": ("PartitionedMatcher", "parse_partitioned_spec"),
+        "partitioned": (
+            "PartitionedMatcher", "ConflictSetDelta", "parse_partitioned_spec",
+        ),
         "rete.network": ("ReteMatcher",),
         "strategies": (
             "Strategy", "LexStrategy", "MeaStrategy", "PriorityStrategy",

@@ -1,21 +1,26 @@
 """The conflict set (the paper's *set of active productions*, ``PA``).
 
-Matchers deposit instantiation adds/removes here.  The set also keeps a
-per-cycle delta so the engine can observe exactly which instantiations
-a firing activated or deactivated — the concrete realization of the
-paper's add sets :math:`A_i^a` and delete sets :math:`A_i^d`
-(Section 3.3): "the commit of P_i adds (subtracts) the set A_i^a
-(A_i^d) to (from) the conflict set PA".
+Matchers deposit instantiation adds/removes here: "the commit of P_i
+adds (subtracts) the set A_i^a (A_i^d) to (from) the conflict set PA"
+(Section 3.3).  Most of that churn never fires — a modify retracts and
+re-derives every instantiation joined to the element — so an add or a
+remove keeps only what the engines and the matchers read:
 
-Two secondary indexes are maintained alongside the membership map, kept
-in sync by :meth:`ConflictSet.add`/:meth:`ConflictSet.remove`:
-
+* the membership, in membership order;
+* the eligible view (members not yet fired), kept in step so that
+  :meth:`ConflictSet.eligible` never scans the membership;
+* the refraction marks;
 * rule name → instantiations, backing :meth:`for_rule` and
-  :meth:`rule_names` (called on per-delta paths by the TREAT matcher's
-  negation handling and by ``remove_production``);
-* WME timetag → instantiations that mention it, backing
-  :meth:`mentioning` (the TREAT ``remove(w)`` retraction path), so a
-  WME removal never scans the whole set.
+  :meth:`rule_names` (the naive, ``cond`` and TREAT matchers'
+  per-rule recomputation and ``remove_production``).
+
+Two structures live with their only readers instead: TREAT keeps its
+own WME timetag → instantiations index
+(:class:`~repro.match.treat.TreatMatcher`), and the delta log
+(``take_delta``, the paper's ``A^a`` / ``A^d`` since the last call) is
+kept only by a partitioned shard's conflict set
+(:class:`~repro.match.partitioned.ShardConflictSet`), which the shard
+merge reads.
 
 Refraction semantics (pinned here deliberately — OPS5): *an
 instantiation that has fired never fires again*.  Refraction is keyed
@@ -27,46 +32,30 @@ and cannot fire twice.  Genuine re-derivations are unaffected, because
 working-memory ``modify``/``make`` assign fresh timetags, producing a
 *distinct* instantiation that has never fired.  The fired memory is
 bounded by the number of firings in a run and is dropped only by
-:meth:`forget_fired` (used by tests) — never implicitly by
-:meth:`remove` or :meth:`clear`.
+:meth:`forget_fired` — the parallel engine's rollback of a firing that
+did not commit — never implicitly by :meth:`remove` or :meth:`clear`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.match.instantiation import Instantiation
-from repro.wm.element import Timetag, WME
-
-
-@dataclass(frozen=True)
-class ConflictSetDelta:
-    """Instantiations added and removed since the delta was opened."""
-
-    added: frozenset[Instantiation]
-    removed: frozenset[Instantiation]
-
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
 
 
 class ConflictSet:
-    """A mutable set of instantiations with delta tracking."""
+    """A mutable set of instantiations with refraction marks."""
 
     def __init__(self) -> None:
-        self._members: dict[Instantiation, Instantiation] = {}
+        self._members: dict[Instantiation, None] = {}
         self._fired: set[Instantiation] = set()
         # Members that have not fired, in membership order (dict-as-
         # ordered-set), kept in step by add/remove/mark_fired so that
         # eligible() never scans the membership.
         self._eligible: dict[Instantiation, None] = {}
-        self._added: set[Instantiation] = set()
-        self._removed: set[Instantiation] = set()
-        # Secondary indexes (insertion-ordered via dict-as-set so the
-        # derived views are deterministic).
+        # Rule name -> its members (insertion-ordered via dict-as-set
+        # so the derived views are deterministic).
         self._by_rule: dict[str, dict[Instantiation, None]] = {}
-        self._by_wme: dict[Timetag, dict[Instantiation, None]] = {}
 
     # -- mutation (called by matchers) ---------------------------------------------
 
@@ -74,18 +63,15 @@ class ConflictSet:
         """Insert; returns False when already present."""
         if instantiation in self._members:
             return False
-        self._members[instantiation] = instantiation
+        self._members[instantiation] = None
         if instantiation not in self._fired:
             self._eligible[instantiation] = None
-        self._by_rule.setdefault(instantiation.production.name, {})[
-            instantiation
-        ] = None
-        for wme in instantiation.wmes:
-            self._by_wme.setdefault(wme.timetag, {})[instantiation] = None
-        if instantiation in self._removed:
-            self._removed.discard(instantiation)
+        name = instantiation.production.name
+        bucket = self._by_rule.get(name)
+        if bucket is None:
+            self._by_rule[name] = {instantiation: None}
         else:
-            self._added.add(instantiation)
+            bucket[instantiation] = None
         return True
 
     def remove(self, instantiation: Instantiation) -> bool:
@@ -99,21 +85,11 @@ class ConflictSet:
             return False
         del self._members[instantiation]
         self._eligible.pop(instantiation, None)
-        rule_bucket = self._by_rule.get(instantiation.production.name)
-        if rule_bucket is not None:
-            rule_bucket.pop(instantiation, None)
-            if not rule_bucket:
-                del self._by_rule[instantiation.production.name]
-        for wme in instantiation.wmes:
-            wme_bucket = self._by_wme.get(wme.timetag)
-            if wme_bucket is not None:
-                wme_bucket.pop(instantiation, None)
-                if not wme_bucket:
-                    del self._by_wme[wme.timetag]
-        if instantiation in self._added:
-            self._added.discard(instantiation)
-        else:
-            self._removed.add(instantiation)
+        name = instantiation.production.name
+        bucket = self._by_rule[name]
+        del bucket[instantiation]
+        if not bucket:
+            del self._by_rule[name]
         return True
 
     def clear(self) -> None:
@@ -141,11 +117,16 @@ class ConflictSet:
         return instantiation in self._fired
 
     def forget_fired(self, instantiation: Instantiation) -> None:
-        """Drop the fired mark, restoring eligibility (test hook)."""
+        """Drop the fired mark, restoring eligibility.
+
+        The parallel engine calls this when it rolls back a firing
+        that did not commit.  O(|CS|) when ``instantiation`` is a
+        member: the eligible view is rebuilt rather than appended to,
+        so the member regains its membership-order position, not the
+        end of the line.
+        """
         self._fired.discard(instantiation)
         if instantiation in self._members:
-            # Rebuild rather than append: the member regains its
-            # membership-order position, not the end of the line.
             fired = self._fired
             self._eligible = {
                 m: None for m in self._members if m not in fired
@@ -155,27 +136,6 @@ class ConflictSet:
         """Members that have not fired — the candidates for *select*,
         in membership order."""
         return list(self._eligible)
-
-    # -- delta tracking ------------------------------------------------------------------
-
-    def take_delta(self) -> ConflictSetDelta:
-        """Return and reset the accumulated delta.
-
-        The returned delta is exactly (A^a, A^d) of the firings since
-        the previous call.
-        """
-        delta = ConflictSetDelta(
-            frozenset(self._added), frozenset(self._removed)
-        )
-        self._added.clear()
-        self._removed.clear()
-        return delta
-
-    def peek_delta(self) -> ConflictSetDelta:
-        """The accumulated delta, without resetting it."""
-        return ConflictSetDelta(
-            frozenset(self._added), frozenset(self._removed)
-        )
 
     # -- queries --------------------------------------------------------------------------
 
@@ -211,16 +171,6 @@ class ConflictSet:
         Index-backed: O(instantiations of that rule), not O(|CS|).
         """
         return list(self._by_rule.get(name, ()))
-
-    def mentioning(self, wme: WME | Timetag) -> list[Instantiation]:
-        """All active instantiations whose match used ``wme``.
-
-        Index-backed: O(instantiations mentioning the WME), not
-        O(|CS|) — this is what keeps TREAT's ``remove(w)`` retraction
-        a filter instead of a full conflict-set scan.
-        """
-        timetag = wme.timetag if isinstance(wme, WME) else wme
-        return list(self._by_wme.get(timetag, ()))
 
     def is_empty(self) -> bool:
         """Empty conflict set — the termination condition of Section 2."""

@@ -29,14 +29,16 @@ partitioned:rete:4``).  Architecture:
   read-only during match, so shards need no locking beyond the batch
   barrier.
 * **Deterministic merge** — after the barrier, each shard's private
-  conflict-set delta is folded into the shared :class:`~repro.match.
-  conflict_set.ConflictSet` in shard-id order, removals before adds,
-  each sorted by recency (then rule name).  Shards own disjoint rule
-  sets, so merges never conflict and the shared set equals the
-  monolithic matcher's set exactly — ``ES_M ⊆ ES_single`` is
-  preserved because the engine sees the same conflict set it would
-  have seen single-threaded (``tests/match/test_partitioned_matcher
-  .py`` asserts equality property-style).
+  conflict-set delta (its :class:`ShardConflictSet`'s log, the only
+  conflict sets that keep one) is folded into the shared
+  :class:`~repro.match.conflict_set.ConflictSet` in shard-id order,
+  removals before adds, each sorted by recency (then rule name).
+  Shards own disjoint rule sets, so merges never conflict and the
+  shared set equals the monolithic matcher's set exactly —
+  ``ES_M ⊆ ES_single`` is preserved because the engine sees the same
+  conflict set it would have seen single-threaded
+  (``tests/match/test_partitioned_matcher.py`` asserts equality
+  property-style).
 * **Substrates** — ``backend="serial"`` (the default) replays each
   batch shard after shard on the caller's thread: the in-process
   reference.  ``backend="process"`` escapes the GIL: each shard lives in
@@ -76,7 +78,7 @@ import repro.obs as obs_module
 from repro.errors import MatchError
 from repro.lang.production import Production
 from repro.match.base import MATCHERS, BaseMatcher, matcher_class
-from repro.match.conflict_set import ConflictSetDelta
+from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
 from repro.wm.memory import WMDelta, WorkingMemory
 
@@ -130,6 +132,79 @@ def parse_partitioned_spec(spec: str) -> tuple[str, int, str]:
             f"{BACKENDS}"
         )
     return inner, shards, backend
+
+
+@dataclass(frozen=True)
+class ConflictSetDelta:
+    """Instantiations added and removed since the delta was opened."""
+
+    added: frozenset[Instantiation]
+    removed: frozenset[Instantiation]
+
+    def is_empty(self) -> bool:
+        return not self.added and not self.removed
+
+
+class ShardConflictSet(ConflictSet):
+    """A shard's conflict set: a :class:`~repro.match.conflict_set.
+    ConflictSet` plus the delta log the merge folds in.
+
+    The log is the paper's (A^a, A^d) since the last
+    :meth:`take_delta`, net: an add then a remove of one instantiation
+    cancel, and so do a remove then a re-add.  Only shard conflict
+    sets keep it — in-process shards and process workers alike
+    (:func:`shard_matcher`) — so a monolithic matcher's adds and
+    removes do not pay for it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._added: set[Instantiation] = set()
+        self._removed: set[Instantiation] = set()
+
+    def add(self, instantiation: Instantiation) -> bool:
+        if not super().add(instantiation):
+            return False
+        if instantiation in self._removed:
+            self._removed.discard(instantiation)
+        else:
+            self._added.add(instantiation)
+        return True
+
+    def remove(self, instantiation: Instantiation) -> bool:
+        if not super().remove(instantiation):
+            return False
+        if instantiation in self._added:
+            self._added.discard(instantiation)
+        else:
+            self._removed.add(instantiation)
+        return True
+
+    def take_delta(self) -> ConflictSetDelta:
+        """Return and reset the accumulated delta."""
+        delta = self.peek_delta()
+        self._added.clear()
+        self._removed.clear()
+        return delta
+
+    def peek_delta(self) -> ConflictSetDelta:
+        """The accumulated delta, without resetting it."""
+        return ConflictSetDelta(
+            frozenset(self._added), frozenset(self._removed)
+        )
+
+
+def shard_matcher(
+    factory: Callable[[WorkingMemory], BaseMatcher], memory: WorkingMemory
+) -> BaseMatcher:
+    """A fresh inner matcher whose conflict set logs its delta.
+
+    The log is installed before any production is registered: Rete's
+    production nodes hold the conflict set they were built with.
+    """
+    matcher = factory(memory)
+    matcher.conflict_set = ShardConflictSet()
+    return matcher
 
 
 @dataclass
@@ -361,7 +436,8 @@ class PartitionedMatcher(BaseMatcher):
             ]
         else:
             self._shards = [
-                _Shard(i, factory(memory)) for i in range(shards)
+                _Shard(i, shard_matcher(factory, memory))
+                for i in range(shards)
             ]
         if backend == "des":
             from repro.sim.engine import Simulator

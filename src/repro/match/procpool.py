@@ -57,6 +57,7 @@ from repro.errors import MatchError
 from repro.lang.production import Production
 from repro.match.base import matcher_class
 from repro.match.instantiation import Instantiation
+from repro.match.partitioned import shard_matcher
 from repro.wm.element import WME
 from repro.wm.memory import WMDelta, WorkingMemory
 
@@ -229,7 +230,7 @@ def worker_main(conn, inner_name: str) -> None:
     replica down with it.
     """
     memory = WorkingMemory()
-    matcher = matcher_class(inner_name)(memory)
+    matcher = shard_matcher(matcher_class(inner_name), memory)
     matcher.attach()
     while True:
         try:
@@ -244,7 +245,7 @@ def worker_main(conn, inner_name: str) -> None:
             if command == "reset":
                 _, productions, wme_triples = message
                 memory = WorkingMemory()
-                matcher = matcher_class(inner_name)(memory)
+                matcher = shard_matcher(matcher_class(inner_name), memory)
                 matcher.add_productions(productions)
                 matcher.attach()
                 for payload in wme_triples:

@@ -14,6 +14,12 @@ each working-memory delta it:
   productions with a negated element accepting ``w``, conservatively
   recomputes the rule, since removing a blocker can create matches.
 
+The filter reads TREAT's own index, WME timetag → the instantiations
+whose match used it, kept at the matcher's own add/remove sites and
+dropped with the conflict set on :meth:`TreatMatcher.rebuild`.  No
+other matcher reads such an index, so the shared
+:class:`~repro.match.conflict_set.ConflictSet` does not keep one.
+
 The TREAT-vs-Rete trade (state kept vs join work redone) is measured by
 ``benchmarks/bench_match_algorithms.py``.
 """
@@ -27,7 +33,7 @@ from repro.lang.production import Production
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
 from repro.match.naive import match_production
-from repro.wm.element import WME
+from repro.wm.element import WME, Timetag
 from repro.wm.memory import WMDelta, WorkingMemory
 
 
@@ -90,23 +96,57 @@ class TreatMatcher(BaseMatcher):
         super().__init__(memory)
         #: Join enumerations performed, exposed for benchmarks.
         self.join_count = 0
+        # Timetag -> the members whose match used it (dict-as-ordered-
+        # set); a bucket goes when its last member does.
+        self._by_wme: dict[Timetag, dict[Instantiation, None]] = {}
+
+    def mentioning(self, wme: WME | Timetag) -> list[Instantiation]:
+        """The conflict-set members whose match used ``wme``.
+
+        Index-backed: O(instantiations mentioning the WME), not
+        O(|CS|) — this is what keeps ``remove(w)`` a filter.
+        """
+        timetag = wme.timetag if isinstance(wme, WME) else wme
+        return list(self._by_wme.get(timetag, ()))
+
+    def _add(self, instantiation: Instantiation) -> None:
+        if self.conflict_set.add(instantiation):
+            by_wme = self._by_wme
+            for wme in instantiation.wmes:
+                bucket = by_wme.get(wme.timetag)
+                if bucket is None:
+                    by_wme[wme.timetag] = {instantiation: None}
+                else:
+                    bucket[instantiation] = None
+
+    def _remove(self, instantiation: Instantiation) -> None:
+        if self.conflict_set.remove(instantiation):
+            by_wme = self._by_wme
+            # A WME matched at two positions is listed twice.
+            for wme in instantiation.wmes:
+                bucket = by_wme.get(wme.timetag)
+                if bucket is not None:
+                    bucket.pop(instantiation, None)
+                    if not bucket:
+                        del by_wme[wme.timetag]
 
     def add_production(self, production: Production) -> None:
         self._register(production)
         if self._attached:
             for instantiation in match_production(production, self.memory):
-                self.conflict_set.add(instantiation)
+                self._add(instantiation)
 
     def remove_production(self, name: str) -> None:
         self._unregister(name)
         for instantiation in self.conflict_set.for_rule(name):
-            self.conflict_set.remove(instantiation)
+            self._remove(instantiation)
 
     def rebuild(self) -> None:
         self.conflict_set.clear()
+        self._by_wme.clear()
         for production in self._productions.values():
             for instantiation in match_production(production, self.memory):
-                self.conflict_set.add(instantiation)
+                self._add(instantiation)
 
     # -- incremental delta handling ----------------------------------------------------
 
@@ -129,7 +169,7 @@ class TreatMatcher(BaseMatcher):
                     for instantiation in match_with_fixed(
                         production, self.memory, index, wme
                     ):
-                        self.conflict_set.add(instantiation)
+                        self._add(instantiation)
 
     def _invalidate(
         self, production: Production, plan: SlottedPlan, index: int, wme: WME
@@ -147,14 +187,14 @@ class TreatMatcher(BaseMatcher):
         token_of = plan.token_of
         for instantiation in self.conflict_set.for_rule(production.name):
             if beta(wme, prefix_of(token_of(instantiation))) is not None:
-                self.conflict_set.remove(instantiation)
+                self._remove(instantiation)
 
     def _on_remove(self, wme: WME) -> None:
-        # Conflict-set retention: drop instantiations that used the WME.
-        # The conflict set's WME→instantiations mentions index makes
-        # this O(affected), not a scan of every member per removal.
-        for instantiation in self.conflict_set.mentioning(wme):
-            self.conflict_set.remove(instantiation)
+        # Conflict-set retention: drop instantiations that used the WME,
+        # found through the matcher's own index — O(affected), not a
+        # scan of every member per removal.
+        for instantiation in self.mentioning(wme):
+            self._remove(instantiation)
         # Removing a blocker of a negated element can create matches;
         # recompute the affected rules (TREAT's conservative case).
         for name, production in self._productions.items():
@@ -167,6 +207,6 @@ class TreatMatcher(BaseMatcher):
                 for stale in (
                     set(self.conflict_set.for_rule(production.name)) - current
                 ):
-                    self.conflict_set.remove(stale)
+                    self._remove(stale)
                 for fresh in current:
-                    self.conflict_set.add(fresh)
+                    self._add(fresh)

@@ -6,24 +6,28 @@ from repro.engine.actions import ActionExecutor
 from repro.errors import EngineError
 from repro.lang import RuleBuilder, parse_production
 from repro.lang.builder import var
-from repro.match.instantiation import Instantiation
 from repro.wm import WorkingMemory
 
 
-def instantiate(rule, wm, **bindings):
-    """Build an instantiation by matching positive elements manually."""
+def instantiate(rule, wm):
+    """Build an instantiation by matching the positive elements, first
+    fit, through the rule's slotted plan."""
+    plan = rule.token_plan()
+    token = plan.empty_token()
     wmes = []
-    working = dict(bindings)
-    for element in rule.positive_elements():
-        for wme in wm.elements(element.relation):
-            extended = element.matches(wme, working)
+    for step in plan.steps:
+        if step.negated:
+            token = step.carry(token)
+            continue
+        for wme in wm.elements(step.relation):
+            extended = step.match(wme, token)
             if extended is not None:
                 wmes.append(wme)
-                working = extended
+                token = extended
                 break
         else:
-            raise AssertionError(f"no WME for {element}")
-    return Instantiation.build(rule, tuple(wmes), working)
+            raise AssertionError(f"no WME for {step.element}")
+    return plan.instantiate(tuple(wmes), token)
 
 
 class TestActions:

@@ -15,11 +15,18 @@ from repro.lang.ast import (
     VariableTest,
     as_expr,
 )
+from repro.lang.compile import VariableIndex, compile_beta_slots
 from repro.wm.element import WME
+from test_compile import slotted_beta as join
 
 
 def ce(relation, *tests, negated=False):
     return ConditionElement(relation, tuple(tests), negated)
+
+
+def matches(element, wme):
+    """Alpha test, then the join test from no bindings."""
+    return join(element, wme, {}) if element.alpha_matches(wme) else None
 
 
 class TestAlphaMatching:
@@ -67,29 +74,29 @@ class TestAlphaMatching:
 class TestBetaMatching:
     def test_variable_binds_on_first_occurrence(self):
         element = ce("order", VariableTest("id", "x"))
-        bindings = element.beta_matches(WME.make("order", id=7), {})
+        bindings = join(element, WME.make("order", id=7), {})
         assert bindings == {"x": 7}
 
     def test_variable_join_consistency(self):
         element = ce("line", VariableTest("order", "x"))
         wme = WME.make("line", order=7)
-        assert element.beta_matches(wme, {"x": 7}) == {"x": 7}
-        assert element.beta_matches(wme, {"x": 8}) is None
+        assert join(element, wme, {"x": 7}) == {"x": 7}
+        assert join(element, wme, {"x": 8}) is None
 
     def test_missing_attribute_fails(self):
         element = ce("r", VariableTest("v", "x"))
-        assert element.beta_matches(WME.make("r"), {}) is None
+        assert join(element, WME.make("r"), {}) is None
 
     def test_variable_predicate(self):
         element = ce("bid", PredicateTest("amount", ">", "limit", True))
         wme = WME.make("bid", amount=120)
-        assert element.beta_matches(wme, {"limit": 100}) is not None
-        assert element.beta_matches(wme, {"limit": 200}) is None
+        assert join(element, wme, {"limit": 100}) is not None
+        assert join(element, wme, {"limit": 200}) is None
 
     def test_variable_predicate_unbound_raises(self):
         element = ce("bid", PredicateTest("amount", ">", "limit", True))
         with pytest.raises(ValidationError):
-            element.beta_matches(WME.make("bid", amount=1), {})
+            join(element, WME.make("bid", amount=1), {})
 
     def test_matches_combines_alpha_and_beta(self):
         element = ce(
@@ -98,14 +105,21 @@ class TestBetaMatching:
             VariableTest("id", "x"),
         )
         good = WME.make("order", status="open", id=1)
-        assert element.matches(good) == {"x": 1}
-        assert element.matches(WME.make("order", status="closed", id=1)) is None
+        assert matches(element, good) == {"x": 1}
+        assert matches(element, WME.make("order", status="closed", id=1)) is None
 
     def test_bindings_are_not_mutated(self):
         element = ce("r", VariableTest("v", "y"))
-        original = {"x": 1}
-        element.beta_matches(WME.make("r", v=2), original)
-        assert original == {"x": 1}
+        binder = ce("pre", VariableTest("x", "x"))
+        index = VariableIndex((binder, element))
+        beta = compile_beta_slots(element, index, 1, 2)
+        original = (1,)
+        extended = beta(WME.make("r", v=2), original)
+        # A binding extends a copy; the incoming token stays as it was.
+        assert extended == (1, 2) and extended is not original
+        assert join(element, WME.make("r", v=2), {"x": 1}) == {
+            "x": 1, "y": 2,
+        }
 
 
 class TestClassification:

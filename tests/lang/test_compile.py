@@ -1,10 +1,11 @@
 """The compiled-condition layer: closures ≡ the seed's interpreted walks.
 
 Hypothesis drives randomized condition elements against randomized WMEs
-and bindings, asserting the compiled alpha/beta closures agree with the
-interpreted oracle (``tests/match/reference_matcher.py``) on every
-outcome: acceptance, the extended bindings dict, rejection, and the
-unbound-variable ``ValidationError``.
+and bindings, asserting the compiled alpha closure and the slotted join
+closure agree with the interpreted oracle
+(``tests/match/reference_matcher.py``) on every outcome: acceptance,
+the extended bindings, rejection, and the unbound-variable
+``ValidationError``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.lang.compile import (
     _MISSING,
     VariableIndex,
     compile_alpha,
-    compile_beta,
     compile_beta_slots,
 )
 from repro.wm.element import WME
@@ -83,6 +83,29 @@ _wme = st.builds(
 _bindings = st.dictionaries(st.sampled_from(_VARS), _scalar, max_size=2)
 
 
+def slotted_beta(element, wme, bindings):
+    """``element``'s slotted join test, over binding dicts.
+
+    ``bindings`` enter as the token a binder element fills ahead of
+    ``element``; the result leaves as the bound ``{name: value}``
+    pairs, or ``None`` on rejection.
+    """
+    binder = ConditionElement(
+        "pre",
+        tuple(VariableTest(f"v{i}", name) for i, name in enumerate(bindings)),
+    )
+    index = VariableIndex((binder, element))
+    in_width, out_width = index.prefix_widths[1:3]
+    token = tuple(bindings[name] for name in index.names[:in_width])
+    result = compile_beta_slots(element, index, in_width, out_width)(
+        wme, token
+    )
+    if result is None:
+        return None
+    full = result + (_MISSING,) * (index.width - len(result))
+    return dict(index.bindings_items(full))
+
+
 def _beta_outcome(beta, wme, bindings):
     """Normalize a beta evaluation to a comparable value."""
     try:
@@ -100,7 +123,9 @@ class TestCompiledVsInterpreted:
     @given(element=_element, wme=_wme, bindings=_bindings)
     @settings(max_examples=300, deadline=None)
     def test_beta_agrees(self, element, wme, bindings):
-        compiled = _beta_outcome(compile_beta(element), wme, bindings)
+        compiled = _beta_outcome(
+            lambda w, b: slotted_beta(element, w, b), wme, bindings
+        )
         interpreted = _beta_outcome(interpreted_beta(element), wme, bindings)
         assert compiled == interpreted
 
@@ -113,21 +138,24 @@ class TestCompiledVsInterpreted:
             return _beta_outcome(beta, wme, bindings)
 
         assert full(
-            compile_alpha(element), compile_beta(element)
+            compile_alpha(element),
+            lambda w, b: slotted_beta(element, w, b),
         ) == full(interpreted_alpha(element), interpreted_beta(element))
 
     @given(element=_element, wme=_wme, bindings=_bindings)
     @settings(max_examples=100, deadline=None)
     def test_element_methods_match_oracle(self, element, wme, bindings):
-        # The element's own (compiled-delegating) methods agree with
-        # the interpreted oracle end to end.
+        # The element's own (compiled-delegating) alpha test, and the
+        # join test compiled against a slotted layout after it, agree
+        # with the interpreted oracle end to end.
         alpha = interpreted_alpha(element)
         beta = interpreted_beta(element)
         assert element.alpha_matches(wme) == alpha(wme)
+        assert element.compiled().alpha(wme) == alpha(wme)
         if element.alpha_matches(wme):
-            assert _beta_outcome(element.beta_matches, wme, bindings) == (
-                _beta_outcome(beta, wme, bindings)
-            )
+            assert _beta_outcome(
+                lambda w, b: slotted_beta(element, w, b), wme, bindings
+            ) == _beta_outcome(beta, wme, bindings)
 
 
 class TestCompiledCondition:
@@ -153,7 +181,7 @@ class TestCompiledCondition:
         # stored None: a None value must bind, not raise or reject.
         element = ConditionElement("r", (VariableTest("a", "x"),))
         wme = WME.make("r", a=None)
-        assert element.compiled().beta(wme, {}) == {"x": None}
+        assert slotted_beta(element, wme, {}) == {"x": None}
 
     def test_unbound_predicate_operand_still_raises_per_probe(self):
         # Bare elements (no Production wrapper) keep the runtime guard.
@@ -162,7 +190,7 @@ class TestCompiledCondition:
         )
         wme = WME.make("r", a=1)
         with pytest.raises(ValidationError, match="ghost"):
-            element.compiled().beta(wme, {})
+            slotted_beta(element, wme, {})
 
     def test_operand_bound_to_none_does_not_raise(self):
         element = ConditionElement(
@@ -171,7 +199,7 @@ class TestCompiledCondition:
         wme = WME.make("r", a=1)
         # Seed semantics: a variable bound to None is bound; the
         # comparison is attempted and TypeError rejects quietly.
-        assert element.compiled().beta(wme, {"x": None}) is None
+        assert slotted_beta(element, wme, {"x": None}) is None
 
     def test_memoized_partitions_are_stable(self):
         element = ConditionElement(
@@ -226,20 +254,26 @@ def _bytes_over_1000_probes(beta, wme, token) -> int:
 
 
 class TestTestFreeBetaFastPath:
-    """Satellite: a test-free element hands the incoming token back
-    unchanged — no per-probe dict copy."""
+    """A test-free element hands the incoming token back unchanged —
+    no per-probe copy — whatever an earlier element bound."""
+
+    @staticmethod
+    def _after_binder(element):
+        binder = ConditionElement("pre", (VariableTest("b", "x"),))
+        index = VariableIndex((binder, element))
+        return compile_beta_slots(element, index, 1, 1)
 
     def test_returns_incoming_token_object(self):
         element = ConditionElement("r", (ConstantTest("a", 1),))
-        beta = compile_beta(element)
-        token = {"x": 1}
+        beta = self._after_binder(element)
+        token = (1,)
         assert beta(WME.make("r", a=1), token) is token
 
     def test_no_allocations_per_probe(self):
         element = ConditionElement("r", (ConstantTest("a", 1),))
-        beta = compile_beta(element)
+        beta = self._after_binder(element)
         wme = WME.make("r", a=1)
-        assert _bytes_over_1000_probes(beta, wme, {"x": 1}) < 1024
+        assert _bytes_over_1000_probes(beta, wme, (1,)) < 1024
 
     def test_slotted_fast_paths(self):
         # Same-width pass returns the identical tuple; widening pads
@@ -314,9 +348,10 @@ class TestSlottedLayout:
     def test_slotted_beta_agrees_with_dict_beta(
         self, element, wme, bindings
     ):
-        """The slotted closure and the dict closure accept/reject/raise
-        identically and produce the same bound pairs, for any incoming
-        bindings (modeled as a binder element providing x and y)."""
+        """The slotted closure and the interpreted dict walk
+        accept/reject/raise identically and produce the same bound
+        pairs, for any incoming bindings (modeled as a binder element
+        providing x and y, unbound slots left missing)."""
         binder = ConditionElement(
             "pre", (VariableTest("a", "x"), VariableTest("b", "y"))
         )
@@ -339,5 +374,5 @@ class TestSlottedLayout:
             return ("ok", dict(index.bindings_items(full)))
 
         assert _slot_outcome() == _beta_outcome(
-            compile_beta(element), wme, bindings
+            interpreted_beta(element), wme, bindings
         )

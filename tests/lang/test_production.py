@@ -62,7 +62,7 @@ class TestValidation:
 class TestUnboundPredicateOperands:
     """Malformed rules fail at load, not per-WME at match time.
 
-    The seed raised ValidationError inside ``beta_matches`` — so
+    The seed raised ValidationError inside the per-element join test — so
     whether a bad rule errored depended on which WMEs arrived, and
     TREAT's retraction path (which evaluates with full-instantiation
     bindings) could disagree with Rete/naive on forward references.

@@ -1,4 +1,6 @@
-"""Tests for the conflict set and its delta tracking."""
+"""Tests for the conflict set, and for the two structures that left it
+for their only readers: TREAT's WME index (``TestIndexes``) and the
+delta log of a partitioned shard's conflict set (``TestDeltas``)."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from repro.lang import RuleBuilder
 from repro.lang.builder import var
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
+from repro.match.partitioned import ShardConflictSet
+from repro.match.treat import TreatMatcher
+from repro.wm import WorkingMemory
 from repro.wm.element import WME
 
 
@@ -55,20 +60,36 @@ class TestMembership:
         assert cs.is_empty()
 
 
+def _treat_over_shared_wme():
+    """A TREAT matcher whose rules ``a`` and ``b`` both match the one
+    ``i`` element (timetag ``shared``) and ``c`` matches a second."""
+    memory = WorkingMemory()
+    matcher = TreatMatcher(memory)
+    matcher.add_productions(
+        RuleBuilder(name).when(relation, v=var("x")).remove(1).build()
+        for name, relation in (("a", "i"), ("b", "i"), ("c", "j"))
+    )
+    matcher.attach()
+    shared = memory.make("i", v=0)
+    memory.make("j", v=0)
+    return memory, matcher, shared
+
+
 class TestIndexes:
     def test_mentioning_tracks_adds_and_removes(self):
-        cs = ConflictSet()
-        a, b = _inst("a", 1), _inst("b", 1)
-        other = _inst("c", 2)
-        for inst in (a, b, other):
-            cs.add(inst)
-        assert set(cs.mentioning(1)) == {a, b}
-        assert cs.mentioning(a.wmes[0]) == cs.mentioning(1)
-        cs.remove(a)
-        assert cs.mentioning(1) == [b]
-        cs.remove(b)
-        assert cs.mentioning(1) == []
-        assert cs.mentioning(99) == []
+        memory, matcher, shared = _treat_over_shared_wme()
+        a, b = (matcher.conflict_set.for_rule(name)[0] for name in "ab")
+        assert set(matcher.mentioning(shared.timetag)) == {a, b}
+        assert matcher.mentioning(shared) == matcher.mentioning(
+            shared.timetag
+        )
+        matcher.remove_production("a")
+        assert matcher.mentioning(shared) == [b]
+        matcher.remove_production("b")
+        assert matcher.mentioning(shared) == []
+        assert matcher.mentioning(99) == []
+        memory.remove(shared)
+        assert matcher.mentioning(shared) == []
 
     def test_rule_index_drops_empty_rules(self):
         cs = ConflictSet()
@@ -84,13 +105,17 @@ class TestIndexes:
         assert cs.for_rule("a") == []
 
     def test_indexes_consistent_after_readd(self):
-        cs = ConflictSet()
-        a = _inst("a", 1)
-        cs.add(a)
-        cs.remove(a)
-        cs.add(a)
-        assert cs.for_rule("a") == [a]
-        assert cs.mentioning(1) == [a]
+        memory, matcher, shared = _treat_over_shared_wme()
+        (a,) = matcher.conflict_set.for_rule("a")
+        rule = matcher.productions["a"]
+        matcher.remove_production("a")
+        matcher.add_production(rule)
+        # The re-derived instantiation has the same identity.
+        assert matcher.conflict_set.for_rule("a") == [a]
+        assert a in matcher.mentioning(shared)
+        memory.remove(shared)
+        assert matcher.conflict_set.for_rule("a") == []
+        assert matcher.mentioning(shared) == []
 
 
 class TestRefraction:
@@ -189,7 +214,7 @@ def test_eligible_view_tracks_the_scan_definition(steps):
 
 class TestDeltas:
     def test_take_delta_captures_adds_and_removes(self):
-        cs = ConflictSet()
+        cs = ShardConflictSet()
         a, b = _inst("a", 1), _inst("b", 2)
         cs.add(a)
         cs.take_delta()
@@ -200,14 +225,14 @@ class TestDeltas:
         assert delta.removed == {a}
 
     def test_add_then_remove_in_same_window_cancels(self):
-        cs = ConflictSet()
+        cs = ShardConflictSet()
         a = _inst("a", 1)
         cs.add(a)
         cs.remove(a)
         assert cs.take_delta().is_empty()
 
     def test_remove_then_readd_cancels(self):
-        cs = ConflictSet()
+        cs = ShardConflictSet()
         a = _inst("a", 1)
         cs.add(a)
         cs.take_delta()
@@ -216,13 +241,13 @@ class TestDeltas:
         assert cs.take_delta().is_empty()
 
     def test_take_delta_resets(self):
-        cs = ConflictSet()
+        cs = ShardConflictSet()
         cs.add(_inst("a", 1))
         cs.take_delta()
         assert cs.take_delta().is_empty()
 
     def test_peek_delta_does_not_reset(self):
-        cs = ConflictSet()
+        cs = ShardConflictSet()
         cs.add(_inst("a", 1))
         assert not cs.peek_delta().is_empty()
         assert not cs.take_delta().is_empty()

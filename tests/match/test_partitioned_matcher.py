@@ -1,10 +1,13 @@
 """PartitionedMatcher: equivalence, batching, substrates, wiring.
 
-The load-bearing test is the hypothesis property (ISSUE 2 satellite):
-for every shard count 1..5 and every inner matcher, the partitioned
-matcher's shared conflict set — membership AND ``take_delta()``
-contents — must equal the monolithic matcher's after every working-
-memory operation, including negated-condition productions.  All
+The load-bearing test is the hypothesis property: for every shard
+count 1..5 and every inner matcher, the partitioned matcher's shared
+conflict set — membership AND the net delta of each step — must equal
+the monolithic matcher's after every working-memory operation,
+including negated-condition productions.  A step's delta is the
+membership difference across it, which is the shard log's net
+semantics (an add then a remove cancel, and so do a remove then a
+re-add), and every shard's log must be drained by the merge.  All
 matchers attach to the *same* store, so instantiations compare by
 exact identity (rule + timetags): bit-identical, not merely
 isomorphic.
@@ -83,6 +86,11 @@ def _apply(memory: WorkingMemory, operation) -> None:
         memory.modify(live[operation[1] % len(live)], {"k": operation[2]})
 
 
+def _net_delta(before: frozenset, after: frozenset):
+    """A step's (added, removed), as the membership difference."""
+    return after - before, before - after
+
+
 @pytest.mark.parametrize("inner", INNER_NAMES)
 @given(operations=st.lists(_operation, min_size=1, max_size=15))
 @settings(max_examples=25, deadline=None)
@@ -98,25 +106,31 @@ def test_partitioned_equals_monolithic(inner, operations):
     for matcher in partitioned:
         matcher.add_productions(_program())
         matcher.attach()
-    monolithic.conflict_set.take_delta()
-    for matcher in partitioned:
-        matcher.conflict_set.take_delta()
+    oracle_before = monolithic.conflict_set.members()
+    before = [matcher.conflict_set.members() for matcher in partitioned]
 
     for operation in operations:
         _apply(memory, operation)
         oracle_members = monolithic.conflict_set.members()
-        oracle_delta = monolithic.conflict_set.take_delta()
-        for matcher in partitioned:
-            assert matcher.conflict_set.members() == oracle_members, (
+        oracle_delta = _net_delta(oracle_before, oracle_members)
+        oracle_before = oracle_members
+        for position, matcher in enumerate(partitioned):
+            members = matcher.conflict_set.members()
+            assert members == oracle_members, (
                 f"membership diverged (shards={len(matcher._shards)})"
             )
-            delta = matcher.conflict_set.take_delta()
-            assert delta.added == oracle_delta.added, (
+            added, removed = _net_delta(before[position], members)
+            before[position] = members
+            assert added == oracle_delta[0], (
                 f"delta adds diverged (shards={len(matcher._shards)})"
             )
-            assert delta.removed == oracle_delta.removed, (
+            assert removed == oracle_delta[1], (
                 f"delta removes diverged (shards={len(matcher._shards)})"
             )
+            for shard in matcher._shards:
+                assert shard.matcher.conflict_set.peek_delta().is_empty(), (
+                    f"shard {shard.index} log not merged"
+                )
 
 
 class TestSpecParsing:

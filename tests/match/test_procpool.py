@@ -300,23 +300,29 @@ def test_process_backend_equals_serial(operations):
         for matcher in backends.values():
             matcher.add_productions(_program())
             matcher.attach()
-        oracle.conflict_set.take_delta()
-        for matcher in backends.values():
-            matcher.conflict_set.take_delta()
+        # A step's delta is the membership difference across it: the
+        # net semantics of the shard and worker logs.
+        oracle_before = oracle.conflict_set.members()
+        before = {
+            name: matcher.conflict_set.members()
+            for name, matcher in backends.items()
+        }
         for operation in operations:
             _apply(memory, operation)
             members = oracle.conflict_set.members()
-            delta = oracle.conflict_set.take_delta()
+            added, removed = members - oracle_before, oracle_before - members
+            oracle_before = members
             bindings = _bindings_map(oracle)
             for name, matcher in backends.items():
-                assert matcher.conflict_set.members() == members, (
+                ours = matcher.conflict_set.members()
+                assert ours == members, (
                     f"membership diverged under {name}"
                 )
-                ours = matcher.conflict_set.take_delta()
-                assert ours.added == delta.added, f"adds diverged: {name}"
-                assert ours.removed == delta.removed, (
+                assert ours - before[name] == added, f"adds diverged: {name}"
+                assert before[name] - ours == removed, (
                     f"removes diverged: {name}"
                 )
+                before[name] = ours
                 assert _bindings_map(matcher) == bindings, (
                     f"bindings diverged under {name}"
                 )

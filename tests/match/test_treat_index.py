@@ -2,19 +2,25 @@
 
 ``TreatMatcher._on_remove`` used to scan the entire conflict set per
 removed WME (``instantiation.mentions(wme)`` over all members).  It now
-uses the conflict set's WME→instantiations mentions index.  These tests
-pin both halves of the fix: retractions are *identical* to the naive
-oracle, and the removal path performs *no full-set scan* and *no
-per-member mentions() probing* (asserted via counting shims).
+reads TREAT's own WME→instantiations index (``TreatMatcher.
+mentioning``), which the shared conflict set no longer keeps.  These
+tests pin the fix: retractions are *identical* to the naive oracle, the
+removal path performs *no full-set scan* and *no per-member mentions()
+probing* (asserted via counting shims), and the index equals its
+definition after every working-memory operation.
 """
 
 from __future__ import annotations
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
 from repro.match.naive import NaiveMatcher
+from repro.match.rete.network import ReteMatcher
 from repro.match.treat import TreatMatcher
 from repro.wm import WorkingMemory
 
@@ -114,3 +120,86 @@ def test_retractions_identical_to_naive_oracle():
             live_b = sorted(memory.elements("b"), key=lambda w: w.timetag)
             memory.remove(live_b[index % len(live_b)])
         assert signatures(treat) == signatures(naive)
+
+
+def _index_program():
+    # Joins, negation (both TREAT retraction paths) and a self-join
+    # that can match one element at two positions.
+    return _join_program() + [
+        RuleBuilder("lonely-a")
+        .when("a", k=var("x"))
+        .when_not("b", k=var("x"))
+        .remove(1)
+        .build(),
+        RuleBuilder("twin-a")
+        .when("a", k=var("x"))
+        .when("a", k=var("x"))
+        .remove(1)
+        .build(),
+    ]
+
+
+_index_operation = st.one_of(
+    st.tuples(
+        st.just("make"), st.sampled_from(["a", "b"]), st.integers(0, 2)
+    ),
+    st.tuples(st.just("modify"), st.integers(0, 20), st.integers(0, 2)),
+    st.tuples(st.just("remove"), st.integers(0, 20)),
+)
+
+
+def _defined_index(matcher: TreatMatcher) -> dict:
+    """The index by definition: members grouped by matched timetag,
+    in membership order."""
+    index: dict = {}
+    for instantiation in matcher.conflict_set.ordered():
+        for wme in instantiation.wmes:
+            bucket = index.setdefault(wme.timetag, [])
+            if instantiation not in bucket:
+                bucket.append(instantiation)
+    return index
+
+
+@given(operations=st.lists(_index_operation, max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_wme_index_tracks_its_definition(operations):
+    memory = WorkingMemory()
+    matcher = TreatMatcher(memory)
+    matcher.add_productions(_index_program())
+    matcher.attach()
+
+    def check() -> None:
+        index = {
+            timetag: list(bucket)
+            for timetag, bucket in matcher._by_wme.items()
+        }
+        assert index == _defined_index(matcher)
+        assert all(index.values()), "an empty bucket was kept"
+        if not len(memory):
+            assert not index
+
+    for operation in operations:
+        live = sorted(memory, key=lambda w: w.timetag)
+        if operation[0] == "make":
+            memory.make(operation[1], k=operation[2])
+        elif live and operation[0] == "modify":
+            memory.modify(
+                live[operation[1] % len(live)], {"k": operation[2]}
+            )
+        elif live:
+            memory.remove(live[operation[1] % len(live)])
+        check()
+    for wme in list(memory):
+        memory.remove(wme)
+        check()
+    assert not matcher._by_wme
+
+
+def test_rete_conflict_set_keeps_no_wme_index_or_delta_log():
+    """The WME index is TREAT's and the delta log a partitioned
+    shard's: a Rete run's adds and removes pay for neither."""
+    matcher = ReteMatcher(WorkingMemory())
+    conflict_set = matcher.conflict_set
+    assert type(conflict_set) is ConflictSet
+    for name in ("mentioning", "take_delta", "peek_delta"):
+        assert not hasattr(conflict_set, name), name
