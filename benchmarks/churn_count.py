@@ -2,19 +2,24 @@
 
 Builds each ``benchmarks/e2e`` workload exactly as its child does (same
 generator, sizes, seed and engine), wraps the engine's conflict set to
-count the instantiations that enter it, and runs once, uncapped and
-untimed.  Most instantiations leave unfired: a ``modify`` retracts and
-re-derives every instantiation joined to the element, and only one
-per cycle (or a wave's worth) fires.
+count the instantiations that enter it and ``Token`` to count the Rete
+tokens built, and runs once, uncapped and untimed.
+Most instantiations leave unfired: a ``modify`` retracts and re-derives
+every instantiation joined to the element, and only one per cycle (or
+a wave's worth) fires.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/churn_count.py [--seed 5] [WORKLOAD ...]
 
 It prints one row per workload: instantiations in the engine's conflict
-set after attach, instantiations added during the run, firings, and
-all built over fired.  Counting is outside ``src/`` so that no run
-pays for it.
+set after attach, instantiations added during the run, firings, all
+built over fired, and the Rete tokens built during the run in this
+process (0 where the match runs in worker processes).  A complete
+match is one token — the production node hangs its instantiation on
+the last join's token — so a row's tokens count each instantiation
+once, not twice.  Counting is
+outside ``src/`` so that no run pays for it.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-def count(name: str, seed: int) -> tuple[int, int, int]:
+def count(name: str, seed: int) -> tuple[int, int, int, int]:
     """(instantiations in the conflict set after attach, instantiations
-    added during the run, firings)."""
+    added during the run, firings, Rete tokens built during the run)."""
     from repro.lang import parse_program
+    from repro.match.rete.nodes import Token
     from repro.wm.memory import WorkingMemory
     from repro.wm.storage import DurableStore
 
@@ -63,16 +69,26 @@ def count(name: str, seed: int) -> tuple[int, int, int]:
         return fresh
 
     conflict_set.add = counted_add
+    tokens = 0
+    construct = Token.__init__
+
+    def counted_init(self, *args) -> None:
+        nonlocal tokens
+        tokens += 1
+        construct(self, *args)
+
+    Token.__init__ = counted_init
     parallel = spec["engine"]["kind"] == "parallel"
     limit = {"max_waves" if parallel else "max_cycles": 10**9}
     try:
         result = engine.run(**limit)
     finally:
+        Token.__init__ = construct
         engine.close()
         if store is not None:
             store.close()
             shutil.rmtree(store_dir, ignore_errors=True)
-    return attached, added, len(result.firings)
+    return attached, added, len(result.firings), tokens
 
 
 def main() -> int:
@@ -84,14 +100,14 @@ def main() -> int:
     args = parser.parse_args()
     print(
         f"{'workload':<16} {'attach':>7} {'run':>7} {'fired':>6} "
-        f"{'built/fired':>11}"
+        f"{'built/fired':>11} {'tokens':>7}"
     )
     for name in args.workloads:
-        attached, added, fired = count(name, args.seed)
+        attached, added, fired, tokens = count(name, args.seed)
         built = attached + added
         print(
             f"{name:<16} {attached:>7} {added:>7} {fired:>6} "
-            f"{built / fired:>11.2f}"
+            f"{built / fired:>11.2f} {tokens:>7}"
         )
     return 0
 

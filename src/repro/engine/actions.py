@@ -9,18 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import EngineError
-from repro.lang.ast import (
-    BindAction,
-    HaltAction,
-    MakeAction,
-    ModifyAction,
-    RemoveAction,
-    WriteAction,
-)
+from repro.lang.compile import RhsPlan
 from repro.match.instantiation import Instantiation
 from repro.wm.element import Scalar, WME
 from repro.wm.memory import WorkingMemory
+
 
 @dataclass
 class ActionOutcome:
@@ -50,62 +43,21 @@ class ActionExecutor:
     def execute(self, instantiation: Instantiation) -> ActionOutcome:
         """Run every RHS action of ``instantiation`` in order.
 
-        Element designators resolve through a live map so that a
-        ``modify`` of an element followed by another action on the same
-        element operates on the *current* version.  A ``halt`` is
-        reported in the outcome (after completing the RHS, as OPS5
-        does), not raised.
+        The RHS runs as its compiled :class:`~repro.lang.compile.
+        RhsPlan` over the instantiation's own slot token.  Element
+        designators resolve through the live versions, so a ``modify``
+        of an element followed by another action on the same element
+        operates on the *current* version.  A ``halt`` is reported in
+        the outcome (after completing the RHS, as OPS5 does), not
+        raised.
         """
-        production = instantiation.production
-        bindings = dict(instantiation.bindings)
-        positive = production.positive_indices()
-        #: 1-based CE index -> current WME version (None once removed).
-        current: dict[int, WME | None] = {
-            ce_index + 1: instantiation.wmes[position]
-            for position, ce_index in enumerate(positive)
-        }
+        index, token = instantiation.slots()
+        plan = RhsPlan.of(instantiation.production, index)
+        values = [*token, *plan.tail] if plan.binds else token
+        wmes = instantiation.wmes
+        current = list(wmes) if plan.designates else wmes
         outcome = ActionOutcome()
-        for action in production.rhs:
-            if isinstance(action, MakeAction):
-                values = {
-                    name: expr.evaluate(bindings)
-                    for name, expr in action.values
-                }
-                outcome.created.append(
-                    self.memory.make(action.relation, values)
-                )
-            elif isinstance(action, ModifyAction):
-                target = current.get(action.ce_index)
-                if target is None:
-                    raise EngineError(
-                        f"{production.name}: modify {action.ce_index} after "
-                        f"the element was removed"
-                    )
-                changes = {
-                    name: expr.evaluate(bindings)
-                    for name, expr in action.values
-                }
-                new = self.memory.modify(target, changes)
-                current[action.ce_index] = new
-                outcome.modified.append((target, new))
-            elif isinstance(action, RemoveAction):
-                target = current.get(action.ce_index)
-                if target is None:
-                    raise EngineError(
-                        f"{production.name}: remove {action.ce_index} after "
-                        f"the element was removed"
-                    )
-                self.memory.remove(target)
-                current[action.ce_index] = None
-                outcome.removed.append(target)
-            elif isinstance(action, BindAction):
-                bindings[action.variable] = action.expr.evaluate(bindings)
-            elif isinstance(action, WriteAction):
-                outcome.outputs.append(
-                    tuple(e.evaluate(bindings) for e in action.exprs)
-                )
-            elif isinstance(action, HaltAction):
-                outcome.halted = True
-            else:  # pragma: no cover - exhaustive over the AST
-                raise EngineError(f"unknown action {action!r}")
+        memory = self.memory
+        for step in plan.steps:
+            step(memory, values, current, outcome)
         return outcome

@@ -25,15 +25,16 @@ RHS side
 Actions are :class:`MakeAction`, :class:`ModifyAction`,
 :class:`RemoveAction` (the paper's create/modify/delete), plus
 :class:`BindAction`, :class:`WriteAction` and :class:`HaltAction`.
-Values on the RHS are :class:`ValueExpr` trees evaluated against the
-instantiation's variable bindings.
+Values on the RHS are :class:`ValueExpr` trees; the RHS is compiled,
+like the LHS, into closures over the instantiation's slot token
+(:class:`~repro.lang.compile.RhsPlan`).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping
 
 from repro.errors import ValidationError
 from repro.wm.element import Scalar, WME
@@ -299,9 +300,6 @@ class Constant:
 
     value: Scalar
 
-    def evaluate(self, bindings: Bindings) -> Scalar:
-        return self.value
-
     def variables(self) -> frozenset[str]:
         return frozenset()
 
@@ -314,11 +312,6 @@ class VariableRef:
     """A reference to an LHS-bound variable."""
 
     name: str
-
-    def evaluate(self, bindings: Bindings) -> Scalar:
-        if self.name not in bindings:
-            raise ValidationError(f"unbound variable <{self.name}>")
-        return bindings[self.name]
 
     def variables(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -351,16 +344,6 @@ class BinaryExpr:
                 f"unknown arithmetic operator {self.op!r}; "
                 f"expected one of {sorted(_ARITHMETIC)}"
             )
-
-    def evaluate(self, bindings: Bindings) -> Scalar:
-        left = self.left.evaluate(bindings)
-        right = self.right.evaluate(bindings)
-        try:
-            return _ARITHMETIC[self.op](left, right)
-        except (TypeError, ZeroDivisionError) as exc:
-            raise ValidationError(
-                f"cannot evaluate ({left!r} {self.op} {right!r}): {exc}"
-            ) from exc
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -499,8 +482,3 @@ class HaltAction:
 Action = (
     MakeAction | ModifyAction | RemoveAction | BindAction | WriteAction | HaltAction
 )
-
-
-def iter_actions(actions: Sequence[Action]) -> Iterator[Action]:
-    """Iterate actions; exists to give the type alias a public consumer."""
-    return iter(actions)

@@ -5,8 +5,8 @@ critical-path reports attribute most of each cycle to the ``match``
 bucket), so no matcher walks a condition element's test list per WME
 probe.  This module compiles each
 :class:`~repro.lang.ast.ConditionElement` once into closures over
-precomputed test tuples and the WME's cached attribute map, in two
-layers.
+precomputed test tuples and the WME's attribute map, in two layers;
+a production's RHS compiles the same way (:class:`RhsPlan`).
 
 Element level
 -------------
@@ -224,6 +224,7 @@ class VariableIndex:
         "empty",
         "prefix_widths",
         "_sorted_items",
+        "_rhs",
     )
 
     def __init__(self, elements: "tuple[ConditionElement, ...]") -> None:
@@ -253,6 +254,9 @@ class VariableIndex:
         #: ``(name, slot)`` pairs in name order, for materializing
         #: sorted ``bindings_items`` without a per-call sort.
         self._sorted_items = tuple(sorted(self.slots.items()))
+        #: The production's :class:`RhsPlan` over this layout, built on
+        #: first firing (:meth:`RhsPlan.of`).
+        self._rhs = None
 
     @staticmethod
     def for_production(production: "Production") -> "VariableIndex":
@@ -701,6 +705,154 @@ class SlottedPlan:
     def token_of(self, instantiation) -> SlotToken:
         """The instantiation's full bindings as a full-width token."""
         return instantiation.slot_token(self.index)
+
+
+# ---------------------------------------------------------------------------
+# RHS plans
+# ---------------------------------------------------------------------------
+
+
+class RhsPlan:
+    """A production's actions compiled against one :class:`VariableIndex`.
+
+    One ``step(memory, values, current, outcome)`` closure per action
+    reads variables by slot from the instantiation's own token (Rete's
+    join-order layout or the written-order one).  A ``bind`` of a
+    variable the LHS does not bind gets a slot past the LHS width
+    (``tail``; the values are a list when the RHS ``binds``).
+    ``current`` holds the matched WMEs' live versions, a list when the
+    RHS ``designates`` (modifies or removes) one.
+    """
+
+    __slots__ = ("production", "steps", "tail", "binds", "designates")
+
+    def __init__(self, production: "Production", index: VariableIndex) -> None:
+        from repro.lang.ast import BindAction, ModifyAction, RemoveAction
+
+        slots = dict(index.slots)
+        for action in production.rhs:
+            if isinstance(action, BindAction):
+                slots.setdefault(action.variable, len(slots))
+        positions = {
+            ce + 1: p for p, ce in enumerate(production.positive_indices())
+        }
+        self.production = production
+        self.tail = (_MISSING,) * (len(slots) - index.width)
+        self.steps = tuple(
+            _compile_action(action, slots, positions, production.name)
+            for action in production.rhs
+        )
+        kinds = {type(action) for action in production.rhs}
+        self.binds = BindAction in kinds
+        self.designates = bool(kinds & {ModifyAction, RemoveAction})
+
+    @staticmethod
+    def of(production: "Production", index: VariableIndex) -> "RhsPlan":
+        """``production``'s plan over ``index``, compiled once and
+        cached on the index (an index belongs to one production)."""
+        plan = index._rhs
+        if plan is None or plan.production is not production:
+            plan = index._rhs = RhsPlan(production, index)
+        return plan
+
+
+def compile_value(expr, slots: dict[str, int]) -> Callable[..., Scalar]:
+    """An RHS value expression as ``values -> value``.  Reading an
+    unbound variable raises ``ValidationError("unbound variable <x>")``;
+    a ``TypeError`` or ``ZeroDivisionError`` in arithmetic raises
+    ``ValidationError("cannot evaluate (...)")``."""
+    from repro.lang.ast import _ARITHMETIC, BinaryExpr, Constant
+
+    if isinstance(expr, Constant):
+        return lambda values, _value=expr.value: _value
+    if isinstance(expr, BinaryExpr):
+        left = compile_value(expr.left, slots)
+        right = compile_value(expr.right, slots)
+        apply, op = _ARITHMETIC[expr.op], expr.op
+
+        def binary(values) -> Scalar:
+            a, b = left(values), right(values)
+            try:
+                return apply(a, b)
+            except (TypeError, ZeroDivisionError) as exc:
+                raise ValidationError(
+                    f"cannot evaluate ({a!r} {op} {b!r}): {exc}"
+                ) from exc
+
+        return binary
+    slot, message = slots.get(expr.name), f"unbound variable <{expr.name}>"
+
+    def variable(values) -> Scalar:
+        value = _MISSING if slot is None else values[slot]
+        if value is _MISSING:
+            raise ValidationError(message)
+        return value
+
+    return variable
+
+
+def _compile_action(action, slots, positions, rule: str):
+    """One action as an :class:`RhsPlan` step."""
+    from repro.errors import EngineError
+    from repro.lang.ast import (
+        BindAction, HaltAction, MakeAction, ModifyAction, WriteAction,
+    )
+
+    if isinstance(action, BindAction):
+        slot, value = slots[action.variable], compile_value(action.expr, slots)
+
+        def bind(memory, values, current, outcome) -> None:
+            values[slot] = value(values)
+
+        return bind
+    if isinstance(action, WriteAction):
+        exprs = tuple(compile_value(expr, slots) for expr in action.exprs)
+
+        def write(memory, values, current, outcome) -> None:
+            outcome.outputs.append(tuple([f(values) for f in exprs]))
+
+        return write
+    if isinstance(action, HaltAction):
+
+        def halt(memory, values, current, outcome) -> None:
+            outcome.halted = True
+
+        return halt
+    # make / modify values; remove has none.
+    items = tuple(
+        (name, compile_value(expr, slots))
+        for name, expr in getattr(action, "values", ())
+    )
+    if isinstance(action, MakeAction):
+        relation = action.relation
+
+        def make(memory, values, current, outcome) -> None:
+            changes = {name: f(values) for name, f in items}
+            outcome.created.append(memory.make(relation, changes))
+
+        return make
+    modify = isinstance(action, ModifyAction)
+    # modify k / remove k: ``position`` is None for a negated element.
+    position = positions.get(action.ce_index)
+    message = (
+        f"{rule}: {'modify' if modify else 'remove'} {action.ce_index} "
+        f"after the element was removed"
+    )
+
+    def designated(memory, values, current, outcome) -> None:
+        target = None if position is None else current[position]
+        if target is None:
+            raise EngineError(message)
+        if modify:
+            new = memory.modify(target, {name: f(values) for name, f in items})
+            outcome.modified.append((target, new))
+        else:
+            new = None
+            memory.remove(target)
+            outcome.removed.append(target)
+        current[position] = new
+
+    return designated
 
 
 # ---------------------------------------------------------------------------

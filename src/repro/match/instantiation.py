@@ -170,6 +170,15 @@ class Instantiation:
             self._slot_index = index
         return token
 
+    def slots(self) -> "tuple[VariableIndex, SlotToken]":
+        """``(index, token)``: the matcher's slot layout and token, or
+        the written-order layout rebuilt from the pairs."""
+        index = self._slot_index
+        if index is None:
+            index = self.production.token_plan().index
+            return index, self.slot_token(index)
+        return index, self._slot_token
+
     @property
     def rule_name(self) -> str:
         """The name of the matched production."""

@@ -15,33 +15,50 @@ within it.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
-from repro.wm.element import WME
+from repro.wm.element import Scalar, WME
 from repro.wm.memory import WMDelta, WorkingMemory
+
+#: ``select(relation, equalities)``: the live elements of ``relation``
+#: with every ``attribute == value``, in timetag order — the shape of
+#: :meth:`~repro.wm.memory.WorkingMemory.select`.  The constant
+#: equalities plus the join key's equalities, read off the token,
+#: narrow the candidates of each element.
+Select = Callable[[str, Iterable[tuple[str, Scalar]]], list[WME]]
 
 
 def match_production(
-    production: Production, memory: WorkingMemory
+    production: Production,
+    memory: WorkingMemory,
+    select: Select | None = None,
+    fixed: tuple[int, WME] | None = None,
 ) -> Iterator[Instantiation]:
     """Enumerate every instantiation of ``production`` against ``memory``.
 
     Pure function — the heart of the oracle.  Processes condition
     elements in written order, branching on positive elements and
     pruning on negated ones, along the compiled per-element steps of
-    the production's token plan.
+    the production's token plan.  Candidates come from ``select`` —
+    ``memory.select``, a scan, unless the caller keeps postings (TREAT
+    passes its own) — except at the positive LHS position of
+    ``fixed = (position, wme)``, where only ``wme`` is tried (TREAT's
+    seeded join).
     """
     plan = production.token_plan()
-    yield from _extend(plan, memory, 0, (), plan.empty_token())
+    yield from _extend(
+        plan, select or memory.select, fixed, 0, (), plan.empty_token()
+    )
 
 
 def _extend(
     plan: SlottedPlan,
-    memory: WorkingMemory,
+    select: Select,
+    fixed: tuple[int, WME] | None,
     index: int,
     matched: tuple[WME, ...],
     token,
@@ -50,45 +67,28 @@ def _extend(
         yield plan.instantiate(matched, token)
         return
     step = plan.steps[index]
+    match = step.match
+    if fixed is not None and fixed[0] == index:
+        candidates = [fixed[1]]
+    else:
+        candidates = select(step.relation, step.probe_equalities(token))
     if step.negated:
-        if _exists_match(step, memory, token):
-            return
+        # Existential: the extended token (carrying the negation's
+        # local bindings) is discarded — locals are quantified within
+        # the element, so they never escape into persisted tokens.
+        for wme in candidates:
+            if match(wme, token) is not None:
+                return
         yield from _extend(
-            plan, memory, index + 1, matched, step.carry(token)
+            plan, select, fixed, index + 1, matched, step.carry(token)
         )
         return
-    match = step.match
-    for wme in _candidates(step, memory, token):
+    for wme in candidates:
         extended = match(wme, token)
         if extended is not None:
             yield from _extend(
-                plan, memory, index + 1, matched + (wme,), extended
+                plan, select, fixed, index + 1, matched + (wme,), extended
             )
-
-
-def _exists_match(step, memory: WorkingMemory, token) -> bool:
-    """Existential check for negated elements.
-
-    The extended token (carrying the negation's local bindings) is
-    discarded — locals are quantified within the element, so they never
-    escape into persisted tokens.
-    """
-    match = step.match
-    for wme in _candidates(step, memory, token):
-        if match(wme, token) is not None:
-            return True
-    return False
-
-
-def _candidates(step, memory: WorkingMemory, token) -> list[WME]:
-    """Index-assisted candidate selection for one condition element.
-
-    Uses constant equality tests, plus variable tests whose variable is
-    already bound (they are equalities at this point), to narrow the
-    scan via the store's attribute index.  The step precomputes the
-    constant pairs and the (attribute, slot) probe items.
-    """
-    return memory.select(step.relation, step.probe_equalities(token))
 
 
 class NaiveMatcher(BaseMatcher):

@@ -300,12 +300,15 @@ class _RemoteShard:
     # -- wire decoding -----------------------------------------------
 
     def stage_reply(self, reply: ShardReply) -> None:
+        wmes: dict = {}
         self.conflict_set.stage(
-            [self._decode(p) for p in reply.added],
-            [self._decode(p) for p in reply.removed],
+            [self._decode(p, wmes) for p in reply.added],
+            [self._decode(p, wmes) for p in reply.removed],
         )
 
-    def _decode(self, payload: tuple) -> Instantiation:
+    def _decode(self, payload: tuple, wmes: dict) -> Instantiation:
+        """One reply names an element once per instantiation that
+        matched it; ``wmes`` (by timetag) builds each one once."""
         rule_name, wme_payloads, bindings_items = payload
         # Resolve against the parent's canonical registry so the
         # shared set holds the same Production objects the serial
@@ -315,12 +318,13 @@ class _RemoteShard:
         production = self._owner._productions.get(rule_name)
         if production is None:
             production = self.productions[rule_name]
-        decode_wme = self._decode_wme
-        return Instantiation(
-            production,
-            tuple(decode_wme(w) for w in wme_payloads),
-            bindings_items,
-        )
+        matched = []
+        for wme_payload in wme_payloads:
+            wme = wmes.get(wme_payload[2])
+            if wme is None:
+                wme = wmes[wme_payload[2]] = self._decode_wme(wme_payload)
+            matched.append(wme)
+        return Instantiation(production, tuple(matched), bindings_items)
 
     # -- lifecycle surface for the backend-agnostic paths ------------
 
@@ -639,8 +643,9 @@ class PartitionedMatcher(BaseMatcher):
                 for name in stub.productions
                 for instantiation in self.conflict_set.for_rule(name)
             ]
+            wmes: dict = {}
             stub.conflict_set.stage(
-                [stub._decode(p) for p in reply.added], removed
+                [stub._decode(p, wmes) for p in reply.added], removed
             )
         self._note_procpool(pool)
         return [reply.seconds for reply in replies]

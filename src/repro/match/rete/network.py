@@ -48,7 +48,7 @@ class ReteMatcher(BaseMatcher):
 
     def __init__(self, memory: WorkingMemory) -> None:
         super().__init__(memory)
-        self.state = NetworkState()
+        self.state = NetworkState(self.conflict_set)
         self.alpha = AlphaNetwork()
         self.top = DummyTopNode(self.state)
         self._pnodes: dict[str, ProductionNode] = {}
@@ -79,6 +79,9 @@ class ReteMatcher(BaseMatcher):
         if production.name in self._pnodes:
             self.remove_production(production.name)
         plan = self._register(production)
+        # A partitioned shard installs its logging conflict set after
+        # construction, before any production (``shard_matcher``).
+        self.state.conflict_set = self.conflict_set
         current: TokenStore = self.top
         chain: list[tuple] = []
         for step in plan.steps:
@@ -96,9 +99,7 @@ class ReteMatcher(BaseMatcher):
             node.users += 1
             chain.append(share_key)
             current = node.output
-        pnode = ProductionNode(
-            self.state, current, plan, self.conflict_set
-        )
+        pnode = ProductionNode(self.state, current, plan)
         self._pnodes[production.name] = pnode
         self._chains[production.name] = chain
         self._prime(pnode)
@@ -121,7 +122,7 @@ class ReteMatcher(BaseMatcher):
         pnode = self._pnodes.pop(name, None)
         if pnode is None:
             return
-        self._discard(pnode)
+        pnode.unlink()
         for share_key in reversed(self._chains.pop(name)):
             node = self._shared_nodes[share_key]
             node.users -= 1

@@ -51,18 +51,24 @@ Node taxonomy
 * :class:`JoinNode` — joins its parent's tokens with an alpha memory.
 * :class:`NegativeNode` (doubles as both kinds).
 * :class:`ProductionNode` — terminal; converts full tokens into
-  conflict-set instantiations (WMEs in written LHS order).
+  conflict-set instantiations (WMEs in written LHS order), hung on the
+  token itself: a complete match is one token.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol
+from types import MappingProxyType
+from typing import Mapping, Protocol
 
 from repro.lang.compile import SlottedPlan, SlottedStep
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
 from repro.match.rete.alpha import AlphaMemory, IndexSet, token_key
 from repro.wm.element import WME
+
+
+#: The blockers of every token but a negative node's own.
+_UNBLOCKED = MappingProxyType({})
 
 
 class Token:
@@ -89,17 +95,19 @@ class Token:
         parent: "Token | None",
         wme: WME | None,
         data,
-        node: "TokenStore | ProductionNode | None",
+        node: "TokenStore | None",
     ) -> None:
         self.parent = parent
         self.wme = wme
         self.data = data
         self.node = node
         self.children: list[Token] = []
-        #: WMEs currently matching a negated pattern (NegativeNode only).
-        self.blockers: dict[int, WME] = {}
-        #: Instantiation emitted for this token (ProductionNode only).
-        self.instantiation: Instantiation | None = None
+        #: WMEs currently matching a negated pattern (a dict on a
+        #: NegativeNode's own tokens only).
+        self.blockers: Mapping[int, WME] = _UNBLOCKED
+        #: The instantiation a ProductionNode hung on the token, or a
+        #: list of them when rules sharing the store each hung one.
+        self.instantiation: Instantiation | list | None = None
         if parent is not None:
             parent.children.append(self)
 
@@ -113,9 +121,6 @@ class Token:
             token = token.parent
         path.reverse()
         return tuple(path)
-
-    def is_blocked(self) -> bool:
-        return bool(self.blockers)
 
 
 class RightActivatable(Protocol):
@@ -332,6 +337,7 @@ class NegativeNode(TokenStore, TwoInputNode):
     def on_token_added(self, token: Token) -> None:
         data = token.data
         own = Token(token, None, self._carry(data), self)
+        own.blockers = {}
         self._store(own)
         bucket = self._wme_buckets.get(self._token_key(data))
         if bucket is not None:
@@ -359,7 +365,7 @@ class NegativeNode(TokenStore, TwoInputNode):
                 continue
             if beta(wme, token.parent.data) is None:
                 continue
-            was_blocked = token.is_blocked()
+            was_blocked = bool(token.blockers)
             token.blockers[wme.timetag] = wme
             self.network.register_blocker(wme, token)
             if not was_blocked:
@@ -370,52 +376,60 @@ class NegativeNode(TokenStore, TwoInputNode):
     def on_wme_removed(self, wme: WME) -> None:
         for token in self.network.take_blocked_tokens(wme, owner=self):
             token.blockers.pop(wme.timetag, None)
-            if not token.is_blocked():
+            if not token.blockers:
                 self.propagate(token)
 
 
 class ProductionNode:
-    """Terminal node: full tokens become conflict-set instantiations."""
+    """Terminal node: a full token becomes a conflict-set instantiation.
+
+    The node builds no token: it hangs the instantiation on the
+    incoming one, and whatever deletes or blocks that token retracts
+    it (:meth:`NetworkState.delete_descendants`).  Rules with identical
+    join chains share the parent store, so a token can carry one
+    instantiation per such rule.
+    """
 
     def __init__(
-        self,
-        network: "NetworkState",
-        parent: TokenStore,
-        plan: SlottedPlan,
-        conflict_set: ConflictSet,
+        self, network: "NetworkState", parent: TokenStore, plan: SlottedPlan
     ) -> None:
         self.network = network
         self.parent = parent
         self.plan = plan
         self.production = plan.production
-        self.conflict_set = conflict_set
         self._in_lhs_order = plan.in_lhs_order
         parent.children.append(self)
 
     def on_token_added(self, token: Token) -> None:
-        own = Token(token, None, token.data, self)
-        self.network.register_token(own)
         wmes = token.wmes()
         if self._in_lhs_order is not None:
             wmes = self._in_lhs_order(wmes)
-        own.instantiation = self.plan.instantiate(wmes, token.data)
-        self.conflict_set.add(own.instantiation)
-
-    def remove_token(self, token: Token) -> None:
-        if token.instantiation is not None:
-            self.conflict_set.remove(token.instantiation)
-            token.instantiation = None
-
-    def own_tokens(self) -> list[Token]:
-        return [
-            child
-            for token in self.parent.tokens
-            for child in token.children
-            if child.node is self
-        ]
+        instantiation = self.plan.instantiate(wmes, token.data)
+        held = token.instantiation
+        if held is None:
+            token.instantiation = instantiation
+        elif type(held) is list:
+            held.append(instantiation)
+        else:
+            token.instantiation = [held, instantiation]
+        self.network.conflict_set.add(instantiation)
 
     def unlink(self) -> None:
-        """Detach from the parent store (tokens already deleted)."""
+        """Retract the rule's own instantiations — the other rules
+        sharing the parent store keep theirs — and detach."""
+        remove = self.network.conflict_set.remove
+        production = self.production
+        for token in self.parent.tokens:
+            held = token.instantiation
+            if held is None:
+                continue
+            kept = []
+            for instantiation in held if type(held) is list else (held,):
+                if instantiation.production is production:
+                    remove(instantiation)
+                else:
+                    kept.append(instantiation)
+            token.instantiation = kept[0] if len(kept) == 1 else kept or None
         self.parent.children.remove(self)
 
 
@@ -428,7 +442,10 @@ class NetworkState:
     * ``blocked_by_wme`` — negative-node tokens blocked by it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, conflict_set: ConflictSet) -> None:
+        #: Where the production nodes add instantiations and deletion
+        #: retracts them (the matcher keeps it current).
+        self.conflict_set = conflict_set
         self._tokens_by_wme: dict[int, list[Token]] = {}
         self._blocked_by_wme: dict[int, list[Token]] = {}
 
@@ -443,21 +460,13 @@ class NetworkState:
     def register_blocker(self, wme: WME, token: Token) -> None:
         self._blocked_by_wme.setdefault(wme.timetag, []).append(token)
 
-    def take_blocked_tokens(
-        self, wme: WME, owner: "TokenStore | None" = None
-    ) -> list[Token]:
-        """Remove and return tokens blocked by ``wme``.
-
-        When ``owner`` is given, only tokens stored in that node are
-        taken; others stay registered (several negative nodes can share
-        one alpha memory).
-        """
+    def take_blocked_tokens(self, wme: WME, owner: TokenStore) -> list[Token]:
+        """Remove and return the tokens of ``owner`` blocked by ``wme``;
+        other nodes' stay registered (several negative nodes can share
+        one alpha memory)."""
         waiting = self._blocked_by_wme.get(wme.timetag)
         if not waiting:
             return []
-        if owner is None:
-            del self._blocked_by_wme[wme.timetag]
-            return waiting
         taken = [t for t in waiting if t.node is owner]
         remaining = [t for t in waiting if t.node is not owner]
         if remaining:
@@ -490,13 +499,18 @@ class NetworkState:
             _drop(self._tokens_by_wme, token.wme.timetag, token)
 
     def delete_descendants(self, token: Token) -> None:
-        """Delete the children subtrees of ``token``, keeping ``token``."""
+        """Retract the instantiation(s) hung on ``token`` and delete its
+        children subtrees, keeping ``token``."""
+        held = token.instantiation
+        if held is not None:
+            token.instantiation = None
+            if type(held) is list:
+                for instantiation in held:
+                    self.conflict_set.remove(instantiation)
+            else:
+                self.conflict_set.remove(held)
         while token.children:
             self.delete_token(token.children[-1])
-
-    def __iter__(self) -> Iterator[Token]:  # pragma: no cover - debug aid
-        for tokens in self._tokens_by_wme.values():
-            yield from tokens
 
 
 def _drop(registry: dict[int, list[Token]], timetag: int, token: Token) -> None:

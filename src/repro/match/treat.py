@@ -20,73 +20,31 @@ dropped with the conflict set on :meth:`TreatMatcher.rebuild`.  No
 other matcher reads such an index, so the shared
 :class:`~repro.match.conflict_set.ConflictSet` does not keep one.
 
+The joins draw their candidates from TREAT's own *postings*, relation
+→ attribute → value → the live elements, kept only on the
+``(relation, attribute)`` pairs the registered rules' steps probe (a
+constant equality or a join key) and maintained from the deltas the
+matcher hears.  Working memory keeps no value postings: Rete, the
+matcher every engine runs, never reads them.
+
 The TREAT-vs-Rete trade (state kept vs join work redone) is measured by
 ``benchmarks/bench_match_algorithms.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable
 
 from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
 from repro.match.naive import match_production
-from repro.wm.element import WME, Timetag
+from repro.wm.element import Scalar, WME, Timetag
 from repro.wm.memory import WMDelta, WorkingMemory
 
-
-def match_with_fixed(
-    production: Production,
-    memory: WorkingMemory,
-    fixed_index: int,
-    fixed_wme: WME,
-) -> Iterator[Instantiation]:
-    """Instantiations of ``production`` using ``fixed_wme`` at LHS
-    position ``fixed_index`` (0-based, must be a positive element)."""
-    plan = production.token_plan()
-    yield from _extend_fixed(
-        plan, memory, 0, (), plan.empty_token(), fixed_index, fixed_wme
-    )
-
-
-def _extend_fixed(
-    plan: SlottedPlan,
-    memory: WorkingMemory,
-    index: int,
-    matched: tuple[WME, ...],
-    token,
-    fixed_index: int,
-    fixed_wme: WME,
-) -> Iterator[Instantiation]:
-    if index == len(plan.steps):
-        yield plan.instantiate(matched, token)
-        return
-    step = plan.steps[index]
-    match = step.match
-    if step.negated:
-        for wme in memory.select(step.relation):
-            if match(wme, token) is not None:
-                return
-        yield from _extend_fixed(
-            plan, memory, index + 1, matched, step.carry(token),
-            fixed_index, fixed_wme,
-        )
-        return
-    if index == fixed_index:
-        candidates = [fixed_wme]
-    else:
-        candidates = memory.select(
-            step.relation, step.probe_equalities(token)
-        )
-    for wme in candidates:
-        extended = match(wme, token)
-        if extended is not None:
-            yield from _extend_fixed(
-                plan, memory, index + 1, matched + (wme,), extended,
-                fixed_index, fixed_wme,
-            )
+#: Absent-attribute sentinel of the postings.
+_MISSING = object()
 
 
 class TreatMatcher(BaseMatcher):
@@ -99,6 +57,64 @@ class TreatMatcher(BaseMatcher):
         # Timetag -> the members whose match used it (dict-as-ordered-
         # set); a bucket goes when its last member does.
         self._by_wme: dict[Timetag, dict[Instantiation, None]] = {}
+        #: relation -> attribute -> value -> {timetag: WME}: postings on
+        #: the pairs the registered rules probe (:meth:`_repost`).
+        self._postings: dict[str, dict[str, dict]] = {}
+
+    # -- postings ----------------------------------------------------------------------
+
+    def select(
+        self, relation: str, equalities: Iterable[tuple[str, Scalar]] = ()
+    ) -> list[WME]:
+        """:meth:`WorkingMemory.select` answered from the postings: the
+        smallest posted equality's bucket, filtered, in timetag order."""
+        equalities = list(equalities)
+        posted = self._postings.get(relation, {})
+        buckets = [
+            posted[attribute].get(value, {})
+            for attribute, value in equalities
+            if attribute in posted
+        ]
+        if not buckets:
+            return self.memory.select(relation, equalities)
+        best = min(buckets, key=len)
+        matches = [best[t] for t in sorted(best)]
+        for attribute, value in equalities:
+            matches = [
+                w for w in matches
+                if w._mapping.get(attribute, _MISSING) == value
+            ]
+        return matches
+
+    def _repost(self) -> None:
+        """Post, afresh from memory, the ``(relation, attribute)`` pairs
+        the registered rules' steps probe: their constant equalities
+        and join keys."""
+        self._postings = postings = {}
+        for plan in self._plans.values():
+            for step in plan.steps:
+                probed = (*step.constant_equalities, *step.probe_items)
+                for attribute, _ in probed:
+                    postings.setdefault(step.relation, {})[attribute] = {}
+        for relation, posted in postings.items():
+            for wme in self.memory.elements(relation):
+                self._post(wme, posted, True)
+
+    @staticmethod
+    def _post(wme: WME, posted, add: bool) -> None:
+        """File ``wme`` in (``add``) or out of one relation's postings;
+        a bucket goes with its last element."""
+        for attribute, values in posted.items():
+            value = wme._mapping.get(attribute, _MISSING)
+            if value is _MISSING:
+                continue
+            if add:
+                values.setdefault(value, {})[wme.timetag] = wme
+                continue
+            bucket = values.get(value, {})
+            bucket.pop(wme.timetag, None)
+            if not bucket:
+                values.pop(value, None)
 
     def mentioning(self, wme: WME | Timetag) -> list[Instantiation]:
         """The conflict-set members whose match used ``wme``.
@@ -133,28 +149,38 @@ class TreatMatcher(BaseMatcher):
     def add_production(self, production: Production) -> None:
         self._register(production)
         if self._attached:
-            for instantiation in match_production(production, self.memory):
+            self._repost()
+            for instantiation in match_production(
+                production, self.memory, self.select
+            ):
                 self._add(instantiation)
 
     def remove_production(self, name: str) -> None:
         self._unregister(name)
+        if self._attached:
+            self._repost()
         for instantiation in self.conflict_set.for_rule(name):
             self._remove(instantiation)
 
     def rebuild(self) -> None:
         self.conflict_set.clear()
         self._by_wme.clear()
+        self._repost()
         for production in self._productions.values():
-            for instantiation in match_production(production, self.memory):
+            for instantiation in match_production(
+                production, self.memory, self.select
+            ):
                 self._add(instantiation)
 
     # -- incremental delta handling ----------------------------------------------------
 
     def _on_delta(self, delta: WMDelta) -> None:
-        if delta.kind == "add":
-            self._on_add(delta.wme)
+        wme, add = delta.wme, delta.kind == "add"
+        self._post(wme, self._postings.get(wme.relation, {}), add)
+        if add:
+            self._on_add(wme)
         else:
-            self._on_remove(delta.wme)
+            self._on_remove(wme)
 
     def _on_add(self, wme: WME) -> None:
         for name, production in self._productions.items():
@@ -166,8 +192,8 @@ class TreatMatcher(BaseMatcher):
                     self._invalidate(production, plan, index, wme)
                 else:
                     self.join_count += 1
-                    for instantiation in match_with_fixed(
-                        production, self.memory, index, wme
+                    for instantiation in match_production(
+                        production, self.memory, self.select, (index, wme)
                     ):
                         self._add(instantiation)
 
@@ -203,7 +229,9 @@ class TreatMatcher(BaseMatcher):
                 step.negated and step.alpha(wme) for step in plan.steps
             ):
                 self.join_count += 1
-                current = set(match_production(production, self.memory))
+                current = set(
+                    match_production(production, self.memory, self.select)
+                )
                 for stale in (
                     set(self.conflict_set.for_rule(production.name)) - current
                 ):

@@ -1,7 +1,7 @@
 """Working-memory substrate: the "database" of the production system.
 
 The paper stores working memory in a DBMS; here working memory is an
-in-memory relational store with schemas, secondary indexes, an undo log
+in-memory relational store with schemas, an undo log
 (so a production firing can be aborted, as the Rc/Ra/Wa scheme of
 Section 4.3 requires), and snapshots (so the execution-graph search of
 Section 3 can explore alternative futures).
@@ -14,7 +14,10 @@ Public classes
 :class:`~repro.wm.schema.RelationSchema` / :class:`~repro.wm.schema.Catalog`
     Relational schemas and the system catalog.
 :class:`~repro.wm.memory.WorkingMemory`
-    The mutable store with make/modify/remove, listeners and indexes.
+    The mutable store with make/modify/remove and listeners.  It keeps
+    two maps — timetag → WME and relation → its WMEs — and no value
+    postings: the Rete alpha memories and TREAT's own postings are the
+    match-side indexes, each kept by the matcher that reads it.
 :class:`~repro.wm.undo.UndoLog`
     Records inverse operations for transactional abort.
 """
@@ -26,7 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "element": ("WME", "Timetag"),
         "schema": ("RelationSchema", "Catalog"),
-        "index": ("AttributeIndex",),
         "memory": ("WorkingMemory", "WMDelta"),
         "undo": ("UndoLog",),
         "snapshot": ("WMSnapshot",),

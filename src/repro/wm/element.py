@@ -47,7 +47,7 @@ def ensure_timetag_floor(minimum: Timetag) -> None:
     _timetag_counter = itertools.count(start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WME:
     """An immutable working-memory element.
 
@@ -66,7 +66,20 @@ class WME:
 
     relation: str
     items: tuple[tuple[str, Scalar], ...]
-    timetag: Timetag = field(default=0)
+    timetag: Timetag = 0
+    _mapping: dict = field(default=None, compare=False, repr=False)
+    _data_object_key: tuple = field(default=None, compare=False, repr=False)
+
+    def __init__(
+        self, relation: str, items: tuple, timetag: Timetag = 0
+    ) -> None:
+        # Every construction path — make, replaced, the direct
+        # constructor, unpickling — builds the attribute dict here, once.
+        set_ = object.__setattr__
+        set_(self, "relation", relation)
+        set_(self, "items", items)
+        set_(self, "timetag", timetag)
+        set_(self, "_mapping", dict(items))
 
     @staticmethod
     def make(
@@ -81,27 +94,20 @@ class WME:
         >>> w["status"]
         'open'
         """
-        merged: dict[str, Scalar] = dict(values or {})
-        merged.update(kwargs)
+        merged = {**(values or {}), **kwargs} if kwargs else values or {}
         tag = next_timetag() if timetag is None else timetag
         return WME(relation, tuple(sorted(merged.items())), tag)
 
     # -- mapping-style access ------------------------------------------------
 
     def __getitem__(self, attribute: str) -> Scalar:
-        for name, value in self.items:
-            if name == attribute:
-                return value
-        raise KeyError(attribute)
+        return self._mapping[attribute]
 
     def get(self, attribute: str, default: Scalar = None) -> Scalar:
-        for name, value in self.items:
-            if name == attribute:
-                return value
-        return default
+        return self._mapping.get(attribute, default)
 
     def __contains__(self, attribute: object) -> bool:
-        return any(name == attribute for name, _ in self.items)
+        return attribute in self._mapping
 
     def attributes(self) -> Iterator[str]:
         """Iterate over the attribute names, in sorted order."""
@@ -112,24 +118,15 @@ class WME:
         return dict(self.items)
 
     def mapping(self) -> dict[str, Scalar]:
-        """The attribute/value pairs as a cached ``dict``.
-
-        The compiled condition closures look attributes up by hash
-        instead of scanning ``items``; the dict is built once per
-        element and shared, so callers must not mutate it.  (The
-        first-call race under threads is benign: both sides build the
-        same dict.)
-        """
-        try:
-            return self._mapping
-        except AttributeError:
-            mapping = dict(self.items)
-            object.__setattr__(self, "_mapping", mapping)
-            return mapping
+        """The attribute/value pairs as a ``dict``, built with the
+        element and shared: the compiled condition closures look
+        attributes up by hash instead of scanning ``items``, so callers
+        must not mutate it."""
+        return self._mapping
 
     def __reduce__(self):
-        # The cached mapping and data-object key are derived state;
-        # pickle only the fields.
+        # The mapping and data-object key are derived state; pickle
+        # only the fields (unpickling rebuilds the mapping).
         return (WME, (self.relation, self.items, self.timetag))
 
     # -- derivation ----------------------------------------------------------
@@ -140,9 +137,8 @@ class WME:
         This is the value-level half of OPS5's ``modify``: the store
         pairs it with a removal of the old element.
         """
-        merged = self.as_dict()
-        merged.update(changes)
-        return WME.make(self.relation, merged)
+        items = tuple(sorted({**self._mapping, **changes}.items()))
+        return WME(self.relation, items, next_timetag())
 
     def same_value(self, other: "WME") -> bool:
         """True when relation and attribute values match, ignoring timetags."""
@@ -168,13 +164,13 @@ def data_object_key(wme: WME) -> tuple[str, Any]:
     value identity.  Relation-level escalation (the catalog key) is
     added by :meth:`repro.match.instantiation.Instantiation.lock_footprint`.
 
-    Cached on the element the way :meth:`WME.mapping` caches its dict:
-    every lock footprint naming the element asks again.
+    Cached on the element: every lock footprint naming the element
+    asks again.
     """
     try:
         return wme._data_object_key
     except AttributeError:
-        mapping = wme.mapping()
+        mapping = wme._mapping
         if "key" in mapping:
             key = (wme.relation, mapping["key"])
         elif "id" in mapping:

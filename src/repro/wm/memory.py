@@ -10,6 +10,12 @@ Change propagation is delta-based: every mutation produces a
 TREAT matchers subscribe to these deltas for incremental matching; the
 undo log subscribes to support transactional abort.
 
+The store keeps what the Rete path reads and nothing more: timetag →
+WME, and relation → its WMEs by timetag.  It keeps no value postings —
+:meth:`WorkingMemory.select` is a scan-and-filter of one relation, for
+the naive oracle, and TREAT keeps postings of its own on the pairs its
+rules probe.
+
 Deltas group into *units* (:meth:`WorkingMemory.atomic`): a production
 execution is one unit, a ``modify`` is one unit, a mutation outside any
 bracket is a unit of one.  Unit listeners — the durable store — hear
@@ -20,12 +26,12 @@ the state after a whole number of units.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import UnknownElementError
 from repro.wm.element import Scalar, Timetag, WME
-from repro.wm.index import AttributeIndex
 from repro.wm.schema import Catalog
 
 #: Signature of a working-memory change listener.
@@ -37,9 +43,9 @@ UnitOpened = Callable[["str | None"], None]
 UnitCommitted = Callable[[], None]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WMDelta:
-    """One atomic change to working memory.
+    """One atomic change to working memory (a slotted value).
 
     ``kind`` is ``"add"`` or ``"remove"``.  A ``modify`` is published
     as a remove of the old element followed by an add of the new one,
@@ -75,7 +81,8 @@ class WorkingMemory:
     ) -> None:
         self.catalog = catalog if catalog is not None else Catalog()
         self._elements: dict[Timetag, WME] = {}
-        self._index = AttributeIndex()
+        #: relation -> its live elements by timetag.
+        self._by_relation: dict[str, dict[Timetag, WME]] = {}
         self._listeners: list[DeltaListener] = []
         self._unit_listeners: list[tuple[UnitOpened, UnitCommitted]] = []
         #: Open :meth:`atomic` brackets (the outermost counts 1).
@@ -144,7 +151,7 @@ class WorkingMemory:
     # -- mutation -------------------------------------------------------------
 
     def add(self, wme: WME) -> WME:
-        """Insert ``wme``; validates against the catalog and indexes it."""
+        """Insert ``wme``; validates against the catalog."""
         with self._maybe_locked():
             self.catalog.validate(wme)
             if wme.timetag in self._elements:
@@ -152,7 +159,11 @@ class WorkingMemory:
                     f"timetag {wme.timetag} already present"
                 )
             self._elements[wme.timetag] = wme
-            self._index.add(wme)
+            bucket = self._by_relation.get(wme.relation)
+            if bucket is None:
+                self._by_relation[wme.relation] = {wme.timetag: wme}
+            else:
+                bucket[wme.timetag] = wme
             self._publish(WMDelta("add", wme))
             return wme
 
@@ -176,7 +187,10 @@ class WorkingMemory:
             wme = self._elements.pop(timetag, None)
             if wme is None:
                 raise UnknownElementError(f"no element with timetag {timetag}")
-            self._index.remove(wme)
+            bucket = self._by_relation[wme.relation]
+            del bucket[timetag]
+            if not bucket:
+                del self._by_relation[wme.relation]
             self._publish(WMDelta("remove", wme))
             return wme
 
@@ -234,21 +248,23 @@ class WorkingMemory:
         return iter(list(self._elements.values()))
 
     def elements(self, relation: str | None = None) -> list[WME]:
-        """All live elements, optionally restricted to one relation."""
+        """All live elements, or one relation's in timetag order."""
         if relation is None:
             return list(self._elements.values())
-        return [
-            self._elements[t]
-            for t in sorted(self._index.relation(relation))
-            if t in self._elements
-        ]
+        bucket = self._by_relation.get(relation)
+        if not bucket:
+            return []
+        return [bucket[t] for t in sorted(bucket)]
 
     def select(
         self,
         relation: str,
         equalities: Iterable[tuple[str, Scalar]] = (),
     ) -> list[WME]:
-        """Index-backed conjunctive selection over one relation.
+        """Conjunctive selection over one relation, in timetag order.
+
+        A scan of the relation: only the naive oracle selects through
+        working memory (TREAT keeps postings of its own).
 
         >>> wm = WorkingMemory()
         >>> _ = wm.make("order", id=1, status="open")
@@ -256,12 +272,17 @@ class WorkingMemory:
         >>> [w["id"] for w in wm.select("order", [("status", "open")])]
         [1]
         """
-        tags = self._index.lookup(relation, equalities)
-        return [self._elements[t] for t in sorted(tags) if t in self._elements]
+        matches = self.elements(relation)
+        for attribute, value in equalities:
+            matches = [
+                w for w in matches
+                if w._mapping.get(attribute, _MISSING) == value
+            ]
+        return matches
 
     def count(self, relation: str) -> int:
         """Number of live elements of ``relation``."""
-        return self._index.cardinality(relation)
+        return len(self._by_relation.get(relation, ()))
 
     def value_identity_set(self) -> frozenset[tuple]:
         """The set of value identities of live elements (timetag-free).
@@ -290,7 +311,7 @@ class WorkingMemory:
     def _maybe_locked(self):
         if self._mutex is not None:
             return self._mutex
-        return _NullContext()
+        return _JOINED
 
 
 class Unit:
@@ -338,13 +359,9 @@ class Unit:
                 memory._mutex.release()
 
 
-class _NullContext:
-    def __enter__(self) -> None:
-        return None
+#: The shared no-op context: an operation's bracket inside an open
+#: unit, and the lock of a memory that is not thread-safe.
+_JOINED = nullcontext()
 
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-#: What an operation inside an open unit brackets itself with.
-_JOINED = _NullContext()
+#: Absent-attribute sentinel of :meth:`WorkingMemory.select`.
+_MISSING = object()

@@ -1,4 +1,4 @@
-"""Tests for AST evaluation: condition tests, expressions, actions."""
+"""Tests for the AST: condition tests, compiled expressions, actions."""
 
 import pytest
 
@@ -15,13 +15,21 @@ from repro.lang.ast import (
     VariableTest,
     as_expr,
 )
-from repro.lang.compile import VariableIndex, compile_beta_slots
+from repro.lang.compile import VariableIndex, compile_beta_slots, compile_value
 from repro.wm.element import WME
 from test_compile import slotted_beta as join
 
 
 def ce(relation, *tests, negated=False):
     return ConditionElement(relation, tuple(tests), negated)
+
+
+def evaluate(expr, bindings):
+    """``expr``'s compiled value (:func:`compile_value`) under
+    ``bindings``, laid out one slot per name."""
+    names = sorted(bindings)
+    compiled = compile_value(expr, {name: i for i, name in enumerate(names)})
+    return compiled(tuple(bindings[name] for name in names))
 
 
 def matches(element, wme):
@@ -157,14 +165,14 @@ class TestClassification:
 
 class TestExpressions:
     def test_constant(self):
-        assert Constant(5).evaluate({}) == 5
+        assert evaluate(Constant(5), {}) == 5
 
     def test_variable_ref(self):
-        assert VariableRef("x").evaluate({"x": 3}) == 3
+        assert evaluate(VariableRef("x"), {"x": 3}) == 3
 
     def test_unbound_variable_raises(self):
         with pytest.raises(ValidationError):
-            VariableRef("x").evaluate({})
+            evaluate(VariableRef("x"), {})
 
     @pytest.mark.parametrize(
         "op,expected",
@@ -172,11 +180,11 @@ class TestExpressions:
     )
     def test_arithmetic(self, op, expected):
         expr = BinaryExpr(op, Constant(5), Constant(2))
-        assert expr.evaluate({}) == expected
+        assert evaluate(expr, {}) == expected
 
     def test_division_by_zero_raises_validation_error(self):
         with pytest.raises(ValidationError):
-            BinaryExpr("/", Constant(1), Constant(0)).evaluate({})
+            evaluate(BinaryExpr("/", Constant(1), Constant(0)), {})
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValidationError):
@@ -187,7 +195,7 @@ class TestExpressions:
             "+", VariableRef("a"), BinaryExpr("*", VariableRef("b"), Constant(2))
         )
         assert expr.variables() == {"a", "b"}
-        assert expr.evaluate({"a": 1, "b": 3}) == 7
+        assert evaluate(expr, {"a": 1, "b": 3}) == 7
 
     def test_as_expr_wraps_scalars(self):
         assert as_expr(5) == Constant(5)

@@ -10,6 +10,7 @@ from repro.lang.ast import (
     VariableTest,
 )
 from repro.lang.builder import ge, gt, le, lt, ne, var
+from test_ast import evaluate
 
 
 class TestLhsBuilding:
@@ -81,11 +82,11 @@ class TestRhsBuilding:
             .modify(1, balance=var("b") + 10)
             .build()
         )
-        assert p.rhs[0].values[0][1].evaluate({"b": 5}) == 15
+        assert evaluate(p.rhs[0].values[0][1], {"b": 5}) == 15
 
     def test_var_sub_and_mul(self):
-        assert (var("x") - 1).evaluate({"x": 3}) == 2
-        assert (var("x") * 4).evaluate({"x": 3}) == 12
+        assert evaluate(var("x") - 1, {"x": 3}) == 2
+        assert evaluate(var("x") * 4, {"x": 3}) == 12
 
     def test_bind_accepts_var_or_name(self):
         p = (

@@ -352,8 +352,9 @@ def test_manners_serial_inputs_build_few_tokens(monkeypatch):
     """``manners_serial``'s own inputs (72 guests, seed 5).  Joined as
     written, each of the 146 firings rebuilt the chain below ``last``:
     39 656 tokens.  The floor is not far below the bound: the run makes
-    4 706 instantiations, and each needs its production token and the
-    two joins under ``last``."""
+    4 706 instantiations, and each needs the two joins under ``last``
+    (the production node hangs the instantiation on the last one's
+    token)."""
     text, facts = _e2e_workloads().manners_program(guests=72, seed=5)
     rules = parse_program(text)
     calls = _count_join_tests(rules)
@@ -374,8 +375,10 @@ def test_one_alpha_memory_feeding_two_joins_builds_each_token_once(
 ):
     """``(a) (a)``: the lower join is right-activated before the upper
     one builds the token that meets the new WME again from the left.
-    Right-activated after it, every add built 2 tokens twice (5, 9, 5
-    for these three adds)."""
+    Right-activated after it, every add built 2 tokens twice.  A
+    complete match is one token — the production node hangs its
+    instantiation on the join's token — so the adds build 2, 4, 2
+    (3, 7, 3 while the production node built a token of its own)."""
     rules = parse_program("(p r (a ^k <x>) (a ^k <x>) --> (remove 1))")
     memory = WorkingMemory()
     rete = _attach(memory, ReteMatcher, rules)
@@ -387,7 +390,7 @@ def test_one_alpha_memory_feeding_two_joins_builds_each_token_once(
         built.append(tokens[0] - before)
         sizes.append(len(rete.conflict_set))
     assert sizes == [1, 4, 5]
-    assert built == [3, 7, 3]
+    assert built == [2, 4, 2]
     rete.audit()
 
 

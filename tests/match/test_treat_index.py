@@ -195,6 +195,75 @@ def test_wme_index_tracks_its_definition(operations):
     assert not matcher._by_wme
 
 
+def _pairs(matcher: TreatMatcher) -> set:
+    return {
+        (relation, attribute)
+        for relation, posted in matcher._postings.items()
+        for attribute in posted
+    }
+
+
+def _defined_postings(matcher: TreatMatcher, memory) -> dict:
+    """TREAT's postings by definition: for each probed ``(relation,
+    attribute)`` pair, value -> the live elements holding it."""
+    postings: dict = {}
+    for relation, attribute in _pairs(matcher):
+        values = postings.setdefault(relation, {}).setdefault(attribute, {})
+        for wme in memory.elements(relation):
+            if attribute in wme:
+                values.setdefault(wme[attribute], {})[wme.timetag] = wme
+    return postings
+
+
+@given(operations=st.lists(_index_operation, max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_postings_track_their_definition(operations):
+    """TREAT's own postings replace working memory's value index: they
+    equal their definition after every make / modify / remove, keep no
+    emptied bucket (a counter attribute must not grow one per value it
+    ever held), and hold nothing once memory is empty."""
+    memory = WorkingMemory()
+    matcher = TreatMatcher(memory)
+    rules = _index_program() + [
+        RuleBuilder("two").when("b", k=2).remove(1).build()
+    ]
+    # ``any-a`` probes nothing; the others arrive halfway, attached,
+    # and their pairs' postings are built from the live memory.
+    matcher.add_productions(r for r in rules if r.name == "any-a")
+    matcher.attach()
+    assert _pairs(matcher) == set()
+
+    def check() -> None:
+        assert matcher._postings == _defined_postings(matcher, memory)
+        for by_attribute in matcher._postings.values():
+            for values in by_attribute.values():
+                assert all(values.values()), "an empty bucket was kept"
+                if not len(memory):
+                    assert not values
+
+    for step, operation in enumerate(operations):
+        if step == len(operations) // 2:
+            matcher.add_productions(r for r in rules if r.name != "any-a")
+            assert _pairs(matcher) == {("a", "k"), ("b", "k")}
+            check()
+        live = sorted(memory, key=lambda w: w.timetag)
+        if operation[0] == "make":
+            memory.make(operation[1], k=operation[2])
+        elif live and operation[0] == "modify":
+            memory.modify(
+                live[operation[1] % len(live)], {"k": operation[2]}
+            )
+        elif live:
+            memory.remove(live[operation[1] % len(live)])
+        check()
+    for wme in list(memory):
+        memory.remove(wme)
+        check()
+    for name in list(matcher.productions):
+        matcher.remove_production(name)
+    assert matcher._postings == {}
+
+
 def test_rete_conflict_set_keeps_no_wme_index_or_delta_log():
     """The WME index is TREAT's and the delta log a partitioned
     shard's: a Rete run's adds and removes pay for neither."""

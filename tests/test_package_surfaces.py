@@ -97,8 +97,10 @@ PUBLIC_NAMES = {
         Certifier History Operation Transaction TxnState conflicts
         is_conflict_serializable precedence_graph serialization_orders
     """,
+    # ``AttributeIndex`` left ``repro.wm`` on purpose: working memory
+    # keeps no value postings, TREAT keeps the ones it probes.
     "repro.wm": """
-        AttributeIndex Catalog DURABILITY_MODES DurableStore
+        Catalog DURABILITY_MODES DurableStore
         RecoveryReport RelationSchema STORAGE_FAULT_SITES SegmentInfo
         Timetag UndoLog WMDelta WME WMSnapshot WorkingMemory
         deserialize_wme serialize_wme

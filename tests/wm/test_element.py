@@ -132,3 +132,26 @@ class TestDataObjectKey:
         data = pickle.dumps(w)
         assert b"_data_object_key" not in data
         assert data_object_key(pickle.loads(data)) == ("order", 5)
+
+
+class TestMapping:
+    def test_every_construction_path_builds_the_same_mapping(self):
+        """``make``, ``replaced``, the direct constructor and a pickle
+        round trip each build the attribute dict once, at
+        construction; equality and hashing still read the fields
+        only."""
+        import pickle
+
+        made = WME.make("order", {"id": 1, "status": "open"}, timetag=7)
+        replaced = WME.make("order", {"id": 1, "status": "new"}).replaced(
+            {"status": "open"}
+        )
+        direct = WME("order", made.items, 7)
+        unpickled = pickle.loads(pickle.dumps(made))
+        for wme in (made, replaced, direct, unpickled):
+            assert wme.mapping() == {"id": 1, "status": "open"}
+            assert wme["status"] == "open" and wme.get("id") == 1
+            assert "id" in wme and "qty" not in wme
+        assert made == direct == unpickled
+        assert hash(made) == hash(direct) == hash(unpickled)
+        assert replaced != made and replaced.same_value(made)
