@@ -2,8 +2,9 @@
 
 Builds each ``benchmarks/e2e`` workload exactly as its child does (same
 generator, sizes, seed and engine), wraps the engine's conflict set to
-count the instantiations that enter it and ``Token`` to count the Rete
-tokens built, and runs once, uncapped and untimed.
+count the instantiations that enter it, ``Token`` to count the Rete
+tokens built and the strategy's ``key`` to count the ranking keys
+evaluated, and runs once, uncapped and untimed.
 Most instantiations leave unfired: a ``modify`` retracts and re-derives
 every instantiation joined to the element, and only one per cycle (or
 a wave's worth) fires.
@@ -18,8 +19,10 @@ built over fired, and the Rete tokens built during the run in this
 process (0 where the match runs in worker processes).  A complete
 match is one token — the production node hangs its instantiation on
 the last join's token — so a row's tokens count each instantiation
-once, not twice.  Counting is
-outside ``src/`` so that no run pays for it.
+once, not twice.  ``ranked`` counts strategy key evaluations: a select
+ranks only the leading bucket of the conflict set, so it counts what
+selects and wave orders ranked, not the size of the conflict set.
+Counting is outside ``src/`` so that no run pays for it.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-def count(name: str, seed: int) -> tuple[int, int, int, int]:
+def count(name: str, seed: int) -> tuple[int, int, int, int, int]:
     """(instantiations in the conflict set after attach, instantiations
-    added during the run, firings, Rete tokens built during the run)."""
+    added during the run, firings, Rete tokens built during the run,
+    strategy keys evaluated during the run)."""
     from repro.lang import parse_program
     from repro.match.rete.nodes import Token
+    from repro.match.strategies import make_strategy
     from repro.wm.memory import WorkingMemory
     from repro.wm.storage import DurableStore
 
@@ -56,6 +61,19 @@ def count(name: str, seed: int) -> tuple[int, int, int, int]:
         )
     for relation, values in spec["facts"]:
         memory.make(relation, values)
+    # Wrapped on the class before the engine is built, so the engine's
+    # strategy instance, and whatever it hands the key to, calls it.
+    strategy_class = type(make_strategy(spec["engine"]["strategy"]))
+    saved_key = vars(strategy_class)["key"]
+    key = strategy_class.key
+    ranked = 0
+
+    def counted_key(instantiation):
+        nonlocal ranked
+        ranked += 1
+        return key(instantiation)
+
+    strategy_class.key = staticmethod(counted_key)
     engine = child.build_engine(spec, parse_program(spec["rules"]), memory)
     conflict_set = engine.matcher.conflict_set
     attached = len(conflict_set)
@@ -84,11 +102,12 @@ def count(name: str, seed: int) -> tuple[int, int, int, int]:
         result = engine.run(**limit)
     finally:
         Token.__init__ = construct
+        strategy_class.key = saved_key
         engine.close()
         if store is not None:
             store.close()
             shutil.rmtree(store_dir, ignore_errors=True)
-    return attached, added, len(result.firings), tokens
+    return attached, added, len(result.firings), tokens, ranked
 
 
 def main() -> int:
@@ -100,14 +119,14 @@ def main() -> int:
     args = parser.parse_args()
     print(
         f"{'workload':<16} {'attach':>7} {'run':>7} {'fired':>6} "
-        f"{'built/fired':>11} {'tokens':>7}"
+        f"{'built/fired':>11} {'tokens':>7} {'ranked':>7}"
     )
     for name in args.workloads:
-        attached, added, fired, tokens = count(name, args.seed)
+        attached, added, fired, tokens, ranked = count(name, args.seed)
         built = attached + added
         print(
             f"{name:<16} {attached:>7} {added:>7} {fired:>6} "
-            f"{built / fired:>11.2f} {tokens:>7}"
+            f"{built / fired:>11.2f} {tokens:>7} {ranked:>7}"
         )
     return 0
 

@@ -6,7 +6,7 @@ system cycle repeatedly until a termination condition occurs": *match*
 strategy over eligible instantiations) and *execute* (the RHS actions).
 Termination: empty conflict set, a ``halt`` action, or the cycle cap.
 
-Refraction (an instantiation never fires twice) is on by default, as in
+Refraction (an instantiation never fires twice) always applies, as in
 OPS5 — without it any rule whose RHS leaves its own LHS true loops
 forever.
 """
@@ -125,6 +125,7 @@ class Interpreter:
             self.strategy = make_strategy(strategy, seed)
         else:
             self.strategy = strategy
+        self.matcher.conflict_set.rank_by(self.strategy.head)
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
 
@@ -150,13 +151,9 @@ class Interpreter:
     def conflict_set(self):
         return self.matcher.conflict_set
 
-    def eligible(self) -> list[Instantiation]:
-        """The *select* phase's candidates, after refraction."""
-        return self.conflict_set.eligible()
-
     def select(self) -> Instantiation | None:
         """Pick the dominant instantiation, or None when quiescent."""
-        candidates = self.eligible()
+        candidates = self.conflict_set.eligible()
         if not candidates:
             return None
         return self.strategy.select(candidates)

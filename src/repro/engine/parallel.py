@@ -91,7 +91,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Collection, Iterable, Iterator, Literal, NamedTuple
 
 import repro.obs as obs_module
 from repro.engine.actions import ActionExecutor
@@ -259,6 +259,9 @@ class ParallelEngine:
             self.strategy = make_strategy(strategy, seed)
         else:
             self.strategy = strategy
+        # An unbounded wave ranks every candidate: nothing to bucket.
+        head = None if processors is None else self.strategy.head
+        self.matcher.conflict_set.rank_by(head)
         if scheme not in SCHEMES:
             raise EngineError(f"unknown scheme {scheme!r}")
         self.scheme = self._make_scheme(SCHEMES[scheme])
@@ -335,7 +338,7 @@ class ParallelEngine:
 
     # -- candidates ---------------------------------------------------------------------
 
-    def _eligible_candidates(self) -> list[Instantiation]:
+    def _eligible_candidates(self) -> Collection[Instantiation]:
         """Eligible instantiations minus those out of retry budget."""
         eligible = self.matcher.conflict_set.eligible()
         if not self._gave_up:
@@ -343,11 +346,11 @@ class ParallelEngine:
         return [c for c in eligible if c not in self._gave_up]
 
     def _ranking(
-        self, eligible: list[Instantiation], width: int | None
+        self, eligible: Collection[Instantiation], width: int | None
     ) -> tuple[list[Instantiation], Iterator[Instantiation]]:
         """The wave's one ranking of ``eligible``, in two instalments:
-        the first ``width`` in conflict-resolution order, and an
-        iterator over the rest that ranks nothing until it is asked
+        the first ``width`` in conflict-resolution order, and a
+        generator over the rest that ranks nothing until it is asked
         (admission asks when a hold-back leaves the wave short)."""
         head = self.strategy.order(eligible, width)
         return head, order_rest(self.strategy, eligible, head)
@@ -361,7 +364,7 @@ class ParallelEngine:
     def run_wave(
         self,
         started_at: float | None = None,
-        eligible: list[Instantiation] | None = None,
+        eligible: Collection[Instantiation] | None = None,
         width: int | None = None,
     ) -> WaveResult:
         """Execute one wave; returns its summary.
@@ -482,7 +485,13 @@ class ParallelEngine:
         ones act (phase 2) — both in the order admission returned:
         precedence order under ``Rc``, conflict-resolution order where
         there is no admission."""
-        candidates = self._admit(wave, candidates, rest, cycle)
+        admitted = self._admit(wave, candidates, rest, cycle)
+        if admitted is not candidates:
+            # Spent: let go of it, so that what a firing retracts is
+            # freed in that firing's timed step, not after the cycle.
+            candidates.clear()
+            rest.close()
+            candidates = admitted
         obs = self.obs
         # (candidate, its transaction, commits certified when it read)
         slots: list[tuple[Instantiation, Transaction, int]] = []

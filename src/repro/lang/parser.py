@@ -107,6 +107,14 @@ class _Parser:
             )
         return token
 
+    def expect_int(self, what: str) -> int:
+        token = self.expect(NUMBER, what)
+        try:
+            return int(token.text)
+        except ValueError:
+            message = f"{what} must be an integer, found {token.text!r}"
+            raise ParseError(message, token.line, token.column) from None
+
     # -- grammar -----------------------------------------------------------------
 
     def parse_program(self) -> list[Production]:
@@ -122,7 +130,7 @@ class _Parser:
         name = self.expect(SYMBOL, "production name").text
         priority = 0
         if self.peek().kind == NUMBER:
-            priority = int(self.advance().text)
+            priority = self.expect_int(f"priority of {name!r}")
         lhs: list[ConditionElement] = []
         while self.peek().kind in (LPAREN, NEGATION):
             lhs.append(self.parse_condition_element())
@@ -193,12 +201,12 @@ class _Parser:
             self.expect(RPAREN)
             return MakeAction(relation, values)
         if head == "modify":
-            index = int(self.expect(NUMBER, "element designator").text)
+            index = self.expect_int("element designator")
             values = self.parse_value_list()
             self.expect(RPAREN)
             return ModifyAction(index, values)
         if head == "remove":
-            index = int(self.expect(NUMBER, "element designator").text)
+            index = self.expect_int("element designator")
             self.expect(RPAREN)
             return RemoveAction(index)
         if head == "bind":

@@ -7,8 +7,9 @@ re-derives every instantiation joined to the element — so an add or a
 remove keeps only what the engines and the matchers read:
 
 * the membership, in membership order;
-* the eligible view (members not yet fired), kept in step so that
-  :meth:`ConflictSet.eligible` never scans the membership;
+* the eligible members (not yet fired), grouped by the installed
+  strategy's head (:meth:`ConflictSet.rank_by`) so that a select ranks
+  only the leading group, and never scans the membership;
 * the refraction marks;
 * rule name → instantiations, backing :meth:`for_rule` and
   :meth:`rule_names` (the naive, ``cond`` and TREAT matchers'
@@ -38,24 +39,65 @@ did not commit — never implicitly by :meth:`remove` or :meth:`clear`.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain
+from typing import Callable, Collection, Iterator
 
 from repro.match.instantiation import Instantiation
+
+#: A strategy's ``head``: a coarse rank, larger preferred, never None.
+Head = Callable[[Instantiation], object]
+
+_ABSENT = object()
+
+
+class Eligible:
+    """A conflict set's eligible members, read in place (not a copy)."""
+
+    __slots__ = ("_cs",)
+
+    def __init__(self, cs: "ConflictSet") -> None:
+        self._cs = cs
+
+    def __len__(self) -> int:
+        return len(self._cs._members) - self._cs._spent
+
+    def __iter__(self) -> Iterator[Instantiation]:
+        return chain.from_iterable(self._cs._buckets.values())
+
+    def buckets(self, head: Head | None) -> Iterator[Collection]:
+        """The members grouped by ``head``, the largest head first, when
+        the set is ranked by ``head``; else all of them as one group."""
+        buckets = self._cs._buckets
+        if head is not self._cs._head:
+            yield self
+        elif buckets:
+            yield buckets[max(buckets)]  # all a select reads
+            for key in sorted(buckets, reverse=True)[1:]:
+                yield buckets[key]
 
 
 class ConflictSet:
     """A mutable set of instantiations with refraction marks."""
 
     def __init__(self) -> None:
-        self._members: dict[Instantiation, None] = {}
+        # Member -> its head (0 unranked; None once fired).
+        self._members: dict[Instantiation, object] = {}
         self._fired: set[Instantiation] = set()
-        # Members that have not fired, in membership order (dict-as-
-        # ordered-set), kept in step by add/remove/mark_fired so that
-        # eligible() never scans the membership.
-        self._eligible: dict[Instantiation, None] = {}
+        self._spent = 0  # members that have fired
         # Rule name -> its members (insertion-ordered via dict-as-set
         # so the derived views are deterministic).
         self._by_rule: dict[str, dict[Instantiation, None]] = {}
+        # Head -> the eligible members with it, in membership order,
+        # kept in step so that eligible() never scans the membership.
+        self._head: Head | None = None
+        self._buckets: dict[object, dict[Instantiation, None]] = {}
+
+    def rank_by(self, head: Head | None) -> None:
+        """Group the eligible members by ``head`` (None: one group)."""
+        members, self._members = self._members, {}
+        self._head, self._buckets, self._spent = head, {}, 0
+        for instantiation in members:  # refiling, not churn: no override
+            ConflictSet.add(self, instantiation)
 
     # -- mutation (called by matchers) ---------------------------------------------
 
@@ -63,13 +105,20 @@ class ConflictSet:
         """Insert; returns False when already present."""
         if instantiation in self._members:
             return False
-        self._members[instantiation] = None
-        if instantiation not in self._fired:
-            self._eligible[instantiation] = None
         name = instantiation.production.name
-        bucket = self._by_rule.get(name)
+        rule = self._by_rule.get(name)
+        if rule is None:
+            rule = self._by_rule[name] = {}
+        rule[instantiation] = None
+        if instantiation in self._fired:
+            self._members[instantiation] = None
+            self._spent += 1
+            return True
+        key = 0 if self._head is None else self._head(instantiation)
+        self._members[instantiation] = key
+        bucket = self._buckets.get(key)
         if bucket is None:
-            self._by_rule[name] = {instantiation: None}
+            self._buckets[key] = {instantiation: None}
         else:
             bucket[instantiation] = None
         return True
@@ -81,15 +130,21 @@ class ConflictSet:
         subsequent re-add of the identical instantiation remains
         ineligible.
         """
-        if instantiation not in self._members:
+        key = self._members.pop(instantiation, _ABSENT)
+        if key is _ABSENT:
             return False
-        del self._members[instantiation]
-        self._eligible.pop(instantiation, None)
         name = instantiation.production.name
-        bucket = self._by_rule[name]
+        rule = self._by_rule[name]
+        del rule[instantiation]
+        if not rule:
+            del self._by_rule[name]
+        if key is None:
+            self._spent -= 1
+            return True
+        bucket = self._buckets[key]
         del bucket[instantiation]
         if not bucket:
-            del self._by_rule[name]
+            del self._buckets[key]
         return True
 
     def clear(self) -> None:
@@ -105,7 +160,14 @@ class ConflictSet:
     def mark_fired(self, instantiation: Instantiation) -> None:
         """Record that ``instantiation`` has fired (refraction)."""
         self._fired.add(instantiation)
-        self._eligible.pop(instantiation, None)
+        key = self._members.get(instantiation)
+        if key is not None:
+            self._members[instantiation] = None
+            self._spent += 1
+            bucket = self._buckets[key]
+            del bucket[instantiation]
+            if not bucket:
+                del self._buckets[key]
 
     def has_fired(self, instantiation: Instantiation) -> bool:
         """True when the instantiation has ever fired.
@@ -121,21 +183,19 @@ class ConflictSet:
 
         The parallel engine calls this when it rolls back a firing
         that did not commit.  O(|CS|) when ``instantiation`` is a
-        member: the eligible view is rebuilt rather than appended to,
-        so the member regains its membership-order position, not the
-        end of the line.
+        member: the buckets are rebuilt rather than appended to, so
+        the member regains its membership-order position, not the end
+        of the line.
         """
         self._fired.discard(instantiation)
         if instantiation in self._members:
-            fired = self._fired
-            self._eligible = {
-                m: None for m in self._members if m not in fired
-            }
+            self.rank_by(self._head)
 
-    def eligible(self) -> list[Instantiation]:
+    def eligible(self) -> Eligible:
         """Members that have not fired — the candidates for *select*,
-        in membership order."""
-        return list(self._eligible)
+        in membership order within each bucket: a live view
+        (``list(...)`` keeps it)."""
+        return Eligible(self)
 
     # -- queries --------------------------------------------------------------------------
 

@@ -18,18 +18,20 @@ access; the constructor and :meth:`Instantiation.build` take the
 ``(name, value)`` pairs or a mapping directly (unpickling, worker
 replies, hand-built instantiations).  Identity, hashing, and ordering
 never touch bindings, so a conflict-set entry that is never fired never
-pays for materializing them.
+pays for materializing them, nor one that is never ranked for its keys.
 """
 
 from __future__ import annotations
 
-from operator import neg
+from operator import attrgetter, neg
 from typing import TYPE_CHECKING, Hashable, Mapping
 
 from repro.lang.ast import MakeAction, ModifyAction, RemoveAction
 from repro.lang.production import Production
 from repro.wm.element import Scalar, WME, data_object_key
 from repro.wm.schema import Catalog
+
+_TIMETAG = attrgetter("timetag")
 
 if TYPE_CHECKING:
     from repro.lang.compile import SlotToken, VariableIndex
@@ -61,7 +63,7 @@ class Instantiation:
         "_timetags",
         "_identity",
         "_hash",
-        "_recency_key",
+        "_newest",
         "_mea_key",
         "_lex_key",
         "_lock_footprint",
@@ -82,26 +84,18 @@ class Instantiation:
         self._init_keys()
 
     def _init_keys(self) -> None:
-        # Identity, hash, and the conflict-resolution ordering keys are
-        # immutable functions of (production, wmes); compute them once.
-        production = self.production
-        timetags = tuple(w.timetag for w in self.wmes)
-        identity = (production.name, timetags)
-        recency = tuple(sorted(timetags, reverse=True))
+        # The ranking keys wait for a strategy's first read.
+        timetags = tuple(map(_TIMETAG, self.wmes))
+        identity = (self.production.name, timetags)
         self._timetags = timetags
         self._identity = identity
         self._hash = hash(identity)
-        self._recency_key = recency
         # -1, not 0: timetags are non-negative and a freshly recovered
         # store legitimately starts at timetag 0, so 0 as the no-WMEs
         # sentinel would tie an all-negated instantiation with one
         # whose goal element matched timetag 0.
-        self._mea_key = (timetags[0] if timetags else -1, *recency)
-        # The LHS-order timetags end the key: one rule over the same
-        # timetags in two LHS orders is the only tie left without them,
-        # and a tie would hand the choice to the matcher's emission
-        # order.
-        self._lex_key = (recency, production.lex_static(), timetags)
+        self._newest = max(timetags) if timetags else -1
+        self._mea_key = self._lex_key = None
         self._lock_footprint = None
 
     @staticmethod
@@ -193,28 +187,38 @@ class Instantiation:
 
         LEX compares instantiations by their sorted-descending timetag
         vectors, lexicographically; larger means more recent, i.e.
-        preferred.  Cached at construction: strategy comparisons and
-        the partitioned merge call this per candidate per cycle.
+        preferred.  The first part of :meth:`lex_key`, built with it.
         """
-        return self._recency_key
+        return self.lex_key()[0]
 
     def mea_key(self) -> tuple[int, ...]:
         """MEA ordering key: first-element recency, then LEX.
 
         MEA gives absolute priority to the recency of the WME matching
         the *first* condition element (the "means-ends" goal element),
-        breaking ties with LEX.  Cached at construction; ``-1`` marks
-        the no-positive-WMEs case (real timetags are non-negative).
+        breaking ties with LEX.  Built on first read; ``-1`` marks the
+        no-positive-WMEs case (real timetags are non-negative).
         """
+        if self._mea_key is None:
+            first = self._timetags[0] if self._timetags else -1
+            self._mea_key = (first, *self.lex_key()[0])
         return self._mea_key
 
     def lex_key(self) -> tuple:
         """The complete LEX rank, larger preferred: recency, then the
         production's :meth:`~repro.lang.production.Production.lex_static`
         (specificity, name tiebreak), then the timetags in LHS order.
-        Cached at construction.  A total order: two instantiations
-        with equal keys have equal identities.
+        Built on first read and cached.  A total order: two
+        instantiations with equal keys have equal identities.
         """
+        if self._lex_key is None:
+            # The LHS-order timetags end it: without them one rule over
+            # the same timetags in two LHS orders would tie.
+            self._lex_key = (
+                tuple(sorted(self._timetags, reverse=True)),
+                self.production.lex_static(),
+                self._timetags,
+            )
         return self._lex_key
 
     def lock_footprint(
@@ -261,7 +265,7 @@ class Instantiation:
     def merge_key(self) -> tuple:
         """Ascending sort key of the partitioned merge and of worker
         replies: most recent first, rule name as tiebreak."""
-        return (tuple(map(neg, self._recency_key)), self.production.name)
+        return (tuple(map(neg, self.recency_key())), self.production.name)
 
     def mentions(self, wme: WME) -> bool:
         """True when ``wme`` is one of the matched elements."""

@@ -15,31 +15,41 @@ from heapq import nlargest, nsmallest
 from operator import attrgetter
 from typing import (
     Callable,
+    Collection,
     Iterator,
     Protocol,
     Sequence,
     runtime_checkable,
 )
 
+from repro.match.conflict_set import Eligible, Head
 from repro.match.instantiation import Instantiation
+
+Candidates = Collection[Instantiation]
 
 
 @runtime_checkable
 class Strategy(Protocol):
-    """Ranks a non-empty candidate list; never adds or removes any."""
+    """Ranks non-empty candidates; never adds or removes any."""
 
     name: str
+    head: Head | None  # a coarse rank: a larger head ranks first
 
-    def select(
-        self, candidates: Sequence[Instantiation]
-    ) -> Instantiation:
+    def select(self, candidates: Candidates) -> Instantiation:
         """The dominant instantiation."""
 
     def order(
-        self, candidates: Sequence[Instantiation], limit: int | None = None
+        self, candidates: Candidates, limit: int | None = None
     ) -> list[Instantiation]:
         """The first ``limit`` (default: all) candidates, in the order
         repeated ``select``-then-remove would produce them."""
+
+
+def _groups(candidates: Candidates, head):
+    """The view's groups by ``head``, lead first (one, unranked)."""
+    if isinstance(candidates, Eligible):
+        return candidates.buckets(head)
+    return (candidates,)
 
 
 class KeyedStrategy:
@@ -51,29 +61,37 @@ class KeyedStrategy:
     LHS-order timetags, after the rule name), so distinct candidates
     never tie and neither result depends on the order of the candidate
     list — that is, on the order the matcher emitted them in.  Keys
-    read ranks cached on the instantiation; none does work proportional
-    to the size of the rule.
+    are cached on first read.  Of a view ranked by ``head``, ``select``
+    and ``order(·, limit)`` read only the leading groups.
     """
 
     name: str
     key: Callable[[Instantiation], tuple]
+    head: Head = attrgetter("_newest")
     #: True: the largest key is preferred; False: the smallest.
     descending = True
 
-    def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        pick = max if self.descending else min
-        return pick(candidates, key=self.key)
+    def select(self, candidates: Candidates) -> Instantiation:
+        group = next(iter(_groups(candidates, self.head)))
+        if len(group) == 1:  # a lone candidate wins without a key
+            return next(iter(group))
+        return (max if self.descending else min)(group, key=self.key)
 
     def order(
-        self, candidates: Sequence[Instantiation], limit: int | None = None
+        self, candidates: Candidates, limit: int | None = None
     ) -> list[Instantiation]:
         if limit is None:
             return sorted(
                 candidates, key=self.key, reverse=self.descending
             )
-        # Documented as ``sorted(...)[:limit]``.
+        # ``sorted(...)[:limit]``, from the groups that cover ``limit``.
+        pool: list[Instantiation] = []
+        for group in _groups(candidates, self.head):
+            pool.extend(group)
+            if len(pool) >= limit:
+                break
         take = nlargest if self.descending else nsmallest
-        return take(limit, candidates, key=self.key)
+        return take(limit, pool, key=self.key)
 
 
 class LexStrategy(KeyedStrategy):
@@ -81,7 +99,7 @@ class LexStrategy(KeyedStrategy):
     specificity (number of LHS tests), then stable name order."""
 
     name = "lex"
-    key = attrgetter("_lex_key")
+    key = staticmethod(Instantiation.lex_key)
 
 
 class MeaStrategy(KeyedStrategy):
@@ -89,20 +107,22 @@ class MeaStrategy(KeyedStrategy):
     remaining ties resolved as in LEX."""
 
     name = "mea"
+    head = staticmethod(lambda i: i._timetags[0] if i._timetags else -1)
 
     @staticmethod
     def key(inst: Instantiation) -> tuple:
-        return (inst._mea_key, inst._lex_key)
+        return (inst.mea_key(), inst.lex_key())
 
 
 class PriorityStrategy(KeyedStrategy):
     """Highest production priority wins; ties resolved by LEX."""
 
     name = "priority"
+    head = attrgetter("production.priority", "_newest")
 
     @staticmethod
     def key(inst: Instantiation) -> tuple:
-        return (inst.production.priority, inst._lex_key)
+        return (inst.production.priority, inst.lex_key())
 
 
 class FifoStrategy(KeyedStrategy):
@@ -111,7 +131,8 @@ class FifoStrategy(KeyedStrategy):
     them."""
 
     name = "fifo"
-    key = attrgetter("_recency_key", "_identity")
+    key = staticmethod(lambda i: (i.recency_key(), i._identity))
+    head = staticmethod(lambda i: -i._newest)
     descending = False
 
 
@@ -131,15 +152,16 @@ class RandomStrategy:
     """
 
     name = "random"
+    head = None
 
     def __init__(self, seed: int | None = None) -> None:
         self._rng = random.Random(seed)
 
-    def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
+    def select(self, candidates: Candidates) -> Instantiation:
         return self.order(candidates, 1)[0]
 
     def order(
-        self, candidates: Sequence[Instantiation], limit: int | None = None
+        self, candidates: Candidates, limit: int | None = None
     ) -> list[Instantiation]:
         pool = sorted(candidates, key=attrgetter("_identity"))
         if limit is None or limit > len(pool):
@@ -150,23 +172,22 @@ class RandomStrategy:
 
 def order_rest(
     strategy: Strategy,
-    candidates: Sequence[Instantiation],
+    candidates: Candidates,
     head: Sequence[Instantiation],
 ) -> Iterator[Instantiation]:
     """What ``strategy.order(candidates)`` goes on to return after
-    ``head = strategy.order(candidates, limit)``, ranked only when the
-    first of them is asked for.
+    ``head = strategy.order(candidates, limit)``, ranked a group at a
+    time, when the first of it is asked for.
 
-    One ranking in two instalments: a keyed order is total, so the
-    rest of it is the order of the rest; a seeded random draw without
-    replacement resumes on the same sorted pool in the same generator
-    state.
+    One ranking in instalments: a keyed order is total, so the rest of
+    it is the order of the rest, group after group; a seeded random
+    draw without replacement (one group) resumes on the same sorted
+    pool in the same generator state.
     """
     if len(head) < len(candidates):
         taken = set(head)
-        yield from strategy.order(
-            [c for c in candidates if c not in taken]
-        )
+        for group in _groups(candidates, strategy.head):
+            yield from strategy.order([c for c in group if c not in taken])
 
 
 _REGISTRY = {

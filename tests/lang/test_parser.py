@@ -153,6 +153,17 @@ class TestErrors:
             parse_production("(p x\n(a ^v @) --> (remove 1))")
         assert err.value.line == 2
 
+    def test_fractional_priority_names_its_token(self):
+        with pytest.raises(ParseError) as err:
+            parse_production("(p r\n  2.5 (a ^v 1) --> (remove 1))")
+        assert "'2.5'" in str(err.value)
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    @pytest.mark.parametrize("action", ["(remove 1.5)", "(modify 1.5)"])
+    def test_fractional_designator_names_its_token(self, action):
+        with pytest.raises(ParseError, match="designator.*'1.5'"):
+            parse_production(f"(p r (a ^v 1) --> {action})")
+
     def test_arithmetic_operator_in_test_rejected(self):
         with pytest.raises(ParseError):
             parse_production("(p x (a ^v + 1) --> (remove 1))")

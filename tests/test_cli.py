@@ -676,6 +676,7 @@ BAD_INPUT = [
     ("bad-fact-line", _ALL, None, ["--facts", "{tmp}/bad.jsonl"],
      "bad fact line"),
     ("empty-program", _ALL, "empty.ops", [], "no productions found"),
+    ("fractional-priority", _ALL, "fractional.ops", [], "priority"),
     ("processors-0", _ENGINE, None, ["--processors", "0"], "--processors"),
     ("retries-0", _RETRIES, None, ["--retries", "0"], "--retries"),
     ("sample-rate-2", _OBSERVED, None, ["--sample-rate", "2"],
@@ -705,6 +706,9 @@ class TestErrorContract:
     ):
         (tmp_path / "bad.jsonl").write_text("{not json}\n")
         (tmp_path / "empty.ops").write_text("; nothing here\n")
+        (tmp_path / "fractional.ops").write_text(
+            "(p r 2.5 (a ^v 1) --> (remove 1))\n"
+        )
         target = str(tmp_path / rules) if rules else str(rule_file)
         code = _exit_code([
             *PROGRAM_COMMANDS[command], target,
