@@ -18,8 +18,10 @@ set after attach, instantiations added during the run, firings, all
 built over fired, and the Rete tokens built during the run in this
 process (0 where the match runs in worker processes).  A complete
 match is one token — the production node hangs its instantiation on
-the last join's token — so a row's tokens count each instantiation
-once, not twice.  ``ranked`` counts strategy key evaluations: a select
+the token that completes it, a join's or a tail's — so a row's tokens
+count each instantiation once, not twice; below a reordered rule's
+stable prefix the tail stores no partial match, so Manners' tokens are
+its instantiations plus its prefix tokens.  ``ranked`` counts strategy key evaluations: a select
 ranks only the leading bucket of the conflict set, so it counts what
 selects and wave orders ranked, not the size of the conflict set.
 Counting is outside ``src/`` so that no run pays for it.

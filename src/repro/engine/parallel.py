@@ -293,6 +293,10 @@ class ParallelEngine:
         self.retry_clock = VirtualSleeper()
         #: The open ``run`` step, the parent of each wave's cycle.
         self._run_step = None
+        #: When the wave's last timed step was timed to end: the next
+        #: starts there, so what runs between two (a close, a
+        #: ``Transaction``) is inside a timed step.
+        self._closed_at: float | None = None
 
     def _make_scheme(self, scheme: type):
         """The lock scheme that decides this engine's grants."""
@@ -397,7 +401,7 @@ class ParallelEngine:
         try:
             candidates, rest = self._ranking(eligible, width)
             if match is not None:
-                obs.end(match, candidates=len(candidates))
+                self._closed_at = obs.end(match, candidates=len(candidates))
             self._drive(wave, candidates, rest, cycle)
         finally:
             if cycle is not None:
@@ -431,7 +435,10 @@ class ParallelEngine:
         if not self._admits:
             return candidates
         obs = self.obs
-        phase = obs.begin("phase.admit", cycle) if cycle is not None else None
+        phase = (
+            obs.begin("phase.admit", cycle, ts=self._closed_at)
+            if cycle is not None else None
+        )
         # The determination records below are built only for a span.
         recorded = phase.span if phase is not None else None
         width = len(candidates)
@@ -473,7 +480,7 @@ class ParallelEngine:
                     **self._span_fields(reader),
                 )
         if phase is not None:
-            obs.end(
+            self._closed_at = obs.end(
                 phase, candidates=len(admitted) + len(held),
                 held=len(held), ordered=wave.ordered,
             )
@@ -496,7 +503,8 @@ class ParallelEngine:
         # (candidate, its transaction, commits certified when it read)
         slots: list[tuple[Instantiation, Transaction, int]] = []
         phase = (
-            obs.begin("phase.acquire", cycle) if cycle is not None else None
+            obs.begin("phase.acquire", cycle, ts=self._closed_at)
+            if cycle is not None else None
         )
         for instantiation in candidates:
             rule = instantiation.production.name
@@ -504,8 +512,8 @@ class ParallelEngine:
             acq = None
             if phase is not None:
                 acq = obs.begin(
-                    "acquire", phase, txn=txn.txn_id, rule=rule,
-                    **self._span_fields(instantiation),
+                    "acquire", phase, txn=txn.txn_id, ts=self._closed_at,
+                    rule=rule, **self._span_fields(instantiation),
                 )
             out = self._acquire(instantiation, txn)
             if out is None:
@@ -513,10 +521,12 @@ class ParallelEngine:
             else:
                 self._settle(wave, instantiation, txn, out)
             if acq is not None:
-                obs.end(acq, granted=out is None)
+                self._closed_at = obs.end(acq, granted=out is None)
         if phase is not None:
-            obs.end(phase, candidates=len(candidates), granted=len(slots))
-            phase = obs.begin("phase.act", cycle)
+            self._closed_at = obs.end(
+                phase, candidates=len(candidates), granted=len(slots)
+            )
+            phase = obs.begin("phase.act", cycle, ts=self._closed_at)
         acted = 0
         try:
             for instantiation, txn, read_at in slots:
@@ -524,7 +534,7 @@ class ParallelEngine:
                 firing = None
                 if phase is not None:
                     firing = obs.begin(
-                        "firing", phase, txn=txn.txn_id,
+                        "firing", phase, txn=txn.txn_id, ts=self._closed_at,
                         rule=instantiation.production.name,
                         **self._span_fields(instantiation),
                     )
@@ -541,7 +551,7 @@ class ParallelEngine:
                         self._settle(wave, instantiation, txn, out)
                 finally:
                     if firing is not None:
-                        obs.end(firing)
+                        self._closed_at = obs.end(firing)
         finally:
             # A firing that raised leaves the slots after it unsettled:
             # their locks go with the wave.

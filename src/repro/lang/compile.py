@@ -646,7 +646,9 @@ class SlottedPlan:
     join_plan` — slots, join keys and deferred predicates are compiled
     over the permuted element sequence.  Either way
     :meth:`instantiate` takes the matched WMEs in *written* order:
-    :attr:`in_lhs_order` puts a step-order path back.
+    :attr:`in_lhs_order` puts a step-order path back.  :attr:`tail`
+    is the number of trailing steps Rete joins as one tail
+    (:func:`order_and_tail`).
     """
 
     __slots__ = (
@@ -654,12 +656,16 @@ class SlottedPlan:
         "order",
         "index",
         "steps",
+        "tail",
         "in_lhs_order",
         "_instantiation",
     )
 
     def __init__(
-        self, production: "Production", order: "tuple[int, ...] | None" = None
+        self,
+        production: "Production",
+        order: "tuple[int, ...] | None" = None,
+        tail: int = 0,
     ) -> None:
         self.production = production
         lhs = production.lhs
@@ -681,6 +687,7 @@ class SlottedPlan:
             )
             for i, element in enumerate(elements)
         )
+        self.tail = tail
         #: ``wmes -> wmes``: the positive elements' WMEs of a match,
         #: from step order into written LHS order; ``None`` when the
         #: two agree.
@@ -896,6 +903,13 @@ def join_order(production: "Production") -> tuple[int, ...]:
     negation reads only what earlier *written* positives bind: in
     ``-(a ^k <x>) (b ^k <x>)`` the ``<x>`` is local to the negation).
     """
+    return order_and_tail(production)[0]
+
+
+def order_and_tail(production: "Production") -> tuple[tuple[int, ...], int]:
+    """:func:`join_order` and its *tail*: how many positive elements
+    end the sunk suffix, when at least two do (else 0).  Below the
+    stable prefix Rete stores only the tail's complete matches."""
     from repro.lang.ast import ModifyAction, RemoveAction
 
     lhs = production.lhs
@@ -906,7 +920,7 @@ def join_order(production: "Production") -> tuple[int, ...]:
         if isinstance(action, (ModifyAction, RemoveAction))
     }
     if not sunk:
-        return written
+        return written, 0
     first: dict[str, int] = {}
     for i, element in enumerate(lhs):
         if not element.negated:
@@ -935,7 +949,7 @@ def join_order(production: "Production") -> tuple[int, ...]:
     kept = [i for i in written if i not in sunk]
     order = (*kept, *sorted(sunk))
     if order == written:  # also when everything sank
-        return written
+        return written, 0
     keyed = [
         i for i in kept if not lhs[i].negated and lhs[i].variable_tests()
     ]
@@ -944,15 +958,18 @@ def join_order(production: "Production") -> tuple[int, ...]:
             first[t.variable] < i and first[t.variable] not in sunk
             for t in lhs[i].variable_tests()
         ):
-            return written
+            return written, 0
     arriving_written = bound_prefixes(lhs)
     arriving = bound_prefixes(tuple(lhs[i] for i in order))
     for step, i in enumerate(order):
         if lhs[i].negated:
             names = lhs[i].variables()
             if names & arriving[step] != names & arriving_written[i]:
-                return written
-    return order
+                return written, 0
+    tail = 0
+    while tail < len(sunk) and not lhs[order[-1 - tail]].negated:
+        tail += 1
+    return order, tail if tail >= 2 else 0
 
 
 #: The name ``match/cond.py`` imports for its annotations; it leaves

@@ -157,12 +157,12 @@ class Production:
         try:
             return self._join_plan
         except AttributeError:
-            from repro.lang.compile import SlottedPlan, join_order
+            from repro.lang.compile import SlottedPlan, order_and_tail
 
             plan = self.token_plan()
-            order = join_order(self)
+            order, tail = order_and_tail(self)
             if order != plan.order:
-                plan = SlottedPlan(self, order)
+                plan = SlottedPlan(self, order, tail)
             object.__setattr__(self, "_join_plan", plan)
             return plan
 

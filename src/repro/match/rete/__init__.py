@@ -12,8 +12,10 @@ Rete achieves the two properties the paper highlights (Section 2):
 
 Layout: :mod:`~repro.match.rete.alpha` (constant-test network and
 alpha memories), :mod:`~repro.match.rete.nodes` (tokens, beta
-memories, join/negative/production nodes), and
-:mod:`~repro.match.rete.network` (the :class:`ReteMatcher` facade).
+memories, join/negative/production nodes),
+:mod:`~repro.match.rete.tail` (the tail node below a reordered rule's
+stable prefix), and :mod:`~repro.match.rete.network` (the
+:class:`ReteMatcher` facade).
 """
 
 from repro._lazy import lazy_exports

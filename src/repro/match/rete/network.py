@@ -19,9 +19,15 @@ outside the network sees the order: the production node hands the
 matched WMEs back in written LHS order, so instantiation identity,
 recency and bindings are those of the written rule.
 :meth:`ReteMatcher.join_order` shows the order a rule got.
+
+The last ``plan.tail`` steps are one
+:class:`~repro.match.rete.tail.TailNode`, shared by (prefix store,
+tail elements, deferred predicates); written-order plans have none.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production
@@ -36,6 +42,9 @@ from repro.match.rete.nodes import (
     TokenStore,
 )
 from repro.wm.memory import WMDelta, WorkingMemory
+
+if TYPE_CHECKING:  # pragma: no cover - imported where a tail is built
+    from repro.match.rete.tail import TailNode
 
 
 class ReteMatcher(BaseMatcher):
@@ -52,7 +61,9 @@ class ReteMatcher(BaseMatcher):
         self.alpha = AlphaNetwork()
         self.top = DummyTopNode(self.state)
         self._pnodes: dict[str, ProductionNode] = {}
-        self._shared_nodes: dict[tuple, JoinNode | NegativeNode] = {}
+        self._shared_nodes: dict[
+            tuple, JoinNode | NegativeNode | TailNode
+        ] = {}
         #: Per production, the share keys of its join chain in join
         #: order — what :meth:`remove_production` walks back up.
         self._chains: dict[str, list[tuple]] = {}
@@ -84,16 +95,29 @@ class ReteMatcher(BaseMatcher):
         self.state.conflict_set = self.conflict_set
         current: TokenStore = self.top
         chain: list[tuple] = []
-        for step in plan.steps:
-            element = step.element
-            share_key = (id(current), element, element.negated, step.deferred)
+        cut = len(plan.steps) - plan.tail
+        links = [
+            ((s.element, s.element.negated, s.deferred), s)
+            for s in plan.steps[:cut]
+        ]
+        tail = plan.steps[cut:] if plan.tail else None
+        if tail:
+            signature = tuple((s.element, s.deferred) for s in tail)
+            links.append((("tail", signature), tail))
+        for signature, step in links:
+            share_key = (id(current), *signature)
             node = self._shared_nodes.get(share_key)
             if node is None:
-                alpha, created = self.alpha.build_or_share(element)
-                if created and self._attached:
-                    self._backfill(alpha)
-                node_class = NegativeNode if element.negated else JoinNode
-                node = node_class(self.state, current, alpha, step)
+                if step is tail:
+                    # Compiled only where a rule has a tail.
+                    from repro.match.rete.tail import TailNode
+
+                    alphas = tuple(self._alpha_for(s.element) for s in tail)
+                    node = TailNode(self.state, current, alphas, plan)
+                else:
+                    node_class = NegativeNode if step.negated else JoinNode
+                    alpha = self._alpha_for(step.element)
+                    node = node_class(self.state, current, alpha, step)
                 self._shared_nodes[share_key] = node
                 self._prime(node)
             node.users += 1
@@ -130,21 +154,26 @@ class ReteMatcher(BaseMatcher):
                 continue
             del self._shared_nodes[share_key]
             self._discard(node)
-            if not node.alpha.successors:
-                self.alpha.discard(node.alpha)
+            for alpha in dict.fromkeys(node.alphas):
+                if not alpha.successors:
+                    self.alpha.discard(alpha)
 
     def _discard(self, node) -> None:
-        for token in node.own_tokens():
+        for token in list(node.output.tokens):
             self.state.delete_token(token)
         node.unlink()
 
     # -- wiring ------------------------------------------------------------------------
 
-    def _backfill(self, alpha) -> None:
-        """Populate a brand-new alpha memory from the live store."""
-        for wme in self.memory.elements(alpha.pattern.relation):
-            if alpha.accepts(wme):
-                alpha.insert(wme)
+    def _alpha_for(self, element):
+        """The alpha memory for ``element``, a brand-new one populated
+        from the live store."""
+        alpha, created = self.alpha.build_or_share(element)
+        if created and self._attached:
+            for wme in self.memory.elements(alpha.pattern.relation):
+                if alpha.accepts(wme):
+                    alpha.insert(wme)
+        return alpha
 
     def _prime(self, node) -> None:
         """Feed a freshly created node its parent's existing tokens."""
@@ -180,14 +209,14 @@ class ReteMatcher(BaseMatcher):
 
     def stats(self) -> dict[str, int]:
         """Node and memory counts, for benchmarks and debugging."""
-        joins = sum(
-            1 for n in self._shared_nodes.values() if isinstance(n, JoinNode)
-        )
-        negatives = len(self._shared_nodes) - joins
+        nodes = self._shared_nodes.values()
+        joins = sum(1 for n in nodes if isinstance(n, JoinNode))
+        negatives = sum(1 for n in nodes if isinstance(n, NegativeNode))
         return {
             "alpha_memories": len(self.alpha),
             "join_nodes": joins,
             "negative_nodes": negatives,
+            "tail_nodes": len(self._shared_nodes) - joins - negatives,
             "production_nodes": len(self._pnodes),
             "reordered_productions": sum(
                 1

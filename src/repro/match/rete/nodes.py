@@ -22,19 +22,11 @@ again from the left — every match is built once.
 
 Hashed memories
 ---------------
-No activation scans a memory.  A join or negative node has a static
-*join key* — ``step.probe_items``, the ``(attribute, slot)`` pairs of
-its element's variable tests whose variable an earlier *positive*
-element binds — and reads both inputs through hash indexes on it
-(:mod:`~repro.match.rete.alpha`): a left activation runs the join test
-on the one alpha bucket under the token's key, a right activation on
-the one token bucket under the WME's key.  The compiled ``step.beta``
-closure stays the only judge — the bucket is a superset pre-filter, and
-the test still binds the element's new slots and checks its predicates.
-Buckets keep the relative order of the memory they index, so matches
-are produced in the order the scans produced them.  An element with no
-equality join has the empty key, and its single bucket is the whole
-memory.
+No activation scans a memory: every node reads its inputs through the
+hash indexes of :mod:`~repro.match.rete.alpha`, on the static *join
+key* ``step.probe_items`` (a tail's seeds on the variables they have
+found).  A bucket is a superset pre-filter; the compiled ``step.beta``
+closure stays the only judge.
 
 Node taxonomy
 -------------
@@ -50,6 +42,8 @@ Node taxonomy
 
 * :class:`JoinNode` — joins its parent's tokens with an alpha memory.
 * :class:`NegativeNode` (doubles as both kinds).
+* :class:`~repro.match.rete.tail.TailNode` — a reordered rule's last
+  ``plan.tail`` steps as one node storing only complete matches.
 * :class:`ProductionNode` — terminal; converts full tokens into
   conflict-set instantiations (WMEs in written LHS order), hung on the
   token itself: a complete match is one token.
@@ -58,13 +52,16 @@ Node taxonomy
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, Protocol
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from repro.lang.compile import SlottedPlan, SlottedStep
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
 from repro.match.rete.alpha import AlphaMemory, IndexSet, token_key
 from repro.wm.element import WME
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.match.rete.tail import TailToken
 
 
 #: The blockers of every token but a negative node's own.
@@ -215,6 +212,7 @@ class TwoInputNode:
         #: Where the node's own tokens live and its children attach.
         self.output = output
         self.alpha = alpha
+        self.alphas = (alpha,)
         self.step = step
         self.element = step.element
         #: Productions whose LHS runs through this (shared) node.
@@ -239,9 +237,6 @@ class TwoInputNode:
         # join would be right-activated after that token already
         # reached it from the left, and build it again.
         alpha.successors.insert(0, self)
-
-    def own_tokens(self) -> tuple[Token, ...]:
-        return tuple(self.output.tokens)
 
     def unlink(self) -> None:
         """Detach from both inputs (the node's tokens are already
@@ -456,6 +451,14 @@ class NetworkState:
             self._tokens_by_wme.setdefault(token.wme.timetag, []).append(
                 token
             )
+
+    def register_tail(self, token: TailToken) -> None:
+        for wme in token.tail_wmes:
+            self._tokens_by_wme.setdefault(wme.timetag, []).append(token)
+
+    def unregister_tail(self, token: TailToken) -> None:
+        for wme in token.tail_wmes:
+            _drop(self._tokens_by_wme, wme.timetag, token)
 
     def register_blocker(self, wme: WME, token: Token) -> None:
         self._blocked_by_wme.setdefault(wme.timetag, []).append(token)

@@ -302,13 +302,16 @@ class Observer:
             step.scoped = True
         return step
 
-    def end(self, step: Step, /, **fields: object) -> None:
+    def end(self, step: Step, /, **fields: object) -> float:
         """Close ``step`` now: feed what :attr:`_closes` lists for its
         name (reading the fields it was opened and closed with), then
         finish its span with ``fields``, leave its scope and unbind
         its transaction.  The span closes after the aggregates, so
         the watchdog work of a cycle's close, and any event it raises,
-        is inside the cycle."""
+        is inside the cycle.
+
+        Returns the instant the step was timed to end: a next step
+        opened there (``begin(..., ts=)``) times this close."""
         now = self.clock()
         close = self._closes.get(step.name)
         if close is not None:
@@ -323,6 +326,7 @@ class Observer:
             if step.txn is not None:
                 spans.unbind(step.txn)
             span.finish(**fields)
+        return now
 
     def _close_run(self, step: Step, seconds: float) -> None:
         # Run wall time is the profiler's coverage denominator.

@@ -168,6 +168,9 @@ _VARS = ("x", "y", "z")
 _RELATIONS = ("a", "b", "c")
 _ATTRS = ("k", "v")
 _OPS = (">", ">=", "<", "<=", "<>")
+#: The lookup chain's variables: apart from ``_VARS``, so the elements
+#: drawn after it key on it only through a predicate operand.
+_CHAIN_VARS = ("p", "q", "r")
 
 
 @st.composite
@@ -176,9 +179,10 @@ def _random_program(draw) -> list[Production]:
     position), constant and variable-operand predicates,
     negation-local variables — and what makes Rete's join order move:
     RHSs that ``modify`` / ``remove`` any of the rule's own positive
-    elements (or none), and attributes both bound to a variable and
+    elements (or none), attributes both bound to a variable and
     compared with another element's variable (the predicate a moved
-    element defers)."""
+    element defers), and lookup chains from a target (the sunk suffix
+    Rete joins as one tail)."""
     rules = []
     for r in range(draw(st.integers(1, 3))):
         bound: set[str] = set()
@@ -197,6 +201,23 @@ def _random_program(draw) -> list[Production]:
                     )
                 )
             bound.add(name)
+        head = None
+        if draw(st.integers(0, 2)) == 0:
+            # A lookup chain from a target: each element keyed on the
+            # one before, so the chain sinks as a whole — Rete's tail
+            # (two or three positions) once a kept element follows.
+            head = len(lhs) + 1
+            names = draw(st.permutations(_CHAIN_VARS))
+            for step in range(draw(st.integers(2, 3))):
+                tests = [VariableTest("v", names[step])]
+                if step:
+                    tests.insert(0, VariableTest("k", names[step - 1]))
+                lhs.append(
+                    ConditionElement(
+                        draw(st.sampled_from(_RELATIONS)), tuple(tests)
+                    )
+                )
+                bound.add(names[step])
         for _ in range(draw(st.integers(0 if lhs else 1, 4))):
             negated = bool(lhs) and draw(st.booleans())
             tests = []
@@ -257,6 +278,8 @@ def _random_program(draw) -> list[Production]:
                 unique=True,
             )
         )
+        if head is not None and head not in targets:
+            targets = [head, *targets]
         rhs = tuple(
             RemoveAction(k)
             if draw(st.booleans())

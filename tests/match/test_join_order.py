@@ -8,11 +8,12 @@ sides:
     against the brute-force reference matcher — identities *and*
     bindings, the hashed memories audited — after every delta;
 (b) the randomized programs of ``test_compiled_equivalence.py`` really
-    do reorder and defer (a generator that never moved anything would
-    prove nothing);
+    do reorder, defer and build tails of two and three positions (a
+    generator that never moved anything would prove nothing);
 (c) what the order buys, counted not timed, on ``manners_serial``'s
-    inputs — and that no token is built twice when one alpha memory
-    feeds two joins of a chain;
+    inputs — and that no match is built twice when one alpha memory
+    feeds two joins of a chain, two positions of a tail, or the prefix
+    and the tail;
 (d) the orders the benchmark's own rules get, so a later edit of a rule
     cannot silently start reordering lanes or orders.
 """
@@ -30,6 +31,7 @@ from repro.lang import parse_program
 from repro.lang.compile import join_order
 from repro.match import ReteMatcher
 from repro.match.rete import nodes
+from repro.match.rete.tail import TailNode
 from repro.wm import WorkingMemory
 
 from reference_matcher import reference_conflict_set
@@ -322,11 +324,15 @@ def test_generated_programs_reorder_and_defer():
                 for i, (s, position) in enumerate(zip(plan.steps, plan.order))
             )
 
+            seen[f"tail{plan.tail}"] += 1
+
     collect()
     assert seen["rules"] >= 300
     assert seen["reordered"] >= 0.10 * seen["rules"], seen
     assert seen["deferring"] >= 0.01 * seen["rules"], seen
     assert seen["negation_moved"] >= 0.01 * seen["rules"], seen
+    assert seen["tail2"] >= 0.03 * seen["rules"], seen
+    assert seen["tail3"] >= 0.01 * seen["rules"], seen
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +357,10 @@ def _count_tokens(monkeypatch) -> list[int]:
 def test_manners_serial_inputs_build_few_tokens(monkeypatch):
     """``manners_serial``'s own inputs (72 guests, seed 5).  Joined as
     written, each of the 146 firings rebuilt the chain below ``last``:
-    39 656 tokens.  The floor is not far below the bound: the run makes
-    4 706 instantiations, and each needs the two joins under ``last``
-    (the production node hangs the instantiation on the last one's
-    token)."""
+    39 656 tokens; with ``last`` sunk, 13 494, most of them partial
+    matches of the ``last`` join.  The tail below the stable prefix
+    stores complete matches only, and the run makes 4 706
+    instantiations: one token each, plus the prefix tokens."""
     text, facts = _e2e_workloads().manners_program(guests=72, seed=5)
     rules = parse_program(text)
     calls = _count_join_tests(rules)
@@ -366,7 +372,7 @@ def test_manners_serial_inputs_build_few_tokens(monkeypatch):
     result = engine.run()
     engine.close()
     assert len(result.firings) == 146
-    assert 0 < tokens[0] <= 20_000
+    assert 0 < tokens[0] <= 6_000
     assert 0 < calls[0] <= 60_000
 
 
@@ -391,6 +397,75 @@ def test_one_alpha_memory_feeding_two_joins_builds_each_token_once(
         sizes.append(len(rete.conflict_set))
     assert sizes == [1, 4, 5]
     assert built == [2, 4, 2]
+    rete.audit()
+
+
+def _tails(rete) -> list[TailNode]:
+    return [
+        node
+        for node in rete._shared_nodes.values()
+        if isinstance(node, TailNode)
+    ]
+
+
+def test_one_alpha_memory_feeding_two_tail_positions_builds_each_match_once(
+    monkeypatch,
+):
+    """Both tail positions read the ``pair`` memory, so a new pair
+    seeds the join from both.  A seed builds only the matches whose
+    first position holding the new WME is its own: ``pair 1 1`` meets
+    itself once, not once per position (2 tail tokens for 1
+    instantiation before the rule)."""
+    rules = parse_program(
+        "(p pairs (pair ^x <a> ^y <b>) (pair ^x <b> ^y <c>) (ctl ^on 1)"
+        " --> (modify 1 ^x 0))"
+    )
+    assert _orders(rules) == {"pairs": (3, 1, 2)}
+    assert rules[0].join_plan().tail == 2
+    memory = WorkingMemory()
+    memory.make("ctl", on=1)
+    rete = _attach(memory, ReteMatcher, rules)
+    _compare_after_every_delta(
+        memory, rete, lambda: reference_conflict_set(rules, memory)
+    )
+    (tail,) = _tails(rete)
+    tokens = _count_tokens(monkeypatch)
+    built, sizes, pairs = [], [], []
+    for x, y in ((1, 1), (1, 2), (2, 1)):
+        before = tokens[0]
+        pairs.append(memory.make("pair", x=x, y=y))
+        built.append(tokens[0] - before)
+        sizes.append(len(rete.conflict_set))
+    assert built == [1, 1, 3]
+    assert sizes == [1, 2, 5]
+    assert len(tail.tokens) == 5
+    memory.remove(pairs[0])
+    assert len(tail.tokens) == len(rete.conflict_set) == 2
+    assert pairs[0].timetag not in rete.state._tokens_by_wme
+
+
+def test_prefix_and_tail_sharing_one_alpha_memory_build_each_match_once():
+    """Manners' ``hobby`` feeds the prefix (``<g2>``'s hobby) and the
+    tail (``<g1>``'s).  With ``<g1>`` = ``<g2>`` one new hobby WME is
+    both: the tail's seed runs before the prefix join, so the prefix
+    token that WME creates meets it from the left only."""
+    (rule,) = parse_program(_MANNERS_SHAPE)
+    assert rule.join_plan().tail == 2
+    memory = WorkingMemory()
+    memory.make("context", phase="seat")
+    memory.make("guest", name="ann", sex="f")
+    memory.make("last", seat=1, name="ann", sex="m")  # not ann's own sex
+    rete = _attach(memory, ReteMatcher, [rule])
+    _compare_after_every_delta(
+        memory, rete, lambda: reference_conflict_set([rule], memory)
+    )
+    (tail,) = _tails(rete)
+    hobby = memory.make("hobby", name="ann", h="h9")
+    (inst,) = rete.conflict_set
+    assert inst.wmes[2] is inst.wmes[4] is hobby
+    assert len(tail.tokens) == 1
+    memory.make("hobby", name="ann", h="h0")
+    assert len(tail.tokens) == len(rete.conflict_set) == 2
     rete.audit()
 
 
