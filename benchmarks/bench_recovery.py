@@ -1,4 +1,4 @@
-"""Recovery — restart time vs WM size, snapshot interval, compaction.
+"""Recovery — restart time vs WM size, snapshot interval, WAL bound.
 
 Not a paper figure: this charts the durable-store subsystem added on
 top of the reproduction.  Three claims are measured:
@@ -9,9 +9,10 @@ top of the reproduction.  Three claims are measured:
 2. **Restart vs snapshot interval** — the closer the last checkpoint,
    the fewer WAL records replay on restart; the interval is the knob
    trading checkpoint overhead for restart latency.
-3. **Compaction bounds the WAL** — under churn (add/remove pairs),
-   incremental compaction keeps total WAL bytes flat while the
-   uncompacted log grows linearly in the number of deltas.
+3. **Checkpoints bound the WAL under churn** — under add/remove
+   pairs, a checkpoint per round truncates what the round journalled,
+   so total WAL bytes stay flat while an untruncated log grows
+   linearly in the number of deltas.
 
 Everything goes through the public API with bare mutations, so each
 delta is a unit of one and one WAL record (the store journals one
@@ -43,7 +44,7 @@ if FULL:
 #: Ops for the snapshot-interval sweep; intervals divide it.
 INTERVAL_OPS = 2_000 if SMOKE else 50_000
 INTERVALS = (0, 4, 64)  # checkpoints per run
-#: Churn rounds for the compaction-bound sweep.
+#: Churn rounds for the WAL-bound sweep.
 CHURN_ROUNDS = 4 if SMOKE else 10
 CHURN_OPS = 200 if SMOKE else 2_000  # add/remove pairs per round
 
@@ -179,10 +180,10 @@ def test_restart_time_vs_snapshot_interval(tmp_path, checkpoints):
     )
 
 
-def test_compaction_bounds_wal_size(tmp_path):
-    """Churn workload, no checkpoints: the compacted WAL plateaus
-    (bytes stay near the post-first-round floor) while the
-    uncompacted WAL grows linearly with deltas."""
+def test_checkpoints_bound_wal_size(tmp_path):
+    """Churn workload: with a checkpoint per round the store plateaus
+    (WAL + snapshot bytes stay near the post-first-round floor) while
+    the untruncated WAL grows linearly with deltas."""
 
     def churn(store, memory):
         for i in range(CHURN_OPS):
@@ -190,9 +191,9 @@ def test_compaction_bounds_wal_size(tmp_path):
             memory.remove(wme)
 
     plain_dir = tmp_path / "plain"
-    compact_dir = tmp_path / "compacted"
-    plain_sizes, compact_sizes = [], []
-    compact_seconds = 0.0
+    checkpointed_dir = tmp_path / "checkpointed"
+    plain_sizes, checkpointed_sizes = [], []
+    checkpoint_seconds = 0.0
 
     memory_a = WorkingMemory()
     store_a = DurableStore(
@@ -201,7 +202,7 @@ def test_compaction_bounds_wal_size(tmp_path):
     )
     memory_b = WorkingMemory()
     store_b = DurableStore(
-        memory_b, compact_dir, durability="none",
+        memory_b, checkpointed_dir, durability="none",
         segment_max_records=512,
     )
     for _ in range(CHURN_ROUNDS):
@@ -209,38 +210,44 @@ def test_compaction_bounds_wal_size(tmp_path):
         plain_sizes.append(store_a.wal_bytes())
         churn(store_b, memory_b)
         start = time.perf_counter()
-        store_b.compact()
-        compact_seconds += time.perf_counter() - start
-        compact_sizes.append(store_b.wal_bytes())
+        store_b.checkpoint()
+        checkpoint_seconds += time.perf_counter() - start
+        checkpointed_sizes.append(
+            store_b.wal_bytes()
+            + (checkpointed_dir / "checkpoint.jsonl").stat().st_size
+        )
     store_a.close()
     store_b.close()
 
-    # Plateau, not linear: the final compacted WAL must sit at the
-    # first-round floor (a noop marker), while the plain WAL ends
-    # ~CHURN_ROUNDS times its own first round.
-    assert compact_sizes[-1] <= compact_sizes[0] + 256
+    # Plateau, not linear: the final checkpointed store must sit at the
+    # first-round floor (an empty active segment and a header-only
+    # snapshot), while the plain WAL ends ~CHURN_ROUNDS times its own
+    # first round.
+    assert checkpointed_sizes[-1] <= checkpointed_sizes[0] + 256
     assert plain_sizes[-1] >= plain_sizes[0] * (CHURN_ROUNDS - 1)
 
     # Both recover to the same (empty) state.
     recovered_a, _, _ = _timed_open(plain_dir)
-    recovered_b, _, _ = _timed_open(compact_dir)
+    recovered_b, _, _ = _timed_open(checkpointed_dir)
     assert len(recovered_a) == len(recovered_b) == 0
 
     deltas = 2 * CHURN_OPS * CHURN_ROUNDS
     report(
-        "recovery — compaction bounds WAL size (churn)",
+        "recovery — checkpoints bound WAL size (churn)",
         [
             ("deltas journalled", "-", deltas),
-            ("uncompacted WAL bytes (round 1)", "-", plain_sizes[0]),
-            ("uncompacted WAL bytes (final)", "-", plain_sizes[-1]),
-            ("compacted WAL bytes (round 1)", "-", compact_sizes[0]),
-            ("compacted WAL bytes (final)", "-", compact_sizes[-1]),
+            ("untruncated WAL bytes (round 1)", "-", plain_sizes[0]),
+            ("untruncated WAL bytes (final)", "-", plain_sizes[-1]),
+            ("checkpointed WAL + snapshot bytes (round 1)", "-",
+             checkpointed_sizes[0]),
+            ("checkpointed WAL + snapshot bytes (final)", "-",
+             checkpointed_sizes[-1]),
             (
-                "final plain/compacted ratio",
+                "final untruncated/checkpointed ratio",
                 "> 10",
-                round(plain_sizes[-1] / max(compact_sizes[-1], 1), 1),
+                round(plain_sizes[-1] / checkpointed_sizes[-1], 1),
             ),
-            ("compaction overhead (s)", "-",
-             round(compact_seconds, 4)),
+            ("checkpoint overhead (s)", "-",
+             round(checkpoint_seconds, 4)),
         ],
     )

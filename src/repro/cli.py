@@ -47,15 +47,15 @@ Subcommands
 ``repro obs top RULES [--interval 0.5] ...``
     Live view of a run: one snapshot line per interval with wave,
     commit/abort totals, cycle p95 and health status.
-``repro storage inspect|checkpoint|compact DIR``
+``repro storage inspect|checkpoint DIR``
     Durable-store maintenance: describe the on-disk state (checkpoint
-    LSN, segment ranges, bytes), land a snapshot + truncate covered
-    segments, or merge sealed segments into their net change.
+    LSN, segment ranges, bytes), or land a snapshot + truncate covered
+    segments.
 ``repro storage chaos [--seeds N] [--ops M]``
     The recovery proof: seeded op sequences, and the order pipeline
     under ``Interpreter`` and ``ParallelEngine``, crashed at every
     storage fault window (WAL commit, rotation, checkpoint tmp/rename/
-    dir-fsync/truncate, compaction) must recover bit-identically to a
+    dir-fsync/truncate) must recover bit-identically to a
     commit-sequence prefix — whole units, whole firings.  Exits
     non-zero on any divergence or any window the workload failed to
     reach.
@@ -641,12 +641,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_store(args: argparse.Namespace):
-    from repro.wm.storage import DurableStore
-
-    return DurableStore.open(args.directory, durability=args.durability)
-
-
 def _cmd_storage_inspect(args: argparse.Namespace) -> int:
     from repro.wm.storage import DurableStore
 
@@ -685,7 +679,11 @@ def _cmd_storage_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage_checkpoint(args: argparse.Namespace) -> int:
-    memory, store = _open_store(args)
+    from repro.wm.storage import DurableStore
+
+    memory, store = DurableStore.open(
+        args.directory, durability=args.durability
+    )
     try:
         report = store.last_recovery
         elements = store.checkpoint()
@@ -696,22 +694,6 @@ def _cmd_storage_checkpoint(args: argparse.Namespace) -> int:
         f"(replayed {report.replayed} records, "
         f"{report.seconds:.3f}s); "
         f"checkpointed {elements} elements at lsn {store.lsn}"
-    )
-    return 0
-
-
-def _cmd_storage_compact(args: argparse.Namespace) -> int:
-    memory, store = _open_store(args)
-    try:
-        summary = store.compact()
-    finally:
-        store.close()
-    print(
-        f"compacted {summary['segments_merged']} segments: "
-        f"{summary['records_before']} -> {summary['records_after']} "
-        f"records, {summary['bytes_before']} -> "
-        f"{summary['bytes_after']} bytes "
-        f"({summary['dropped']} cancelled)"
     )
     return 0
 
@@ -961,24 +943,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     storage = sub.add_parser(
         "storage",
-        help="durable-store maintenance: inspect, checkpoint, compact, "
-        "chaos",
+        help="durable-store maintenance: inspect, checkpoint, chaos",
     )
     storage_sub = storage.add_subparsers(
         dest="storage_command", required=True
     )
-
-    def add_storage_dir_arguments(
-        parser: argparse.ArgumentParser,
-    ) -> None:
-        parser.add_argument("directory", help="durable-store directory")
-        parser.add_argument(
-            "--durability",
-            choices=["always", "batch", "none"],
-            default="always",
-            help="fsync discipline for the maintenance store "
-            "(default always)",
-        )
 
     storage_inspect = storage_sub.add_parser(
         "inspect",
@@ -998,16 +967,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="recover the directory, snapshot it, truncate covered "
         "segments",
     )
-    add_storage_dir_arguments(storage_checkpoint)
-    storage_checkpoint.set_defaults(handler=_cmd_storage_checkpoint)
-
-    storage_compact = storage_sub.add_parser(
-        "compact",
-        help="merge sealed segments, dropping add/remove pairs that "
-        "cancel",
+    storage_checkpoint.add_argument(
+        "directory", help="durable-store directory"
     )
-    add_storage_dir_arguments(storage_compact)
-    storage_compact.set_defaults(handler=_cmd_storage_compact)
+    storage_checkpoint.add_argument(
+        "--durability",
+        choices=["always", "batch", "none"],
+        default="always",
+        help="fsync discipline for the maintenance store (default always)",
+    )
+    storage_checkpoint.set_defaults(handler=_cmd_storage_checkpoint)
 
     storage_chaos = storage_sub.add_parser(
         "chaos",

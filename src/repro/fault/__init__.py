@@ -16,8 +16,8 @@ single-threaded.
   firings instead of silently deferring them.
 * :class:`VirtualSleeper` — virtual time for deterministic backoff.
 * :mod:`repro.fault.storage_chaos` — the crash-equivalence sweep that
-  crashes the durable store at every commit/checkpoint/rotation/
-  compaction window, under raw operations and
+  crashes the durable store at every commit/rotation/checkpoint
+  window, under raw operations and
   (:mod:`repro.fault.firing_chaos`, not exported here: it needs the
   engines) under the engines, and proves recovery lands on a
   commit-sequence prefix.

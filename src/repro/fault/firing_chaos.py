@@ -4,7 +4,7 @@
 operations; this module crashes it under the engines — the order
 pipeline of ``benchmarks/e2e`` (four actions per RHS) run by
 ``Interpreter`` or by ``ParallelEngine(rc, processors=4)`` on a store
-with tiny segments and a compaction or a checkpoint every few cycles —
+with tiny segments and a checkpoint every few cycles —
 and checks the recovered database against the execution graph: the log
 acknowledged exactly ``result.firings``, recovery is bit-identical to
 the live state at that commit, and ``replay_commit_sequence`` over that
@@ -110,10 +110,10 @@ def run_firing_crash_case(
     verify that recovery lands on the acknowledged firing prefix.
 
     The facts are journalled before the injector is armed; from then
-    on every ``maintain_every`` cycles (waves) a compaction or a
-    checkpoint runs, alternately, and each visit of the targeted window
-    crashes with probability ``rate`` (seeded; at most once), so
-    different seeds die at different firings.
+    on a checkpoint runs every ``maintain_every`` cycles (waves), and
+    each visit of the targeted window crashes with probability ``rate``
+    (seeded; at most once), so different seeds die at different
+    firings.
     """
     case = CrashCase(seed=seed, site=site, driver=driver)
     rules = parse_program(PIPELINE_RULES)
@@ -143,10 +143,7 @@ def run_firing_crash_case(
             result = engine.run(round_ * maintain_every)
             if result.stop_reason not in ("max_cycles", "max_waves"):
                 break
-            if round_ % 2:
-                store.compact()
-            else:
-                store.checkpoint()
+            store.checkpoint()
     except StorageFailure:
         case.crashed = True
     finally:

@@ -139,7 +139,7 @@ class FaultInjector:
         """Fault site: one durable-store operation.  Raises on injection.
 
         ``site`` names the window (``"wal:commit"``,
-        ``"checkpoint:rename"``, ``"compact:truncate"``, ...; see
+        ``"checkpoint:rename"``, ``"checkpoint:truncate"``, ...; see
         :data:`repro.wm.storage.STORAGE_FAULT_SITES`) and doubles as
         the spec's ``obj`` filter, so a plan can crash one specific
         window: ``FaultSpec("storage_fail", obj="checkpoint:rename")``.

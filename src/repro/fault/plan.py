@@ -34,7 +34,7 @@ from repro.errors import ReproError
 #: * ``crash_commit``— kill the firing after its RHS executed but
 #:   before its commit is recorded (rollback must recover);
 #: * ``storage_fail``— fail a durable-store operation (a unit's WAL
-#:   commit record, segment rotation, checkpoint, or compaction window;
+#:   commit record, segment rotation, or checkpoint window;
 #:   narrow with ``obj=<site>``).
 FaultKind = Literal[
     "lock_delay", "lock_deny", "abort_rhs", "crash_commit", "storage_fail"

@@ -8,7 +8,7 @@ acknowledged, whole, nothing more, nothing less — so the recovered
 database is a node of the execution graph, never the inside of a
 firing or of a ``modify``.  This module proves it by brute force, two
 ways, each on a :class:`~repro.wm.storage.DurableStore` with tiny
-segments (so rotation, checkpointing and compaction all happen) while a
+segments (so rotation, checkpointing and truncation all happen) while a
 fault plan crashes exactly one storage window
 (:data:`~repro.wm.storage.STORAGE_FAULT_SITES`); the run stops at the
 crash (the simulated process death), the directory is recovered, and
@@ -21,7 +21,7 @@ values — to the reference state:
   its own module: it needs the engines, which import this package):
   the order pipeline of ``benchmarks/e2e`` (four actions per RHS) run
   by ``Interpreter`` or by ``ParallelEngine(rc, processors=4)``, with a
-  checkpoint or a compaction every few cycles.  There the reference is
+  checkpoint every few cycles.  There the reference is
   also checked against the execution graph: the log acknowledged
   exactly ``result.firings``, and ``replay_commit_sequence`` over that
   prefix reaches the recovered database.
@@ -160,16 +160,14 @@ def run_crash_case(
     ops: int = 48,
     segment_max_records: int = 5,
     checkpoint_every: int = 9,
-    compact_every: int = 13,
     durability: str = "batch",
 ) -> CrashCase:
     """Run one seeded op sequence, crash at ``site``, verify recovery.
 
     The schedule is deterministic given ``seed``: mutations are drawn
     from a seeded RNG, a checkpoint lands every ``checkpoint_every``-th
-    op and a compaction every ``compact_every``-th, and the fault spec
-    (``rate=1.0``, ``max_hits=1``, ``obj=site``) fires at the first
-    visit of the targeted window.
+    op, and the fault spec (``rate=1.0``, ``max_hits=1``, ``obj=site``)
+    fires at the first visit of the targeted window.
     """
     case = CrashCase(seed=seed, site=site)
     rng = random.Random(seed)
@@ -192,8 +190,6 @@ def run_crash_case(
             live = sorted(memory, key=lambda w: w.timetag)
             if index and index % checkpoint_every == 0:
                 store.checkpoint()
-            elif index and index % compact_every == 0:
-                store.compact()
             else:
                 roll = rng.random()
                 if roll < 0.5 or not live:

@@ -21,10 +21,11 @@ over short rolling windows of raw signals:
   the window: the storage layer is growing its log without ever
   truncating it.
 
-Each rule is a row of :data:`RULES` — its name and its yellow and red
-thresholds — graded over the last :data:`WINDOW_S` seconds.  Signals
-arrive via :meth:`HealthMonitor.record` (the Observer feeds them from
-step closes and event hooks); :meth:`evaluate` prunes each window,
+Each rule is a row of :data:`RULES` — its name, its yellow and red
+thresholds and the format of its detail line — graded over the last
+:data:`WINDOW_S` seconds.  Signals arrive via
+:meth:`HealthMonitor.record` (the Observer feeds them from step closes
+and event hooks); :meth:`evaluate` prunes each window,
 grades every rule in one loop over :data:`RULES`, and returns a
 :class:`HealthReport`.  Status transitions are logged in
 :attr:`HealthMonitor.transitions` and invoke ``on_transition``, so the
@@ -48,15 +49,16 @@ _SEVERITY = {GREEN: 0, YELLOW: 1, RED: 2}
 #: Seconds of signal every evaluation looks back over.
 WINDOW_S = 5.0
 
-#: ``(rule, yellow, red)``: a rule whose graded value reaches a
+#: ``(rule, yellow, red, detail)``: a rule whose graded value reaches a
 #: threshold has that status.  Tuned so a healthy Manners run stays
 #: green while a chaos run with a fault spike goes red (pinned by
-#: tests).  A rule reports its red threshold as ``threshold``.
+#: tests).  A rule reports its red threshold as ``threshold``, and
+#: ``detail`` formats its window's numbers when a report is read.
 RULES = (
-    ("abort_rate", 0.25, 0.5),
-    ("retry_exhaustion", 1, 3),
-    ("lock_wait_share", 0.25, 0.5),
-    ("wal_stall", 2, 3),
+    ("abort_rate", 0.25, 0.5, "{:.0f}/{:.0f} transactions failed in window"),
+    ("retry_exhaustion", 1, 3, "{:.0f} firings exhausted retries in window"),
+    ("lock_wait_share", 0.25, 0.5, "{:.4f}s queued over {:.4f}s of window"),
+    ("wal_stall", 2, 3, "{:.0f} WAL rotations, {:.0f} checkpoints in window"),
 )
 
 #: Abort reasons that are part of normal wave-protocol operation, not
@@ -85,19 +87,26 @@ def worst(statuses) -> str:
 
 
 class RuleResult:
-    """One health rule's verdict at one evaluation instant."""
+    """One health rule's verdict at one evaluation instant.  An
+    evaluation runs every wave and is rarely read, so ``detail`` is
+    formatted from the window's numbers only when read."""
 
-    __slots__ = ("name", "status", "value", "threshold", "detail")
+    __slots__ = ("name", "status", "value", "threshold", "_format", "_numbers")
 
     def __init__(
         self, name: str, status: str, value: float,
-        threshold: float, detail: str,
+        threshold: float, format_: str, numbers: tuple,
     ) -> None:
         self.name = name
         self.status = status
         self.value = value
         self.threshold = threshold
-        self.detail = detail
+        self._format = format_
+        self._numbers = numbers
+
+    @property
+    def detail(self) -> str:
+        return self._format.format(*self._numbers)
 
     def to_dict(self) -> dict:
         return {
@@ -207,36 +216,26 @@ class HealthMonitor:
         total = committed + aborted
         rate = aborted / total if total else 0.0
         share = wait / elapsed
-        # rule -> (reported value, graded value, detail)
+        # rule -> (reported value, graded value, detail's numbers)
         measured = {
-            "abort_rate": (
-                rate, rate,
-                f"{int(aborted)}/{int(total)} transactions failed in window",
-            ),
-            "retry_exhaustion": (
-                exhausted, exhausted,
-                f"{int(exhausted)} firings exhausted retries in window",
-            ),
-            "lock_wait_share": (
-                share, share,
-                f"{wait:.4f}s queued over {elapsed:.4f}s of window",
-            ),
+            "abort_rate": (rate, rate, (aborted, total)),
+            "retry_exhaustion": (exhausted, exhausted, (exhausted,)),
+            "lock_wait_share": (share, share, (wait, elapsed)),
             # A checkpoint in the window means the log is truncating.
             "wal_stall": (
                 rotations, 0.0 if checkpoints else rotations,
-                f"{int(rotations)} WAL rotations, "
-                f"{int(checkpoints)} checkpoints in window",
+                (rotations, checkpoints),
             ),
         }
         results: list[RuleResult] = []
-        for name, yellow, red in RULES:
-            value, graded, detail = measured[name]
+        for name, yellow, red, detail in RULES:
+            value, graded, numbers = measured[name]
             status = (
                 RED if graded >= red else YELLOW if graded >= yellow
                 else GREEN
             )
             results.append(
-                RuleResult(name, status, value, float(red), detail)
+                RuleResult(name, status, value, float(red), detail, numbers)
             )
 
         overall = worst(r.status for r in results)

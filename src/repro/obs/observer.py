@@ -159,14 +159,12 @@ class Observer:
         self._merge_time = m.histogram("match.merge_seconds", TIME_BUCKETS)
         self._retry_delay = m.histogram("retry.backoff_seconds", TIME_BUCKETS)
         self._ckpt = m.histogram("storage.checkpoint_seconds", TIME_BUCKETS)
-        self._compact = m.histogram("storage.compaction_seconds", TIME_BUCKETS)
         self._recover = m.histogram("storage.recovery_seconds", TIME_BUCKETS)
         self._cycle_sketch = m.sketch("cycle.sketch_seconds")
         self._lock_wait_sketch = m.sketch("lock.wait.sketch_seconds")
         self._flush_sketch = m.sketch("match.flush.sketch_seconds")
         self._firing_sketch = m.sketch("firing.sketch_seconds")
         self._ckpt_sketch = m.sketch("storage.checkpoint.sketch_seconds")
-        self._compact_sketch = m.sketch("storage.compaction.sketch_seconds")
         # Pre-bound counters.
         self._c_lock_grants = m.counter("lock.grants")
         self._c_lock_waits = m.counter("lock.waits")
@@ -192,8 +190,6 @@ class Observer:
         self._c_procpool_bytes = m.counter("procpool.bytes")
         self._c_ckpts = m.counter("storage.checkpoints")
         self._c_truncated = m.counter("storage.segments_truncated")
-        self._c_compactions = m.counter("storage.compactions")
-        self._c_compacted = m.counter("storage.records_compacted")
         self._c_rotations = m.counter("storage.rotations")
         self._c_recoveries = m.counter("storage.recoveries")
         #: What a step's close feeds, by step name (:meth:`end`).
@@ -206,7 +202,6 @@ class Observer:
             "firing": self._close_firing,
             "match.flush": self._close_flush,
             "storage.checkpoint": self._close_checkpoint,
-            "storage.compaction": self._close_compaction,
             "storage.recovery": self._close_recovery,
         }
 
@@ -391,15 +386,6 @@ class Observer:
         self._ckpt.observe(seconds)
         self._ckpt_sketch.observe(seconds)
         self.health.record("storage.checkpoints")
-
-    def _close_compaction(self, step: Step, seconds: float) -> None:
-        fields = step.fields
-        self._c_compactions.inc()
-        self._c_compacted.inc(
-            max(0, fields["records_before"] - fields["records_after"])
-        )
-        self._compact.observe(seconds)
-        self._compact_sketch.observe(seconds)
 
     def _close_recovery(self, step: Step, seconds: float) -> None:
         self._c_recoveries.inc()

@@ -22,7 +22,7 @@ Two properties the rest of the telemetry layer depends on:
 
 The sampler only gates *root* spans (spans started with no parent —
 the engines' ``run`` spans and the store's standalone checkpoint /
-compaction / recovery spans).  Aggregate telemetry (metrics, quantile
+recovery spans).  Aggregate telemetry (metrics, quantile
 sketches, the per-rule profiler, health windows) is derived from each
 step's close, and a step under a sampled-out trace is still timed, so
 aggregates see **every** run regardless of the sampling decision —

@@ -7,7 +7,8 @@ half as a small storage engine: a :class:`DurableStore` journals every
 *unit* of working-memory change (:meth:`WorkingMemory.atomic`: one
 production execution, one ``modify``, one bare mutation) as **one commit
 record** of an append-only, *segmented* write-ahead log, periodically
-checkpoints the full contents, compacts sealed segments, and recovers by
+checkpoints the full contents and truncates the segments the checkpoint
+covers (the one way the log is bounded), and recovers by
 *checkpoint + log replay* — hardened so that a crash at any window lands
 on exactly one admissible state: the database after some prefix of the
 commit sequence, a node of the execution graph (Definition 3.1's states
@@ -26,14 +27,15 @@ On-disk layout
     A record is one committed unit's *net* change, ``{"lsn": n, "rule":
     name|null, "remove": [timetag, ...], "add": [element, ...]}``,
     removes applying first; a removed element's body is already in the
-    log or the checkpoint, so only its timetag is written.  A compacted
-    range that nets to nothing leaves a ``{"lsn": n, "kind": "noop"}``
-    marker, which advances the replay LSN without mutating state.
-``wal.jsonl``, ``add`` / ``remove`` records
-    The single-file log of the pre-segment format and the one-record-
-    per-delta kinds are not read.  A directory holding either is
-    refused with :class:`StorageError`, untouched: journalled data is
-    never skipped silently.
+    log or the checkpoint, so only its timetag is written.  Every
+    record is one commit, and ``rule`` names the firing that made it
+    (null for a bare mutation).
+``wal.jsonl``, records with a ``kind``
+    The single-file log of the pre-segment format, the one-record-per-
+    delta ``add`` / ``remove`` kinds and the anonymous ``noop`` marker
+    are not read.  A directory holding any of them is refused with
+    :class:`StorageError`, untouched: journalled data is never skipped
+    silently.
 
 Durability modes
 ----------------
@@ -45,7 +47,7 @@ Per record means per commit: one unit, one record, one ``flush``.
     to the last acknowledged commit.
 ``"batch"``
     ``flush`` per record; ``fsync`` only when a segment is sealed, at
-    checkpoint/compaction boundaries, and on close.  Survives process
+    checkpoint boundaries, and on close.  Survives process
     crash up to the last commit, power loss up to the last boundary.
 ``"none"``
     ``flush`` per record, no fsync ever.  For benchmarks and bulk
@@ -66,12 +68,10 @@ Crash-safety invariants
   segment between units, under the working memory's lock and then the
   store mutex (the commit path's order), so every record with ``lsn <=
   checkpoint_lsn`` lives in sealed segments and every later commit in
-  the fresh active one: truncation deletes *only covered* segments.
-* ``compact()`` merges the sealed segments past the checkpoint into one
-  record by the same fold, carrying the range's maximum LSN.  The merge
-  commits by renaming over the *first* merged segment, so old segments
-  a crash leaves behind are fully *shadowed* (every LSN already
-  replayed) and recovery skips, then deletes, them.
+  the fresh active one: truncation deletes *only covered* segments,
+  and a covered segment an interrupted truncation leaves behind is
+  fully *shadowed* (no LSN above the checkpoint's), so recovery skips,
+  then deletes, it.
 * Recovery applies whole records only, drops a torn final log line
   (that commit, whole), and only then deletes ``*.tmp`` leftovers and
   covered segments — a directory it refuses is left as found.
@@ -83,7 +83,6 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -114,9 +113,6 @@ STORAGE_FAULT_SITES = (
     "checkpoint:rename",
     "checkpoint:dirsync",
     "checkpoint:truncate",
-    "compact:tmp-write",
-    "compact:rename",
-    "compact:truncate",
 )
 
 
@@ -140,7 +136,7 @@ def deserialize_wme(payload: list) -> WME:
 
 def _fold(removes: dict, adds: dict, kind: str, timetag: int, body) -> None:
     """Fold one delta into a net change: ``removes`` and ``adds`` map
-    timetag -> element body (``None`` where a remove's is not at hand).
+    timetag -> element.
 
     An add then a remove of one timetag cancel.  A remove then an add
     cancel only when the add restores the same body (an undo's re-add);
@@ -164,16 +160,15 @@ def _commit_line(lsn: int, rule: str | None, removes, adds: list) -> str:
 
 def _net_change(record: dict, source: str) -> tuple[Iterable, Iterable]:
     """``(timetags to remove, elements to add)`` of one WAL record: the
-    one reader of the record shape, shared by recovery and compaction.
+    one reader of the record shape.  A record with a ``kind`` — a
+    per-delta ``add`` / ``remove`` or a ``noop`` marker — is refused.
     """
     kind = record.get("kind")
     if kind is None:
         return record["remove"], record["add"]
-    if kind == "noop":
-        return (), ()
     raise StorageError(
-        f"{source}: WAL record kind {kind!r} of the per-delta format is "
-        "not supported; replaying only the commit records would skip it"
+        f"{source}: WAL record kind {kind!r} is not supported; "
+        "replaying only the commit records would skip it"
     )
 
 
@@ -250,7 +245,6 @@ class DurableStore:
         store = DurableStore(wm, "plant-state")   # journals from now on
         ... mutate wm: one record per unit (wm.atomic) ...
         store.checkpoint()                         # snapshot + truncate
-        store.compact()                            # shrink sealed WAL
         store.close()
 
         wm2, store2 = DurableStore.open("plant-state")   # recover
@@ -337,7 +331,7 @@ class DurableStore:
         self._removes: dict[int, WME] = {}
         self._adds: dict[int, WME] = {}
         self._mutex = threading.Lock()
-        self._maint_mutex = threading.Lock()  # serializes ckpt/compact
+        self._maint_mutex = threading.Lock()  # serializes checkpoints
         self._sealed: list[SegmentInfo] = list(sealed)
         self.last_recovery: RecoveryReport | None = None
         self._open_active_segment()
@@ -453,22 +447,6 @@ class DurableStore:
         removes.clear()
         adds.clear()
 
-    @contextmanager
-    def _between_units(self) -> Iterator[None]:
-        """Hold the memory lock, then the store mutex — the commit
-        path's order, so maintenance cannot deadlock with writers —
-        on an open store with no unit open: a snapshot or a seal taken
-        inside a unit would split it."""
-        with self.memory.locked():
-            if self.memory.in_unit:
-                raise StorageError(
-                    "checkpoint/compact inside an open atomic unit"
-                )
-            with self._mutex:
-                if self._wal is None:
-                    raise WorkingMemoryError("durable store is closed")
-                yield
-
     # -- checkpointing -----------------------------------------------------------
 
     def checkpoint(self) -> int:
@@ -484,10 +462,20 @@ class DurableStore:
         obs = self.obs
         step = obs.begin("storage.checkpoint") if obs.enabled else None
         with self._maint_mutex:
-            with self._between_units():
-                elements = sorted(self.memory, key=lambda w: w.timetag)
-                checkpoint_lsn = self._lsn
-                self._seal_active_segment()
+            # The memory lock, then the store mutex (the commit path's
+            # order, so a checkpoint cannot deadlock with writers), with
+            # no unit open: a snapshot or a seal inside one would split it.
+            with self.memory.locked():
+                if self.memory.in_unit:
+                    raise StorageError(
+                        "checkpoint inside an open atomic unit"
+                    )
+                with self._mutex:
+                    if self._wal is None:
+                        raise WorkingMemoryError("durable store is closed")
+                    elements = sorted(self.memory, key=lambda w: w.timetag)
+                    checkpoint_lsn = self._lsn
+                    self._seal_active_segment()
             self._write_snapshot(elements, checkpoint_lsn)
             dropped = self._truncate(checkpoint_lsn)
         if step is not None:
@@ -500,18 +488,25 @@ class DurableStore:
     def _write_snapshot(
         self, elements: list[WME], checkpoint_lsn: int
     ) -> None:
-        """Atomically replace the checkpoint file (tmp, rename, dir
-        fsync), with a fault site before each filesystem effect."""
-        header = json.dumps({"checkpoint_lsn": checkpoint_lsn}) + "\n"
-        self._replace(
-            self.directory / _CHECKPOINT,
-            chain(
-                [header],
-                (json.dumps(serialize_wme(w)) + "\n" for w in elements),
-            ),
-            "checkpoint:tmp-write",
-            "checkpoint:rename",
-        )
+        """Atomically replace the checkpoint file (tmp + fsync, rename,
+        dir fsync), with a fault site before each filesystem effect."""
+        target = self.directory / _CHECKPOINT
+        temp_path = Path(str(target) + _TMP_SUFFIX)
+        if self.fault is not None:
+            self.fault.storage_fault(site="checkpoint:tmp-write")
+        with open(temp_path, "w", encoding="utf-8") as handle:
+            handle.write(
+                json.dumps({"checkpoint_lsn": checkpoint_lsn}) + "\n"
+            )
+            handle.writelines(
+                json.dumps(serialize_wme(w)) + "\n" for w in elements
+            )
+            handle.flush()
+            if self.durability != "none":
+                os.fsync(handle.fileno())
+        if self.fault is not None:
+            self.fault.storage_fault(site="checkpoint:rename")
+        os.replace(temp_path, target)
         self._checkpoint_lsn = checkpoint_lsn
         # Without this directory fsync a crash can resurrect the *old*
         # checkpoint after the WAL was truncated — the lost-update
@@ -519,24 +514,6 @@ class DurableStore:
         if self.fault is not None:
             self.fault.storage_fault(site="checkpoint:dirsync")
         self._sync_dir()
-
-    def _replace(
-        self, target: Path, lines: Iterable[str], write_site: str,
-        rename_site: str,
-    ) -> None:
-        """Replace ``target`` by ``lines`` atomically (tmp + fsync +
-        rename), with a fault site before each filesystem effect."""
-        temp_path = Path(str(target) + _TMP_SUFFIX)
-        if self.fault is not None:
-            self.fault.storage_fault(site=write_site)
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
-            handle.flush()
-            if self.durability != "none":
-                os.fsync(handle.fileno())
-        if self.fault is not None:
-            self.fault.storage_fault(site=rename_site)
-        os.replace(temp_path, target)
 
     def _sync_dir(self) -> None:
         """Make entry creations, renames and unlinks durable."""
@@ -561,100 +538,6 @@ class DurableStore:
         if covered:
             self._sync_dir()
         return len(covered)
-
-    # -- compaction --------------------------------------------------------------
-
-    def compact(self) -> dict:
-        """Merge the sealed segments into one record: their net change.
-
-        Background-free: the caller decides when; cost is proportional
-        to the sealed WAL.  The records are folded exactly as an open
-        unit's deltas are (:func:`_fold`): an add and the later remove
-        of the same timetag cancel when **both** lie in the merged
-        range; a change whose partner is outside it (in the checkpoint
-        or the active segment) is kept.  Segments the checkpoint covers
-        (an interrupted truncation left them) stay out: folded in,
-        their changes would replay over the snapshot.
-
-        The merged record carries the range's maximum LSN (a ``noop``
-        marker does when the range nets to nothing), so the old
-        segments a crash strands are shadowed.  Returns a summary dict
-        (records/bytes before and after, segments merged, deltas
-        cancelled).
-        """
-        with self._maint_mutex:
-            with self._between_units():
-                self._seal_active_segment()
-                sealed = [
-                    s for s in self._sealed
-                    if s.last_lsn > self._checkpoint_lsn
-                ]
-            if not sealed:
-                return dict.fromkeys(
-                    ("segments_merged", "records_before", "records_after",
-                     "bytes_before", "bytes_after", "dropped"), 0,
-                )
-            obs = self.obs
-            step = obs.begin("storage.compaction") if obs.enabled else None
-            records = deltas = 0
-            removes: dict[int, None] = {}
-            adds: dict[int, list] = {}
-            for segment in sealed:
-                for record in _read_segment(segment.path):
-                    records += 1
-                    remove, add = _net_change(record, segment.path.name)
-                    deltas += len(remove) + len(add)
-                    for timetag in remove:
-                        _fold(removes, adds, "remove", timetag, None)
-                    for element in add:
-                        _fold(removes, adds, "add", element[0], element)
-            max_covered = sealed[-1].last_lsn
-            if removes or adds:
-                line = _commit_line(
-                    max_covered, None, removes, list(adds.values())
-                )
-            else:
-                line = json.dumps({"lsn": max_covered, "kind": "noop"}) + "\n"
-
-            first = sealed[0]
-            self._replace(
-                first.path, [line], "compact:tmp-write", "compact:rename"
-            )
-            self._sync_dir()
-            merged = SegmentInfo(
-                path=first.path,
-                first_lsn=first.first_lsn,
-                last_lsn=max_covered,
-                records=1,
-                bytes=len(line),
-            )
-            with self._mutex:
-                self._sealed = [
-                    merged if s is first else s
-                    for s in self._sealed
-                    if s is first or s not in sealed
-                ]
-            if self.fault is not None:
-                self.fault.storage_fault(site="compact:truncate")
-            for segment in sealed[1:]:
-                segment.path.unlink(missing_ok=True)
-            if len(sealed) > 1:
-                self._sync_dir()
-        summary = {
-            "segments_merged": len(sealed),
-            "records_before": records,
-            "records_after": 1,
-            "bytes_before": sum(s.bytes for s in sealed),
-            "bytes_after": len(line),
-            "dropped": deltas - len(removes) - len(adds),
-        }
-        if step is not None:
-            obs.end(
-                step, records_before=summary["records_before"],
-                records_after=summary["records_after"],
-                segments=summary["segments_merged"],
-            )
-        return summary
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -692,8 +575,9 @@ class DurableStore:
 
         Loads the checkpoint (if any) and replays every WAL segment in
         LSN order (= filename order), whole commit records only:
-        records covered by the checkpoint or shadowed by an interrupted
-        compaction are skipped, and a torn final line per file drops
+        records the checkpoint covers (an interrupted truncation left
+        their segment behind) are skipped, and a torn final line per
+        file drops
         that commit whole — the recovered database is the state after a
         prefix of the commit sequence.  Then deletes ``*.tmp`` leftovers
         and fully-covered segments (completing any interrupted
@@ -755,8 +639,8 @@ class DurableStore:
                 info.bytes += len(line.encode("utf-8"))
                 remove, add = _net_change(record, str(source))
                 if lsn <= last_lsn:
-                    # Covered by the checkpoint, or shadowed by a
-                    # compacted segment after an interrupted merge.
+                    # Covered by the checkpoint: its segment outlived
+                    # an interrupted truncation.
                     report.shadowed += 1
                     continue
                 for timetag in remove:
@@ -776,7 +660,7 @@ class DurableStore:
                 # a whole write).
                 fully_covered.append(source)
 
-        # Interrupted checkpoint/compaction leftovers are dead weight.
+        # Interrupted checkpoint leftovers are dead weight.
         # Nothing changes on disk before this point: a directory the
         # replay above refuses is left as found.
         for path in [*directory.glob("*" + _TMP_SUFFIX), *fully_covered]:
@@ -837,7 +721,7 @@ class DurableStore:
             }
         segments = []
         for source in DurableStore.segment_paths(directory):
-            records = _read_segment(source)
+            records = [r for _, r in _json_lines(source) if r is not None]
             segments.append({
                 "name": source.name,
                 "records": len(records),
@@ -878,7 +762,3 @@ def _json_lines(path: Path) -> Iterator[tuple[str, object]]:
             if value is None:
                 return
 
-
-def _read_segment(path: Path) -> list[dict]:
-    """All records of one WAL file, tolerating a torn final line."""
-    return [record for _, record in _json_lines(path) if record is not None]

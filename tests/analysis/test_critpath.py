@@ -222,7 +222,7 @@ class TestStorageBucket:
 
     @pytest.mark.parametrize(
         "name",
-        ["storage.checkpoint", "storage.compaction", "storage.rotate"],
+        ["storage.checkpoint", "storage.recovery", "storage.rotate"],
     )
     def test_storage_span_names_map_to_storage(self, name):
         assert categorize(name) == "storage"
@@ -243,7 +243,7 @@ class TestStorageBucket:
             "storage.checkpoint", start=5.0, end=6.0, parent=firing
         )
         rec.record(
-            "storage.compaction", start=6.0, end=9.0, parent=cycle
+            "storage.checkpoint", start=6.0, end=9.0, parent=cycle
         )
         (breakdown,) = cycle_breakdowns(rec)
         assert breakdown.buckets["storage"] == pytest.approx(4.0)
@@ -258,6 +258,6 @@ class TestStorageBucket:
         cycle = rec.record(
             "cycle", start=0.0, end=4.0, parent=run, wave=1
         )
-        rec.record("storage.compaction", start=0.0, end=3.0, parent=cycle)
+        rec.record("storage.checkpoint", start=0.0, end=3.0, parent=cycle)
         (breakdown,) = cycle_breakdowns(rec)
         assert breakdown.dominant == "storage"

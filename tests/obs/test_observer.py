@@ -290,7 +290,7 @@ class TestSimInstrumentation:
 
 def _chaos_durable_run(directory):
     """Seeded faults with bounded retries on a journalled memory, then
-    the store's compaction, checkpoint, close and recovery."""
+    the store's checkpoint, close and recovery."""
     observer = obs.Observer()
     wm = WorkingMemory()
     store = DurableStore(
@@ -309,7 +309,6 @@ def _chaos_durable_run(directory):
         ),
         retry_policy=RetryPolicy(max_attempts=3, seed=3),
     ).run()
-    store.compact()
     store.checkpoint()
     store.close()
     DurableStore.open(directory, observer=observer)[1].close()
@@ -381,7 +380,6 @@ EVENT_KINDS = [
     ("match.flush", "partitioned", "match.flush", {}),
     ("procpool.roundtrip", "process", "procpool.roundtrip", {}),
     ("storage.checkpoint", "chaos", "storage.checkpoint", {}),
-    ("storage.compaction", "chaos", "storage.compaction", {}),
     ("storage.rotate", "chaos", "storage.rotate", {}),
     ("storage.recovery", "chaos", "storage.recovery", {}),
     ("health.transition", "chaos", "health.transition", {}),
@@ -458,8 +456,8 @@ def _lanes_run(cls=ParallelEngine, **options):
 
 
 def _durable_run(lanes_smoke, observer, directory):
-    """A journalled lanes run, then one compaction, one checkpoint and
-    one recovery."""
+    """A journalled lanes run, then one checkpoint (truncating sealed
+    segments) and one recovery."""
     memory = WorkingMemory()
     store = DurableStore(
         memory, directory, segment_max_records=64, observer=observer
@@ -469,13 +467,12 @@ def _durable_run(lanes_smoke, observer, directory):
         rules, memory, processors=8, observer=observer
     ) as engine:
         engine.run()
-    assert store.compact()["segments_merged"] > 0
+    assert store.sealed_segments()
     store.checkpoint()
     store.close()
     DurableStore.open(directory, observer=observer)[1].close()
     once = (
-        "storage.compactions", "storage.compaction_seconds",
-        "storage.compaction.sketch_seconds", "storage.checkpoints",
+        "storage.checkpoints",
         "storage.checkpoint_seconds", "storage.checkpoint.sketch_seconds",
         "storage.recoveries", "storage.recovery_seconds",
     )

@@ -301,10 +301,12 @@ class TestMetrics:
 
 class TestRemovedObservability:
     """``repro trace``, ``repro metrics`` and ``--level trace`` are
-    gone: ``repro obs export`` carries the spans and the registry."""
+    gone: ``repro obs export`` carries the spans and the registry.
+    ``repro storage compact`` is gone: a checkpoint bounds the WAL."""
 
     @pytest.mark.parametrize("argv", [
         ["trace"], ["metrics"], ["obs", "export", "--level", "trace"],
+        ["storage", "compact", "store"],
     ])
     def test_is_refused(self, argv, rule_file, facts_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -535,15 +537,6 @@ class TestStorageCommands:
         info = json.loads(capsys.readouterr().out)
         assert info["checkpoint"]["elements"] == 4
         assert info["total_wal_records"] == 0
-
-    def test_compact_cancels_pairs(self, tmp_path, capsys):
-        self._seed_store(tmp_path)
-        assert main(["storage", "compact", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "6 cancelled" in out  # three add/remove pairs
-        assert main(["storage", "inspect", str(tmp_path), "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["total_wal_records"] < 10
 
     def test_chaos_sweep_passes(self, tmp_path, capsys):
         code = main(["storage", "chaos", "--seeds", "1", "--ops", "40"])

@@ -100,7 +100,7 @@ class TestJournalAndRecovery:
         store = DurableStore(wm, tmp_path, segment_max_records=2)
         wm.make("order", id=1)
         wm.make("order", id=2)
-        store.compact()  # seals: the active segment is fresh and empty
+        store.checkpoint()  # seals: the active segment is fresh and empty
         active = store.active_segment_path
         store.close()
         active.write_text('{"lsn": 3, "rule": null, "remo')

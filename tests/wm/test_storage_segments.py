@@ -1,4 +1,5 @@
-"""Tests for WAL segmentation, compaction, and durability modes."""
+"""Tests for WAL segmentation, checkpoint truncation, and durability
+modes."""
 
 import json
 
@@ -79,131 +80,12 @@ class TestRotation:
         assert _signature(second) == _signature(recovered)
 
 
-class TestCompaction:
-    def test_compaction_drops_cancelling_pairs(self, tmp_path):
-        wm = WorkingMemory()
-        store = DurableStore(wm, tmp_path, segment_max_records=4)
-        keep = [wm.make("keep", i=i) for i in range(3)]
-        for i in range(10):
-            temp = wm.make("temp", i=i)
-            wm.remove(temp)
-        summary = store.compact()
-        store.close()
-        assert summary["dropped"] >= 20  # 10 add/remove pairs
-        assert summary["bytes_after"] < summary["bytes_before"]
-        recovered, store2 = DurableStore.open(tmp_path)
-        store2.close()
-        assert _signature(recovered) == _signature(wm)
-        assert len(recovered) == len(keep)
-
-    def test_compaction_keeps_unpaired_records(self, tmp_path):
-        """A remove whose add is still in the active segment, and an
-        add whose remove hasn't happened, both survive."""
-        wm = WorkingMemory()
-        store = DurableStore(wm, tmp_path, segment_max_records=100)
-        a = wm.make("r", i=1)
-        b = wm.make("r", i=2)
-        store.compact()  # seals [add a, add b]; nothing cancels
-        wm.remove(a)  # remove lands in the new active segment
-        store.close()
-        recovered, store2 = DurableStore.open(tmp_path)
-        store2.close()
-        assert _signature(recovered) == _signature(wm)
-        assert [w["i"] for w in recovered] == [2]
-
-    def test_compaction_preserves_lsn_continuity_via_noop(self, tmp_path):
-        """When the newest records cancel, a noop marker pins the
-        merged range's max LSN so later records still replay."""
-        wm = WorkingMemory()
-        store = DurableStore(wm, tmp_path, segment_max_records=2)
-        temp = wm.make("temp", i=0)
-        wm.remove(temp)  # segment 1 fully cancels
-        summary = store.compact()
-        assert summary["records_after"] >= 1  # the noop marker
-        wm.make("keep", i=1)
-        store.close()
-        records = _all_records(tmp_path)
-        assert any(r.get("kind") == "noop" for r in records)
-        recovered, store2 = DurableStore.open(tmp_path)
-        store2.close()
-        assert _signature(recovered) == _signature(wm)
-
-    def test_repeated_compaction_replaces_old_noops(self, tmp_path):
-        wm = WorkingMemory()
-        store = DurableStore(wm, tmp_path, segment_max_records=2)
-        for i in range(4):
-            temp = wm.make("temp", i=i)
-            wm.remove(temp)
-            store.compact()
-        store.close()
-        records = _all_records(tmp_path)
-        assert [r.get("kind") for r in records] == ["noop"]
-        recovered, store2 = DurableStore.open(tmp_path)
-        store2.close()
-        assert len(recovered) == 0
-
-    def test_compaction_of_empty_store_is_noop(self, tmp_path):
-        wm = WorkingMemory()
-        with DurableStore(wm, tmp_path) as store:
-            summary = store.compact()
-        assert summary["segments_merged"] == 0
-
-    def test_interrupted_merge_is_shadowed_on_recovery(self, tmp_path):
-        """Crash between the merge rename and deleting old segments:
-        the leftover segments' LSNs are all covered by the merged
-        record, so recovery skips and then deletes them."""
-        wm = WorkingMemory()
-        store = DurableStore(wm, tmp_path, segment_max_records=2)
-        for i in range(6):
-            wm.make("r", i=i)
-        expected = _signature(wm)
-        # The pre-merge segment holding commits 3-4, as the crash would
-        # have failed to delete it.
-        stale = tmp_path / _segment_filename(3)
-        leftovers = stale.read_text()
-        assert [json.loads(line)["lsn"] for line in
-                leftovers.splitlines()] == [3, 4]
-        store.compact()
-        store.close()
-        assert not stale.exists()
-        stale.write_text(leftovers)
-        recovered, store2 = DurableStore.open(tmp_path)
-        assert store2.last_recovery.shadowed >= 2
-        store2.close()
-        assert _signature(recovered) == expected
-        assert not stale.exists()  # interrupted truncation completed
-
-    def test_merge_is_one_net_record_at_the_range_maximum(self, tmp_path):
-        """Compaction folds the sealed records exactly as an open unit
-        folds its deltas: one record, removes by timetag, carrying the
-        merged range's maximum LSN (so no marker is needed)."""
-        wm = WorkingMemory()
-        store = DurableStore(wm, tmp_path, segment_max_records=3)
-        keep = wm.make("keep", i=0)
-        store.checkpoint()  # keep's body now lives in the snapshot
-        temp = wm.make("temp", i=1)
-        new = wm.modify(keep, {"i": 2})
-        wm.remove(temp)
-        kept = wm.make("keep", i=3)
-        summary = store.compact()
-        store.close()
-        assert summary["records_before"] == 4
-        assert summary["records_after"] == 1
-        assert summary["dropped"] == 2  # temp's add and remove
-        (record,) = _all_records(tmp_path)
-        assert record["lsn"] == 5 and record["rule"] is None
-        assert record["remove"] == [keep.timetag]
-        assert [e[0] for e in record["add"]] == [
-            new.timetag, kept.timetag
-        ]
-        recovered, store2 = DurableStore.open(tmp_path)
-        store2.close()
-        assert _signature(recovered) == _signature(wm)
-
-    def test_merge_leaves_out_segments_the_checkpoint_covers(self, tmp_path):
+class TestTruncation:
+    def test_interrupted_truncation_is_shadowed_on_recovery(self, tmp_path):
         """A checkpoint whose snapshot landed but whose truncation was
-        interrupted leaves covered segments sealed.  Folded into a
-        merge, their changes would replay over the snapshot."""
+        interrupted leaves the segments it covers behind.  Every record
+        in them is shadowed by the checkpoint: recovery skips them,
+        deletes the segments, and replays only the later commits."""
         from repro.errors import StorageFailure
         from repro.fault import FaultPlan, FaultSpec
 
@@ -213,21 +95,28 @@ class TestCompaction:
                        max_hits=1)], seed=0
         ).injector()
         store = DurableStore(wm, tmp_path, injector, segment_max_records=2)
-        first = [wm.make("r", i=i) for i in range(4)]
+        first = [wm.make("r", i=i) for i in range(5)]
+        covered = DurableStore.segment_paths(tmp_path)
         with pytest.raises(StorageFailure):
             store.checkpoint()
         wm.remove(first[0])
-        wm.make("r", i=4)
         wm.make("r", i=5)
-        store.compact()
+        wm.make("r", i=6)
         store.close()
+        assert all(path.exists() for path in covered)
         recovered, store2 = DurableStore.open(tmp_path)
+        report = store2.last_recovery
         store2.close()
+        assert report.checkpoint_lsn == len(first)
+        assert report.shadowed >= len(first)
+        assert not any(path.exists() for path in covered)
+        assert {path.name for path in covered} <= set(report.cleaned)
         assert _signature(recovered) == _signature(wm)
 
     def test_wal_stays_bounded_under_churn(self, tmp_path):
-        """Checkpoint-free churn workload: compaction keeps total WAL
-        bytes flat instead of linear in the number of deltas."""
+        """Churn workload: a checkpoint each round truncates what the
+        round journalled, so total WAL bytes stay flat instead of
+        growing linearly in the number of deltas."""
         wm = WorkingMemory()
         store = DurableStore(
             wm, tmp_path, segment_max_records=16, durability="none"
@@ -237,11 +126,11 @@ class TestCompaction:
             for i in range(40):
                 temp = wm.make("temp", i=i)
                 wm.remove(temp)
-            store.compact()
+            store.checkpoint()
             sizes.append(store.wal_bytes())
         store.close()
-        # After the first compaction the floor is a handful of noop
-        # bytes; 7 more rounds of 80 deltas each must not accumulate.
+        # After the first checkpoint the floor is an empty active
+        # segment; 7 more rounds of 80 deltas each must not accumulate.
         assert sizes[-1] <= sizes[0] + 200
 
 
@@ -337,29 +226,29 @@ class TestUnsupportedFormat:
 
 
 class TestRefusesPerDeltaRecords:
-    def test_old_kind_record_is_refused_untouched(self, tmp_path):
-        """A segment of the per-delta format (one ``add`` / ``remove``
-        record per working-memory delta) is not replayed and not
-        skipped: the directory is refused by name and left as found."""
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {
+                "lsn": 4,
+                "kind": "remove",
+                "wme": {"relation": "r", "items": [["i", 0]], "timetag": 1},
+            },
+            {"lsn": 4, "kind": "noop"},
+        ],
+        ids=lambda record: record["kind"],
+    )
+    def test_old_kind_record_is_refused_untouched(self, tmp_path, record):
+        """A record with a ``kind`` — one of the per-delta format (one
+        ``add`` / ``remove`` record per working-memory delta), or an
+        anonymous ``noop`` marker — is not replayed and not skipped:
+        the directory is refused by name and left as found."""
         wm = WorkingMemory()
-        with DurableStore(wm, tmp_path, segment_max_records=2) as store:
+        with DurableStore(wm, tmp_path, segment_max_records=2):
             for i in range(3):
                 wm.make("r", i=i)
         old = tmp_path / _segment_filename(4)
-        old.write_text(
-            json.dumps(
-                {
-                    "lsn": 4,
-                    "kind": "remove",
-                    "wme": {
-                        "relation": "r",
-                        "items": [["i", 0]],
-                        "timetag": 1,
-                    },
-                }
-            )
-            + "\n"
-        )
+        old.write_text(json.dumps(record) + "\n")
         (tmp_path / "checkpoint.jsonl.tmp").write_text("stray")
 
         def contents():
@@ -369,7 +258,7 @@ class TestRefusesPerDeltaRecords:
         with pytest.raises(StorageError) as refused:
             DurableStore.open(tmp_path)
         assert str(old) in str(refused.value)
-        assert "'remove'" in str(refused.value)
+        assert f"'{record['kind']}'" in str(refused.value)
         assert contents() == before
 
 
@@ -385,7 +274,6 @@ class TestObservability:
         )
         for i in range(5):
             wm.make("r", i=i)
-        store.compact()
         store.checkpoint()
         store.close()
         recovered, store2 = DurableStore.open(
@@ -394,13 +282,11 @@ class TestObservability:
         store2.close()
         snapshot = observer.metrics.snapshot()
         assert snapshot["storage.rotations"]["value"] >= 2
-        assert snapshot["storage.compactions"]["value"] == 1
         assert snapshot["storage.checkpoints"]["value"] == 1
         assert snapshot["storage.recoveries"]["value"] == 1
         names = observer.spans.names()
         assert names.get("storage.rotate", 0) >= 2
         assert names.get("storage.checkpoint") == 1
-        assert names.get("storage.compaction") == 1
         assert names.get("storage.recovery") == 1
         assert all(
             span.duration == 0
