@@ -113,6 +113,37 @@ class TestTruncation:
         assert {path.name for path in covered} <= set(report.cleaned)
         assert _signature(recovered) == _signature(wm)
 
+    def test_segment_left_by_a_partial_truncation_is_shadowed(
+        self, tmp_path
+    ):
+        """Crash between the unlinks of a truncation: one covered
+        segment survives.  Its LSNs are all at or below the
+        checkpoint's, so recovery skips and then deletes it."""
+        wm = WorkingMemory()
+        store = DurableStore(wm, tmp_path, segment_max_records=2)
+        for i in range(6):
+            wm.make("r", i=i)
+        # The segment holding commits 3-4, as the crash would have
+        # failed to delete it.
+        stale = tmp_path / _segment_filename(3)
+        leftovers = stale.read_text()
+        assert [json.loads(line)["lsn"] for line in
+                leftovers.splitlines()] == [3, 4]
+        store.checkpoint()
+        wm.make("r", i=6)
+        expected = _signature(wm)
+        store.close()
+        assert not stale.exists()
+        stale.write_text(leftovers)
+        recovered, store2 = DurableStore.open(tmp_path)
+        report = store2.last_recovery
+        store2.close()
+        assert report.checkpoint_lsn == 6
+        assert report.shadowed == 2
+        assert stale.name in report.cleaned
+        assert _signature(recovered) == expected
+        assert not stale.exists()  # interrupted truncation completed
+
     def test_wal_stays_bounded_under_churn(self, tmp_path):
         """Churn workload: a checkpoint each round truncates what the
         round journalled, so total WAL bytes stay flat instead of
