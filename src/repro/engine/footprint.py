@@ -100,7 +100,7 @@ class FootprintScheme:
         txn.commit()
         self._release(txn)
         if self.obs.enabled:
-            self.obs.txn_committed(txn.txn_id, self.name)
+            self.obs.event("txn.commit", txn=txn.txn_id, scheme=self.name)
         return _NO_VICTIMS
 
     def abort(self, txn: Transaction, reason: str = "") -> None:
@@ -108,7 +108,7 @@ class FootprintScheme:
             txn.abort(reason)
         self._release(txn)
         if self.obs.enabled:
-            self.obs.txn_aborted(txn.txn_id, self.name, reason)
+            self.obs.event("txn.abort", txn=txn.txn_id, reason=reason)
 
     def grant_table(self) -> dict:
         """``{obj: {txn_id: modes}}`` held by unsettled slots, in
@@ -141,11 +141,15 @@ class FootprintScheme:
 
     def _granted(self, txn: Transaction, objects, mode) -> None:
         for obj in objects:
-            self.obs.lock_granted(
-                txn.txn_id, obj, str(mode), waited=0.0, queued=False
+            self.obs.event(
+                "lock.acquire", txn=txn.txn_id, obj=obj, mode=str(mode),
+                waited=0.0, queued=False,
             )
 
     def _refuse(self, txn: Transaction, obj, mode) -> bool:
         if self.obs.enabled:
-            self.obs.lock_denied(txn.txn_id, obj, str(mode), reason="busy")
+            self.obs.event(
+                "lock.deny", txn=txn.txn_id, obj=repr(obj), mode=str(mode),
+                reason="busy",
+            )
         return False

@@ -456,10 +456,8 @@ class ParallelEngine:
                 # The ring of admitted slots this wave kept, and the
                 # two objects tying the candidate into it.
                 path, read, written = graph.cycle(instantiation)
-                now = obs.clock()
-                obs.spans.record(
-                    "held", start=now, end=now, parent=recorded,
-                    wave=wave.wave, rule=rule,
+                obs.event(
+                    "held", phase, wave=wave.wave, rule=rule,
                     cycle=[rule] + [
                         slots[slot].production.name for slot in path
                     ],
@@ -472,10 +470,9 @@ class ParallelEngine:
             # One record per reader that acted before a writer ranked
             # above it — where the acting order left the ranking.
             for reader, writer, obj in graph.edges_against_rank():
-                now = obs.clock()
-                obs.spans.record(
-                    "ordered", start=now, end=now, parent=recorded,
-                    wave=wave.wave, reader=reader.production.name,
+                obs.event(
+                    "ordered", phase, wave=wave.wave,
+                    reader=reader.production.name,
                     writer=writer.production.name, obj=repr(obj),
                     **self._span_fields(reader),
                 )
@@ -679,7 +676,7 @@ class ParallelEngine:
                 undone = undo.rollback()
                 conflict_set.forget_fired(instantiation)
                 if obs.enabled:
-                    obs.rollback(txn.txn_id, undone)
+                    obs.event("engine.rollback", txn=txn.txn_id, undone=undone)
                 if isinstance(error, FiringCrashed):
                     return _CRASHED
                 self._settle(wave, instantiation, txn, _RHS_RAISED)
@@ -732,12 +729,18 @@ class ParallelEngine:
             self.retry_clock(delay)
             self.retry_count += 1
             if self.obs.enabled:
-                self.obs.retry_attempt(rule, attempts, delay, reason)
+                self.obs.event(
+                    "retry.attempt", rule=rule, attempt=attempts,
+                    delay=delay, reason=reason,
+                )
             return delay
         self._gave_up.add(instantiation)
         self.gave_up.append(rule)
         if self.obs.enabled:
-            self.obs.retry_exhausted(rule, attempts, reason)
+            self.obs.event(
+                "retry.exhausted", rule=rule, attempts=attempts,
+                reason=reason,
+            )
         return None
 
     # -- whole runs -------------------------------------------------------------------------

@@ -283,8 +283,9 @@ class ThreadedWaveExecutor(ParallelEngine):
                     return
                 self.deadlock_victims.append(victim.txn_id)
                 if self.obs.enabled:
-                    self.obs.deadlock_victim(
-                        victim.txn_id, self.detector.detected[-1]
+                    self.obs.event(
+                        "deadlock.victim", txn=victim.txn_id,
+                        cycle=tuple(self.detector.detected[-1]),
                     )
                 # Wake the victim: cancelling its waiting requests
                 # unblocks its thread immediately (it sees is_aborted,

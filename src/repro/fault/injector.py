@@ -95,7 +95,9 @@ class FaultInjector:
 
     def _emit(self, kind: str, txn_id: str, site: str, detail: str = ""):
         if self.obs.enabled:
-            self.obs.fault_injected(kind, txn_id, site, detail)
+            self.obs.event(
+                f"fault.{kind}", txn=txn_id, site=site, detail=detail
+            )
 
     # -- fault sites -----------------------------------------------------------------
 

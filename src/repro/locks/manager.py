@@ -393,9 +393,9 @@ class LockManager:
                 if enqueued_at is not None
                 else 0.0
             )
-            self.obs.lock_granted(
-                txn.txn_id, obj, str(mode), waited=waited,
-                queued=enqueued_at is not None,
+            self.obs.event(
+                "lock.acquire", txn=txn.txn_id, obj=obj, mode=str(mode),
+                waited=waited, queued=enqueued_at is not None,
             )
         if mode in _READ_MODES:
             txn.record_read(obj)
@@ -450,8 +450,9 @@ class LockManager:
             self._waits_n += 1
             if self.obs.enabled:
                 request.enqueued_at = self.obs.clock()
-                self.obs.lock_queued(
-                    txn.txn_id, obj, str(mode), depth=len(entry.queue),
+                self.obs.event(
+                    "lock.wait", txn=txn.txn_id, obj=repr(obj),
+                    mode=str(mode), depth=len(entry.queue),
                 )
         if on_block is not None:
             on_block(request)
@@ -466,8 +467,9 @@ class LockManager:
                     with self._mutex:
                         self._denials_n += 1
                     if self.obs.enabled:
-                        self.obs.lock_denied(
-                            txn.txn_id, obj, str(mode), reason="timeout"
+                        self.obs.event(
+                            "lock.deny", txn=txn.txn_id, obj=repr(obj),
+                            mode=str(mode), reason="timeout",
                         )
         return request
 
@@ -484,8 +486,9 @@ class LockManager:
             if entry is not None and _blocked(entry, txn, mode):
                 self._denials_n += 1
                 if self.obs.enabled:
-                    self.obs.lock_denied(
-                        txn.txn_id, obj, str(mode), reason="busy"
+                    self.obs.event(
+                        "lock.deny", txn=txn.txn_id, obj=repr(obj),
+                        mode=str(mode), reason="busy",
                     )
                 return False
             self._grant(entry, txn, obj, mode)
@@ -578,8 +581,9 @@ class LockManager:
                 self._process_queue(obj, entry)
         if self.obs.enabled:
             for request in cancelled:
-                self.obs.lock_cancelled(
-                    txn.txn_id, request.obj, str(request.mode)
+                self.obs.event(
+                    "lock.cancel", txn=txn.txn_id, obj=repr(request.obj),
+                    mode=str(request.mode),
                 )
 
     def cancel(self, request: LockRequest) -> None:
@@ -589,8 +593,9 @@ class LockManager:
             if request.is_waiting:
                 request.resolve(RequestStatus.CANCELLED)
                 if self.obs.enabled:
-                    self.obs.lock_cancelled(
-                        request.txn.txn_id, request.obj, str(request.mode)
+                    self.obs.event(
+                        "lock.cancel", txn=request.txn.txn_id,
+                        obj=repr(request.obj), mode=str(request.mode),
                     )
             entry = self._entries.get(request.obj)
             if entry is not None:

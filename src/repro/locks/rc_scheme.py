@@ -199,8 +199,9 @@ class RcScheme:
                 if still_valid:
                     self.revalidated += 1
                     if self.obs.enabled:
-                        self.obs.revalidation_spared(
-                            holder.txn_id, txn.txn_id
+                        self.obs.event(
+                            "rc.revalidated", txn=holder.txn_id,
+                            committer=txn.txn_id,
                         )
                     continue
             if holder.try_abort(
@@ -209,15 +210,17 @@ class RcScheme:
                 victims.append(holder)
                 self.forced_aborts += 1
                 if self.obs.enabled:
-                    self.obs.rule_ii_abort(
-                        holder.txn_id, txn.txn_id, objs
+                    self.obs.event(
+                        "rc.rule_ii_abort", txn=txn.txn_id,
+                        victim=holder.txn_id,
+                        objs=tuple(repr(obj) for obj in objs),
                     )
         txn.commit()
         if self.manager.history is not None:
             self.manager.history.commit(txn.txn_id)
         self.manager.release_all(txn)
         if self.obs.enabled:
-            self.obs.txn_committed(txn.txn_id, self.name)
+            self.obs.event("txn.commit", txn=txn.txn_id, scheme=self.name)
         return CommitOutcome(committed=True, victims=victims)
 
     def abort(self, txn: Transaction, reason: str = "") -> None:
@@ -228,7 +231,7 @@ class RcScheme:
             self.manager.history.abort(txn.txn_id)
         self.manager.release_all(txn)
         if self.obs.enabled:
-            self.obs.txn_aborted(txn.txn_id, self.name, reason)
+            self.obs.event("txn.abort", txn=txn.txn_id, reason=reason)
 
     def release_condition_locks(self, txn: Transaction) -> None:
         """Release after a false condition (Figure 4.2)."""

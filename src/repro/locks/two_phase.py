@@ -137,7 +137,7 @@ class TwoPhaseScheme:
             self.manager.history.commit(txn.txn_id)
         self.manager.release_all(txn)
         if self.obs.enabled:
-            self.obs.txn_committed(txn.txn_id, self.name)
+            self.obs.event("txn.commit", txn=txn.txn_id, scheme=self.name)
         return CommitOutcome(committed=True)
 
     def abort(self, txn: Transaction, reason: str = "") -> None:
@@ -147,7 +147,7 @@ class TwoPhaseScheme:
             self.manager.history.abort(txn.txn_id)
         self.manager.release_all(txn)
         if self.obs.enabled:
-            self.obs.txn_aborted(txn.txn_id, self.name, reason)
+            self.obs.event("txn.abort", txn=txn.txn_id, reason=reason)
 
     def release_condition_locks(self, txn: Transaction) -> None:
         """Release after a false condition (step 2 of Figure 4.1)."""

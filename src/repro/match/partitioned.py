@@ -671,8 +671,9 @@ class PartitionedMatcher(BaseMatcher):
 
     def _note_procpool(self, pool: ProcessPool) -> None:
         if self.obs.enabled:
-            self.obs.procpool_roundtrip(
-                pool.last_bytes_out, pool.last_bytes_in
+            self.obs.event(
+                "procpool.roundtrip", bytes_out=pool.last_bytes_out,
+                bytes_in=pool.last_bytes_in,
             )
 
     # -- DES substrate -------------------------------------------------------------------

@@ -16,8 +16,8 @@ sketches (:class:`QuantileSketch`), a per-rule self-time profiler
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON, Prometheus
   text exposition, and JSONL span dumps;
 * :mod:`repro.obs.observer` — the :class:`Observer` facade: timed
-  steps (``begin`` / ``end``) and point-event hooks, called by the
-  engines, locks, matcher, durable store and simulators;
+  steps (``begin`` / ``end``) and point events (``event``), called by
+  the engines, locks, matcher, durable store and simulators;
 * :mod:`repro.obs.null` — :data:`NULL_OBSERVER` and the default-
   observer slot: the only piece ``import repro.obs`` loads, so
   learning that telemetry is off costs no telemetry import.

@@ -25,7 +25,7 @@ Each rule is a row of :data:`RULES` — its name, its yellow and red
 thresholds and the format of its detail line — graded over the last
 :data:`WINDOW_S` seconds.  Signals arrive via
 :meth:`HealthMonitor.record` (the Observer feeds them from step closes
-and event hooks); :meth:`evaluate` prunes each window,
+and events); :meth:`evaluate` prunes each window,
 grades every rule in one loop over :data:`RULES`, and returns a
 :class:`HealthReport`.  Status transitions are logged in
 :attr:`HealthMonitor.transitions` and invoke ``on_transition``, so the

@@ -11,30 +11,27 @@ if TYPE_CHECKING:
     from repro.obs.observer import Observer
 
 
-def _noop(*args, **kwargs) -> None:
-    return None
-
-
 class NullObserver:
-    """The disabled observer: every hook is a no-op.
-
-    ``enabled`` is False, so correctly guarded call sites never even
-    invoke the hooks; answering any public name with a no-op is a
-    safety net for unguarded (cold-path) calls.  ``spans`` is None,
-    matching a live observer below the ``"sampled"`` level.
+    """The disabled observer: ``begin``, ``end`` and ``event`` do
+    nothing, and guarded call sites (``enabled`` is False) never make
+    them.  ``spans`` is None, matching a live observer below the
+    ``"sampled"`` level.
     """
 
     enabled = False
     spans = None
-    sampler = None
 
     def clock(self) -> float:
         return 0.0
 
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return _noop
+    def begin(self, name, parent=None, /, **fields) -> None:
+        return None
+
+    def end(self, step, /, **fields) -> None:
+        return None
+
+    def event(self, name, parent=None, /, **fields) -> None:
+        return None
 
 
 #: The process-wide disabled observer (see :mod:`repro.obs`).

@@ -3,7 +3,7 @@ registry and one span tree.
 
 Instrumented components (engines, lock manager and schemes, matcher,
 durable store, simulators) never build spans or look up metrics
-themselves.  They make two kinds of call on an :class:`Observer`:
+themselves.  They make three calls on an :class:`Observer`:
 
 * **A timed step** — one :meth:`~Observer.begin` where it opens and
   one :meth:`~Observer.end` where it closes (``run``, ``cycle``,
@@ -15,13 +15,14 @@ themselves.  They make two kinds of call on an :class:`Observer`:
   per-rule profiler, the health window).  One clock pair times a
   step for every aggregate; its span opens at the same instant and
   closes once the aggregates are fed.
-* **A point event** — a named hook (``lock_granted``,
-  ``rule_ii_abort``, ``fault_injected``, ``retry_attempt``, ...): its
-  counters and, with spans on, a zero-duration span under the span
-  the transaction is bound to, else under the current scope.  A
-  lock grant is a ``lock.acquire`` child of the bound span, and a
-  rule-(ii) abort links the victim's span to the committing Wa
-  transaction's.
+* **A point event** — one :meth:`~Observer.event` (``lock.deny``,
+  ``rc.rule_ii_abort``, ``fault.<kind>``, ``retry.attempt``, ...):
+  the same table feeds it as a step of zero length, and with spans on
+  it is a zero-duration span under the parent step's span, else the
+  span its transaction is bound to, else the current scope.  A few
+  feeds place the event themselves: a lock grant (``lock.acquire``)
+  is a child of the bound span covering its wait, and a commit or an
+  abort (``txn.commit``, ``txn.abort``) annotates that span.
 
 The hot-path contract: components hold a reference to an observer and
 guard every call with ``if obs.enabled:``.  The default observer is
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from repro.obs.health import (
     BENIGN_ABORT_REASONS,
@@ -69,10 +70,10 @@ LEVELS = ("metrics", "sampled", "full")
 
 class Step:
     """One timed step, from :meth:`Observer.begin` to
-    :meth:`Observer.end`: its name, start, the fields it was opened
-    with and the transaction it carries, and the span recording it —
-    None when none is (below ``sampled``, or under a sampled-out
-    step)."""
+    :meth:`Observer.end`, or an :meth:`~Observer.event` fed as one of
+    zero length: its name, start, fields and transaction, and the
+    span recording it — None when none is (below ``sampled``, under a
+    sampled-out step, or an event)."""
 
     __slots__ = ("name", "start", "fields", "txn", "span", "scoped")
 
@@ -145,19 +146,17 @@ class Observer:
             clock=self.clock, on_transition=self._health_transition
         )
         # Per-wave batches for the health window (plain ints, GIL-safe
-        # increments) so per-txn hooks never take the monitor lock.
+        # increments) so per-txn events never take the monitor lock.
         self._health_commits = 0
         self._health_aborts = 0
         m = self.metrics
         # Pre-bound histograms and quantile sketches.
         self._lock_wait = m.histogram("lock.wait_seconds", TIME_BUCKETS)
-        self._queue_depth = m.gauge("lock.queue_depth")
         self._wave_width = m.histogram("wave.width", COUNT_BUCKETS)
         self._match = m.histogram("engine.match_seconds", TIME_BUCKETS)
         self._shard = m.histogram("match.shard_seconds", TIME_BUCKETS)
         self._batch_size = m.histogram("match.batch_size", COUNT_BUCKETS)
         self._merge_time = m.histogram("match.merge_seconds", TIME_BUCKETS)
-        self._retry_delay = m.histogram("retry.backoff_seconds", TIME_BUCKETS)
         self._ckpt = m.histogram("storage.checkpoint_seconds", TIME_BUCKETS)
         self._recover = m.histogram("storage.recovery_seconds", TIME_BUCKETS)
         self._cycle_sketch = m.sketch("cycle.sketch_seconds")
@@ -167,32 +166,24 @@ class Observer:
         self._ckpt_sketch = m.sketch("storage.checkpoint.sketch_seconds")
         # Pre-bound counters.
         self._c_lock_grants = m.counter("lock.grants")
-        self._c_lock_waits = m.counter("lock.waits")
-        self._c_lock_denials = m.counter("lock.denials")
-        self._c_lock_cancels = m.counter("lock.cancels")
         self._c_txn_commits = m.counter("txn.commits")
         self._c_txn_aborts = m.counter("txn.aborts")
         self._c_rule_ii = m.counter("rc.rule_ii_aborts")
-        self._c_revalidated = m.counter("rc.revalidated")
         self._c_waves = m.counter("wave.count")
         self._c_fire_committed = m.counter("firing.committed")
         self._c_fire_aborted = m.counter("firing.aborted")
         self._c_fire_deferred = m.counter("firing.deferred")
         self._c_fire_held = m.counter("firing.held")
         self._c_fire_ordered = m.counter("firing.ordered")
-        self._c_rollbacks = m.counter("engine.rollbacks")
         self._c_fault_injected = m.counter("fault.injected")
-        self._c_retry_attempts = m.counter("retry.attempts")
-        self._c_retry_exhausted = m.counter("retry.exhausted")
-        self._c_deadlock_victims = m.counter("deadlock.victims")
         self._c_match_batches = m.counter("match.batches")
-        self._c_procpool_roundtrips = m.counter("procpool.roundtrips")
-        self._c_procpool_bytes = m.counter("procpool.bytes")
         self._c_ckpts = m.counter("storage.checkpoints")
         self._c_truncated = m.counter("storage.segments_truncated")
-        self._c_rotations = m.counter("storage.rotations")
         self._c_recoveries = m.counter("storage.recoveries")
-        #: What a step's close feeds, by step name (:meth:`end`).
+        tally = self._tally
+        ipc_bytes = m.counter("procpool.bytes").inc
+        #: What a step's close (:meth:`end`) or an event (:meth:`event`)
+        #: feeds, by name; a key ending in "." feeds an event family.
         self._closes = {
             "run": self._close_run,
             "cycle": self._close_cycle,
@@ -203,37 +194,33 @@ class Observer:
             "match.flush": self._close_flush,
             "storage.checkpoint": self._close_checkpoint,
             "storage.recovery": self._close_recovery,
+            "lock.acquire": self._feed_grant,
+            "lock.wait": tally(
+                "lock.waits", depth=m.gauge("lock.queue_depth").set
+            ),
+            "lock.deny": tally("lock.denials"),
+            "lock.cancel": tally("lock.cancels"),
+            "txn.commit": self._feed_commit,
+            "txn.abort": self._feed_abort,
+            "rc.rule_ii_abort": self._feed_rule_ii,
+            "rc.revalidated": tally("rc.revalidated"),
+            "engine.rollback": tally("engine.rollbacks"),
+            "fault.": self._feed_fault,
+            "retry.attempt": tally(
+                "retry.attempts",
+                delay=m.histogram("retry.backoff_seconds").observe,
+            ),
+            "retry.exhausted": tally("retry.exhausted", health=True),
+            "deadlock.victim": tally("deadlock.victims"),
+            "procpool.roundtrip": tally(
+                "procpool.roundtrips", bytes_out=ipc_bytes, bytes_in=ipc_bytes
+            ),
+            "storage.rotate": tally("storage.rotations", health=True),
+            "sim.": self._feed_sim,
         }
 
     def _span_for_txn(self, txn_id: str) -> Span | None:
         return self.spans.for_txn(txn_id) if self.spans is not None else None
-
-    def _event(
-        self, name: str, /, txn: str | None = None,
-        ts: float | None = None, **fields: object,
-    ) -> None:
-        """Record a point event: a zero-duration span at ``ts`` (now
-        by default) under the span transaction ``txn`` is bound to,
-        else under the current scope.
-
-        An event never starts a trace: with no parent at all, a
-        head-sampled recorder drops it rather than spend a head
-        decision on it, so the decisions stay one per run.
-        """
-        spans = self.spans
-        if spans is None:
-            return
-        parent = None
-        if txn is not None:
-            parent = spans.for_txn(txn)
-            fields["txn"] = txn
-        if parent is None:
-            parent = spans.current()
-            if parent is None and spans.sampler is not None:
-                return
-        if ts is None:
-            ts = spans.clock()
-        spans.record(name, ts, ts, parent=parent, **fields)
 
     def _flush_health(self) -> None:
         """Move batched commit/abort counts into the health window."""
@@ -250,12 +237,12 @@ class Observer:
         """Status changed: record the event, tagged with the rule
         verdicts (:attr:`HealthMonitor.transitions` keeps the log at
         every level)."""
-        self._event(
+        self.event(
             "health.transition", old=old, new=new,
             rules={r.name: r.status for r in report.results},
         )
 
-    # -- timed steps -----------------------------------------------------------------------
+    # -- steps and events ------------------------------------------------------------------
 
     def begin(
         self, name: str, parent: Step | None = None, /,
@@ -267,7 +254,7 @@ class Observer:
         ``parent`` is the enclosing step; without one the step hangs
         under the current scope, and is a trace root when there is
         none.  ``txn`` binds that transaction to the step's span, so
-        txn-keyed hooks land on it; ``scope=True`` makes the span the
+        txn-keyed events land on it; ``scope=True`` makes the span the
         current scope.  ``fields`` go on the span and are what the
         close reads (the ``rule`` of an acquire or a firing).
 
@@ -322,6 +309,47 @@ class Observer:
                 spans.unbind(step.txn)
             span.finish(**fields)
         return now
+
+    def event(
+        self, name: str, parent: Step | None = None, /,
+        txn: str | None = None, ts: float | None = None,
+        **fields: object,
+    ) -> None:
+        """Record a point event at ``ts`` (now by default).
+
+        What :attr:`_closes` lists for ``name``, or for its family
+        (``"fault."`` for ``"fault.crash"``), is fed as a step of zero
+        length.  Then, with spans on, the event is a zero-duration
+        span under ``parent``'s span, else under the span ``txn`` is
+        bound to, else under the current scope.  A feed that returns
+        True has placed the event itself, and no span is recorded.
+
+        An event never starts a trace: with no parent at all, a
+        head-sampled recorder drops it rather than spend a head
+        decision on it, so the decisions stay one per run.
+        """
+        closes = self._closes
+        close = closes.get(name) or closes.get(name[: name.find(".") + 1])
+        if close is not None and close(Step(name, ts, fields, txn), 0.0):
+            return
+        spans = self.spans
+        if spans is None:
+            return
+        if parent is not None:
+            under = parent.span
+            if under is None or under is spans.dropped_span:
+                return
+        else:
+            under = spans.for_txn(txn) if txn is not None else None
+            if under is None:
+                under = spans.current()
+                if under is None and spans.sampler is not None:
+                    return
+        if txn is not None:
+            fields["txn"] = txn
+        if ts is None:
+            ts = spans.clock()
+        spans.record(name, ts, ts, parent=under, **fields)
 
     def _close_run(self, step: Step, seconds: float) -> None:
         # Run wall time is the profiler's coverage denominator.
@@ -381,6 +409,9 @@ class Observer:
                 start += shard
 
     def _close_checkpoint(self, step: Step, seconds: float) -> None:
+        if "error" in step.fields:
+            # Refused or crashed: its span closes, nothing completed.
+            return
         self._c_ckpts.inc()
         self._c_truncated.inc(step.fields["truncated"])
         self._ckpt.observe(seconds)
@@ -391,12 +422,30 @@ class Observer:
         self._c_recoveries.inc()
         self._recover.observe(seconds)
 
-    # -- lock manager ----------------------------------------------------------------------
+    # -- what point events feed ------------------------------------------------------------
 
-    def lock_granted(
-        self, txn_id: str, obj: object, mode: str,
-        waited: float, queued: bool,
-    ) -> None:
+    def _tally(
+        self, name: str, health: bool = False,
+        **fields: Callable[[float], None],
+    ) -> Callable[[Step, float], None]:
+        """The feed of an event that bumps counter ``name``, passes
+        each field named in ``fields`` to its instrument's call, and
+        with ``health`` ticks the health window of the same name."""
+        counter = self.metrics.counter(name)
+        record = self.health.record
+
+        def feed(step: Step, seconds: float) -> None:
+            counter.inc()
+            for field, call in fields.items():
+                call(step.fields[field])
+            if health:
+                record(name)
+
+        return feed
+
+    def _feed_grant(self, step: Step, seconds: float) -> bool:
+        fields = step.fields
+        waited = fields["waited"]
         self._c_lock_grants.inc()
         self._lock_wait.observe(waited)
         if waited > 0.0:
@@ -404,192 +453,79 @@ class Observer:
             # histogram above keeps the zero-wait grants so rates and
             # counts still cover every grant.
             self._lock_wait_sketch.observe(waited)
-            self.profiler.record_wait(txn_id, waited)
+            self.profiler.record_wait(step.txn, waited)
             self.health.record("lock.wait_seconds", waited)
-        if self.spans is not None:
-            owner = self.spans.for_txn(txn_id)
-            if owner is not None:
-                now = self.spans.clock()
-                self.spans.record(
-                    "lock.acquire", start=now - waited, end=now,
-                    parent=owner, obj=repr(obj), mode=mode,
-                    waited=waited, queued=queued,
-                )
-
-    def lock_queued(
-        self, txn_id: str, obj: object, mode: str, depth: int
-    ) -> None:
-        self._c_lock_waits.inc()
-        self._queue_depth.set(depth)
-        self._event(
-            "lock.wait", txn=txn_id, obj=repr(obj), mode=mode, depth=depth
-        )
-
-    def lock_denied(
-        self, txn_id: str, obj: object, mode: str, reason: str
-    ) -> None:
-        self._c_lock_denials.inc()
-        self._event(
-            "lock.deny", txn=txn_id, obj=repr(obj), mode=mode,
-            reason=reason,
-        )
-
-    def lock_cancelled(self, txn_id: str, obj: object, mode: str) -> None:
-        self._c_lock_cancels.inc()
-        self._event("lock.cancel", txn=txn_id, obj=repr(obj), mode=mode)
-
-    # -- lock schemes ----------------------------------------------------------------------
-
-    def txn_committed(self, txn_id: str, scheme: str) -> None:
-        self._c_txn_commits.inc()
-        # Plain int += under the GIL; flushed into the health window
-        # once per wave so the hot path never takes the monitor lock.
-        self._health_commits += 1
-        owner = self._span_for_txn(txn_id)
+        owner = self._span_for_txn(step.txn)
         if owner is not None:
-            owner.annotate(status="committed", scheme=scheme)
+            # A child of the span carrying the transaction, covering
+            # the wait; a grant no span carries records nothing.  The
+            # object is rendered only here: grants are the hottest
+            # event.
+            fields["obj"] = repr(fields["obj"])
+            now = self.clock()
+            self.spans.record(
+                "lock.acquire", start=now - waited, end=now,
+                parent=owner, **fields,
+            )
+        return True
 
-    def txn_aborted(self, txn_id: str, scheme: str, reason: str) -> None:
+    def _feed_commit(self, step: Step, seconds: float) -> bool:
+        self._c_txn_commits.inc()
+        self._health_commits += 1
+        owner = self._span_for_txn(step.txn)
+        if owner is not None:
+            owner.annotate(status="committed", scheme=step.fields["scheme"])
+        return True
+
+    def _feed_abort(self, step: Step, seconds: float) -> bool:
         self._c_txn_aborts.inc()
+        reason = step.fields["reason"]
         # Deferrals and sibling-commit retractions are normal wave
         # protocol, not failures: only real aborts feed the watchdog.
         if reason not in BENIGN_ABORT_REASONS:
             self._health_aborts += 1
-        owner = self._span_for_txn(txn_id)
+        owner = self._span_for_txn(step.txn)
         if owner is not None:
             owner.annotate(status="aborted", abort_reason=reason)
+        return True
 
-    def rule_ii_abort(
-        self, victim_id: str, committer_id: str, objs: Iterable[object]
-    ) -> None:
-        """A Wa commit force-aborted an Rc holder (Section 4.3).
-
-        With spans on, the victim's span gets a causal link to the
-        committing Wa transaction's span (kind ``"rc_wa_abort"``) —
-        the edge the abort-chain analysis walks — and the committer's
-        span an ``rc.rule_ii_abort`` event.
-        """
-        objs = tuple(repr(o) for o in objs)
+    def _feed_rule_ii(self, step: Step, seconds: float) -> None:
+        """A Wa commit (``txn``) force-aborted an Rc holder
+        (``victim``; Section 4.3): the victim's span gets a causal
+        link to the committer's (kind ``"rc_wa_abort"``), the edge the
+        abort-chain analysis walks."""
         self._c_rule_ii.inc()
-        if self.spans is not None:
-            victim = self.spans.for_txn(victim_id)
-            committer = self.spans.for_txn(committer_id)
-            if victim is not None and committer is not None:
-                victim.link(committer, kind="rc_wa_abort")
-                victim.annotate(
-                    aborted_by_txn=committer_id,
-                    aborted_by_span=committer.span_id,
-                    conflict_objs=objs,
-                )
-            self._event(
-                "rc.rule_ii_abort", txn=committer_id, victim=victim_id,
-                objs=objs,
+        victim = self._span_for_txn(step.fields["victim"])
+        committer = self._span_for_txn(step.txn)
+        if victim is not None and committer is not None:
+            victim.link(committer, kind="rc_wa_abort")
+            victim.annotate(
+                aborted_by_txn=step.txn,
+                aborted_by_span=committer.span_id,
+                conflict_objs=step.fields["objs"],
             )
 
-    def revalidation_spared(
-        self, holder_id: str, committer_id: str
-    ) -> None:
-        self._c_revalidated.inc()
-        self._event("rc.revalidated", txn=holder_id, committer=committer_id)
-
-    def rollback(self, txn_id: str, undone: int) -> None:
-        self._c_rollbacks.inc()
-        self._event("engine.rollback", txn=txn_id, undone=undone)
-
-    # -- robustness (faults / retries / deadlocks) -----------------------------------------
-
-    def fault_injected(
-        self, kind: str, txn_id: str, site: str, detail: str = ""
-    ) -> None:
-        """The fault layer fired one injected fault at a site.
-
-        With spans on, the fault is a ``fault.<kind>`` event inside
-        the span it fired in (the bound acquire/firing span of
-        ``txn_id``).
-        """
+    def _feed_fault(self, step: Step, seconds: float) -> None:
         self._c_fault_injected.inc()
+        kind = step.name.partition(".")[2]
         self.metrics.counter(f"fault.injected.{kind}").inc()
-        self._event(f"fault.{kind}", txn=txn_id, site=site, detail=detail)
 
-    def retry_attempt(
-        self, rule: str, attempt: int, delay: float, reason: str
-    ) -> None:
-        """A timed-out/aborted firing is being re-driven after backoff."""
-        self._c_retry_attempts.inc()
-        self._retry_delay.observe(delay)
-        self._event(
-            "retry.attempt", rule=rule, attempt=attempt, delay=delay,
-            reason=reason,
-        )
-
-    def retry_exhausted(self, rule: str, attempts: int, reason: str) -> None:
-        """A firing used up its retry budget and was abandoned."""
-        self._c_retry_exhausted.inc()
-        self.health.record("retry.exhausted")
-        self._event(
-            "retry.exhausted", rule=rule, attempts=attempts, reason=reason
-        )
-
-    def deadlock_victim(self, txn_id: str, cycle: Iterable[str]) -> None:
-        """Deadlock detection aborted the youngest transaction on a
-        cycle."""
-        self._c_deadlock_victims.inc()
-        self._event("deadlock.victim", txn=txn_id, cycle=tuple(cycle))
-
-    # -- match and storage ------------------------------------------------------------------
-
-    def procpool_roundtrip(self, bytes_out: int, bytes_in: int) -> None:
-        """The process-backend pool completed one IPC round-trip
-        (a command fanned to every worker, all replies folded back).
-        ``bytes_*`` are pickle payload bytes, headers excluded."""
-        self._c_procpool_roundtrips.inc()
-        self._c_procpool_bytes.inc(bytes_out + bytes_in)
-        self._event(
-            "procpool.roundtrip", bytes_out=bytes_out, bytes_in=bytes_in
-        )
-
-    def segment_rotated(
-        self, segment: str, records: int, bytes_: int
-    ) -> None:
-        """The active WAL segment was sealed and a successor opened."""
-        self._c_rotations.inc()
-        self.health.record("storage.rotations")
-        self._event(
-            "storage.rotate", segment=segment, records=records, bytes=bytes_
-        )
-
-    # -- simulators ------------------------------------------------------------------------
-
-    def sim_event(self, ts: float, kind: str, **fields: object) -> None:
-        """Virtual-time event from a discrete-event simulation,
-        recorded at its virtual ``ts``."""
-        self.metrics.counter(f"{kind}.count").inc()
-        self._event(kind, ts=ts, **fields)
-
-    def sim_observe(
-        self, name: str, value: float,
-        buckets: tuple[float, ...] = TIME_BUCKETS,
-    ) -> None:
-        """Record a virtual-time duration into a named histogram."""
-        self.metrics.histogram(name, buckets).observe(value)
+    def _feed_sim(self, step: Step, seconds: float) -> None:
+        # A discrete-event simulation's events, at their virtual ``ts``.
+        self.metrics.counter(f"{step.name}.count").inc()
+        blocked = step.fields.get("blocked")
+        if blocked is not None:
+            self.metrics.histogram("sim.blocked_vtime").observe(blocked)
 
 
-def enable(
-    capacity: int = 65_536,
-    clock: Callable[[], float] | None = None,
-    level: str = "full",
-    sample_rate: float = 0.1,
-    sample_seed: int = 0,
-) -> Observer:
-    """Create a live :class:`Observer` and make it the default.
+def enable(**options: object) -> Observer:
+    """Create a live :class:`Observer` (``options`` are its
+    constructor's) and make it the default.
 
     Only components constructed *after* this call pick it up — enable
     observability before building engines/managers.
     """
-    observer = Observer(
-        capacity=capacity, clock=clock, level=level,
-        sample_rate=sample_rate, sample_seed=sample_seed,
-    )
+    observer = Observer(**options)
     set_observer(observer)
     return observer
 
@@ -600,18 +536,9 @@ def disable() -> None:
 
 
 @contextmanager
-def observed(
-    capacity: int = 65_536,
-    clock: Callable[[], float] | None = None,
-    level: str = "full",
-    sample_rate: float = 0.1,
-    sample_seed: int = 0,
-) -> Iterator[Observer]:
+def observed(**options: object) -> Iterator[Observer]:
     """Scoped :func:`enable`: restores the previous default on exit."""
-    observer = Observer(
-        capacity=capacity, clock=clock, level=level,
-        sample_rate=sample_rate, sample_seed=sample_seed,
-    )
+    observer = Observer(**options)
     previous = set_observer(observer)
     try:
         yield observer

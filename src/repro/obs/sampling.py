@@ -125,5 +125,5 @@ class DroppedSpan:
     def link(self, target, kind: str = "causes") -> "DroppedSpan":
         return self
 
-    def finish(self, ts=None, **fields: object) -> "DroppedSpan":
+    def finish(self, **fields: object) -> "DroppedSpan":
         return self

@@ -48,8 +48,8 @@ Design constraints:
   rule-(ii) victim links to the committing Wa transaction's span
   (kind ``"rc_wa_abort"``), turning Table 4.1's commit-rule aborts
   into traversable chains.
-* **Txn binding.**  Hooks that only know a transaction id (the lock
-  manager, the fault injector, the Rc scheme) reach the right span
+* **Txn binding.**  Events that only know a transaction id (the lock
+  manager's, the fault injector's, the Rc scheme's) reach the right span
   through :meth:`bind`/:meth:`for_txn` — the observer binds a step's
   transaction to its acquire/firing span until the step ends.
 """
@@ -140,10 +140,9 @@ class Span:
             self.links.append((target_id, kind))
         return self
 
-    def finish(self, ts: float | None = None, **fields: object) -> "Span":
-        """Close the span (idempotent: the first end timestamp wins)."""
-        if ts is None:
-            ts = self._recorder.clock()
+    def finish(self, **fields: object) -> "Span":
+        """Close the span now (idempotent: the first end wins)."""
+        ts = self._recorder.clock()
         with self._recorder._mutex:
             if self.end is None:
                 self.end = ts
@@ -297,7 +296,9 @@ class SpanRecorder:
         (per-shard match times, virtual-time charges).
         """
         span = self.start(name, parent=parent, ts=start, **fields)
-        span.finish(ts=end)
+        if span is not self.dropped_span:
+            # Nobody else has finished it: no lock to set its end.
+            span.end = end
         return span
 
     # -- scope stack -------------------------------------------------------------------
@@ -323,10 +324,10 @@ class SpanRecorder:
     # -- txn binding -------------------------------------------------------------------
 
     def bind(self, txn_id: str, span: Span) -> None:
-        """Route txn-keyed hooks (locks, faults, rule (ii)) to ``span``.
+        """Route txn-keyed events (locks, faults, rule (ii)) to ``span``.
 
         Binding a sampled-out sentinel is skipped: ``for_txn`` then
-        returns None and txn-keyed hooks short-circuit, which is both
+        returns None and txn-keyed events short-circuit, which is both
         correct (the trace is dropped) and cheap.
         """
         if isinstance(span, DroppedSpan):

@@ -95,9 +95,8 @@ class Simulator:
             time, handler = self.queue.pop()
             self.now = time
             if self.obs.enabled:
-                self.obs.sim_event(
-                    time,
-                    "sim.handler",
+                self.obs.event(
+                    "sim.handler", ts=time,
                     fn=getattr(handler, "__qualname__", repr(handler)),
                     pending=len(self.queue),
                 )

@@ -175,7 +175,7 @@ def simulate_lock_scheme(
 
     With a live observer the simulation records virtual-time events
     (``sim.phase``/``sim.commit``/``sim.abort``/``sim.deadlock``) and
-    blocked-time histograms alongside the lock manager's own hooks.
+    blocked-time histograms alongside the lock manager's own events.
     """
     obs = observer if observer is not None else obs_module.get_observer()
     history = History()
@@ -239,10 +239,10 @@ def simulate_lock_scheme(
         firing.phase_start = now
         firing.phase_end = now + duration
         if obs.enabled:
-            obs.sim_observe("sim.blocked_vtime", now - firing.wait_since)
-            obs.sim_event(
-                now, "sim.phase", pid=firing.spec.pid, phase=phase,
+            obs.event(
+                "sim.phase", ts=now, pid=firing.spec.pid, phase=phase,
                 processor=firing.processor, until=firing.phase_end,
+                blocked=now - firing.wait_since,
             )
 
     def dispatch() -> None:
@@ -322,8 +322,8 @@ def simulate_lock_scheme(
         discipline.abort(firing.txn, reason)
         by_txn.pop(firing.txn.txn_id, None)
         if obs.enabled:
-            obs.sim_event(
-                now, "sim.abort", pid=firing.spec.pid, reason=reason,
+            obs.event(
+                "sim.abort", ts=now, pid=firing.spec.pid, reason=reason,
                 restart=restart,
             )
         if restart:
@@ -363,9 +363,7 @@ def simulate_lock_scheme(
             # the graph is finite.)
             victim = _deadlock_victim(states, manager, discipline)
             if obs.enabled and victim is not None:
-                obs.sim_event(
-                    now, "sim.deadlock", victim=victim.spec.pid
-                )
+                obs.event("sim.deadlock", ts=now, victim=victim.spec.pid)
             if victim is None:
                 # Defensive: no cycle found — abort the youngest
                 # lock-holder so the simulation cannot wedge.
@@ -407,8 +405,8 @@ def simulate_lock_scheme(
             by_txn.pop(firing.txn.txn_id, None)
             committed.append(firing.spec.pid)
             if obs.enabled:
-                obs.sim_event(
-                    now, "sim.commit", pid=firing.spec.pid,
+                obs.event(
+                    "sim.commit", ts=now, pid=firing.spec.pid,
                     attempts=firing.attempts,
                 )
             # A commit changes the database: parked victims re-match.

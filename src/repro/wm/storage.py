@@ -399,8 +399,9 @@ class DurableStore:
         self._sealed.append(sealed)
         self._open_active_segment()
         if self.obs.enabled:
-            self.obs.segment_rotated(
-                sealed.path.name, sealed.records, sealed.bytes
+            self.obs.event(
+                "storage.rotate", segment=sealed.path.name,
+                records=sealed.records, bytes=sealed.bytes,
             )
 
     def _on_unit_open(self, rule: str | None) -> None:
@@ -461,29 +462,39 @@ class DurableStore:
         """
         obs = self.obs
         step = obs.begin("storage.checkpoint") if obs.enabled else None
-        with self._maint_mutex:
-            # The memory lock, then the store mutex (the commit path's
-            # order, so a checkpoint cannot deadlock with writers), with
-            # no unit open: a snapshot or a seal inside one would split it.
-            with self.memory.locked():
-                if self.memory.in_unit:
-                    raise StorageError(
-                        "checkpoint inside an open atomic unit"
-                    )
-                with self._mutex:
-                    if self._wal is None:
-                        raise WorkingMemoryError("durable store is closed")
-                    elements = sorted(self.memory, key=lambda w: w.timetag)
-                    checkpoint_lsn = self._lsn
-                    self._seal_active_segment()
-            self._write_snapshot(elements, checkpoint_lsn)
-            dropped = self._truncate(checkpoint_lsn)
+        try:
+            with self._maint_mutex:
+                elements, checkpoint_lsn = self._capture()
+                self._write_snapshot(elements, checkpoint_lsn)
+                dropped = self._truncate(checkpoint_lsn)
+        except BaseException as error:
+            if step is not None:
+                # A refused or crashed checkpoint closes its step
+                # too; the error keeps it out of the aggregates.
+                obs.end(step, error=type(error).__name__)
+            raise
         if step is not None:
             obs.end(
                 step, elements=len(elements), lsn=checkpoint_lsn,
                 truncated=dropped,
             )
         return len(elements)
+
+    def _capture(self) -> tuple[list[WME], int]:
+        """A checkpoint's elements and LSN, the active segment sealed:
+        under the memory lock, then the store mutex (the commit path's
+        order, so a checkpoint cannot deadlock with writers), with no
+        unit open — a snapshot or a seal inside one would split it."""
+        with self.memory.locked():
+            if self.memory.in_unit:
+                raise StorageError("checkpoint inside an open atomic unit")
+            with self._mutex:
+                if self._wal is None:
+                    raise WorkingMemoryError("durable store is closed")
+                elements = sorted(self.memory, key=lambda w: w.timetag)
+                checkpoint_lsn = self._lsn
+                self._seal_active_segment()
+        return elements, checkpoint_lsn
 
     def _write_snapshot(
         self, elements: list[WME], checkpoint_lsn: int

@@ -173,8 +173,14 @@ class TestRecorderSampling:
                 ).run()
                 if len(observer.spans.spans("run")) > before:
                     kept.append(run)
-                observer.segment_rotated("wal-1.jsonl", records=1, bytes_=1)
-                observer.retry_exhausted("consume", 3, "injected lock denial")
+                observer.event(
+                    "storage.rotate", segment="wal-1.jsonl", records=1,
+                    bytes=1,
+                )
+                observer.event(
+                    "retry.exhausted", rule="consume", attempts=3,
+                    reason="injected lock denial",
+                )
             assert observer.sampler.decisions == 12
             shapes = [
                 (s.name, s.parent_id is None) for s in observer.spans.spans()

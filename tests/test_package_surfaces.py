@@ -207,14 +207,15 @@ def test_null_observer_answers_every_observer_hook():
         name for name, member in vars(Observer).items()
         if not name.startswith("_") and callable(member)
     ]
-    assert {"begin", "end", "lock_granted", "sim_event"} <= set(hooks)
+    assert set(hooks) == {"begin", "end", "event"}
     for name in hooks:
-        if name != "clock":
-            assert getattr(NULL_OBSERVER, name)(1, key=2) is None
+        assert getattr(NULL_OBSERVER, name)(1, key=2) is None
     assert NULL_OBSERVER.clock() == 0.0
     assert NULL_OBSERVER.enabled is False and NULL_OBSERVER.spans is None
     with pytest.raises(AttributeError):
         NULL_OBSERVER._private
+    with pytest.raises(AttributeError):
+        NULL_OBSERVER.lock_granted
 
 
 #: Every option a constructor takes, recorded so that a new knob is

@@ -324,6 +324,48 @@ class TestObservability:
             for span in observer.spans.spans("storage.rotate")
         )
 
+    @staticmethod
+    def _assert_one_checkpoint_counted(observer):
+        """Two checkpoint spans, both closed; only the good one is
+        counted."""
+        spans = observer.spans.spans("storage.checkpoint")
+        assert len(spans) == 2
+        assert all(span.is_finished for span in spans)
+        snapshot = observer.metrics.snapshot()
+        assert snapshot["storage.checkpoints"]["value"] == 1
+        assert snapshot["storage.checkpoint_seconds"]["count"] == 1
+
+    def test_refused_checkpoint_closes_its_span(self, tmp_path):
+        observer = obs.Observer(capacity=1024)
+        wm = WorkingMemory()
+        store = DurableStore(wm, tmp_path, observer=observer)
+        wm.make("r", i=0)
+        with wm.atomic():
+            wm.make("r", i=1)
+            with pytest.raises(StorageError, match="open atomic unit"):
+                store.checkpoint()
+        store.checkpoint()
+        store.close()
+        self._assert_one_checkpoint_counted(observer)
+
+    def test_crashed_checkpoint_closes_its_span(self, tmp_path):
+        from repro.errors import StorageFailure
+        from repro.fault import FaultPlan, FaultSpec
+
+        observer = obs.Observer(capacity=1024)
+        wm = WorkingMemory()
+        injector = FaultPlan(
+            [FaultSpec("storage_fail", obj="checkpoint:rename",
+                       max_hits=1)], seed=0
+        ).injector(observer=observer)
+        store = DurableStore(wm, tmp_path, injector, observer=observer)
+        wm.make("r", i=0)
+        with pytest.raises(StorageFailure):
+            store.checkpoint()
+        store.checkpoint()
+        store.close()
+        self._assert_one_checkpoint_counted(observer)
+
 
 class TestInspect:
     def test_inspect_reports_segments_and_checkpoint(self, tmp_path):
