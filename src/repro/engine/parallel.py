@@ -281,10 +281,12 @@ class ParallelEngine:
         self.waves: list[WaveResult] = []
         self.retry_policy = retry_policy
         self.fault = fault_injector
-        #: Failed attempts per still-retryable instantiation.
+        #: Failed attempts per still-retryable instantiation, and those
+        #: out of budget; both expire with their refraction marks.
         self._attempts: dict[Instantiation, int] = {}
-        #: Instantiations whose retry budget is exhausted.
         self._gave_up: set[Instantiation] = set()
+        if retry_policy is not None:
+            self.memory.subscribe_retired(self._retire)
         #: Rule names that exhausted their retry budget, in order.
         self.gave_up: list[str] = []
         #: Re-drive attempts charged across the run.
@@ -333,6 +335,7 @@ class ParallelEngine:
         Idempotent; the engine must not run again afterwards.
         """
         self.matcher.detach()
+        self.memory.unsubscribe_retired(self._retire)
 
     def __enter__(self) -> "ParallelEngine":
         return self
@@ -717,9 +720,12 @@ class ParallelEngine:
         """Charge one retry attempt for a deferred/aborted firing.
 
         No-op without a retry policy (the pre-retry behavior: failed
-        candidates simply stay eligible for later waves, forever).
+        candidates simply stay eligible for later waves, forever), and
+        for one that lost an element for good: nothing is left to re-drive.
         """
-        if self.retry_policy is None:
+        if self.retry_policy is None or not all(
+            map(self.memory.__contains__, instantiation.timetags())
+        ):
             return None
         attempts = self._attempts.get(instantiation, 0) + 1
         self._attempts[instantiation] = attempts
@@ -742,6 +748,13 @@ class ParallelEngine:
                 reason=reason,
             )
         return None
+
+    def _retire(self, timetags: list[int]) -> None:
+        """The retry budget expires with the refraction marks."""
+        lives = set(timetags).isdisjoint
+        for dead in [i for i in self._attempts if not lives(i.timetags())]:
+            del self._attempts[dead]
+            self._gave_up.discard(dead)
 
     # -- whole runs -------------------------------------------------------------------------
 

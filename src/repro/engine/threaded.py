@@ -204,6 +204,10 @@ class ThreadedWaveExecutor(ParallelEngine):
         with self._retry_mutex:
             return super()._note_failure(instantiation, reason)
 
+    def _retire(self, timetags):
+        with self._retry_mutex:
+            super()._retire(timetags)
+
     # -- lock acquisition --------------------------------------------------------------------
 
     def _make_scheme(self, scheme: type):

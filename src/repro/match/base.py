@@ -104,6 +104,7 @@ class BaseMatcher:
     def attach(self) -> None:
         if not self._attached:
             self.memory.subscribe(self._on_delta)
+            self.memory.subscribe_retired(self.conflict_set.expire)
             self._attached = True
             self.rebuild()
 
@@ -122,6 +123,7 @@ class BaseMatcher:
     def detach(self) -> None:
         if self._attached:
             self.memory.unsubscribe(self._on_delta)
+            self.memory.unsubscribe_retired(self.conflict_set.expire)
             self._attached = False
 
     def feed(self, delta) -> None:

@@ -27,14 +27,15 @@ Refraction semantics (pinned here deliberately — OPS5): *an
 instantiation that has fired never fires again*.  Refraction is keyed
 on instantiation **identity** (rule name + matched timetags), and the
 fired mark **survives retraction**: an instantiation retracted and
-re-derived with the *same* timetags within one wave (matcher churn,
-negation flicker, transactional rollback) does not regain eligibility
-and cannot fire twice.  Genuine re-derivations are unaffected, because
-working-memory ``modify``/``make`` assign fresh timetags, producing a
-*distinct* instantiation that has never fired.  The fired memory is
-bounded by the number of firings in a run and is dropped only by
-:meth:`forget_fired` — the parallel engine's rollback of a firing that
-did not commit — never implicitly by :meth:`remove` or :meth:`clear`.
+re-derived with the *same* timetags (matcher churn, negation flicker,
+transactional rollback) does not regain eligibility and cannot fire
+twice.  Genuine re-derivations are unaffected, because working-memory
+``modify``/``make`` assign fresh timetags, producing a *distinct*
+instantiation that has never fired.  A mark goes by :meth:`expire` once
+a unit that removed one of its positive elements has *committed* (only
+a rollback re-adds an element, and before), or by :meth:`forget_fired`,
+never by :meth:`remove` or :meth:`clear`: marks follow working memory.
+Re-adding an element whose removal committed is outside this contract.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class ConflictSet:
         # Member -> its head (0 unranked; None once fired).
         self._members: dict[Instantiation, object] = {}
         self._fired: set[Instantiation] = set()
+        self._marks: dict[int, set[Instantiation]] = {}  # timetag -> its marks
+        self._fresh: list[Instantiation] = []  # marked since the last expiry
         self._spent = 0  # members that have fired
         # Rule name -> its members (insertion-ordered via dict-as-set
         # so the derived views are deterministic).
@@ -160,6 +163,7 @@ class ConflictSet:
     def mark_fired(self, instantiation: Instantiation) -> None:
         """Record that ``instantiation`` has fired (refraction)."""
         self._fired.add(instantiation)
+        self._fresh.append(instantiation)  # indexed at the next expiry
         key = self._members.get(instantiation)
         if key is not None:
             self._members[instantiation] = None
@@ -174,9 +178,33 @@ class ConflictSet:
 
         Persists across retraction: a fired instantiation that leaves
         and re-enters the set (same rule, same timetags) still reports
-        True and stays ineligible.
+        True and stays ineligible, until :meth:`expire`.
         """
         return instantiation in self._fired
+
+    def fired(self) -> frozenset[Instantiation]:
+        """The marks held now."""
+        return frozenset(self._fired)
+
+    def expire(self, timetags: list[int]) -> None:
+        """Drop the marks naming any of ``timetags``, retired by a commit."""
+        gone = set(timetags)
+        for instantiation in self._fresh:  # most go with their own firing
+            if not gone.isdisjoint(instantiation.timetags()):
+                self._fired.discard(instantiation)
+            elif instantiation in self._fired:
+                for tag in instantiation.timetags():
+                    self._marks.setdefault(tag, set()).add(instantiation)
+        self._fresh.clear()
+        for tag in gone:
+            for instantiation in self._marks.pop(tag, ()):
+                self._unmark(instantiation)
+
+    def _unmark(self, instantiation: Instantiation) -> None:
+        self._fired.discard(instantiation)
+        for tag in instantiation.timetags():
+            if tag in self._marks:  # an emptied set goes with its element
+                self._marks[tag].discard(instantiation)
 
     def forget_fired(self, instantiation: Instantiation) -> None:
         """Drop the fired mark, restoring eligibility.

@@ -11,6 +11,7 @@ same device OPS5 uses for recency-based conflict resolution (LEX/MEA).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -135,10 +136,21 @@ class WME:
         """Return a new WME with ``changes`` applied and a fresh timetag.
 
         This is the value-level half of OPS5's ``modify``: the store
-        pairs it with a removal of the old element.
+        pairs it with a removal of the old element.  It shares the
+        pairs, and the data-object key, that the modify leaves alone.
         """
-        items = tuple(sorted({**self._mapping, **changes}.items()))
-        return WME(self.relation, items, next_timetag())
+        items = list(self.items)
+        for name, value in changes.items():
+            at = bisect_left(items, (name,))  # items are sorted by name
+            present = at < len(items) and items[at][0] == name
+            items[at:at + present] = [(name, value)]  # replace or insert
+        new = WME(self.relation, tuple(items), next_timetag())
+        key = getattr(self, "_data_object_key", None)  # not if the identity
+        if key and key[1] is not self.items and not (
+            changes.keys() & {"key", "id"}
+        ):
+            object.__setattr__(new, "_data_object_key", key)
+        return new
 
     def same_value(self, other: "WME") -> bool:
         """True when relation and attribute values match, ignoring timetags."""

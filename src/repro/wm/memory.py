@@ -85,6 +85,8 @@ class WorkingMemory:
         self._by_relation: dict[str, dict[Timetag, WME]] = {}
         self._listeners: list[DeltaListener] = []
         self._unit_listeners: list[tuple[UnitOpened, UnitCommitted]] = []
+        self._retirees: dict[Callable, None] = {}
+        self._removed: list[Timetag] = []  # since the last commit, if heard
         #: Open :meth:`atomic` brackets (the outermost counts 1).
         self._unit_depth = 0
         self._mutex = threading.RLock() if thread_safe else None
@@ -111,8 +113,17 @@ class WorkingMemory:
         """Remove a previously registered unit listener."""
         self._unit_listeners.remove((opened, committed))
 
+    def subscribe_retired(self, listener: Callable[[list[int]], None]) -> None:
+        """Register ``listener`` to hear, once every unit listener accepted
+        a commit, the timetags removed since the last and not re-added."""
+        self._retirees[listener] = None
+
+    def unsubscribe_retired(self, listener: Callable) -> None:
+        """Remove a retirement listener (a no-op when absent)."""
+        self._retirees.pop(listener, None)
+
     def _publish(self, delta: WMDelta) -> None:
-        if self._unit_depth or not self._unit_listeners:
+        if self._unit_depth or not (self._unit_listeners or self._retirees):
             for listener in self._listeners:
                 listener(delta)
         else:
@@ -151,7 +162,8 @@ class WorkingMemory:
     # -- mutation -------------------------------------------------------------
 
     def add(self, wme: WME) -> WME:
-        """Insert ``wme``; validates against the catalog."""
+        """Insert ``wme`` (validated).  Re-adding an element whose
+        removal committed is outside the refraction contract."""
         with self._maybe_locked():
             self.catalog.validate(wme)
             if wme.timetag in self._elements:
@@ -191,6 +203,8 @@ class WorkingMemory:
             del bucket[timetag]
             if not bucket:
                 del self._by_relation[wme.relation]
+            if self._retirees:
+                self._removed.append(timetag)
             self._publish(WMDelta("remove", wme))
             return wme
 
@@ -347,6 +361,11 @@ class Unit:
         if memory._unit_depth == 1:
             for _, committed in memory._unit_listeners:
                 committed()
+            if memory._removed:
+                retired = [t for t in memory._removed if t not in memory]
+                memory._removed.clear()
+                for listener in memory._retirees:
+                    listener(retired)
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         memory = self._memory

@@ -14,6 +14,7 @@ out exactly that lockable key via :meth:`Catalog.catalog_lock_key`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import DuplicateSchemaError, SchemaError
@@ -219,6 +220,7 @@ class Catalog:
             schema.validate(wme)
 
     @staticmethod
+    @cache
     def catalog_lock_key(relation: str) -> tuple[str, str]:
         """The lockable object representing the whole ``relation``.
 

@@ -3,7 +3,10 @@ for the two structures that left it for their only readers: TREAT's
 WME index (``TestIndexes``) and the delta log of a partitioned shard's
 conflict set (``TestDeltas``)."""
 
+import gc
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.lang import RuleBuilder
@@ -351,3 +354,99 @@ class TestDeltas:
         cs.add(_inst("a", 1))
         assert not cs.peek_delta().is_empty()
         assert not cs.take_delta().is_empty()
+
+
+class TestMarkExpiry:
+    """A mark goes once a unit that removed one of its positive
+    elements has committed, and at no other point: a rollback re-adds
+    removed elements under their old timetags (the undo log, inside
+    the unit), so expiring on the delta, or on a commit that a later
+    unit listener refuses, would let the restored instantiation fire
+    twice."""
+
+    RULES = "(p note (item ^id <i>) -(block ^id <i>) --> (make seen ^item <i>))"
+
+    def _fired(self):
+        from repro.lang import parse_program
+        from repro.match.rete.network import ReteMatcher
+
+        memory = WorkingMemory()
+        item = memory.make("item", id=1)
+        matcher = ReteMatcher(memory)
+        matcher.add_productions(parse_program(self.RULES))
+        matcher.attach()
+        cs = matcher.conflict_set
+        (note,) = cs.ordered()
+        cs.mark_fired(note)
+        return memory, cs, note, item
+
+    def test_a_committed_remove_expires_the_mark(self):
+        memory, cs, note, item = self._fired()
+        memory.remove(item)
+        assert cs.fired() == frozenset()
+        assert not cs.has_fired(note)
+
+    def test_a_rolled_back_remove_keeps_the_mark(self):
+        from repro.wm.undo import UndoLog
+
+        memory, cs, note, item = self._fired()
+        with memory.atomic("drop"):
+            undo = UndoLog(memory).attach()
+            memory.remove(item)
+            undo.detach()
+            undo.rollback()
+        assert note in cs
+        assert cs.has_fired(note)
+        assert list(cs.eligible()) == []
+
+    def test_a_refused_commit_keeps_the_mark(self):
+        """The refusing unit listener subscribes *after* the matcher:
+        the marks hear a commit only once every unit listener took it."""
+        from repro.wm.undo import UndoLog
+
+        memory, cs, note, item = self._fired()
+
+        def refuse():
+            raise RuntimeError("commit refused")
+
+        memory.subscribe_units(lambda label: None, refuse)
+        undo = UndoLog(memory).attach()
+        with pytest.raises(RuntimeError):
+            with memory.atomic("drop") as unit:
+                memory.remove(item)
+                try:
+                    unit.commit()
+                except RuntimeError:
+                    undo.detach()
+                    undo.rollback()
+                    raise
+        assert note in cs
+        assert cs.has_fired(note)
+        assert list(cs.eligible()) == []
+
+    def test_negation_flicker_keeps_the_mark(self):
+        """A negated element added and then removed retracts and
+        restores the instantiation; no positive element was lost."""
+        memory, cs, note, _ = self._fired()
+        block = memory.make("block", id=1)
+        assert note not in cs
+        memory.remove(block)
+        assert note in cs
+        assert cs.has_fired(note)
+        assert list(cs.eligible()) == []
+
+    def test_an_expired_mark_is_referenced_under_no_other_timetag(self):
+        """An element that is never removed (a lane's gauge) must not
+        keep every mark that named it alive."""
+        cs = ConflictSet()
+        rule = _rule("a")
+        kept, gone = _over(rule, 7, 8), _over(rule, 7, 9)
+        cs.mark_fired(kept)
+        cs.mark_fired(gone)
+        cs.expire([5])  # neither is spent by its own commit: both indexed
+        cs.expire([9])
+        assert cs.fired() == {kept}
+        assert not [
+            holder for holder in gc.get_referrers(gone)
+            if isinstance(holder, (set, list, dict, tuple))
+        ]
