@@ -21,10 +21,21 @@ match is one token — the production node hangs its instantiation on
 the token that completes it, a join's or a tail's — so a row's tokens
 count each instantiation once, not twice; below a reordered rule's
 stable prefix the tail stores no partial match, so Manners' tokens are
-its instantiations plus its prefix tokens.  ``ranked`` counts strategy key evaluations: a select
-ranks only the leading bucket of the conflict set, so it counts what
-selects and wave orders ranked, not the size of the conflict set.
-Counting is outside ``src/`` so that no run pays for it.
+its instantiations plus its prefix tokens.
+
+"Built" counts instantiations that entered the conflict set.  Under a
+lazy head (``lex``, ``priority``, ``fifo`` on a bounded engine) a
+WME arriving newest at a tail position builds nothing: it waits as a
+pending seed, and a select that reaches it builds only the matches it
+takes, so the run column of ``manners_serial`` is about one per
+firing.  Its attach column is ``seed-first-seat``'s, a rule with no
+tail, built before the engine installs its head.  A pending seed is
+not counted, and neither are the candidates a seed enumerates and
+ranks without building: their key evaluations are in ``ranked``,
+with those of every select and wave order (a select ranks only the
+leading bucket of the conflict set, so ``ranked`` counts what was
+ranked, not the size of the conflict set).  Counting is outside
+``src/`` so that no run pays for it.
 """
 
 from __future__ import annotations

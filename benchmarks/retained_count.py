@@ -7,7 +7,9 @@ alive in this process, and the refraction marks the engine's conflict
 set still holds.  A run whose memory follows its working memory, not
 its firings, keeps exactly the elements working memory holds (a mark
 names live elements only: it expires once the unit that removed one of
-its elements commits).
+its elements commits), and no seed waiting in the conflict set (a Rete
+tail's pending seed, :mod:`repro.match.rete.tail`) names an element
+working memory no longer holds: the script fails if one does.
 
 Run from the repository root::
 
@@ -72,7 +74,16 @@ def count(name: str, seed: int) -> tuple[int, int, int, int]:
         1 for obj in gc.get_objects()
         if type(obj) is WME and obj.timetag > first
     )
-    marks = len(engine.matcher.conflict_set.fired())
+    conflict_set = engine.matcher.conflict_set
+    stale = [
+        seed.wme.timetag
+        for waiting in conflict_set._pending.values()
+        for seed in waiting
+        if seed.wme.timetag not in memory
+    ]
+    if stale:
+        raise SystemExit(f"{name}: pending seeds name removed {stale}")
+    marks = len(conflict_set.fired())
     return len(result.firings), len(memory), alive, marks
 
 

@@ -125,7 +125,9 @@ class Interpreter:
             self.strategy = make_strategy(strategy, seed)
         else:
             self.strategy = strategy
-        self.matcher.conflict_set.rank_by(self.strategy.head)
+        self.matcher.conflict_set.rank_by(
+            self.strategy.head, getattr(self.strategy, "lazy", False)
+        )
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
 
@@ -198,7 +200,8 @@ class Interpreter:
     # -- whole runs ---------------------------------------------------------------------
 
     def run(self, max_cycles: int = 10_000) -> RunResult:
-        """Cycle until quiescence, ``halt`` or ``max_cycles``."""
+        """Cycle until quiescence, ``halt`` or ``max_cycles`` — of the
+        engine's ``result.cycles`` in all, not of this call's."""
         while self.result.cycles < max_cycles:
             chosen = self.select()
             if chosen is None:

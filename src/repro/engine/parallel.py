@@ -261,7 +261,9 @@ class ParallelEngine:
             self.strategy = strategy
         # An unbounded wave ranks every candidate: nothing to bucket.
         head = None if processors is None else self.strategy.head
-        self.matcher.conflict_set.rank_by(head)
+        self.matcher.conflict_set.rank_by(
+            head, getattr(self.strategy, "lazy", False)
+        )
         if scheme not in SCHEMES:
             raise EngineError(f"unknown scheme {scheme!r}")
         self.scheme = self._make_scheme(SCHEMES[scheme])
@@ -759,7 +761,8 @@ class ParallelEngine:
     # -- whole runs -------------------------------------------------------------------------
 
     def run(self, max_waves: int = 1_000) -> RunResult:
-        """Run waves until quiescence, ``halt`` or ``max_waves``.
+        """Run waves until quiescence, ``halt`` or ``max_waves`` — of
+        the engine's ``waves`` in all, not of this call's.
 
         When a wave commits nothing while candidates existed (mutual
         blocking under threads, injected faults), the one next wave is
@@ -785,7 +788,10 @@ class ParallelEngine:
                 # deltas: match work, timed in the wave's phase.match.
                 started_at = obs.clock() if run is not None else None
                 candidates = self._eligible_candidates()
-                if not candidates:
+                if not candidates or (  # pending seeds, maybe empty
+                    getattr(candidates, "pending", 0)
+                    and not self.strategy.order(candidates, 1)
+                ):
                     # With a retry policy, work may remain in the
                     # conflict set whose budget is exhausted — that is
                     # not quiescence and is reported honestly.

@@ -10,6 +10,10 @@ remove keeps only what the engines and the matchers read:
 * the eligible members (not yet fired), grouped by the installed
   strategy's head (:meth:`ConflictSet.rank_by`) so that a select ranks
   only the leading group, and never scans the membership;
+* the *pending seeds* a Rete tail files, under a ``lazy`` head, by
+  the head of the matches they stand for (:mod:`repro.match.rete.
+  tail`): a select or ``order(·, k)`` that reaches one builds its
+  first ``k``; :meth:`settle` builds them all;
 * the refraction marks;
 * rule name → instantiations, backing :meth:`for_rule` and
   :meth:`rule_names` (the naive, ``cond`` and TREAT matchers'
@@ -36,6 +40,13 @@ a unit that removed one of its positive elements has *committed* (only
 a rollback re-adds an element, and before), or by :meth:`forget_fired`,
 never by :meth:`remove` or :meth:`clear`: marks follow working memory.
 Re-adding an element whose removal committed is outside this contract.
+
+Membership is the built members plus the pending seeds.  ``len()`` and
+``bool()`` of the set and of the eligible view count a seed as one,
+whatever it holds (maybe nothing): they never enumerate.  ``in``,
+``members()``, ``for_rule()`` and iterating the set read the built
+members; iterating the view and :meth:`~ConflictSet.materialized`
+build the rest first.
 """
 
 from __future__ import annotations
@@ -60,17 +71,27 @@ class Eligible:
         self._cs = cs
 
     def __len__(self) -> int:
-        return len(self._cs._members) - self._cs._spent
+        return len(self._cs._members) - self._cs._spent + self._cs._waiting
 
     def __iter__(self) -> Iterator[Instantiation]:
+        self._cs.settle()
         return chain.from_iterable(self._cs._buckets.values())
 
-    def buckets(self, head: Head | None) -> Iterator[Collection]:
+    @property
+    def pending(self) -> int:
+        return self._cs._waiting
+
+    def buckets(self, head, order=None, limit=None) -> Iterator[Collection]:
         """The members grouped by ``head``, the largest head first, when
-        the set is ranked by ``head``; else all of them as one group."""
-        buckets = self._cs._buckets
-        if head is not self._cs._head:
+        the set is ranked by ``head``; else all of them as one group.
+        A seed reached builds its first ``limit`` by the strategy's
+        ``order`` (all, without both)."""
+        cs, buckets = self._cs, self._cs._buckets
+        if head is not cs._head:
+            cs.settle()
             yield self
+        elif cs._waiting:
+            yield from cs._opened(order, limit)
         elif buckets:
             yield buckets[max(buckets)]  # all a select reads
             for key in sorted(buckets, reverse=True)[1:]:
@@ -94,11 +115,18 @@ class ConflictSet:
         # kept in step so that eligible() never scans the membership.
         self._head: Head | None = None
         self._buckets: dict[object, dict[Instantiation, None]] = {}
+        self.lazy = False  # a tail may pend its seeds
+        self._pending: dict[object, dict] = {}  # head -> seeds with it
+        self._waiting = 0
 
-    def rank_by(self, head: Head | None) -> None:
-        """Group the eligible members by ``head`` (None: one group)."""
+    def rank_by(self, head: Head | None, lazy: bool = False) -> None:
+        """Group the eligible members by ``head`` (None: one group);
+        ``lazy``: it reads only ``production`` and ``_newest``."""
+        if head is not self._head or not lazy:
+            self.settle()
         members, self._members = self._members, {}
         self._head, self._buckets, self._spent = head, {}, 0
+        self.lazy = lazy and head is not None
         for instantiation in members:  # refiling, not churn: no override
             ConflictSet.add(self, instantiation)
 
@@ -157,6 +185,47 @@ class ConflictSet:
         """
         for instantiation in list(self._members):
             self.remove(instantiation)
+        self._pending.clear()
+        self._waiting = 0
+
+    # -- pending seeds (called by a Rete tail) ---------------------------------------
+
+    def pend(self, seed) -> None:
+        self._pending.setdefault(self._head(seed), {})[seed] = None
+        self._waiting += 1
+
+    def unpend(self, seed) -> None:
+        head = self._head(seed)
+        if self._pending.get(head, {}).pop(seed, _ABSENT) is None:
+            self._waiting -= 1
+            if not self._pending[head]:
+                del self._pending[head]
+
+    def settle(self) -> None:
+        """Build every pending seed's matches."""
+        while self._pending:
+            self._open(next(iter(self._pending)), None, None)
+
+    def _open(self, head, order, limit: int | None) -> None:
+        """Let the seeds with ``head`` build; refile those with more."""
+        waiting = self._pending.pop(head, {})
+        self._waiting -= len(waiting)
+        for seed in waiting:
+            if seed.expand(order, limit):
+                self.pend(seed)
+
+    def _opened(self, order, limit: int | None):
+        """:meth:`Eligible.buckets` with seeds pending."""
+        buckets, pending = self._buckets, self._pending
+        top = max(chain(buckets, pending))
+        self._open(top, order, limit)
+        if top in buckets:
+            yield buckets[top]
+        for key in sorted({*buckets, *pending}, reverse=True):
+            if key < top:
+                self._open(key, order, limit)
+                if key in buckets:
+                    yield buckets[key]
 
     # -- refraction -------------------------------------------------------------------
 
@@ -217,7 +286,7 @@ class ConflictSet:
         """
         self._fired.discard(instantiation)
         if instantiation in self._members:
-            self.rank_by(self._head)
+            self.rank_by(self._head, self.lazy)
 
     def eligible(self) -> Eligible:
         """Members that have not fired — the candidates for *select*,
@@ -231,7 +300,7 @@ class ConflictSet:
         return instantiation in self._members
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._members) + self._waiting
 
     def __iter__(self) -> Iterator[Instantiation]:
         return iter(self.ordered())
@@ -241,7 +310,12 @@ class ConflictSet:
         return list(self._members)
 
     def members(self) -> frozenset[Instantiation]:
-        """An immutable view of the current membership."""
+        """An immutable view of the built membership."""
+        return frozenset(self._members)
+
+    def materialized(self) -> frozenset[Instantiation]:
+        """The whole membership, every pending seed built first."""
+        self.settle()
         return frozenset(self._members)
 
     def rule_names(self) -> frozenset[str]:
@@ -262,4 +336,4 @@ class ConflictSet:
 
     def is_empty(self) -> bool:
         """Empty conflict set — the termination condition of Section 2."""
-        return not self._members
+        return not self._members and not self._waiting

@@ -89,6 +89,7 @@ class ReteMatcher(BaseMatcher):
         """
         if production.name in self._pnodes:
             self.remove_production(production.name)
+        self.conflict_set.settle()  # a shared tail primes from built tokens
         plan = self._register(production)
         # A partitioned shard installs its logging conflict set after
         # construction, before any production (``shard_matcher``).
@@ -146,6 +147,7 @@ class ReteMatcher(BaseMatcher):
         pnode = self._pnodes.pop(name, None)
         if pnode is None:
             return
+        self.conflict_set.settle()
         pnode.unlink()
         for share_key in reversed(self._chains.pop(name)):
             node = self._shared_nodes[share_key]
@@ -191,11 +193,15 @@ class ReteMatcher(BaseMatcher):
         """
         for wme in self.memory:
             self.alpha.add_wme(wme)
+            self.state.latest = max(self.state.latest, wme.timetag)
 
     def _on_delta(self, delta: WMDelta) -> None:
         self.activation_count += 1
         if delta.kind == "add":
-            self.alpha.add_wme(delta.wme)
+            wme = delta.wme
+            self.alpha.add_wme(wme)
+            if wme.timetag > self.state.latest:
+                self.state.latest = wme.timetag
         else:
             self.alpha.remove_wme(delta.wme)
             self.state.retract_wme(delta.wme)

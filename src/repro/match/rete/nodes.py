@@ -441,6 +441,7 @@ class NetworkState:
         #: Where the production nodes add instantiations and deletion
         #: retracts them (the matcher keeps it current).
         self.conflict_set = conflict_set
+        self.latest = -1  #: the newest timetag added so far
         self._tokens_by_wme: dict[int, list[Token]] = {}
         self._blocked_by_wme: dict[int, list[Token]] = {}
 

@@ -3,6 +3,12 @@
 as one Rete node that stores no partial match, so a firing that
 modifies the volatile element rebuilds its complete matches and
 nothing else.
+
+Under a lazy head it does not even build those (LEAPS: Miranker et
+al., AAAI 1990): a WME newer than every WME seen is, per rule, a
+:class:`_Pending` seed in the conflict set.  What completes a match
+later (a newer seed, a prefix token, an older WME a rollback re-adds)
+builds it, so a seed is left the matches it is the newest element of.
 """
 
 from __future__ import annotations
@@ -145,14 +151,15 @@ class TailNode(TokenStore):
             else:
                 self._join(token, depth, extended, (*wmes, wme))
 
-    def seed(self, seed: "_Seed", found: list, depth: int = 0) -> None:
+    def seed(self, seed: "_Seed", found: list, emit, depth: int = 0) -> None:
+        """``emit(prefix token, tail WMEs, data)`` per match found."""
         if depth < len(seed.plan):
             position, buckets, key_of, skips_seed = seed.plan[depth]
             seeded = found[seed.position]
             for wme in buckets.get(key_of(found), {}).values():
                 if not (skips_seed and wme is seeded):
                     found[position] = wme
-                    self.seed(seed, found, depth + 1)
+                    self.seed(seed, found, emit, depth + 1)
             return
         buckets, key_of = seed.prefix
         wmes = tuple(found)
@@ -167,7 +174,7 @@ class TailNode(TokenStore):
                 if data is None:
                     break
             else:
-                self._emit(token, wmes, data)
+                emit(token, wmes, data)
 
     def _emit(self, parent: Token, wmes: tuple, data) -> None:
         token = TailToken(parent, wmes, data, self)
@@ -196,21 +203,70 @@ class TailNode(TokenStore):
 class _Seed:
     """Tail position ``position`` as a successor of its alpha memory."""
 
-    __slots__ = ("tail", "position", "plan", "prefix")
+    __slots__ = ("tail", "position", "plan", "prefix", "waiting")
 
     def __init__(self, tail: TailNode, position: int, plan, prefix) -> None:
         self.tail = tail
         self.position = position
         self.plan = plan
         self.prefix = prefix
+        self.waiting: dict[int, list[_Pending]] = {}  # by timetag
 
     def on_wme_added(self, wme: WME) -> None:
-        found = [None] * len(self.tail.alphas)
+        tail = self.tail
+        cs = tail.network.conflict_set
+        if cs.lazy and wme.timetag > tail.network.latest:
+            waiting = self.waiting[wme.timetag] = []
+            for rule in tail.children:  # the rules' production nodes
+                waiting.append(_Pending(self, wme, rule))
+                cs.pend(waiting[-1])
+            return
+        found = [None] * len(tail.alphas)
         found[self.position] = wme
-        self.tail.seed(self, found)
+        tail.seed(self, found, tail._emit)
 
     def on_wme_removed(self, wme: WME) -> None:
-        return None  # tail tokens are deleted centrally, like join tokens
+        for pending in self.waiting.pop(wme.timetag, ()):
+            self.tail.network.conflict_set.unpend(pending)
+
+
+class _Pending:
+    """A rule's matches of ``wme`` at ``seed``'s position, unbuilt;
+    ``production`` and ``_newest`` are all a lazy head reads."""
+
+    __slots__ = ("seed", "wme", "plan", "production", "_newest")
+
+    def __init__(self, seed: _Seed, wme: WME, rule) -> None:
+        self.seed, self.wme, self.plan = seed, wme, rule.plan
+        self.production, self._newest = rule.production, wme.timetag
+
+    def expand(self, order, limit: int | None) -> bool:
+        """Build the first ``limit`` by ``order`` (all, without both)
+        of the matches neither built nor refracted; True if more are."""
+        seed, plan, tail = self.seed, self.plan, self.seed.tail
+        pool, emits = [], {}  # id(candidate) -> its _emit arguments
+
+        def collect(token: Token, wmes: tuple, data) -> None:
+            path = token.wmes() + wmes
+            if plan.in_lhs_order is not None:
+                path = plan.in_lhs_order(path)
+            pool.append(plan.instantiate(path, data))
+            emits[id(pool[-1])] = (token, wmes, data)
+
+        path = [None] * len(tail.alphas)
+        path[seed.position] = self.wme
+        tail.seed(seed, path, collect)
+        if order is not None and limit is not None:
+            pool = order(pool)  # best first: most are never tested
+        cs, built = tail.network.conflict_set, 0
+        for candidate in pool:
+            if candidate in cs or cs.has_fired(candidate):
+                continue
+            if built == limit:
+                return True
+            tail._emit(*emits[id(candidate)])
+            built += 1
+        return False
 
 
 def _sourced_key(sources: list[tuple[int, str]]):

@@ -35,8 +35,8 @@ class Strategy(Protocol):
     name: str
     head: Head | None  # a coarse rank: a larger head ranks first
 
-    def select(self, candidates: Candidates) -> Instantiation:
-        """The dominant instantiation."""
+    def select(self, candidates: Candidates) -> Instantiation | None:
+        """The dominant instantiation (None: empty pending seeds)."""
 
     def order(
         self, candidates: Candidates, limit: int | None = None
@@ -45,10 +45,11 @@ class Strategy(Protocol):
         repeated ``select``-then-remove would produce them."""
 
 
-def _groups(candidates: Candidates, head):
-    """The view's groups by ``head``, lead first (one, unranked)."""
+def _groups(candidates: Candidates, strategy, limit: int | None = None):
+    """The view's groups by the strategy's head, lead first (one,
+    unranked); a pending seed in them builds its ``limit`` first."""
     if isinstance(candidates, Eligible):
-        return candidates.buckets(head)
+        return candidates.buckets(strategy.head, strategy.order, limit)
     return (candidates,)
 
 
@@ -68,14 +69,16 @@ class KeyedStrategy:
     name: str
     key: Callable[[Instantiation], tuple]
     head: Head = attrgetter("_newest")
+    lazy = True  # ``head`` reads only the rule and the newest timetag
     #: True: the largest key is preferred; False: the smallest.
     descending = True
 
-    def select(self, candidates: Candidates) -> Instantiation:
-        group = next(iter(_groups(candidates, self.head)))
-        if len(group) == 1:  # a lone candidate wins without a key
-            return next(iter(group))
-        return (max if self.descending else min)(group, key=self.key)
+    def select(self, candidates: Candidates) -> Instantiation | None:
+        for group in _groups(candidates, self, 1):
+            if len(group) == 1:  # a lone candidate wins without a key
+                return next(iter(group))
+            return (max if self.descending else min)(group, key=self.key)
+        return None
 
     def order(
         self, candidates: Candidates, limit: int | None = None
@@ -86,7 +89,7 @@ class KeyedStrategy:
             )
         # ``sorted(...)[:limit]``, from the groups that cover ``limit``.
         pool: list[Instantiation] = []
-        for group in _groups(candidates, self.head):
+        for group in _groups(candidates, self, limit):
             pool.extend(group)
             if len(pool) >= limit:
                 break
@@ -108,6 +111,7 @@ class MeaStrategy(KeyedStrategy):
 
     name = "mea"
     head = staticmethod(lambda i: i._timetags[0] if i._timetags else -1)
+    lazy = False
 
     @staticmethod
     def key(inst: Instantiation) -> tuple:
@@ -186,7 +190,7 @@ def order_rest(
     """
     if len(head) < len(candidates):
         taken = set(head)
-        for group in _groups(candidates, strategy.head):
+        for group in _groups(candidates, strategy):
             yield from strategy.order([c for c in group if c not in taken])
 
 

@@ -44,6 +44,17 @@ class TestBasicCycles:
         assert result.stop_reason == "max_cycles"
         assert result.cycles == 10
 
+    def test_max_cycles_caps_the_engines_total_not_the_call(self, wm):
+        rule = parse_production(
+            "(p loop (tick ^n <n>) --> (remove 1) (make tick ^n (<n> + 1)))"
+        )
+        wm.make("tick", n=0)
+        interp = Interpreter([rule], wm)
+        assert interp.run(max_cycles=1).cycles == 1
+        again = interp.run(max_cycles=1)
+        assert (again.stop_reason, again.cycles) == ("max_cycles", 1)
+        assert interp.run(max_cycles=3).cycles == 3
+
     def test_step_returns_fired_instantiation(self, wm):
         rule = RuleBuilder("r").when("x", v=1).remove(1).build()
         wm.make("x", v=1)

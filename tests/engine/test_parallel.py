@@ -134,6 +134,20 @@ class TestWaveAccounting:
         assert len(engine.waves) >= 1
         assert str(engine.waves[0]).startswith("wave 1")
 
+    def test_max_waves_caps_the_engines_total_not_the_call(self):
+        wm = WorkingMemory()
+        wm.make("tick", n=0)
+        rules = parse_program(
+            "(p loop (tick ^n <n>) --> (remove 1) (make tick ^n (<n> + 1)))"
+        )
+        engine = ParallelEngine(rules, wm, processors=1)
+        assert len(engine.run(max_waves=1).firings) == 1
+        again = engine.run(max_waves=1)
+        assert (again.stop_reason, len(again.firings)) == ("max_waves", 1)
+        assert len(engine.waves) == 1
+        engine.run(max_waves=3)
+        assert len(engine.waves) == 3
+
     def test_halt_in_wave_stops_run(self):
         wm = WorkingMemory()
         wm.make("go", v=1)
