@@ -24,12 +24,15 @@ stable prefix the tail stores no partial match, so Manners' tokens are
 its instantiations plus its prefix tokens.
 
 "Built" counts instantiations that entered the conflict set.  Under a
-lazy head (``lex``, ``priority``, ``fifo`` on a bounded engine) a
-WME arriving newest at a tail position builds nothing: it waits as a
-pending seed, and a select that reaches it builds only the matches it
-takes, so the run column of ``manners_serial`` is about one per
-firing.  Its attach column is ``seed-first-seat``'s, a rule with no
-tail, built before the engine installs its head.  A pending seed is
+lazy head (``lex``, ``priority``, ``fifo``) a WME arriving newest at
+a tail position builds nothing: it waits as a pending seed, and a
+select, or an ``rc`` wave's admission, that reaches it builds only the
+matches it takes.  Admission also stops a seed whose rule rewrites its
+element once an admitted firing writes that element: it would hold
+every match the seed has left.  So the run columns of
+``manners_serial`` and ``manners_rc`` are about one per firing.
+Their attach columns are ``seed-first-seat``'s, a rule with no tail,
+built before the engine installs its head.  A pending seed is
 not counted, and neither are the candidates a seed enumerates and
 ranks without building: their key evaluations are in ``ranked``,
 with those of every select and wave order (a select ranks only the

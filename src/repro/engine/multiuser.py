@@ -16,7 +16,7 @@ still replay single-threaded, which the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.engine.parallel import ParallelEngine, SchemeName
@@ -111,10 +111,9 @@ class MultiUserEngine(ParallelEngine):
 
     def _ranking(
         self, eligible: list[Instantiation], width: int | None
-    ) -> tuple[list[Instantiation], Iterator[Instantiation]]:
+    ) -> Iterator[Instantiation]:
         """Interleave users' candidates, rotating the lead user: the
-        first ``width`` of the round-robin, and the iterator that goes
-        on dealing it."""
+        round-robin, dealt as it is pulled."""
         buckets: dict[str, list[Instantiation]] = {}
         for candidate in eligible:
             user = self._owners.get(candidate.production.name, "?")
@@ -131,10 +130,9 @@ class MultiUserEngine(ParallelEngine):
         users = self._users
         rotation = users[self._turn:] + users[: self._turn]
         self._turn = (self._turn + 1) % len(users) if users else 0
-        dealt = _round_robin(
+        return _round_robin(
             [ranked[user] for user in rotation if user in ranked]
         )
-        return list(islice(dealt, width)), dealt
 
     # -- attribution -----------------------------------------------------------------
 

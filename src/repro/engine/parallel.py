@@ -11,7 +11,8 @@ A *wave* of logically concurrent firings:
 
 1. The wave's candidates are the eligible instantiations in
    conflict-resolution order — the first ``processors`` of them
-   (Section 5's ``Np``), and more of the same ranking if admission asks.
+   (Section 5's ``Np``), and more of the same ranking if admission asks;
+   admission pulls them one at a time.
 2. *Admission* (deterministic driver, ``Rc`` only): the wave is ordered
    by read -> write precedence so that every reader commits before its
    writer (rule (i)); a candidate is held back only when no such order
@@ -48,9 +49,12 @@ a candidate held back only when its read -> write edges would close a
 cycle (Figure 4.4), and the wave refilled from the same ranking.  It
 runs where Table 4.1 lets the write mode through the condition mode
 (``rc``); :class:`~repro.engine.threaded.ThreadedWaveExecutor` has no
-order to choose and keeps real rule (ii).  ``docs/architecture.md``,
-"Wave admission", gives the edges, the cut, the order, the fill, what
-it costs and what a persistent fault can make it wait for.
+order to choose and keeps real rule (ii).  A Rete tail's pending
+seed builds a match only when admission takes it, and no more once
+admission would cut all it has left (:meth:`ParallelEngine._spent`).
+``docs/architecture.md``, "Wave admission", gives the edges, the cut,
+the order, the fill, what it costs and what a persistent fault can
+make it wait for.
 
 :class:`ParallelEngine` drives a wave deterministically (admit, all
 admitted candidates acquire, then the granted ones act, both in
@@ -90,7 +94,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import islice
 from typing import Collection, Iterable, Iterator, Literal, NamedTuple
 
 import repro.obs as obs_module
@@ -107,14 +111,31 @@ from repro.locks import SCHEMES
 from repro.locks.modes import compatible
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
+from repro.match.conflict_set import Eligible
 from repro.match.strategies import Strategy, make_strategy, order_rest
 from repro.txn.schedule import Certifier, History
 from repro.txn.transaction import Transaction
+from repro.wm.element import data_object_key
 from repro.wm.memory import WorkingMemory
 from repro.wm.snapshot import WMSnapshot
 from repro.wm.undo import UndoLog
 
 SchemeName = Literal["2pl", "rc", "c2pl"]
+
+
+def _ranked(strategy: Strategy, eligible, width: int | None):
+    """``strategy.order(eligible)``: the first ``width`` at the first
+    pull, the rest a group at a time when asked."""
+    head = strategy.order(eligible, width)
+    yield from head
+    yield from order_rest(strategy, eligible, head)
+
+
+def _resumed(first: Instantiation, ranking: Iterator[Instantiation]):
+    """``ranking`` with ``first``, already taken from it, put back."""
+    yield first
+    yield from ranking
+
 
 @dataclass
 class WaveResult:
@@ -126,11 +147,12 @@ class WaveResult:
     whose locks were unavailable (denied, timed out or refused by an
     injected fault); ``aborted`` the rule-(ii) and deadlock victims,
     invalidated instantiations and failed RHSs.  ``held`` is not an
-    attempt: the candidates wave admission held back before any lock
-    was taken, because no commit order of this wave lets them and the
-    slots admitted before them all commit.  ``ordered`` counts the
-    precedence edges that went against rank: a reader acted before a
-    writer that out-ranked it (rule (i)).
+    attempt: the built candidates wave admission held back before any
+    lock was taken, because no commit order of this wave lets them and
+    the slots admitted before them all commit — not the matches a spent
+    seed never built (:meth:`ParallelEngine._spent`).  ``ordered``
+    counts the precedence edges that went against rank: a reader acted
+    before a writer that out-ranked it (rule (i)).
     """
 
     wave: int
@@ -259,10 +281,8 @@ class ParallelEngine:
             self.strategy = make_strategy(strategy, seed)
         else:
             self.strategy = strategy
-        # An unbounded wave ranks every candidate: nothing to bucket.
-        head = None if processors is None else self.strategy.head
         self.matcher.conflict_set.rank_by(
-            head, getattr(self.strategy, "lazy", False)
+            self.strategy.head, getattr(self.strategy, "lazy", False)
         )
         if scheme not in SCHEMES:
             raise EngineError(f"unknown scheme {scheme!r}")
@@ -277,6 +297,8 @@ class ParallelEngine:
         #: Every commit passes it; it raises at the first that would
         #: make the commit sequence other than a serial order.
         self.certifier = Certifier()
+        #: What the slots admitted so far in this wave write (:meth:`_spent`).
+        self._written: dict = {}
         self.processors = processors
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
@@ -356,13 +378,26 @@ class ParallelEngine:
 
     def _ranking(
         self, eligible: Collection[Instantiation], width: int | None
-    ) -> tuple[list[Instantiation], Iterator[Instantiation]]:
-        """The wave's one ranking of ``eligible``, in two instalments:
-        the first ``width`` in conflict-resolution order, and a
-        generator over the rest that ranks nothing until it is asked
-        (admission asks when a hold-back leaves the wave short)."""
-        head = self.strategy.order(eligible, width)
-        return head, order_rest(self.strategy, eligible, head)
+    ) -> Iterator[Instantiation]:
+        """The wave's one ranking of ``eligible``, pulled a candidate
+        at a time: under admission and a keyed strategy the conflict
+        set's lazy walk, which stops a seed once :meth:`_spent`; else
+        ``order(eligible, width)`` and then the rest when asked."""
+        strategy = self.strategy
+        if self._admits and isinstance(eligible, Eligible) and hasattr(
+            strategy, "key"
+        ):
+            self._written = {}
+            return eligible.ranked(
+                strategy.key, strategy.descending, self._spent
+            )
+        return _ranked(strategy, eligible, width)
+
+    def _spent(self, seed) -> bool:
+        """Would admission cut every match ``seed`` has left?  Yes when
+        its rule rewrites its element and an admitted slot writes that
+        data object: each match and the slot read and write it."""
+        return data_object_key(seed.wme) in self._written and seed.rewrites()
 
     def _span_fields(self, instantiation: Instantiation) -> dict:
         """Extra fields stamped on acquire/firing spans (overridable)."""
@@ -375,6 +410,7 @@ class ParallelEngine:
         started_at: float | None = None,
         eligible: Collection[Instantiation] | None = None,
         width: int | None = None,
+        ranking: Iterator[Instantiation] | None = None,
     ) -> WaveResult:
         """Execute one wave; returns its summary.
 
@@ -382,8 +418,10 @@ class ParallelEngine:
         when the run loop began this iteration's eligibility pre-check,
         so that match work is timed once, inside the cycle;
         ``eligible`` is that pre-check's candidate list, so a wave
-        reads the conflict set once; ``width`` narrows this one wave
-        below ``processors``.
+        reads the conflict set once, and ``ranking`` the
+        :meth:`_ranking` of it the pre-check began, so that no seed is
+        enumerated twice; ``width`` narrows this one wave below
+        ``processors``.
         """
         if eligible is None:
             eligible = self._eligible_candidates()
@@ -404,10 +442,14 @@ class ParallelEngine:
                 "phase.match", cycle, ts=cycle.start, scope=True
             )
         try:
-            candidates, rest = self._ranking(eligible, width)
+            if ranking is None:
+                ranking = self._ranking(eligible, width)
             if match is not None:
-                self._closed_at = obs.end(match, candidates=len(candidates))
-            self._drive(wave, candidates, rest, cycle)
+                size = len(eligible)
+                self._closed_at = obs.end(
+                    match, candidates=min(size, width or size)
+                )
+            self._drive(wave, ranking, width, cycle)
         finally:
             if cycle is not None:
                 obs.end(
@@ -421,24 +463,23 @@ class ParallelEngine:
         return wave
 
     def _admit(
-        self, wave: WaveResult, candidates: list[Instantiation],
-        rest: Iterator[Instantiation], cycle,
+        self, wave: WaveResult, ranking: Iterator[Instantiation],
+        width: int | None, cycle,
     ) -> list[Instantiation]:
         """Rule (i) chosen before the locks are taken: the candidates
         of ``wave`` that all commit, in the order they must act in
-        (module docstring, "Wave admission").  ``candidates`` is the
-        head of the ranking and its length the wave's width; ``rest``
-        is consulted only while a hold-back leaves the wave short.  A
-        candidate cut from a cycle is filed in ``wave.held`` and left
-        in the conflict set instead of being locked, aborted and
-        released.
+        (module docstring, "Wave admission").  ``ranking`` is pulled
+        one candidate at a time until ``width`` are admitted (never
+        full when None) or it runs out.  A candidate cut from a cycle
+        is filed in ``wave.held`` and left in the conflict set instead
+        of being locked, aborted and released.
 
         Decides from the ranked footprints alone, and only where
         Table 4.1 lets a writer past a condition reader; elsewhere the
-        list comes back untouched.
+        first ``width`` of the ranking come back as ranked.
         """
         if not self._admits:
-            return candidates
+            return list(islice(ranking, width))
         obs = self.obs
         phase = (
             obs.begin("phase.admit", cycle, ts=self._closed_at)
@@ -446,13 +487,14 @@ class ParallelEngine:
         )
         # The determination records below are built only for a span.
         recorded = phase.span if phase is not None else None
-        width = len(candidates)
         graph = Precedence()
+        # What a spent seed would still yield, ``admit`` would cut.
+        self._written = graph.writers
         admit, slots, held = graph.admit, graph.admitted, wave.held
-        for instantiation in chain(candidates, rest):
+        for instantiation in ranking:
             if admit(instantiation):
                 if len(slots) == width:
-                    # Full: ``rest`` is left unranked.
+                    # Full: the rest is left unranked.
                     break
                 continue
             rule = instantiation.production.name
@@ -488,19 +530,16 @@ class ParallelEngine:
             )
         return admitted
 
-    def _drive(self, wave: WaveResult, candidates, rest, cycle) -> None:
+    def _drive(self, wave: WaveResult, ranking, width, cycle) -> None:
         """Deterministic driving: admission, then every admitted
         candidate takes its condition locks (phase 1), then the granted
         ones act (phase 2) — both in the order admission returned:
         precedence order under ``Rc``, conflict-resolution order where
         there is no admission."""
-        admitted = self._admit(wave, candidates, rest, cycle)
-        if admitted is not candidates:
-            # Spent: let go of it, so that what a firing retracts is
-            # freed in that firing's timed step, not after the cycle.
-            candidates.clear()
-            rest.close()
-            candidates = admitted
+        candidates = self._admit(wave, ranking, width, cycle)
+        # Spent: let go of it, so that what a firing retracts is freed
+        # in that firing's timed step, not after the cycle.
+        ranking.close()
         obs = self.obs
         # (candidate, its transaction, commits certified when it read)
         slots: list[tuple[Instantiation, Transaction, int]] = []
@@ -788,10 +827,12 @@ class ParallelEngine:
                 # deltas: match work, timed in the wave's phase.match.
                 started_at = obs.clock() if run is not None else None
                 candidates = self._eligible_candidates()
-                if not candidates or (  # pending seeds, maybe empty
-                    getattr(candidates, "pending", 0)
-                    and not self.strategy.order(candidates, 1)
-                ):
+                # Seeds may all be empty: the first candidate tells.
+                ranking = candidates and self._ranking(
+                    candidates, self.processors if width is None else width
+                )
+                first = next(ranking, None) if candidates else None
+                if first is None:
                     # With a retry policy, work may remain in the
                     # conflict set whose budget is exhausted — that is
                     # not quiescence and is reported honestly.
@@ -802,7 +843,8 @@ class ParallelEngine:
                     )
                     break
                 wave = self.run_wave(
-                    started_at=started_at, eligible=candidates, width=width
+                    started_at=started_at, eligible=candidates, width=width,
+                    ranking=_resumed(first, ranking),
                 )
                 self.result.cycles += 1
                 width = 1 if width is None and not wave.committed else None

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import islice
 from typing import Callable, Iterable
 
 from repro.engine.interpreter import MatcherName
@@ -118,12 +119,14 @@ class ThreadedWaveExecutor(ParallelEngine):
 
     # -- driving a wave --------------------------------------------------------------------
 
-    def _drive(self, wave: WaveResult, candidates, rest, cycle) -> None:
+    def _drive(self, wave: WaveResult, ranking, width, cycle) -> None:
         """One thread per candidate; the first exception a thread
         raised (an RHS error, already rolled back and filed) is
         re-raised once every thread has finished.  The wave is the
-        ranking's head as it stands: nothing is held back, so ``rest``
-        has nothing to replace."""
+        first ``width`` of the ranking as they stand: nothing is held
+        back, so nothing past them is ranked."""
+        candidates = list(islice(ranking, width))
+        ranking.close()
         errors: list[Exception] = []
 
         def fire(instantiation: Instantiation) -> None:

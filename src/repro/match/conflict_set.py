@@ -13,7 +13,8 @@ remove keeps only what the engines and the matchers read:
 * the *pending seeds* a Rete tail files, under a ``lazy`` head, by
   the head of the matches they stand for (:mod:`repro.match.rete.
   tail`): a select or ``order(·, k)`` that reaches one builds its
-  first ``k``; :meth:`settle` builds them all;
+  first ``k``, a wave's admission pulling :meth:`Eligible.ranked`
+  builds each match it takes; :meth:`settle` builds them all;
 * the refraction marks;
 * rule name → instantiations, backing :meth:`for_rule` and
   :meth:`rule_names` (the naive, ``cond`` and TREAT matchers'
@@ -51,6 +52,7 @@ build the rest first.
 
 from __future__ import annotations
 
+from heapq import merge
 from itertools import chain
 from typing import Callable, Collection, Iterator
 
@@ -77,10 +79,6 @@ class Eligible:
         self._cs.settle()
         return chain.from_iterable(self._cs._buckets.values())
 
-    @property
-    def pending(self) -> int:
-        return self._cs._waiting
-
     def buckets(self, head, order=None, limit=None) -> Iterator[Collection]:
         """The members grouped by ``head``, the largest head first, when
         the set is ranked by ``head``; else all of them as one group.
@@ -96,6 +94,40 @@ class Eligible:
             yield buckets[max(buckets)]  # all a select reads
             for key in sorted(buckets, reverse=True)[1:]:
                 yield buckets[key]
+
+    def ranked(self, key, descending: bool, spent) -> Iterator:
+        """Every member by ``key`` (refining the head; largest first when
+        ``descending``), pulled one at a time: the groups by head, and
+        in each the built members merged with its seeds' matches, each
+        built when taken (:meth:`~repro.match.rete.tail._Pending.
+        matches`).  A seed ``spent`` holds for yields no more; what is
+        left unbuilt stays filed."""
+        cs = self._cs
+        buckets, pending = cs._buckets, cs._pending
+        for group in sorted({*buckets, *pending}, reverse=True):
+            built = list(buckets.get(group, ()))
+            if len(built) > 1:
+                built.sort(key=key, reverse=descending)
+            seeds = pending.get(group)
+            if not seeds:
+                yield from built
+                continue
+            skip = set(built)
+            streams = [
+                seed.matches(key, descending, skip, spent)
+                for seed in list(seeds)
+            ]
+            if built:
+                streams.append([(member, None, None) for member in built])
+            for candidate, seed, emit in merge(
+                *streams, key=lambda entry: key(entry[0]), reverse=descending
+            ):
+                if seed is not None:
+                    if spent(seed):
+                        continue
+                    if candidate not in cs:  # else a sibling rule built it
+                        seed.build(emit)
+                yield candidate
 
 
 class ConflictSet:

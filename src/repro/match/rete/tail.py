@@ -9,10 +9,13 @@ al., AAAI 1990): a WME newer than every WME seen is, per rule, a
 :class:`_Pending` seed in the conflict set.  What completes a match
 later (a newer seed, a prefix token, an older WME a rollback re-adds)
 builds it, so a seed is left the matches it is the newest element of.
+A select builds the best of them (:meth:`_Pending.expand`); a wave's
+admission takes them one at a time (:meth:`_Pending.matches`).
 """
 
 from __future__ import annotations
 
+from repro.lang.ast import ModifyAction, RemoveAction
 from repro.lang.compile import SlottedPlan, bound_prefixes
 from repro.match.rete.alpha import _ABSENT, AlphaMemory, IndexSet, token_key
 from repro.match.rete.nodes import NegativeNode, NetworkState, Token, TokenStore
@@ -240,11 +243,19 @@ class _Pending:
         self.seed, self.wme, self.plan = seed, wme, rule.plan
         self.production, self._newest = rule.production, wme.timetag
 
-    def expand(self, order, limit: int | None) -> bool:
-        """Build the first ``limit`` by ``order`` (all, without both)
-        of the matches neither built nor refracted; True if more are."""
+    def rewrites(self) -> bool:
+        """Does the rule modify or remove ``wme``?"""
+        plan = self.plan
+        ce = plan.order[len(plan.steps) - plan.tail + self.seed.position]
+        return any(
+            isinstance(action, (ModifyAction, RemoveAction))
+            and action.ce_index == ce + 1 for action in self.production.rhs
+        )
+
+    def _pool(self) -> tuple[list, dict]:
+        """Every match, unbuilt, and ``id(match) ->`` its _emit args."""
         seed, plan, tail = self.seed, self.plan, self.seed.tail
-        pool, emits = [], {}  # id(candidate) -> its _emit arguments
+        pool, emits = [], {}
 
         def collect(token: Token, wmes: tuple, data) -> None:
             path = token.wmes() + wmes
@@ -256,8 +267,15 @@ class _Pending:
         path = [None] * len(tail.alphas)
         path[seed.position] = self.wme
         tail.seed(seed, path, collect)
+        return pool, emits
+
+    def expand(self, order, limit: int | None) -> bool:
+        """Build the first ``limit`` by ``order`` (all, without both)
+        of the matches neither built nor refracted; True if more are."""
+        pool, emits = self._pool()
         if order is not None and limit is not None:
             pool = order(pool)  # best first: most are never tested
+        tail = self.seed.tail
         cs, built = tail.network.conflict_set, 0
         for candidate in pool:
             if candidate in cs or cs.has_fired(candidate):
@@ -267,6 +285,33 @@ class _Pending:
             tail._emit(*emits[id(candidate)])
             built += 1
         return False
+
+    def build(self, emit: tuple) -> None:
+        """Build the match ``emit`` stands for (:meth:`matches`)."""
+        self.seed.tail._emit(*emit)
+
+    def matches(self, key, descending: bool, skip, spent):
+        """``(match, self, emit)``, best first by ``key``, per match
+        unbuilt (:meth:`build` builds it), not refracted, not in
+        ``skip`` and with ``wme`` its newest element (the rest are a
+        newer seed's).  None once ``spent(self)``; after the last the
+        seed leaves the conflict set, unless spent."""
+        if spent(self):
+            return
+        pool, emits = self._pool()
+        pool.sort(key=key, reverse=descending)
+        cs, newest = self.seed.tail.network.conflict_set, self._newest
+        for candidate in pool:
+            if (
+                candidate._newest != newest or candidate in skip
+                or cs.has_fired(candidate)
+            ):
+                continue
+            if spent(self):
+                return
+            yield candidate, self, emits[id(candidate)]
+        if not spent(self):  # else its last may be unbuilt
+            cs.unpend(self)
 
 
 def _sourced_key(sources: list[tuple[int, str]]):

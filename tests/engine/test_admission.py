@@ -19,6 +19,7 @@ Hypothesis-drawn programs from ``tests/match``.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 sys.path.insert(0, str(ROOT / "tests" / "match"))
 import run as e2e  # noqa: E402
+from eager_reference import unbuilt  # noqa: E402
 from locking_reference import (  # noqa: E402
     LockingParallelEngine,
     wave_outcomes,
@@ -51,6 +53,7 @@ from repro.txn.serializability import (  # noqa: E402
     is_conflict_serializable,
 )
 from repro.wm import WMSnapshot, WorkingMemory  # noqa: E402
+from repro.wm.element import data_object_key  # noqa: E402
 
 SEED = 11
 STRATEGIES = ("lex", "mea", "priority", "fifo")
@@ -110,8 +113,28 @@ FIGURE_4_4 = (
     ],
 )
 
+#: ``chase``'s Rete tail is ``(b) (c)``: the ``c`` that ``start``
+#: makes seeds it, and ``chase`` only reads that ``c``.  ``stamp``
+#: rewrites the ``c`` and out-ranks ``chase`` under ``priority``, but
+#: does not read what ``chase`` writes: ``chase`` is ordered first and
+#: both commit.  A seed spent on its element's writer alone would
+#: lose ``chase`` (the rewritten ``c`` matches it no more).
+READER_SEED = (
+    """
+(p start 20 (go ^id 1) --> (remove 1) (make c ^id 2 ^k 2 ^v 5))
+(p stamp 10 (c ^id <i> ^v 5) --> (modify 1 ^v 6))
+(p chase 5 (a ^k <x>) (b ^k <x> ^v <y>) (c ^k <y> ^v <w>) (d ^k <x> ^v <w>)
+   --> (modify 2 ^v <w>))
+""",
+    [
+        ("go", {"id": 1}), ("a", {"k": 1}),
+        ("b", {"id": 1, "k": 1, "v": 2}), ("d", {"k": 1, "v": 5}),
+    ],
+)
+
 FIXTURES = {
     "on_call": ON_CALL, "figure_4_3": FIGURE_4_3, "figure_4_4": FIGURE_4_4,
+    "reader_seed": READER_SEED,
 }
 
 
@@ -125,29 +148,48 @@ def program(name: str):
 
 
 class _Watched:
-    """Records what every admission pass was given and returned."""
+    """Records what every admission pass was given and returned.
+
+    Where the ranking is the conflict set's lazy walk, it also records
+    what an eager one would have ranked — the built members and every
+    pending seed's unbuilt matches, sorted, built none — and which
+    seed each unbuilt match is of."""
 
     def __init__(self, *args, **options):
         self.admissions = []
         super().__init__(*args, **options)
 
-    def _admit(self, wave, candidates, rest, cycle):
+    def _admit(self, wave, ranking, width, cycle):
+        full = seeds = None
+        strategy = self.strategy
+        if (
+            self._admits and hasattr(strategy, "key")
+            and type(self)._ranking is ParallelEngine._ranking
+        ):
+            cs = self.matcher.conflict_set
+            seeds = unbuilt(cs)
+            built = [
+                member for bucket in cs._buckets.values()
+                for member in bucket if member not in self._gave_up
+            ]
+            full = sorted(
+                [*built, *seeds], key=strategy.key,
+                reverse=strategy.descending,
+            )
         pulled = []
 
-        def watched_rest():
-            for candidate in rest:
+        def watched():
+            for candidate in ranking:
                 pulled.append(candidate)
                 yield candidate
 
-        order = super()._admit(
-            wave, candidates, watched_rest(), cycle
-        )
+        order = super()._admit(wave, watched(), width, cycle)
         self.admissions.append({
-            "wave": wave, "width": len(candidates),
-            "ranked": [*candidates, *pulled], "pulled": len(pulled),
-            "order": list(order),
-            # Safe to look now that the wave is decided.
-            "exhausted": next(rest, None) is None,
+            "wave": wave, "width": width, "ranked": pulled,
+            "order": list(order), "full": full, "unbuilt": seeds,
+            # Safe to look now that the wave is decided; a lazy walk
+            # would build what it yields, so the replay tells instead.
+            "exhausted": full is None and next(ranking, None) is None,
         })
         return order
 
@@ -216,12 +258,31 @@ def closes_cycle(admitted, candidate) -> bool:
     return candidate in reached
 
 
-def replay_wave(ranked, width):
-    """``(admitted in rank order, acting order, held)`` of a wave that
-    examined ``ranked``."""
-    admitted, held = [], []
+def replay_wave(ranked, width, seeds=None):
+    """``(examined, admitted in rank order, acting order, held, whether
+    ``ranked`` ran out)`` of a wave over ``ranked`` that admits up to
+    ``width`` (None: all).
+
+    ``seeds`` maps the matches a pending seed had not built when the
+    wave began to that seed.  Such a match is passed over unexamined
+    once its seed is spent: its rule rewrites the seed's element and
+    an admitted candidate writes that element's data object — and
+    then admission would have cut it."""
+    seeds = seeds or {}
+    examined, admitted, held = [], [], []
+    ran_out = True
     for candidate in ranked:
-        assert len(admitted) < width, "ranked a candidate past a full wave"
+        if len(admitted) == width:
+            ran_out = False
+            break
+        seed = seeds.get(candidate)
+        if seed is not None and seed.rewrites():
+            obj = data_object_key(seed.wme)
+            assert obj in candidate.lock_footprint()[1]
+            if any(obj in a.lock_footprint()[1] for a in admitted):
+                assert closes_cycle(admitted, candidate)
+                continue
+        examined.append(candidate)
         (held if closes_cycle(admitted, candidate) else admitted).append(
             candidate
         )
@@ -233,21 +294,27 @@ def replay_wave(ranked, width):
         )
         left.remove(first)
         order.append(first)
-    return admitted, order, held
+    return examined, admitted, order, held, ran_out
 
 
 def assert_admission_oracle(engine, faults=False) -> None:
     """Every wave of ``engine`` (a ``_Watched`` one) is the brute-force
     wave."""
     for seen in engine.admissions:
-        wave, width = seen["wave"], seen["width"]
-        admitted, order, held = replay_wave(seen["ranked"], width)
+        wave, width, full = seen["wave"], seen["width"], seen["full"]
+        examined, admitted, order, held, exhausted = replay_wave(
+            seen["ranked"] if full is None else full, width, seen["unbuilt"]
+        )
+        # Admission pulled exactly what the replay examined: nothing
+        # past a full wave, nothing a spent seed still had.
+        assert seen["ranked"] == examined
         assert seen["order"] == order
         assert wave.held == [c.production.name for c in held]
         # ``processors`` bounds admitted firings: short only when the
-        # ranking ran out, lazy when nobody was held back.
-        assert len(order) == width or seen["exhausted"]
-        assert seen["pulled"] == 0 or held
+        # ranking ran out (always, unbounded).
+        if full is None:
+            exhausted = seen["exhausted"]
+        assert len(order) == width or exhausted
         # Edges against rank: a reader behind the writer it precedes.
         assert wave.ordered == sum(
             precedes(reader, writer)
@@ -266,7 +333,8 @@ def assert_admission_oracle(engine, faults=False) -> None:
 @pytest.mark.parametrize("processors", PROCESSORS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize(
-    "name", [*E2E_PROGRAMS, "on_call", "figure_4_4", "figure_4_3"]
+    "name",
+    [*E2E_PROGRAMS, "on_call", "figure_4_4", "figure_4_3", "reader_seed"],
 )
 @pytest.mark.parametrize(
     "cls", [WatchedParallel, WatchedMultiUser], ids=["parallel", "multiuser"]
@@ -290,7 +358,7 @@ def test_figure_4_3_reader_and_writer_both_commit_reader_first():
     engine, rules, snapshot = build(
         WatchedParallel, *FIGURE_4_3, strategy="priority"
     )
-    ranked, _ = engine._ranking(engine._eligible_candidates(), None)
+    ranked = list(engine._ranking(engine._eligible_candidates(), None))
     assert [c.production.name for c in ranked] == ["pj", "pi"]
     with engine:
         result = engine.run()
@@ -431,11 +499,13 @@ def _never_asked():
 def test_blocking_schemes_are_not_admitted(name, cls, scheme):
     rules_text, facts = program(name)
     engine, rules, snapshot = build(cls, rules_text, facts, scheme=scheme)
-    candidates = engine._eligible_candidates()
-    assert candidates
+    ranked = list(engine._ranking(engine._eligible_candidates(), None))
+    assert ranked
     probe = WaveResult(wave=0)
-    admitted = engine._admit(probe, candidates, _never_asked(), None)
-    assert admitted is candidates
+    admitted = engine._admit(
+        probe, chain(ranked, _never_asked()), len(ranked), None
+    )
+    assert admitted == ranked
     assert probe.held == [] and probe.ordered == 0
     with engine:
         result = engine.run(2_000)
@@ -453,7 +523,7 @@ WAVES = {"manners_rc": 53, "hot_rc": 288}
 @pytest.mark.parametrize(
     "workload, commits, held, history_ops, grants",
     [
-        ("manners_rc", 106, 2450, 1150, 1044),
+        ("manners_rc", 106, 102, 1150, 1044),
         ("hot_rc", 2048, 248, 11_264, 9216),
     ],
 )
@@ -462,11 +532,16 @@ def test_a_wave_locks_only_what_commits(
 ):
     """Full-size benchmark inputs, seed 5.  Before admission these runs
     made 2556 and 5012 attempts, 17 892 and 20 156 history operations.
-    Manners is one cycle per party and keeps its 2450 hold-backs; on
-    lanes only a second ``bump`` of a gauge is held (2964 -> 248) and
-    the waves are refilled (657 -> 288).  The lock-taking reference
-    grants locks to winners only (``grants``), and the history the
-    engine rebuilds from its certifier has the reference's length."""
+    Manners is one cycle per party.  Its hold-backs are the 102
+    ``seed-first-seat`` matches built at attach that lose to the first
+    seat of their party: an ``extend-seating`` seed stops once the
+    party's admitted firing rewrites its ``last`` element, so the
+    matches it would still yield are never built (2450 held while every
+    seed was built).  On lanes only a second ``bump`` of a gauge is
+    held (2964 -> 248) and the waves are refilled (657 -> 288).  The
+    lock-taking reference grants locks to winners only (``grants``),
+    and the history the engine rebuilds from its certifier has the
+    reference's length."""
     spec = e2e.build_spec(workload, 5, smoke=False)
     config = spec["engine"]
     runs = []

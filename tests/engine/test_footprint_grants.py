@@ -18,6 +18,8 @@ planted driver bugs.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 from locking_reference import (
@@ -356,7 +358,8 @@ def test_certifier_catches_a_driver_that_lets_the_writer_through(
         monkeypatch.setattr(engine, "_lock_action", lambda txn, w: True)
     else:
         monkeypatch.setattr(
-            engine, "_admit", lambda wave, candidates, *rest: candidates
+            engine, "_admit",
+            lambda wave, ranking, width, cycle: list(islice(ranking, width)),
         )
     before = engine.memory.value_identity_set()
     with engine, pytest.raises(NotSerializable, match=r"t read .*\(w\)"):

@@ -227,6 +227,14 @@ def _assert_ranked(cs, strategy, twin, eligible):
     assert list(order_rest(strategy, cs.eligible(), head)) == list(
         order_rest(twin, eligible, twin.order(eligible, 1))
     )
+    if hasattr(strategy, "key"):
+        # The lazy walk a wave's admission pulls: the whole order.
+        walk = cs.eligible().ranked(
+            strategy.key, strategy.descending, lambda seed: False
+        )
+        assert list(walk) == sorted(
+            eligible, key=strategy.key, reverse=strategy.descending
+        )
 
 
 @given(

@@ -125,7 +125,7 @@ class Lockstep:
 
     @property
     def pending(self) -> int:
-        return self.rete.conflict_set.eligible().pending
+        return self.rete.conflict_set._waiting
 
     def select(self):
         chosen = self.rete.select()
