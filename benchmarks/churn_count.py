@@ -3,8 +3,9 @@
 Builds each ``benchmarks/e2e`` workload exactly as its child does (same
 generator, sizes, seed and engine), wraps the engine's conflict set to
 count the instantiations that enter it, ``Token`` to count the Rete
-tokens built and the strategy's ``key`` to count the ranking keys
-evaluated, and runs once, uncapped and untimed.
+tokens built, the strategy's ``key`` to count the ranking keys
+evaluated and a Rete tail's ``completions`` to count what pending
+seeds' walks test, and runs once, uncapped and untimed.
 Most instantiations leave unfired: a ``modify`` retracts and re-derives
 every instantiation joined to the element, and only one per cycle (or
 a wave's worth) fires.
@@ -15,8 +16,9 @@ Run from the repository root::
 
 It prints one row per workload: instantiations in the engine's conflict
 set after attach, instantiations added during the run, firings, all
-built over fired, and the Rete tokens built during the run in this
-process (0 where the match runs in worker processes).  A complete
+built over fired, the Rete tokens built during the run in this
+process (0 where the match runs in worker processes), the strategy
+keys evaluated and the complete matches walked.  A complete
 match is one token — the production node hangs its instantiation on
 the token that completes it, a join's or a tail's — so a row's tokens
 count each instantiation once, not twice; below a reordered rule's
@@ -33,9 +35,15 @@ every match the seed has left.  So the run columns of
 ``manners_serial`` and ``manners_rc`` are about one per firing.
 Their attach columns are ``seed-first-seat``'s, a rule with no tail,
 built before the engine installs its head.  A pending seed is
-not counted, and neither are the candidates a seed enumerates and
-ranks without building: their key evaluations are in ``ranked``,
-with those of every select and wave order (a select ranks only the
+not counted, and neither are the matches a seed's walk tests without
+building them: those are ``walked``, the complete matches (unblocked,
+through the tail's joins) a pending seed's walk reached during the
+run, built or not.  A seed walks each tail assignment's prefix tokens
+best first and stops at the first match it can build, so Manners
+walks about four per firing: the three streams of the three hobbies
+of the seated guest, plus the one a select peeks at to know the seed
+has more.  ``ranked`` counts key evaluations, those of the walks'
+merges and of every select and wave order (a select ranks only the
 leading bucket of the conflict set, so ``ranked`` counts what was
 ranked, not the size of the conflict set).  Counting is outside
 ``src/`` so that no run pays for it.
@@ -57,12 +65,14 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-def count(name: str, seed: int) -> tuple[int, int, int, int, int]:
+def count(name: str, seed: int) -> tuple[int, int, int, int, int, int]:
     """(instantiations in the conflict set after attach, instantiations
     added during the run, firings, Rete tokens built during the run,
-    strategy keys evaluated during the run)."""
+    strategy keys evaluated during the run, complete matches pending
+    seeds' walks tested during the run)."""
     from repro.lang import parse_program
     from repro.match.rete.nodes import Token
+    from repro.match.rete.tail import TailNode, _Seed
     from repro.match.strategies import make_strategy
     from repro.wm.memory import WorkingMemory
     from repro.wm.storage import DurableStore
@@ -112,18 +122,39 @@ def count(name: str, seed: int) -> tuple[int, int, int, int, int]:
         construct(self, *args)
 
     Token.__init__ = counted_init
+    # A tail's completions are a pending seed's walk unless an element
+    # arriving at the tail builds them on the spot (``_Seed.build``).
+    walked = eager = 0
+    completions, build = TailNode.completions, _Seed.build
+
+    def counted_completions(self, tokens, wmes):
+        nonlocal walked
+        for completion in completions(self, tokens, wmes):
+            walked += not eager
+            yield completion
+
+    def counted_build(self, wmes) -> None:
+        nonlocal eager
+        eager += 1
+        try:
+            build(self, wmes)
+        finally:
+            eager -= 1
+
+    TailNode.completions, _Seed.build = counted_completions, counted_build
     parallel = spec["engine"]["kind"] == "parallel"
     limit = {"max_waves" if parallel else "max_cycles": 10**9}
     try:
         result = engine.run(**limit)
     finally:
         Token.__init__ = construct
+        TailNode.completions, _Seed.build = completions, build
         strategy_class.key = saved_key
         engine.close()
         if store is not None:
             store.close()
             shutil.rmtree(store_dir, ignore_errors=True)
-    return attached, added, len(result.firings), tokens, ranked
+    return attached, added, len(result.firings), tokens, ranked, walked
 
 
 def main() -> int:
@@ -135,14 +166,16 @@ def main() -> int:
     args = parser.parse_args()
     print(
         f"{'workload':<16} {'attach':>7} {'run':>7} {'fired':>6} "
-        f"{'built/fired':>11} {'tokens':>7} {'ranked':>7}"
+        f"{'built/fired':>11} {'tokens':>7} {'ranked':>7} {'walked':>7}"
     )
     for name in args.workloads:
-        attached, added, fired, tokens, ranked = count(name, args.seed)
+        attached, added, fired, tokens, ranked, walked = count(
+            name, args.seed
+        )
         built = attached + added
         print(
             f"{name:<16} {attached:>7} {added:>7} {fired:>6} "
-            f"{built / fired:>11.2f} {tokens:>7} {ranked:>7}"
+            f"{built / fired:>11.2f} {tokens:>7} {ranked:>7} {walked:>7}"
         )
     return 0
 

@@ -420,7 +420,7 @@ class ParallelEngine:
         ``eligible`` is that pre-check's candidate list, so a wave
         reads the conflict set once, and ``ranking`` the
         :meth:`_ranking` of it the pre-check began, so that no seed is
-        enumerated twice; ``width`` narrows this one wave below
+        walked twice; ``width`` narrows this one wave below
         ``processors``.
         """
         if eligible is None:

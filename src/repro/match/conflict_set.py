@@ -79,21 +79,23 @@ class Eligible:
         self._cs.settle()
         return chain.from_iterable(self._cs._buckets.values())
 
-    def buckets(self, head, order=None, limit=None) -> Iterator[Collection]:
+    def buckets(
+        self, head, key=None, descending: bool = True, limit=None
+    ) -> Iterator[Collection]:
         """The members grouped by ``head``, the largest head first, when
         the set is ranked by ``head``; else all of them as one group.
         A seed reached builds its first ``limit`` by the strategy's
-        ``order`` (all, without both)."""
+        ``key`` and direction (all, without a limit)."""
         cs, buckets = self._cs, self._cs._buckets
         if head is not cs._head:
             cs.settle()
             yield self
         elif cs._waiting:
-            yield from cs._opened(order, limit)
+            yield from cs._opened(key, descending, limit)
         elif buckets:
             yield buckets[max(buckets)]  # all a select reads
-            for key in sorted(buckets, reverse=True)[1:]:
-                yield buckets[key]
+            for group in sorted(buckets, reverse=True)[1:]:
+                yield buckets[group]
 
     def ranked(self, key, descending: bool, spent) -> Iterator:
         """Every member by ``key`` (refining the head; largest first when
@@ -236,28 +238,29 @@ class ConflictSet:
     def settle(self) -> None:
         """Build every pending seed's matches."""
         while self._pending:
-            self._open(next(iter(self._pending)), None, None)
+            self._open(next(iter(self._pending)), None, True, None)
 
-    def _open(self, head, order, limit: int | None) -> None:
+    def _open(self, head, key, descending: bool, limit: int | None) -> None:
         """Let the seeds with ``head`` build; refile those with more."""
         waiting = self._pending.pop(head, {})
         self._waiting -= len(waiting)
+        key = key or Instantiation.lex_key  # without a limit: any order
         for seed in waiting:
-            if seed.expand(order, limit):
+            if seed.expand(key, descending, limit):
                 self.pend(seed)
 
-    def _opened(self, order, limit: int | None):
+    def _opened(self, key, descending: bool, limit: int | None):
         """:meth:`Eligible.buckets` with seeds pending."""
         buckets, pending = self._buckets, self._pending
         top = max(chain(buckets, pending))
-        self._open(top, order, limit)
+        self._open(top, key, descending, limit)
         if top in buckets:
             yield buckets[top]
-        for key in sorted({*buckets, *pending}, reverse=True):
-            if key < top:
-                self._open(key, order, limit)
-                if key in buckets:
-                    yield buckets[key]
+        for group in sorted({*buckets, *pending}, reverse=True):
+            if group < top:
+                self._open(group, key, descending, limit)
+                if group in buckets:
+                    yield buckets[group]
 
     # -- refraction -------------------------------------------------------------------
 

@@ -85,6 +85,7 @@ class Token:
         "children",
         "blockers",
         "instantiation",
+        "recency",  # a tail walk's cache: the path's sorted timetags
     )
 
     def __init__(

@@ -9,11 +9,16 @@ al., AAAI 1990): a WME newer than every WME seen is, per rule, a
 :class:`_Pending` seed in the conflict set.  What completes a match
 later (a newer seed, a prefix token, an older WME a rollback re-adds)
 builds it, so a seed is left the matches it is the newest element of.
-A select builds the best of them (:meth:`_Pending.expand`); a wave's
-admission takes them one at a time (:meth:`_Pending.matches`).
+It walks them best first, never enumerating them to sort them, and
+builds one only when it is taken: a select builds the best
+(:meth:`_Pending.expand`), a wave's admission takes them one at a time
+(:meth:`_Pending.matches`).
 """
 
 from __future__ import annotations
+
+from heapq import merge
+from itertools import groupby, islice
 
 from repro.lang.ast import ModifyAction, RemoveAction
 from repro.lang.compile import SlottedPlan, bound_prefixes
@@ -154,21 +159,25 @@ class TailNode(TokenStore):
             else:
                 self._join(token, depth, extended, (*wmes, wme))
 
-    def seed(self, seed: "_Seed", found: list, emit, depth: int = 0) -> None:
-        """``emit(prefix token, tail WMEs, data)`` per match found."""
+    def seed(self, seed: "_Seed", found: list, visit, depth: int = 0) -> None:
+        """``visit(tail WMEs)`` per assignment of the tail's positions
+        that extends ``found``, which holds the seed's WME."""
         if depth < len(seed.plan):
             position, buckets, key_of, skips_seed = seed.plan[depth]
             seeded = found[seed.position]
             for wme in buckets.get(key_of(found), {}).values():
                 if not (skips_seed and wme is seeded):
                     found[position] = wme
-                    self.seed(seed, found, emit, depth + 1)
+                    self.seed(seed, found, visit, depth + 1)
             return
-        buckets, key_of = seed.prefix
-        wmes = tuple(found)
+        visit(tuple(found))
+
+    def completions(self, tokens, wmes: tuple):
+        """``(token, data)`` per prefix token of ``tokens``, in their
+        order, that is unblocked and that ``wmes`` complete."""
         betas = tuple(zip(self._betas, wmes))
         skip_blocked = self._skip_blocked
-        for token in buckets.get(key_of(wmes), ()):
+        for token in tokens:
             if skip_blocked and token.blockers:
                 continue
             data = token.data
@@ -177,7 +186,7 @@ class TailNode(TokenStore):
                 if data is None:
                     break
             else:
-                emit(token, wmes, data)
+                yield token, data
 
     def _emit(self, parent: Token, wmes: tuple, data) -> None:
         token = TailToken(parent, wmes, data, self)
@@ -226,7 +235,19 @@ class _Seed:
             return
         found = [None] * len(tail.alphas)
         found[self.position] = wme
-        tail.seed(self, found, tail._emit)
+        tail.seed(self, found, self.build)
+
+    def prefix_tokens(self, wmes: tuple):
+        """The prefix store's bucket that tail assignment ``wmes``
+        probes."""
+        buckets, key_of = self.prefix
+        return buckets.get(key_of(wmes), ())
+
+    def build(self, wmes: tuple) -> None:
+        """Build every match tail assignment ``wmes`` completes."""
+        tail = self.tail
+        for token, data in tail.completions(self.prefix_tokens(wmes), wmes):
+            tail._emit(token, wmes, data)
 
     def on_wme_removed(self, wme: WME) -> None:
         for pending in self.waiting.pop(wme.timetag, ()):
@@ -235,7 +256,9 @@ class _Seed:
 
 class _Pending:
     """A rule's matches of ``wme`` at ``seed``'s position, unbuilt;
-    ``production`` and ``_newest`` are all a lazy head reads."""
+    ``production`` and ``_newest`` are all a lazy head reads.  A
+    select (:meth:`expand`), a wave's admission (:meth:`matches`) and
+    ``settle`` all read one stream, :meth:`_walk`."""
 
     __slots__ = ("seed", "wme", "plan", "production", "_newest")
 
@@ -252,66 +275,89 @@ class _Pending:
             and action.ce_index == ce + 1 for action in self.production.rhs
         )
 
-    def _pool(self) -> tuple[list, dict]:
-        """Every match, unbuilt, and ``id(match) ->`` its _emit args."""
-        seed, plan, tail = self.seed, self.plan, self.seed.tail
-        pool, emits = [], {}
+    def _walk(self, key, descending: bool, skip):
+        """``(match, its _emit args)`` per match not in ``skip``, not
+        refracted and with ``wme`` its newest element, best first by
+        ``key`` (a strategy's, largest first when ``descending``).
 
-        def collect(token: Token, wmes: tuple, data) -> None:
-            path = token.wmes() + wmes
-            if plan.in_lhs_order is not None:
-                path = plan.in_lhs_order(path)
-            pool.append(plan.instantiate(path, data))
-            emits[id(pool[-1])] = (token, wmes, data)
+        Fix a tail assignment ``W``: merging ``W``'s timetags into two
+        prefix tokens' sorted timetags keeps their order, so ``key``
+        ranks the matches through ``W`` as it ranks the tokens' sorted
+        timetags (``KeyedStrategy``'s contract).  Each ``W`` walks its
+        prefix bucket in that order, and the streams are merged."""
+        seed, tail, newest = self.seed, self.seed.tail, self._newest
+        found = [None] * len(tail.alphas)
+        found[seed.position] = self.wme
+        assignments: list[tuple] = []
+        tail.seed(seed, found, assignments.append)
+        streams = [
+            self._through(wmes, key, descending, skip)
+            for wmes in assignments
+            if max(wme.timetag for wme in wmes) == newest  # else newer's
+        ]
+        return merge(
+            *streams, key=lambda entry: key(entry[0]), reverse=descending
+        )
 
-        path = [None] * len(tail.alphas)
-        path[seed.position] = self.wme
-        tail.seed(seed, path, collect)
-        return pool, emits
+    def _through(self, wmes: tuple, key, descending: bool, skip):
+        """:meth:`_walk`'s matches through tail assignment ``wmes``."""
+        tail, plan, newest = self.seed.tail, self.plan, self._newest
+        cs, in_lhs_order = tail.network.conflict_set, plan.in_lhs_order
+        tokens = [
+            token for token in self.seed.prefix_tokens(wmes)
+            if not token.blockers
+        ]
+        tokens.sort(key=_recency, reverse=descending)
+        for recency, tied in groupby(tokens, _recency):
+            if recency and recency[0] > newest:
+                continue  # a newer prefix element built it
+            found = []
+            for token, data in tail.completions(tied, wmes):
+                path = token.wmes() + wmes
+                if in_lhs_order is not None:
+                    path = in_lhs_order(path)
+                match = plan.instantiate(path, data)
+                if not (match in skip or cs.has_fired(match)):
+                    found.append((match, (token, wmes, data)))
+            if len(found) > 1:  # equal recency: the whole key decides
+                found.sort(key=lambda entry: key(entry[0]), reverse=descending)
+            yield from found
 
-    def expand(self, order, limit: int | None) -> bool:
-        """Build the first ``limit`` by ``order`` (all, without both)
-        of the matches neither built nor refracted; True if more are."""
-        pool, emits = self._pool()
-        if order is not None and limit is not None:
-            pool = order(pool)  # best first: most are never tested
-        tail = self.seed.tail
-        cs, built = tail.network.conflict_set, 0
-        for candidate in pool:
-            if candidate in cs or cs.has_fired(candidate):
-                continue
-            if built == limit:
-                return True
-            tail._emit(*emits[id(candidate)])
-            built += 1
-        return False
+    def expand(self, key, descending: bool, limit: int | None) -> bool:
+        """Build the first ``limit`` (all, without one) of the matches
+        not yet built, best first by ``key``; True if more are."""
+        walk = self._walk(key, descending, self.seed.tail.network.conflict_set)
+        for _, emit in islice(walk, limit):
+            self.build(emit)
+        return next(walk, None) is not None
 
     def build(self, emit: tuple) -> None:
         """Build the match ``emit`` stands for (:meth:`matches`)."""
         self.seed.tail._emit(*emit)
 
     def matches(self, key, descending: bool, skip, spent):
-        """``(match, self, emit)``, best first by ``key``, per match
-        unbuilt (:meth:`build` builds it), not refracted, not in
-        ``skip`` and with ``wme`` its newest element (the rest are a
-        newer seed's).  None once ``spent(self)``; after the last the
-        seed leaves the conflict set, unless spent."""
+        """``(match, self, emit)`` per match of :meth:`_walk` (unbuilt
+        but for ``skip``), pulled one at a time; :meth:`build` builds
+        it.  None once ``spent(self)``; after the last the seed leaves
+        the conflict set, unless spent."""
         if spent(self):
             return
-        pool, emits = self._pool()
-        pool.sort(key=key, reverse=descending)
-        cs, newest = self.seed.tail.network.conflict_set, self._newest
-        for candidate in pool:
-            if (
-                candidate._newest != newest or candidate in skip
-                or cs.has_fired(candidate)
-            ):
-                continue
+        for match, emit in self._walk(key, descending, skip):
             if spent(self):
                 return
-            yield candidate, self, emits[id(candidate)]
+            yield match, self, emit
         if not spent(self):  # else its last may be unbuilt
-            cs.unpend(self)
+            self.seed.tail.network.conflict_set.unpend(self)
+
+
+def _recency(token: Token) -> tuple[int, ...]:
+    """``token``'s timetags sorted descending, cached on it."""
+    try:
+        return token.recency
+    except AttributeError:  # first read; a token's path never changes
+        tags = sorted((wme.timetag for wme in token.wmes()), reverse=True)
+        token.recency = tuple(tags)
+        return token.recency
 
 
 def _sourced_key(sources: list[tuple[int, str]]):

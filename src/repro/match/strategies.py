@@ -48,9 +48,13 @@ class Strategy(Protocol):
 def _groups(candidates: Candidates, strategy, limit: int | None = None):
     """The view's groups by the strategy's head, lead first (one,
     unranked); a pending seed in them builds its ``limit`` first."""
-    if isinstance(candidates, Eligible):
-        return candidates.buckets(strategy.head, strategy.order, limit)
-    return (candidates,)
+    if not isinstance(candidates, Eligible):
+        return (candidates,)
+    if strategy.head is None:
+        return candidates.buckets(None)
+    return candidates.buckets(
+        strategy.head, strategy.key, strategy.descending, limit
+    )
 
 
 class KeyedStrategy:
@@ -64,12 +68,18 @@ class KeyedStrategy:
     list — that is, on the order the matcher emitted them in.  Keys
     are cached on first read.  Of a view ranked by ``head``, ``select``
     and ``order(·, limit)`` read only the leading groups.
+
+    A lazy strategy (``lazy``: ``head`` reads only the rule and the
+    newest timetag) also promises that within one rule ``key`` orders
+    matches by their sorted-descending timetags, then their LHS-order
+    timetags, in ``descending``'s direction: a Rete tail seed walks its
+    matches best first on that alone (:mod:`repro.match.rete.tail`).
     """
 
     name: str
     key: Callable[[Instantiation], tuple]
     head: Head = attrgetter("_newest")
-    lazy = True  # ``head`` reads only the rule and the newest timetag
+    lazy = True
     #: True: the largest key is preferred; False: the smallest.
     descending = True
 

@@ -23,6 +23,26 @@ class EagerParallelEngine(ParallelEngine):
         yield from self.strategy.order(eligible)
 
 
+def every_match(pending) -> list:
+    """Every match of ``pending``'s rule through its seed's element,
+    unbuilt, in no order: each tail assignment joined with every
+    prefix token it completes."""
+    seed, plan = pending.seed, pending.plan
+    found = [None] * len(seed.tail.alphas)
+    found[seed.position] = pending.wme
+    assignments = []
+    seed.tail.seed(seed, found, assignments.append)
+    matches = []
+    for wmes in assignments:
+        tokens = seed.prefix_tokens(wmes)
+        for token, data in seed.tail.completions(tokens, wmes):
+            path = token.wmes() + wmes
+            if plan.in_lhs_order is not None:
+                path = plan.in_lhs_order(path)
+            matches.append(plan.instantiate(path, data))
+    return matches
+
+
 def unbuilt(conflict_set) -> dict:
     """``{match: its pending seed}`` for every match neither built nor
     refracted whose newest element a pending seed holds; builds
@@ -30,7 +50,7 @@ def unbuilt(conflict_set) -> dict:
     found = {}
     for seeds in conflict_set._pending.values():
         for seed in seeds:
-            for match in seed._pool()[0]:
+            for match in every_match(seed):
                 if match._newest == seed._newest and not (
                     match in conflict_set or conflict_set.has_fired(match)
                 ):

@@ -276,3 +276,147 @@ def test_mea_and_random_build_every_match():
         step.make("c", 2, v=5)
         assert step.pending == 0
         assert len(step.rete.conflict_set.members()) == 1
+
+
+# -- the walk's recency order, on prefix stores that do not keep it ----------------------
+
+#: ``twin``'s prefix is ``(a) (a)``, two positive elements on one alpha
+#: memory, so ``(a1, a2)`` and ``(a2, a1)`` have one recency vector.
+TWIN = """
+(p twin (a ^k <x> ^id <i>) (b ^k <x> ^v <y>) (c ^k <y> ^v <w>)
+   (a ^k <x> ^id <> <i> ^v <w>)
+   --> (modify 2 ^v <w>))
+"""
+#: ``screen``'s negation blocks prefix tokens by their own ``a``, not
+#: by the key the tail probes them on.
+SCREEN = """
+(p screen (a ^k <x> ^v <z>) (b ^k <x> ^v <y>) (c ^k <y> ^v <w>) (d ^k <x> ^v <w>)
+   -(n ^k <z>)
+   --> (modify 2 ^v <w>))
+"""
+
+
+def _fire_all(step: Lockstep) -> list:
+    fired = []
+    while step.select() is not None:
+        fired.append(step.fire())
+    step.check()
+    return fired
+
+
+def test_equal_recency_prefix_tokens_rank_by_the_whole_key():
+    """Two ``b``s and a ``c`` seed four matches, two per ``b``, whose
+    prefix tokens tie on recency: the LHS-order timetags decide, in
+    the strategy's direction, not the order the tokens were stored."""
+    for strategy in LAZY:
+        step = Lockstep(TWIN, strategy)
+        (rule,) = parse_program(TWIN)
+        assert rule.join_plan().tail == 2
+        for i in (1, 2):
+            step.memory.make("a", k=1, id=i, v=5)
+        for _ in range(2):
+            step.make("b", 1, v=2)
+        step.make("c", 2, v=5)
+        assert step.pending
+        assert len(_fire_all(step)) == 2
+
+
+def test_a_prefix_element_re_added_late_ranks_by_its_own_timetag():
+    """Removing and re-adding the older ``a`` under its timetag stores
+    its prefix token after the newer one's: the walk still ranks the
+    two by recency."""
+    for strategy in LAZY:
+        for gone in (0, 1):
+            step = Lockstep(CHASE, strategy)
+            a = [step.make("a", 1), step.make("a", 1)]
+            step.make("d", 1, v=5)
+            step.memory.remove(a[gone])
+            step.memory.add(a[gone])
+            for _ in range(2):
+                step.make("b", 1, v=2)
+            step.make("c", 2, v=5)
+            assert step.pending
+            assert len(_fire_all(step)) == 2
+
+
+def test_the_best_prefix_tokens_all_blocked():
+    """The two newest and the two oldest ``a``s are blocked: a LEX or
+    priority walk passes the first two, a FIFO walk the last two."""
+    for strategy in LAZY:
+        step = Lockstep(SCREEN, strategy)
+        for v in range(6):
+            step.make("a", 1, v=v)
+        step.make("d", 1, v=5)
+        for v in (0, 1, 4, 5):
+            step.make("n", v)
+        step.make("b", 1, v=2)
+        step.make("c", 2, v=5)
+        assert step.pending
+        (chosen,) = _fire_all(step)
+        a = chosen.wmes[0]
+        assert a["v"] == (2 if strategy == "fifo" else 3)
+
+
+BUMP = "(p bump (a ^k <x> ^v 1) --> (modify 1 ^v 0))"
+
+
+def _rolled_back(matcher: str, strategy: str, processors):
+    """``(stop reason, firings)`` of a wave run whose first ``bump``
+    crashes before it commits: the rollback re-adds the ``a`` it
+    modified under its old timetag, after ``chase``'s seeds filed."""
+    from repro.fault import FaultPlan, FaultSpec
+
+    memory = WorkingMemory()
+    plan = FaultPlan([FaultSpec("crash_commit", rule="bump", max_hits=1)])
+    engine = ParallelEngine(
+        parse_program(CHASE + BUMP), memory, scheme="rc", matcher=matcher,
+        strategy=strategy, processors=processors, seed=3,
+        fault_injector=plan.injector(),
+    )
+    with engine:
+        memory.make("a", k=1, v=1)
+        memory.make("a", k=1, v=0)
+        memory.make("d", k=1, v=5)
+        for _ in range(3):
+            memory.make("b", k=1, v=2)
+        memory.make("c", k=2, v=5)
+        stop = engine.run(max_waves=12).stop_reason
+        assert engine.fault.total_injected == 1
+        firings = [
+            (f.rule_name, f.value_identities) for f in engine.result.firings
+        ]
+    return stop, firings
+
+
+def test_a_rolled_back_prefix_element_in_a_wave_fires_as_under_naive():
+    for strategy in LAZY:
+        for processors in (None, 1, 2):
+            assert _rolled_back("rete", strategy, processors) == (
+                _rolled_back("naive", strategy, processors)
+            )
+
+
+
+def test_a_wave_ranks_each_match_once_after_a_late_prefix_token():
+    """A prefix token arriving after ``chase``'s seeds filed builds the
+    matches it completes at once; the ``c`` seed holds them too, but
+    its walk yields only those it is the newest element of, so a
+    wave's ranking lists each eligible match once, in key order."""
+    for strategy in LAZY:
+        step = Lockstep(CHASE, strategy)
+        for _ in range(2):
+            step.make("b", 1, v=2)
+        step.make("c", 2, v=5)
+        step.make("b", 1, v=2)  # a seed newer than the c
+        step.make("a", 1)
+        step.make("d", 1, v=5)
+        assert step.pending
+        ranking = step.rete.strategy
+        walk = step.rete.conflict_set.eligible().ranked(
+            ranking.key, ranking.descending, lambda seed: False
+        )
+        assert list(walk) == sorted(
+            step.naive.conflict_set.eligible(),
+            key=ranking.key, reverse=ranking.descending,
+        )
+        step.check()

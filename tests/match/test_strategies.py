@@ -244,6 +244,67 @@ class TestOrder:
         assert isinstance(make_strategy(name), Strategy)
 
 
+class TestLazyOrderContract:
+    """What a Rete tail seed's best-first walk rests on: within one
+    rule a lazy strategy's key orders matches by their sorted-
+    descending timetags, then their LHS-order timetags, in the
+    strategy's direction; and merging one fixed set of timetags into
+    two matches keeps their order."""
+
+    LAZY = [name for name in STRATEGIES if getattr(
+        make_strategy(name), "lazy", False
+    )]
+
+    def test_the_lazy_strategies_are_lex_priority_and_fifo(self):
+        assert self.LAZY == ["lex", "priority", "fifo"]
+
+    @pytest.mark.parametrize("name", LAZY)
+    @given(
+        st.integers(1, 4).flatmap(lambda width: st.lists(
+            st.lists(st.integers(0, 5), min_size=width, max_size=width),
+            min_size=1, max_size=10, unique_by=tuple,
+        )),
+        st.sampled_from(_RULES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_key_orders_one_rule_by_recency_then_lhs_order(
+        self, name, tag_lists, production
+    ):
+        strategy = make_strategy(name)
+        matches = [inst(production, *tags) for tags in tag_lists]
+        by_key = sorted(
+            matches, key=strategy.key, reverse=strategy.descending
+        )
+        by_contract = sorted(
+            matches,
+            key=lambda m: (m.recency_key(), m.timetags()),
+            reverse=strategy.descending,
+        )
+        assert same_objects(by_key, by_contract)
+
+    @pytest.mark.parametrize("name", LAZY)
+    @given(
+        st.integers(1, 3).flatmap(lambda width: st.tuples(
+            st.lists(st.integers(0, 9), min_size=width, max_size=width),
+            st.lists(st.integers(0, 9), min_size=width, max_size=width),
+        )),
+        st.lists(st.integers(0, 9), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_shared_tail_assignment_keeps_the_prefixes_order(
+        self, name, prefixes, shared
+    ):
+        strategy = make_strategy(name)
+        production = _RULES[0]
+        left, right = (
+            strategy.key(inst(production, *prefix, *shared))
+            for prefix in prefixes
+        )
+        alone = [sorted(prefix, reverse=True) for prefix in prefixes]
+        if alone[0] != alone[1]:
+            assert (left < right) == (alone[0] < alone[1])
+
+
 class TestRandomOrder:
     @given(candidate_lists(), st.none() | st.integers(0, 14))
     @settings(max_examples=50, deadline=None)
