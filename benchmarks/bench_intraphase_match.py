@@ -173,8 +173,12 @@ def test_partitioned_serial_bit_identical_on_manners(benchmark):
     must equal the monolithic one bit-for-bit (same instantiation
     identities, same timetags).  The interpreter's Rete leaves tail
     seeds unbuilt until a select reaches them, so its side is compared
-    as ``materialized()``: every pending match built.
+    settled: every pending match built.
     """
+
+    def built(conflict_set):
+        conflict_set.settle()
+        return conflict_set.members()
 
     def run():
         memory = build_manners_memory(16, seed=3)
@@ -190,7 +194,7 @@ def test_partitioned_serial_bit_identical_on_manners(benchmark):
         interpreter = Interpreter(rules, memory, matcher=monolithic)
         assert (
             partitioned.conflict_set.members()
-            == monolithic.conflict_set.materialized()
+            == built(monolithic.conflict_set)
         )
         divergences = 0
         cycles = 0
@@ -198,7 +202,7 @@ def test_partitioned_serial_bit_identical_on_manners(benchmark):
             cycles += 1
             if (
                 partitioned.conflict_set.members()
-                != monolithic.conflict_set.materialized()
+                != built(monolithic.conflict_set)
             ):
                 divergences += 1
         partitioned.detach()
@@ -210,7 +214,7 @@ def test_partitioned_serial_bit_identical_on_manners(benchmark):
     assert divergences == 0
     assert (
         partitioned.conflict_set.members()
-        == monolithic.conflict_set.materialized()
+        == built(monolithic.conflict_set)
     )
     validate_seating(memory)
     report(

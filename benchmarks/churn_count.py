@@ -40,12 +40,12 @@ building them: those are ``walked``, the complete matches (unblocked,
 through the tail's joins) a pending seed's walk reached during the
 run, built or not.  A seed walks each tail assignment's prefix tokens
 best first and stops at the first match it can build, so Manners
-walks about four per firing: the three streams of the three hobbies
-of the seated guest, plus the one a select peeks at to know the seed
-has more.  ``ranked`` counts key evaluations, those of the walks'
-merges and of every select and wave order (a select ranks only the
-leading bucket of the conflict set, so ``ranked`` counts what was
-ranked, not the size of the conflict set).  Counting is outside
+walks about three per firing: the three streams of the three hobbies
+of the seated guest.  ``ranked`` counts key evaluations, those of the
+walks' merges and of every select and wave order (each reads the
+start of the conflict set's one ranking, which sorts only the groups
+by head that a pull reaches, so ``ranked`` counts what was ranked,
+not the size of the conflict set).  Counting is outside
 ``src/`` so that no run pays for it.
 """
 

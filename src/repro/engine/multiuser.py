@@ -16,14 +16,13 @@ still replay single-threaded, which the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.engine.parallel import ParallelEngine, SchemeName
 from repro.errors import EngineError
 from repro.lang.production import Production
 from repro.match.instantiation import Instantiation
-from repro.match.strategies import Strategy, make_strategy, order_rest
+from repro.match.strategies import Strategy, make_strategy
 from repro.wm.memory import WorkingMemory
 
 
@@ -112,27 +111,21 @@ class MultiUserEngine(ParallelEngine):
     def _ranking(
         self, eligible: list[Instantiation], width: int | None
     ) -> Iterator[Instantiation]:
-        """Interleave users' candidates, rotating the lead user: the
-        round-robin, dealt as it is pulled."""
-        buckets: dict[str, list[Instantiation]] = {}
+        """Deal from each user's ranking in turn, rotating the lead
+        user: the round-robin, dealt as it is pulled."""
+        by_user: dict[str, list[Instantiation]] = {}
         for candidate in eligible:
             user = self._owners.get(candidate.production.name, "?")
-            buckets.setdefault(user, []).append(candidate)
-        # A user supplies at most ``width`` of a full wave, so that is
-        # all the base strategy ranks within a bucket up front.
-        ranked = {}
-        for user, candidates in buckets.items():
-            head = self.strategy.order(candidates, width)
-            ranked[user] = chain(
-                head, order_rest(self.strategy, candidates, head)
-            )
+            by_user.setdefault(user, []).append(candidate)
         # Rotate the user list so the lead changes every wave.
         users = self._users
         rotation = users[self._turn:] + users[: self._turn]
         self._turn = (self._turn + 1) % len(users) if users else 0
-        return _round_robin(
-            [ranked[user] for user in rotation if user in ranked]
-        )
+        # A user supplies at most ``width`` of a full wave.
+        return _round_robin([
+            self.strategy.ranked(by_user[user], width=width)
+            for user in rotation if user in by_user
+        ])
 
     # -- attribution -----------------------------------------------------------------
 

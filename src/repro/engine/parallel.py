@@ -111,8 +111,7 @@ from repro.locks import SCHEMES
 from repro.locks.modes import compatible
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
-from repro.match.conflict_set import Eligible
-from repro.match.strategies import Strategy, make_strategy, order_rest
+from repro.match.strategies import Strategy, make_strategy
 from repro.txn.schedule import Certifier, History
 from repro.txn.transaction import Transaction
 from repro.wm.element import data_object_key
@@ -121,14 +120,6 @@ from repro.wm.snapshot import WMSnapshot
 from repro.wm.undo import UndoLog
 
 SchemeName = Literal["2pl", "rc", "c2pl"]
-
-
-def _ranked(strategy: Strategy, eligible, width: int | None):
-    """``strategy.order(eligible)``: the first ``width`` at the first
-    pull, the rest a group at a time when asked."""
-    head = strategy.order(eligible, width)
-    yield from head
-    yield from order_rest(strategy, eligible, head)
 
 
 def _resumed(first: Instantiation, ranking: Iterator[Instantiation]):
@@ -379,19 +370,14 @@ class ParallelEngine:
     def _ranking(
         self, eligible: Collection[Instantiation], width: int | None
     ) -> Iterator[Instantiation]:
-        """The wave's one ranking of ``eligible``, pulled a candidate
-        at a time: under admission and a keyed strategy the conflict
-        set's lazy walk, which stops a seed once :meth:`_spent`; else
-        ``order(eligible, width)`` and then the rest when asked."""
-        strategy = self.strategy
-        if self._admits and isinstance(eligible, Eligible) and hasattr(
-            strategy, "key"
-        ):
+        """The wave's one ranking of ``eligible`` (``strategy.ranked``),
+        pulled a candidate at a time; under admission a seed stops
+        once :meth:`_spent`."""
+        spent = None
+        if self._admits:
             self._written = {}
-            return eligible.ranked(
-                strategy.key, strategy.descending, self._spent
-            )
-        return _ranked(strategy, eligible, width)
+            spent = self._spent
+        return self.strategy.ranked(eligible, spent, width)
 
     def _spent(self, seed) -> bool:
         """Would admission cut every match ``seed`` has left?  Yes when

@@ -8,13 +8,15 @@ remove keeps only what the engines and the matchers read:
 
 * the membership, in membership order;
 * the eligible members (not yet fired), grouped by the installed
-  strategy's head (:meth:`ConflictSet.rank_by`) so that a select ranks
-  only the leading group, and never scans the membership;
+  strategy's head (:meth:`ConflictSet.rank_by`), so that the ranking
+  finds its lead group by one ``max``, sorts the other heads only
+  once it gets past that group, and never scans the membership;
 * the *pending seeds* a Rete tail files, under a ``lazy`` head, by
   the head of the matches they stand for (:mod:`repro.match.rete.
-  tail`): a select or ``order(·, k)`` that reaches one builds its
-  first ``k``, a wave's admission pulling :meth:`Eligible.ranked`
-  builds each match it takes; :meth:`settle` builds them all;
+  tail`).  :meth:`Eligible.ranked` is the one ranking of the set: a
+  select is its first item, ``order(·, k)`` its first ``k`` and a
+  wave pulls it a candidate at a time, and a seed builds a match only
+  when the ranking yields it; :meth:`settle` drains it, building all;
 * the refraction marks;
 * rule name → instantiations, backing :meth:`for_rule` and
   :meth:`rule_names` (the naive, ``cond`` and TREAT matchers'
@@ -46,15 +48,15 @@ Membership is the built members plus the pending seeds.  ``len()`` and
 ``bool()`` of the set and of the eligible view count a seed as one,
 whatever it holds (maybe nothing): they never enumerate.  ``in``,
 ``members()``, ``for_rule()`` and iterating the set read the built
-members; iterating the view and :meth:`~ConflictSet.materialized`
-build the rest first.
+members; iterating the view builds the rest first
+(:meth:`~ConflictSet.settle`).
 """
 
 from __future__ import annotations
 
 from heapq import merge
 from itertools import chain
-from typing import Callable, Collection, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.match.instantiation import Instantiation
 
@@ -79,57 +81,67 @@ class Eligible:
         self._cs.settle()
         return chain.from_iterable(self._cs._buckets.values())
 
-    def buckets(
-        self, head, key=None, descending: bool = True, limit=None
-    ) -> Iterator[Collection]:
-        """The members grouped by ``head``, the largest head first, when
-        the set is ranked by ``head``; else all of them as one group.
-        A seed reached builds its first ``limit`` by the strategy's
-        ``key`` and direction (all, without a limit)."""
-        cs, buckets = self._cs, self._cs._buckets
-        if head is not cs._head:
-            cs.settle()
-            yield self
-        elif cs._waiting:
-            yield from cs._opened(key, descending, limit)
-        elif buckets:
-            yield buckets[max(buckets)]  # all a select reads
-            for group in sorted(buckets, reverse=True)[1:]:
-                yield buckets[group]
-
-    def ranked(self, key, descending: bool, spent) -> Iterator:
-        """Every member by ``key`` (refining the head; largest first when
-        ``descending``), pulled one at a time: the groups by head, and
-        in each the built members merged with its seeds' matches, each
-        built when taken (:meth:`~repro.match.rete.tail._Pending.
-        matches`).  A seed ``spent`` holds for yields no more; what is
-        left unbuilt stays filed."""
+    def ranked(
+        self, head, key, descending: bool, spent=None
+    ) -> Iterator[Instantiation]:
+        """Every member by ``key`` (refining ``head``; largest first
+        when ``descending``), pulled one at a time: the one ranking of
+        the conflict set.  Of a set ranked by ``head``, the groups by
+        head: the lead by one ``max``, the rest sorted only once the
+        walk gets past it; in each, the built members merged with its
+        seeds' matches, each built when taken (:meth:`~repro.match.
+        rete.tail._Pending.matches`).  A seed ``spent`` holds for
+        yields no more; what is left unbuilt stays filed.  Of a set
+        ranked by another head, every seed is built first and the
+        members rank as one group."""
         cs = self._cs
+        if head is not cs._head:
+            yield from sorted(self, key=key, reverse=descending)
+            return
         buckets, pending = cs._buckets, cs._pending
+        if not (buckets or pending):
+            return
+        spent = spent or _unspent
+        lead = max(chain(buckets, pending)) if pending else max(buckets)
+        yield from self._group(lead, key, descending, spent)
         for group in sorted({*buckets, *pending}, reverse=True):
-            built = list(buckets.get(group, ()))
-            if len(built) > 1:
-                built.sort(key=key, reverse=descending)
-            seeds = pending.get(group)
-            if not seeds:
-                yield from built
-                continue
-            skip = set(built)
-            streams = [
-                seed.matches(key, descending, skip, spent)
-                for seed in list(seeds)
-            ]
-            if built:
-                streams.append([(member, None, None) for member in built])
-            for candidate, seed, emit in merge(
-                *streams, key=lambda entry: key(entry[0]), reverse=descending
-            ):
-                if seed is not None:
-                    if spent(seed):
-                        continue
-                    if candidate not in cs:  # else a sibling rule built it
-                        seed.build(emit)
-                yield candidate
+            if group < lead:
+                yield from self._group(group, key, descending, spent)
+
+    def _group(self, group, key, descending: bool, spent) -> Iterable:
+        """:meth:`ranked`'s members with head ``group`` (a list when
+        no seed has it: a select's common case makes no generator)."""
+        cs = self._cs
+        built = list(cs._buckets.get(group, ()))
+        if len(built) > 1:  # a lone member ranks without a key
+            built.sort(key=key, reverse=descending)
+        seeds = cs._pending.get(group)
+        if not seeds:
+            return built
+        return self._merged(built, seeds, key, descending, spent)
+
+    def _merged(self, built, seeds, key, descending: bool, spent):
+        """The sorted ``built`` merged with the walks of ``seeds``."""
+        cs = self._cs
+        skip = set(built)
+        streams = [
+            seed.matches(key, descending, skip, spent) for seed in list(seeds)
+        ]
+        if built:
+            streams.append([(member, None, None) for member in built])
+        for candidate, seed, emit in merge(
+            *streams, key=lambda entry: key(entry[0]), reverse=descending
+        ):
+            if seed is not None:
+                if spent(seed):
+                    continue
+                if candidate not in cs:  # else a sibling rule built it
+                    seed.build(emit)
+            yield candidate
+
+
+def _unspent(seed) -> bool:
+    return False
 
 
 class ConflictSet:
@@ -236,31 +248,13 @@ class ConflictSet:
                 del self._pending[head]
 
     def settle(self) -> None:
-        """Build every pending seed's matches."""
+        """Build every pending seed's matches: drain their groups of
+        the ranking."""
+        view = self.eligible()
         while self._pending:
-            self._open(next(iter(self._pending)), None, True, None)
-
-    def _open(self, head, key, descending: bool, limit: int | None) -> None:
-        """Let the seeds with ``head`` build; refile those with more."""
-        waiting = self._pending.pop(head, {})
-        self._waiting -= len(waiting)
-        key = key or Instantiation.lex_key  # without a limit: any order
-        for seed in waiting:
-            if seed.expand(key, descending, limit):
-                self.pend(seed)
-
-    def _opened(self, key, descending: bool, limit: int | None):
-        """:meth:`Eligible.buckets` with seeds pending."""
-        buckets, pending = self._buckets, self._pending
-        top = max(chain(buckets, pending))
-        self._open(top, key, descending, limit)
-        if top in buckets:
-            yield buckets[top]
-        for group in sorted({*buckets, *pending}, reverse=True):
-            if group < top:
-                self._open(group, key, descending, limit)
-                if group in buckets:
-                    yield buckets[group]
+            group = next(iter(self._pending))
+            for _ in view._group(group, Instantiation.lex_key, True, _unspent):
+                pass
 
     # -- refraction -------------------------------------------------------------------
 
@@ -346,11 +340,6 @@ class ConflictSet:
 
     def members(self) -> frozenset[Instantiation]:
         """An immutable view of the built membership."""
-        return frozenset(self._members)
-
-    def materialized(self) -> frozenset[Instantiation]:
-        """The whole membership, every pending seed built first."""
-        self.settle()
         return frozenset(self._members)
 
     def rule_names(self) -> frozenset[str]:

@@ -9,16 +9,17 @@ al., AAAI 1990): a WME newer than every WME seen is, per rule, a
 :class:`_Pending` seed in the conflict set.  What completes a match
 later (a newer seed, a prefix token, an older WME a rollback re-adds)
 builds it, so a seed is left the matches it is the newest element of.
-It walks them best first, never enumerating them to sort them, and
-builds one only when it is taken: a select builds the best
-(:meth:`_Pending.expand`), a wave's admission takes them one at a time
-(:meth:`_Pending.matches`).
+It walks them best first, never enumerating them to sort them
+(:meth:`_Pending.matches`), and the conflict set's one ranking
+(:meth:`~repro.match.conflict_set.Eligible.ranked`) builds one only
+when it yields it: a select builds the best, a wave's admission those
+it pulls, ``settle`` all.
 """
 
 from __future__ import annotations
 
 from heapq import merge
-from itertools import groupby, islice
+from itertools import groupby
 
 from repro.lang.ast import ModifyAction, RemoveAction
 from repro.lang.compile import SlottedPlan, bound_prefixes
@@ -256,9 +257,8 @@ class _Seed:
 
 class _Pending:
     """A rule's matches of ``wme`` at ``seed``'s position, unbuilt;
-    ``production`` and ``_newest`` are all a lazy head reads.  A
-    select (:meth:`expand`), a wave's admission (:meth:`matches`) and
-    ``settle`` all read one stream, :meth:`_walk`."""
+    ``production`` and ``_newest`` are all a lazy head reads; the
+    conflict set's ranking pulls them through :meth:`matches`."""
 
     __slots__ = ("seed", "wme", "plan", "production", "_newest")
 
@@ -322,14 +322,6 @@ class _Pending:
             if len(found) > 1:  # equal recency: the whole key decides
                 found.sort(key=lambda entry: key(entry[0]), reverse=descending)
             yield from found
-
-    def expand(self, key, descending: bool, limit: int | None) -> bool:
-        """Build the first ``limit`` (all, without one) of the matches
-        not yet built, best first by ``key``; True if more are."""
-        walk = self._walk(key, descending, self.seed.tail.network.conflict_set)
-        for _, emit in islice(walk, limit):
-            self.build(emit)
-        return next(walk, None) is not None
 
     def build(self, emit: tuple) -> None:
         """Build the match ``emit`` stands for (:meth:`matches`)."""

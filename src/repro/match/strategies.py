@@ -11,16 +11,9 @@ strategy-agnostic, exactly as Section 3 requires.
 from __future__ import annotations
 
 import random
-from heapq import nlargest, nsmallest
+from itertools import islice
 from operator import attrgetter
-from typing import (
-    Callable,
-    Collection,
-    Iterator,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Callable, Collection, Iterator, Protocol, runtime_checkable
 
 from repro.match.conflict_set import Eligible, Head
 from repro.match.instantiation import Instantiation
@@ -30,10 +23,23 @@ Candidates = Collection[Instantiation]
 
 @runtime_checkable
 class Strategy(Protocol):
-    """Ranks non-empty candidates; never adds or removes any."""
+    """Ranks the candidates; never adds or removes any.
+
+    A strategy has one ranking, :meth:`ranked`: ``select`` is its
+    first item and ``order(·, k)`` its first ``k``.
+    """
 
     name: str
     head: Head | None  # a coarse rank: a larger head ranks first
+
+    def ranked(
+        self, candidates: Candidates, spent=None, width: int | None = None
+    ) -> Iterator[Instantiation]:
+        """Every candidate, best first, pulled one at a time.  Of the
+        conflict set's view, a pending seed builds a match only when
+        it is yielded, and one ``spent`` holds for yields no more
+        (:meth:`Eligible.ranked`); ``width``: how many the caller
+        means to take, when it knows (None: all)."""
 
     def select(self, candidates: Candidates) -> Instantiation | None:
         """The dominant instantiation (None: empty pending seeds)."""
@@ -45,29 +51,29 @@ class Strategy(Protocol):
         repeated ``select``-then-remove would produce them."""
 
 
-def _groups(candidates: Candidates, strategy, limit: int | None = None):
-    """The view's groups by the strategy's head, lead first (one,
-    unranked); a pending seed in them builds its ``limit`` first."""
-    if not isinstance(candidates, Eligible):
-        return (candidates,)
-    if strategy.head is None:
-        return candidates.buckets(None)
-    return candidates.buckets(
-        strategy.head, strategy.key, strategy.descending, limit
-    )
+class _Ranking:
+    """``select`` and ``order`` as the start of ``ranked``."""
+
+    def select(self, candidates: Candidates) -> Instantiation | None:
+        return next(self.ranked(candidates, width=1), None)
+
+    def order(
+        self, candidates: Candidates, limit: int | None = None
+    ) -> list[Instantiation]:
+        return list(islice(self.ranked(candidates, width=limit), limit))
 
 
-class KeyedStrategy:
+class KeyedStrategy(_Ranking):
     """A strategy that is a total-order ``key`` plus a direction.
 
-    ``select`` is the extreme of the key and ``order`` one (partial)
-    sort on it, so ``order`` equals repeated ``select``-then-remove.
-    Every key ends in the instantiation's identity (LEX's in the
-    LHS-order timetags, after the rule name), so distinct candidates
-    never tie and neither result depends on the order of the candidate
-    list — that is, on the order the matcher emitted them in.  Keys
-    are cached on first read.  Of a view ranked by ``head``, ``select``
-    and ``order(·, limit)`` read only the leading groups.
+    :meth:`ranked` sorts on the key, so ``order`` equals repeated
+    ``select``-then-remove.  Every key ends in the instantiation's
+    identity (LEX's in the LHS-order timetags, after the rule name), so
+    distinct candidates never tie and the ranking does not depend on
+    the order of the candidate list — that is, on the order the
+    matcher emitted them in.  Keys are cached on first read.  Of a
+    view ranked by ``head`` the ranking reads the groups a pull
+    reaches and no others.
 
     A lazy strategy (``lazy``: ``head`` reads only the rule and the
     newest timetag) also promises that within one rule ``key`` orders
@@ -83,28 +89,14 @@ class KeyedStrategy:
     #: True: the largest key is preferred; False: the smallest.
     descending = True
 
-    def select(self, candidates: Candidates) -> Instantiation | None:
-        for group in _groups(candidates, self, 1):
-            if len(group) == 1:  # a lone candidate wins without a key
-                return next(iter(group))
-            return (max if self.descending else min)(group, key=self.key)
-        return None
-
-    def order(
-        self, candidates: Candidates, limit: int | None = None
-    ) -> list[Instantiation]:
-        if limit is None:
-            return sorted(
-                candidates, key=self.key, reverse=self.descending
+    def ranked(
+        self, candidates: Candidates, spent=None, width: int | None = None
+    ) -> Iterator[Instantiation]:
+        if isinstance(candidates, Eligible):
+            return candidates.ranked(
+                self.head, self.key, self.descending, spent
             )
-        # ``sorted(...)[:limit]``, from the groups that cover ``limit``.
-        pool: list[Instantiation] = []
-        for group in _groups(candidates, self, limit):
-            pool.extend(group)
-            if len(pool) >= limit:
-                break
-        take = nlargest if self.descending else nsmallest
-        return take(limit, pool, key=self.key)
+        return iter(sorted(candidates, key=self.key, reverse=self.descending))
 
 
 class LexStrategy(KeyedStrategy):
@@ -150,19 +142,20 @@ class FifoStrategy(KeyedStrategy):
     descending = False
 
 
-class RandomStrategy:
+class RandomStrategy(_Ranking):
     """Uniformly random choice; seedable for reproducible runs.
 
     Useful for sampling the execution graph: repeated runs explore
     different valid sequences of ``ES_single``.
 
-    ``order`` sorts the pool once by the stable key (rule name, then
-    timetags — the instantiation's identity, so list order is
+    :meth:`ranked` sorts the pool once by the stable key (rule name,
+    then timetags — the instantiation's identity, so list order is
     irrelevant) and draws without replacement, one random number per
-    instantiation returned.  With a ``limit`` below the pool size a
-    seeded run therefore consumes ``limit`` numbers per call, not one
-    per candidate: its sequence differs from what repeated ``select``
-    over the whole pool followed by a cut would give.
+    instantiation: the first ``width`` at the first pull, the rest
+    together when the first of them is asked for.  A seeded run
+    therefore consumes ``width`` numbers per ranking taken no further,
+    not one per candidate: its sequence differs from what repeated
+    ``select`` over the whole pool followed by a cut would give.
     """
 
     name = "random"
@@ -171,37 +164,14 @@ class RandomStrategy:
     def __init__(self, seed: int | None = None) -> None:
         self._rng = random.Random(seed)
 
-    def select(self, candidates: Candidates) -> Instantiation:
-        return self.order(candidates, 1)[0]
-
-    def order(
-        self, candidates: Candidates, limit: int | None = None
-    ) -> list[Instantiation]:
+    def ranked(
+        self, candidates: Candidates, spent=None, width: int | None = None
+    ) -> Iterator[Instantiation]:
         pool = sorted(candidates, key=attrgetter("_identity"))
-        if limit is None or limit > len(pool):
-            limit = len(pool)
         draw = self._rng.randrange
-        return [pool.pop(draw(len(pool))) for _ in range(limit)]
-
-
-def order_rest(
-    strategy: Strategy,
-    candidates: Candidates,
-    head: Sequence[Instantiation],
-) -> Iterator[Instantiation]:
-    """What ``strategy.order(candidates)`` goes on to return after
-    ``head = strategy.order(candidates, limit)``, ranked a group at a
-    time, when the first of it is asked for.
-
-    One ranking in instalments: a keyed order is total, so the rest of
-    it is the order of the rest, group after group; a seeded random
-    draw without replacement (one group) resumes on the same sorted
-    pool in the same generator state.
-    """
-    if len(head) < len(candidates):
-        taken = set(head)
-        for group in _groups(candidates, strategy):
-            yield from strategy.order([c for c in group if c not in taken])
+        first = len(pool) if width is None else min(width, len(pool))
+        yield from [pool.pop(draw(len(pool))) for _ in range(first)]
+        yield from [pool.pop(draw(len(pool))) for _ in range(len(pool))]
 
 
 _REGISTRY = {

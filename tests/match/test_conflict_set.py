@@ -14,7 +14,7 @@ from repro.lang.builder import var
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
 from repro.match.partitioned import ShardConflictSet
-from repro.match.strategies import make_strategy, order_rest
+from repro.match.strategies import make_strategy
 from repro.match.treat import TreatMatcher
 from repro.wm import WorkingMemory
 from repro.wm.element import WME
@@ -202,20 +202,22 @@ _RANKINGS = [None, "lex", "mea", "priority", "fifo", "random"]
 
 
 def _assert_ranked(cs, strategy, twin, eligible):
-    """The installed ``strategy`` over the view ranks as ``twin`` (the
-    same strategy, same seed) over a plain list of the members, and
-    the view's groups are the members grouped by head, leading head
-    first and in membership order, with no empty group."""
-    groups = [list(group) for group in cs.eligible().buckets(strategy.head)]
+    """The installed ``strategy``'s ranking of the view is ``twin``'s
+    (the same strategy, same seed) of a plain list of the members, and
+    the view's groups are the members grouped by head, in membership
+    order, with no empty group."""
+    groups = cs._buckets
     if strategy.head is None:
-        assert groups == ([eligible] if eligible else [])
+        assert [list(group) for group in groups.values()] == (
+            [eligible] if eligible else []
+        )
     else:
         heads = sorted({strategy.head(m) for m in eligible}, reverse=True)
-        assert groups == [
+        assert sorted(groups) == sorted(heads)
+        assert [list(groups[h]) for h in heads] == [
             [m for m in eligible if strategy.head(m) == h] for h in heads
         ]
-        assert sorted(cs._buckets) == sorted(heads)
-        assert all(groups)
+        assert all(groups.values())
     if not eligible:
         return
     assert strategy.select(cs.eligible()) is twin.select(eligible)
@@ -223,16 +225,12 @@ def _assert_ranked(cs, strategy, twin, eligible):
         assert strategy.order(cs.eligible(), limit) == twin.order(
             eligible, limit
         )
-    head = strategy.order(cs.eligible(), 1)
-    assert list(order_rest(strategy, cs.eligible(), head)) == list(
-        order_rest(twin, eligible, twin.order(eligible, 1))
-    )
-    if hasattr(strategy, "key"):
-        # The lazy walk a wave's admission pulls: the whole order.
-        walk = cs.eligible().ranked(
-            strategy.key, strategy.descending, lambda seed: False
+    for width in (1, None):
+        assert list(strategy.ranked(cs.eligible(), width=width)) == list(
+            twin.ranked(eligible, width=width)
         )
-        assert list(walk) == sorted(
+    if hasattr(strategy, "key"):
+        assert list(strategy.ranked(cs.eligible())) == sorted(
             eligible, key=strategy.key, reverse=strategy.descending
         )
 
@@ -254,9 +252,9 @@ def test_eligible_view_tracks_the_scan_definition(steps, ranking):
     """The incrementally kept view equals the definition — members
     that have not fired, in membership order (within each group, once
     ranked) — after every step, with fired marks surviving retraction
-    and ``clear``.  Under an installed strategy the ranked ``select``,
-    ``order`` and lazy rest equal the strategy's over a plain list of
-    the members, and the view's groups are the members grouped by the
+    and ``clear``.  Under an installed strategy the view's ranking, and
+    the ``select`` and ``order`` that read its start, equal the
+    strategy's over a plain list of the members, and the view's groups are the members grouped by the
     strategy's head."""
     cs = ConflictSet()
     strategy = twin = None

@@ -5,8 +5,8 @@ Under a head that reads only the rule and the newest timetag (``lex``,
 ``priority``, ``fifo``) a WME arriving newest at a tail position is
 filed as a pending seed; the other strategies, and the other matchers,
 see every match built.  Whatever is built, the engines must choose
-what the naive matcher's engines choose, and ``materialized()`` must
-equal the naive conflict set.
+what the naive matcher's engines choose, and the conflict set, every
+seed built (``settle``), must equal the naive one.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def _run(rules, facts, matcher, strategy, processors):
         firings = [
             (f.rule_name, f.value_identities) for f in engine.result.firings
         ]
+        engine.matcher.conflict_set.settle()
         built = {
             (i.rule_name, tuple(w.identity() for w in i.wmes))
-            for i in engine.matcher.conflict_set.materialized()
+            for i in engine.matcher.conflict_set.members()
         }
     return stop, firings, built
 
@@ -146,7 +147,8 @@ class Lockstep:
         ]
         matches = [token.wmes() for token in tail.tokens]
         assert len(matches) == len(set(matches))
-        assert self.rete.conflict_set.materialized() == (
+        self.rete.conflict_set.settle()
+        assert self.rete.conflict_set.members() == (
             self.naive.conflict_set.members()
         )
 
@@ -164,6 +166,33 @@ def test_a_seed_waits_unbuilt_and_select_builds_only_the_winner():
     step.select()
     assert len(step.rete.conflict_set.members()) == 1
     assert step.pending == 5  # the c seed has three more
+    step.check()
+
+
+def test_a_select_walks_only_the_match_it_takes(monkeypatch):
+    """The ``c`` seed has two matches through one tail assignment, one
+    per ``a`` (prefix tokens of distinct recency): a select tests the
+    best and stops, with no look at the next to learn there is one."""
+    step = Lockstep(CHASE)
+    for _ in range(2):
+        step.make("a", 1)
+    step.make("d", 1, v=5)
+    step.make("b", 1, v=2)
+    step.make("c", 2, v=5)
+    walked = []
+    completions = TailNode.completions
+
+    def counted(self, tokens, wmes):
+        for completion in completions(self, tokens, wmes):
+            walked.append(completion)
+            yield completion
+
+    monkeypatch.setattr(TailNode, "completions", counted)
+    chosen = step.select()
+    assert len(walked) == 1
+    assert step.rete.conflict_set.members() == {chosen}
+    monkeypatch.undo()
+    assert len(step.naive.conflict_set) == 2
     step.check()
 
 
@@ -412,8 +441,8 @@ def test_a_wave_ranks_each_match_once_after_a_late_prefix_token():
         step.make("d", 1, v=5)
         assert step.pending
         ranking = step.rete.strategy
-        walk = step.rete.conflict_set.eligible().ranked(
-            ranking.key, ranking.descending, lambda seed: False
+        walk = ranking.ranked(
+            step.rete.conflict_set.eligible(), lambda seed: False
         )
         assert list(walk) == sorted(
             step.naive.conflict_set.eligible(),

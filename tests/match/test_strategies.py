@@ -1,6 +1,7 @@
 """Tests for conflict-resolution strategies."""
 
 import itertools
+from itertools import islice
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
+from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
 from repro.match.strategies import (
     FifoStrategy,
@@ -242,6 +244,47 @@ class TestOrder:
     @pytest.mark.parametrize("name", STRATEGIES)
     def test_builtins_satisfy_the_protocol(self, name):
         assert isinstance(make_strategy(name), Strategy)
+
+
+class TestOneRanking:
+    """``select`` is the first item of ``ranked`` and ``order(·, k)``
+    its first ``k``, whatever ``width`` the ranking was asked with, on
+    a plain list and on a conflict set's view ranked by the strategy's
+    head alike."""
+
+    @staticmethod
+    def fresh(name, candidates, view):
+        strategy = make_strategy(name, seed=7)  # a random draw restarts
+        if not view:
+            return strategy, list(candidates)
+        cs = ConflictSet()
+        cs.rank_by(strategy.head)
+        for candidate in candidates:
+            cs.add(candidate)
+        return strategy, cs.eligible()
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    @given(candidate_lists(), st.integers(0, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_select_and_order_are_the_start_of_ranked(
+        self, name, candidates, limit
+    ):
+        strategy, pool = self.fresh(name, candidates, False)
+        ranking = list(strategy.ranked(pool))
+        assert sorted(map(id, ranking)) == sorted(map(id, candidates))
+        for view in (False, True):
+            strategy, pool = self.fresh(name, candidates, view)
+            assert same_objects(list(strategy.ranked(pool)), ranking)
+            strategy, pool = self.fresh(name, candidates, view)
+            assert strategy.select(pool) is ranking[0]
+            strategy, pool = self.fresh(name, candidates, view)
+            assert same_objects(strategy.order(pool, limit), ranking[:limit])
+            for width in (1, limit):
+                strategy, pool = self.fresh(name, candidates, view)
+                pulled = strategy.ranked(pool, width=width)
+                assert same_objects(
+                    list(islice(pulled, limit)), ranking[:limit]
+                )
 
 
 class TestLazyOrderContract:
