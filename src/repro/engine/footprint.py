@@ -11,9 +11,8 @@ no lock manager is needed to make it (``docs/architecture.md``,
 
 from __future__ import annotations
 
-from repro.locks.modes import compatible
-from repro.locks.two_phase import CommitOutcome
-from repro.txn.transaction import Transaction
+from repro.locks.modes import SCHEME_MODES, compatible
+from repro.txn.transaction import CommitOutcome, Transaction
 
 #: A footprint commit aborts nobody: admission put every reader first.
 _NO_VICTIMS = CommitOutcome(committed=True)
@@ -31,11 +30,11 @@ class FootprintScheme:
     is its own ``manager``, so a teardown check finds a leaked entry.
     """
 
-    def __init__(self, scheme: type, observer) -> None:
-        self.name = scheme.name
-        self.condition_mode = scheme.condition_mode
-        self.action_write_mode = scheme.action_write_mode
-        self.preclaims = getattr(scheme, "preclaims", False)
+    def __init__(self, scheme: str, observer) -> None:
+        self.name = scheme
+        self.condition_mode, self.action_write_mode, self.preclaims = (
+            SCHEME_MODES[scheme]
+        )
         #: Wa over Rc: a condition reader never refuses a writer.
         self.admits = compatible(self.action_write_mode, self.condition_mode)
         self.obs = observer

@@ -95,29 +95,30 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Literal, NamedTuple
+from typing import (
+    TYPE_CHECKING, Collection, Iterable, Iterator, Literal, NamedTuple,
+)
 
 import repro.obs as obs_module
 from repro.engine.actions import ActionExecutor
-from repro.engine.footprint import FootprintScheme
 from repro.engine.interpreter import MatcherName, build_matcher
 from repro.engine.precedence import Precedence
 from repro.engine.result import FiringRecord, RunResult
 from repro.errors import EngineError, FiringCrashed
-from repro.fault.injector import FaultInjector
-from repro.fault.retry import RetryPolicy, VirtualSleeper
 from repro.lang.production import Production
-from repro.locks import SCHEMES
-from repro.locks.modes import compatible
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
 from repro.match.strategies import Strategy, make_strategy
-from repro.txn.schedule import Certifier, History
-from repro.txn.transaction import Transaction
 from repro.wm.element import data_object_key
 from repro.wm.memory import WorkingMemory
 from repro.wm.snapshot import WMSnapshot
 from repro.wm.undo import UndoLog
+
+if TYPE_CHECKING:
+    from repro.fault.injector import FaultInjector
+    from repro.fault.retry import RetryPolicy
+    from repro.txn.schedule import History
+    from repro.txn.transaction import Transaction
 
 SchemeName = Literal["2pl", "rc", "c2pl"]
 
@@ -254,6 +255,12 @@ class ParallelEngine:
         retry_policy: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
+        # Imported here: a client that imports every engine and builds
+        # an Interpreter loads no lock, transaction or fault layer.
+        from repro.locks.modes import SCHEME_MODES, compatible
+        from repro.txn.schedule import Certifier
+        from repro.txn.transaction import Transaction
+
         if processors is not None and processors < 1:
             raise EngineError(f"processors must be >= 1, got {processors}")
         self.obs = (
@@ -275,16 +282,17 @@ class ParallelEngine:
         self.matcher.conflict_set.rank_by(
             self.strategy.head, getattr(self.strategy, "lazy", False)
         )
-        if scheme not in SCHEMES:
+        if scheme not in SCHEME_MODES:
             raise EngineError(f"unknown scheme {scheme!r}")
-        self.scheme = self._make_scheme(SCHEMES[scheme])
-        self._preclaims = getattr(self.scheme, "preclaims", False)
+        modes = SCHEME_MODES[scheme]
+        self.scheme = self._make_scheme(scheme)
+        self._preclaims = modes.preclaims
         #: Table 4.1 lets the write mode through the condition mode
         #: (Wa over Rc): commit order matters, and :meth:`_admit`
         #: chooses it.
-        self._admits = compatible(
-            self.scheme.action_write_mode, self.scheme.condition_mode
-        )
+        self._admits = compatible(modes.action_write, modes.condition)
+        #: Each slot's transaction class, bound once per engine.
+        self._transaction = Transaction
         #: Every commit passes it; it raises at the first that would
         #: make the commit sequence other than a serial order.
         self.certifier = Certifier()
@@ -300,14 +308,17 @@ class ParallelEngine:
         #: out of budget; both expire with their refraction marks.
         self._attempts: dict[Instantiation, int] = {}
         self._gave_up: set[Instantiation] = set()
-        if retry_policy is not None:
-            self.memory.subscribe_retired(self._retire)
         #: Rule names that exhausted their retry budget, in order.
         self.gave_up: list[str] = []
         #: Re-drive attempts charged across the run.
         self.retry_count = 0
-        #: Virtual clock accumulating retry backoff (seconds).
-        self.retry_clock = VirtualSleeper()
+        #: Virtual clock of retry backoff (seconds), with a retry policy.
+        self.retry_clock = None
+        if retry_policy is not None:
+            from repro.fault.retry import VirtualSleeper
+
+            self.memory.subscribe_retired(self._retire)
+            self.retry_clock = VirtualSleeper()
         #: The open ``run`` step, the parent of each wave's cycle.
         self._run_step = None
         #: When the wave's last timed step was timed to end: the next
@@ -315,8 +326,10 @@ class ParallelEngine:
         #: ``Transaction``) is inside a timed step.
         self._closed_at: float | None = None
 
-    def _make_scheme(self, scheme: type):
-        """The lock scheme that decides this engine's grants."""
+    def _make_scheme(self, scheme: str):
+        """The scheme named ``scheme``, granting from the footprints."""
+        from repro.engine.footprint import FootprintScheme
+
         return FootprintScheme(scheme, self.obs)
 
     @property
@@ -533,9 +546,10 @@ class ParallelEngine:
             obs.begin("phase.acquire", cycle, ts=self._closed_at)
             if cycle is not None else None
         )
+        transaction = self._transaction
         for instantiation in candidates:
             rule = instantiation.production.name
-            txn = Transaction(rule_name=rule)
+            txn = transaction(rule_name=rule)
             acq = None
             if phase is not None:
                 acq = obs.begin(

@@ -55,6 +55,7 @@ from repro.errors import EngineError, TransactionError
 from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy
 from repro.lang.production import Production
+from repro.locks import SCHEMES
 from repro.locks.deadlock import DeadlockDetector
 from repro.locks.modes import LockMode
 from repro.locks.request import LockRequest
@@ -213,10 +214,10 @@ class ThreadedWaveExecutor(ParallelEngine):
 
     # -- lock acquisition --------------------------------------------------------------------
 
-    def _make_scheme(self, scheme: type):
+    def _make_scheme(self, scheme: str):
         # Threads race, so here the footprints cannot decide: every
         # grant is the lock manager's, rule (ii) included.
-        return scheme(history=History(), observer=self.obs)
+        return SCHEMES[scheme](history=History(), observer=self.obs)
 
     @property
     def history(self) -> History:

@@ -21,18 +21,12 @@ and share deadlock detection (:mod:`~repro.locks.deadlock`, which
 aborts the youngest transaction on a waits-for cycle): the
 paper's point that the new scheme "requires minor modifications to
 conventional lock managers".
+
+A deterministic wave reads a scheme's modes from
+:data:`~repro.locks.modes.SCHEME_MODES` and loads neither scheme.
 """
 
 from repro._lazy import lazy_exports
-from repro.locks.rc_scheme import RcScheme
-from repro.locks.two_phase import ConservativeTwoPhaseScheme, TwoPhaseScheme
-
-#: The lock schemes by name — the one registry that engines and
-#: simulators read (and that the CLI's ``choices`` are pinned to).
-SCHEMES: dict[str, type[TwoPhaseScheme] | type[RcScheme]] = {
-    cls.name: cls
-    for cls in (RcScheme, TwoPhaseScheme, ConservativeTwoPhaseScheme)
-}
 
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
@@ -44,8 +38,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "request": ("LockRequest", "LockGrant", "RequestStatus"),
         "manager": ("LockManager", "GrantOutcome"),
         "deadlock": ("DeadlockDetector", "youngest_victim"),
+        "two_phase": ("TwoPhaseScheme", "ConservativeTwoPhaseScheme"),
+        "rc_scheme": ("RcScheme", "SCHEMES"),
     },
 )
-__all__ += [
-    "SCHEMES", "TwoPhaseScheme", "ConservativeTwoPhaseScheme", "RcScheme",
-]

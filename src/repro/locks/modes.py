@@ -32,6 +32,7 @@ the classical matrix (R-R compatible, everything else not).
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 
 class LockMode(enum.Enum):
@@ -92,6 +93,25 @@ TWO_PHASE_COMPATIBILITY: dict[LockMode, dict[LockMode, bool]] = {
 }
 
 _ALL_MATRICES = (COMPATIBILITY, TWO_PHASE_COMPATIBILITY)
+
+
+class SchemeModes(NamedTuple):
+    """The modes a scheme requests for a firing's condition reads and
+    action writes, and whether it takes the whole footprint up front."""
+
+    condition: LockMode
+    action_write: LockMode
+    preclaims: bool = False
+
+
+#: Every lock scheme by name: the one place a scheme's modes are kept,
+#: read by the lock schemes and by a deterministic wave, which decides
+#: its grants from them and Table 4.1 without a lock manager.
+SCHEME_MODES: dict[str, SchemeModes] = {
+    "rc": SchemeModes(LockMode.RC, LockMode.WA),
+    "2pl": SchemeModes(LockMode.R, LockMode.W),
+    "c2pl": SchemeModes(LockMode.R, LockMode.W, preclaims=True),
+}
 
 
 def compatible(requested: LockMode, held: LockMode) -> bool:

@@ -32,11 +32,11 @@ from typing import Callable, Iterable
 
 import repro.obs as obs_module
 from repro.locks.manager import GrantOutcome, LockManager
-from repro.locks.modes import LockMode
+from repro.locks.modes import SCHEME_MODES, LockMode
 from repro.locks.request import LockRequest
-from repro.locks.two_phase import CommitOutcome
+from repro.locks.two_phase import ConservativeTwoPhaseScheme, TwoPhaseScheme
 from repro.txn.schedule import History
-from repro.txn.transaction import DataObject, Transaction
+from repro.txn.transaction import CommitOutcome, DataObject, Transaction
 
 #: Decides whether an Rc holder's condition still holds after the
 #: committing writer's update; ``True`` means "still valid, spare it".
@@ -64,9 +64,8 @@ class RcScheme:
     """
 
     name = "rc"
-    condition_mode = LockMode.RC
+    condition_mode, action_write_mode, preclaims = SCHEME_MODES[name]
     action_read_mode = LockMode.RA
-    action_write_mode = LockMode.WA
 
     def __init__(
         self,
@@ -236,3 +235,12 @@ class RcScheme:
     def release_condition_locks(self, txn: Transaction) -> None:
         """Release after a false condition (Figure 4.2)."""
         self.manager.release_all(txn)
+
+
+#: The lock schemes by name, in :data:`~repro.locks.modes.SCHEME_MODES`
+#: order — the registry the threaded executor and the lock simulator
+#: build a scheme from (and that the CLI's ``choices`` are pinned to).
+SCHEMES: dict[str, type[TwoPhaseScheme] | type[RcScheme]] = {
+    cls.name: cls
+    for cls in (RcScheme, TwoPhaseScheme, ConservativeTwoPhaseScheme)
+}

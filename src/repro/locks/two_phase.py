@@ -18,39 +18,23 @@ whole (potentially long) action — is exactly what the Rc scheme fixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import repro.obs as obs_module
 from repro.locks.manager import GrantOutcome, LockManager
-from repro.locks.modes import LockMode
+from repro.locks.modes import SCHEME_MODES, LockMode
 from repro.locks.request import LockRequest
 from repro.txn.schedule import History
-from repro.txn.transaction import DataObject, Transaction
-
-
-@dataclass
-class CommitOutcome:
-    """Result of a scheme-level commit.
-
-    ``victims`` lists transactions the scheme force-aborted as part of
-    this commit — always empty for 2PL, possibly non-empty for the Rc
-    scheme (rule (ii) of Section 4.3).
-    """
-
-    committed: bool
-    victims: list[Transaction] = field(default_factory=list)
+from repro.txn.transaction import CommitOutcome, DataObject, Transaction
 
 
 class TwoPhaseScheme:
     """Strict 2PL over a :class:`LockManager` with ``R``/``W`` modes."""
 
     name = "2pl"
-    #: Mode used while evaluating the LHS.
-    condition_mode = LockMode.R
-    #: Modes used while executing the RHS.
+    #: Modes used while evaluating the LHS and for the RHS's writes.
+    condition_mode, action_write_mode, preclaims = SCHEME_MODES[name]
     action_read_mode = LockMode.R
-    action_write_mode = LockMode.W
 
     def __init__(
         self,
@@ -178,7 +162,7 @@ class ConservativeTwoPhaseScheme(TwoPhaseScheme):
 
     name = "c2pl"
     #: Engines/simulators check this to preclaim the full footprint.
-    preclaims = True
+    preclaims = SCHEME_MODES[name].preclaims
 
     def try_preclaim(
         self,

@@ -47,22 +47,14 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.obs.health import (
-    BENIGN_ABORT_REASONS,
-    HealthMonitor,
-    HealthReport,
-)
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    MetricsRegistry,
-    TIME_BUCKETS,
-)
 from repro.obs.null import NULL_OBSERVER, set_observer
-from repro.obs.profile import RuleProfiler
-from repro.obs.sampling import DroppedSpan, HeadSampler
-from repro.obs.spans import Span, SpanRecorder
+
+if TYPE_CHECKING:
+    from repro.obs.health import HealthReport
+    from repro.obs.sampling import DroppedSpan, HeadSampler
+    from repro.obs.spans import Span, SpanRecorder
 
 #: Observer cost tiers, cheapest first.
 LEVELS = ("metrics", "sampled", "full")
@@ -126,6 +118,18 @@ class Observer:
             raise ValueError(
                 f"unknown observer level {level!r}; expected one of {LEVELS}"
             )
+        # The instruments load with the first observer built, not with
+        # this module: importing ``Observer`` costs the facade alone.
+        from repro.obs.health import BENIGN_ABORT_REASONS, HealthMonitor
+        from repro.obs.metrics import (
+            COUNT_BUCKETS,
+            MetricsRegistry,
+            TIME_BUCKETS,
+        )
+        from repro.obs.profile import RuleProfiler
+        from repro.obs.sampling import HeadSampler
+        from repro.obs.spans import SpanRecorder
+
         self.level = level
         # The bare clock function (usually ``time.perf_counter``),
         # read twice per step: an attribute, not a method wrapping it.
@@ -145,6 +149,8 @@ class Observer:
         self.health = HealthMonitor(
             clock=self.clock, on_transition=self._health_transition
         )
+        #: Abort reasons that are wave protocol, not failure.
+        self._benign_aborts = BENIGN_ABORT_REASONS
         # Per-wave batches for the health window (plain ints, GIL-safe
         # increments) so per-txn events never take the monitor lock.
         self._health_commits = 0
@@ -482,7 +488,7 @@ class Observer:
         reason = step.fields["reason"]
         # Deferrals and sibling-commit retractions are normal wave
         # protocol, not failures: only real aborts feed the watchdog.
-        if reason not in BENIGN_ABORT_REASONS:
+        if reason not in self._benign_aborts:
             self._health_aborts += 1
         owner = self._span_for_txn(step.txn)
         if owner is not None:

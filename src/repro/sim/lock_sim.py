@@ -182,7 +182,7 @@ def simulate_lock_scheme(
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}")
     discipline = SCHEMES[scheme](history=history, observer=obs)
-    preclaims = getattr(discipline, "preclaims", False)
+    preclaims = discipline.preclaims
 
     pool = ProcessorPool(processors)
     trace = ExecutionTrace()

@@ -151,3 +151,16 @@ class Transaction:
     def __str__(self) -> str:
         rule = f"/{self.rule_name}" if self.rule_name else ""
         return f"{self.txn_id}{rule}({self.state.value})"
+
+
+@dataclass
+class CommitOutcome:
+    """Result of a scheme-level commit.
+
+    ``victims`` lists transactions the scheme force-aborted as part of
+    this commit — always empty for 2PL, possibly non-empty for the Rc
+    scheme (rule (ii) of Section 4.3).
+    """
+
+    committed: bool
+    victims: list[Transaction] = field(default_factory=list)

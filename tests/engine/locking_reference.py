@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.engine.multiuser import MultiUserEngine
 from repro.engine.parallel import ParallelEngine
+from repro.locks import SCHEMES
 from repro.txn.schedule import History
 
 
@@ -20,7 +21,7 @@ class _LockTaking:
     """The real scheme in place of the footprints."""
 
     def _make_scheme(self, scheme):
-        return scheme(history=History(), observer=self.obs)
+        return SCHEMES[scheme](history=History(), observer=self.obs)
 
     @property
     def history(self) -> History:

@@ -9,7 +9,9 @@ members by strategy head; any change to how *select* or a wave's
 
 Programs are the ``benchmarks/e2e`` generators at smoke size, seed 5;
 the digest is the benchmark's own ``firing_digest`` (rule names and
-value identities, timetag-free).
+value identities, timetag-free).  ``MULTIUSER`` also pins how a
+multi-user wave deals its users' rankings and when a ``random``
+ranking draws.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 import run as e2e  # noqa: E402
 from child import firing_digest  # noqa: E402
 
-from repro.engine import Interpreter, ParallelEngine  # noqa: E402
+from repro.engine import (  # noqa: E402
+    Interpreter,
+    MultiUserEngine,
+    ParallelEngine,
+    Session,
+)
 from repro.lang import parse_program  # noqa: E402
 from repro.wm import WorkingMemory  # noqa: E402
 
@@ -66,6 +73,17 @@ WAVES = {
     ("manners_rc", "priority"): ("c2f24c96542dbfec", 18, 9),
     ("manners_rc", "fifo"): ("e839517049524ac1", 18, 9),
     ("manners_rc", "random"): ("51505e0162fdb843", 18, 9),
+}
+
+#: (workload, strategy) -> (firing_digest, firings, waves), the rules
+#: dealt alternately to two sessions of a MultiUserEngine with the
+#: workload's scheme and width: the round-robin deal, the rotating lead
+#: user and (for ``random``) when each user's ranking draws.
+MULTIUSER = {
+    ("hot_rc", "lex"): ("345f588ce163003b", 96, 13),
+    ("hot_rc", "random"): ("10da3111d8c26695", 96, 13),
+    ("manners_rc", "lex"): ("f97475bdd25a74c4", 18, 9),
+    ("manners_rc", "random"): ("19ea54fc9ca6aec9", 18, 9),
 }
 
 WORKLOAD_OF = {
@@ -112,3 +130,23 @@ def test_wave_choices_are_pinned(workload, strategy):
     assert (
         firing_digest(result.firings), len(result.firings), result.cycles
     ) == WAVES[workload, strategy]
+
+
+@pytest.mark.parametrize(
+    "workload, strategy", list(MULTIUSER), ids=map("-".join, MULTIUSER)
+)
+def test_multiuser_choices_are_pinned(workload, strategy):
+    spec, rules, memory = _loaded(workload)
+    config = spec["engine"]
+    sessions = [
+        Session.of("even", rules[0::2]), Session.of("odd", rules[1::2])
+    ]
+    with MultiUserEngine(
+        sessions, memory, scheme=config["scheme"],
+        processors=config["processors"], base_strategy=strategy,
+        seed=RANDOM_SEED,
+    ) as engine:
+        result = engine.run(max_waves=10**9)
+    assert (
+        firing_digest(result.firings), len(result.firings), result.cycles
+    ) == MULTIUSER[workload, strategy]

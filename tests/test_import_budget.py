@@ -58,6 +58,16 @@ engine = ParallelEngine(rules, memory, scheme="2pl")
 from repro.engine.interpreter import Interpreter
 engine = Interpreter(rules, memory, matcher="partitioned:rete:2:process")
 """,
+    # What a client of every engine imports (the e2e child does), then
+    # an Interpreter: the other engines' layers load when one is built.
+    "client": """
+from repro.engine.interpreter import Interpreter
+from repro.engine.parallel import ParallelEngine
+from repro.obs import Observer
+from repro.wm.snapshot import WMSnapshot
+from repro.wm.storage import DurableStore
+engine = Interpreter(rules, memory)
+""",
 }
 
 #: Nothing reachable from building and running either engine.
@@ -65,15 +75,14 @@ NEVER_ON_A_RUN = (
     "repro.sim", "repro.analysis", "repro.core", "repro.workloads",
     "repro.fault.storage_chaos",
 )
+#: What importing ``Observer`` leaves for its constructor to load.
+OBSERVER_INSTRUMENTS = tuple(
+    f"repro.obs.{module}"
+    for module in ("spans", "metrics", "health", "profile", "sampling")
+)
 #: The telemetry stack: all of ``obs`` but its ``__init__`` and
 #: ``obs.null``, which are free to import.
-TELEMETRY = tuple(
-    f"repro.obs.{module}"
-    for module in (
-        "observer", "spans", "metrics", "health", "profile", "sampling",
-        "export",
-    )
-)
+TELEMETRY = OBSERVER_INSTRUMENTS + ("repro.obs.observer", "repro.obs.export")
 #: What one single-thread Rete run does without.
 NOT_FOR_AN_INTERPRETER = NEVER_ON_A_RUN + TELEMETRY + (
     "repro.fault", "repro.locks", "repro.txn",
@@ -81,16 +90,13 @@ NOT_FOR_AN_INTERPRETER = NEVER_ON_A_RUN + TELEMETRY + (
     "repro.match.partitioned", "repro.match.procpool",
     "multiprocessing", "concurrent.futures", "logging",
 )
-#: All that ``ParallelEngine`` may load beyond the interpreter's set.
+#: All that ``ParallelEngine`` may load beyond the interpreter's set,
+#: built with no fault injector and no retry policy: Table 4.1's modes,
+#: not a lock manager or a lock scheme.
 PARALLEL_ADDS = {
     "repro.engine.parallel", "repro.engine.precedence",
-    "repro.engine.footprint",
-    "repro.locks", "repro.locks.manager", "repro.locks.modes",
-    "repro.locks.request", "repro.locks.rc_scheme",
-    "repro.locks.two_phase",
+    "repro.engine.footprint", "repro.locks", "repro.locks.modes",
     "repro.txn", "repro.txn.schedule", "repro.txn.transaction",
-    "repro.fault", "repro.fault.plan", "repro.fault.injector",
-    "repro.fault.retry",
     "repro.wm.undo", "repro.obs", "repro.obs.null",
 }
 
@@ -139,7 +145,7 @@ def test_interpreter_run_loads_one_matcher_and_no_other_subsystem():
     assert "repro.match.rete.network" in loaded
 
 
-def test_parallel_engine_adds_only_locks_txn_faults_and_undo():
+def test_parallel_engine_adds_only_lock_modes_txn_and_undo():
     base = _repro_modules(_probe("interpreter")["after"])
     for scheme in ("rc", "2pl"):
         loaded = _probe(scheme)["after"]
@@ -148,6 +154,15 @@ def test_parallel_engine_adds_only_locks_txn_faults_and_undo():
         assert loaded_under(
             loaded, ("multiprocessing", "concurrent.futures", "logging")
         ) == [], scheme
+
+
+def test_importing_every_engine_loads_no_layer_an_interpreter_skips():
+    loaded = _probe("client")["after"]
+    assert loaded_under(
+        loaded, ("repro.locks", "repro.txn", "repro.fault")
+        + OBSERVER_INSTRUMENTS
+    ) == []
+    assert "repro.obs.observer" in loaded
 
 
 def test_process_matcher_loads_no_simulator_and_no_thread_pool():

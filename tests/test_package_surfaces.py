@@ -113,9 +113,6 @@ PUBLIC_NAMES = {
 
 PACKAGES = sorted(PUBLIC_NAMES)
 
-#: Package-level state: the one export an ``__init__`` itself defines.
-DEFINED_BY_THE_PACKAGE = {("repro.locks", "SCHEMES")}
-
 
 def _defined_in_repro(exported) -> bool:
     """A class or function that knows the ``repro`` module defining it
@@ -139,8 +136,6 @@ def test_every_name_is_the_object_its_module_defines(package):
         if _defined_in_repro(exported):
             home = importlib.import_module(exported.__module__)
             assert getattr(home, exported.__name__) is exported, name
-            continue
-        if (package, name) in DEFINED_BY_THE_PACKAGE:
             continue
         # A constant or alias: the same object as in a loaded module
         # below the package (the access above loaded its home).
