@@ -16,8 +16,13 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/retained_count.py [--seed 5] [WORKLOAD ...]
 
 It prints one row per workload: firings, working-memory size after the
-run, elements alive after the run, and marks held.  ``manners_proc2``
-is skipped: its match runs in worker processes.  Counting is outside
+run, elements alive after the run, and marks held.  A second table
+gives, per workload, the bytes the run still holds per firing: what
+``tracemalloc`` (started as the run starts) counts still allocated
+once the run has ended, its engine is closed and ``gc.collect()`` has
+run.  It is what a run's memory grows with besides working memory —
+the commit sequence and the per-wave records.  ``manners_proc2`` is
+skipped: its match runs in worker processes.  Counting is outside
 ``src/`` so that no run pays for it.
 """
 
@@ -29,6 +34,7 @@ import os
 import shutil
 import sys
 import tempfile
+import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "e2e"))
@@ -41,8 +47,9 @@ import workloads  # noqa: E402
 COUNTED = [name for name in workloads.WORKLOADS if name != "manners_proc2"]
 
 
-def count(name: str, seed: int) -> tuple[int, int, int, int]:
-    """(firings, working-memory size, elements alive, marks held)."""
+def count(name: str, seed: int) -> tuple[int, int, int, int, int]:
+    """(firings, working-memory size, elements alive, marks held,
+    bytes held per firing)."""
     from repro.lang import parse_program
     from repro.wm.element import WME, next_timetag
     from repro.wm.memory import WorkingMemory
@@ -62,6 +69,8 @@ def count(name: str, seed: int) -> tuple[int, int, int, int]:
     engine = child.build_engine(spec, parse_program(spec["rules"]), memory)
     parallel = spec["engine"]["kind"] == "parallel"
     limit = {"max_waves" if parallel else "max_cycles": 10**9}
+    gc.collect()
+    tracemalloc.start()
     try:
         result = engine.run(**limit)
     finally:
@@ -69,7 +78,10 @@ def count(name: str, seed: int) -> tuple[int, int, int, int]:
         if store is not None:
             store.close()
             shutil.rmtree(store_dir, ignore_errors=True)
-    gc.collect()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+    fired = len(result.firings)
     alive = sum(
         1 for obj in gc.get_objects()
         if type(obj) is WME and obj.timetag > first
@@ -84,7 +96,7 @@ def count(name: str, seed: int) -> tuple[int, int, int, int]:
     if stale:
         raise SystemExit(f"{name}: pending seeds name removed {stale}")
     marks = len(conflict_set.fired())
-    return len(result.firings), len(memory), alive, marks
+    return fired, len(memory), alive, marks, round(held / max(fired, 1))
 
 
 def main() -> int:
@@ -95,9 +107,13 @@ def main() -> int:
     print(
         f"{'workload':<16} {'fired':>6} {'wm':>6} {'alive':>6} {'marks':>6}"
     )
+    held = {}
     for name in args.workloads:
-        fired, size, alive, marks = count(name, args.seed)
+        fired, size, alive, marks, held[name] = count(name, args.seed)
         print(f"{name:<16} {fired:>6} {size:>6} {alive:>6} {marks:>6}")
+    print(f"\n{'workload':<16} {'bytes':>6}")
+    for name, per_firing in held.items():
+        print(f"{name:<16} {per_firing:>6}")
     return 0
 
 

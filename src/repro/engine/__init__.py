@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "actions": ("ActionExecutor", "ActionOutcome"),
-        "result": ("RunResult", "FiringRecord"),
+        "result": ("RunResult", "Commit"),
         "interpreter": ("Interpreter",),
         "parallel": ("ParallelEngine", "WaveResult"),
         "replay": ("replay_commit_sequence", "ReplayOutcome"),

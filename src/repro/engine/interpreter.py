@@ -17,14 +17,13 @@ from contextlib import nullcontext
 from typing import Iterable
 
 from repro.engine.actions import ActionExecutor
-from repro.engine.result import FiringRecord, RunResult
+from repro.engine.result import Commit, RunResult
 from repro.errors import EngineError
 from repro.lang.production import Production
 from repro.match.base import MATCHERS, BaseMatcher, matcher_class
 from repro.match.instantiation import Instantiation
 from repro.match.strategies import Strategy, make_strategy
 from repro.wm.memory import WorkingMemory
-from repro.wm.snapshot import WMSnapshot
 
 #: A matcher name (``"naive"``/``"rete"``/``"treat"``/``"cond"``) or a
 #: partitioned spec ``"partitioned[:inner[:shards[:backend]]]"``.
@@ -178,9 +177,7 @@ class Interpreter:
             with self.memory.atomic(instantiation.production.name):
                 outcome = self.executor.execute(instantiation)
         self.result.firings.append(
-            FiringRecord.from_instantiation(
-                instantiation, self.result.cycles
-            )
+            Commit.of(instantiation, self.result.cycles)
         )
         self.result.outputs.extend(outcome.outputs)
         if outcome.halted:
@@ -213,5 +210,4 @@ class Interpreter:
                 break
         else:
             self.result.stop_reason = "max_cycles"
-        self.result.final_snapshot = WMSnapshot.capture(self.memory)
         return self.result

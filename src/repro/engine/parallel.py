@@ -80,14 +80,14 @@ a ``c2pl`` preclaim is refused iff it meets an unsettled slot's
 footprint.  The lock manager serves the threaded executor, where
 threads race.
 
-The engine records the commit sequence (the σ of Definition 3.2) and
-per-wave statistics, and certifies every commit on the way
+The engine records the commit sequence (the σ of Definition 3.2), one
+:class:`~repro.engine.result.Commit` per firing, and per-wave
+statistics, and certifies every commit on the way
 (:class:`~repro.txn.schedule.Certifier`): a firing that would commit
 after another overwrote what it read raises instead.  ``history``
-rebuilds the committed reads and writes from the certifier on request,
-and ``repro.engine.replay`` checks the commit sequence against
-single-thread semantics — the operational form of Theorem 2's
-conclusion.
+rebuilds the committed reads and writes from that sequence on request,
+and ``repro.engine.replay`` checks it against single-thread semantics:
+one record serves both of Theorem 2's conclusions.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ import repro.obs as obs_module
 from repro.engine.actions import ActionExecutor
 from repro.engine.interpreter import MatcherName, build_matcher
 from repro.engine.precedence import Precedence
-from repro.engine.result import FiringRecord, RunResult
+from repro.engine.result import Commit, RunResult
 from repro.errors import EngineError, FiringCrashed
 from repro.lang.production import Production
 from repro.match.base import BaseMatcher
@@ -111,7 +111,6 @@ from repro.match.instantiation import Instantiation
 from repro.match.strategies import Strategy, make_strategy
 from repro.wm.element import data_object_key
 from repro.wm.memory import WorkingMemory
-from repro.wm.snapshot import WMSnapshot
 from repro.wm.undo import UndoLog
 
 if TYPE_CHECKING:
@@ -334,9 +333,10 @@ class ParallelEngine:
 
     @property
     def history(self) -> History:
-        """The committed firings' reads and writes, where they happened
-        (:meth:`~repro.txn.schedule.Certifier.history`)."""
-        return self.certifier.history()
+        """The commit sequence's reads and writes, where they happened."""
+        from repro.txn.schedule import history_of
+
+        return history_of(self.result.firings)
 
     @property
     def abort_count(self) -> int:
@@ -726,14 +726,14 @@ class ParallelEngine:
                 self._settle(wave, instantiation, txn, _RHS_RAISED)
                 raise
         undo.detach()
-        self.certifier.commit(rule, txn.txn_id, read_at, reads, writes)
+        self.certifier.commit(rule, writes)
         # commit.victims carry the rule-(ii) aborts (threads only);
         # their own turn finds them stale.
         self.scheme.commit(txn)
         undo.commit()
-        self.result.firings.append(
-            FiringRecord.from_instantiation(instantiation, wave.wave)
-        )
+        self.result.firings.append(Commit.of(
+            instantiation, wave.wave, txn.txn_id, read_at, reads, writes
+        ))
         self.result.outputs.extend(outcome.outputs)
         wave.committed.append(rule)
         if outcome.halted:
@@ -857,5 +857,4 @@ class ParallelEngine:
                     run, cycles=self.result.cycles,
                     stop_reason=self.result.stop_reason,
                 )
-        self.result.final_snapshot = WMSnapshot.capture(self.memory)
         return self.result

@@ -101,12 +101,13 @@ class PartitionedEngine:
         for key, shard_memory in sorted(
             self.split(memory).items(), key=lambda kv: repr(kv[0])
         ):
-            result = Interpreter(
+            with Interpreter(
                 self.productions,
                 shard_memory,
                 matcher=self.matcher,
                 strategy=self.strategy,
-            ).run(max_cycles=max_cycles)
+            ) as engine:
+                result = engine.run(max_cycles=max_cycles)
             self.shards.append(ShardRun(key, shard_memory, result))
         return self.shards
 
@@ -141,10 +142,11 @@ class PartitionedEngine:
         whole = WorkingMemory()
         for wme in original:
             whole.add(wme)
-        Interpreter(
+        with Interpreter(
             self.productions,
             whole,
             matcher=self.matcher,
             strategy=self.strategy,
-        ).run(max_cycles=max_cycles)
+        ) as engine:
+            engine.run(max_cycles=max_cycles)
         return whole.value_identity_set() == self.merged_state()

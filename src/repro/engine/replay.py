@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from repro.engine.actions import ActionExecutor
 from repro.engine.interpreter import MatcherName, build_matcher
-from repro.engine.result import FiringRecord
+from repro.engine.result import Commit
 from repro.lang.production import Production
 from repro.match.instantiation import Instantiation
 from repro.wm.snapshot import WMSnapshot
@@ -42,9 +42,9 @@ class ReplayOutcome:
 
 
 def _find_match(
-    candidates: Iterable[Instantiation], record: FiringRecord
+    candidates: Iterable[Instantiation], record: Commit
 ) -> Instantiation | None:
-    """Find an instantiation matching a firing record by value."""
+    """Find the instantiation ``record`` committed, by value."""
     for candidate in candidates:
         if candidate.production.name != record.rule_name:
             continue
@@ -57,7 +57,7 @@ def _find_match(
 def replay_commit_sequence(
     initial: WMSnapshot,
     productions: Sequence[Production],
-    firings: Sequence[FiringRecord],
+    firings: Sequence[Commit],
     matcher: MatcherName = "naive",
 ) -> ReplayOutcome:
     """Replay ``firings`` single-threaded from ``initial``.

@@ -3,7 +3,8 @@
 A :class:`History` is the standard concurrency-control object of study
 ([PAPA86], which the paper cites for serializability): a sequence of
 read/write/commit/abort operations tagged with their transaction.  The
-lock managers append to a shared history as they grant operations; the
+lock managers append to a shared history as they grant operations, and
+:func:`history_of` rebuilds one from a certified commit sequence; the
 serializability checker consumes it.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import NotSerializable
 from repro.txn.transaction import DataObject
@@ -148,20 +149,18 @@ class Certifier:
     wrote it, and each firing brings the commit count at which it took
     its reads.  Constant work per object of a footprint, and a raise at
     the offending commit (:meth:`check`, before the firing's changes
-    are made durable; :meth:`commit` after).  The commits are logged,
-    and :meth:`history` turns the log into a :class:`History` on
-    request.
+    are made durable; :meth:`commit` after).  It keeps no log: the
+    commit sequence itself is one, and :func:`history_of` turns it into
+    a :class:`History`.
     """
 
-    __slots__ = ("commits", "_written", "_log")
+    __slots__ = ("commits", "_written")
 
     def __init__(self) -> None:
         #: Commits certified so far.
         self.commits = 0
         #: object -> (commit number, name) of its last writer.
         self._written: dict[DataObject, tuple[int, str]] = {}
-        #: (txn id, read_at, reads, writes) per commit, in commit order.
-        self._log: list[tuple] = []
 
     def check(
         self, name: str, read_at: int, reads: Iterable[DataObject]
@@ -179,33 +178,30 @@ class Certifier:
                     f"({last[1]}) wrote it, and commits after it"
                 )
 
-    def commit(
-        self, name: str, txn_id: str, read_at: int,
-        reads: tuple[DataObject, ...], writes: tuple[DataObject, ...],
-    ) -> None:
-        """Count one checked commit, which read ``reads`` at
-        ``read_at`` and wrote ``writes``."""
+    def commit(self, name: str, writes: Iterable[DataObject]) -> None:
+        """Count one checked commit of ``name``, which wrote ``writes``."""
         self.commits = number = self.commits + 1
         entry = (number, name)
         for obj in writes:
             self._written[obj] = entry
-        self._log.append((txn_id, read_at, reads, writes))
 
-    def history(self) -> History:
-        """The logged commits as a history: each firing's reads after
-        the ``read_at`` commits before them, its writes and commit
-        where it committed — the operations a lock manager would have
-        recorded for the committed firings, in an order it could have
-        recorded them."""
-        log = self._log
-        by_read = sorted(log, key=lambda entry: entry[1])
-        operations: list[Operation] = []
-        taken = 0
-        for number, (txn_id, _, _, writes) in enumerate(log):
-            while taken < len(by_read) and by_read[taken][1] <= number:
-                reader, _, reads, _ = by_read[taken]
-                operations += (Operation(reader, READ, obj) for obj in reads)
-                taken += 1
-            operations += (Operation(txn_id, WRITE, obj) for obj in writes)
-            operations.append(Operation(txn_id, COMMIT))
-        return History(operations)
+
+def history_of(commits: Sequence) -> History:
+    """A certified commit sequence as a history: each firing's reads
+    after the ``read_at`` commits before them, its writes and commit
+    where it committed — the operations a lock manager would have
+    recorded for the committed firings, in an order it could have
+    recorded them.  Reads each commit's ``txn_id``, ``read_at``,
+    ``reads`` and ``writes``."""
+    by_read = sorted(commits, key=lambda commit: commit.read_at)
+    operations: list[Operation] = []
+    taken = 0
+    for number, commit in enumerate(commits):
+        while taken < len(by_read) and by_read[taken].read_at <= number:
+            reader, taken = by_read[taken], taken + 1
+            txn_id = reader.txn_id
+            operations += (Operation(txn_id, READ, o) for o in reader.reads)
+        txn_id = commit.txn_id
+        operations += (Operation(txn_id, WRITE, o) for o in commit.writes)
+        operations.append(Operation(txn_id, COMMIT))
+    return History(operations)

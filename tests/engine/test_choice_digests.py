@@ -11,11 +11,13 @@ Programs are the ``benchmarks/e2e`` generators at smoke size, seed 5;
 the digest is the benchmark's own ``firing_digest`` (rule names and
 value identities, timetag-free).  ``MULTIUSER`` also pins how a
 multi-user wave deals its users' rankings and when a ``random``
-ranking draws.
+ranking draws.  ``HISTORIES`` pins each wave cell's ``engine.history``,
+the serializability log rebuilt from the same commit sequence.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -75,6 +77,27 @@ WAVES = {
     ("manners_rc", "random"): ("51505e0162fdb843", 18, 9),
 }
 
+#: (workload, strategy) -> (history_digest, operations) of the
+#: ``WAVES`` cell's ``engine.history``: which reads, writes and commits,
+#: in which order.  Recorded while the certifier kept its own log.
+HISTORIES = {
+    ("hot_rc", "lex"): ("1c26654b318cc989", 528),
+    ("hot_rc", "mea"): ("2ec19b4950afb274", 528),
+    ("hot_rc", "priority"): ("1c26654b318cc989", 528),
+    ("hot_rc", "fifo"): ("368db2b510ede331", 528),
+    ("hot_rc", "random"): ("d252ca357b45026a", 528),
+    ("hot_2pl", "lex"): ("48f4597848153b53", 528),
+    ("hot_2pl", "mea"): ("c58bbbe9526aaf7a", 528),
+    ("hot_2pl", "priority"): ("48f4597848153b53", 528),
+    ("hot_2pl", "fifo"): ("5121e7c92b82526f", 528),
+    ("hot_2pl", "random"): ("7bf5963bf7189d04", 528),
+    ("manners_rc", "lex"): ("d8848b2814a49a4c", 182),
+    ("manners_rc", "mea"): ("ea522bff99e94f2e", 182),
+    ("manners_rc", "priority"): ("d8848b2814a49a4c", 182),
+    ("manners_rc", "fifo"): ("fe35ae0df575fd67", 182),
+    ("manners_rc", "random"): ("0f46ca80aea0bbf8", 182),
+}
+
 #: (workload, strategy) -> (firing_digest, firings, waves), the rules
 #: dealt alternately to two sessions of a MultiUserEngine with the
 #: workload's scheme and width: the round-robin deal, the rotating lead
@@ -101,6 +124,30 @@ def _loaded(workload: str):
     return spec, parse_program(spec["rules"]), memory
 
 
+def _waves(workload: str, strategy: str) -> ParallelEngine:
+    """The ``WAVES`` cell's engine, run to quiescence and closed."""
+    spec, rules, memory = _loaded(workload)
+    config = spec["engine"]
+    with ParallelEngine(
+        rules, memory, scheme=config["scheme"],
+        processors=config["processors"], strategy=strategy,
+        seed=RANDOM_SEED,
+    ) as engine:
+        engine.run(max_waves=10**9)
+    return engine
+
+
+def history_digest(history) -> str:
+    """Digest of a history's operations, its transaction ids renumbered
+    by first appearance (the ids themselves are process-global)."""
+    sha = hashlib.sha256()
+    number: dict[str, int] = {}
+    for op in history.operations():
+        txn = number.setdefault(op.txn_id, len(number))
+        sha.update(repr((op.kind, txn, op.obj)).encode())
+    return sha.hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     "program, strategy", list(INTERPRETER), ids=map("-".join, INTERPRETER)
 )
@@ -119,17 +166,20 @@ def test_interpreter_choices_are_pinned(program, strategy):
     "workload, strategy", list(WAVES), ids=map("-".join, WAVES)
 )
 def test_wave_choices_are_pinned(workload, strategy):
-    spec, rules, memory = _loaded(workload)
-    config = spec["engine"]
-    with ParallelEngine(
-        rules, memory, scheme=config["scheme"],
-        processors=config["processors"], strategy=strategy,
-        seed=RANDOM_SEED,
-    ) as engine:
-        result = engine.run(max_waves=10**9)
+    result = _waves(workload, strategy).result
     assert (
         firing_digest(result.firings), len(result.firings), result.cycles
     ) == WAVES[workload, strategy]
+
+
+@pytest.mark.parametrize(
+    "workload, strategy", list(HISTORIES), ids=map("-".join, HISTORIES)
+)
+def test_wave_histories_are_pinned(workload, strategy):
+    history = _waves(workload, strategy).history
+    assert (
+        history_digest(history), len(history)
+    ) == HISTORIES[workload, strategy]
 
 
 @pytest.mark.parametrize(

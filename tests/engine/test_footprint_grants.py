@@ -41,7 +41,7 @@ from test_admission import (
     program,
 )
 
-from repro.engine import MultiUserEngine, ParallelEngine
+from repro.engine import Commit, MultiUserEngine, ParallelEngine
 from repro.errors import NotSerializable, UnknownElementError
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy, VirtualSleeper
 from repro.txn import Certifier, History
@@ -49,7 +49,7 @@ from repro.txn.serializability import (
     equivalent_to_commit_order,
     is_conflict_serializable,
 )
-from repro.txn.schedule import COMMIT, WRITE
+from repro.txn.schedule import COMMIT, WRITE, history_of
 
 SCHEMES = ("rc", "2pl", "c2pl")
 TWINS = {
@@ -255,7 +255,7 @@ def test_certifier_names_both_firings_and_the_object():
     certifier = Certifier()
     read_at = certifier.commits
     certifier.check("writer", 0, ["x"])
-    certifier.commit("writer", "T1", 0, ("x",), ("q",))
+    certifier.commit("writer", ("q",))
     certifier.check("unrelated", read_at, ["x"])
     with pytest.raises(NotSerializable, match=r"reader read 'q'.*\(writer\)"):
         certifier.check("reader", read_at, ["x", "q"])
@@ -298,6 +298,7 @@ def test_certifier_agrees_with_the_precedence_graph(drawn):
     firings, order = drawn
     history, certifier = History(), Certifier()
     read_at: dict = {}
+    commits: list[Commit] = []
     accepted = True
     for kind, i in order:
         reads, writes, _ = firings[i]
@@ -316,17 +317,18 @@ def test_certifier_agrees_with_the_precedence_graph(drawn):
             except NotSerializable:
                 accepted = False
             else:
-                certifier.commit(
-                    name, name, read_at[i], tuple(sorted(reads)),
+                certifier.commit(name, writes)
+                commits.append(Commit(
+                    name, (), 0, name, read_at[i], tuple(sorted(reads)),
                     tuple(sorted(writes)),
-                )
+                ))
     in_order = equivalent_to_commit_order(history)
     assert accepted == in_order
     if in_order:
         assert is_conflict_serializable(history)
-        # The certifier's own history is the committed projection, up
-        # to where uncommitted reads fell.
-        rebuilt = certifier.history()
+        # The history rebuilt from the certified commits is the
+        # committed projection, up to where uncommitted reads fell.
+        rebuilt = history_of(commits)
         assert committed_footprints(rebuilt) == committed_footprints(history)
         assert is_conflict_serializable(rebuilt)
 

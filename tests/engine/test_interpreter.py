@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.engine import Interpreter
+from repro.engine import Interpreter, replay_commit_sequence
 from repro.errors import EngineError
 from repro.lang import RuleBuilder, parse_production
 from repro.lang.builder import var
-from repro.wm import WorkingMemory
+from repro.wm import WMSnapshot, WorkingMemory
 
 
 class TestBasicCycles:
@@ -69,12 +69,14 @@ class TestBasicCycles:
         result = Interpreter([rule], wm).run()
         assert result.outputs == [(42,)]
 
-    def test_final_snapshot_captured(self, order_rules, order_wm):
+    def test_final_state_is_where_the_commits_lead(
+        self, order_rules, order_wm
+    ):
+        initial = WMSnapshot.capture(order_wm)
         result = Interpreter(order_rules, order_wm).run()
-        assert result.final_snapshot is not None
-        assert result.final_snapshot.value_identity_set() == (
-            order_wm.value_identity_set()
-        )
+        final = WMSnapshot.capture(order_wm)
+        replay = replay_commit_sequence(initial, order_rules, result.firings)
+        assert replay.identities == final.value_identity_set()
 
 
 class TestRefraction:

@@ -1,5 +1,7 @@
 """Tests for the partitioned (user-visible parallelism) engine."""
 
+import multiprocessing
+
 import pytest
 
 from repro.engine import PartitionedEngine
@@ -107,3 +109,28 @@ class TestRun:
         # memory without depots to keep the example minimal.
         engine.run(memory)
         assert not engine.verify_against_whole(memory)
+
+
+class TestClose:
+    """Every ``Interpreter`` the engine builds is closed by the time
+    ``run`` / ``verify_against_whole`` return."""
+
+    def test_shard_memories_keep_no_matcher(self):
+        memory = make_memory()
+        engine = PartitionedEngine(shard_local_rules(), "region")
+        engine.run(memory)
+        assert engine.verify_against_whole(memory)
+        for shard in engine.shards:
+            assert shard.memory._listeners == []
+            assert shard.memory._retirees == {}
+
+    def test_process_matcher_leaves_no_worker(self):
+        before = set(multiprocessing.active_children())
+        memory = make_memory(orders_per_region=1, regions=("eu", "us"))
+        engine = PartitionedEngine(
+            shard_local_rules(), "region",
+            matcher="partitioned:rete:2:process",
+        )
+        assert len(engine.run(memory)) == 2
+        assert engine.verify_against_whole(memory)
+        assert set(multiprocessing.active_children()) <= before

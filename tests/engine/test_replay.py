@@ -1,7 +1,7 @@
 """Tests for replay-based semantic-consistency validation."""
 
 from repro.engine import Interpreter, replay_commit_sequence
-from repro.engine.result import FiringRecord
+from repro.engine.result import Commit
 from repro.lang import RuleBuilder
 from repro.lang.builder import var
 from repro.wm import WMSnapshot, WorkingMemory
@@ -39,9 +39,8 @@ class TestReplay:
     def test_bogus_firing_detected(self):
         wm, rules = setup()
         snapshot = WMSnapshot.capture(wm)
-        bogus = FiringRecord(
+        bogus = Commit(
             rule_name="cook",
-            timetags=(99,),
             value_identities=(("item", (("id", 9), ("state", "raw"))),),
             cycle=1,
         )

@@ -93,13 +93,17 @@ class TestThreadedWave:
 
     def test_run_drains_to_quiescence(self):
         wm, rules = disjoint_setup(5)
+        initial = WMSnapshot.capture(wm)
         executor = ThreadedWaveExecutor(rules, wm, scheme="rc")
         result = executor.run()
         assert len(result.firings) == 5
         assert sum(len(w.committed) for w in executor.waves) == 5
         assert result.stop_reason == "quiescent"
         assert result.cycles == len(executor.waves)
-        assert result.final_snapshot is not None
+        replay = replay_commit_sequence(initial, rules, result.firings)
+        assert replay.identities == (
+            WMSnapshot.capture(wm).value_identity_set()
+        )
         assert not executor.matcher.conflict_set.eligible()
 
 

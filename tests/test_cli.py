@@ -614,7 +614,7 @@ class TestObsHealth:
 
 
 class TestObsTop:
-    def test_prints_final_snapshot_line(self, capsys):
+    def test_prints_last_interval_line(self, capsys):
         code = main(["obs", "top", "manners:8"])
         out = capsys.readouterr().out
         assert code == 0

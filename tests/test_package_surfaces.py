@@ -49,7 +49,7 @@ PUBLIC_NAMES = {
         section_3_3_example table_5_1 table_5_2
     """,
     "repro.engine": """
-        ActionExecutor ActionOutcome FiringRecord Interpreter
+        ActionExecutor ActionOutcome Commit Interpreter
         MultiUserEngine ParallelEngine PartitionedEngine ReplayOutcome
         RunResult Session ShardRun ThreadedWaveExecutor WaveResult
         replay_commit_sequence
