@@ -13,9 +13,14 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/import_count.py [--seed 5] [WORKLOAD ...]
 
 It prints one row per workload: how many ``repro`` modules are loaded
-once the engine is built, their source lines, and how many modules of
-any package ``run()`` imported (0: an engine loads what it needs when
-it is built).  Below each row it names those modules, indented.
+once the engine is built, their source lines, how many modules of any
+package ``run()`` imported (0: an engine loads what it needs when it is
+built), and which of the class-generating modules (``dataclasses``,
+``inspect``) are loaded by then (``none``: set-up generates no code).
+Below each row it names those modules, indented.  The workload's inputs
+are generated here and handed to the probe on stdin, as the driver
+hands them to its child, so the generator's own imports stay out of
+the probe.
 """
 
 from __future__ import annotations
@@ -30,17 +35,18 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 E2E = os.path.join(HERE, "e2e")
+#: Modules that generate classes at import (``@dataclass`` runs
+#: ``exec`` and loads ``inspect``); no run should load them.
+CODEGEN = ("dataclasses", "inspect")
 
 
-def probe(name: str, seed: int) -> dict:
-    """Load, build and run ``name`` in this interpreter (call it in a
+def probe(spec: dict) -> dict:
+    """Load, build and run ``spec`` in this interpreter (call it in a
     fresh one); what was loaded by the time the engine was built, and
     what ``run()`` imported."""
     sys.path.insert(0, E2E)
     import child
-    import run
 
-    spec = run.build_spec(name, seed, smoke=False)
     # ``child.run_job``'s imports, in its order.
     from repro.lang import parse_program
     from repro.wm.memory import WorkingMemory
@@ -78,6 +84,7 @@ def probe(name: str, seed: int) -> dict:
         "modules": loaded,
         "lines": lines,
         "during_run": sorted(set(sys.modules) - built),
+        "codegen": [module for module in CODEGEN if module in built],
     }
 
 
@@ -85,25 +92,32 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*")
     parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--probe", help=argparse.SUPPRESS)
+    parser.add_argument("--probe", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.probe:
-        print(json.dumps(probe(args.probe, args.seed)))
+        print(json.dumps(probe(json.load(sys.stdin))))
         return 0
     sys.path.insert(0, E2E)
+    import run
     import workloads
 
-    print(f"{'workload':<16} {'modules':>7} {'lines':>6} {'run_imports':>11}")
+    print(
+        f"{'workload':<16} {'modules':>7} {'lines':>6} {'run_imports':>11} "
+        f"codegen"
+    )
     for name in args.workloads or list(workloads.WORKLOADS):
+        spec = run.build_spec(name, args.seed, smoke=False)
         done = subprocess.run(
-            [sys.executable, __file__, "--probe", name,
-             "--seed", str(args.seed)],
-            capture_output=True, text=True, check=True,
+            [sys.executable, __file__, "--probe"],
+            input=json.dumps(spec), capture_output=True, text=True,
+            check=True,
         )
         row = json.loads(done.stdout.splitlines()[-1])
         print(
             f"{name:<16} {len(row['modules']):>7} {row['lines']:>6} "
-            f"{len(row['during_run']):>11}"
+            f"{len(row['during_run']):>11} "
+            f"{'+'.join(row['codegen']) or 'none'}"
         )
         for module in row["modules"]:
             print(f"  {module}")

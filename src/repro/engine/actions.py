@@ -7,23 +7,34 @@ are performed, which may cause changes to the database").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.lang.compile import RhsPlan
 from repro.match.instantiation import Instantiation
-from repro.wm.element import Scalar, WME
+from repro.wm.element import Record, Scalar, WME
 from repro.wm.memory import WorkingMemory
 
 
-@dataclass
-class ActionOutcome:
+class ActionOutcome(Record):
     """What one RHS execution did."""
 
-    created: list[WME] = field(default_factory=list)
-    modified: list[tuple[WME, WME]] = field(default_factory=list)
-    removed: list[WME] = field(default_factory=list)
-    outputs: list[tuple[Scalar, ...]] = field(default_factory=list)
-    halted: bool = False
+    created: list[WME]
+    modified: list[tuple[WME, WME]]
+    removed: list[WME]
+    outputs: list[tuple[Scalar, ...]]
+    halted: bool
+
+    def __init__(
+        self,
+        created: list[WME] | None = None,
+        modified: list[tuple[WME, WME]] | None = None,
+        removed: list[WME] | None = None,
+        outputs: list[tuple[Scalar, ...]] | None = None,
+        halted: bool = False,
+    ) -> None:
+        self.created = [] if created is None else created
+        self.modified = [] if modified is None else modified
+        self.removed = [] if removed is None else removed
+        self.outputs = [] if outputs is None else outputs
+        self.halted = halted
 
     def touched(self) -> list[WME]:
         """Every WME the RHS wrote (old and new versions)."""

@@ -13,7 +13,6 @@ forever.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterable
 
 from repro.engine.actions import ActionExecutor
@@ -173,7 +172,7 @@ class Interpreter:
         from that close propagates with memory as the RHS left it.
         """
         self.conflict_set.mark_fired(instantiation)
-        with getattr(self.matcher, "batch", nullcontext)():
+        with self.matcher.batch():
             with self.memory.atomic(instantiation.production.name):
                 outcome = self.executor.execute(instantiation)
         self.result.firings.append(

@@ -92,8 +92,6 @@ one record serves both of Theorem 2's conclusions.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
     TYPE_CHECKING, Collection, Iterable, Iterator, Literal, NamedTuple,
@@ -109,7 +107,7 @@ from repro.lang.production import Production
 from repro.match.base import BaseMatcher
 from repro.match.instantiation import Instantiation
 from repro.match.strategies import Strategy, make_strategy
-from repro.wm.element import data_object_key
+from repro.wm.element import Record, data_object_key
 from repro.wm.memory import WorkingMemory
 from repro.wm.undo import UndoLog
 
@@ -128,8 +126,7 @@ def _resumed(first: Instantiation, ranking: Iterator[Instantiation]):
     yield from ranking
 
 
-@dataclass
-class WaveResult:
+class WaveResult(Record):
     """What one wave did: rule names, one entry per attempt.
 
     ``committed`` is commit order — under wave admission that is
@@ -147,11 +144,27 @@ class WaveResult:
     """
 
     wave: int
-    committed: list[str] = field(default_factory=list)
-    aborted: list[str] = field(default_factory=list)
-    deferred: list[str] = field(default_factory=list)
-    held: list[str] = field(default_factory=list)
-    ordered: int = 0
+    committed: list[str]
+    aborted: list[str]
+    deferred: list[str]
+    held: list[str]
+    ordered: int
+
+    def __init__(
+        self,
+        wave: int,
+        committed: list[str] | None = None,
+        aborted: list[str] | None = None,
+        deferred: list[str] | None = None,
+        held: list[str] | None = None,
+        ordered: int = 0,
+    ) -> None:
+        self.wave = wave
+        self.committed = [] if committed is None else committed
+        self.aborted = [] if aborted is None else aborted
+        self.deferred = [] if deferred is None else deferred
+        self.held = [] if held is None else held
+        self.ordered = ordered
 
     def __str__(self) -> str:
         return (
@@ -699,7 +712,7 @@ class ParallelEngine:
                 # one firing at a time runs here, and the conflict set
                 # is next consulted by the following candidate's
                 # staleness check (after the batch has flushed).
-                with getattr(self.matcher, "batch", nullcontext)():
+                with self.matcher.batch():
                     outcome = self.executor.execute(instantiation)
                 if self.fault is not None:
                     self.fault.crash_point(txn)

@@ -1,9 +1,10 @@
 """Abstract syntax for the OPS5-style rule language.
 
-The structures here are deliberately value-typed (frozen dataclasses):
-productions are immutable programs, and the matchers hash and share
-condition elements across rules (the Rete network's "sharing of common
-subexpressions among LHS's of different productions", Section 2).
+The structures here are deliberately value-typed (frozen records,
+:class:`~repro.wm.element.FrozenRecord`): productions are immutable
+programs, and the matchers hash and share condition elements across
+rules (the Rete network's "sharing of common subexpressions among
+LHS's of different productions", Section 2).
 
 LHS side
 --------
@@ -33,11 +34,10 @@ like the LHS, into closures over the instantiation's slot token
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.errors import ValidationError
-from repro.wm.element import Scalar, WME
+from repro.wm.element import FrozenRecord, Scalar, WME
 
 #: Variable bindings produced by matching an LHS.
 Bindings = Mapping[str, Scalar]
@@ -76,8 +76,7 @@ def dsl_literal(value: Scalar) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantTest:
+class ConstantTest(FrozenRecord):
     """``^attr = literal`` — attribute must equal the constant."""
 
     attribute: str
@@ -87,8 +86,7 @@ class ConstantTest:
         return f"^{self.attribute} {dsl_literal(self.value)}"
 
 
-@dataclass(frozen=True)
-class VariableTest:
+class VariableTest(FrozenRecord):
     """``^attr <x>`` — bind attribute to variable, or test equality.
 
     On first occurrence (reading an LHS left to right) the variable is
@@ -103,8 +101,7 @@ class VariableTest:
         return f"^{self.attribute} <{self.variable}>"
 
 
-@dataclass(frozen=True)
-class PredicateTest:
+class PredicateTest(FrozenRecord):
     """``^attr <op> value-or-var`` — relational comparison.
 
     ``operand`` is a literal when ``operand_is_variable`` is false,
@@ -142,8 +139,7 @@ Test = ConstantTest | VariableTest | PredicateTest
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionElement:
+class ConditionElement(FrozenRecord):
     """One pattern of an LHS: a relation name plus attribute tests.
 
     Parameters
@@ -167,8 +163,8 @@ class ConditionElement:
     # they used to be re-filtered on every call — and ``alpha_matches``
     # called two of them per WME probe.  They are now computed once and
     # cached on the instance (``object.__setattr__`` sidesteps the
-    # frozen-dataclass guard; non-field attributes do not participate in
-    # dataclass equality or hashing).
+    # frozen record's guard; non-field attributes take no part in its
+    # equality, hashing or pickling).
 
     def _partition(self) -> tuple:
         constants = []
@@ -278,11 +274,6 @@ class ConditionElement:
         """True when ``wme`` passes the relation and constant tests."""
         return self.compiled().alpha(wme)
 
-    def __reduce__(self):
-        # Cached partitions/closures are derived state; pickle only the
-        # defining fields so closures never hit the wire.
-        return (ConditionElement, (self.relation, self.tests, self.negated))
-
     def __str__(self) -> str:
         inner = " ".join(str(t) for t in self.tests)
         body = f"({self.relation}{' ' + inner if inner else ''})"
@@ -294,8 +285,7 @@ class ConditionElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(FrozenRecord):
     """A literal value."""
 
     value: Scalar
@@ -307,8 +297,7 @@ class Constant:
         return dsl_literal(self.value)
 
 
-@dataclass(frozen=True)
-class VariableRef:
+class VariableRef(FrozenRecord):
     """A reference to an LHS-bound variable."""
 
     name: str
@@ -330,8 +319,7 @@ _ARITHMETIC: dict[str, Callable[[Scalar, Scalar], Scalar]] = {
 }
 
 
-@dataclass(frozen=True)
-class BinaryExpr:
+class BinaryExpr(FrozenRecord):
     """Arithmetic over two sub-expressions (``compute`` in OPS5)."""
 
     op: str
@@ -367,8 +355,7 @@ def as_expr(value: "ValueExpr | Scalar") -> ValueExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MakeAction:
+class MakeAction(FrozenRecord):
     """``(make relation ^attr expr ...)`` — the paper's *create*."""
 
     relation: str
@@ -394,8 +381,7 @@ class MakeAction:
         return f"(make {self.relation} {inner})"
 
 
-@dataclass(frozen=True)
-class ModifyAction:
+class ModifyAction(FrozenRecord):
     """``(modify <ce-index> ^attr expr ...)`` — the paper's *modify*.
 
     ``ce_index`` is the 1-based index of the (positive) condition
@@ -425,8 +411,7 @@ class ModifyAction:
         return f"(modify {self.ce_index} {inner})"
 
 
-@dataclass(frozen=True)
-class RemoveAction:
+class RemoveAction(FrozenRecord):
     """``(remove <ce-index>)`` — the paper's *delete*."""
 
     ce_index: int
@@ -438,8 +423,7 @@ class RemoveAction:
         return f"(remove {self.ce_index})"
 
 
-@dataclass(frozen=True)
-class BindAction:
+class BindAction(FrozenRecord):
     """``(bind <x> expr)`` — bind an RHS-local variable."""
 
     variable: str
@@ -452,8 +436,7 @@ class BindAction:
         return f"(bind <{self.variable}> {self.expr})"
 
 
-@dataclass(frozen=True)
-class WriteAction:
+class WriteAction(FrozenRecord):
     """``(write expr ...)`` — emit values into the run's ``outputs``."""
 
     exprs: tuple[ValueExpr, ...]
@@ -468,8 +451,7 @@ class WriteAction:
         return f"(write {' '.join(str(e) for e in self.exprs)})"
 
 
-@dataclass(frozen=True)
-class HaltAction:
+class HaltAction(FrozenRecord):
     """``(halt)`` — request termination of the recognize-act cycle."""
 
     def variables(self) -> frozenset[str]:

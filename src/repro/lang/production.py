@@ -10,7 +10,6 @@ objects touched at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import ValidationError
@@ -24,10 +23,10 @@ from repro.lang.ast import (
     RemoveAction,
     WriteAction,
 )
+from repro.wm.element import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(FrozenRecord):
     """An immutable production rule.
 
     Parameters
@@ -52,13 +51,6 @@ class Production:
 
     def __post_init__(self) -> None:
         self.validate()
-
-    def __reduce__(self):
-        # Compiled token and join plans, the variable index and the LEX
-        # static rank are cached on the instance via ``object.__setattr__``;
-        # rebuild from the AST so pickles never carry closures or
-        # derived data (mirrors WME.__reduce__).
-        return (Production, (self.name, self.lhs, self.rhs, self.priority))
 
     # -- validation -------------------------------------------------------------
 

@@ -17,10 +17,10 @@ bare symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import ParseError
+from repro.wm.element import FrozenRecord
 
 #: Token kinds produced by :func:`tokenize`.
 LPAREN = "LPAREN"
@@ -44,8 +44,7 @@ def _is_symbol_char(ch: str) -> bool:
     return ch.isalnum() or ch in _SYMBOL_EXTRA
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(FrozenRecord):
     """One lexical token with its 1-based source position."""
 
     kind: str

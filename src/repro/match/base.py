@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import nullcontext
 from importlib import import_module
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.lang.compile import SlottedPlan
 from repro.lang.production import Production, ensure_validated
 from repro.match.conflict_set import ConflictSet
 from repro.wm.memory import WorkingMemory
+
+
+#: What :meth:`BaseMatcher.batch` returns: an incremental matcher has
+#: nothing to hold back.
+_NO_BARRIER = nullcontext()
 
 
 @runtime_checkable
@@ -130,19 +135,19 @@ class BaseMatcher:
         """Process one WM delta on behalf of a driving matcher."""
         self._on_delta(delta)
 
-    @contextmanager
-    def batch(self) -> Iterator["BaseMatcher"]:
+    def batch(self):
         """Group WM deltas behind one match barrier (no-op by default).
 
         :class:`~repro.match.partitioned.PartitionedMatcher` overrides
         this to buffer deltas published inside the block and replay
         them to every shard together on exit.  The base implementation
-        matches incrementally as usual, so single-threaded engine
-        drive loops can wrap RHS execution in ``matcher.batch()``
-        unconditionally.  Not thread-safe — only for callers that own
-        the matcher's delta stream.
+        matches incrementally as usual and returns one shared no-op
+        context, so single-threaded engine drive loops wrap every
+        firing's RHS in ``matcher.batch()`` at no cost.  Not
+        thread-safe — only for callers that own the matcher's delta
+        stream.
         """
-        yield self
+        return _NO_BARRIER
 
     def rebuild(self) -> None:
         """Recompute all matches from the current store contents."""

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -80,6 +79,7 @@ from repro.lang.production import Production
 from repro.match.base import MATCHERS, BaseMatcher, matcher_class
 from repro.match.conflict_set import ConflictSet
 from repro.match.instantiation import Instantiation
+from repro.wm.element import FrozenRecord, Record
 from repro.wm.memory import WMDelta, WorkingMemory
 
 # Each substrate and inner matcher is imported by the constructor
@@ -134,12 +134,19 @@ def parse_partitioned_spec(spec: str) -> tuple[str, int, str]:
     return inner, shards, backend
 
 
-@dataclass(frozen=True)
-class ConflictSetDelta:
+class ConflictSetDelta(FrozenRecord):
     """Instantiations added and removed since the delta was opened."""
 
     added: frozenset[Instantiation]
     removed: frozenset[Instantiation]
+
+    def __init__(
+        self,
+        added: frozenset[Instantiation],
+        removed: frozenset[Instantiation],
+    ) -> None:
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "removed", removed)
 
     def is_empty(self) -> bool:
         return not self.added and not self.removed
@@ -207,8 +214,7 @@ def shard_matcher(
     return matcher
 
 
-@dataclass
-class _Shard:
+class _Shard(Record):
     """One partition: a passive inner matcher plus its LPT load."""
 
     index: int

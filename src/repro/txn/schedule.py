@@ -11,11 +11,11 @@ serializability checker consumes it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import NotSerializable
 from repro.txn.transaction import DataObject
+from repro.wm.element import FrozenRecord
 
 #: Operation kinds.
 READ = "r"
@@ -26,8 +26,7 @@ ABORT = "a"
 _KINDS = (READ, WRITE, COMMIT, ABORT)
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(FrozenRecord):
     """One step of a history.
 
     ``obj`` is ``None`` for commit/abort operations.

@@ -13,10 +13,10 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.errors import TransactionError
+from repro.wm.element import Record
 
 #: A lockable data object (see :func:`repro.wm.element.data_object_key`).
 DataObject = Hashable
@@ -32,8 +32,7 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
-class Transaction:
+class Transaction(Record):
     """One production firing as a transaction.
 
     Parameters
@@ -45,21 +44,33 @@ class Transaction:
         consistency checker.
     """
 
-    txn_id: str = ""
-    rule_name: str = ""
-    state: TxnState = TxnState.ACTIVE
-    read_set: set[DataObject] = field(default_factory=set)
-    write_set: set[DataObject] = field(default_factory=set)
+    txn_id: str
+    rule_name: str
+    state: TxnState
+    read_set: set[DataObject]
+    write_set: set[DataObject]
     #: Monotonic start order; the deadlock victim is the youngest.
-    start_order: int = 0
-    abort_reason: str = ""
+    start_order: int
+    abort_reason: str
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        txn_id: str = "",
+        rule_name: str = "",
+        state: TxnState = TxnState.ACTIVE,
+        read_set: set[DataObject] | None = None,
+        write_set: set[DataObject] | None = None,
+        start_order: int = 0,
+        abort_reason: str = "",
+    ) -> None:
         number = next(_txn_counter)
-        if not self.txn_id:
-            self.txn_id = f"t{number}"
-        if not self.start_order:
-            self.start_order = number
+        self.txn_id = txn_id or f"t{number}"
+        self.rule_name = rule_name
+        self.state = state
+        self.read_set = set() if read_set is None else read_set
+        self.write_set = set() if write_set is None else write_set
+        self.start_order = start_order or number
+        self.abort_reason = abort_reason
         self._mutex = threading.Lock()
         # Transactions key every grant map and held-object index; the
         # id never changes after init, so hash once instead of
@@ -153,8 +164,7 @@ class Transaction:
         return f"{self.txn_id}{rule}({self.state.value})"
 
 
-@dataclass
-class CommitOutcome:
+class CommitOutcome(Record):
     """Result of a scheme-level commit.
 
     ``victims`` lists transactions the scheme force-aborted as part of
@@ -163,4 +173,10 @@ class CommitOutcome:
     """
 
     committed: bool
-    victims: list[Transaction] = field(default_factory=list)
+    victims: list[Transaction]
+
+    def __init__(
+        self, committed: bool, victims: list[Transaction] | None = None
+    ) -> None:
+        self.committed = committed
+        self.victims = [] if victims is None else victims

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterator, Mapping
 
 # Values allowed inside a WME.  Keeping the domain small keeps equality,
@@ -48,8 +48,94 @@ def ensure_timetag_floor(minimum: Timetag) -> None:
     _timetag_counter = itertools.count(start)
 
 
-@dataclass(frozen=True, slots=True)
-class WME:
+class Record:
+    """A plain record: ``==`` and repr over the fields its class body
+    annotates, and a constructor taking them in that order, by position
+    or keyword (a class-level value is the field's default), that ends
+    with ``__post_init__`` where the class has one.
+
+    What ``@dataclass`` generates, without generating code: importing a
+    record class runs no ``exec`` and loads neither ``dataclasses`` nor
+    ``inspect``, which every fresh process would compile and run inside
+    its start-up.  Attributes outside the fields (caches) take no part.
+    Unhashable, like a mutable dataclass.  A record built per delta or
+    per firing writes its own ``__init__``.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+    #: Field names, in constructor order; ``_key(record)`` their values.
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._key = staticmethod(lambda record: (get(record),))
+        else:
+            cls._key = staticmethod(
+                attrgetter(*fields) if fields else lambda record: ()
+            )
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} arguments "
+                f"but {len(args)} were given"
+            )
+        set_ = object.__setattr__
+        for name, value in zip(fields, args):
+            set_(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                set_(self, name, kwargs.pop(name))
+            elif not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() missing {name!r}")
+        if kwargs:
+            raise TypeError(
+                f"{cls.__name__}() got unexpected or repeated "
+                f"argument(s) {sorted(kwargs)}"
+            )
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` that refuses assignment once built, hashes by
+    its fields and pickles as its constructor call on them, so a cache
+    set with ``object.__setattr__`` never reaches a pickle."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._key(self))
+
+
+class WME(FrozenRecord):
     """An immutable working-memory element.
 
     Parameters
@@ -65,17 +151,19 @@ class WME:
         a bag keyed by timetag, exactly as in OPS5.
     """
 
+    __slots__ = (
+        "relation", "items", "timetag", "_mapping", "_data_object_key"
+    )
     relation: str
     items: tuple[tuple[str, Scalar], ...]
-    timetag: Timetag = 0
-    _mapping: dict = field(default=None, compare=False, repr=False)
-    _data_object_key: tuple = field(default=None, compare=False, repr=False)
+    timetag: Timetag
 
     def __init__(
         self, relation: str, items: tuple, timetag: Timetag = 0
     ) -> None:
         # Every construction path — make, replaced, the direct
-        # constructor, unpickling — builds the attribute dict here, once.
+        # constructor, unpickling — builds the attribute dict here, once;
+        # the data-object key is set on first use.
         set_ = object.__setattr__
         set_(self, "relation", relation)
         set_(self, "items", items)
@@ -124,11 +212,6 @@ class WME:
         attributes up by hash instead of scanning ``items``, so callers
         must not mutate it."""
         return self._mapping
-
-    def __reduce__(self):
-        # The mapping and data-object key are derived state; pickle
-        # only the fields (unpickling rebuilds the mapping).
-        return (WME, (self.relation, self.items, self.timetag))
 
     # -- derivation ----------------------------------------------------------
 

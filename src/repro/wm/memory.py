@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import UnknownElementError
-from repro.wm.element import Scalar, Timetag, WME
+from repro.wm.element import Record, Scalar, Timetag, WME
 from repro.wm.schema import Catalog
 
 #: Signature of a working-memory change listener.
@@ -43,8 +42,7 @@ UnitOpened = Callable[["str | None"], None]
 UnitCommitted = Callable[[], None]
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class WMDelta:
+class WMDelta(Record):
     """One atomic change to working memory (a slotted value).
 
     ``kind`` is ``"add"`` or ``"remove"``.  A ``modify`` is published
@@ -52,8 +50,16 @@ class WMDelta:
     the standard OPS5/Rete decomposition.
     """
 
+    __slots__ = ("kind", "wme")
     kind: str
     wme: WME
+
+    def __init__(self, kind: str, wme: WME) -> None:
+        self.kind = kind
+        self.wme = wme
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.wme))
 
     def inverted(self) -> "WMDelta":
         """The delta that undoes this one."""

@@ -13,12 +13,11 @@ out exactly that lockable key via :meth:`Catalog.catalog_lock_key`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import DuplicateSchemaError, SchemaError
-from repro.wm.element import Scalar, WME
+from repro.wm.element import FrozenRecord, Scalar, WME
 
 #: Attribute type names accepted in schema declarations.
 ATTRIBUTE_TYPES = ("symbol", "int", "float", "number", "bool", "any")
@@ -32,8 +31,7 @@ _PYTHON_TYPES: dict[str, tuple[type, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class AttributeDef:
+class AttributeDef(FrozenRecord):
     """One attribute of a relation schema.
 
     Parameters
@@ -69,8 +67,7 @@ class AttributeDef:
         return isinstance(value, expected)
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(FrozenRecord):
     """Schema for one working-memory relation (OPS5: *literalize*).
 
     Parameters

@@ -12,15 +12,12 @@ resolution behaves identically on a restored state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.wm.element import WME
+from repro.wm.element import FrozenRecord, WME
 from repro.wm.memory import WorkingMemory
 from repro.wm.schema import Catalog
 
 
-@dataclass(frozen=True)
-class WMSnapshot:
+class WMSnapshot(FrozenRecord):
     """An immutable capture of a working memory's live elements."""
 
     elements: tuple[WME, ...]

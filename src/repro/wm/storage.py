@@ -83,14 +83,13 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import repro.obs as obs_module
 from repro.errors import StorageError, WorkingMemoryError
-from repro.wm.element import WME, ensure_timetag_floor
+from repro.wm.element import WME, Record, ensure_timetag_floor
 from repro.wm.memory import WMDelta, WorkingMemory
 from repro.wm.schema import Catalog
 
@@ -211,8 +210,7 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-@dataclass
-class SegmentInfo:
+class SegmentInfo(Record):
     """Bookkeeping for one sealed (immutable) WAL segment."""
 
     path: Path
@@ -222,8 +220,7 @@ class SegmentInfo:
     bytes: int
 
 
-@dataclass
-class RecoveryReport:
+class RecoveryReport(Record):
     """What :meth:`DurableStore.open` did, for inspection and benches."""
 
     elements: int = 0
@@ -232,8 +229,12 @@ class RecoveryReport:
     shadowed: int = 0
     segments: int = 0
     torn_lines: int = 0
-    cleaned: list[str] = field(default_factory=list)
+    cleaned: list[str] = None  # a fresh list per report
     seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.cleaned is None:
+            self.cleaned = []
 
 
 class DurableStore:

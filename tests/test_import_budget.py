@@ -100,6 +100,11 @@ PARALLEL_ADDS = {
     "repro.wm.undo", "repro.obs", "repro.obs.null",
 }
 
+#: Modules that generate classes at import: ``@dataclass`` runs ``exec``
+#: per class and loads ``inspect``.  Every fresh process would compile
+#: and run them inside its start-up, so no record a run builds uses them.
+CODEGEN = ("dataclasses", "inspect")
+
 
 def run_python(code: str) -> str:
     done = subprocess.run(
@@ -177,3 +182,9 @@ def test_a_run_imports_nothing():
     for engine in ENGINES:
         probe = _probe(engine)
         assert probe["before"] == probe["after"], engine
+
+
+def test_no_engine_generates_code_at_start_up():
+    for engine in ENGINES:
+        before = _probe(engine)["before"]
+        assert [name for name in CODEGEN if name in before] == [], engine

@@ -89,7 +89,7 @@ class TestDerivation:
     def test_equal_wmes_differ_when_timetags_differ(self):
         a = WME.make("r", x=1)
         b = WME.make("r", x=1)
-        assert a != b  # dataclass equality includes timetag
+        assert a != b  # record equality includes timetag
 
     def test_str_shows_relation_and_values(self):
         text = str(WME.make("order", id=1))
